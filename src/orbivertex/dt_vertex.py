@@ -308,12 +308,16 @@ def vertex_closed_zn(n, legs, cutoff):
     """Full closed formula for the cyclic vertex with legs (lam, mu, nu).
 
     The inner sum is truncated at eta sizes up to the cutoff and checked
-    for stabilization one layer further.  Raises if a negative exponent
-    survives in the result.
+    for stabilization one layer further.  At most one leg may be
+    non-empty: with two, a negative exponent survives specialization, so
+    such input is rejected before any work.  Raises if a negative
+    exponent survives in the result.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     lam, mu, nu = (pc.check_partition(tuple(x)) for x in legs)
+    if sum(1 for x in (lam, mu, nu) if x) > 1:
+        raise ValueError("at most one non-empty leg")
     names = zn_names(n)
     lamc = pc.conjugate(lam)
     muc = pc.conjugate(mu)

@@ -1,11 +1,14 @@
 """Transfer-matrix evaluation of half-vertex operator products.
 
-States are row vectors over partition basis elements carrying monomial
-exponents; operators act on the left factor by factor.  Transition
-operators move between interlacing partitions (plain or primed), weight
-operators are diagonal and multiply in one variable per cell of the
-current partition, and the even-mode exponential operators move border
-strips of even length with signs.
+A state is a row vector over the partition basis whose coefficients are
+truncated polynomials: a dict {partition: {exponent tuple: coefficient}}
+with one entry per partition whose polynomial has at least one term.
+Operators act on the left factor by factor.  Transition operators move
+between interlacing partitions (plain or primed) and work once per
+partition, whatever its polynomial; weight operators are diagonal and
+multiply a partition's whole polynomial by one monomial with a variable
+per cell; the even-mode exponential operators move border strips of
+even length with signs.
 
 vertex_by_transfer() assembles the weighted products whose brackets give
 the zero- and one-leg orbifold series and the two restricted pyramid
@@ -25,11 +28,11 @@ from .rpc import mho
 
 
 def empty_state(nvars):
-    return {((), (0,) * nvars): 1}
+    return {(): {(0,) * nvars: 1}}
 
 
 def basis_state(lam, nvars):
-    return {(pc.check_partition(tuple(lam)), (0,) * nvars): 1}
+    return {pc.check_partition(tuple(lam)): {(0,) * nvars: 1}}
 
 
 def checkerboard_counts(lam):
@@ -43,26 +46,43 @@ def checkerboard_counts(lam):
     return ev, od
 
 
+def _add_into(out, lam, exps, coef):
+    poly = out.get(lam)
+    if poly is None:
+        out[lam] = {exps: coef}
+    else:
+        poly[exps] = poly.get(exps, 0) + coef
+
+
 def normalize_state(state):
+    """Integral Fractions become ints; zero terms and empty partitions go."""
     out = {}
-    for key, coef in state.items():
-        if isinstance(coef, Fraction) and coef.denominator == 1:
-            coef = int(coef)
-        if coef:
-            out[key] = coef
+    for lam, poly in state.items():
+        kept = {}
+        for exps, coef in poly.items():
+            if isinstance(coef, Fraction) and coef.denominator == 1:
+                coef = int(coef)
+            if coef:
+                kept[exps] = coef
+        if kept:
+            out[lam] = kept
     return out
 
 
 def weight_apply(state, exps_fn, cutoff):
-    """Diagonal step: multiply each entry by its own cell-colored monomial."""
+    """Diagonal step: multiply each partition's polynomial by its monomial.
+
+    exps_fn(lam) is evaluated once per partition; terms pushed past the
+    cutoff are dropped, and so is a partition left with none.
+    """
     out = {}
-    for (lam, exps), coef in state.items():
+    for lam, poly in state.items():
         w = exps_fn(lam)
-        e2 = tuple(a + b for a, b in zip(exps, w))
-        if sum(e2) > cutoff:
-            continue
-        key = (lam, e2)
-        out[key] = out.get(key, 0) + coef
+        room = cutoff - sum(w)
+        moved = {tuple(a + b for a, b in zip(exps, w)): coef
+                 for exps, coef in poly.items() if sum(exps) <= room}
+        if moved:
+            out[lam] = moved
     return out
 
 
@@ -71,24 +91,43 @@ def gamma_apply(state, tau, primed, arg, cutoff):
 
     tau=+1 moves to partitions interlacing above the current one, tau=-1
     below; the argument enters with the absolute size change as exponent.
+    Partners are enumerated once per partition.  Upward growth is bounded
+    by the lowest degree in that partition's polynomial, and each term is
+    then checked against the cutoff on its own.  When the argument is 1
+    every partner receives the polynomial unchanged.
     """
     ac, ae = arg
+    step = sum(ae)
+    identity = ac == 1 and not any(ae)
     out = {}
-    for (lam, exps), coef in state.items():
-        deg = sum(exps)
+    for lam, poly in state.items():
+        size = sum(lam)
         if tau == 1:
-            grow = ((cutoff - deg) // sum(ae)) if sum(ae) else cutoff
-            nxts = pc.partners_above(lam, sum(lam) + max(0, grow), primed)
+            grow = (cutoff - min(map(sum, poly))) // step if step else cutoff
+            nxts = pc.partners_above(lam, size + max(0, grow), primed)
         else:
             nxts = pc.partners_below(lam, primed)
-        for mu in nxts:
-            diff = abs(sum(mu) - sum(lam))
-            e2 = tuple(a + diff * b for a, b in zip(exps, ae))
-            if sum(e2) > cutoff:
+        if identity:
+            poly = {e: c for e, c in poly.items() if sum(e) <= cutoff}
+            if not poly:
                 continue
-            c2 = coef * (ac ** diff)
-            key = (mu, e2)
-            out[key] = out.get(key, 0) + c2
+        for mu in nxts:
+            if identity:
+                moved = poly
+            else:
+                diff = abs(sum(mu) - size)
+                room = cutoff - diff * step
+                factor = ac ** diff
+                moved = {tuple(a + diff * b for a, b in zip(e, ae)): c * factor
+                         for e, c in poly.items() if sum(e) <= room}
+                if not moved:
+                    continue
+            target = out.get(mu)
+            if target is None:
+                out[mu] = dict(moved) if identity else moved
+            else:
+                for e, c in moved.items():
+                    target[e] = target.get(e, 0) + c
     return out
 
 
@@ -97,35 +136,40 @@ def e_apply(state, sign, xsq, cutoff):
 
     xsq = (coef, exps) is the square of the argument and must have
     positive degree so the expansion truncates.  sign=+1 adds border
-    strips to the bra partition, sign=-1 removes them.
+    strips to the bra partition, sign=-1 removes them.  Strip moves
+    depend only on the partition, so the j-fold moves of one partition
+    are summed with their signs first and then carry its whole
+    polynomial, shifted by j*k times the argument's exponents.
     """
     xc, xe = xsq
     step = sum(xe)
     if step <= 0:
         raise ValueError("squared argument needs positive degree")
-    cur = dict(state)
+    cur = state
     for k in range(1, cutoff // step + 1):
         nxt = {}
-        for (lam, exps), coef in cur.items():
-            nxt[(lam, exps)] = nxt.get((lam, exps), 0) + coef
-            frontier = [(lam, exps, coef)]
+        for lam, poly in cur.items():
+            for exps, coef in poly.items():
+                _add_into(nxt, lam, exps, coef)
+            low = min(map(sum, poly))
+            frontier = {lam: 1}
             j = 0
-            while frontier:
+            while frontier and low + (j + 1) * k * step <= cutoff:
                 j += 1
-                fresh = []
-                for l2, e2, c2 in frontier:
+                fresh = {}
+                for l2, s2 in frontier.items():
                     moves = (pc.add_border_strips(l2, 2 * k) if sign > 0
                              else pc.remove_border_strips(l2, 2 * k))
                     for l3, sgn in moves:
-                        e3 = tuple(a + k * b for a, b in zip(e2, xe))
-                        if sum(e3) > cutoff:
-                            continue
-                        fresh.append((l3, e3, c2 * sgn))
+                        fresh[l3] = fresh.get(l3, 0) + s2 * sgn
+                frontier = {l3: s3 for l3, s3 in fresh.items() if s3}
                 factor = Fraction(xc ** (k * j), (k ** j) * factorial(j))
-                for l3, e3, c3 in fresh:
-                    key = (l3, e3)
-                    nxt[key] = nxt.get(key, 0) + c3 * factor
-                frontier = fresh
+                room = cutoff - j * k * step
+                for l3, s3 in frontier.items():
+                    for exps, coef in poly.items():
+                        if sum(exps) <= room:
+                            e3 = tuple(a + j * k * b for a, b in zip(exps, xe))
+                            _add_into(nxt, l3, e3, coef * s3 * factor)
         cur = nxt
     return normalize_state(cur)
 
@@ -133,22 +177,19 @@ def e_apply(state, sign, xsq, cutoff):
 def scalar_apply(state, series, cutoff):
     """Multiply a state by a scalar series (same variable slots)."""
     out = {}
-    for (lam, exps), coef in state.items():
-        for te, tc in series.terms.items():
-            e2 = tuple(a + b for a, b in zip(exps, te))
-            if sum(e2) > cutoff:
-                continue
-            key = (lam, e2)
-            out[key] = out.get(key, 0) + coef * tc
+    for lam, poly in state.items():
+        for exps, coef in poly.items():
+            for te, tc in series.terms.items():
+                e2 = tuple(a + b for a, b in zip(exps, te))
+                if sum(e2) <= cutoff:
+                    _add_into(out, lam, e2, coef * tc)
     return normalize_state(out)
 
 
 def collect(state, names, cutoff):
     """Empty-partition component of a finished bra vector, as a Series."""
     s = Series(names, cutoff)
-    for (lam, exps), coef in state.items():
-        if lam:
-            continue
+    for exps, coef in state.get((), {}).items():
         if isinstance(coef, Fraction):
             if coef.denominator != 1:
                 raise AssertionError("non-integer bracket coefficient %r" % coef)
@@ -216,6 +257,19 @@ def zn_names(n):
     return tuple("qt%d" % i for i in range(n))
 
 
+def _truncate(state, cutoff):
+    """Keep the terms the next weight step can carry: degree + |lam| <= cutoff."""
+    out = {}
+    for lam, poly in state.items():
+        room = cutoff - sum(lam)
+        if room < 0:
+            continue
+        kept = {e: c for e, c in poly.items() if sum(e) <= room}
+        if kept:
+            out[lam] = kept
+    return out
+
+
 def _bracket(v, cutoff, mode, n, window):
     names = zn_names(n) if mode == "zn" else VARS_Z2Z2
     conj = pc.conjugate(v)
@@ -228,8 +282,7 @@ def _bracket(v, cutoff, mode, n, window):
         tau = pc.edge_value(conj, t)
         primed = rpc and t % 2 == 0
         state = gamma_apply(state, tau, primed, one, cutoff)
-        state = {k: c for k, c in state.items()
-                 if sum(k[1]) + sum(k[0]) <= cutoff}
+        state = _truncate(state, cutoff)
     return collect(state, names, cutoff)
 
 
@@ -238,8 +291,19 @@ def vertex_by_transfer(group, leg, cutoff, mode="standard", n=None):
 
     group "z2z2" with mode standard / rpc_antidiagonal / rpc_diagonal,
     or group "zn" (needs n >= 1).  The leg sits in the third slot; the
-    other two legs are empty.  Evaluates on two nested windows and
-    raises if the truncations disagree.
+    other two legs are empty.
+
+    Why the window suffices: weight_apply gives each slice a degree equal
+    to its size, so every non-empty slice costs at least 1 degree.
+    Outside the leg region, |t| >= t0, the transitions are fixed: on the
+    left slices can only grow towards t = -t0, and on the right they can
+    only shrink away from t = t0.  A slice non-empty at |t| = t0 + k
+    therefore forces k + 1 non-empty slices, more than the cutoff allows
+    once k >= cutoff, so every window of at least cutoff + t0 gives the
+    same truncation.  The window used adds a margin of 4, rounded up to
+    even.  The product is still evaluated on two nested windows, and a
+    disagreement raises RuntimeError: the runtime comparison is kept as
+    a check of this argument.
     """
     v = pc.check_partition(tuple(leg))
     if group == "zn":

@@ -113,25 +113,39 @@ def interlaces_tau(a, b, tau, primed=False):
 
 
 def partners_below(lam, primed=False):
-    """All mu with lam >= mu in the interlacing order (finitely many)."""
+    """All mu with lam >= mu in the interlacing order (finitely many).
+
+    Memoized on (lam, bool(primed)); the result is a shared tuple.
+    """
+    return _partners_below(lam, bool(primed))
+
+
+@lru_cache(maxsize=None)
+def _partners_below(lam, primed):
     if primed:
-        return [conjugate(m) for m in partners_below(conjugate(lam))]
-    out = []
+        return tuple(conjugate(m) for m in _partners_below(conjugate(lam), False))
     ranges = [range(part(lam, i + 1), part(lam, i) + 1)
               for i in range(len(lam))]
-    for choice in itertools.product(*ranges):
-        out.append(normalize(choice))
-    return out
+    return tuple(normalize(choice) for choice in itertools.product(*ranges))
 
 
 def partners_above(lam, max_size, primed=False):
-    """All mu with mu >= lam in the interlacing order and |mu| <= max_size."""
-    if primed:
-        return [conjugate(m) for m in partners_above(conjugate(lam), max_size)]
-    out = []
-    budget = max_size - sum(lam)
+    """All mu with mu >= lam in the interlacing order and |mu| <= max_size.
+
+    Memoized on (lam, max_size - |lam|, bool(primed)); the result is a
+    shared tuple, empty when max_size < |lam|.
+    """
+    return _partners_above(lam, max_size - sum(lam), bool(primed))
+
+
+@lru_cache(maxsize=None)
+def _partners_above(lam, budget, primed):
     if budget < 0:
-        return out
+        return ()
+    if primed:
+        return tuple(conjugate(m)
+                     for m in _partners_above(conjugate(lam), budget, False))
+    out = []
     # mu has at most one more nonzero row than lam, so extend lam by a 0
     lam_ext = lam + (0,)
 
@@ -147,7 +161,7 @@ def partners_above(lam, max_size, primed=False):
             rec(i + 1, prefix + (v,), spent + (v - lo))
 
     rec(0, (), 0)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

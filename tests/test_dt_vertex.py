@@ -178,6 +178,12 @@ def test_vertex_closed_zn_rejects_surviving_negative_exponents():
         vertex_closed_zn(0, ((), (), ()), 3)
 
 
+def test_vertex_closed_zn_rejects_two_legs_before_any_work():
+    # at this cutoff the full computation would not finish in a test run
+    with pytest.raises(ValueError, match="at most one non-empty leg"):
+        vertex_closed_zn(4, ((2, 1), (), (1,)), 40)
+
+
 def test_one_leg_zn_staircase_both_branches():
     for m in range(5):
         a = one_leg_zn_staircase(4, m, 4)

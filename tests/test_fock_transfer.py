@@ -1,6 +1,7 @@
 import pytest
 
 from orbivertex import partition_core as pc
+from orbivertex.dt_vertex import enumerate_3d
 from orbivertex.fock_transfer import (
     basis_state, checkerboard_counts, collect, e_apply, empty_state,
     gamma_apply, normalize_state, scalar_apply, vertex_by_transfer,
@@ -223,3 +224,33 @@ def test_transfer_deterministic():
     a = vertex_by_transfer("z2z2", (1,), 3)
     b = vertex_by_transfer("z2z2", (1,), 3)
     assert a == b and a.to_json() == b.to_json()
+
+
+CROSS_D = 8
+
+
+def leg_id(leg):
+    return "leg" + "".join(map(str, leg))
+
+
+@pytest.mark.parametrize("leg", [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1)],
+                         ids=leg_id)
+def test_transfer_matches_enumeration_z2z2(leg):
+    want = enumerate_3d(leg, "z2z2", CROSS_D)
+    assert vertex_by_transfer("z2z2", leg, CROSS_D) == want
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("leg", [(1,), (2, 1)], ids=leg_id)
+def test_transfer_matches_enumeration_zn(n, leg):
+    want = enumerate_3d(leg, "zn", CROSS_D, n=n)
+    assert vertex_by_transfer("zn", leg, CROSS_D, n=n) == want
+
+
+@pytest.mark.parametrize("mode,frame", [("rpc_antidiagonal", ANTI),
+                                        ("rpc_diagonal", DIAG)],
+                         ids=["antidiagonal", "diagonal"])
+@pytest.mark.parametrize("leg", [(1,), (2, 1)], ids=leg_id)
+def test_transfer_matches_family_enumeration_deep(mode, frame, leg):
+    want = generating_function(leg, 0, frame, CROSS_D - 1)
+    assert vertex_by_transfer("z2z2", leg, CROSS_D - 1, mode) == want

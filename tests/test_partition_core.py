@@ -235,3 +235,36 @@ def test_partners_above():
             wantp = sorted(m for m in pc.partitions_up_to(bound)
                            if pc.interlaces(m, lam, primed=True))
             assert gotp == wantp, (lam, bound)
+
+
+def test_partners_are_memoized_tuples():
+    for lam in pc.partitions_up_to(4):
+        for primed in (False, True, 1):
+            below = pc.partners_below(lam, primed)
+            above = pc.partners_above(lam, sum(lam) + 2, primed)
+            assert isinstance(below, tuple) and isinstance(above, tuple)
+            assert pc.partners_below(lam, primed) is below
+            assert pc.partners_above(lam, sum(lam) + 2, primed) is above
+        assert pc.partners_below(lam, 1) == pc.partners_below(lam, True)
+        assert pc.partners_above(lam, 5, 1) == pc.partners_above(lam, 5, True)
+
+
+def test_partners_above_negative_budget_is_empty():
+    for primed in (False, True):
+        assert pc.partners_above((), -1, primed) == ()
+        assert pc.partners_above((2, 1), 2, primed) == ()
+
+
+def test_primed_partners_are_conjugated_unprimed():
+    for lam in pc.partitions_up_to(6):
+        lc = pc.conjugate(lam)
+        below = pc.partners_below(lam, primed=True)
+        assert sorted(below) == sorted(
+            pc.conjugate(m) for m in pc.partners_below(lc))
+        assert all(pc.interlaces(lam, m, primed=True) for m in below), lam
+        for bound in (sum(lam), sum(lam) + 2):
+            above = pc.partners_above(lam, bound, primed=True)
+            assert sorted(above) == sorted(
+                pc.conjugate(m) for m in pc.partners_above(lc, bound))
+            assert all(pc.interlaces(m, lam, primed=True) and sum(m) <= bound
+                       for m in above), (lam, bound)
