@@ -13,8 +13,8 @@ from . import partition_core as pc
 from .fock_transfer import zn_names
 from .pyramid import VARS_Z2Z2
 from .qseries import (
-    Series, macmahon, macmahon_family,
-    term, term_deg, term_mul, term_neg, term_one, term_var,
+    Factors, Series, family_factors, macmahon_factors,
+    term, term_mul, term_neg, term_one, term_var,
 )
 
 _Z2Z2_SLOT = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
@@ -235,21 +235,27 @@ def _bar_exps(e, n):
 
 
 def _zero_zn(n, names, cutoff):
+    # the zero-leg cyclic vertex, as Factors
     qall = term(1, (1,) * n)
-    out = macmahon(term_one(n), qall, names, cutoff) ** n
+    out = macmahon_factors(term_one(n), qall, names, cutoff) ** n
     for a in range(1, n):
         for b in range(a, n):
             x = term(1, tuple(1 if a <= i <= b else 0 for i in range(n)))
-            out = out * macmahon_family("Mt", names, cutoff, x, qall)
+            out = out * family_factors("Mt", names, cutoff, x, qall)
+    return out
+
+
+def _hook_factors(nu, n, names, cutoff):
+    # prod over the cells of nu of 1 / (1 - colored hook monomial)
+    out = Factors(names, cutoff)
+    for (i, j) in pc.cells(nu):
+        out = out * Factors(names, cutoff,
+                            {term(1, pc.hook_color_count(nu, i, j, n)): 1})
     return out
 
 
 def _hook_factor(nu, n, names, cutoff):
-    out = Series.one(names, cutoff)
-    for (i, j) in pc.cells(nu):
-        hist = pc.hook_color_count(nu, i, j, n)
-        out = out * Series.one_plus(names, cutoff, term(-1, hist)).invert()
-    return out
+    return _hook_factors(nu, n, names, cutoff).series()
 
 
 def _rotation_exponents(nu, n):
@@ -330,13 +336,13 @@ def vertex_closed_zn(n, legs, cutoff):
     slack = tl * pc.size(lam) + tm * pc.size(mu) + min(pc.size(lam), pc.size(mu))
     work = cutoff + sum(g) + sum(gbar) + slack
 
-    fixed = (_zero_zn(n, names, work)
-             * _hook_factor(nu, n, names, work))
+    zero = _zero_zn(n, names, work)
+    fixed = zero * _hook_factors(nu, n, names, work)
     for k, e in enumerate(_rotation_exponents(nu, n)):
         if e:
-            rot = _zero_zn(n, names, work).map_vars(
-                names, tuple((i + k) % n for i in range(n)))
+            rot = zero.map_vars(names, tuple((i + k) % n for i in range(n)))
             fixed = fixed * rot ** e
+    fixed = fixed.series()
 
     gshift = tuple(-(g[k] + gbar[k]) for k in range(n))
     base_l = _qq_exps(n, -tl)
@@ -394,23 +400,23 @@ def one_leg_zn_staircase(n, m, cutoff):
         raise ValueError("m must be >= 0")
     names = zn_names(4)
     if m == 0:
-        return _zero_zn(4, names, cutoff)
+        return _zero_zn(4, names, cutoff).series()
     q = term(1, (1, 1, 1, 1))
     sub, ell = m % 2, (m + 1) // 2
     fam = "Mt1" if sub else "Mt0"
     other = "Mt0" if sub else "Mt1"
     if m % 4 in (0, 3):
         out = _zero_zn(4, names, cutoff)
-        out = out * macmahon_family(other, names, cutoff, term_var(4, 2), q, l=ell)
+        out = out * family_factors(other, names, cutoff, term_var(4, 2), q, l=ell)
         triple = term(1, (0, 1, 1, 1))
     else:
         out = _zero_zn(4, names, cutoff).map_vars(names, (2, 3, 0, 1))
-        out = out * macmahon_family(other, names, cutoff, term_var(4, 0), q, l=ell)
+        out = out * family_factors(other, names, cutoff, term_var(4, 0), q, l=ell)
         triple = term(1, (1, 1, 0, 1))
-    out = out * macmahon_family(fam, names, cutoff, term_var(4, 3), q, l=ell)
-    out = out * macmahon_family(fam, names, cutoff, term_var(4, 1), q, l=ell)
-    out = out * macmahon_family(fam, names, cutoff, triple, q, l=ell)
-    return out
+    out = out * family_factors(fam, names, cutoff, term_var(4, 3), q, l=ell)
+    out = out * family_factors(fam, names, cutoff, term_var(4, 1), q, l=ell)
+    out = out * family_factors(fam, names, cutoff, triple, q, l=ell)
+    return out.series()
 
 
 # ---------------------------------------------------------------------------
@@ -423,33 +429,40 @@ def _standard_vars():
             term(1, (1, 1, 1, 1)))
 
 
-def closed_z2z2_nolegs(cutoff):
-    """Zero-leg closed product over the variables q0, qa, qb, qc."""
+def _nolegs_factors(cutoff):
     names = VARS_Z2Z2
     xa, xb, xc, q = _standard_vars()
-    out = macmahon(term_one(4), q, names, cutoff) ** 4
-    out = out * macmahon_family("Mt", names, cutoff, term_mul(xa, xb), q)
-    out = out * macmahon_family("Mt", names, cutoff, term_mul(xa, xc), q)
-    out = out * macmahon_family("Mt", names, cutoff, term_mul(xb, xc), q)
+    out = macmahon_factors(term_one(4), q, names, cutoff) ** 4
+    out = out * family_factors("Mt", names, cutoff, term_mul(xa, xb), q)
+    out = out * family_factors("Mt", names, cutoff, term_mul(xa, xc), q)
+    out = out * family_factors("Mt", names, cutoff, term_mul(xb, xc), q)
     for x in (xa, xb, xc, term_mul(xa, xb, xc)):
-        out = out / macmahon_family("Mt", names, cutoff, term_neg(x), q)
+        out = out / family_factors("Mt", names, cutoff, term_neg(x), q)
+    return out
+
+
+def closed_z2z2_nolegs(cutoff):
+    """Zero-leg closed product over the variables q0, qa, qb, qc."""
+    return _nolegs_factors(cutoff).series()
+
+
+def _pyramid_factors(cutoff):
+    names = VARS_Z2Z2
+    xa, xb, xc, q = _standard_vars()
+    out = macmahon_factors(term_one(4), q, names, cutoff) ** 4
+    out = out * family_factors("Mt", names, cutoff, term_mul(xa, xc), q)
+    out = out * family_factors("Mt", names, cutoff, term_mul(xb, xc), q)
+    for x in (xa, xb, xc, term_mul(xa, xb, xc)):
+        out = out / family_factors("Mt", names, cutoff, term_neg(x), q)
     return out
 
 
 def pyramid_closed(cutoff):
     """Closed form of the pyramid partition generating function."""
-    names = VARS_Z2Z2
-    xa, xb, xc, q = _standard_vars()
-    out = macmahon(term_one(4), q, names, cutoff) ** 4
-    out = out * macmahon_family("Mt", names, cutoff, term_mul(xa, xc), q)
-    out = out * macmahon_family("Mt", names, cutoff, term_mul(xb, xc), q)
-    for x in (xa, xb, xc, term_mul(xa, xb, xc)):
-        out = out / macmahon_family("Mt", names, cutoff, term_neg(x), q)
-    return out
+    return _pyramid_factors(cutoff).series()
 
 
-def upsilon(vars, m, cutoff, names=VARS_Z2Z2):
-    """Staircase-leg correction factor for the zero-leg closed product."""
+def _upsilon_factors(vars, m, cutoff, names):
     if m < 0:
         raise ValueError("m must be >= 0")
     if vars is None:
@@ -458,15 +471,21 @@ def upsilon(vars, m, cutoff, names=VARS_Z2Z2):
     sub, ell = m % 2, (m + 1) // 2
     fam = "Mt1" if sub else "Mt0"
     other = "Mt0" if sub else "Mt1"
-    out = macmahon_family(fam, names, cutoff, term_mul(xa, xb), q, l=2 * ell)
-    out = out / macmahon_family(other, names, cutoff, term_neg(xc), q, l=ell)
+    out = family_factors(fam, names, cutoff, term_mul(xa, xb), q, l=2 * ell)
+    out = out / family_factors(other, names, cutoff, term_neg(xc), q, l=ell)
     for x in (xa, xb, term_mul(xa, xb, xc)):
-        out = out / macmahon_family(fam, names, cutoff, term_neg(x), q, l=ell)
+        out = out / family_factors(fam, names, cutoff, term_neg(x), q, l=ell)
     return out
 
 
+def upsilon(vars, m, cutoff, names=VARS_Z2Z2):
+    """Staircase-leg correction factor for the zero-leg closed product."""
+    return _upsilon_factors(vars, m, cutoff, names).series()
+
+
 def closed_z2z2_staircase(m, cutoff):
-    return closed_z2z2_nolegs(cutoff) * upsilon(None, m, cutoff)
+    return (_nolegs_factors(cutoff)
+            * _upsilon_factors(None, m, cutoff, VARS_Z2Z2)).series()
 
 
 def phi(vars, m, cutoff, names=VARS_Z2Z2):
@@ -481,16 +500,16 @@ def phi(vars, m, cutoff, names=VARS_Z2Z2):
     fam = "Mh1" if sub else "Mh0"
     other = "Mh0" if sub else "Mh1"
     famt = "Mt1" if sub else "Mt0"
-    out = Series.one(names, cutoff)
+    out = Factors(names, cutoff)
     for x in (xa, xb, xc, xabc):
-        out = out * macmahon_family("Mh", names, cutoff, x, q)
-    out = out * macmahon_family("Mt", names, cutoff, term_mul(xa, xb), q)
-    out = out * macmahon_family(famt, names, cutoff, term_mul(xa, xb), q, l=2 * ell)
+        out = out * family_factors("Mh", names, cutoff, x, q)
+    out = out * family_factors("Mt", names, cutoff, term_mul(xa, xb), q)
+    out = out * family_factors(famt, names, cutoff, term_mul(xa, xb), q, l=2 * ell)
     for x in (xa, xb):
-        out = out / macmahon_family(fam, names, cutoff, x, q, l=ell)
-    out = out / macmahon_family(other, names, cutoff, xc, q, l=ell)
-    out = out / macmahon_family(fam, names, cutoff, xabc, q, l=ell)
-    return out
+        out = out / family_factors(fam, names, cutoff, x, q, l=ell)
+    out = out / family_factors(other, names, cutoff, xc, q, l=ell)
+    out = out / family_factors(fam, names, cutoff, xabc, q, l=ell)
+    return out.series()
 
 
 def corollary_rpc_closed(m, cutoff):
@@ -501,9 +520,9 @@ def corollary_rpc_closed(m, cutoff):
     if m < 0:
         raise ValueError("m must be >= 0")
     names = VARS_Z2Z2
-    base = pyramid_closed(cutoff)
+    base = _pyramid_factors(cutoff)
     if m == 0:
-        return base
+        return base.series()
     xa, xb, xc, q = _standard_vars()
     x0 = term_var(4, 0)
     sub, ell = m % 2, (m + 1) // 2
@@ -517,7 +536,7 @@ def corollary_rpc_closed(m, cutoff):
         out = base.map_vars(names, (3, 1, 2, 0))
         xlast = x0
         triple = term_mul(xa, xb, x0)
-    out = out / macmahon_family(other, names, cutoff, term_neg(xlast), q, l=ell)
+    out = out / family_factors(other, names, cutoff, term_neg(xlast), q, l=ell)
     for x in (xa, xb, triple):
-        out = out / macmahon_family(fam, names, cutoff, term_neg(x), q, l=ell)
-    return out
+        out = out / family_factors(fam, names, cutoff, term_neg(x), q, l=ell)
+    return out.series()

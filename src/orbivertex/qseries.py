@@ -6,8 +6,10 @@ carried by plain Term tuples and must be combined into something
 non-negative before it can enter a Series; building a factor with a
 negative exponent raises.
 
-Also holds the MacMahon-style product factory used by every closed
-formula in the package.
+Closed formulas are products of binomial factors (1 - t)^(-k).  They are
+kept as exponent multisets (Factors), combined by adding multiplicities,
+and expanded into a Series once, by the graded Euler recurrence.  The
+MacMahon-style product factory used by every closed formula lives here.
 """
 
 from __future__ import annotations
@@ -224,24 +226,21 @@ class Series:
         return out
 
     def invert(self):
-        """Multiplicative inverse; the constant term must be +1 or -1."""
+        """Multiplicative inverse; the constant term must be +1 or -1.
+
+        Solved degree by degree: a*f = 1 gives c0*f_N = -sum_{j>=1}
+        a_j*f_{N-j}, and 1/c0 = c0.
+        """
         c0 = self.constant()
         if c0 not in (1, -1):
             raise ValueError("series not invertible over the integers "
                              "(constant term %d)" % c0)
-        # self = c0 * (1 + H) with H of positive valuation;
-        # inverse = c0 * sum (-H)^k
-        h = self.scaled(c0) - 1
-        out = Series.one(self.names, self.cutoff)
-        powh = Series.one(self.names, self.cutoff)
-        sign = -1
-        for _ in range(self.cutoff):
-            powh = powh * h
-            if not powh.terms:
-                break
-            out = out + powh.scaled(sign)
-            sign = -sign
-        return out.scaled(c0)
+        base = self.cutoff + 1
+        parts = _graded_parts(self.terms.items(), base, self.cutoff)
+        parts[0] = {}
+        f = _graded_solve(parts, c0, self.cutoff,
+                          lambda N, acc: {e: -c0 * v for e, v in acc.items() if v})
+        return _series_from_parts(self.names, self.cutoff, base, f)
 
     def __truediv__(self, other):
         if isinstance(other, Series):
@@ -296,17 +295,211 @@ class Series:
 
 
 # ---------------------------------------------------------------------------
+# Graded recurrences
+# ---------------------------------------------------------------------------
+# Inside a recurrence an exponent tuple is packed into one int,
+# sum(e[i] * base**i) with base = cutoff + 1.  Every exponent of a term of
+# total degree <= cutoff is below base, so adding packed ints adds the
+# exponent tuples without carries.
+
+
+def _pack(exps, base):
+    key = 0
+    for x in reversed(exps):
+        key = key * base + x
+    return key
+
+
+def _unpack(key, base, nvars):
+    out = []
+    for _ in range(nvars):
+        key, x = divmod(key, base)
+        out.append(x)
+    return tuple(out)
+
+
+def _graded_parts(items, base, cutoff):
+    """Sum (exps, coef) pairs of degree <= cutoff into homogeneous parts:
+    parts[d] = {packed exps: coef} over the terms of total degree d."""
+    parts = [{} for _ in range(cutoff + 1)]
+    for e, c in items:
+        part = parts[sum(e)]
+        key = _pack(e, base)
+        part[key] = part.get(key, 0) + c
+    return parts
+
+
+def _graded_solve(parts, f0, cutoff, finish):
+    """Homogeneous parts f_0..f_cutoff of the series whose constant term
+    is f0 and whose degree-N part is finish(N, sum_{j=1..N} parts[j] *
+    f_{N-j}).  One pass costs about one product of parts with f."""
+    f = [{0: f0}]
+    for N in range(1, cutoff + 1):
+        acc = {}
+        get = acc.get
+        for j in range(1, N + 1):
+            pj, fk = parts[j], f[N - j]
+            if pj and fk:
+                for eg, cg in pj.items():
+                    for ef, cf in fk.items():
+                        key = eg + ef
+                        acc[key] = get(key, 0) + cg * cf
+        f.append(finish(N, acc))
+    return f
+
+
+def _series_from_parts(names, cutoff, base, parts):
+    s = Series(names, cutoff)
+    nv = len(names)
+    s.terms = {_unpack(e, base, nv): c
+               for part in parts for e, c in part.items()}
+    return s
+
+
+def _exact_quotients(N, acc):
+    out = {}
+    for e, v in acc.items():
+        if v:
+            c, r = divmod(v, N)
+            if r:
+                raise ArithmeticError("inexact division by %d in the graded "
+                                      "Euler recurrence" % N)
+            out[e] = c
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Products of binomial factors as exponent multisets
+# ---------------------------------------------------------------------------
+
+
+class Factors:
+    """A product of factors (1 - t)^(-k), kept as the multiset {t: k}.
+
+    Each t is a Term (c, e): a nonzero integer c and non-negative
+    exponents e of positive total degree, so (1 - t)^(-k) is a power
+    series with integer coefficients for every integer k.  A factor whose
+    degree exceeds the cutoff is 1 after truncation and is dropped when it
+    is added.  Products, quotients, integer powers and variable maps only
+    add, subtract, scale and relabel multiplicities; series() expands the
+    product once.
+    """
+
+    __slots__ = ("names", "cutoff", "mult")
+
+    def __init__(self, names, cutoff, mult=None):
+        self.names = tuple(names)
+        self.cutoff = int(cutoff)
+        self.mult = {}
+        if mult:
+            for t, k in mult.items():
+                self._add(t, k)
+
+    def _add(self, t, k):
+        c, e = int(t[0]), tuple(int(x) for x in t[1])
+        if c == 0 or k == 0:
+            return
+        if len(e) != len(self.names):
+            raise ValueError("arity mismatch: %r with vars %r" % (e, self.names))
+        if any(x < 0 for x in e):
+            raise ValueError("negative exponent %r; combine Laurent factors first" % (e,))
+        if sum(e) <= 0:
+            raise ValueError("degree-0 factor term %r" % (t,))
+        if sum(e) <= self.cutoff:
+            self._bump((c, e), k)
+
+    def _bump(self, key, k):
+        new = self.mult.get(key, 0) + k
+        if new:
+            self.mult[key] = new
+        else:
+            self.mult.pop(key, None)
+
+    def _merged(self, other, sign):
+        if not isinstance(other, Factors):
+            raise TypeError("combine Factors with Factors only")
+        if self.names != other.names or self.cutoff != other.cutoff:
+            raise ValueError("incompatible factors: %r/%d vs %r/%d"
+                             % (self.names, self.cutoff, other.names, other.cutoff))
+        out = Factors(self.names, self.cutoff)
+        out.mult = dict(self.mult)
+        for t, k in other.mult.items():
+            out._bump(t, sign * k)
+        return out
+
+    def __mul__(self, other):
+        return self._merged(other, 1)
+
+    def __truediv__(self, other):
+        return self._merged(other, -1)
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            raise TypeError("integer powers only")
+        out = Factors(self.names, self.cutoff)
+        if k:
+            out.mult = {t: m * k for t, m in self.mult.items()}
+        return out
+
+    def map_vars(self, new_names, assignment):
+        """Relabel variables as Series.map_vars does; merged factors add
+        their multiplicities.  Degrees are kept, so the cutoff still
+        applies."""
+        if len(assignment) != len(self.names):
+            raise ValueError("assignment arity mismatch")
+        out = Factors(new_names, self.cutoff)
+        for (c, e), k in self.mult.items():
+            ne = [0] * len(out.names)
+            for i, x in enumerate(e):
+                ne[assignment[i]] += x
+            out._bump((c, tuple(ne)), k)
+        return out
+
+    def series(self):
+        """The product as a Series, by the graded Euler recurrence.
+
+        Let E = sum_i x_i d/dx_i, which multiplies a term of total degree
+        N by N.  For f = prod (1 - c x^e)^(-k),
+
+            E log f = g = sum k*|e| * sum_{r>=1} c^r x^(r*e),
+
+        so E f = f*g, and comparing degree-N parts gives
+
+            N * f_N = sum_{j=1..N} g_j * f_{N-j}.
+
+        Each factor has integer coefficients, so f does, and E f = f*g
+        has integer coefficients equal to N times those of f_N.  Hence
+        the division by N is exact; a remainder can only come from an
+        arithmetic fault and raises ArithmeticError.
+        """
+        D = self.cutoff
+        if D < 0:
+            return Series(self.names, D)
+        base = D + 1
+
+        def g_items():
+            for (c, e), k in self.mult.items():
+                d = sum(e)
+                for r in range(1, D // d + 1):
+                    yield tuple(r * x for x in e), k * d * c ** r
+
+        parts = _graded_parts(g_items(), base, D)
+        f = _graded_solve(parts, 1, D, _exact_quotients)
+        return _series_from_parts(self.names, D, base, f)
+
+
+# ---------------------------------------------------------------------------
 # q-Pochhammer and the MacMahon family
 # ---------------------------------------------------------------------------
 
 
-def pochhammer(a, q, names, cutoff):
-    """(a; q)_infinity = prod_{k>=0} (1 - a q^k) as a Series.
+def pochhammer_factors(a, q, names, cutoff):
+    """(a; q)_infinity = prod_{k>=0} (1 - a q^k) as Factors.
 
     a and q are Terms; every factor must come out with non-negative
     exponents and positive degree.
     """
-    out = Series.one(names, cutoff)
+    out = Factors(names, cutoff)
     k = 0
     while True:
         f = term_mul(a, term_pow(q, k))
@@ -316,18 +509,23 @@ def pochhammer(a, q, names, cutoff):
             break
         if term_deg(f) <= 0:
             raise ValueError("pochhammer factor of degree %d" % term_deg(f))
-        out = out * Series.one_plus(names, cutoff, term_neg(f))
+        out._add(f, -1)
         k += 1
     return out
 
 
-def macmahon(x, q, names, cutoff):
-    """M(x, q) = prod_{n>=1} (1 - x q^n)^(-n) as a Series.
+def pochhammer(a, q, names, cutoff):
+    """(a; q)_infinity as a Series; see pochhammer_factors."""
+    return pochhammer_factors(a, q, names, cutoff).series()
+
+
+def macmahon_factors(x, q, names, cutoff):
+    """M(x, q) = prod_{n>=1} (1 - x q^n)^(-n) as Factors.
 
     x may be degree 0 (e.g. the constant 1); each combined factor x*q^n
     must have positive degree and non-negative exponents.
     """
-    out = Series.one(names, cutoff)
+    out = Factors(names, cutoff)
     n = 1
     while True:
         f = term_mul(x, term_pow(q, n))
@@ -337,51 +535,57 @@ def macmahon(x, q, names, cutoff):
             break
         if term_deg(f) <= 0:
             raise ValueError("MacMahon factor of degree %d at n=%d" % (term_deg(f), n))
-        out = out * Series.one_plus(names, cutoff, term_neg(f)).invert() ** n
+        out._add(f, n)
         n += 1
     return out
 
 
+def macmahon(x, q, names, cutoff):
+    """M(x, q) as a Series; see macmahon_factors."""
+    return macmahon_factors(x, q, names, cutoff).series()
+
+
 def _mm_sym(x, q, names, cutoff):
     # M(x, q) * M(x^-1, q)
-    return (macmahon(x, q, names, cutoff)
-            * macmahon(term_pow(x, -1), q, names, cutoff))
+    return (macmahon_factors(x, q, names, cutoff)
+            * macmahon_factors(term_pow(x, -1), q, names, cutoff))
 
 
 def _mm_hat(x, q, names, cutoff):
     return (_mm_sym(x, q, names, cutoff)
-            * _mm_sym(term_neg(x), q, names, cutoff)).invert()
+            * _mm_sym(term_neg(x), q, names, cutoff)) ** -1
 
 
 def _mm_sym0(x, q, l, names, cutoff):
-    num = macmahon(term_mul(x, term_pow(q, l)), q, names, cutoff)
-    den = macmahon(x, q, names, cutoff)
-    poch = pochhammer(term_mul(q, term_pow(x, -1)), q, names, cutoff)
-    return num * (den * poch ** l).invert()
+    num = macmahon_factors(term_mul(x, term_pow(q, l)), q, names, cutoff)
+    den = macmahon_factors(x, q, names, cutoff)
+    poch = pochhammer_factors(term_mul(q, term_pow(x, -1)), q, names, cutoff)
+    return num / (den * poch ** l)
 
 
 def _mm_sym1(x, q, l, names, cutoff):
     xi = term_pow(x, -1)
-    num = macmahon(term_mul(xi, term_pow(q, l)), q, names, cutoff)
-    den = macmahon(xi, q, names, cutoff)
-    poch = pochhammer(x, q, names, cutoff)
-    return num * (den * poch ** l).invert()
+    num = macmahon_factors(term_mul(xi, term_pow(q, l)), q, names, cutoff)
+    den = macmahon_factors(xi, q, names, cutoff)
+    poch = pochhammer_factors(x, q, names, cutoff)
+    return num / (den * poch ** l)
 
 
 def _mm_pair(x, q, names, cutoff):
-    return macmahon(x, q, names, cutoff) * macmahon(term_neg(x), q, names, cutoff)
+    return (macmahon_factors(x, q, names, cutoff)
+            * macmahon_factors(term_neg(x), q, names, cutoff))
 
 
 def _mm_ratio(x, y, q, names, cutoff):
-    return (macmahon(x, q, names, cutoff)
-            / macmahon(term_mul(x, y), q, names, cutoff))
+    return (macmahon_factors(x, q, names, cutoff)
+            / macmahon_factors(term_mul(x, y), q, names, cutoff))
 
 
 def _mm_shift(x, q, l, names, cutoff):
-    num = macmahon(term_mul(x, term_pow(q, l)), q, names, cutoff)
-    den = macmahon(x, q, names, cutoff)
-    poch = pochhammer(x, q, names, cutoff)
-    return num * (den * poch ** l).invert()
+    num = macmahon_factors(term_mul(x, term_pow(q, l)), q, names, cutoff)
+    den = macmahon_factors(x, q, names, cutoff)
+    poch = pochhammer_factors(x, q, names, cutoff)
+    return num / (den * poch ** l)
 
 
 _FAMILY_ALIASES = {
@@ -395,8 +599,8 @@ _FAMILY_ALIASES = {
 }
 
 
-def macmahon_family(name, names, cutoff, x, q, l=None, y=None):
-    """Dispatch over the named MacMahon-style products.
+def family_factors(name, names, cutoff, x, q, l=None, y=None):
+    """Dispatch over the named MacMahon-style products, as Factors.
 
     Names (ASCII): Mt, Mh, Mt0, Mt1, Mh0, Mh1, M0, M1, M2, Mh1xy, Mh2.
     Unicode tilde/hat spellings are accepted as aliases.  x, q, y are
@@ -436,3 +640,8 @@ def macmahon_family(name, names, cutoff, x, q, l=None, y=None):
         return (_mm_shift(x, q, l, names, cutoff)
                 * _mm_shift(term_neg(x), q, l, names, cutoff))
     raise ValueError("unknown MacMahon family name %r" % name)
+
+
+def macmahon_family(name, names, cutoff, x, q, l=None, y=None):
+    """The named MacMahon-style product as a Series; see family_factors."""
+    return family_factors(name, names, cutoff, x, q, l, y).series()

@@ -367,7 +367,15 @@ def region_complement_equal(v, l, K):
 
 
 def uniqueness_scan(max_leg_size, l_values, K):
-    """{(leg, l): complements-equal} over all legs up to the given size."""
+    """{(leg, l): complements-equal} over all legs up to the given size.
+
+    A negative window would compare empty ranges and call every leg
+    symmetric, and a negative size would scan nothing, so both raise.
+    """
+    if max_leg_size < 0:
+        raise ValueError("max leg size must be >= 0, got %d" % max_leg_size)
+    if K < 0:
+        raise ValueError("window must be >= 0, got %d" % K)
     out = {}
     for v in pc.partitions_up_to(max_leg_size):
         for l in l_values:

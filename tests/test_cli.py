@@ -105,6 +105,19 @@ def test_parse_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--window", "-2", "window must be >= 0"),
+    ("--max-leg-size", "-1", "max leg size must be >= 0"),
+])
+def test_uniqueness_rejects_negative_bounds(capsys, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["uniqueness", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_deterministic_output_across_workers(capsys):
     _, a = run_cli(capsys, ["vertex", "--leg", "1", "--degree", "3",
                             "--method", "enumerate", "--workers", "1"])

@@ -304,3 +304,18 @@ def test_closed_series_coefficients_nonnegative():
               closed_z2z2_staircase(2, 5)]
     for s in series:
         assert all(c >= 0 for c in s.terms.values())
+
+
+SWEEP_LEGS = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1), (3, 2, 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("leg", SWEEP_LEGS)
+def test_vertex_closed_zn_matches_enumeration_degree_8(n, leg):
+    for legs in [((), (), leg), (leg, (), ())]:
+        assert vertex_closed_zn(n, legs, 8) == enumerate_one_leg(legs, "zn", 8, n=n)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_closed_z2z2_staircase_matches_enumeration_degree_8(m):
+    assert closed_z2z2_staircase(m, 8) == enumerate_3d(pc.staircase(m), "z2z2", 8)

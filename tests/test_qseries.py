@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from orbivertex.qseries import (
-    Series, macmahon, macmahon_family, pochhammer,
+    Factors, Series, _exact_quotients, macmahon, macmahon_family, pochhammer,
     term, term_mul, term_neg, term_one, term_pow, term_var,
 )
 
@@ -206,3 +206,101 @@ def test_pow():
     assert (q ** 0).is_one()
     inv2 = q ** -2
     assert (inv2 * q * q).is_one()
+
+
+# ---------------------------------------------------------------------------
+# exponent multisets (Factors) and their graded Euler evaluation
+# ---------------------------------------------------------------------------
+
+
+def rand_factor_term(rng, nvars):
+    """A Term x^-1 * q^k with x, q random signed monomials, combined so
+    that every exponent is non-negative and the degree is positive."""
+    while True:
+        k = rng.choice([1, 2])
+        xe = [rng.randrange(0, 3) for _ in range(nvars)]
+        qe = [-(-a // k) + (rng.random() < 0.3) for a in xe]
+        x = term(rng.choice([1, -1]), xe)
+        q = term(rng.choice([1, -1]), qe)
+        t = term_mul(term_pow(x, -1), term_pow(q, k))
+        if sum(t[1]) > 0:
+            return t
+
+
+def rand_factors(rng, names, cutoff, nfactors):
+    out = Factors(names, cutoff)
+    for _ in range(nfactors):
+        t = rand_factor_term(rng, len(names))
+        out = out * Factors(names, cutoff, {t: rng.choice([-2, -1, 1, 2, 3])})
+    return out
+
+
+def sym_product(fs, gens, D):
+    """prod (1 - c x^e)^(-k) through the sympy oracle, truncated at D."""
+    out = sympy.Integer(1)
+    for (c, e), k in fs.mult.items():
+        lin = 1 - c * sympy.prod(g ** x for g, x in zip(gens, e))
+        step = oracles.sinv(lin, gens, D) if k > 0 else lin
+        for _ in range(abs(k)):
+            out = oracles.smul(out, step, gens, D)
+    return out
+
+
+def test_factors_series_matches_sympy_products():
+    rng = random.Random(4242)
+    seen_signs, seen_mults = set(), set()
+    for case in range(20):
+        nvars = 1 + case % 4
+        names = tuple("x%d" % i for i in range(nvars))
+        gens = sympy.symbols(" ".join(names) + ",")
+        D = rng.randrange(4, 7)
+        fs = rand_factors(rng, names, D, rng.randrange(2, 6))
+        seen_signs |= {c for c, _ in fs.mult}
+        seen_mults |= {k > 0 for k in fs.mult.values()}
+        want = oracles.series_to_dict(sym_product(fs, gens, D), gens)
+        assert fs.series().terms == want, case
+    assert seen_signs == {1, -1} and seen_mults == {True, False}
+
+
+def test_factors_operations_match_series_operations():
+    rng = random.Random(31)
+    for _ in range(12):
+        a = rand_factors(rng, V4, 6, 3)
+        b = rand_factors(rng, V4, 6, 3)
+        sa, sb = a.series(), b.series()
+        assert (a * b).series() == sa * sb
+        assert (a / b).series() == sa / sb
+        for k in (-2, -1, 0, 2, 3):
+            assert (a ** k).series() == sa ** k
+        for new, assign in [(V4, (3, 0, 2, 1)), (("u", "v"), (0, 1, 1, 0)),
+                            (("z",), (0, 0, 0, 0))]:
+            assert a.map_vars(new, assign).series() == sa.map_vars(new, assign)
+    # merged factors cancel: (1 - x)/(1 - y) with x, y mapped together is 1
+    c = (Factors(("x", "y"), 4, {term(1, (1, 0)): 1})
+         / Factors(("x", "y"), 4, {term(1, (0, 1)): 1}))
+    assert c.map_vars(("z",), (0, 0)).mult == {}
+
+
+def test_factors_truncation_and_rejections():
+    # factors above the cutoff are dropped when built
+    assert Factors(("q",), 3, {term(1, (4,)): 5}).mult == {}
+    assert Factors(("q",), 3, {term(1, (4,)): 5}).series().is_one()
+    with pytest.raises(ValueError):
+        Factors(V4, 4, {term(1, (0, 0, 0, 0)): 1})
+    with pytest.raises(ValueError):
+        Factors(V4, 4, {term(-1, (1, -1, 0, 0)): 2})
+    with pytest.raises(ValueError):
+        Factors(V4, 4, {term(1, (1, 0, 0)): 1})
+    # x^-1 q leaves the exponent -1 on qa at degree 2
+    with pytest.raises(ValueError):
+        macmahon(term_pow(term(1, (0, 2, 0, 0)), -1), q_full(), V4, 4)
+    with pytest.raises(ValueError):
+        Factors(V4, 4) * Factors(V4, 5)
+    with pytest.raises(TypeError):
+        Factors(V4, 4) * Series.one(V4, 4)
+
+
+def test_euler_division_is_checked():
+    assert _exact_quotients(3, {7: 6, 8: 0}) == {7: 2}
+    with pytest.raises(ArithmeticError):
+        _exact_quotients(3, {7: 5})
