@@ -8,7 +8,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import partition_core as pc
@@ -19,8 +18,6 @@ from .dt_vertex import (
 )
 from .fock_transfer import vertex_by_transfer
 from .pyramid import ANTI, DIAG, pyramid_series
-
-WORKERS_ENV = "ORBIVERTEX_WORKERS"
 
 
 def _partition_arg(text):
@@ -42,13 +39,6 @@ def _methods_arg(allowed):
                 out.append(x)
         return tuple(out)
     return conv
-
-
-def _default_workers():
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def _monomial(names, exps):
@@ -110,6 +100,24 @@ def _check_pairs(named):
     return 0
 
 
+def _need_staircase(leg):
+    if not pc.is_staircase(leg):
+        raise ValueError("closed form needs a staircase leg, got %r" % (leg,))
+
+
+def _vertex_check(args):
+    if args.group == "z2z2" and "closed" in args.method:
+        _need_staircase(args.leg)
+
+
+def _vertex_fields(args):
+    rec = {"vertex": "one_leg" if args.leg else "zero_leg",
+           "group": args.group, "leg": list(args.leg)}
+    if args.group == "zn":
+        rec["n"] = args.n
+    return rec
+
+
 def _vertex_series(args, method):
     leg, d = args.leg, args.degree
     if args.group == "z2z2":
@@ -117,8 +125,6 @@ def _vertex_series(args, method):
             return enumerate_3d(leg, "z2z2", d)
         if method == "transfer":
             return vertex_by_transfer("z2z2", leg, d)
-        if not pc.is_staircase(leg):
-            raise ValueError("closed form needs a staircase leg, got %r" % (leg,))
         if not leg:
             return closed_z2z2_nolegs(d)
         return closed_z2z2_staircase(len(leg), d)
@@ -129,68 +135,54 @@ def _vertex_series(args, method):
     return vertex_closed_zn(args.n, ((), (), leg), d)
 
 
-def _run_vertex(args):
-    records = []
-    named = []
-    for method in args.method:
-        s = _vertex_series(args, method)
-        named.append((method, s))
-        rec = {"vertex": "zero_leg" if not args.leg else "one_leg",
-               "group": args.group, "leg": list(args.leg),
-               "method": method, "series": _series_obj(s)}
-        if args.group == "zn":
-            rec["n"] = args.n
-        records.append(rec)
-    if args.verify:
-        if len(named) < 2:
-            raise ValueError("--verify needs at least two methods")
-        if _check_pairs(named):
-            return 1
-    _emit_records(args, records)
-    return 0
+def _pyramid_series(args, method):
+    if method == "closed":
+        return pyramid_closed(args.degree)
+    return pyramid_series(args.degree)
 
 
-def _run_pyramid(args):
-    records = []
-    named = []
-    for method in args.method:
-        s = pyramid_closed(args.degree) if method == "closed" \
-            else pyramid_series(args.degree)
-        named.append((method, s))
-        records.append({"vertex": "pyramid", "group": "z2z2", "leg": [],
-                        "method": method, "series": _series_obj(s)})
-    if args.verify:
-        if len(named) < 2:
-            raise ValueError("--verify needs at least two methods")
-        if _check_pairs(named):
-            return 1
-    _emit_records(args, records)
-    return 0
+def _rpc_check(args):
+    if args.shift < 0:
+        raise ValueError("shift must be >= 0, got %d" % args.shift)
+    if "closed" in args.method:
+        _need_staircase(args.leg)
 
 
-def _run_rpc(args):
-    records = []
-    named = []
-    for method in args.method:
-        if method == "interlacing":
-            s = rpc.generating_function(args.leg, args.shift, args.frame,
-                                        args.degree)
-        else:
-            if not pc.is_staircase(args.leg):
-                raise ValueError("closed form needs a staircase leg, got %r"
-                                 % (args.leg,))
-            s = corollary_rpc_closed(len(args.leg), args.degree)
-        named.append((method, s))
-        records.append({"vertex": "rpc", "group": "z2z2",
-                        "leg": list(args.leg), "method": method,
-                        "frame": args.frame, "shift": args.shift,
-                        "series": _series_obj(s)})
-    if args.verify:
-        if len(named) < 2:
-            raise ValueError("--verify needs at least two methods")
-        if _check_pairs(named):
-            return 1
-    _emit_records(args, records)
+def _rpc_series(args, method):
+    if method == "interlacing":
+        return rpc.generating_function(args.leg, args.shift, args.frame,
+                                       args.degree)
+    return corollary_rpc_closed(len(args.leg), args.degree)
+
+
+# subcommand -> (input check, record fields besides method and series,
+# series of one method)
+_SERIES_COMMANDS = {
+    "vertex": (_vertex_check, _vertex_fields, _vertex_series),
+    "pyramid": (lambda args: None,
+                lambda args: {"vertex": "pyramid", "group": "z2z2", "leg": []},
+                _pyramid_series),
+    "rpc": (_rpc_check,
+            lambda args: {"vertex": "rpc", "group": "z2z2",
+                          "leg": list(args.leg), "frame": args.frame,
+                          "shift": args.shift},
+            _rpc_series),
+}
+
+
+def _run_series(args):
+    """Compute every requested method, verify, emit.  Input that would
+    fail later is rejected before any series is computed."""
+    check, fields, series = _SERIES_COMMANDS[args.command]
+    if args.verify and len(args.method) < 2:
+        raise ValueError("--verify needs at least two methods")
+    check(args)
+    named = [(method, series(args, method)) for method in args.method]
+    if args.verify and _check_pairs(named):
+        return 1
+    head = fields(args)
+    _emit_records(args, [dict(head, method=method, series=_series_obj(s))
+                         for method, s in named])
     return 0
 
 
@@ -274,12 +266,12 @@ def _add_common(p, methods, default_method):
                    default=default_method)
     p.add_argument("--verify", action="store_true")
     _add_output(p)
+    p.set_defaults(run=_run_series)
 
 
 def _add_output(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)
-    p.add_argument("--workers", type=int, default=_default_workers())
 
 
 def build_parser():
@@ -293,18 +285,15 @@ def build_parser():
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--leg", type=_partition_arg, default=())
     _add_common(p, ("closed", "enumerate", "transfer"), ("closed",))
-    p.set_defaults(run=_run_vertex)
 
     p = sub.add_parser("pyramid", help="pyramid partition series")
     _add_common(p, ("closed", "enumerate"), ("closed",))
-    p.set_defaults(run=_run_pyramid)
 
     p = sub.add_parser("rpc", help="restricted pyramid series")
     p.add_argument("--leg", type=_partition_arg, default=())
     p.add_argument("--shift", type=int, default=0)
     p.add_argument("--frame", choices=(ANTI, DIAG), default=ANTI)
     _add_common(p, ("interlacing", "closed"), ("interlacing",))
-    p.set_defaults(run=_run_rpc)
 
     p = sub.add_parser("uniqueness", help="symmetric interlacing scan")
     p.add_argument("--max-leg-size", type=int, default=6)
@@ -327,8 +316,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "degree", 0) < 0:
         parser.error("degree must be >= 0")
-    if args.workers < 1:
-        parser.error("workers must be >= 1")
     try:
         return args.run(args)
     except ValueError as ex:

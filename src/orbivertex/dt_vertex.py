@@ -13,7 +13,7 @@ from . import partition_core as pc
 from .fock_transfer import zn_names
 from .pyramid import VARS_Z2Z2
 from .qseries import (
-    Factors, Series, family_factors, macmahon_factors,
+    Factors, Series, family_factors, macmahon_factors, mul_terms,
     term, term_mul, term_neg, term_one, term_var,
 )
 
@@ -148,18 +148,20 @@ def symmetry_check(leg, shift, cutoff):
 def _complete_homogeneous(vals, names, cutoff, kmax):
     h = [Series.one(names, cutoff)]
     h += [Series.zero(names, cutoff) for _ in range(kmax)]
-    for val in vals:
+    for c, e in vals:
+        # h_k gains x * h_k-1, where h_k-1 already includes x
         for k in range(1, kmax + 1):
-            h[k] = h[k] + h[k - 1].mul_term(val)
+            mul_terms(h[k - 1].terms, {e: c}, cutoff, h[k].terms)
     return h
 
 
 def skew_schur_specialized(mu, eta, variables, cutoff, names=None):
     """Skew Schur function of mu/eta at finitely many monomial values.
 
-    variables is a sequence of Terms (or plain 0/1 entries); zero entries
-    are skipped, degree-zero entries must be exactly 1.  Expanded through
-    the determinant in complete homogeneous functions.
+    variables is a sequence of Terms (or plain 0/1 entries) with
+    non-negative exponents; zero entries are skipped, degree-zero entries
+    must be exactly 1.  Expanded through the determinant in complete
+    homogeneous functions.
     """
     xi = pc.check_partition(tuple(mu))
     et = pc.check_partition(tuple(eta))
@@ -172,9 +174,10 @@ def skew_schur_specialized(mu, eta, variables, cutoff, names=None):
         c, e = int(t[0]), tuple(t[1])
         if c == 0:
             continue
-        if sum(e) <= 0:
-            if c != 1 or any(e):
-                raise ValueError("degree-0 value %r is not 1" % (t,))
+        if any(x < 0 for x in e):
+            raise ValueError("negative exponent in value %r" % (t,))
+        if not any(e) and c != 1:
+            raise ValueError("degree-0 value %r is not 1" % (t,))
         vals.append((c, e))
     if names is None:
         nv = len(vals[0][1]) if vals else 1
@@ -264,60 +267,19 @@ def _rotation_exponents(nu, n):
                  + pc.residue_count(nu, k - 1, n) for k in range(n))
 
 
-def _dict_mul(master, factor, cap):
-    # master may hold negative exponent entries; factor must not
-    fs = sorted(factor.items(), key=lambda kv: sum(kv[0]))
-    out = {}
-    for ea, ca in master.items():
-        da = sum(ea)
-        for eb, cb in fs:
-            if da + sum(eb) > cap:
-                break
-            k = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(k, 0) + ca * cb
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _shift_into(acc, series, shift, cap):
-    for e, c in series.terms.items():
-        k = tuple(x + y for x, y in zip(e, shift))
-        if sum(k) > cap:
-            continue
-        v = acc.get(k, 0) + c
-        if v:
-            acc[k] = v
-        else:
-            acc.pop(k, None)
-
-
-def _subpartitions(bound, size_cap):
-    # partitions fitting under bound, total size at most size_cap
-    out = []
-
-    def rec(r, prev, left, prefix):
-        out.append(prefix)
-        if r >= len(bound):
-            return
-        top = min(bound[r], prev, left)
-        for x in range(top, 0, -1):
-            rec(r + 1, x, left - x, prefix + (x,))
-
-    rec(0, size_cap, size_cap, ())
-    return out
-
-
 def vertex_closed_zn(n, legs, cutoff):
     """Full closed formula for the cyclic vertex with legs (lam, mu, nu).
 
-    The inner sum is truncated at eta sizes up to the cutoff and checked
-    for stabilization one layer further.  At most one leg may be
-    non-empty: with two, a negative exponent survives specialization, so
-    such input is rejected before any work.  Raises if a negative
-    exponent survives in the result.
+    The general formula sums over partitions eta inside
+    iota = (min(lam'_r, mu_r))_r of the skew Schur product
+    s_{lam'/eta} * s_{mu/eta} at the specialized values.  At most one leg
+    may be non-empty: with two, a negative exponent survives
+    specialization, so such input is rejected before any work.  Then lam'
+    or mu is empty, iota = (), and the sum has the single term eta = (),
+    which is s_{lam'} * s_mu with one factor equal to 1.  That product,
+    shifted by the renormalization and leg-size monomial, times the
+    MacMahon, hook and rotation factors is the result; a negative
+    exponent surviving in it raises.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -333,8 +295,7 @@ def vertex_closed_zn(n, legs, cutoff):
     for k in range(n):
         gbar[(-k) % n] += pc.renormalization_exponent(muc, k, n)
     tl, tm = len(nu), pc.part(nu, 0)
-    slack = tl * pc.size(lam) + tm * pc.size(mu) + min(pc.size(lam), pc.size(mu))
-    work = cutoff + sum(g) + sum(gbar) + slack
+    work = cutoff + sum(g) + sum(gbar) + tl * pc.size(lam) + tm * pc.size(mu)
 
     zero = _zero_zn(n, names, work)
     fixed = zero * _hook_factors(nu, n, names, work)
@@ -344,11 +305,8 @@ def vertex_closed_zn(n, legs, cutoff):
             fixed = fixed * rot ** e
     fixed = fixed.series()
 
-    gshift = tuple(-(g[k] + gbar[k]) for k in range(n))
     base_l = _qq_exps(n, -tl)
     base_m = _qq_exps(n, -tm)
-    bar_base_l = _bar_exps(base_l, n)
-
     vals_l = []
     for r in range(work + tl + 2):
         e = tuple(a - b for a, b in
@@ -363,33 +321,12 @@ def vertex_closed_zn(n, legs, cutoff):
         if 0 <= sum(e) <= work:
             vals_m.append(term(1, e))
 
-    iota = pc.normalize(tuple(min(pc.part(lamc, r), pc.part(mu, r))
-                              for r in range(min(len(lamc), len(mu)))))
-    master = {}
-    layer = {}
-    for eta in _subpartitions(iota, cutoff + 1):
-        k = pc.size(eta)
-        left = skew_schur_specialized(lamc, eta, vals_l, work, names)
-        right = skew_schur_specialized(mu, eta, vals_m, work, names)
-        part = left * right
-        if not part.terms:
-            continue
-        shift = list(gshift)
-        shift[0] -= k
-        la, mb = pc.size(lam) - k, pc.size(mu) - k
-        shift = tuple(s + la * u + mb * v
-                      for s, u, v in zip(shift, bar_base_l, base_m))
-        _shift_into(layer if k == cutoff + 1 else master, part, shift, cutoff)
-
-    final = _dict_mul(master, fixed.terms, cutoff)
-    if layer:
-        extra = _dict_mul(layer, fixed.terms, cutoff)
-        if extra:
-            raise RuntimeError("inner sum not stable at size %d" % (cutoff + 1))
-    for e in final:
-        if any(x < 0 for x in e):
-            raise ValueError("negative exponent %r survives specialization" % (e,))
-    return Series(names, cutoff, final)
+    schur = (skew_schur_specialized(lamc, (), vals_l, work, names)
+             * skew_schur_specialized(mu, (), vals_m, work, names))
+    shift = tuple(-(a + b) + pc.size(lam) * u + pc.size(mu) * v
+                  for a, b, u, v in zip(g, gbar, _bar_exps(base_l, n), base_m))
+    master = mul_terms(schur.terms, {shift: 1}, cutoff)
+    return Series(names, cutoff, mul_terms(master, fixed.terms, cutoff))
 
 
 def one_leg_zn_staircase(n, m, cutoff):

@@ -23,7 +23,7 @@ from math import factorial
 
 from . import partition_core as pc
 from .pyramid import COLOR_SLOT, VARS_Z2Z2
-from .qseries import Series
+from .qseries import Series, mul_terms
 from .rpc import mho
 
 
@@ -176,14 +176,8 @@ def e_apply(state, sign, xsq, cutoff):
 
 def scalar_apply(state, series, cutoff):
     """Multiply a state by a scalar series (same variable slots)."""
-    out = {}
-    for lam, poly in state.items():
-        for exps, coef in poly.items():
-            for te, tc in series.terms.items():
-                e2 = tuple(a + b for a, b in zip(exps, te))
-                if sum(e2) <= cutoff:
-                    _add_into(out, lam, e2, coef * tc)
-    return normalize_state(out)
+    return normalize_state({lam: mul_terms(poly, series.terms, cutoff)
+                            for lam, poly in state.items()})
 
 
 def collect(state, names, cutoff):

@@ -2,9 +2,11 @@
 
 Coefficients are Python ints, exponents are non-negative.  Laurent-style
 intermediate data (signed monomials with possibly negative exponents) is
-carried by plain Term tuples and must be combined into something
-non-negative before it can enter a Series; building a factor with a
-negative exponent raises.
+carried by plain Term tuples and {exponents: coefficient} dicts, and must
+be combined into something non-negative before it can enter a Series;
+building a series or a factor with a negative exponent raises.  Every
+truncated product of such dicts, Series arithmetic included, goes
+through the one kernel mul_terms.
 
 Closed formulas are products of binomial factors (1 - t)^(-k).  They are
 kept as exponent multisets (Factors), combined by adding multiplicities,
@@ -15,6 +17,7 @@ MacMahon-style product factory used by every closed formula lives here.
 from __future__ import annotations
 
 import json
+from operator import add
 
 # ---------------------------------------------------------------------------
 # Terms: signed monomials (coef, exps), exponents may be negative
@@ -60,13 +63,50 @@ def term_deg(t):
     return sum(t[1])
 
 
+def mul_terms(a, b, cap, out=None):
+    """Add every product of a term of a with a term of b whose total
+    degree is at most cap into out (a new dict by default); return out.
+
+    a, b and out are {exponent tuple: coefficient} dicts.  Exponents may
+    be negative, so Laurent data goes through the same loop.  A key whose
+    coefficient sums to 0 is removed.  The larger operand runs outside and
+    the smaller one is sorted by degree, so each outer term stops at the
+    first partner that would pass the cap.
+    """
+    if out is None:
+        out = {}
+    if len(a) < len(b):
+        a, b = b, a
+    inner = sorted(((sum(e), e, c) for e, c in b.items()),
+                   key=lambda item: item[0])
+    get, pop = out.get, out.pop
+    for ea, ca in a.items():
+        room = cap - sum(ea)
+        for d, eb, cb in inner:
+            if d > room:
+                break
+            key = tuple(map(add, ea, eb))
+            v = get(key, 0) + ca * cb
+            if v:
+                out[key] = v
+            else:
+                pop(key, None)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Series
 # ---------------------------------------------------------------------------
 
 
 class Series:
-    """Truncated exact power series: dict of exponent tuple -> int."""
+    """Truncated exact power series: dict of exponent tuple -> int.
+
+    Terms from outside (the constructors, from_json, map_vars and the
+    functions that count configurations) enter through _add, which checks
+    arity and negativity.  Arithmetic on series already checked writes its
+    dicts directly.
+    """
 
     __slots__ = ("names", "cutoff", "terms")
 
@@ -77,6 +117,12 @@ class Series:
         if terms:
             for e, c in terms.items():
                 self._add(e, c)
+
+    def _like(self, terms, cutoff=None):
+        # a series over the same variables holding terms already checked
+        s = Series(self.names, self.cutoff if cutoff is None else cutoff)
+        s.terms = terms
+        return s
 
     def _add(self, exps, coef):
         if coef == 0:
@@ -123,9 +169,7 @@ class Series:
     # -- basics -------------------------------------------------------------
 
     def copy(self):
-        s = Series(self.names, self.cutoff)
-        s.terms = dict(self.terms)
-        return s
+        return self._like(dict(self.terms))
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), 0)
@@ -159,57 +203,29 @@ class Series:
             raise ValueError("incompatible series: %r/%d vs %r/%d"
                              % (self.names, self.cutoff, other.names, other.cutoff))
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        # self + sign*other: other times the unit sign, added onto self
         if isinstance(other, int):
             other = Series.one(self.names, self.cutoff).scaled(other)
         self._check_compat(other)
-        s = self.copy()
-        for e, c in other.terms.items():
-            s._add(e, c)
-        return s
+        unit = {(0,) * len(self.names): sign}
+        return self._like(mul_terms(other.terms, unit, self.cutoff,
+                                    dict(self.terms)))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Series.one(self.names, self.cutoff).scaled(other)
-        self._check_compat(other)
-        s = self.copy()
-        for e, c in other.terms.items():
-            s._add(e, -c)
-        return s
+        return self._plus(other, -1)
 
     def scaled(self, k):
-        s = Series(self.names, self.cutoff)
-        if k:
-            s.terms = {e: c * k for e, c in self.terms.items()}
-        return s
+        return self._like({e: c * k for e, c in self.terms.items()} if k else {})
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scaled(other)
         self._check_compat(other)
-        out = Series(self.names, self.cutoff)
-        D = self.cutoff
-        # iterate over the smaller operand outside
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        bt = sorted(b.items(), key=lambda item: sum(item[0]))
-        for ea, ca in a.items():
-            da = sum(ea)
-            for eb, cb in bt:
-                if da + sum(eb) > D:
-                    break
-                out._add(tuple(x + y for x, y in zip(ea, eb)), ca * cb)
-        return out
-
-    def mul_term(self, t):
-        """Multiply by a signed monomial (may have negative exponents as
-        long as every surviving product exponent is non-negative)."""
-        c0, e0 = t
-        out = Series(self.names, self.cutoff)
-        for e, c in self.terms.items():
-            out._add(tuple(x + y for x, y in zip(e, e0)), c * c0)
-        return out
+        return self._like(mul_terms(self.terms, other.terms, self.cutoff))
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -251,10 +267,8 @@ class Series:
         if new_cutoff > self.cutoff:
             raise ValueError("cannot raise cutoff from %d to %d"
                              % (self.cutoff, new_cutoff))
-        s = Series(self.names, new_cutoff)
-        for e, c in self.terms.items():
-            s._add(e, c)
-        return s
+        return self._like({e: c for e, c in self.terms.items()
+                           if sum(e) <= new_cutoff}, new_cutoff)
 
     def map_vars(self, new_names, assignment):
         """Reinterpret each old variable as one new variable.

@@ -98,6 +98,7 @@ def test_parse_errors_exit_two(capsys):
                  ["vertex", "--leg", "1", "--method", "closed", "--verify"],
                  ["rpc", "--leg", "2", "--method", "closed"],
                  ["vertex", "--method", "nosuch"],
+                 ["vertex", "--workers", "4"],
                  ["nosuchcommand"]]:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -118,11 +119,51 @@ def test_uniqueness_rejects_negative_bounds(capsys, flag, value, message):
     assert message in captured.err
 
 
-def test_deterministic_output_across_workers(capsys):
+SERIES_FUNCTIONS = [
+    (cli, "enumerate_3d"), (cli, "vertex_by_transfer"),
+    (cli, "closed_z2z2_nolegs"), (cli, "closed_z2z2_staircase"),
+    (cli, "vertex_closed_zn"), (cli, "one_leg_zn_staircase"),
+    (cli, "pyramid_closed"), (cli, "pyramid_series"),
+    (cli, "corollary_rpc_closed"), (cli.rpc, "generating_function"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["vertex", "--workers", "4"], "unrecognized arguments",
+                 id="workers"),
+    pytest.param(["rpc", "--leg", "1", "--shift", "-1"], "shift must be >= 0",
+                 id="rpc-shift-1"),
+    pytest.param(["rpc", "--leg", "1", "--shift", "-3"], "shift must be >= 0",
+                 id="rpc-shift-3"),
+    pytest.param(["vertex", "--leg", "1", "--method", "enumerate", "--verify"],
+                 "at least two methods", id="vertex-verify-one-method"),
+    pytest.param(["pyramid", "--method", "closed", "--verify"],
+                 "at least two methods", id="pyramid-verify-one-method"),
+    pytest.param(["rpc", "--leg", "2", "--method", "interlacing,closed"],
+                 "staircase leg", id="rpc-closed-not-staircase"),
+    pytest.param(["vertex", "--leg", "2", "--method",
+                  "enumerate,transfer,closed"],
+                 "staircase leg", id="vertex-closed-not-staircase"),
+])
+def test_bad_input_fails_before_any_series(capsys, monkeypatch, argv, message):
+    called = []
+    for module, name in SERIES_FUNCTIONS:
+        monkeypatch.setattr(module, name,
+                            lambda *a, _name=name, **k: called.append(_name))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert called == []
+
+
+def test_deterministic_output(capsys):
     _, a = run_cli(capsys, ["vertex", "--leg", "1", "--degree", "3",
-                            "--method", "enumerate", "--workers", "1"])
+                            "--method", "enumerate"])
     _, b = run_cli(capsys, ["vertex", "--leg", "1", "--degree", "3",
-                            "--method", "enumerate", "--workers", "4"])
+                            "--method", "enumerate"])
     assert a == b
     _, c = run_cli(capsys, ["vertex", "--leg", "1", "--degree", "3",
                             "--method", "enumerate", "--format", "csv"])
@@ -140,13 +181,3 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     data = json.loads(target.read_text())
     assert data["results"][0]["series"]["cutoff"] == 2
-
-
-def test_workers_env_default(monkeypatch):
-    monkeypatch.setenv("ORBIVERTEX_WORKERS", "5")
-    parser = cli.build_parser()
-    args = parser.parse_args(["vertex", "--leg", ""])
-    assert args.workers == 5
-    monkeypatch.setenv("ORBIVERTEX_WORKERS", "junk")
-    args = cli.build_parser().parse_args(["vertex", "--leg", ""])
-    assert args.workers == 1

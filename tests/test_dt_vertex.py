@@ -312,7 +312,7 @@ SWEEP_LEGS = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1), (3, 2, 1)]
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("leg", SWEEP_LEGS)
 def test_vertex_closed_zn_matches_enumeration_degree_8(n, leg):
-    for legs in [((), (), leg), (leg, (), ())]:
+    for legs in [((), (), leg), (leg, (), ()), ((), leg, ())]:
         assert vertex_closed_zn(n, legs, 8) == enumerate_one_leg(legs, "zn", 8, n=n)
 
 

@@ -5,7 +5,8 @@ import pytest
 import sympy
 
 from orbivertex.qseries import (
-    Factors, Series, _exact_quotients, macmahon, macmahon_family, pochhammer,
+    Factors, Series, _exact_quotients, macmahon, macmahon_family, mul_terms,
+    pochhammer,
     term, term_mul, term_neg, term_one, term_pow, term_var,
 )
 
@@ -77,7 +78,69 @@ def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         s._add((1, -1, 0, 0), 1)
     with pytest.raises(ValueError):
+        Series(V4, 4, {(1, -1, 0, 0): 1})
+    with pytest.raises(ValueError):
         Series.one_plus(V4, 4, term(1, (0, 0, 0, 0)))
+
+
+def rand_laurent(rng, nvars, nterms):
+    return {tuple(rng.randrange(-2, 3) for _ in range(nvars)): rng.randrange(-4, 5)
+            for _ in range(nterms)}
+
+
+def test_mul_terms_matches_sympy_on_laurent_dicts():
+    # shift both operands by x^2 in every variable so sympy sees
+    # polynomials; the product is then shifted by x^4, its cap by 4*nvars
+    gens = GENS[:3]
+    shift = 2
+    rng = random.Random(31)
+    for _ in range(25):
+        a = rand_laurent(rng, 3, rng.randrange(0, 9))
+        b = rand_laurent(rng, 3, rng.randrange(0, 9))
+        cap = rng.randrange(-2, 6)
+
+        def poly(d, k):
+            return sum((c * sympy.prod(g ** (x + k) for g, x in zip(gens, e))
+                        for e, c in d.items()), sympy.Integer(0))
+
+        got = mul_terms(a, b, cap)
+        assert all(c != 0 and sum(e) <= cap for e, c in got.items())
+        want = oracles.smul(poly(a, shift), poly(b, shift), gens,
+                            cap + 2 * shift * len(gens))
+        assert sympy.expand(poly(got, 2 * shift) - want) == 0
+
+
+def test_mul_terms_accumulates_cancels_and_caps():
+    out = {(1, 0): 5, (1, 1): 3}
+    got = mul_terms({(1, 0): 1}, {(0, 0): 2}, 3, out)
+    assert got is out and out == {(1, 0): 7, (1, 1): 3}
+    # an existing key cancelled to 0 is removed
+    mul_terms({(1, 0): 3}, {(0, 1): -1}, 4, out)
+    assert out == {(1, 0): 7}
+    # (x + y) * (y - x): the xy terms cancel inside one product
+    assert mul_terms({(1, 0): 1, (0, 1): 1}, {(0, 1): 1, (1, 0): -1}, 2) \
+        == {(0, 2): 1, (2, 0): -1}
+    assert mul_terms({(1, 0): 0}, {(0, 0): 1}, 3) == {}
+    # a negative-degree operand leaves more room for its partner, but
+    # the cap still applies to each product
+    a = {(-2, 0): 1}
+    b = {(3, 0): 1, (5, 0): 1, (1, 1): 2, (0, 0): 4}
+    want = {(1, 0): 1, (-1, 1): 2, (-2, 0): 4}
+    assert mul_terms(a, b, 2) == want
+    assert mul_terms(b, a, 2) == want
+
+
+def test_series_arithmetic_skips_the_entry_checks(monkeypatch):
+    rng = random.Random(12)
+    a = rand_series(rng, V4, 4)
+    b = rand_series(rng, V4, 4)
+    want = (a * b, a + b, a - b, a.truncate(2))
+
+    def refuse(self, exps, coef):
+        raise AssertionError("_add called by internal arithmetic")
+
+    monkeypatch.setattr(Series, "_add", refuse)
+    assert (a * b, a + b, a - b, a.truncate(2)) == want
 
 
 def test_pochhammer_frozen():
