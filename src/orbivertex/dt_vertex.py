@@ -10,8 +10,7 @@ to agree coefficient by coefficient.
 from __future__ import annotations
 
 from . import partition_core as pc
-from .fock_transfer import zn_names
-from .pyramid import VARS_Z2Z2
+from .pyramid import VARS_Z2Z2, series_from_packed, zn_names
 from .qseries import (
     Factors, Series, family_factors, macmahon_factors, mul_terms,
     term, term_mul, term_neg, term_one, term_var,
@@ -25,97 +24,122 @@ _Z2Z2_SLOT = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
 # ---------------------------------------------------------------------------
 
 
-def _preds(b):
-    x1, x2, x3 = b
-    out = []
-    if x1:
-        out.append((x1 - 1, x2, x3))
-    if x2:
-        out.append((x1, x2 - 1, x3))
-    if x3:
-        out.append((x1, x2, x3 - 1))
-    return out
-
-
-def _succs(b):
-    x1, x2, x3 = b
-    return ((x1 + 1, x2, x3), (x1, x2 + 1, x3), (x1, x2, x3 + 1))
-
-
 def enumerate_one_leg(legs, group, cutoff, n=None):
     """Count extra-box configurations over at most one leg cylinder.
 
     legs = (first, second, third) leg partitions.  Cylinder boxes weigh
     nothing; each extra box weighs one unit of its color variable.  The
     cylinders run along the first, second and third axis respectively.
+
+    The configurations are the down-sets of the boxes outside the
+    cylinders, each reached once: a node adds one candidate box (a box
+    whose predecessors outside the cylinders are all present), and its
+    children may add only the candidates after it plus the boxes it
+    completes.  Per call, each box visited gets a table entry once (its
+    color unit and its successors outside the cylinders), and each
+    successor a count of its missing predecessors, decremented on add
+    and restored on backtrack.  Weights are packed ints, base cutoff + 1
+    per variable, so no digit carries; they are unpacked once, at the end.
+
+    The first candidates are the boxes outside the cylinders whose
+    predecessors all lie in the cylinder.  Such a box b has coordinate 0
+    along the leg's axis: its predecessor along that axis has the same
+    cross-section as b, so it too would lie outside the cylinder.  Each
+    non-zero other coordinate x of b has its predecessor inside the
+    cylinder, whose cross-section fits in a dims x dims square, so
+    x - 1 < dims.  Hence range(dims + 1) in every coordinate holds all
+    first candidates; with no leg, only the origin qualifies.
     """
     lam, mu, nu = (pc.check_partition(tuple(x)) for x in legs)
     if sum(1 for x in (lam, mu, nu) if x) > 1:
         raise ValueError("at most one non-empty leg")
     if group == "z2z2":
         names = VARS_Z2Z2
-        nv = 4
 
-        def slot(b):
-            return _Z2Z2_SLOT[((b[0] + b[2]) % 2, (b[1] + b[2]) % 2)]
+        def slot(x1, x2, x3):
+            return _Z2Z2_SLOT[((x1 + x3) % 2, (x2 + x3) % 2)]
     elif group == "zn":
         if not n or n < 1:
             raise ValueError("zn group needs n >= 1")
         names = zn_names(n)
-        nv = n
 
-        def slot(b):
-            return (b[0] - b[1]) % n
+        def slot(x1, x2, x3):
+            return (x1 - x2) % n
     else:
         raise ValueError("unknown group %r" % group)
 
-    def in_cyl(b):
-        x1, x2, x3 = b
+    def in_cyl(x1, x2, x3):
         return (pc.contains_cell(lam, x2, x3)
                 or pc.contains_cell(mu, x3, x1)
                 or pc.contains_cell(nu, x1, x2))
 
-    have = set()
-
-    def addable(b):
-        for p in _preds(b):
-            if not in_cyl(p) and p not in have:
-                return False
-        return True
-
     dims = max(pc.part(lam, 0), len(lam), pc.part(mu, 0), len(mu),
                pc.part(nu, 0), len(nu))
-    bound = cutoff + dims + 2
+    base = cutoff + 1
+    # a box of a down-set of size c has coordinates at most dims + c - 1,
+    # so the successors of every box entered stay below `side`
+    side = cutoff + dims + 2
+    unit, succs, missing = {}, {}, {}
+
+    def preds_outside(x1, x2, x3):
+        return ((x1 > 0 and not in_cyl(x1 - 1, x2, x3))
+                + (x2 > 0 and not in_cyl(x1, x2 - 1, x3))
+                + (x3 > 0 and not in_cyl(x1, x2, x3 - 1)))
+
+    def enter(b):
+        # table entry of box b, and predecessor counts of its successors
+        x3, rest = divmod(b, side * side)
+        x2, x1 = divmod(rest, side)
+        unit[b] = base ** slot(x1, x2, x3)
+        out = []
+        for y, step in (((x1 + 1, x2, x3), 1), ((x1, x2 + 1, x3), side),
+                        ((x1, x2, x3 + 1), side * side)):
+            if not in_cyl(*y):
+                s = b + step
+                out.append(s)
+                if s not in missing:
+                    missing[s] = preds_outside(*y)
+        succs[b] = tuple(out)
+
     initial = []
-    for x1 in range(bound):
-        for x2 in range(bound):
-            for x3 in range(bound):
-                b = (x1, x2, x3)
-                if not in_cyl(b) and addable(b):
+    for x3 in range(dims + 1):
+        for x2 in range(dims + 1):
+            for x1 in range(dims + 1):
+                if not in_cyl(x1, x2, x3) and not preds_outside(x1, x2, x3):
+                    b = x1 + side * (x2 + side * x3)
+                    enter(b)
                     initial.append(b)
-    initial.sort()
 
-    counts = {(0,) * nv: 1}
+    counts = {0: 1}
+    get = counts.get
 
-    def rec(cands, exps, depth):
+    def rec(cands, w, room):
+        # room: how many more boxes may follow the one added here
+        if not room:
+            for b in cands:
+                x = w + unit[b]
+                counts[x] = get(x, 0) + 1
+            return
         for i, b in enumerate(cands):
-            e = list(exps)
-            e[slot(b)] += 1
-            te = tuple(e)
-            counts[te] = counts.get(te, 0) + 1
-            if depth + 1 < cutoff:
-                have.add(b)
-                newc = list(cands[i + 1:])
-                for s in _succs(b):
-                    if not in_cyl(s) and addable(s):
-                        newc.append(s)
-                newc.sort()
-                rec(newc, te, depth + 1)
-                have.discard(b)
+            x = w + unit[b]
+            counts[x] = get(x, 0) + 1
+            nxt = cands[i + 1:]
+            bs = succs[b]
+            for s in bs:
+                m = missing[s] - 1
+                missing[s] = m
+                if not m:
+                    if s not in unit:
+                        enter(s)
+                    nxt.append(s)
+            if nxt:
+                rec(nxt, x, room - 1)
+            for s in bs:
+                missing[s] += 1
 
     if cutoff >= 1:
-        rec(initial, (0,) * nv, 0)
-    return Series(names, cutoff, counts)
+        rec(initial, 0, cutoff - 1)
+    return series_from_packed(names, cutoff, counts, len(names))
 
 
 def enumerate_3d(v, group, cutoff, n=None):

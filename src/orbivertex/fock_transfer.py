@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import partition_core as pc
-from .pyramid import COLOR_SLOT, VARS_Z2Z2
+from .pyramid import COLOR_SLOT, VARS_Z2Z2, zn_names
 from .qseries import Series, mul_terms
 from .rpc import mho
 
@@ -245,10 +245,6 @@ def weight_selector(mode, v, s, n=None):
     if mode == "zn":
         return single_weight(s % n, n)
     raise ValueError("unknown mode %r" % mode)
-
-
-def zn_names(n):
-    return tuple("qt%d" % i for i in range(n))
 
 
 def _truncate(state, cutoff):

@@ -30,6 +30,12 @@ FRAMES = (DIAG, ANTI)
 # variable slot order used by every four-color series in the package
 VARS_Z2Z2 = ("q0", "qa", "qb", "qc")
 
+
+def zn_names(n):
+    """Variable names of the Zn series, one per residue."""
+    return tuple("qt%d" % i for i in range(n))
+
+
 # diagonal slice color by k mod 4
 _DIAG_COLOR = {0: "0", 1: "b", 2: "c", 3: "a"}
 # color letter -> slot in VARS_Z2Z2
@@ -233,13 +239,14 @@ def _left_tails(child, k, budget):
             yield rest + [opt]
 
 
-def enumerate_pyramids(max_bricks):
-    """All pyramid partitions with at most max_bricks bricks."""
-    out = []
+def _slice_families(max_bricks):
+    """Every pyramid with at most max_bricks bricks, as its diagonal
+    slice family {k: partition}; the partners are valid partitions, so
+    the slices need no further check."""
     for center in pc.partitions_up_to(max_bricks):
         c = sum(center)
         if not center:
-            out.append(PyramidPartition({}))
+            yield {}
             continue
         for right in _right_tails(center, 1, max_bricks - c):
             rc = sum(sum(s) for s in right)
@@ -249,14 +256,43 @@ def enumerate_pyramids(max_bricks):
                     slices[d + 1] = s
                 for d, s in enumerate(reversed(left)):
                     slices[-(d + 1)] = s
-                out.append(PyramidPartition(slices))
-    return out
+                yield slices
+
+
+def enumerate_pyramids(max_bricks):
+    """All pyramid partitions with at most max_bricks bricks."""
+    return [PyramidPartition(f) for f in _slice_families(max_bricks)]
+
+
+def series_from_packed(names, cutoff, counts, nvars):
+    """Series from {packed exponents: count}, nvars digits of base
+    cutoff + 1; the Series checks them against `names`.
+
+    The enumerators pack their weights this way, so that adding a brick
+    or box adds one int.  They unpack here rather than through the packed
+    codec of qseries, which the closed route uses, so that one codec bug
+    cannot make the enumeration and closed routes agree.
+    """
+    base = cutoff + 1
+    terms = {}
+    for w, c in counts.items():
+        exps = []
+        for _ in range(nvars):
+            w, x = divmod(w, base)
+            exps.append(x)
+        terms[tuple(exps)] = c
+    return Series(names, cutoff, terms)
 
 
 def pyramid_series(cutoff, names=VARS_Z2Z2):
     """Generating function of pyramid partitions, graded by color counts,
     complete through total degree `cutoff` (one brick = one degree)."""
-    s = Series(names, cutoff)
-    for p in enumerate_pyramids(cutoff):
-        s._add(p.color_counts(), 1)
-    return s
+    base = cutoff + 1
+    units = [base ** COLOR_SLOT[_DIAG_COLOR[r]] for r in range(4)]
+    counts = {}
+    for slices in _slice_families(cutoff):
+        w = 0
+        for k, sigma in slices.items():
+            w += units[k % 4] * sum(sigma)
+        counts[w] = counts.get(w, 0) + 1
+    return series_from_packed(names, cutoff, counts, len(COLOR_SLOT))

@@ -17,9 +17,8 @@ from __future__ import annotations
 from . import partition_core as pc
 from .pyramid import (
     ANTI, DIAG, VARS_Z2Z2, COLOR_SLOT, PyramidPartition, address_to_position,
-    position_to_address,
+    position_to_address, series_from_packed,
 )
-from .qseries import Series
 
 
 class EpsilonTable:
@@ -263,6 +262,8 @@ def interlacing_families(v, budget):
     b = pc.edge_bound(conj)
     left = -(budget + b + 2)
     right = budget + b + 2
+    # taus[s - left]: direction of the relation between slices s - 1 and s
+    taus = [pc.edge_value(conj, -s) for s in range(left, right + 1)]
     out = []
 
     def rec(s, prev, used, current):
@@ -270,7 +271,7 @@ def interlacing_families(v, budget):
             if not prev:
                 out.append(dict(current))
             return
-        tau = pc.edge_value(conj, -s)
+        tau = taus[s - left]
         primed = (s % 2 == 0)
         if tau == 1:
             options = pc.partners_below(prev, primed)
@@ -324,19 +325,39 @@ def slice_color_counts(k, eta, frame, corner_parity):
 
 
 def generating_function(v, l, frame, cutoff, names=VARS_Z2Z2):
-    """Color-graded generating function of restricted configurations."""
+    """Color-graded generating function of restricted configurations.
+
+    The families are those of interlacing_families(v, cutoff).  The
+    shift only translates every region corner by (l, l), and the slices
+    are re-based at their corners, so the series is the same for every
+    l >= 0; a negative l is rejected, as region() does.  A slice's color
+    counts depend only on (k, slice) and the corner parity of k, so each
+    is computed once per call.
+    """
     if frame not in (DIAG, ANTI):
         raise ValueError("unknown frame %r" % frame)
+    if l < 0:
+        raise ValueError("shift l must be >= 0")
     t = EpsilonTable(v)
-    s = Series(names, cutoff)
+    base = cutoff + 1
+    units = [base ** slot for slot in range(len(COLOR_SLOT))]
+    parity = {}
+    weight = {}
+    counts = {}
     for family in interlacing_families(v, cutoff):
-        exps = [0, 0, 0, 0]
-        for k, eta in family.items():
-            parity = mho(v, k, t) % 2
-            for slot, c in enumerate(slice_color_counts(k, eta, frame, parity)):
-                exps[slot] += c
-        s._add(tuple(exps), 1)
-    return s
+        w = 0
+        for key in family.items():
+            x = weight.get(key)
+            if x is None:
+                k, eta = key
+                if k not in parity:
+                    parity[k] = mho(v, k, t) % 2
+                x = weight[key] = sum(
+                    u * c for u, c in
+                    zip(units, slice_color_counts(k, eta, frame, parity[k])))
+            w += x
+        counts[w] = counts.get(w, 0) + 1
+    return series_from_packed(names, cutoff, counts, len(COLOR_SLOT))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Everything here is deliberately built on different machinery than src/:
 series arithmetic goes through sympy polynomials, pyramids are enumerated
-as down-sets of the brick poset generated from raw quiver walks, and
-border strips are found by scanning skew diagrams.  Frozen literals in
+as down-sets of the brick poset generated from raw quiver walks, one-leg
+box configurations are grown as sets one box at a time, and border
+strips are found by scanning skew diagrams.  Frozen literals in
 the tests were produced by these functions.
 """
 
@@ -232,3 +233,76 @@ def add_strips_oracle(lam, length):
         rows = len({j for (_, j) in skew})
         out.append((mu, (-1) ** (rows + 1)))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# one-leg box configurations as down-sets, grown one box at a time
+# ---------------------------------------------------------------------------
+
+# A group is given by the weight vectors of its generators on C^3 and
+# their orders; box (a, b, c) is the monomial x^a y^b z^c, and its
+# character (one weight per generator) picks its variable.  Z2 x Z2 acts
+# by (x, y, z) -> (-x, y, -z) and (x, -y, -z); Zn by (w x, y / w, z).
+_Z2Z2_VARIABLE = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}   # q0 qa qb qc
+
+
+def _character(box, weights, order):
+    return tuple(sum(w * x for w, x in zip(ws, box)) % order for ws in weights)
+
+
+def one_leg_downsets_series(legs, group, cutoff, n=None):
+    """{exponents: count} over the down-sets of size <= cutoff of the box
+    poset N^3 minus the leg cylinders.
+
+    legs = (first, second, third): cylinders along the first, second and
+    third axis, cross-section cells (column, row).  Every down-set of
+    size k + 1 is a down-set of size k plus one minimal box of the rest,
+    so the sets are grown level by level and deduplicated as frozensets.
+    """
+    lam, mu, nu = (_cells(tuple(p)) for p in legs)
+    if group == "z2z2":
+        weights, order, nvars = ((1, 0, 1), (0, 1, 1)), 2, 4
+        variable = _Z2Z2_VARIABLE.__getitem__
+    else:
+        weights, order, nvars = ((1, -1, 0),), n, n
+        variable = lambda ch: ch[0]
+
+    def in_cyl(box):
+        a, b, c = box
+        return (b, c) in lam or (c, a) in mu or (a, b) in nu
+
+    def preds(box):
+        return [tuple(x - (j == i) for j, x in enumerate(box))
+                for i in range(3) if box[i]]
+
+    def succs(box):
+        return [tuple(x + (j == i) for j, x in enumerate(box)) for i in range(3)]
+
+    def addable(current, box):
+        return (box not in current and not in_cyl(box)
+                and all(p in current or in_cyl(p) for p in preds(box)))
+
+    # a cube well past the leg, so that no bound on the minimal boxes is
+    # taken from the code under test
+    side = cutoff + 2 * sum(sum(p) for p in legs) + 1
+    minimal = [box for box in itertools.product(range(side), repeat=3)
+               if addable(frozenset(), box)]
+    out = {(0,) * nvars: 1}
+    level = {frozenset()}
+    for _ in range(cutoff):
+        grown = set()
+        for current in level:
+            near = set(minimal)
+            for box in current:
+                near.update(succs(box))
+            for box in near:
+                if addable(current, box):
+                    grown.add(current | {box})
+        for ds in grown:
+            exps = [0] * nvars
+            for box in ds:
+                exps[variable(_character(box, weights, order))] += 1
+            key = tuple(exps)
+            out[key] = out.get(key, 0) + 1
+        level = grown
+    return out

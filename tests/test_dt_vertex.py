@@ -76,6 +76,34 @@ def test_enumerate_rejects_bad_input():
         enumerate_3d((1,), "z3z3", 2)
 
 
+def _one_leg_slots(max_size):
+    yield ((), (), ())
+    for leg in pc.partitions_up_to(max_size):
+        if leg:
+            yield from [((), (), leg), (leg, (), ()), ((), leg, ())]
+
+
+@pytest.mark.parametrize("group, n", [("z2z2", None), ("zn", 2), ("zn", 3)])
+def test_enumerate_one_leg_matches_downset_oracle(group, n):
+    for legs in _one_leg_slots(3):
+        for cutoff in (0, 6):
+            got = enumerate_one_leg(legs, group, cutoff, n=n)
+            want = oracles.one_leg_downsets_series(legs, group, cutoff, n)
+            assert got.terms == want, (legs, cutoff)
+
+
+def test_enumerate_one_leg_degree_one_counts_outer_corners():
+    # the boxes that can come first sit at the outer corners of the leg
+    for legs in _one_leg_slots(5):
+        leg = max(legs, key=len)
+        corners = sum(1 for j in range(len(leg) + 1)
+                      if j == 0 or pc.part(leg, j) < leg[j - 1])
+        for group, n in [("z2z2", None), ("zn", 3)]:
+            s = enumerate_one_leg(legs, group, 1, n=n)
+            got = sum(c for e, c in s.terms.items() if sum(e) == 1)
+            assert got == corners, (legs, group)
+
+
 def test_symmetry_check():
     assert symmetry_check((), 1, 3)
     assert symmetry_check((1,), 1, 4)
@@ -169,12 +197,12 @@ def test_vertex_closed_zn_hook_and_rotation_internals():
     assert hook == expect
 
 
-def test_vertex_closed_zn_rejects_surviving_negative_exponents():
-    with pytest.raises(ValueError):
+def test_vertex_closed_zn_rejects_bad_input():
+    with pytest.raises(ValueError, match="at most one non-empty leg"):
         vertex_closed_zn(1, ((1,), (1,), ()), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at most one non-empty leg"):
         vertex_closed_zn(4, ((1,), (1,), (1,)), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be >= 1"):
         vertex_closed_zn(0, ((), (), ()), 3)
 
 

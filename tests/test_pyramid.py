@@ -87,6 +87,7 @@ def test_enumeration_against_downset_oracle():
         key = p.color_counts()
         got[key] = got.get(key, 0) + 1
     assert got == want
+    assert pyramid_series(6).terms == want
 
 
 def test_validate_and_brick_roundtrip():

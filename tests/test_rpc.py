@@ -3,6 +3,7 @@ import random
 import pytest
 
 from orbivertex import partition_core as pc
+from orbivertex import rpc
 from orbivertex.pyramid import ANTI, DIAG, PyramidPartition, enumerate_pyramids, pyramid_series
 from orbivertex.rpc import (
     EpsilonTable, check_type_interlacing, epsilon_table, generating_function,
@@ -163,6 +164,16 @@ def test_generating_function_shift_independent():
             base = generating_function(v, 0, frame, 4)
             for l in (1, 2):
                 assert generating_function(v, l, frame, 4) == base
+
+
+def test_generating_function_rejects_negative_shift(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rpc, "interlacing_families",
+                        lambda *args: calls.append(args) or [])
+    for frame in (DIAG, ANTI):
+        with pytest.raises(ValueError, match="shift l must be >= 0"):
+            generating_function((1,), -3, frame, 3)
+    assert calls == []
 
 
 def test_frames_agree_iff_staircase_small():
