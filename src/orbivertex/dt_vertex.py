@@ -50,6 +50,8 @@ def enumerate_one_leg(legs, group, cutoff, n=None):
     x - 1 < dims.  Hence range(dims + 1) in every coordinate holds all
     first candidates; with no leg, only the origin qualifies.
     """
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     lam, mu, nu = (pc.check_partition(tuple(x)) for x in legs)
     if sum(1 for x in (lam, mu, nu) if x) > 1:
         raise ValueError("at most one non-empty leg")

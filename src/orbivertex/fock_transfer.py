@@ -1,19 +1,23 @@
 """Transfer-matrix evaluation of half-vertex operator products.
 
-A state is a row vector over the partition basis whose coefficients are
-truncated polynomials: a dict {partition: {exponent tuple: coefficient}}
-with one entry per partition whose polynomial has at least one term.
-Operators act on the left factor by factor.  Transition operators move
-between interlacing partitions (plain or primed) and work once per
-partition, whatever its polynomial; weight operators are diagonal and
-multiply a partition's whole polynomial by one monomial with a variable
-per cell; the even-mode exponential operators move border strips of
-even length with signs.
+The public operators act on a state, a row vector over the partition
+basis whose coefficients are truncated polynomials: a dict {partition:
+{exponent tuple: coefficient}} with one entry per partition whose
+polynomial has at least one term.  Operators act on the left factor by
+factor.  Transition operators move between interlacing partitions (plain
+or primed) and work once per partition, whatever its polynomial; weight
+operators are diagonal and multiply a partition's whole polynomial by
+one monomial with a variable per cell; the even-mode exponential
+operators move border strips of even length with signs.  They are kept
+plain, for the operator identities.
 
 vertex_by_transfer() assembles the weighted products whose brackets give
 the zero- and one-leg orbifold series and the two restricted pyramid
 series, always evaluating the product twice on nested windows and
-insisting the truncations agree.
+insisting the truncations agree.  Its bracket does not call the public
+operators: it walks its own state, {partition: {degree: {packed
+exponents: coefficient}}}, in which one step is a transition with
+argument 1 followed by the next slice's weight, truncated as it goes.
 """
 
 from __future__ import annotations
@@ -93,12 +97,10 @@ def gamma_apply(state, tau, primed, arg, cutoff):
     below; the argument enters with the absolute size change as exponent.
     Partners are enumerated once per partition.  Upward growth is bounded
     by the lowest degree in that partition's polynomial, and each term is
-    then checked against the cutoff on its own.  When the argument is 1
-    every partner receives the polynomial unchanged.
+    then checked against the cutoff on its own.
     """
     ac, ae = arg
     step = sum(ae)
-    identity = ac == 1 and not any(ae)
     out = {}
     for lam, poly in state.items():
         size = sum(lam)
@@ -107,24 +109,17 @@ def gamma_apply(state, tau, primed, arg, cutoff):
             nxts = pc.partners_above(lam, size + max(0, grow), primed)
         else:
             nxts = pc.partners_below(lam, primed)
-        if identity:
-            poly = {e: c for e, c in poly.items() if sum(e) <= cutoff}
-            if not poly:
-                continue
         for mu in nxts:
-            if identity:
-                moved = poly
-            else:
-                diff = abs(sum(mu) - size)
-                room = cutoff - diff * step
-                factor = ac ** diff
-                moved = {tuple(a + diff * b for a, b in zip(e, ae)): c * factor
-                         for e, c in poly.items() if sum(e) <= room}
-                if not moved:
-                    continue
+            diff = abs(sum(mu) - size)
+            room = cutoff - diff * step
+            factor = ac ** diff
+            moved = {tuple(a + diff * b for a, b in zip(e, ae)): c * factor
+                     for e, c in poly.items() if sum(e) <= room}
+            if not moved:
+                continue
             target = out.get(mu)
             if target is None:
-                out[mu] = dict(moved) if identity else moved
+                out[mu] = moved
             else:
                 for e, c in moved.items():
                     target[e] = target.get(e, 0) + c
@@ -247,33 +242,69 @@ def weight_selector(mode, v, s, n=None):
     raise ValueError("unknown mode %r" % mode)
 
 
-def _truncate(state, cutoff):
-    """Keep the terms the next weight step can carry: degree + |lam| <= cutoff."""
-    out = {}
-    for lam, poly in state.items():
-        room = cutoff - sum(lam)
-        if room < 0:
-            continue
-        kept = {e: c for e, c in poly.items() if sum(e) <= room}
-        if kept:
-            out[lam] = kept
-    return out
-
-
 def _bracket(v, cutoff, mode, n, window):
+    """<empty| weighted transfer product on slices -window..window |empty>.
+
+    The walk keeps its own layout, {partition: {degree: {packed
+    exponents: coefficient}}}: exponent tuples packed into one int with
+    base cutoff + 1 per variable (degrees stay <= cutoff, so no digit
+    carries), grouped by total degree.  Step t moves each partition to its
+    interlacing partners and multiplies in the weight of the partner's
+    slice -(t + 1) at once, so a weight step is one int addition per term
+    and a partner takes only the degree buckets that stay <= cutoff.
+    The codec is private to this route on purpose: one codec bug must not
+    make two routes agree.
+    """
     names = zn_names(n) if mode == "zn" else VARS_Z2Z2
+    base = cutoff + 1
+    powers = [base ** i for i in range(len(names))]
     conj = pc.conjugate(v)
     rpc = mode in ("rpc_antidiagonal", "rpc_diagonal")
-    one = (1, (0,) * len(names))
-    state = empty_state(len(names))
+    # the weight step of slice -window, on the empty partition, is 1
+    state = {(): {0: {0: 1}}}
     for t in range(-window, window + 1):
-        wf = weight_selector(mode, v, -t, n)
-        state = weight_apply(state, wf, cutoff)
         tau = pc.edge_value(conj, t)
         primed = rpc and t % 2 == 0
-        state = gamma_apply(state, tau, primed, one, cutoff)
-        state = _truncate(state, cutoff)
-    return collect(state, names, cutoff)
+        wf = weight_selector(mode, v, -(t + 1), n)
+        packed = {}
+        out = {}
+        for lam, buckets in state.items():
+            low = min(buckets)
+            if tau == 1:
+                nxts = pc.partners_above(lam, cutoff - low, primed)
+            else:
+                nxts = pc.partners_below(lam, primed)
+            for mu in nxts:
+                size = sum(mu)
+                room = cutoff - size
+                if room < low:
+                    continue
+                w = packed.get(mu)
+                if w is None:
+                    w = packed[mu] = sum(x * p for x, p in zip(wf(mu), powers))
+                target = out.get(mu)
+                if target is None:
+                    target = out[mu] = {}
+                for d, terms in buckets.items():
+                    if d > room:
+                        continue
+                    dst = target.get(d + size)
+                    if dst is None:
+                        target[d + size] = {k + w: c for k, c in terms.items()}
+                    else:
+                        for k, c in terms.items():
+                            k += w
+                            dst[k] = dst.get(k, 0) + c
+        state = out
+    terms = {}
+    for bucket in state.get((), {}).values():
+        for k, c in bucket.items():
+            exps = []
+            for _ in names:
+                k, x = divmod(k, base)
+                exps.append(x)
+            terms[tuple(exps)] = c
+    return Series(names, cutoff, terms)
 
 
 def vertex_by_transfer(group, leg, cutoff, mode="standard", n=None):
@@ -283,18 +314,34 @@ def vertex_by_transfer(group, leg, cutoff, mode="standard", n=None):
     or group "zn" (needs n >= 1).  The leg sits in the third slot; the
     other two legs are empty.
 
-    Why the window suffices: weight_apply gives each slice a degree equal
-    to its size, so every non-empty slice costs at least 1 degree.
-    Outside the leg region, |t| >= t0, the transitions are fixed: on the
-    left slices can only grow towards t = -t0, and on the right they can
-    only shrink away from t = t0.  A slice non-empty at |t| = t0 + k
-    therefore forces k + 1 non-empty slices, more than the cutoff allows
-    once k >= cutoff, so every window of at least cutoff + t0 gives the
-    same truncation.  The window used adds a margin of 4, rounded up to
-    even.  The product is still evaluated on two nested windows, and a
-    disagreement raises RuntimeError: the runtime comparison is kept as
-    a check of this argument.
+    Why the window suffices: the weight of a slice is a monomial of
+    total degree equal to its size (weight_selector splits its cells
+    between one or two color variables), so every non-empty slice costs
+    at least 1 degree.  Outside the leg region, |t| >= t0, the
+    transitions are fixed: on the left slices can only grow towards
+    t = -t0, and on the right they can only shrink away from t = t0.  A
+    slice non-empty at |t| = t0 + k therefore forces k + 1 non-empty
+    slices, more than the cutoff allows once k >= cutoff, so every window
+    of at least cutoff + t0 gives the same truncation.  The window used
+    adds a margin of 4, rounded up to even.  The product is still
+    evaluated on two nested windows, and a disagreement raises
+    RuntimeError: the runtime comparison is kept as a check of this
+    argument.
+
+    Why truncating inside each step loses nothing: every exponent is
+    non-negative, so no later step lowers a term's degree.  A term of
+    degree d that moves to the partner mu at once takes the weight of
+    mu's slice, which adds exactly |mu|, and every later weight step adds
+    at least 0; its final degree is at least d + |mu|.  A term with
+    d + |mu| > cutoff can therefore reach no coefficient of degree
+    <= cutoff, and the walk drops it when it moves (d > room, with
+    room = cutoff - |mu|).  Every term of a partition has degree at least
+    its lowest degree, low, so a partner with room < low receives nothing
+    and is skipped; upward, only partners of size <= cutoff - low are
+    enumerated at all.
     """
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     v = pc.check_partition(tuple(leg))
     if group == "zn":
         if not n or n < 1:

@@ -76,6 +76,15 @@ def test_enumerate_rejects_bad_input():
         enumerate_3d((1,), "z3z3", 2)
 
 
+def test_enumerate_rejects_negative_cutoff():
+    # the packed weights have base cutoff + 1: -1 used to divide by zero
+    for group, n in (("z2z2", None), ("zn", 3)):
+        with pytest.raises(ValueError, match="cutoff must be >= 0"):
+            enumerate_3d((), group, -1, n=n)
+        with pytest.raises(ValueError, match="cutoff must be >= 0"):
+            enumerate_one_leg(((2, 1), (), ()), group, -3, n=n)
+
+
 def _one_leg_slots(max_size):
     yield ((), (), ())
     for leg in pc.partitions_up_to(max_size):

@@ -1,5 +1,6 @@
 import pytest
 
+from orbivertex import fock_transfer
 from orbivertex import partition_core as pc
 from orbivertex.dt_vertex import enumerate_3d
 from orbivertex.fock_transfer import (
@@ -220,13 +221,25 @@ def test_transfer_bad_arguments():
         e_apply(empty_state(2), 1, (1, (0, 0)), 4)
 
 
+def test_transfer_rejects_negative_cutoff(monkeypatch):
+    # it used to return an empty series where enumeration raised
+    def no_walk(*args):
+        raise AssertionError("bracket evaluated")
+
+    monkeypatch.setattr(fock_transfer, "_bracket", no_walk)
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        vertex_by_transfer("z2z2", (), -1)
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        vertex_by_transfer("zn", (2, 1), -2, n=3)
+
+
 def test_transfer_deterministic():
     a = vertex_by_transfer("z2z2", (1,), 3)
     b = vertex_by_transfer("z2z2", (1,), 3)
     assert a == b and a.to_json() == b.to_json()
 
 
-CROSS_D = 8
+CROSS_D = 12
 
 
 def leg_id(leg):
@@ -254,3 +267,28 @@ def test_transfer_matches_enumeration_zn(n, leg):
 def test_transfer_matches_family_enumeration_deep(mode, frame, leg):
     want = generating_function(leg, 0, frame, CROSS_D - 1)
     assert vertex_by_transfer("z2z2", leg, CROSS_D - 1, mode) == want
+
+
+# the four product modes, each with the route that must equal it at degree d
+MODES = [
+    ("z2z2", "standard", None, lambda leg, d: enumerate_3d(leg, "z2z2", d)),
+    ("z2z2", "rpc_antidiagonal", None,
+     lambda leg, d: generating_function(leg, 0, ANTI, d)),
+    ("z2z2", "rpc_diagonal", None,
+     lambda leg, d: generating_function(leg, 0, DIAG, d)),
+    ("zn", "zn", 3, lambda leg, d: enumerate_3d(leg, "zn", d, n=3)),
+]
+
+
+@pytest.mark.parametrize("group,mode,n,other", MODES, ids=[m[1] for m in MODES])
+def test_transfer_truncation_boundaries(group, mode, n, other):
+    # degree 0 keeps only the empty configuration; degree 1 keeps exactly
+    # the partners of size cutoff - low and the terms with d == room
+    for leg in [(), (1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2)]:
+        got = vertex_by_transfer(group, leg, 0, mode, n)
+        assert got == Series.one(got.names, 0), leg
+        assert vertex_by_transfer(group, leg, 1, mode, n) == other(leg, 1), leg
+
+
+def test_transfer_matches_enumeration_degree_18():
+    assert vertex_by_transfer("z2z2", (), 18) == enumerate_3d((), "z2z2", 18)
