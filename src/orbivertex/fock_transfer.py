@@ -97,15 +97,19 @@ def gamma_apply(state, tau, primed, arg, cutoff):
     below; the argument enters with the absolute size change as exponent.
     Partners are enumerated once per partition.  Upward growth is bounded
     by the lowest degree in that partition's polynomial, and each term is
-    then checked against the cutoff on its own.
+    then checked against the cutoff on its own.  An upward step has
+    infinitely many partners, so its argument must have positive degree
+    for the truncation to bound them.
     """
     ac, ae = arg
     step = sum(ae)
+    if tau == 1 and step <= 0:
+        raise ValueError("upward argument needs positive degree")
     out = {}
     for lam, poly in state.items():
         size = sum(lam)
         if tau == 1:
-            grow = (cutoff - min(map(sum, poly))) // step if step else cutoff
+            grow = (cutoff - min(map(sum, poly))) // step
             nxts = pc.partners_above(lam, size + max(0, grow), primed)
         else:
             nxts = pc.partners_below(lam, primed)

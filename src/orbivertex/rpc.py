@@ -14,10 +14,12 @@ are identical in the two frames, the brick content is not.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import partition_core as pc
 from .pyramid import (
     ANTI, DIAG, VARS_Z2Z2, COLOR_SLOT, PyramidPartition, address_to_position,
-    position_to_address, series_from_packed,
+    convert_frame, series_from_packed,
 )
 
 
@@ -257,7 +259,17 @@ def realize(slices, v, l, frame):
 
 
 def interlacing_families(v, budget):
-    """All finitely-supported second-type families with total size <= budget."""
+    """All finitely-supported second-type families with total size <= budget.
+
+    The walk fixes slices left to right.  Once slice s - 1 is empty with
+    s >= b = edge_bound(conj), the family is complete: every s' >= b has
+    -s' <= -b, so tau = edge_value(conj, -s') = +1 and slice s' must lie
+    below slice s' - 1, and the only partition below () is () (primed or
+    not).  By induction every later slice is empty, so the walk emits the
+    family there instead of stepping out to `right`; the emission happens
+    at the same point of the depth-first order, so the returned list is
+    the list the full walk would return.
+    """
     conj = pc.conjugate(v)
     b = pc.edge_bound(conj)
     left = -(budget + b + 2)
@@ -267,7 +279,7 @@ def interlacing_families(v, budget):
     out = []
 
     def rec(s, prev, used, current):
-        if s > right:
+        if s > right or (not prev and s >= b):
             if not prev:
                 out.append(dict(current))
             return
@@ -365,38 +377,59 @@ def generating_function(v, l, frame, cutoff, names=VARS_Z2Z2):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _window_pairs(K):
+    """Every antidiagonal cell (k, i, j) of the window |k| <= K,
+    0 <= i, j <= K whose diagonal address (dk, di, dj) lies in the same
+    window, as tuples (k, i, j, dk, di, dj).
+
+    The map between frames is the geometry of the pyramid alone: a cell's
+    physical position and its address in the other frame do not depend on
+    the leg v or the shift l, which only move the region corners.  So the
+    pairs are built once per K and shared by every (v, l).  A negative
+    window would compare empty ranges and call every leg symmetric, so it
+    raises.
+    """
+    if K < 0:
+        raise ValueError("window must be >= 0, got %d" % K)
+    pairs = []
+    for k in range(-K, K + 1):
+        for i in range(K + 1):
+            for j in range(K + 1):
+                dk, di, dj = convert_frame(ANTI, k, i, j)
+                if abs(dk) <= K and di <= K and dj <= K:
+                    pairs.append((k, i, j, dk, di, dj))
+    return tuple(pairs)
+
+
 def region_complement_equal(v, l, K):
     """Compare the union of region complements across frames inside the
     window (|slice| <= K, brick coordinates <= K), matching bricks through
-    their physical positions."""
+    their physical positions (see _window_pairs)."""
+    pairs = _window_pairs(K)
     t = EpsilonTable(v)
     corners = {k: region(v, l, k, t) for k in range(-K, K + 1)}
-    for k in range(-K, K + 1):
+    for k, i, j, dk, di, dj in pairs:
         ci, cj = corners[k]
-        for i in range(0, K + 1):
-            for j in range(0, K + 1):
-                pos = address_to_position(ANTI, k, i, j)
-                dk, di, dj = position_to_address(DIAG, *pos)
-                if abs(dk) > K or di > K or dj > K:
-                    continue
-                in_anti_c = not (i >= ci and j >= cj)
-                dci, dcj = corners[dk]
-                in_diag_c = not (di >= dci and dj >= dcj)
-                if in_anti_c != in_diag_c:
-                    return False
+        dci, dcj = corners[dk]
+        if (i >= ci and j >= cj) != (di >= dci and dj >= dcj):
+            return False
     return True
 
 
 def uniqueness_scan(max_leg_size, l_values, K):
     """{(leg, l): complements-equal} over all legs up to the given size.
 
-    A negative window would compare empty ranges and call every leg
-    symmetric, and a negative size would scan nothing, so both raise.
+    A negative size would scan nothing, a negative shift has no region
+    and a negative window calls every leg symmetric, so each raises
+    before any leg is scanned.
     """
     if max_leg_size < 0:
         raise ValueError("max leg size must be >= 0, got %d" % max_leg_size)
-    if K < 0:
-        raise ValueError("window must be >= 0, got %d" % K)
+    l_values = tuple(l_values)
+    if any(l < 0 for l in l_values):
+        raise ValueError("shift l must be >= 0")
+    _window_pairs(K)                # raises on a negative window
     out = {}
     for v in pc.partitions_up_to(max_leg_size):
         for l in l_values:

@@ -5,7 +5,10 @@ series arithmetic goes through sympy polynomials, pyramids are enumerated
 as down-sets of the brick poset generated from raw quiver walks, one-leg
 box configurations are grown as sets one box at a time, and border
 strips are found by scanning skew diagrams.  Frozen literals in
-the tests were produced by these functions.
+the tests were produced by these functions.  The last section differs:
+it keeps two straightforward forms of RPC-layer loops (a per-cell frame
+conversion and an unpruned slice walk) as references for the shortcuts
+that replaced them in src/.
 """
 
 from __future__ import annotations
@@ -305,4 +308,68 @@ def one_leg_downsets_series(legs, group, cutoff, n=None):
             key = tuple(exps)
             out[key] = out.get(key, 0) + 1
         level = grown
+    return out
+
+
+# ---------------------------------------------------------------------------
+# RPC layer: per-cell window comparison and unpruned interlacing walk
+# ---------------------------------------------------------------------------
+
+
+def region_complement_equal_per_cell(v, l, K):
+    """rpc.region_complement_equal converting every window cell on its own:
+    antidiagonal address -> physical position -> diagonal address."""
+    from orbivertex.pyramid import ANTI, DIAG, address_to_position, position_to_address
+    from orbivertex.rpc import region
+
+    corners = {k: region(v, l, k) for k in range(-K, K + 1)}
+    for k in range(-K, K + 1):
+        ci, cj = corners[k]
+        for i in range(K + 1):
+            for j in range(K + 1):
+                pos = address_to_position(ANTI, k, i, j)
+                dk, di, dj = position_to_address(DIAG, *pos)
+                if abs(dk) > K or di > K or dj > K:
+                    continue
+                dci, dcj = corners[dk]
+                if (i >= ci and j >= cj) != (di >= dci and dj >= dcj):
+                    return False
+    return True
+
+
+def interlacing_families_unpruned(v, budget):
+    """rpc.interlacing_families walking every slice out to the far end of
+    its range, with no early stop once the families can only stay empty."""
+    from orbivertex import partition_core as pc
+
+    conj = pc.conjugate(v)
+    b = pc.edge_bound(conj)
+    left = -(budget + b + 2)
+    right = budget + b + 2
+    out = []
+
+    def rec(s, prev, used, current):
+        if s > right:
+            if not prev:
+                out.append(dict(current))
+            return
+        primed = (s % 2 == 0)
+        if pc.edge_value(conj, -s) == 1:
+            options = pc.partners_below(prev, primed)
+        else:
+            options = pc.partners_above(prev, budget - used, primed)
+        for opt in options:
+            cost = sum(opt)
+            if used + cost > budget:
+                continue
+            if opt:
+                if used + cost + max(0, -b - s) * cost > budget:
+                    continue
+                current[s] = opt
+                rec(s + 1, opt, used + cost, current)
+                del current[s]
+            else:
+                rec(s + 1, (), used, current)
+
+    rec(left, (), 0, {})
     return out

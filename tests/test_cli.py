@@ -109,8 +109,15 @@ def test_parse_errors_exit_two(capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--window", "-2", "window must be >= 0"),
     ("--max-leg-size", "-1", "max leg size must be >= 0"),
+    ("--shifts", "0,-1", "shift l must be >= 0"),
 ])
-def test_uniqueness_rejects_negative_bounds(capsys, flag, value, message):
+def test_uniqueness_rejects_negative_bounds(capsys, monkeypatch, flag, value,
+                                            message):
+    def no_region(*args, **kwargs):
+        raise AssertionError("region computed")
+
+    # no leg is scanned before the bad value is seen
+    monkeypatch.setattr(cli.rpc, "region", no_region)
     with pytest.raises(SystemExit) as exc:
         cli.main(["uniqueness", flag, value])
     assert exc.value.code == 2

@@ -221,6 +221,20 @@ def test_transfer_bad_arguments():
         e_apply(empty_state(2), 1, (1, (0, 0)), 4)
 
 
+def test_gamma_apply_rejects_zero_degree_upward_argument():
+    # Gamma+(1) on a basis state is an infinite sum; it used to cap growth
+    # at `cutoff` cells, so its degree-0 part changed with the cutoff
+    for cutoff in (2, 3, 4):
+        for primed in (False, True):
+            with pytest.raises(ValueError, match="positive degree"):
+                gamma_apply(basis(()), 1, primed, (1, (0, 0)), cutoff)
+    with pytest.raises(ValueError, match="positive degree"):
+        gamma_apply({}, 1, False, (1, (0, 0)), 4)
+    # downward partners are finite, so a zero-degree argument is fine
+    down = gamma_apply(basis((2, 1)), -1, False, (1, (0, 0)), 4)
+    assert sorted(down) == sorted(pc.partners_below((2, 1)))
+
+
 def test_transfer_rejects_negative_cutoff(monkeypatch):
     # it used to return an empty series where enumeration raised
     def no_walk(*args):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from orbivertex import partition_core as pc
 from orbivertex import rpc
 from orbivertex.pyramid import ANTI, DIAG, PyramidPartition, enumerate_pyramids, pyramid_series
@@ -187,6 +188,44 @@ def test_region_complement_equal_iff_staircase():
     for v in pc.partitions_up_to(4):
         for l in (0, 1):
             assert region_complement_equal(v, l, 8) == pc.is_staircase(v), (v, l)
+
+
+def test_region_complement_equal_matches_per_cell_oracle():
+    for v in pc.partitions_up_to(5):
+        for l in (0, 1, 2):
+            for K in (0, 1, 2, 5, 9):
+                want = oracles.region_complement_equal_per_cell(v, l, K)
+                assert region_complement_equal(v, l, K) == want, (v, l, K)
+
+
+def test_interlacing_families_match_unpruned_oracle():
+    for v in pc.partitions_up_to(4):
+        for budget in range(7):
+            want = oracles.interlacing_families_unpruned(v, budget)
+            assert interlacing_families(v, budget) == want, (v, budget)
+
+
+def _no_region(*args, **kwargs):
+    raise AssertionError("region computed")
+
+
+@pytest.mark.parametrize("shifts", [(0, -1), (-1,), (2, 0, -3)])
+def test_uniqueness_scan_rejects_negative_shift_up_front(monkeypatch, shifts):
+    monkeypatch.setattr(rpc, "region", _no_region)
+    with pytest.raises(ValueError, match="shift l must be >= 0"):
+        uniqueness_scan(3, shifts, 4)
+
+
+def test_negative_window_rejected_up_front(monkeypatch):
+    monkeypatch.setattr(rpc, "region", _no_region)
+    with pytest.raises(ValueError, match="window must be >= 0"):
+        uniqueness_scan(3, (0,), -1)
+    with pytest.raises(ValueError, match="window must be >= 0"):
+        uniqueness_scan(3, (), -1)
+    # it used to compare empty ranges and call every leg symmetric
+    for v in [(), (2,), (3, 1)]:
+        with pytest.raises(ValueError, match="window must be >= 0"):
+            region_complement_equal(v, 0, -1)
 
 
 def test_uniqueness_scan_output():
