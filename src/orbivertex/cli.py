@@ -41,6 +41,11 @@ def _methods_arg(allowed):
     return conv
 
 
+def _shifts_arg(text):
+    # repeated shifts are dropped, first occurrences kept in order
+    return tuple(dict.fromkeys(int(x) for x in text.split(",")))
+
+
 def _monomial(names, exps):
     bits = []
     for name, e in zip(names, exps):
@@ -298,8 +303,7 @@ def build_parser():
     p = sub.add_parser("uniqueness", help="symmetric interlacing scan")
     p.add_argument("--max-leg-size", type=int, default=6)
     p.add_argument("--window", type=int, default=10)
-    p.add_argument("--shifts", type=lambda t: tuple(int(x) for x in t.split(",")),
-                   default=(0, 1))
+    p.add_argument("--shifts", type=_shifts_arg, default=(0, 1))
     _add_output(p)
     p.set_defaults(run=_run_uniqueness)
 

@@ -9,6 +9,8 @@ to agree coefficient by coefficient.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import partition_core as pc
 from .pyramid import VARS_Z2Z2, series_from_packed, zn_names
 from .qseries import (
@@ -276,15 +278,8 @@ def _zero_zn(n, names, cutoff):
 
 def _hook_factors(nu, n, names, cutoff):
     # prod over the cells of nu of 1 / (1 - colored hook monomial)
-    out = Factors(names, cutoff)
-    for (i, j) in pc.cells(nu):
-        out = out * Factors(names, cutoff,
-                            {term(1, pc.hook_color_count(nu, i, j, n)): 1})
-    return out
-
-
-def _hook_factor(nu, n, names, cutoff):
-    return _hook_factors(nu, n, names, cutoff).series()
+    return Factors(names, cutoff, Counter(
+        term(1, pc.hook_color_count(nu, i, j, n)) for (i, j) in pc.cells(nu)))
 
 
 def _rotation_exponents(nu, n):
@@ -309,6 +304,8 @@ def vertex_closed_zn(n, legs, cutoff):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     lam, mu, nu = (pc.check_partition(tuple(x)) for x in legs)
     if sum(1 for x in (lam, mu, nu) if x) > 1:
         raise ValueError("at most one non-empty leg")
@@ -355,30 +352,34 @@ def vertex_closed_zn(n, legs, cutoff):
     return Series(names, cutoff, mul_terms(master, fixed.terms, cutoff))
 
 
+def _staircase(m):
+    """Family suffixes and shift of the staircase leg (m, m-1, ..., 1):
+    (main, other, ell) with main = m mod 2 and other its complement, as
+    the strings "0" and "1" that end the shifted family names, and
+    ell = ceil(m / 2)."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    return str(m % 2), str(1 - m % 2), (m + 1) // 2
+
+
 def one_leg_zn_staircase(n, m, cutoff):
     """Branch form of the order-four vertex with a staircase third leg."""
     if n != 4:
         raise ValueError("staircase branch form needs n = 4")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    main, other, ell = _staircase(m)
     names = zn_names(4)
+    zero = _zero_zn(4, names, cutoff)
     if m == 0:
-        return _zero_zn(4, names, cutoff).series()
+        return zero.series()
     q = term(1, (1, 1, 1, 1))
-    sub, ell = m % 2, (m + 1) // 2
-    fam = "Mt1" if sub else "Mt0"
-    other = "Mt0" if sub else "Mt1"
     if m % 4 in (0, 3):
-        out = _zero_zn(4, names, cutoff)
-        out = out * family_factors(other, names, cutoff, term_var(4, 2), q, l=ell)
-        triple = term(1, (0, 1, 1, 1))
+        out, xlast = zero, term_var(4, 2)
     else:
-        out = _zero_zn(4, names, cutoff).map_vars(names, (2, 3, 0, 1))
-        out = out * family_factors(other, names, cutoff, term_var(4, 0), q, l=ell)
-        triple = term(1, (1, 1, 0, 1))
-    out = out * family_factors(fam, names, cutoff, term_var(4, 3), q, l=ell)
-    out = out * family_factors(fam, names, cutoff, term_var(4, 1), q, l=ell)
-    out = out * family_factors(fam, names, cutoff, triple, q, l=ell)
+        out, xlast = zero.map_vars(names, (2, 3, 0, 1)), term_var(4, 0)
+    x1, x3 = term_var(4, 1), term_var(4, 3)
+    out = out * family_factors("Mt" + other, names, cutoff, xlast, q, l=ell)
+    for x in (x3, x1, term_mul(x1, x3, xlast)):
+        out = out * family_factors("Mt" + main, names, cutoff, x, q, l=ell)
     return out.series()
 
 
@@ -392,23 +393,6 @@ def _standard_vars():
             term(1, (1, 1, 1, 1)))
 
 
-def _nolegs_factors(cutoff):
-    names = VARS_Z2Z2
-    xa, xb, xc, q = _standard_vars()
-    out = macmahon_factors(term_one(4), q, names, cutoff) ** 4
-    out = out * family_factors("Mt", names, cutoff, term_mul(xa, xb), q)
-    out = out * family_factors("Mt", names, cutoff, term_mul(xa, xc), q)
-    out = out * family_factors("Mt", names, cutoff, term_mul(xb, xc), q)
-    for x in (xa, xb, xc, term_mul(xa, xb, xc)):
-        out = out / family_factors("Mt", names, cutoff, term_neg(x), q)
-    return out
-
-
-def closed_z2z2_nolegs(cutoff):
-    """Zero-leg closed product over the variables q0, qa, qb, qc."""
-    return _nolegs_factors(cutoff).series()
-
-
 def _pyramid_factors(cutoff):
     names = VARS_Z2Z2
     xa, xb, xc, q = _standard_vars()
@@ -420,24 +404,30 @@ def _pyramid_factors(cutoff):
     return out
 
 
+def _nolegs_factors(cutoff):
+    xa, xb, _, q = _standard_vars()
+    return _pyramid_factors(cutoff) * family_factors(
+        "Mt", VARS_Z2Z2, cutoff, term_mul(xa, xb), q)
+
+
+def closed_z2z2_nolegs(cutoff):
+    """Zero-leg closed product over the variables q0, qa, qb, qc."""
+    return _nolegs_factors(cutoff).series()
+
+
 def pyramid_closed(cutoff):
     """Closed form of the pyramid partition generating function."""
     return _pyramid_factors(cutoff).series()
 
 
 def _upsilon_factors(vars, m, cutoff, names):
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if vars is None:
-        vars = _standard_vars()
-    xa, xb, xc, q = vars
-    sub, ell = m % 2, (m + 1) // 2
-    fam = "Mt1" if sub else "Mt0"
-    other = "Mt0" if sub else "Mt1"
-    out = family_factors(fam, names, cutoff, term_mul(xa, xb), q, l=2 * ell)
-    out = out / family_factors(other, names, cutoff, term_neg(xc), q, l=ell)
-    for x in (xa, xb, term_mul(xa, xb, xc)):
-        out = out / family_factors(fam, names, cutoff, term_neg(x), q, l=ell)
+    main, other, ell = _staircase(m)
+    xa, xb, xc, q = vars or _standard_vars()
+    xab = term_mul(xa, xb)
+    out = family_factors("Mt" + main, names, cutoff, xab, q, l=2 * ell)
+    out = out / family_factors("Mt" + other, names, cutoff, term_neg(xc), q, l=ell)
+    for x in (xa, xb, term_mul(xab, xc)):
+        out = out / family_factors("Mt" + main, names, cutoff, term_neg(x), q, l=ell)
     return out
 
 
@@ -453,25 +443,18 @@ def closed_z2z2_staircase(m, cutoff):
 
 def phi(vars, m, cutoff, names=VARS_Z2Z2):
     """Bridge factor between the two one-leg vertices at a staircase leg."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if vars is None:
-        vars = _standard_vars()
-    xa, xb, xc, q = vars
-    xabc = term_mul(xa, xb, xc)
-    sub, ell = m % 2, (m + 1) // 2
-    fam = "Mh1" if sub else "Mh0"
-    other = "Mh0" if sub else "Mh1"
-    famt = "Mt1" if sub else "Mt0"
+    main, other, ell = _staircase(m)
+    xa, xb, xc, q = vars or _standard_vars()
+    xab = term_mul(xa, xb)
+    xabc = term_mul(xab, xc)
     out = Factors(names, cutoff)
     for x in (xa, xb, xc, xabc):
         out = out * family_factors("Mh", names, cutoff, x, q)
-    out = out * family_factors("Mt", names, cutoff, term_mul(xa, xb), q)
-    out = out * family_factors(famt, names, cutoff, term_mul(xa, xb), q, l=2 * ell)
-    for x in (xa, xb):
-        out = out / family_factors(fam, names, cutoff, x, q, l=ell)
-    out = out / family_factors(other, names, cutoff, xc, q, l=ell)
-    out = out / family_factors(fam, names, cutoff, xabc, q, l=ell)
+    out = out * family_factors("Mt", names, cutoff, xab, q)
+    out = out * family_factors("Mt" + main, names, cutoff, xab, q, l=2 * ell)
+    out = out / family_factors("Mh" + other, names, cutoff, xc, q, l=ell)
+    for x in (xa, xb, xabc):
+        out = out / family_factors("Mh" + main, names, cutoff, x, q, l=ell)
     return out.series()
 
 
@@ -480,26 +463,17 @@ def corollary_rpc_closed(m, cutoff):
 
     m = 0 degenerates to the plain pyramid generating function.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    main, other, ell = _staircase(m)
     names = VARS_Z2Z2
     base = _pyramid_factors(cutoff)
     if m == 0:
         return base.series()
     xa, xb, xc, q = _standard_vars()
-    x0 = term_var(4, 0)
-    sub, ell = m % 2, (m + 1) // 2
-    fam = "Mt1" if sub else "Mt0"
-    other = "Mt0" if sub else "Mt1"
     if m % 4 in (0, 3):
-        out = base
-        xlast = xc
-        triple = term_mul(xa, xb, xc)
+        out, xlast = base, xc
     else:
-        out = base.map_vars(names, (3, 1, 2, 0))
-        xlast = x0
-        triple = term_mul(xa, xb, x0)
-    out = out / family_factors(other, names, cutoff, term_neg(xlast), q, l=ell)
-    for x in (xa, xb, triple):
-        out = out / family_factors(fam, names, cutoff, term_neg(x), q, l=ell)
+        out, xlast = base.map_vars(names, (3, 1, 2, 0)), term_var(4, 0)
+    out = out / family_factors("Mt" + other, names, cutoff, term_neg(xlast), q, l=ell)
+    for x in (xa, xb, term_mul(xa, xb, xlast)):
+        out = out / family_factors("Mt" + main, names, cutoff, term_neg(x), q, l=ell)
     return out.series()

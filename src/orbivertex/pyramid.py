@@ -287,6 +287,8 @@ def series_from_packed(names, cutoff, counts, nvars):
 def pyramid_series(cutoff, names=VARS_Z2Z2):
     """Generating function of pyramid partitions, graded by color counts,
     complete through total degree `cutoff` (one brick = one degree)."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     base = cutoff + 1
     units = [base ** COLOR_SLOT[_DIAG_COLOR[r]] for r in range(4)]
     counts = {}

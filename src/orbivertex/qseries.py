@@ -168,9 +168,6 @@ class Series:
 
     # -- basics -------------------------------------------------------------
 
-    def copy(self):
-        return self._like(dict(self.terms))
-
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), 0)
 
@@ -183,9 +180,6 @@ class Series:
     def __eq__(self, other):
         return (isinstance(other, Series) and self.names == other.names
                 and self.cutoff == other.cutoff and self.terms == other.terms)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         raise TypeError("Series is mutable, do not hash")
@@ -396,7 +390,7 @@ class Factors:
     degree exceeds the cutoff is 1 after truncation and is dropped when it
     is added.  Products, quotients, integer powers and variable maps only
     add, subtract, scale and relabel multiplicities; series() expands the
-    product once.
+    product once.  A negative cutoff raises.
     """
 
     __slots__ = ("names", "cutoff", "mult")
@@ -404,6 +398,8 @@ class Factors:
     def __init__(self, names, cutoff, mult=None):
         self.names = tuple(names)
         self.cutoff = int(cutoff)
+        if self.cutoff < 0:
+            raise ValueError("cutoff must be >= 0")
         self.mult = {}
         if mult:
             for t, k in mult.items():
@@ -487,8 +483,6 @@ class Factors:
         arithmetic fault and raises ArithmeticError.
         """
         D = self.cutoff
-        if D < 0:
-            return Series(self.names, D)
         base = D + 1
 
         def g_items():
@@ -503,159 +497,75 @@ class Factors:
 
 
 # ---------------------------------------------------------------------------
-# q-Pochhammer and the MacMahon family
+# q-Pochhammer, MacMahon and the six MacMahon-type families
 # ---------------------------------------------------------------------------
 
 
-def pochhammer_factors(a, q, names, cutoff):
-    """(a; q)_infinity = prod_{k>=0} (1 - a q^k) as Factors.
+def _walk(out, a, q, macmahon, k):
+    """Add prod_{n>=1} (1 - a q^n)^(-k*n) (macmahon) or prod_{n>=0}
+    (1 - a q^n)^k (q-Pochhammer) to the Factors out; return out.
 
-    a and q are Terms; every factor must come out with non-negative
-    exponents and positive degree.
+    a and q are Terms; every factor a*q^n up to the cutoff must come out
+    with non-negative exponents and positive degree.
     """
-    out = Factors(names, cutoff)
-    k = 0
+    n = 1 if macmahon else 0
     while True:
-        f = term_mul(a, term_pow(q, k))
-        if f[0] == 0:
-            break
-        if term_deg(f) > cutoff:
-            break
+        f = term_mul(a, term_pow(q, n))
+        if f[0] == 0 or term_deg(f) > out.cutoff:
+            return out
         if term_deg(f) <= 0:
-            raise ValueError("pochhammer factor of degree %d" % term_deg(f))
-        out._add(f, -1)
-        k += 1
-    return out
+            raise ValueError("factor of degree %d at n=%d" % (term_deg(f), n))
+        out._add(f, k * n if macmahon else -k)
+        n += 1
 
 
-def pochhammer(a, q, names, cutoff):
-    """(a; q)_infinity as a Series; see pochhammer_factors."""
-    return pochhammer_factors(a, q, names, cutoff).series()
+def pochhammer_factors(a, q, names, cutoff):
+    """(a; q)_infinity = prod_{k>=0} (1 - a q^k) as Factors."""
+    return _walk(Factors(names, cutoff), a, q, False, 1)
 
 
 def macmahon_factors(x, q, names, cutoff):
-    """M(x, q) = prod_{n>=1} (1 - x q^n)^(-n) as Factors.
-
-    x may be degree 0 (e.g. the constant 1); each combined factor x*q^n
-    must have positive degree and non-negative exponents.
-    """
-    out = Factors(names, cutoff)
-    n = 1
-    while True:
-        f = term_mul(x, term_pow(q, n))
-        if f[0] == 0:
-            break
-        if term_deg(f) > cutoff:
-            break
-        if term_deg(f) <= 0:
-            raise ValueError("MacMahon factor of degree %d at n=%d" % (term_deg(f), n))
-        out._add(f, n)
-        n += 1
-    return out
+    """M(x, q) = prod_{n>=1} (1 - x q^n)^(-n) as Factors; x may have
+    degree 0 (e.g. the constant 1)."""
+    return _walk(Factors(names, cutoff), x, q, True, 1)
 
 
-def macmahon(x, q, names, cutoff):
-    """M(x, q) as a Series; see macmahon_factors."""
-    return macmahon_factors(x, q, names, cutoff).series()
-
-
-def _mm_sym(x, q, names, cutoff):
-    # M(x, q) * M(x^-1, q)
-    return (macmahon_factors(x, q, names, cutoff)
-            * macmahon_factors(term_pow(x, -1), q, names, cutoff))
-
-
-def _mm_hat(x, q, names, cutoff):
-    return (_mm_sym(x, q, names, cutoff)
-            * _mm_sym(term_neg(x), q, names, cutoff)) ** -1
-
-
-def _mm_sym0(x, q, l, names, cutoff):
-    num = macmahon_factors(term_mul(x, term_pow(q, l)), q, names, cutoff)
-    den = macmahon_factors(x, q, names, cutoff)
-    poch = pochhammer_factors(term_mul(q, term_pow(x, -1)), q, names, cutoff)
-    return num / (den * poch ** l)
-
-
-def _mm_sym1(x, q, l, names, cutoff):
-    xi = term_pow(x, -1)
-    num = macmahon_factors(term_mul(xi, term_pow(q, l)), q, names, cutoff)
-    den = macmahon_factors(xi, q, names, cutoff)
-    poch = pochhammer_factors(x, q, names, cutoff)
-    return num / (den * poch ** l)
-
-
-def _mm_pair(x, q, names, cutoff):
-    return (macmahon_factors(x, q, names, cutoff)
-            * macmahon_factors(term_neg(x), q, names, cutoff))
-
-
-def _mm_ratio(x, y, q, names, cutoff):
-    return (macmahon_factors(x, q, names, cutoff)
-            / macmahon_factors(term_mul(x, y), q, names, cutoff))
-
-
-def _mm_shift(x, q, l, names, cutoff):
-    num = macmahon_factors(term_mul(x, term_pow(q, l)), q, names, cutoff)
-    den = macmahon_factors(x, q, names, cutoff)
-    poch = pochhammer_factors(x, q, names, cutoff)
-    return num / (den * poch ** l)
-
-
-_FAMILY_ALIASES = {
-    "M̃": "Mt", "M̂": "Mh",
-    "M̃0": "Mt0", "M̃1": "Mt1",
-    "M̂0": "Mh0", "M̂1": "Mh1",
-    "M̂1xy": "Mh1xy", "M̂2": "Mh2",
-    # composed forms (tilde/hat as combining characters)
-    "M~": "Mt", "M^": "Mh", "M~0": "Mt0", "M~1": "Mt1",
-    "M^0": "Mh0", "M^1": "Mh1", "M^1xy": "Mh1xy", "M^2": "Mh2",
+# Each tilde family is a product of entries (macmahon, power of x, power
+# of q, multiplicity): M(x^i q^j)^k when macmahon, else (x^i q^j; q)^k.
+# Powers and multiplicities are affine in the shift l, written (a, b)
+# for a + b*l.
+_TILDE = {
+    # M~(x) = M(x) M(x^-1)
+    "Mt": ((True, 1, (0, 0), (1, 0)), (True, -1, (0, 0), (1, 0))),
+    # M~0(x; l) = M(x q^l) M(x)^-1 (q x^-1; q)^-l
+    "Mt0": ((True, 1, (0, 1), (1, 0)), (True, 1, (0, 0), (-1, 0)),
+            (False, -1, (1, 0), (0, -1))),
+    # M~1(x; l) = M(x^-1 q^l) M(x^-1)^-1 (x; q)^-l
+    "Mt1": ((True, -1, (0, 1), (1, 0)), (True, -1, (0, 0), (-1, 0)),
+            (False, 1, (0, 0), (0, -1))),
 }
 
+# Each hat family is the product over +-x of a tilde family, to a power:
+# M^(x) = (M~(x) M~(-x))^-1, M^0 and M^1 likewise from M~0 and M~1.
+_HAT = {"Mh": ("Mt", -1), "Mh0": ("Mt0", 1), "Mh1": ("Mt1", 1)}
 
-def family_factors(name, names, cutoff, x, q, l=None, y=None):
-    """Dispatch over the named MacMahon-style products, as Factors.
 
-    Names (ASCII): Mt, Mh, Mt0, Mt1, Mh0, Mh1, M0, M1, M2, Mh1xy, Mh2.
-    Unicode tilde/hat spellings are accepted as aliases.  x, q, y are
-    Terms; l is the integer shift where applicable.
+def family_factors(name, names, cutoff, x, q, l=None):
+    """The named MacMahon-type product as Factors.
+
+    Names: Mt, Mh, Mt0, Mt1, Mh0, Mh1 (the paper's M~, M^, M~0, M~1,
+    M^0, M^1; see _TILDE and _HAT).  x and q are Terms; l is the integer
+    shift of the four families that end in 0 or 1, and Mt and Mh ignore it.
     """
-    key = _FAMILY_ALIASES.get(name, name)
-    need_l = {"Mt0", "Mt1", "Mh0", "Mh1", "M2", "Mh2"}
-    need_y = {"M1", "Mh1xy"}
-    if key in need_l and l is None:
+    tilde, power = _HAT.get(name, (name, 1))
+    if tilde not in _TILDE:
+        raise ValueError("unknown MacMahon family name %r" % name)
+    if tilde != "Mt" and l is None:
         raise ValueError("family %s needs the shift l" % name)
-    if key in need_y and y is None:
-        raise ValueError("family %s needs the second monomial y" % name)
-    if key == "Mt":
-        return _mm_sym(x, q, names, cutoff)
-    if key == "Mh":
-        return _mm_hat(x, q, names, cutoff)
-    if key == "Mt0":
-        return _mm_sym0(x, q, l, names, cutoff)
-    if key == "Mt1":
-        return _mm_sym1(x, q, l, names, cutoff)
-    if key == "Mh0":
-        return (_mm_sym0(x, q, l, names, cutoff)
-                * _mm_sym0(term_neg(x), q, l, names, cutoff))
-    if key == "Mh1":
-        return (_mm_sym1(x, q, l, names, cutoff)
-                * _mm_sym1(term_neg(x), q, l, names, cutoff))
-    if key == "M0":
-        return _mm_pair(x, q, names, cutoff)
-    if key == "M1":
-        return _mm_ratio(x, y, q, names, cutoff)
-    if key == "M2":
-        return _mm_shift(x, q, l, names, cutoff)
-    if key == "Mh1xy":
-        return (_mm_ratio(x, y, q, names, cutoff)
-                * _mm_ratio(term_neg(x), y, q, names, cutoff))
-    if key == "Mh2":
-        return (_mm_shift(x, q, l, names, cutoff)
-                * _mm_shift(term_neg(x), q, l, names, cutoff))
-    raise ValueError("unknown MacMahon family name %r" % name)
-
-
-def macmahon_family(name, names, cutoff, x, q, l=None, y=None):
-    """The named MacMahon-style product as a Series; see family_factors."""
-    return family_factors(name, names, cutoff, x, q, l, y).series()
+    l = l or 0
+    out = Factors(names, cutoff)
+    for y in ((x, term_neg(x)) if name in _HAT else (x,)):
+        for macmahon, i, (ja, jb), (ka, kb) in _TILDE[tilde]:
+            a = term_mul(term_pow(y, i), term_pow(q, ja + jb * l))
+            _walk(out, a, q, macmahon, power * (ka + kb * l))
+    return out

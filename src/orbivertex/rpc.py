@@ -71,16 +71,9 @@ class EpsilonTable:
             return table[min(x - 1, len(table) - 1)]
         raise ValueError("which must be 1..4")
 
-    def eps_limit(self, which):
-        return self.eps(which, self.bound)
-
     def eps_hat(self, which, x):
         rho = self.rho2 if which in (1, 3) else self.rho1
         return rho - self.eps(which, x)
-
-
-def epsilon_table(v):
-    return EpsilonTable(v)
 
 
 def region(v, l, k, table=None):
@@ -350,6 +343,8 @@ def generating_function(v, l, frame, cutoff, names=VARS_Z2Z2):
         raise ValueError("unknown frame %r" % frame)
     if l < 0:
         raise ValueError("shift l must be >= 0")
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     t = EpsilonTable(v)
     base = cutoff + 1
     units = [base ** slot for slot in range(len(COLOR_SLOT))]
@@ -422,11 +417,11 @@ def uniqueness_scan(max_leg_size, l_values, K):
 
     A negative size would scan nothing, a negative shift has no region
     and a negative window calls every leg symmetric, so each raises
-    before any leg is scanned.
+    before any leg is scanned.  A repeated shift is scanned once.
     """
     if max_leg_size < 0:
         raise ValueError("max leg size must be >= 0, got %d" % max_leg_size)
-    l_values = tuple(l_values)
+    l_values = tuple(dict.fromkeys(l_values))
     if any(l < 0 for l in l_values):
         raise ValueError("shift l must be >= 0")
     _window_pairs(K)                # raises on a negative window

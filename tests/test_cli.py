@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from orbivertex import cli
+from orbivertex import cli, rpc
 from orbivertex.dt_vertex import closed_z2z2_nolegs
 from orbivertex.qseries import Series
 
@@ -72,6 +72,30 @@ def test_uniqueness_report(capsys):
     got = {tuple(r["leg"]): r["symmetric"] for r in data["results"]}
     assert got[(2,)] is False and got[(1, 1)] is False
     assert got[(3,)] is False and got[(2, 1)] is True
+
+
+def test_uniqueness_drops_repeated_shifts(capsys, monkeypatch):
+    calls = []
+    scan_one = rpc.region_complement_equal
+
+    def counted(v, l, K):
+        calls.append((v, l))
+        return scan_one(v, l, K)
+
+    monkeypatch.setattr(rpc, "region_complement_equal", counted)
+    code, out = run_cli(capsys, ["uniqueness", "--max-leg-size", "2",
+                                 "--window", "3", "--shifts", "0,0,1"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["shifts"] == [0, 1]
+    legs = [(), (1,), (2,), (1, 1)]
+    assert sorted(calls) == sorted((v, l) for v in legs for l in (0, 1))
+    assert [[r["leg"], r["shift"]] for r in data["results"]] == sorted(
+        [list(v), l] for v in legs for l in (0, 1))
+    # the library scan drops repeats on its own
+    calls.clear()
+    assert rpc.uniqueness_scan(2, (1, 0, 1), 3) == rpc.uniqueness_scan(2, (0, 1), 3)
+    assert len(calls) == 2 * 2 * len(legs)
 
 
 def test_verify_battery(capsys):

@@ -9,12 +9,12 @@ from orbivertex.dt_vertex import (
     closed_z2z2_nolegs, closed_z2z2_staircase, corollary_rpc_closed,
     enumerate_3d, enumerate_one_leg, one_leg_zn_staircase, phi,
     pyramid_closed, skew_schur_specialized, symmetry_check, upsilon,
-    vertex_closed_zn, _hook_factor, _rotation_exponents, _standard_vars,
+    vertex_closed_zn, _hook_factors, _rotation_exponents, _standard_vars,
 )
 from orbivertex.fock_transfer import vertex_by_transfer, zn_names
 from orbivertex.pyramid import ANTI, DIAG, VARS_Z2Z2, pyramid_series
 from orbivertex.qseries import (
-    Series, macmahon_family, term, term_mul, term_neg, term_var,
+    Series, family_factors, term, term_mul, term_neg, term_var,
 )
 
 import oracles
@@ -199,7 +199,7 @@ def test_vertex_closed_zn_hook_and_rotation_internals():
     assert _rotation_exponents((2, 1), 4) == (0, -1, 2, -1)
     for v in [(), (1,), (2, 1), (3, 1, 1)]:
         assert sum(_rotation_exponents(v, 4)) == 0
-    hook = _hook_factor((2, 1), 4, names, 3)
+    hook = _hook_factors((2, 1), 4, names, 3).series()
     expect = Series.one(names, 3)
     for exps in [(0, 1, 0, 0), (0, 0, 0, 1), (1, 1, 0, 1)]:
         expect = expect * Series.one_plus(names, 3, term(-1, exps)).invert()
@@ -294,6 +294,26 @@ def test_corollary_rpc_closed():
         assert a == rpc.generating_function(v, 0, DIAG, 4)
 
 
+@pytest.mark.parametrize("route", [
+    lambda d: closed_z2z2_nolegs(d),
+    lambda d: pyramid_closed(d),
+    lambda d: closed_z2z2_staircase(1, d),
+    lambda d: one_leg_zn_staircase(4, 1, d),
+    lambda d: corollary_rpc_closed(1, d),
+    lambda d: upsilon(None, 1, d),
+    lambda d: phi(None, 1, d),
+    lambda d: vertex_closed_zn(2, ((), (), (1,)), d),
+    lambda d: pyramid_series(d),
+    lambda d: rpc.generating_function((1,), 0, ANTI, d),
+], ids=["nolegs", "pyramid_closed", "z2z2_staircase", "zn_staircase",
+        "corollary", "upsilon", "phi", "vertex_closed_zn", "pyramid_series",
+        "rpc"])
+def test_series_routes_reject_negative_cutoff(route):
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        route(-1)
+    assert route(0).is_one()
+
+
 def test_anti_frame_restriction_factors_the_vertex():
     names = VARS_Z2Z2
     xa, xb, xc, q = _standard_vars()
@@ -305,8 +325,8 @@ def test_anti_frame_restriction_factors_the_vertex():
             gf = gf.map_vars(names, (0, 2, 1, 3))
         else:
             gf = gf.map_vars(names, (3, 1, 2, 0))
-        rhs = (macmahon_family("Mt", names, 4, term_mul(xa, xb), q)
-               * macmahon_family(fam, names, 4, term_mul(xa, xb), q, l=2 * ell)
+        rhs = (family_factors("Mt", names, 4, term_mul(xa, xb), q).series()
+               * family_factors(fam, names, 4, term_mul(xa, xb), q, l=2 * ell).series()
                * gf)
         assert closed_z2z2_staircase(m, 4) == rhs
 
@@ -325,11 +345,11 @@ def test_diag_frame_restriction_matches_z4_vertex():
             xlast, triple = x0, term_mul(xa, xb, x0)
         rhs = one_leg_zn_staircase(4, m, 4).map_vars(names, (0, 2, 3, 1))
         for x in (xa, xb, xlast, triple):
-            rhs = rhs * macmahon_family("Mh", names, 4, x, q)
+            rhs = rhs * family_factors("Mh", names, 4, x, q).series()
         for x in (xa, xb):
-            rhs = rhs / macmahon_family(fam, names, 4, x, q, l=ell)
-        rhs = rhs / macmahon_family(other, names, 4, xlast, q, l=ell)
-        rhs = rhs / macmahon_family(fam, names, 4, triple, q, l=ell)
+            rhs = rhs / family_factors(fam, names, 4, x, q, l=ell).series()
+        rhs = rhs / family_factors(other, names, 4, xlast, q, l=ell).series()
+        rhs = rhs / family_factors(fam, names, 4, triple, q, l=ell).series()
         assert rpc.generating_function(pc.staircase(m), 0, DIAG, 4) == rhs
 
 

@@ -5,8 +5,8 @@ import pytest
 import sympy
 
 from orbivertex.qseries import (
-    Factors, Series, _exact_quotients, macmahon, macmahon_family, mul_terms,
-    pochhammer,
+    Factors, Series, _exact_quotients, family_factors, macmahon_factors,
+    mul_terms, pochhammer_factors,
     term, term_mul, term_neg, term_one, term_pow, term_var,
 )
 
@@ -146,7 +146,7 @@ def test_series_arithmetic_skips_the_entry_checks(monkeypatch):
 def test_pochhammer_frozen():
     # (q; q)_infinity in one variable, cutoff 2: 1 - q - q^2
     q = term(1, (1,))
-    got = pochhammer(q, q, ("q",), 2)
+    got = pochhammer_factors(q, q, ("q",), 2).series()
     assert got.terms == {(0,): 1, (1,): -1, (2,): -1}
 
 
@@ -154,7 +154,7 @@ def test_macmahon_one_variable_frozen():
     # M(1, q) counts plane partitions: 1, 1, 3, 6
     one = term(1, (0,))
     q = term(1, (1,))
-    got = macmahon(one, q, ("q",), 3)
+    got = macmahon_factors(one, q, ("q",), 3).series()
     assert got.terms == {(0,): 1, (1,): 1, (2,): 3, (3,): 6}
 
 
@@ -165,15 +165,61 @@ def q_full():
 def test_macmahon_vs_sympy():
     q0, qa, qb, qc = GENS
     x = term(1, (0, 1, 0, 1))           # qa*qc
-    got = to_sym(macmahon(x, q_full(), V4, 6))
+    got = to_sym(macmahon_factors(x, q_full(), V4, 6).series())
     want = oracles.smac(qa * qc, q0 * qa * qb * qc, GENS, 6)
     assert sympy.expand(got - want) == 0
+
+
+def sym_family(name, x, l, D):
+    """(num, den) with the named family equal to num / den, from its
+    written definition through the sympy oracles: M~(x) = M(x) M(1/x),
+    M~0(x; l) = M(x q^l) / (M(x) (q/x; q)^l) and M~1(x; l) =
+    M(q^l/x) / (M(1/x) (x; q)^l); each hat family is the product of its
+    tilde family at x and -x, and M^ is inverted."""
+    q = sympy.prod(GENS)
+
+    def mul(a, b):
+        return oracles.smul(a, b, GENS, D)
+
+    def tilde(y):
+        if name[2:] == "":
+            return mul(oracles.smac(y, q, GENS, D),
+                       oracles.smac(1 / y, q, GENS, D)), sympy.Integer(1)
+        if name[2:] == "0":
+            num, den, p = y * q ** l, y, q / y
+        else:
+            num, den, p = q ** l / y, 1 / y, y
+        poch = oracles.spoch(p, q, GENS, D) ** l
+        return (oracles.smac(num, q, GENS, D),
+                mul(oracles.smac(den, q, GENS, D), poch))
+
+    if name.startswith("Mt"):
+        return tilde(x)
+    (na, da), (nb, db) = tilde(x), tilde(-x)
+    num, den = mul(na, nb), mul(da, db)
+    return (den, num) if name == "Mh" else (num, den)
+
+
+def test_families_match_their_definitions_in_sympy():
+    # each family times the denominator of its definition is the
+    # numerator; both sides have constant term 1, so this fixes the family
+    q0, qa, qb, qc = GENS
+    xs = [(term(1, (0, 1, 0, 0)), qa), (term(1, (0, 1, 1, 0)), qa * qb),
+          (term(-1, (0, 0, 1, 0)), -qb), (term(1, (0, 1, 1, 1)), qa * qb * qc)]
+    D = 6
+    for name in ("Mt", "Mh", "Mt0", "Mt1", "Mh0", "Mh1"):
+        for x, sx in xs:
+            for l in ((None,) if name in ("Mt", "Mh") else range(4)):
+                got = to_sym(family_factors(name, V4, D, x, q_full(), l=l).series())
+                num, den = sym_family(name, sx, l, D)
+                diff = oracles.smul(got, den, GENS, D) - oracles.strunc(num, GENS, D)
+                assert sympy.expand(diff) == 0, (name, x, l)
 
 
 def test_macmahon_sym_low_order():
     # M(x^-1, q) factor at n=1 produces the dual variables
     x = term(1, (0, 1, 0, 1))           # qa*qc; q/x = q0*qb
-    s = macmahon_family("Mt", V4, 2, x, q_full())
+    s = family_factors("Mt", V4, 2, x, q_full()).series()
     assert s.coefficient((1, 0, 1, 0)) == 1
     assert s.coefficient((0, 0, 0, 0)) == 1
     assert sum(s.terms.values()) == 2   # nothing else through degree 2
@@ -183,8 +229,9 @@ def test_macmahon_shift_identity():
     # M(x, q) = M(x q^-1, q) * (x; q)_infinity
     x = term(1, (0, 1, 1, 0))           # qa*qb
     q = q_full()
-    lhs = macmahon(x, q, V4, 6)
-    rhs = macmahon(term_mul(x, term_pow(q, -1)), q, V4, 6) * pochhammer(x, q, V4, 6)
+    lhs = macmahon_factors(x, q, V4, 6).series()
+    rhs = (macmahon_factors(term_mul(x, term_pow(q, -1)), q, V4, 6).series()
+           * pochhammer_factors(x, q, V4, 6).series())
     assert lhs == rhs
 
 
@@ -193,8 +240,10 @@ def test_sym_ratio_identity():
     x = term(1, (0, 1, 1, 0))
     q = q_full()
     qix = term_mul(q, term_pow(x, -1))
-    lhs = macmahon_family("Mt", V4, 6, x, q) / macmahon_family("Mt", V4, 6, qix, q)
-    rhs = pochhammer(x, q, V4, 6) / pochhammer(qix, q, V4, 6)
+    lhs = (family_factors("Mt", V4, 6, x, q).series()
+           / family_factors("Mt", V4, 6, qix, q).series())
+    rhs = (pochhammer_factors(x, q, V4, 6).series()
+           / pochhammer_factors(qix, q, V4, 6).series())
     assert lhs == rhs
 
 
@@ -204,42 +253,29 @@ def test_family_shift_link():
     q = q_full()
     qix = term_mul(q, term_pow(x, -1))
     for l in (0, 1, 2):
-        lhs = macmahon_family("Mt1", V4, 6, qix, q, l=l + 1)
-        rhs = (macmahon_family("Mt0", V4, 6, x, q, l=l)
-               * pochhammer(x, q, V4, 6) / pochhammer(qix, q, V4, 6))
+        lhs = family_factors("Mt1", V4, 6, qix, q, l=l + 1).series()
+        rhs = (family_factors("Mt0", V4, 6, x, q, l=l).series()
+               * pochhammer_factors(x, q, V4, 6).series()
+               / pochhammer_factors(qix, q, V4, 6).series())
         assert lhs == rhs, l
 
 
 def test_family_hat_composition():
     x = term(1, (0, 1, 0, 0))
     q = q_full()
-    mt = macmahon_family("Mt", V4, 6, x, q)
-    mtn = macmahon_family("Mt", V4, 6, term_neg(x), q)
-    assert macmahon_family("Mh", V4, 6, x, q) == (mt * mtn).invert()
-    m2 = macmahon_family("M2", V4, 6, x, q, l=2)
-    m2n = macmahon_family("M2", V4, 6, term_neg(x), q, l=2)
-    assert macmahon_family("Mh2", V4, 6, x, q, l=2) == m2 * m2n
+    mt = family_factors("Mt", V4, 6, x, q).series()
+    mtn = family_factors("Mt", V4, 6, term_neg(x), q).series()
+    assert family_factors("Mh", V4, 6, x, q).series() == (mt * mtn).invert()
 
 
-def test_family_unicode_aliases():
+def test_family_name_rejections():
     x = term(1, (0, 1, 0, 0))
     q = q_full()
-    assert macmahon_family("M̃", V4, 4, x, q) == macmahon_family("Mt", V4, 4, x, q)
-    assert macmahon_family("M~0", V4, 4, x, q, l=1) == macmahon_family(
-        "Mt0", V4, 4, x, q, l=1)
-    with pytest.raises(ValueError):
-        macmahon_family("Mx", V4, 4, x, q)
-    with pytest.raises(ValueError):
-        macmahon_family("Mt0", V4, 4, x, q)   # missing l
-
-
-def test_m1_family():
-    x = term(1, (0, 1, 0, 0))
-    y = term(1, (0, 0, 1, 0))
-    q = q_full()
-    got = macmahon_family("M1", V4, 6, x, q, y=y)
-    want = macmahon(x, q, V4, 6) / macmahon(term_mul(x, y), q, V4, 6)
-    assert got == want
+    for name in ("Mx", "M2", "M~0"):
+        with pytest.raises(ValueError, match="unknown MacMahon family"):
+            family_factors(name, V4, 4, x, q, l=1)
+    with pytest.raises(ValueError, match="needs the shift l"):
+        family_factors("Mt0", V4, 4, x, q)
 
 
 def test_json_roundtrip_and_order():
@@ -356,7 +392,9 @@ def test_factors_truncation_and_rejections():
         Factors(V4, 4, {term(1, (1, 0, 0)): 1})
     # x^-1 q leaves the exponent -1 on qa at degree 2
     with pytest.raises(ValueError):
-        macmahon(term_pow(term(1, (0, 2, 0, 0)), -1), q_full(), V4, 4)
+        macmahon_factors(term_pow(term(1, (0, 2, 0, 0)), -1), q_full(), V4, 4)
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        Factors(V4, -1)
     with pytest.raises(ValueError):
         Factors(V4, 4) * Factors(V4, 5)
     with pytest.raises(TypeError):

@@ -7,28 +7,28 @@ from orbivertex import partition_core as pc
 from orbivertex import rpc
 from orbivertex.pyramid import ANTI, DIAG, PyramidPartition, enumerate_pyramids, pyramid_series
 from orbivertex.rpc import (
-    EpsilonTable, check_type_interlacing, epsilon_table, generating_function,
+    EpsilonTable, check_type_interlacing, generating_function,
     interlacing_families, mho, realize, region, region_complement_equal,
     restrict, restrict_positions, slice_color_counts, uniqueness_scan,
 )
 
 
 def test_epsilon_spots():
-    t = epsilon_table(())
+    t = EpsilonTable(())
     assert (t.rho1, t.rho2) == (0, 0)
-    t = epsilon_table((2, 1))
+    t = EpsilonTable((2, 1))
     assert (t.rho1, t.rho2) == (1, 1)
     assert t.eps(2, 0) == 1
     assert t.eps(3, 1) == 1
     assert t.eps(1, 5) == 0
     assert t.eps(4, 5) == 0
-    t = epsilon_table((3, 2, 1))
+    t = EpsilonTable((3, 2, 1))
     assert (t.rho1, t.rho2) == (2, 2)
 
 
 def test_eps_monotone_and_hat():
     for v in [(), (1,), (3, 1), (2, 2), (4, 2, 1)]:
-        t = epsilon_table(v)
+        t = EpsilonTable(v)
         for which in (1, 2, 3, 4):
             vals = [t.eps(which, x) for x in range(-2, t.bound + 3)]
             assert all(b - a in (0, 1) for a, b in zip(vals, vals[1:]))
