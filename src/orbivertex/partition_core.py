@@ -15,15 +15,6 @@ import itertools
 from functools import lru_cache
 
 
-def normalize(parts):
-    """Sort descending, drop zeros, return a tuple."""
-    t = tuple(sorted((x for x in parts if x != 0), reverse=True))
-    for x in t:
-        if x < 0:
-            raise ValueError("negative part: %r" % (parts,))
-    return t
-
-
 def check_partition(p):
     """Raise if p is not a valid partition tuple."""
     if not isinstance(p, tuple):
@@ -124,9 +115,13 @@ def partners_below(lam, primed=False):
 def _partners_below(lam, primed):
     if primed:
         return tuple(conjugate(m) for m in _partners_below(conjugate(lam), False))
+    # mu_i ranges over [lam_{i+1}, lam_i], so every choice is weakly
+    # decreasing already and only its last part, bounded below by 0, can
+    # need trimming
     ranges = [range(part(lam, i + 1), part(lam, i) + 1)
               for i in range(len(lam))]
-    return tuple(normalize(choice) for choice in itertools.product(*ranges))
+    return tuple(mu[:-1] if mu and not mu[-1] else mu
+                 for mu in itertools.product(*ranges))
 
 
 def partners_above(lam, max_size, primed=False):

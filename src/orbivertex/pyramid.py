@@ -16,6 +16,10 @@ A slice is recorded as a partition sigma: cell (i, j) -- row i, offset j
 within the row -- is occupied iff j < sigma[i].  Valid pyramids are
 exactly the finitely-supported slice families that interlace along the
 chain; see validate().
+
+enumerate_pyramids lists those families; pyramid_series counts them by a
+memoized walk over the slice tails on either side of the center, without
+listing any.
 """
 
 from __future__ import annotations
@@ -260,7 +264,13 @@ def _slice_families(max_bricks):
 
 
 def enumerate_pyramids(max_bricks):
-    """All pyramid partitions with at most max_bricks bricks."""
+    """All pyramid partitions with at most max_bricks bricks.
+
+    A negative bound raises: it used to return no pyramid at all, not
+    even the empty one.
+    """
+    if max_bricks < 0:
+        raise ValueError("max_bricks must be >= 0")
     return [PyramidPartition(f) for f in _slice_families(max_bricks)]
 
 
@@ -286,15 +296,62 @@ def series_from_packed(names, cutoff, counts, nvars):
 
 def pyramid_series(cutoff, names=VARS_Z2Z2):
     """Generating function of pyramid partitions, graded by color counts,
-    complete through total degree `cutoff` (one brick = one degree)."""
+    complete through total degree `cutoff` (one brick = one degree).
+
+    The pyramids are counted, not listed: a pyramid is its center slice
+    0 with a right tail (slices 1, 2, ...) and a left tail (slices -1,
+    -2, ...), each a chain of partners below its neighbour toward the
+    center that ends at an empty slice, as in _slice_families.  tails()
+    returns {packed weight: count} over every tail that leaves `parent`
+    at slice k within `budget` bricks.  That set is fixed by the key
+    (parent, k mod 4, side of k, budget): on one side every relation has
+    the same direction (chain_relation), primed on alternate slices, and
+    a slice's color is fixed by k mod 4, so the relations and colors of
+    all later slices repeat with k mod 4.  The right and left tails of a
+    center are independent except through the shared budget, which the
+    brick-count digit `top` of each packed weight carries across; no
+    digit carries, since a chain of at most `cutoff` bricks has at most
+    `cutoff` of any color.  Each step of tails() spends at least one
+    brick, so it recurses at most `cutoff` deep.
+    """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     base = cutoff + 1
-    units = [base ** COLOR_SLOT[_DIAG_COLOR[r]] for r in range(4)]
+    top = base ** len(COLOR_SLOT)
+    # one brick on slice k: its color digit plus one in the count digit
+    units = [base ** COLOR_SLOT[_DIAG_COLOR[r]] + top for r in range(4)]
+    memo = {}
+
+    def tails(parent, k, budget):
+        key = (parent, k % 4, k > 0, budget)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        out = {}
+        step = 1 if k > 0 else -1
+        # the relation between slice k and its neighbour toward the center
+        _, primed = chain_relation(k - 1 if k > 0 else k)
+        unit = units[k % 4]
+        for opt in pc.partners_below(parent, primed):
+            cost = sum(opt)
+            if cost > budget:
+                continue
+            if not opt:
+                out[0] = out.get(0, 0) + 1
+                continue
+            w0 = unit * cost
+            for w, c in tails(opt, k + step, budget - cost).items():
+                out[w + w0] = out.get(w + w0, 0) + c
+        memo[key] = out
+        return out
+
     counts = {}
-    for slices in _slice_families(cutoff):
-        w = 0
-        for k, sigma in slices.items():
-            w += units[k % 4] * sum(sigma)
-        counts[w] = counts.get(w, 0) + 1
+    for center in pc.partitions_up_to(cutoff):
+        size = sum(center)
+        wc = units[0] * size
+        for wr, cr in tails(center, 1, cutoff - size).items():
+            # wr // top: the bricks of the right tail
+            for wl, cl in tails(center, -1, cutoff - size - wr // top).items():
+                w = (wc + wr + wl) % top
+                counts[w] = counts.get(w, 0) + cr * cl
     return series_from_packed(names, cutoff, counts, len(COLOR_SLOT))

@@ -113,6 +113,8 @@ class Series:
     def __init__(self, names, cutoff, terms=None):
         self.names = tuple(names)
         self.cutoff = int(cutoff)
+        if self.cutoff < 0:
+            raise ValueError("cutoff must be >= 0")
         self.terms = {}
         if terms:
             for e, c in terms.items():

@@ -7,6 +7,8 @@ keeps the bricks inside the regions and re-bases each slice at its
 corner; the resulting slice families are exactly the finitely-supported
 families satisfying a directed interlacing condition, and realize()
 constructs an explicit preimage pyramid for any such family.
+interlacing_families lists the families; generating_function counts them
+by the same slice walk, memoized, without listing any.
 
 Everything is stated per frame (diagonal or antidiagonal); corner offsets
 are identical in the two frames, the brick content is not.
@@ -332,12 +334,26 @@ def slice_color_counts(k, eta, frame, corner_parity):
 def generating_function(v, l, frame, cutoff, names=VARS_Z2Z2):
     """Color-graded generating function of restricted configurations.
 
-    The families are those of interlacing_families(v, cutoff).  The
-    shift only translates every region corner by (l, l), and the slices
-    are re-based at their corners, so the series is the same for every
-    l >= 0; a negative l is rejected, as region() does.  A slice's color
-    counts depend only on (k, slice) and the corner parity of k, so each
-    is computed once per call.
+    The families are those of interlacing_families(v, cutoff), counted
+    by the same left-to-right walk without listing them: completions(s,
+    prev, rem) returns {packed weight: count} over slices s, s + 1, ...
+    of every family whose slice s - 1 is `prev` and that has `rem`
+    bricks left.  The key fixes that set: slice s's direction (taus),
+    primed flag (s even) and partners depend on s and prev only, the
+    budget tests, the steps_left prune and partners_above's size bound
+    on rem only, and every slice past s is chosen the same way; a
+    family's weight is a sum over its slices, so the weight of slices
+    before s only shifts the packed keys.  The walk stops where
+    interlacing_families emits a family, so both count the same
+    families.  The recursion takes one frame per slice, at most
+    right - left + 1 = 2 * (cutoff + b + 2) + 1 deep, as the listing
+    walk does.
+
+    The shift only translates every region corner by (l, l), and the
+    slices are re-based at their corners, so the series is the same for
+    every l >= 0; a negative l is rejected, as region() does.  A slice's
+    color counts depend only on (k, slice) and the corner parity of k,
+    so each is computed once per call.
     """
     if frame not in (DIAG, ANTI):
         raise ValueError("unknown frame %r" % frame)
@@ -346,24 +362,56 @@ def generating_function(v, l, frame, cutoff, names=VARS_Z2Z2):
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     t = EpsilonTable(v)
+    b = pc.edge_bound(t.conj)
+    left = -(cutoff + b + 2)
+    right = cutoff + b + 2
+    # taus[s - left]: direction of the relation between slices s - 1 and s
+    taus = [pc.edge_value(t.conj, -s) for s in range(left, right + 1)]
+    parity = [mho(v, s, t) % 2 for s in range(left, right + 1)]
     base = cutoff + 1
     units = [base ** slot for slot in range(len(COLOR_SLOT))]
-    parity = {}
     weight = {}
-    counts = {}
-    for family in interlacing_families(v, cutoff):
-        w = 0
-        for key in family.items():
-            x = weight.get(key)
-            if x is None:
-                k, eta = key
-                if k not in parity:
-                    parity[k] = mho(v, k, t) % 2
-                x = weight[key] = sum(
-                    u * c for u, c in
-                    zip(units, slice_color_counts(k, eta, frame, parity[k])))
-            w += x
-        counts[w] = counts.get(w, 0) + 1
+    memo = {}
+
+    def slice_weight(s, eta):
+        x = weight.get((s, eta))
+        if x is None:
+            x = weight[(s, eta)] = sum(
+                u * c for u, c in
+                zip(units, slice_color_counts(s, eta, frame, parity[s - left])))
+        return x
+
+    def completions(s, prev, rem):
+        if s > right or (not prev and s >= b):
+            return {} if prev else {0: 1}
+        key = (s, prev, rem)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        out = {}
+        primed = (s % 2 == 0)
+        if taus[s - left] == 1:
+            options = pc.partners_below(prev, primed)
+        else:
+            options = pc.partners_above(prev, rem, primed)
+        for opt in options:
+            cost = sum(opt)
+            if cost > rem:
+                continue
+            if opt:
+                # in the constant-direction zone the chain cannot shrink
+                # before reaching slice -b, so it must keep paying
+                if cost * (1 + max(0, -b - s)) > rem:
+                    continue
+                w0 = slice_weight(s, opt)
+            else:
+                w0 = 0
+            for w, c in completions(s + 1, opt, rem - cost).items():
+                out[w + w0] = out.get(w + w0, 0) + c
+        memo[key] = out
+        return out
+
+    counts = completions(left, (), cutoff)
     return series_from_packed(names, cutoff, counts, len(COLOR_SLOT))
 
 

@@ -6,9 +6,9 @@ as down-sets of the brick poset generated from raw quiver walks, one-leg
 box configurations are grown as sets one box at a time, and border
 strips are found by scanning skew diagrams.  Frozen literals in
 the tests were produced by these functions.  The last section differs:
-it keeps two straightforward forms of RPC-layer loops (a per-cell frame
-conversion and an unpruned slice walk) as references for the shortcuts
-that replaced them in src/.
+it keeps three straightforward forms of RPC-layer loops (a per-cell
+frame conversion, an unpruned slice walk and a sum over the listed
+families) as references for the shortcuts that replaced them in src/.
 """
 
 from __future__ import annotations
@@ -312,7 +312,8 @@ def one_leg_downsets_series(legs, group, cutoff, n=None):
 
 
 # ---------------------------------------------------------------------------
-# RPC layer: per-cell window comparison and unpruned interlacing walk
+# RPC layer: per-cell window comparison, unpruned interlacing walk and
+# the generating function summed over listed families
 # ---------------------------------------------------------------------------
 
 
@@ -373,3 +374,26 @@ def interlacing_families_unpruned(v, budget):
 
     rec(left, (), 0, {})
     return out
+
+
+def generating_function_listed(v, frame, cutoff):
+    """rpc.generating_function as a sum over the families listed by
+    rpc.interlacing_families, adding each slice's color counts as
+    exponent tuples (no packed weights and no memo).  The families are
+    re-based at their region corners, so the shift l does not enter."""
+    from orbivertex.pyramid import VARS_Z2Z2
+    from orbivertex.qseries import Series
+    from orbivertex.rpc import interlacing_families, mho, slice_color_counts
+
+    parity = {}
+    terms = {}
+    for family in interlacing_families(v, cutoff):
+        exps = [0, 0, 0, 0]
+        for k, eta in family.items():
+            if k not in parity:
+                parity[k] = mho(v, k) % 2
+            counts = slice_color_counts(k, eta, frame, parity[k])
+            exps = [a + c for a, c in zip(exps, counts)]
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + 1
+    return Series(VARS_Z2Z2, cutoff, terms)

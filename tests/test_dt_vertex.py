@@ -294,6 +294,11 @@ def test_corollary_rpc_closed():
         assert a == rpc.generating_function(v, 0, DIAG, 4)
 
 
+def test_counting_walks_match_closed_products_degree_18():
+    assert pyramid_series(18) == pyramid_closed(18)
+    assert rpc.generating_function((1,), 0, ANTI, 18) == corollary_rpc_closed(1, 18)
+
+
 @pytest.mark.parametrize("route", [
     lambda d: closed_z2z2_nolegs(d),
     lambda d: pyramid_closed(d),
@@ -312,6 +317,19 @@ def test_series_routes_reject_negative_cutoff(route):
     with pytest.raises(ValueError, match="cutoff must be >= 0"):
         route(-1)
     assert route(0).is_one()
+
+
+@pytest.mark.parametrize("build", [
+    lambda d: Series.one(VARS_Z2Z2, d),
+    lambda d: skew_schur_specialized((2, 1), (), [term_var(2, 0), term_var(2, 1)],
+                                     d, ("x", "y")),
+    lambda d: skew_schur_specialized((1,), (2,), [term_var(2, 0)], d, ("x", "y")),
+], ids=["one", "skew_schur", "skew_schur_zero"])
+def test_series_constructors_reject_negative_cutoff(build):
+    # they used to return an empty series of cutoff -1
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        build(-1)
+    build(0)
 
 
 def test_anti_frame_restriction_factors_the_vertex():

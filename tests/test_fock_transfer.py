@@ -306,3 +306,10 @@ def test_transfer_truncation_boundaries(group, mode, n, other):
 
 def test_transfer_matches_enumeration_degree_18():
     assert vertex_by_transfer("z2z2", (), 18) == enumerate_3d((), "z2z2", 18)
+
+
+def test_transfer_matches_family_count_degree_14():
+    # the vertex-operator product against the family count, two degrees
+    # past the parametrized comparisons above
+    want = generating_function((2, 1), 0, DIAG, 14)
+    assert vertex_by_transfer("z2z2", (2, 1), 14, mode="rpc_diagonal") == want

@@ -81,13 +81,24 @@ def test_three_brick_weights():
 
 
 def test_enumeration_against_downset_oracle():
-    want = oracles.pyramid_series_dict(6)
-    got = {}
-    for p in enumerate_pyramids(6):
-        key = p.color_counts()
-        got[key] = got.get(key, 0) + 1
-    assert got == want
-    assert pyramid_series(6).terms == want
+    # the listed pyramids' color counts and the counting walk of
+    # pyramid_series, against the down-set oracle at every degree
+    oracle = oracles.pyramid_series_dict(10)
+    for cutoff in range(11):
+        want = {e: c for e, c in oracle.items() if sum(e) <= cutoff}
+        got = {}
+        for p in enumerate_pyramids(cutoff):
+            key = p.color_counts()
+            got[key] = got.get(key, 0) + 1
+        assert got == want, cutoff
+        assert pyramid_series(cutoff).terms == want, cutoff
+
+
+def test_enumerate_pyramids_rejects_negative_bound():
+    # it used to return no pyramid at all, not even the empty one
+    with pytest.raises(ValueError, match="max_bricks must be >= 0"):
+        enumerate_pyramids(-1)
+    assert enumerate_pyramids(0) == [PyramidPartition({})]
 
 
 def test_validate_and_brick_roundtrip():

@@ -168,13 +168,18 @@ def test_generating_function_shift_independent():
 
 
 def test_generating_function_rejects_negative_shift(monkeypatch):
+    # the counting walk draws every slice from the partner functions, so
+    # no call to them means no slice was walked
     calls = []
-    monkeypatch.setattr(rpc, "interlacing_families",
-                        lambda *args: calls.append(args) or [])
+    for name in ("partners_below", "partners_above"):
+        monkeypatch.setattr(pc, name, lambda *args: calls.append(args) or ())
     for frame in (DIAG, ANTI):
         with pytest.raises(ValueError, match="shift l must be >= 0"):
             generating_function((1,), -3, frame, 3)
     assert calls == []
+    # the same patch does reach the walk once the shift is valid
+    generating_function((1,), 0, DIAG, 3)
+    assert calls
 
 
 def test_frames_agree_iff_staircase_small():
@@ -196,6 +201,16 @@ def test_region_complement_equal_matches_per_cell_oracle():
             for K in (0, 1, 2, 5, 9):
                 want = oracles.region_complement_equal_per_cell(v, l, K)
                 assert region_complement_equal(v, l, K) == want, (v, l, K)
+
+
+@pytest.mark.parametrize("frame", [DIAG, ANTI])
+def test_generating_function_matches_listed_families(frame):
+    for v in pc.partitions_up_to(4):
+        for cutoff in (0, 1, 5, 8):
+            want = oracles.generating_function_listed(v, frame, cutoff)
+            for l in (0, 1):
+                got = generating_function(v, l, frame, cutoff)
+                assert got == want, (v, l, cutoff)
 
 
 def test_interlacing_families_match_unpruned_oracle():
