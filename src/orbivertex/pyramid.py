@@ -17,9 +17,10 @@ within the row -- is occupied iff j < sigma[i].  Valid pyramids are
 exactly the finitely-supported slice families that interlace along the
 chain; see validate().
 
-enumerate_pyramids lists those families; pyramid_series counts them by a
-memoized walk over the slice tails on either side of the center, without
-listing any.
+They are the restricted pyramid configurations of the empty leg, so
+enumerate_pyramids and pyramid_series are the slice walk of rpc at leg
+(), shift 0, in the diagonal frame: the first lists the families, the
+second counts them without listing any (see pyramid_series).
 """
 
 from __future__ import annotations
@@ -213,65 +214,19 @@ def _cells_to_partition(cells):
     return tuple(x for x in parts if x)
 
 
-def _right_tails(parent, k, budget):
-    """All chains (slice_k, slice_{k+1}, ...) ending in empties, k >= 1."""
-    tau, primed = chain_relation(k - 1)
-    assert tau == -1
-    for opt in pc.partners_below(parent, primed):
-        cost = sum(opt)
-        if cost > budget:
-            continue
-        if not opt:
-            yield []
-            continue
-        for rest in _right_tails(opt, k + 1, budget - cost):
-            yield [opt] + rest
-
-
-def _left_tails(child, k, budget):
-    """All chains (..., slice_{k-1}, slice_k is `child`) going left, k <= 0."""
-    tau, primed = chain_relation(k - 1)
-    assert tau == 1
-    for opt in pc.partners_below(child, primed):
-        cost = sum(opt)
-        if cost > budget:
-            continue
-        if not opt:
-            yield []
-            continue
-        for rest in _left_tails(opt, k - 1, budget - cost):
-            yield rest + [opt]
-
-
-def _slice_families(max_bricks):
-    """Every pyramid with at most max_bricks bricks, as its diagonal
-    slice family {k: partition}; the partners are valid partitions, so
-    the slices need no further check."""
-    for center in pc.partitions_up_to(max_bricks):
-        c = sum(center)
-        if not center:
-            yield {}
-            continue
-        for right in _right_tails(center, 1, max_bricks - c):
-            rc = sum(sum(s) for s in right)
-            for left in _left_tails(center, 0, max_bricks - c - rc):
-                slices = {0: center}
-                for d, s in enumerate(right):
-                    slices[d + 1] = s
-                for d, s in enumerate(reversed(left)):
-                    slices[-(d + 1)] = s
-                yield slices
-
-
 def enumerate_pyramids(max_bricks):
-    """All pyramid partitions with at most max_bricks bricks.
+    """All pyramid partitions with at most max_bricks bricks, in the
+    depth-first order of rpc.interlacing_families((), max_bricks).
 
-    A negative bound raises: it used to return no pyramid at all, not
-    even the empty one.
+    They are the second-type interlacing families of the empty leg (see
+    pyramid_series).  A negative bound raises: it used to return no
+    pyramid at all, not even the empty one.
     """
+    # rpc imports this module for its geometry, so import it here
+    from . import rpc
     if max_bricks < 0:
         raise ValueError("max_bricks must be >= 0")
-    return [PyramidPartition(f) for f in _slice_families(max_bricks)]
+    return [PyramidPartition(f) for f in rpc.interlacing_families((), max_bricks)]
 
 
 def series_from_packed(names, cutoff, counts, nvars):
@@ -298,60 +253,22 @@ def pyramid_series(cutoff, names=VARS_Z2Z2):
     """Generating function of pyramid partitions, graded by color counts,
     complete through total degree `cutoff` (one brick = one degree).
 
-    The pyramids are counted, not listed: a pyramid is its center slice
-    0 with a right tail (slices 1, 2, ...) and a left tail (slices -1,
-    -2, ...), each a chain of partners below its neighbour toward the
-    center that ends at an empty slice, as in _slice_families.  tails()
-    returns {packed weight: count} over every tail that leaves `parent`
-    at slice k within `budget` bricks.  That set is fixed by the key
-    (parent, k mod 4, side of k, budget): on one side every relation has
-    the same direction (chain_relation), primed on alternate slices, and
-    a slice's color is fixed by k mod 4, so the relations and colors of
-    all later slices repeat with k mod 4.  The right and left tails of a
-    center are independent except through the shared budget, which the
-    brick-count digit `top` of each packed weight carries across; no
-    digit carries, since a chain of at most `cutoff` bricks has at most
-    `cutoff` of any color.  Each step of tails() spends at least one
-    brick, so it recurses at most `cutoff` deep.
+    This is rpc.generating_function at the empty leg, shift 0, in the
+    diagonal frame, which counts the families without listing them.  The
+    two count the same objects with the same weights:
+
+    * EpsilonTable(()) has every eps equal to 0, so every region corner
+      is (0, 0) and restriction keeps every brick in place;
+    * edge_value((), -s) is -1 for s <= 0 and +1 for s >= 1, so slice s
+      lies above slice s - 1 left of the center and below it from slice
+      1 on, primed exactly at even s: the relation chain_relation(s - 1)
+      puts between slices s - 1 and s, which validate() checks;
+    * rpc.slice_color_counts colors diagonal slice k _DIAG_COLOR[k % 4],
+      as color() does.
+
+    So the second-type families of () are exactly the diagonal slice
+    families of the pyramids, and each weighs its color counts.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    base = cutoff + 1
-    top = base ** len(COLOR_SLOT)
-    # one brick on slice k: its color digit plus one in the count digit
-    units = [base ** COLOR_SLOT[_DIAG_COLOR[r]] + top for r in range(4)]
-    memo = {}
-
-    def tails(parent, k, budget):
-        key = (parent, k % 4, k > 0, budget)
-        out = memo.get(key)
-        if out is not None:
-            return out
-        out = {}
-        step = 1 if k > 0 else -1
-        # the relation between slice k and its neighbour toward the center
-        _, primed = chain_relation(k - 1 if k > 0 else k)
-        unit = units[k % 4]
-        for opt in pc.partners_below(parent, primed):
-            cost = sum(opt)
-            if cost > budget:
-                continue
-            if not opt:
-                out[0] = out.get(0, 0) + 1
-                continue
-            w0 = unit * cost
-            for w, c in tails(opt, k + step, budget - cost).items():
-                out[w + w0] = out.get(w + w0, 0) + c
-        memo[key] = out
-        return out
-
-    counts = {}
-    for center in pc.partitions_up_to(cutoff):
-        size = sum(center)
-        wc = units[0] * size
-        for wr, cr in tails(center, 1, cutoff - size).items():
-            # wr // top: the bricks of the right tail
-            for wl, cl in tails(center, -1, cutoff - size - wr // top).items():
-                w = (wc + wr + wl) % top
-                counts[w] = counts.get(w, 0) + cr * cl
-    return series_from_packed(names, cutoff, counts, len(COLOR_SLOT))
+    # rpc imports this module for its geometry, so import it here
+    from . import rpc
+    return rpc.generating_function((), 0, DIAG, cutoff, names)

@@ -8,7 +8,9 @@ corner; the resulting slice families are exactly the finitely-supported
 families satisfying a directed interlacing condition, and realize()
 constructs an explicit preimage pyramid for any such family.
 interlacing_families lists the families; generating_function counts them
-by the same slice walk, memoized, without listing any.
+by the same slice walk, memoized, without listing any.  At the empty leg
+every corner is (0, 0) and the families are the pyramids themselves, so
+pyramid.enumerate_pyramids and pyramid.pyramid_series are this walk there.
 
 Everything is stated per frame (diagonal or antidiagonal); corner offsets
 are identical in the two frames, the brick content is not.
@@ -20,8 +22,8 @@ from functools import lru_cache
 
 from . import partition_core as pc
 from .pyramid import (
-    ANTI, DIAG, VARS_Z2Z2, COLOR_SLOT, PyramidPartition, address_to_position,
-    convert_frame, series_from_packed,
+    _DIAG_COLOR, ANTI, DIAG, VARS_Z2Z2, COLOR_SLOT, PyramidPartition,
+    address_to_position, convert_frame, series_from_packed,
 )
 
 
@@ -101,9 +103,19 @@ def mho(v, k, table=None):
     return ci + cj
 
 
+def _check_frame_shift(frame, l):
+    """Reject an unknown frame or a negative shift before any work; an
+    unknown frame would otherwise be read as the antidiagonal one."""
+    if frame not in (DIAG, ANTI):
+        raise ValueError("unknown frame %r" % frame)
+    if l < 0:
+        raise ValueError("shift l must be >= 0")
+
+
 def restrict(p, v, l, frame):
     """Slice family of the bricks of p inside the regions, re-based at the
     corners: {k: partition}, empty slices dropped."""
+    _check_frame_shift(frame, l)
     slices = p.slices if frame == DIAG else p.antidiagonal_slices()
     t = EpsilonTable(v)
     out = {}
@@ -120,6 +132,7 @@ def restrict(p, v, l, frame):
 
 def restrict_positions(p, v, l, frame):
     """The same restriction as a set of physical brick positions."""
+    _check_frame_shift(frame, l)
     t = EpsilonTable(v)
     out = set()
     slices = p.slices if frame == DIAG else p.antidiagonal_slices()
@@ -132,15 +145,11 @@ def restrict_positions(p, v, l, frame):
     return frozenset(out)
 
 
-def check_type_interlacing(slices, v, kind):
-    """Directed interlacing of a finitely-supported slice family.
-
-    kind="first": eta_k and eta_{k-1} interlace unprimed, direction given
-    by the conjugate edge value at -k.  kind="second": same directions but
-    the relation is primed exactly at even k.  Empty families pass.
+def check_type_interlacing(slices, v):
+    """Second-type interlacing of a finitely-supported slice family:
+    eta_k and eta_{k-1} interlace in the direction given by the conjugate
+    edge value at -k, primed exactly at even k.  Empty families pass.
     """
-    if kind not in ("first", "second"):
-        raise ValueError("kind must be 'first' or 'second'")
     conj = pc.conjugate(v)
     support = [k for k, s in slices.items() if s]
     if not support:
@@ -150,7 +159,7 @@ def check_type_interlacing(slices, v, kind):
         a = tuple(slices.get(s, ()))
         b = tuple(slices.get(s - 1, ()))
         tau = pc.edge_value(conj, -s)
-        primed = (kind == "second" and s % 2 == 0)
+        primed = (s % 2 == 0)
         # tau=+1: eta_s <= eta_{s-1}; tau=-1: eta_s >= eta_{s-1}
         ok = pc.interlaces(b, a, primed) if tau == 1 else pc.interlaces(a, b, primed)
         if not ok:
@@ -170,9 +179,10 @@ def realize(slices, v, l, frame):
     construction pads each admissible region with a staircase of full
     rows so the chain conditions hold across region corners.
     """
+    _check_frame_shift(frame, l)
     family = {int(k): pc.check_partition(tuple(s))
               for k, s in slices.items() if tuple(s)}
-    if not check_type_interlacing(family, v, "second"):
+    if not check_type_interlacing(family, v):
         raise ValueError("family does not satisfy the interlacing condition")
     t = EpsilonTable(v)
     support = max((abs(k) for k in family), default=0)
@@ -235,15 +245,13 @@ def realize(slices, v, l, frame):
 
     if frame == DIAG:
         p = PyramidPartition(final)
-    elif frame == ANTI:
+    else:
         positions = []
         for k, sigma in final.items():
             for i, row in enumerate(sigma):
                 for j in range(row):
                     positions.append(address_to_position(ANTI, k, i, j))
         p = PyramidPartition.from_bricks(positions)
-    else:
-        raise ValueError("unknown frame %r" % frame)
     p.validate()
     return p
 
@@ -314,8 +322,7 @@ def slice_color_counts(k, eta, frame, corner_parity):
     counts = [0, 0, 0, 0]
     total = sum(eta)
     if frame == DIAG:
-        letter = {0: "0", 1: "b", 2: "c", 3: "a"}[k % 4]
-        counts[COLOR_SLOT[letter]] = total
+        counts[COLOR_SLOT[_DIAG_COLOR[k % 4]]] = total
         return tuple(counts)
     if k % 2 == 0:
         pair = _EVEN_PAIR
@@ -340,12 +347,12 @@ def generating_function(v, l, frame, cutoff, names=VARS_Z2Z2):
     of every family whose slice s - 1 is `prev` and that has `rem`
     bricks left.  The key fixes that set: slice s's direction (taus),
     primed flag (s even) and partners depend on s and prev only, the
-    budget tests, the steps_left prune and partners_above's size bound
-    on rem only, and every slice past s is chosen the same way; a
-    family's weight is a sum over its slices, so the weight of slices
-    before s only shifts the packed keys.  The walk stops where
-    interlacing_families emits a family, so both count the same
-    families.  The recursion takes one frame per slice, at most
+    budget test (with its steps-left factor) on s and rem only,
+    partners_above's size bound on rem only, and every slice past s is
+    chosen the same way; a family's weight is a sum over its slices, so
+    the weight of slices before s only shifts the packed keys.  The walk
+    stops where interlacing_families emits a family, so both count the
+    same families.  The recursion takes one frame per slice, at most
     right - left + 1 = 2 * (cutoff + b + 2) + 1 deep, as the listing
     walk does.
 
@@ -353,12 +360,9 @@ def generating_function(v, l, frame, cutoff, names=VARS_Z2Z2):
     slices are re-based at their corners, so the series is the same for
     every l >= 0; a negative l is rejected, as region() does.  A slice's
     color counts depend only on (k, slice) and the corner parity of k,
-    so each is computed once per call.
+    so each is computed once per call, in `weight`.
     """
-    if frame not in (DIAG, ANTI):
-        raise ValueError("unknown frame %r" % frame)
-    if l < 0:
-        raise ValueError("shift l must be >= 0")
+    _check_frame_shift(frame, l)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     t = EpsilonTable(v)
@@ -373,14 +377,6 @@ def generating_function(v, l, frame, cutoff, names=VARS_Z2Z2):
     weight = {}
     memo = {}
 
-    def slice_weight(s, eta):
-        x = weight.get((s, eta))
-        if x is None:
-            x = weight[(s, eta)] = sum(
-                u * c for u, c in
-                zip(units, slice_color_counts(s, eta, frame, parity[s - left])))
-        return x
-
     def completions(s, prev, rem):
         if s > right or (not prev and s >= b):
             return {} if prev else {0: 1}
@@ -394,20 +390,21 @@ def generating_function(v, l, frame, cutoff, names=VARS_Z2Z2):
             options = pc.partners_below(prev, primed)
         else:
             options = pc.partners_above(prev, rem, primed)
+        # in the constant-direction zone the chain cannot shrink before
+        # reaching slice -b, so a slice must be paid for on every step left
+        steps = 1 + max(0, -b - s)
         for opt in options:
             cost = sum(opt)
-            if cost > rem:
+            if cost * steps > rem:
                 continue
-            if opt:
-                # in the constant-direction zone the chain cannot shrink
-                # before reaching slice -b, so it must keep paying
-                if cost * (1 + max(0, -b - s)) > rem:
-                    continue
-                w0 = slice_weight(s, opt)
-            else:
-                w0 = 0
+            w0 = weight.get((s, opt))
+            if w0 is None:
+                w0 = weight[(s, opt)] = sum(
+                    u * c for u, c in
+                    zip(units, slice_color_counts(s, opt, frame, parity[s - left])))
             for w, c in completions(s + 1, opt, rem - cost).items():
-                out[w + w0] = out.get(w + w0, 0) + c
+                w += w0
+                out[w] = out.get(w, 0) + c
         memo[key] = out
         return out
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from orbivertex import partition_core as pc
@@ -154,3 +158,18 @@ def test_deterministic_double_run():
     a = pyramid_series(5)
     b = pyramid_series(5)
     assert a == b and a.to_json() == b.to_json()
+
+
+def test_pyramid_imports_alone():
+    # pyramid reaches the rpc walk through a function-level import, since
+    # rpc imports pyramid; a fresh interpreter that imports pyramid alone
+    # must still count and list pyramids
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; sys.path.insert(0, %r)\n"
+            "from orbivertex.pyramid import enumerate_pyramids, pyramid_series\n"
+            "print(pyramid_series(3).to_json())\n"
+            "print(len(enumerate_pyramids(3)))\n" % src)
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == [pyramid_series(3).to_json(),
+                   str(len(oracles.pyramid_downsets(3)[0]))]

@@ -81,14 +81,18 @@ def test_restriction_satisfies_second_type():
             for l in (0, 1):
                 for frame in (DIAG, ANTI):
                     fam = restrict(p, v, l, frame)
-                    assert check_type_interlacing(fam, v, "second"), (p, v, l, frame)
+                    assert check_type_interlacing(fam, v), (p, v, l, frame)
 
 
 def test_interlacing_families_empty_leg_are_pyramids():
-    for n in range(0, 6):
-        fams = {tuple(sorted(f.items())) for f in interlacing_families((), n)}
-        pyrs = {tuple(sorted(p.slices.items())) for p in enumerate_pyramids(n)}
-        assert fams == pyrs
+    # enumerate_pyramids is this walk at the empty leg, so the check is
+    # against the down-set oracle, which builds pyramids brick by brick
+    for n in range(0, 7):
+        fams = [frozenset(PyramidPartition(f).bricks())
+                for f in interlacing_families((), n)]
+        want = oracles.pyramid_downsets(n)[0]
+        assert len(fams) == len(set(fams)) == len(want), n
+        assert set(fams) == set(want), n
 
 
 def test_single_brick_families_one_box_leg():
@@ -98,11 +102,9 @@ def test_single_brick_families_one_box_leg():
 
 
 def test_interlacing_rejects_bad_family():
-    assert not check_type_interlacing({0: (1,)}, (1,), "second")
-    assert not check_type_interlacing({0: (2,)}, (), "second")
-    assert check_type_interlacing({0: (1,)}, (), "second")
-    with pytest.raises(ValueError):
-        check_type_interlacing({}, (), "third")
+    assert not check_type_interlacing({0: (1,)}, (1,))
+    assert not check_type_interlacing({0: (2,)}, ())
+    assert check_type_interlacing({0: (1,)}, ())
 
 
 def test_realize_roundtrip():
@@ -142,11 +144,13 @@ def test_slice_color_counts_frozen():
 
 
 def test_generating_function_empty_leg_is_pyramid_series():
-    want = pyramid_series(5)
-    for frame in (DIAG, ANTI):
-        for l in (0, 1):
-            got = generating_function((), l, frame, 5)
-            assert got == want, (frame, l)
+    # pyramid_series is the diagonal walk at the empty leg, so that frame
+    # is checked against the down-set oracle; the antidiagonal frame
+    # weighs each slice's colors differently and meets pyramid_series
+    want = oracles.pyramid_series_dict(5)
+    for l in (0, 1):
+        assert generating_function((), l, DIAG, 5).terms == want, l
+        assert generating_function((), l, ANTI, 5) == pyramid_series(5), l
 
 
 def test_generating_function_one_box_leg_low_terms():
@@ -180,6 +184,41 @@ def test_generating_function_rejects_negative_shift(monkeypatch):
     # the same patch does reach the walk once the shift is valid
     generating_function((1,), 0, DIAG, 3)
     assert calls
+
+
+def _no_table(*args, **kwargs):
+    raise AssertionError("edge table built")
+
+
+def test_restriction_rejects_unknown_frame_up_front(monkeypatch):
+    # an unknown frame used to be read as the antidiagonal one, and
+    # realize rejected it only after building every slice
+    p = PyramidPartition({0: (3,), -1: (3,)})
+    monkeypatch.setattr(rpc, "EpsilonTable", _no_table)
+    calls = [lambda: restrict(p, (), 0, "bogus"),
+             lambda: restrict_positions(p, (), 0, "bogus"),
+             lambda: restrict_positions(PyramidPartition({}), (1,), 0, "bogus"),
+             lambda: realize({0: (1,)}, (), 0, "bogus"),
+             lambda: generating_function((), 0, "bogus", 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown frame 'bogus'"):
+            call()
+
+
+def test_restriction_rejects_negative_shift_up_front(monkeypatch):
+    # restrict used to return {} for a pyramid with no bricks
+    empty = PyramidPartition({})
+    with pytest.raises(ValueError, match="shift l must be >= 0"):
+        restrict(empty, (1,), -1, DIAG)
+    monkeypatch.setattr(rpc, "EpsilonTable", _no_table)
+    p = PyramidPartition({0: (3,), -1: (3,)})
+    for frame in (DIAG, ANTI):
+        for call in (restrict, restrict_positions):
+            for q in (empty, p):
+                with pytest.raises(ValueError, match="shift l must be >= 0"):
+                    call(q, (1,), -1, frame)
+        with pytest.raises(ValueError, match="shift l must be >= 0"):
+            realize({}, (), -1, frame)
 
 
 def test_frames_agree_iff_staircase_small():
