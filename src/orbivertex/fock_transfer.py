@@ -13,11 +13,12 @@ plain, for the operator identities.
 
 vertex_by_transfer() assembles the weighted products whose brackets give
 the zero- and one-leg orbifold series and the two restricted pyramid
-series, always evaluating the product twice on nested windows and
-insisting the truncations agree.  Its bracket does not call the public
-operators: it walks its own state, {partition: {degree: {packed
-exponents: coefficient}}}, in which one step is a transition with
-argument 1 followed by the next slice's weight, truncated as it goes.
+series, evaluating each product once on a window its docstring proves
+large enough.  Its bracket does not call the public operators: it walks
+its own state, {partition: {degree: {packed exponents: coefficient}}},
+in which one step is a transition with argument 1 followed by the next
+slice's weight, truncated as it goes and pruned by the growth that the
+upward steps still ahead force on every slice.
 """
 
 from __future__ import annotations
@@ -255,7 +256,8 @@ def _bracket(v, cutoff, mode, n, window):
     carries), grouped by total degree.  Step t moves each partition to its
     interlacing partners and multiplies in the weight of the partner's
     slice -(t + 1) at once, so a weight step is one int addition per term
-    and a partner takes only the degree buckets that stay <= cutoff.
+    and a partner takes only the degree buckets that the growth still
+    forced on it (vertex_by_transfer) leaves <= cutoff.
     The codec is private to this route on purpose: one codec bug must not
     make two routes agree.
     """
@@ -264,10 +266,16 @@ def _bracket(v, cutoff, mode, n, window):
     powers = [base ** i for i in range(len(names))]
     conj = pc.conjugate(v)
     rpc = mode in ("rpc_antidiagonal", "rpc_diagonal")
+    steps = range(-window, window + 1)
+    taus = [pc.edge_value(conj, t) for t in steps]
+    # runs[i]: the upward steps right after step i, inside the window
+    runs = [0] * len(taus)
+    for i in range(len(taus) - 2, -1, -1):
+        if taus[i + 1] == 1:
+            runs[i] = runs[i + 1] + 1
     # the weight step of slice -window, on the empty partition, is 1
     state = {(): {0: {0: 1}}}
-    for t in range(-window, window + 1):
-        tau = pc.edge_value(conj, t)
+    for t, tau, r in zip(steps, taus, runs):
         primed = rpc and t % 2 == 0
         wf = weight_selector(mode, v, -(t + 1), n)
         packed = {}
@@ -275,12 +283,12 @@ def _bracket(v, cutoff, mode, n, window):
         for lam, buckets in state.items():
             low = min(buckets)
             if tau == 1:
-                nxts = pc.partners_above(lam, cutoff - low, primed)
+                nxts = pc.partners_above(lam, (cutoff - low) // (1 + r), primed)
             else:
                 nxts = pc.partners_below(lam, primed)
             for mu in nxts:
                 size = sum(mu)
-                room = cutoff - size
+                room = cutoff - size * (1 + r)
                 if room < low:
                     continue
                 w = packed.get(mu)
@@ -311,39 +319,8 @@ def _bracket(v, cutoff, mode, n, window):
     return Series(names, cutoff, terms)
 
 
-def vertex_by_transfer(group, leg, cutoff, mode="standard", n=None):
-    """Vertex or restricted-pyramid series via operator transfer.
-
-    group "z2z2" with mode standard / rpc_antidiagonal / rpc_diagonal,
-    or group "zn" (needs n >= 1).  The leg sits in the third slot; the
-    other two legs are empty.
-
-    Why the window suffices: the weight of a slice is a monomial of
-    total degree equal to its size (weight_selector splits its cells
-    between one or two color variables), so every non-empty slice costs
-    at least 1 degree.  Outside the leg region, |t| >= t0, the
-    transitions are fixed: on the left slices can only grow towards
-    t = -t0, and on the right they can only shrink away from t = t0.  A
-    slice non-empty at |t| = t0 + k therefore forces k + 1 non-empty
-    slices, more than the cutoff allows once k >= cutoff, so every window
-    of at least cutoff + t0 gives the same truncation.  The window used
-    adds a margin of 4, rounded up to even.  The product is still
-    evaluated on two nested windows, and a disagreement raises
-    RuntimeError: the runtime comparison is kept as a check of this
-    argument.
-
-    Why truncating inside each step loses nothing: every exponent is
-    non-negative, so no later step lowers a term's degree.  A term of
-    degree d that moves to the partner mu at once takes the weight of
-    mu's slice, which adds exactly |mu|, and every later weight step adds
-    at least 0; its final degree is at least d + |mu|.  A term with
-    d + |mu| > cutoff can therefore reach no coefficient of degree
-    <= cutoff, and the walk drops it when it moves (d > room, with
-    room = cutoff - |mu|).  Every term of a partition has degree at least
-    its lowest degree, low, so a partner with room < low receives nothing
-    and is skipped; upward, only partners of size <= cutoff - low are
-    enumerated at all.
-    """
+def _transfer_args(group, leg, cutoff, mode, n):
+    """Checked (leg, mode, n, window) of vertex_by_transfer."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     v = pc.check_partition(tuple(leg))
@@ -361,8 +338,54 @@ def vertex_by_transfer(group, leg, cutoff, mode="standard", n=None):
     window = cutoff + t0 + 4
     if window % 2:
         window += 1
-    first = _bracket(v, cutoff, mode, n, window)
-    second = _bracket(v, cutoff, mode, n, window + 2)
-    if first != second:
-        raise RuntimeError("transfer window %d not stable for %r" % (window, v))
-    return first
+    return v, mode, n, window
+
+
+def vertex_by_transfer(group, leg, cutoff, mode="standard", n=None):
+    """Vertex or restricted-pyramid series via operator transfer.
+
+    group "z2z2" with mode standard / rpc_antidiagonal / rpc_diagonal,
+    or group "zn" (needs n >= 1).  The leg sits in the third slot; the
+    other two legs are empty.
+
+    Why the window suffices: the weight of a slice is a monomial of
+    total degree equal to its size (weight_selector splits its cells
+    between one or two color variables), so every non-empty slice costs
+    at least 1 degree.  Outside the leg region, |t| >= t0, the
+    transitions are fixed: on the left slices can only grow towards
+    t = -t0, and on the right they can only shrink away from t = t0.  A
+    slice non-empty at |t| = t0 + k therefore forces k + 1 non-empty
+    slices, more than the cutoff allows once k >= cutoff, so every window
+    of at least cutoff + t0 gives the same truncation.  The window used
+    adds a margin of 4, rounded up to even, and the product is evaluated
+    on it once.  The tests and the `verify` command compare it with the
+    minimum window and with the window + 2.
+
+    Why truncating inside each step loses nothing: every exponent is
+    non-negative, so no later step lowers a term's degree.  A term of
+    degree d that moves to the partner mu at once takes the weight of
+    mu's slice, which adds exactly |mu|.  Let r be the number of steps
+    right after this one, inside the window, whose edge value is +1.
+    Each of them moves to a partner above the current slice, and an
+    upward partner contains its source, primed or not, so the r slices
+    they produce all contain mu and each adds at least |mu|; every other
+    weight step adds at least 0.  The term's final degree is therefore at
+    least d + |mu| * (1 + r).  A term with d + |mu| * (1 + r) > cutoff can
+    reach no coefficient of degree <= cutoff, and the walk drops it when
+    it moves (d > room, with room = cutoff - |mu| * (1 + r)); a term with
+    equality is kept.  Every term of a partition has degree at least its
+    lowest degree, low, so a partner with room < low receives nothing and
+    is skipped; upward, only partners of size <= (cutoff - low) // (1 + r)
+    are enumerated at all.  Left of the leg region every step is upward,
+    so a slice k steps left of t = -t0 holds at most cutoff / (k + 1)
+    cells, and the margin steps carry only the empty partition.
+    """
+    v, mode, n, window = _transfer_args(group, leg, cutoff, mode, n)
+    return _bracket(v, cutoff, mode, n, window)
+
+
+def _window_pair(group, leg, cutoff, n=None):
+    """(window, bracket on window, bracket on window + 2) for `verify`."""
+    v, mode, n, window = _transfer_args(group, leg, cutoff, "standard", n)
+    return (window, _bracket(v, cutoff, mode, n, window),
+            _bracket(v, cutoff, mode, n, window + 2))

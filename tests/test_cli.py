@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from orbivertex import cli, rpc
+from orbivertex import cli, fock_transfer, rpc
 from orbivertex.dt_vertex import closed_z2z2_nolegs
 from orbivertex.qseries import Series
 
@@ -104,6 +104,26 @@ def test_verify_battery(capsys):
     data = json.loads(out)
     assert data["ok"] is True
     assert all(c["ok"] for c in data["checks"])
+
+
+def test_verify_fails_on_unstable_transfer_window(capsys, monkeypatch):
+    # the bracket on window + 2 of the zero-leg z2z2 check gains a term
+    window = fock_transfer._transfer_args("z2z2", (), 3, "standard", None)[3]
+    bracket = fock_transfer._bracket
+
+    def tampered(v, cutoff, mode, n, w):
+        s = bracket(v, cutoff, mode, n, w)
+        if v == () and mode == "standard" and w == window + 2:
+            s = s + Series(s.names, cutoff, {(1, 1, 0, 0): 1})
+        return s
+
+    monkeypatch.setattr(fock_transfer, "_bracket", tampered)
+    code, out = run_cli(capsys, ["verify", "--degree", "3"])
+    assert code == 1
+    assert out.splitlines() == [
+        "transfer window %d not stable in zero_leg_enumerate_transfer: "
+        "windows %d and %d differ at q0*qa: 1 != 2"
+        % (window, window, window + 2)]
 
 
 def test_mismatch_exits_one(capsys, monkeypatch):
@@ -212,3 +232,28 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     data = json.loads(target.read_text())
     assert data["results"][0]["series"]["cutoff"] == 2
+
+
+def test_output_into_missing_directory_fails_first(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("series computed")
+
+    monkeypatch.setattr(cli, "vertex_by_transfer", no_walk)
+    monkeypatch.setattr(cli, "enumerate_3d", no_walk)
+    for target, message in [
+            (tmp_path / "missing" / "x",
+             "output directory %s does not exist" % (tmp_path / "missing")),
+            (tmp_path, "output %s is a directory" % tmp_path)]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["vertex", "--leg", "2,1", "--method", "transfer",
+                      "--output", str(target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(message)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--output", str(target)])
+        assert exc.value.code == 2
+        capsys.readouterr()
+    assert not (tmp_path / "missing").exists()

@@ -2,7 +2,10 @@ import pytest
 
 from orbivertex import fock_transfer
 from orbivertex import partition_core as pc
-from orbivertex.dt_vertex import enumerate_3d
+from orbivertex.dt_vertex import (
+    closed_z2z2_staircase, corollary_rpc_closed, enumerate_3d,
+    vertex_closed_zn,
+)
 from orbivertex.fock_transfer import (
     basis_state, checkerboard_counts, collect, e_apply, empty_state,
     gamma_apply, normalize_state, scalar_apply, vertex_by_transfer,
@@ -313,3 +316,73 @@ def test_transfer_matches_family_count_degree_14():
     # past the parametrized comparisons above
     want = generating_function((2, 1), 0, DIAG, 14)
     assert vertex_by_transfer("z2z2", (2, 1), 14, mode="rpc_diagonal") == want
+
+
+# every product mode, as (group, mode, n)
+ALL_MODES = ([("z2z2", m, None)
+              for m in ("standard", "rpc_antidiagonal", "rpc_diagonal")]
+             + [("zn", "zn", n) for n in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("group,mode,n", ALL_MODES,
+                         ids=["%s%s" % (m[1], m[2] or "") for m in ALL_MODES])
+def test_transfer_window_stable(group, mode, n):
+    # the window argument of vertex_by_transfer, checked where it is
+    # tight: the proven minimum cutoff + t0, the window used and window + 2
+    # agree for every leg of size <= 4, staircase or not
+    for leg in pc.partitions_up_to(4):
+        t0 = max(len(leg), pc.part(leg, 0)) + 1
+        for cutoff in range(9):
+            v, mode_, n_, window = fock_transfer._transfer_args(
+                group, leg, cutoff, mode, n)
+            assert window >= cutoff + t0
+            want = fock_transfer._bracket(v, cutoff, mode_, n_, window)
+            for w in (cutoff + t0, window + 2):
+                got = fock_transfer._bracket(v, cutoff, mode_, n_, w)
+                assert got == want, (leg, cutoff, w)
+
+
+def test_transfer_evaluates_one_window(monkeypatch):
+    calls = []
+    bracket = fock_transfer._bracket
+
+    def counted(*args):
+        calls.append(args)
+        return bracket(*args)
+
+    monkeypatch.setattr(fock_transfer, "_bracket", counted)
+    for group, mode, n in ALL_MODES:
+        calls.clear()
+        vertex_by_transfer(group, (2, 1), 4, mode, n)
+        assert len(calls) == 1, mode
+
+
+@pytest.mark.parametrize("group,n", [("z2z2", None), ("zn", 3)],
+                         ids=["z2z2", "z3"])
+@pytest.mark.parametrize("leg", [(), (1,), (2, 1), (3, 1)], ids=leg_id)
+def test_transfer_prune_boundary(group, n, leg):
+    # terms with d + |mu| * (1 + r) == cutoff must be kept; every cutoff
+    # puts that boundary on different terms
+    for cutoff in range(11):
+        want = enumerate_3d(leg, group, cutoff, n=n)
+        assert vertex_by_transfer(group, leg, cutoff, n=n) == want, cutoff
+
+
+DEEP_D = 22
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_transfer_matches_staircase_product_degree_22(m):
+    leg = pc.staircase(m)
+    assert (vertex_by_transfer("z2z2", leg, DEEP_D)
+            == closed_z2z2_staircase(m, DEEP_D))
+
+
+def test_transfer_matches_closed_z4_degree_22():
+    assert (vertex_by_transfer("zn", (2, 1), DEEP_D, n=4)
+            == vertex_closed_zn(4, ((), (), (2, 1)), DEEP_D))
+
+
+def test_transfer_matches_rpc_corollary_degree_22():
+    assert (vertex_by_transfer("z2z2", (1,), DEEP_D, "rpc_antidiagonal")
+            == corollary_rpc_closed(1, DEEP_D))
