@@ -45,7 +45,11 @@ def _methods_arg(allowed):
 
 def _shifts_arg(text):
     # repeated shifts are dropped, first occurrences kept in order
-    return tuple(dict.fromkeys(int(x) for x in text.split(",")))
+    try:
+        return tuple(dict.fromkeys(int(x) for x in text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "shifts must be comma-separated integers")
 
 
 def _monomial(names, exps):
@@ -70,27 +74,22 @@ def _series_obj(s):
     return json.loads(s.to_json())
 
 
-def _write(args, text):
+def _emit(args, report, header, rows):
+    """Write `report` as one line of compact, key-sorted JSON, or the
+    iterable `rows` under `header` as CSV, to --output or stdout."""
+    if args.format == "json":
+        text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    else:
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+        text = buf.getvalue()
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_records(args, records):
-    if args.format == "json":
-        _write(args, json.dumps({"results": records}, sort_keys=True,
-                                separators=(",", ":")) + "\n")
-        return
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    names = records[0]["series"]["vars"]
-    w.writerow(["method"] + list(names) + ["coef"])
-    for rec in records:
-        for item in rec["series"]["terms"]:
-            w.writerow([rec["method"]] + item["exp"] + [item["coef"]])
-    _write(args, buf.getvalue())
 
 
 def _check_pairs(named):
@@ -188,8 +187,12 @@ def _run_series(args):
     if args.verify and _check_pairs(named):
         return 1
     head = fields(args)
-    _emit_records(args, [dict(head, method=method, series=_series_obj(s))
-                         for method, s in named])
+    records = [dict(head, method=method, series=_series_obj(s))
+               for method, s in named]
+    header = ["method"] + records[0]["series"]["vars"] + ["coef"]
+    _emit(args, {"results": records}, header,
+          ([rec["method"]] + item["exp"] + [item["coef"]]
+           for rec in records for item in rec["series"]["terms"]))
     return 0
 
 
@@ -205,17 +208,9 @@ def _run_uniqueness(args):
               "results": rows,
               "symmetric_legs": [list(v) for v in symmetric],
               "staircases_only": set(symmetric) == expected}
-    if args.format == "json":
-        _write(args, json.dumps(report, sort_keys=True,
-                                separators=(",", ":")) + "\n")
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["leg", "shift", "symmetric"])
-        for r in rows:
-            w.writerow([",".join(str(x) for x in r["leg"]), r["shift"],
-                        int(r["symmetric"])])
-        _write(args, buf.getvalue())
+    _emit(args, report, ["leg", "shift", "symmetric"],
+          ([",".join(str(x) for x in r["leg"]), r["shift"],
+            int(r["symmetric"])] for r in rows))
     return 0
 
 
@@ -272,17 +267,8 @@ def _run_verify(args):
         if not ok:
             status = 1
     if status == 0:
-        if args.format == "json":
-            _write(args, json.dumps({"checks": rows, "ok": True},
-                                    sort_keys=True,
-                                    separators=(",", ":")) + "\n")
-        else:
-            buf = io.StringIO()
-            w = csv.writer(buf, lineterminator="\n")
-            w.writerow(["check", "ok"])
-            for r in rows:
-                w.writerow([r["check"], int(r["ok"])])
-            _write(args, buf.getvalue())
+        _emit(args, {"checks": rows, "ok": True}, ["check", "ok"],
+              ([r["check"], int(r["ok"])] for r in rows))
     return status
 
 

@@ -7,9 +7,10 @@ keeps the bricks inside the regions and re-bases each slice at its
 corner; the resulting slice families are exactly the finitely-supported
 families satisfying a directed interlacing condition, and realize()
 constructs an explicit preimage pyramid for any such family.
-interlacing_families lists the families; generating_function counts them
-by the same slice walk, memoized, without listing any.  At the empty leg
-every corner is (0, 0) and the families are the pyramids themselves, so
+One memoized slice walk finds them: interlacing_families lists them
+through it, each family weighing itself, and generating_function counts
+them, each weighing its packed color counts.  At the empty leg every
+corner is (0, 0) and the families are the pyramids themselves, so
 pyramid.enumerate_pyramids and pyramid.pyramid_series are this walk there.
 
 Everything is stated per frame (diagonal or antidiagonal); corner offsets
@@ -261,55 +262,91 @@ def realize(slices, v, l, frame):
 # ---------------------------------------------------------------------------
 
 
-def interlacing_families(v, budget):
-    """All finitely-supported second-type families with total size <= budget.
+def _slice_range(conj, cutoff):
+    """The slices _slice_walk may reach with at most `cutoff` bricks."""
+    span = cutoff + pc.edge_bound(conj) + 2
+    return range(-span, span + 1)
 
-    The walk fixes slices left to right.  Once slice s - 1 is empty with
-    s >= b = edge_bound(conj), the family is complete: every s' >= b has
-    -s' <= -b, so tau = edge_value(conj, -s') = +1 and slice s' must lie
-    below slice s' - 1, and the only partition below () is () (primed or
-    not).  By induction every later slice is empty, so the walk emits the
-    family there instead of stepping out to `right`; the emission happens
-    at the same point of the depth-first order, so the returned list is
-    the list the full walk would return.
+
+def _slice_walk(v, cutoff, slice_weight):
+    """{weight: count} over the finitely-supported second-type families
+    of v with at most `cutoff` bricks.  A family weighs the sum, left to
+    right (w0 + w), of slice_weight(s, eta) over its slices s, empty ones
+    included; each (s, eta) is weighed once per call.
+
+    Slices are fixed left to right from left = -(cutoff + b + 2),
+    b = edge_bound(conj).  Slice s lies below slice s - 1 where
+    tau = edge_value(conj, -s) is +1, above it where tau is -1, primed
+    exactly at even s.  completions(s, prev, rem) covers slices s, s + 1,
+    ... of every family whose slice s - 1 is `prev`, with `rem` bricks
+    left.  The recursion is one frame per slice deep.
+
+    * The key fixes the completions: slice s's direction, primed flag and
+      partners depend on s and prev only, the budget test on s and rem
+      only, partners_above's size bound on rem only, and every later
+      slice is chosen the same way.  Earlier slices only add their weight
+      in front, so one memo entry serves every way of reaching the key.
+    * Early stop: once slice s - 1 is empty with s >= b, the family is
+      complete.  Every s' >= b has tau = +1 (-s' <= -b), and the only
+      partition below () is (), primed or not, so by induction every
+      later slice is empty; the completion weighs slice_weight(s, ()).
+      So the walk never steps past right = cutoff + b + 2: a non-empty
+      slice right - 1 would need the cutoff + 3 slices b - 1, ...,
+      right - 1 all non-empty.
+    * Steps-left prune: every s' <= -b has tau = -1, so the chain cannot
+      shrink before slice -b.  A slice of c bricks at s < -b is followed
+      by -b - s slices of at least c bricks each, so it is skipped once
+      c * (1 + (-b - s)) exceeds the bricks left.
+
+    Each dict lists its completions depth first, partners in generator
+    order, so weights that never merge come out in listing order.
     """
-    conj = pc.conjugate(v)
+    conj = pc.conjugate(pc.check_partition(tuple(v)))
     b = pc.edge_bound(conj)
-    left = -(budget + b + 2)
-    right = budget + b + 2
+    slices = _slice_range(conj, cutoff)
+    left = slices.start
     # taus[s - left]: direction of the relation between slices s - 1 and s
-    taus = [pc.edge_value(conj, -s) for s in range(left, right + 1)]
-    out = []
+    taus = [pc.edge_value(conj, -s) for s in slices]
+    weigh = lru_cache(maxsize=None)(slice_weight)
+    memo = {}
 
-    def rec(s, prev, used, current):
-        if s > right or (not prev and s >= b):
-            if not prev:
-                out.append(dict(current))
-            return
-        tau = taus[s - left]
+    def completions(s, prev, rem):
+        if not prev and s >= b:
+            return {weigh(s, ()): 1}
+        key = (s, prev, rem)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        out = {}
         primed = (s % 2 == 0)
-        if tau == 1:
+        if taus[s - left] == 1:
             options = pc.partners_below(prev, primed)
         else:
-            options = pc.partners_above(prev, budget - used, primed)
+            options = pc.partners_above(prev, rem, primed)
+        steps = 1 + max(0, -b - s)
         for opt in options:
             cost = sum(opt)
-            if used + cost > budget:
+            if cost * steps > rem:
                 continue
-            if opt:
-                # in the constant-direction zone the chain cannot shrink
-                # before reaching slice -b, so it must keep paying
-                steps_left = max(0, -b - s)
-                if used + cost + steps_left * cost > budget:
-                    continue
-                current[s] = opt
-                rec(s + 1, opt, used + cost, current)
-                del current[s]
-            else:
-                rec(s + 1, (), used, current)
+            w0 = weigh(s, opt)
+            for w, c in completions(s + 1, opt, rem - cost).items():
+                w = w0 + w
+                out[w] = out.get(w, 0) + c
+        memo[key] = out
+        return out
 
-    rec(left, (), 0, {})
-    return out
+    return completions(left, (), cutoff)
+
+
+def interlacing_families(v, budget):
+    """All finitely-supported second-type families with total size <= budget,
+    in depth-first order: _slice_walk with each family weighing the tuple
+    of its (index, slice) pairs.  A negative budget raises.
+    """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    walk = _slice_walk(v, budget, lambda s, eta: ((s, eta),) if eta else ())
+    return [dict(f) for f in walk]
 
 
 _EVEN_PAIR = ("0", "c")     # parity 0 color, parity 1 color on even slices
@@ -341,74 +378,27 @@ def slice_color_counts(k, eta, frame, corner_parity):
 def generating_function(v, l, frame, cutoff, names=VARS_Z2Z2):
     """Color-graded generating function of restricted configurations.
 
-    The families are those of interlacing_families(v, cutoff), counted
-    by the same left-to-right walk without listing them: completions(s,
-    prev, rem) returns {packed weight: count} over slices s, s + 1, ...
-    of every family whose slice s - 1 is `prev` and that has `rem`
-    bricks left.  The key fixes that set: slice s's direction (taus),
-    primed flag (s even) and partners depend on s and prev only, the
-    budget test (with its steps-left factor) on s and rem only,
-    partners_above's size bound on rem only, and every slice past s is
-    chosen the same way; a family's weight is a sum over its slices, so
-    the weight of slices before s only shifts the packed keys.  The walk
-    stops where interlacing_families emits a family, so both count the
-    same families.  The recursion takes one frame per slice, at most
-    right - left + 1 = 2 * (cutoff + b + 2) + 1 deep, as the listing
-    walk does.
-
-    The shift only translates every region corner by (l, l), and the
-    slices are re-based at their corners, so the series is the same for
-    every l >= 0; a negative l is rejected, as region() does.  A slice's
-    color counts depend only on (k, slice) and the corner parity of k,
-    so each is computed once per call, in `weight`.
+    The families of interlacing_families(v, cutoff), counted by
+    _slice_walk with each slice weighing its packed color counts, which
+    depend only on (k, slice) and the corner parity of k, read once per
+    call.  The shift only translates every region corner by (l, l), and
+    the slices are re-based at their corners, so the series is the same
+    for every l >= 0; a negative l is rejected, as region() does.
     """
     _check_frame_shift(frame, l)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     t = EpsilonTable(v)
-    b = pc.edge_bound(t.conj)
-    left = -(cutoff + b + 2)
-    right = cutoff + b + 2
-    # taus[s - left]: direction of the relation between slices s - 1 and s
-    taus = [pc.edge_value(t.conj, -s) for s in range(left, right + 1)]
-    parity = [mho(v, s, t) % 2 for s in range(left, right + 1)]
+    slices = _slice_range(t.conj, cutoff)
+    parity = [mho(v, s, t) % 2 for s in slices]
     base = cutoff + 1
     units = [base ** slot for slot in range(len(COLOR_SLOT))]
-    weight = {}
-    memo = {}
 
-    def completions(s, prev, rem):
-        if s > right or (not prev and s >= b):
-            return {} if prev else {0: 1}
-        key = (s, prev, rem)
-        out = memo.get(key)
-        if out is not None:
-            return out
-        out = {}
-        primed = (s % 2 == 0)
-        if taus[s - left] == 1:
-            options = pc.partners_below(prev, primed)
-        else:
-            options = pc.partners_above(prev, rem, primed)
-        # in the constant-direction zone the chain cannot shrink before
-        # reaching slice -b, so a slice must be paid for on every step left
-        steps = 1 + max(0, -b - s)
-        for opt in options:
-            cost = sum(opt)
-            if cost * steps > rem:
-                continue
-            w0 = weight.get((s, opt))
-            if w0 is None:
-                w0 = weight[(s, opt)] = sum(
-                    u * c for u, c in
-                    zip(units, slice_color_counts(s, opt, frame, parity[s - left])))
-            for w, c in completions(s + 1, opt, rem - cost).items():
-                w += w0
-                out[w] = out.get(w, 0) + c
-        memo[key] = out
-        return out
+    def weight(s, eta):
+        counts = slice_color_counts(s, eta, frame, parity[s - slices.start])
+        return sum(u * c for u, c in zip(units, counts))
 
-    counts = completions(left, (), cutoff)
+    counts = _slice_walk(v, cutoff, weight)
     return series_from_packed(names, cutoff, counts, len(COLOR_SLOT))
 
 

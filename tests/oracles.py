@@ -378,16 +378,17 @@ def interlacing_families_unpruned(v, budget):
 
 def generating_function_listed(v, frame, cutoff):
     """rpc.generating_function as a sum over the families listed by
-    rpc.interlacing_families, adding each slice's color counts as
-    exponent tuples (no packed weights and no memo).  The families are
-    re-based at their region corners, so the shift l does not enter."""
+    interlacing_families_unpruned, not by rpc's own walk, adding each
+    slice's color counts as exponent tuples (no packed weights and no
+    memo).  The families are re-based at their region corners, so the
+    shift l does not enter."""
     from orbivertex.pyramid import VARS_Z2Z2
     from orbivertex.qseries import Series
-    from orbivertex.rpc import interlacing_families, mho, slice_color_counts
+    from orbivertex.rpc import mho, slice_color_counts
 
     parity = {}
     terms = {}
-    for family in interlacing_families(v, cutoff):
+    for family in interlacing_families_unpruned(v, cutoff):
         exps = [0, 0, 0, 0]
         for k, eta in family.items():
             if k not in parity:

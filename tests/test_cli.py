@@ -148,6 +148,13 @@ def test_parse_errors_exit_two(capsys):
             cli.main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+    for shifts in ["0,", "x"]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["uniqueness", "--shifts", shifts])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "shifts must be comma-separated integers" in err, shifts
+        assert "_shifts_arg" not in err, shifts
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -259,6 +259,27 @@ def test_interlacing_families_match_unpruned_oracle():
             assert interlacing_families(v, budget) == want, (v, budget)
 
 
+def test_interlacing_families_rejects_negative_budget(monkeypatch):
+    def no_partners(*args, **kwargs):
+        raise AssertionError("walk started")
+
+    # the budget is checked before any slice is walked
+    monkeypatch.setattr(rpc.pc, "partners_above", no_partners)
+    monkeypatch.setattr(rpc.pc, "partners_below", no_partners)
+    for v in [(), (1,), (2, 1)]:
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            interlacing_families(v, -1)
+
+
+@pytest.mark.parametrize("v", [(1, 2), (1, 0)])
+def test_interlacing_families_rejects_bad_leg(v):
+    # as generating_function does, through EpsilonTable
+    with pytest.raises(ValueError):
+        generating_function(v, 0, DIAG, 2)
+    with pytest.raises(ValueError):
+        interlacing_families(v, 2)
+
+
 def _no_region(*args, **kwargs):
     raise AssertionError("region computed")
 
