@@ -222,10 +222,11 @@ def test_vertex_closed_zn_rejects_two_legs_before_any_work():
 
 
 def test_one_leg_zn_staircase_both_branches():
-    for m in range(5):
-        a = one_leg_zn_staircase(4, m, 4)
-        b = vertex_closed_zn(4, ((), (), pc.staircase(m)), 4)
-        assert a == b
+    # m = 0..7 runs every m mod 4 branch at shifts ell = 0..4
+    for m in range(8):
+        a = one_leg_zn_staircase(4, m, 8)
+        b = vertex_closed_zn(4, ((), (), pc.staircase(m)), 8)
+        assert a == b, m
     with pytest.raises(ValueError):
         one_leg_zn_staircase(3, 1, 4)
     with pytest.raises(ValueError):
@@ -265,14 +266,14 @@ def test_upsilon_factor():
 
 
 def test_phi_bridges_the_two_vertices():
-    for m in range(5):
-        lhs = enumerate_3d(pc.staircase(m), "z2z2", 4)
-        z4 = vertex_closed_zn(4, ((), (), pc.staircase(m)), 4)
+    for m in range(8):
+        lhs = enumerate_3d(pc.staircase(m), "z2z2", 8)
+        z4 = vertex_closed_zn(4, ((), (), pc.staircase(m)), 8)
         if m % 4 in (0, 3):
             z4 = z4.map_vars(VARS_Z2Z2, (0, 2, 3, 1))
         else:
             z4 = z4.map_vars(VARS_Z2Z2, (3, 2, 0, 1))
-        assert lhs == z4 * phi(None, m, 4)
+        assert lhs == z4 * phi(None, m, 8), m
 
 
 def test_pyramid_closed_matches_enumeration():
@@ -286,12 +287,12 @@ def test_pyramid_closed_matches_enumeration():
 
 
 def test_corollary_rpc_closed():
-    assert corollary_rpc_closed(0, 4) == pyramid_closed(4)
-    for m in (1, 2):
+    assert corollary_rpc_closed(0, 8) == pyramid_closed(8)
+    for m in range(8):
         v = pc.staircase(m)
-        a = corollary_rpc_closed(m, 4)
-        assert a == rpc.generating_function(v, 0, ANTI, 4)
-        assert a == rpc.generating_function(v, 0, DIAG, 4)
+        a = corollary_rpc_closed(m, 8)
+        assert a == rpc.generating_function(v, 0, ANTI, 8), m
+        assert a == rpc.generating_function(v, 0, DIAG, 8), m
 
 
 def test_counting_walks_match_closed_products_degree_18():
@@ -391,6 +392,6 @@ def test_vertex_closed_zn_matches_enumeration_degree_8(n, leg):
         assert vertex_closed_zn(n, legs, 8) == enumerate_one_leg(legs, "zn", 8, n=n)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", range(8))
 def test_closed_z2z2_staircase_matches_enumeration_degree_8(m):
     assert closed_z2z2_staircase(m, 8) == enumerate_3d(pc.staircase(m), "z2z2", 8)
