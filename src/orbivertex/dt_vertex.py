@@ -1,6 +1,8 @@
 """One-leg orbifold vertex series by direct box enumeration and by the
 closed MacMahon-type product formulas.
 
+The cyclic formula is the paper's skew Schur sum; the staircase products
+are tables of family entries over one staircase tail, at the end.
 The operator-transfer route lives in fock_transfer; the restricted
 pyramid generating functions live in rpc.  Everything here returns
 Series objects truncated by total degree, and the three routes are meant
@@ -14,8 +16,8 @@ from collections import Counter
 from . import partition_core as pc
 from .pyramid import VARS_Z2Z2, series_from_packed, zn_names
 from .qseries import (
-    Factors, Series, family_factors, macmahon_factors, mul_terms,
-    term, term_mul, term_neg, term_one, term_var,
+    Factors, Series, family_factors, macmahon_factors, mul_terms, term,
+    term_one,
 )
 
 _Z2Z2_SLOT = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
@@ -58,6 +60,8 @@ def enumerate_one_leg(legs, group, cutoff, n=None):
     if sum(1 for x in (lam, mu, nu) if x) > 1:
         raise ValueError("at most one non-empty leg")
     if group == "z2z2":
+        if n is not None:
+            raise ValueError("n is for group zn, got n=%r with z2z2" % (n,))
         names = VARS_Z2Z2
 
         def slot(x1, x2, x3):
@@ -183,13 +187,13 @@ def _complete_homogeneous(vals, names, cutoff, kmax):
     return h
 
 
-def skew_schur_specialized(mu, eta, variables, cutoff, names=None):
+def skew_schur_specialized(mu, eta, variables, cutoff, names):
     """Skew Schur function of mu/eta at finitely many monomial values.
 
-    variables is a sequence of Terms (or plain 0/1 entries) with
-    non-negative exponents; zero entries are skipped, degree-zero entries
-    must be exactly 1.  Expanded through the determinant in complete
-    homogeneous functions.
+    variables is a sequence of Terms over `names` (or plain 0 entries)
+    with non-negative exponents; zero entries are skipped, degree-zero
+    entries must be exactly 1.  Expanded through the determinant in
+    complete homogeneous functions.
     """
     xi = pc.check_partition(tuple(mu))
     et = pc.check_partition(tuple(eta))
@@ -197,8 +201,6 @@ def skew_schur_specialized(mu, eta, variables, cutoff, names=None):
     for t in variables:
         if t == 0:
             continue
-        if t == 1:
-            t = (1, (0,) * (len(names) if names else 1))
         c, e = int(t[0]), tuple(t[1])
         if c == 0:
             continue
@@ -207,9 +209,6 @@ def skew_schur_specialized(mu, eta, variables, cutoff, names=None):
         if not any(e) and c != 1:
             raise ValueError("degree-0 value %r is not 1" % (t,))
         vals.append((c, e))
-    if names is None:
-        nv = len(vals[0][1]) if vals else 1
-        names = tuple("x%d" % i for i in range(nv))
     if any(pc.part(et, r) > pc.part(xi, r) for r in range(len(et))):
         return Series.zero(names, cutoff)
     ell = len(xi)
@@ -263,6 +262,21 @@ def _qq_exps(n, t):
 def _bar_exps(e, n):
     # indexwise negation of the color labels
     return tuple(e[(-j) % n] for j in range(n))
+
+
+def _schur_values(part, n, work, bar):
+    # the monomials qq(r - part_r) / qq(-part_0), r >= 0, of degree 0..work,
+    # indexwise negated when bar
+    base = _qq_exps(n, -pc.part(part, 0))
+    vals = []
+    for r in range(work + pc.part(part, 0) + 2):
+        e = tuple(a - b for a, b in
+                  zip(_qq_exps(n, r - pc.part(part, r)), base))
+        if bar:
+            e = _bar_exps(e, n)
+        if 0 <= sum(e) <= work:
+            vals.append(term(1, e))
+    return vals
 
 
 def _zero_zn(n, names, cutoff):
@@ -328,152 +342,130 @@ def vertex_closed_zn(n, legs, cutoff):
             fixed = fixed * rot ** e
     fixed = fixed.series()
 
-    base_l = _qq_exps(n, -tl)
-    base_m = _qq_exps(n, -tm)
-    vals_l = []
-    for r in range(work + tl + 2):
-        e = tuple(a - b for a, b in
-                  zip(_qq_exps(n, r - pc.part(nuc, r)), base_l))
-        e = _bar_exps(e, n)
-        if 0 <= sum(e) <= work:
-            vals_l.append(term(1, e))
-    vals_m = []
-    for r in range(work + tm + 2):
-        e = tuple(a - b for a, b in
-                  zip(_qq_exps(n, r - pc.part(nu, r)), base_m))
-        if 0 <= sum(e) <= work:
-            vals_m.append(term(1, e))
-
+    # len(nu) is the first part of nu', so tl and tm are the offsets
+    # that _schur_values reads off nu' and nu
+    vals_l = _schur_values(nuc, n, work, True)
+    vals_m = _schur_values(nu, n, work, False)
     schur = (skew_schur_specialized(lamc, (), vals_l, work, names)
              * skew_schur_specialized(mu, (), vals_m, work, names))
+    base_l, base_m = _qq_exps(n, -tl), _qq_exps(n, -tm)
     shift = tuple(-(a + b) + pc.size(lam) * u + pc.size(mu) * v
                   for a, b, u, v in zip(g, gbar, _bar_exps(base_l, n), base_m))
     master = mul_terms(schur.terms, {shift: 1}, cutoff)
     return Series(names, cutoff, mul_terms(master, fixed.terms, cutoff))
 
 
-def _staircase(m):
-    """Family suffixes and shift of the staircase leg (m, m-1, ..., 1):
-    (main, other, ell) with main = m mod 2 and other its complement, as
-    the strings "0" and "1" that end the shifted family names, and
-    ell = ceil(m / 2)."""
+# ---------------------------------------------------------------------------
+# Closed products as data: the staircase formulas over four variables
+# ---------------------------------------------------------------------------
+
+# A product is a table of entries (family, x, power, shift), each the
+# factor family(x; shift * ell) ** power of qseries.family_factors, with
+# q the product of all four variables.  At the staircase leg
+# (m, m-1, ..., 1), ell = ceil(m / 2), and "{main}" and "{other}" in a
+# family name stand for the suffixes m mod 2 and 1 - m mod 2; Mt and Mh
+# take no shift, so their entries carry 0.  x is a Term over
+# (q0, qa, qb, qc) for Z2 x Z2 and (q0, q1, q2, q3) for Z4.
+_Q = term(1, (1, 1, 1, 1))
+_A, _B, _C = (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+_AB, _ABC = (0, 1, 1, 0), (0, 1, 1, 1)
+
+
+def _tail(family, sign, power, y1, y2, y3):
+    """The staircase tail F{other}(s y3; ell) * prod F{main}(s x; ell)
+    over x in (y1, y2, y1 y2 y3), to `power`, as table entries; F is the
+    family, s the sign, and the y are exponent vectors.
+
+    At m = 0 it is 1: ell = 0, and at l = 0 each of Mt0, Mt1, Mh0 and Mh1
+    is a MacMahon factor times its inverse (M(x q^0) M(x)^-1, with the
+    Pochhammer power -l = 0), so no tail entry adds a factor.
+    """
+    y123 = tuple(map(sum, zip(y1, y2, y3)))
+    return ((family + "{other}", term(sign, y3), power, 1),) + tuple(
+        (family + "{main}", term(sign, y), power, 1) for y in (y1, y2, y123))
+
+
+# pyramid partitions: M(1)^4 M~(qa qc) M~(qb qc) / prod M~(-x) over
+# x in (qa, qb, qc, qa qb qc), where M(1)^4 = M~(1)^2
+_PYRAMID = (("Mt", term(1, (0, 0, 0, 0)), 2, 0),
+            ("Mt", term(1, (0, 1, 0, 1)), 1, 0),
+            ("Mt", term(1, (0, 0, 1, 1)), 1, 0)) + tuple(
+    ("Mt", term(-1, x), -1, 0) for x in (_A, _B, _C, _ABC))
+# the zero-leg vertex: the pyramid product times M~(qa qb)
+_NOLEGS = _PYRAMID + (("Mt", term(1, _AB), 1, 0),)
+# the restricted-pyramid corollary: the pyramid product times this tail
+_RPC_TAIL = _tail("Mt", -1, -1, _A, _B, _C)
+# Upsilon, the staircase leg over the zero-leg vertex
+_UPSILON = (("Mt{main}", term(1, _AB), 1, 2),) + _RPC_TAIL
+# phi, the bridge from the Z4 vertex to the Z2 x Z2 vertex
+_PHI = (tuple(("Mh", term(1, x), 1, 0) for x in (_A, _B, _C, _ABC))
+        + (("Mt", term(1, _AB), 1, 0), ("Mt{main}", term(1, _AB), 1, 2))
+        + _tail("Mh", 1, -1, _A, _B, _C))
+# the Z4 staircase leg over the zero-leg Z4 vertex, in (q0, q1, q2, q3)
+_Z4_TAIL = _tail("Mt", 1, 1, (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+
+
+def _product(table, m, cutoff, names=VARS_Z2Z2):
+    """The table's product as Factors at the staircase leg of size m."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return str(m % 2), str(1 - m % 2), (m + 1) // 2
-
-
-def one_leg_zn_staircase(n, m, cutoff):
-    """Branch form of the order-four vertex with a staircase third leg."""
-    if n != 4:
-        raise ValueError("staircase branch form needs n = 4")
-    main, other, ell = _staircase(m)
-    names = zn_names(4)
-    zero = _zero_zn(4, names, cutoff)
-    if m == 0:
-        return zero.series()
-    q = term(1, (1, 1, 1, 1))
-    if m % 4 in (0, 3):
-        out, xlast = zero, term_var(4, 2)
-    else:
-        out, xlast = zero.map_vars(names, (2, 3, 0, 1)), term_var(4, 0)
-    x1, x3 = term_var(4, 1), term_var(4, 3)
-    out = out * family_factors("Mt" + other, names, cutoff, xlast, q, l=ell)
-    for x in (x3, x1, term_mul(x1, x3, xlast)):
-        out = out * family_factors("Mt" + main, names, cutoff, x, q, l=ell)
-    return out.series()
-
-
-# ---------------------------------------------------------------------------
-# Closed product formulas, product of two involutions
-# ---------------------------------------------------------------------------
-
-
-def _standard_vars():
-    return (term_var(4, 1), term_var(4, 2), term_var(4, 3),
-            term(1, (1, 1, 1, 1)))
-
-
-def _pyramid_factors(cutoff):
-    names = VARS_Z2Z2
-    xa, xb, xc, q = _standard_vars()
-    out = macmahon_factors(term_one(4), q, names, cutoff) ** 4
-    out = out * family_factors("Mt", names, cutoff, term_mul(xa, xc), q)
-    out = out * family_factors("Mt", names, cutoff, term_mul(xb, xc), q)
-    for x in (xa, xb, xc, term_mul(xa, xb, xc)):
-        out = out / family_factors("Mt", names, cutoff, term_neg(x), q)
+    main, other, ell = str(m % 2), str(1 - m % 2), (m + 1) // 2
+    out = Factors(names, cutoff)
+    for family, x, power, shift in table:
+        name = family.format(main=main, other=other)
+        out = out * family_factors(name, names, cutoff, x, _Q,
+                                   l=shift * ell) ** power
     return out
 
 
-def _nolegs_factors(cutoff):
-    xa, xb, _, q = _standard_vars()
-    return _pyramid_factors(cutoff) * family_factors(
-        "Mt", VARS_Z2Z2, cutoff, term_mul(xa, xb), q)
+def _branch(m, factors, swap):
+    """The paper's branch rule: at m mod 4 in {1, 2} it relabels the base
+    by `swap`, an involution fixing q that exchanges the tail's last
+    variable y3 with q0, and takes y3 = q0.  Relabeling the whole product
+    does both: swap fixes or exchanges y1 and y2, both under {main}."""
+    if m % 4 in (1, 2):
+        return factors.map_vars(factors.names, swap)
+    return factors
+
+
+def one_leg_zn_staircase(n, m, cutoff):
+    """Branch form of the order-four vertex with a staircase third leg:
+    the zero-leg Z4 vertex times _Z4_TAIL."""
+    if n != 4:
+        raise ValueError("staircase branch form needs n = 4")
+    names = zn_names(4)
+    out = _product(_Z4_TAIL, m, cutoff, names) * _zero_zn(4, names, cutoff)
+    return _branch(m, out, (2, 3, 0, 1)).series()
 
 
 def closed_z2z2_nolegs(cutoff):
     """Zero-leg closed product over the variables q0, qa, qb, qc."""
-    return _nolegs_factors(cutoff).series()
+    return _product(_NOLEGS, 0, cutoff).series()
 
 
 def pyramid_closed(cutoff):
     """Closed form of the pyramid partition generating function."""
-    return _pyramid_factors(cutoff).series()
+    return _product(_PYRAMID, 0, cutoff).series()
 
 
-def _upsilon_factors(vars, m, cutoff, names):
-    main, other, ell = _staircase(m)
-    xa, xb, xc, q = vars or _standard_vars()
-    xab = term_mul(xa, xb)
-    out = family_factors("Mt" + main, names, cutoff, xab, q, l=2 * ell)
-    out = out / family_factors("Mt" + other, names, cutoff, term_neg(xc), q, l=ell)
-    for x in (xa, xb, term_mul(xab, xc)):
-        out = out / family_factors("Mt" + main, names, cutoff, term_neg(x), q, l=ell)
-    return out
-
-
-def upsilon(vars, m, cutoff, names=VARS_Z2Z2):
+def upsilon(m, cutoff):
     """Staircase-leg correction factor for the zero-leg closed product."""
-    return _upsilon_factors(vars, m, cutoff, names).series()
+    return _product(_UPSILON, m, cutoff).series()
 
 
 def closed_z2z2_staircase(m, cutoff):
-    return (_nolegs_factors(cutoff)
-            * _upsilon_factors(None, m, cutoff, VARS_Z2Z2)).series()
+    """The one-leg vertex at the staircase leg of size m: the zero-leg
+    product times Upsilon."""
+    return _product(_NOLEGS + _UPSILON, m, cutoff).series()
 
 
-def phi(vars, m, cutoff, names=VARS_Z2Z2):
+def phi(m, cutoff):
     """Bridge factor between the two one-leg vertices at a staircase leg."""
-    main, other, ell = _staircase(m)
-    xa, xb, xc, q = vars or _standard_vars()
-    xab = term_mul(xa, xb)
-    xabc = term_mul(xab, xc)
-    out = Factors(names, cutoff)
-    for x in (xa, xb, xc, xabc):
-        out = out * family_factors("Mh", names, cutoff, x, q)
-    out = out * family_factors("Mt", names, cutoff, xab, q)
-    out = out * family_factors("Mt" + main, names, cutoff, xab, q, l=2 * ell)
-    out = out / family_factors("Mh" + other, names, cutoff, xc, q, l=ell)
-    for x in (xa, xb, xabc):
-        out = out / family_factors("Mh" + main, names, cutoff, x, q, l=ell)
-    return out.series()
+    return _product(_PHI, m, cutoff).series()
 
 
 def corollary_rpc_closed(m, cutoff):
-    """Closed form for the restricted pyramid series at a staircase leg.
-
-    m = 0 degenerates to the plain pyramid generating function.
-    """
-    main, other, ell = _staircase(m)
-    names = VARS_Z2Z2
-    base = _pyramid_factors(cutoff)
-    if m == 0:
-        return base.series()
-    xa, xb, xc, q = _standard_vars()
-    if m % 4 in (0, 3):
-        out, xlast = base, xc
-    else:
-        out, xlast = base.map_vars(names, (3, 1, 2, 0)), term_var(4, 0)
-    out = out / family_factors("Mt" + other, names, cutoff, term_neg(xlast), q, l=ell)
-    for x in (xa, xb, term_mul(xa, xb, xlast)):
-        out = out / family_factors("Mt" + main, names, cutoff, term_neg(x), q, l=ell)
-    return out.series()
+    """Closed form for the restricted pyramid series at a staircase leg:
+    the pyramid product times _RPC_TAIL, which is 1 at m = 0."""
+    out = _product(_PYRAMID + _RPC_TAIL, m, cutoff)
+    return _branch(m, out, (3, 1, 2, 0)).series()

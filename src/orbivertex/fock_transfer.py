@@ -327,11 +327,14 @@ def _transfer_args(group, leg, cutoff, mode, n):
     if group == "zn":
         if not n or n < 1:
             raise ValueError("zn group needs n >= 1")
+        if mode not in ("standard", "zn"):
+            raise ValueError("group zn takes mode zn, not %r" % (mode,))
         mode = "zn"
     elif group == "z2z2":
         if mode == "zn":
             raise ValueError("mode zn is for group zn")
-        n = None
+        if n is not None:
+            raise ValueError("n is for group zn, got n=%r with z2z2" % (n,))
     else:
         raise ValueError("unknown group %r" % group)
     t0 = max(len(v), pc.part(v, 0)) + 1
@@ -345,8 +348,9 @@ def vertex_by_transfer(group, leg, cutoff, mode="standard", n=None):
     """Vertex or restricted-pyramid series via operator transfer.
 
     group "z2z2" with mode standard / rpc_antidiagonal / rpc_diagonal,
-    or group "zn" (needs n >= 1).  The leg sits in the third slot; the
-    other two legs are empty.
+    or group "zn" (needs n >= 1; mode zn or the default).  Another mode
+    under zn, or an n under z2z2, raises.  The leg sits in the third
+    slot; the other two legs are empty.
 
     Why the window suffices: the weight of a slice is a monomial of
     total degree equal to its size (weight_selector splits its cells

@@ -249,7 +249,7 @@ def series_from_packed(names, cutoff, counts, nvars):
     return Series(names, cutoff, terms)
 
 
-def pyramid_series(cutoff, names=VARS_Z2Z2):
+def pyramid_series(cutoff):
     """Generating function of pyramid partitions, graded by color counts,
     complete through total degree `cutoff` (one brick = one degree).
 
@@ -271,4 +271,4 @@ def pyramid_series(cutoff, names=VARS_Z2Z2):
     """
     # rpc imports this module for its geometry, so import it here
     from . import rpc
-    return rpc.generating_function((), 0, DIAG, cutoff, names)
+    return rpc.generating_function((), 0, DIAG, cutoff)

@@ -375,7 +375,7 @@ def slice_color_counts(k, eta, frame, corner_parity):
     return tuple(counts)
 
 
-def generating_function(v, l, frame, cutoff, names=VARS_Z2Z2):
+def generating_function(v, l, frame, cutoff):
     """Color-graded generating function of restricted configurations.
 
     The families of interlacing_families(v, cutoff), counted by
@@ -399,7 +399,7 @@ def generating_function(v, l, frame, cutoff, names=VARS_Z2Z2):
         return sum(u * c for u, c in zip(units, counts))
 
     counts = _slice_walk(v, cutoff, weight)
-    return series_from_packed(names, cutoff, counts, len(COLOR_SLOT))
+    return series_from_packed(VARS_Z2Z2, cutoff, counts, len(COLOR_SLOT))
 
 
 # ---------------------------------------------------------------------------

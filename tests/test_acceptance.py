@@ -74,7 +74,7 @@ def test_criterion_3_one_leg_staircase_product_formula():
     base = closed_z2z2_nolegs(D)
     for m in (1, 2, 3, 4):
         lhs = enumerate_3d(pc.staircase(m), "z2z2", D)
-        assert lhs == base * upsilon(None, m, D), m
+        assert lhs == base * upsilon(m, D), m
         assert lhs == closed_z2z2_staircase(m, D), m
 
 
@@ -86,7 +86,7 @@ def test_criterion_4_z2z2_z4_bridge_both_branch_families():
             z4 = z4.map_vars(VARS_Z2Z2, (0, 2, 3, 1))
         else:
             z4 = z4.map_vars(VARS_Z2Z2, (3, 2, 0, 1))
-        assert lhs == z4 * phi(None, m, D), m
+        assert lhs == z4 * phi(m, D), m
 
 
 def test_criterion_5_symmetric_interlacing_iff_staircase():

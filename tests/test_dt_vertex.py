@@ -9,7 +9,7 @@ from orbivertex.dt_vertex import (
     closed_z2z2_nolegs, closed_z2z2_staircase, corollary_rpc_closed,
     enumerate_3d, enumerate_one_leg, one_leg_zn_staircase, phi,
     pyramid_closed, skew_schur_specialized, symmetry_check, upsilon,
-    vertex_closed_zn, _hook_factors, _rotation_exponents, _standard_vars,
+    vertex_closed_zn, _hook_factors, _rotation_exponents,
 )
 from orbivertex.fock_transfer import vertex_by_transfer, zn_names
 from orbivertex.pyramid import ANTI, DIAG, VARS_Z2Z2, pyramid_series
@@ -74,6 +74,10 @@ def test_enumerate_rejects_bad_input():
         enumerate_3d((1,), "zn", 2)
     with pytest.raises(ValueError):
         enumerate_3d((1,), "z3z3", 2)
+    # the z2z2 coloring has no n; it used to be ignored
+    for n in (-7, 4):
+        with pytest.raises(ValueError, match="n is for group zn"):
+            enumerate_one_leg(((2, 1), (), ()), "z2z2", 3, n=n)
 
 
 def test_enumerate_rejects_negative_cutoff():
@@ -253,13 +257,13 @@ def test_closed_z2z2_nolegs():
 
 
 def test_upsilon_factor():
-    u = upsilon(None, 1, 3)
+    u = upsilon(1, 3)
     assert u.constant() == 1
     assert u.coefficient((0, 1, 0, 0)) == 1
     assert u.coefficient((0, 0, 1, 0)) == 1
     assert u.coefficient((1, 0, 0, 0)) == -1
     assert u.coefficient((0, 0, 0, 1)) == 0
-    assert upsilon(None, 0, 4).is_one()
+    assert upsilon(0, 4).is_one()
     for m in (1, 2, 3):
         lhs = enumerate_3d(pc.staircase(m), "z2z2", 4)
         assert lhs == closed_z2z2_staircase(m, 4)
@@ -273,7 +277,7 @@ def test_phi_bridges_the_two_vertices():
             z4 = z4.map_vars(VARS_Z2Z2, (0, 2, 3, 1))
         else:
             z4 = z4.map_vars(VARS_Z2Z2, (3, 2, 0, 1))
-        assert lhs == z4 * phi(None, m, 8), m
+        assert lhs == z4 * phi(m, 8), m
 
 
 def test_pyramid_closed_matches_enumeration():
@@ -306,8 +310,8 @@ def test_counting_walks_match_closed_products_degree_18():
     lambda d: closed_z2z2_staircase(1, d),
     lambda d: one_leg_zn_staircase(4, 1, d),
     lambda d: corollary_rpc_closed(1, d),
-    lambda d: upsilon(None, 1, d),
-    lambda d: phi(None, 1, d),
+    lambda d: upsilon(1, d),
+    lambda d: phi(1, d),
     lambda d: vertex_closed_zn(2, ((), (), (1,)), d),
     lambda d: pyramid_series(d),
     lambda d: rpc.generating_function((1,), 0, ANTI, d),
@@ -335,7 +339,8 @@ def test_series_constructors_reject_negative_cutoff(build):
 
 def test_anti_frame_restriction_factors_the_vertex():
     names = VARS_Z2Z2
-    xa, xb, xc, q = _standard_vars()
+    xa, xb, xc = (term_var(4, i) for i in (1, 2, 3))
+    q = term(1, (1, 1, 1, 1))
     for m in (1, 2):
         sub, ell = m % 2, (m + 1) // 2
         fam = "Mt1" if sub else "Mt0"
@@ -352,7 +357,8 @@ def test_anti_frame_restriction_factors_the_vertex():
 
 def test_diag_frame_restriction_matches_z4_vertex():
     names = VARS_Z2Z2
-    xa, xb, xc, q = _standard_vars()
+    xa, xb, xc = (term_var(4, i) for i in (1, 2, 3))
+    q = term(1, (1, 1, 1, 1))
     x0 = term_var(4, 0)
     for m in (1, 2):
         sub, ell = m % 2, (m + 1) // 2

@@ -220,6 +220,13 @@ def test_transfer_bad_arguments():
         vertex_by_transfer("so3", (), 2)
     with pytest.raises(ValueError):
         vertex_by_transfer("z2z2", (), 2, mode="zn")
+    # a z2z2 mode under zn, and an n under z2z2, used to be ignored
+    for mode in ("rpc_diagonal", "rpc_antidiagonal", "bogus"):
+        with pytest.raises(ValueError, match="group zn takes mode zn"):
+            vertex_by_transfer("zn", (1,), 4, mode=mode, n=4)
+    for mode in ("standard", "rpc_antidiagonal", "rpc_diagonal"):
+        with pytest.raises(ValueError, match="n is for group zn"):
+            vertex_by_transfer("z2z2", (1,), 4, mode=mode, n=4)
     with pytest.raises(ValueError):
         e_apply(empty_state(2), 1, (1, (0, 0)), 4)
 
