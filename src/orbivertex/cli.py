@@ -112,7 +112,12 @@ def _need_staircase(leg):
 
 
 def _vertex_check(args):
-    if args.group == "z2z2" and "closed" in args.method:
+    # --n defaults to None, so that one given under z2z2 is seen
+    if args.group == "zn":
+        args.n = 4 if args.n is None else args.n
+    elif args.n is not None:
+        raise ValueError("--n applies to --group zn only")
+    elif "closed" in args.method:
         _need_staircase(args.leg)
 
 
@@ -294,7 +299,8 @@ def build_parser():
 
     p = sub.add_parser("vertex", help="one-leg vertex series")
     p.add_argument("--group", choices=("z2z2", "zn"), default="z2z2")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=int, default=None,
+                   help="order of the group Zn (default 4)")
     p.add_argument("--leg", type=_partition_arg, default=())
     _add_common(p, ("closed", "enumerate", "transfer"), ("closed",))
 

@@ -267,7 +267,7 @@ def _bracket(v, cutoff, mode, n, window):
     conj = pc.conjugate(v)
     rpc = mode in ("rpc_antidiagonal", "rpc_diagonal")
     steps = range(-window, window + 1)
-    taus = [pc.edge_value(conj, t) for t in steps]
+    taus = pc.edge_values(conj, steps)
     # runs[i]: the upward steps right after step i, inside the window
     runs = [0] * len(taus)
     for i in range(len(taus) - 2, -1, -1):

@@ -173,9 +173,7 @@ def edge_set_members(p):
 
 
 def in_edge_set(p, t):
-    if t <= -len(p) - 1:
-        return True
-    return t in set(edge_set_members(p))
+    return edge_value(p, t) == 1
 
 
 def edge_value(p, t):
@@ -184,7 +182,14 @@ def edge_value(p, t):
     The edge set of p is {p_j - j - 1 : j >= 0}; far negative t give +1,
     far positive t give -1.
     """
-    return 1 if in_edge_set(p, t) else -1
+    return edge_values(p, (t,))[0]
+
+
+def edge_values(p, ts):
+    """[edge_value(p, t) for t in ts], reading the edge set of p once."""
+    low = -len(p) - 1
+    members = set(edge_set_members(p))
+    return [1 if t <= low or t in members else -1 for t in ts]
 
 
 def edge_bound(p):

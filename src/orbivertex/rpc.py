@@ -24,7 +24,7 @@ from functools import lru_cache
 from . import partition_core as pc
 from .pyramid import (
     _DIAG_COLOR, ANTI, DIAG, VARS_Z2Z2, COLOR_SLOT, PyramidPartition,
-    address_to_position, convert_frame, series_from_packed,
+    _odd_offset, address_to_position, series_from_packed,
 )
 
 
@@ -42,7 +42,10 @@ class EpsilonTable:
         self.v = pc.check_partition(tuple(v))
         self.conj = pc.conjugate(self.v)
         self.bound = pc.edge_bound(self.conj) + 2
-        e = lambda t: pc.edge_value(self.conj, t)
+        # every spot read below lies in -2 * bound .. 2 * bound - 1
+        low = -2 * self.bound
+        values = pc.edge_values(self.conj, range(low, 2 * self.bound))
+        e = lambda t: values[t - low]
         self._e1 = self._accumulate([(e(2 * t) + 1) // 2
                                      for t in range(self.bound)])
         self._e2 = self._accumulate([(e(2 * t + 1) + 1) // 2
@@ -306,7 +309,7 @@ def _slice_walk(v, cutoff, slice_weight):
     slices = _slice_range(conj, cutoff)
     left = slices.start
     # taus[s - left]: direction of the relation between slices s - 1 and s
-    taus = [pc.edge_value(conj, -s) for s in slices]
+    taus = pc.edge_values(conj, [-s for s in slices])
     weigh = lru_cache(maxsize=None)(slice_weight)
     memo = {}
 
@@ -408,41 +411,94 @@ def generating_function(v, l, frame, cutoff):
 
 
 @lru_cache(maxsize=None)
-def _window_pairs(K):
-    """Every antidiagonal cell (k, i, j) of the window |k| <= K,
-    0 <= i, j <= K whose diagonal address (dk, di, dj) lies in the same
-    window, as tuples (k, i, j, dk, di, dj).
+def _window_runs(K):
+    """The window |k| <= K, 0 <= i, j <= K of antidiagonal cells (k, i, j)
+    whose diagonal address (dk, di, dj) lies in the same window, cut into
+    diagonal runs: tuples (k + K, h, dk + K, a, b, lo, hi + 1), one per
+    slice k and h = i - j, covering the cells j = lo..hi.
 
-    The map between frames is the geometry of the pyramid alone: a cell's
-    physical position and its address in the other frame do not depend on
-    the leg v or the shift l, which only move the region corners.  So the
-    pairs are built once per K and shared by every (v, l).  A negative
-    window would compare empty ranges and call every leg symmetric, so it
-    raises.
+    Run form, from address_to_position(ANTI, k, i, j) and
+    position_to_address(DIAG, x, y, z).  With off(k) the odd offset
+    (0 for even k, else the sign of k), the cell sits at
+    other = 2h + off(k), z = |k| + 2(i + j), x + y = k, x - y = other.
+    So dk = x - y = 2h + off(k) depends on (k, h) only; the diagonal
+    reading rest = (x + y) - off(dk) = k - off(dk) gives di - dj = rest/2,
+    and z - |dk| = 2(di + dj) gives di + dj = 2j + c/2 with
+    c = |k| + 2h - |dk|, since i + j = 2j + h.  Hence
+        di = j + a, dj = j + b, a = (c + rest)/4, b = (c - rest)/4,
+    with a and b constant along the run.  By cases:
+        k even:         h >= 0: a = max(k, 0)/2,     b = max(-k, 0)/2
+                        h < 0:  a = h + max(k, 0)/2, b = h + max(-k, 0)/2
+        k odd, k > 0:   h >= 0: a = (k - 1)/2,       b = 0
+                        h < 0:  a = h + (k + 1)/2,   b = h
+        k odd, k < 0:   h >= 1: a = 0,               b = (1 - k)/2
+                        h <= 0: a = h,               b = h + (-k - 1)/2
+    so a and b are integers, both >= min(h, 0).  A run starts at
+    lo = max(0, -h), which keeps j >= 0 and i = j + h >= 0, so
+    di = j + a >= j + min(h, 0) >= 0 and likewise dj >= 0 on every cell:
+    each is a brick of the diagonal frame, and no cell needs its own
+    conversion.  The window keeps j + h, j + a, j + b <= K, so
+    hi = K - max(0, h, a, b), and |dk| <= K drops whole runs.
+
+    On a run, "(i, j) lies in the region complement of corner (ci, cj)"
+    is i >= ci and j >= cj, that is j >= max(ci - h, cj); in the diagonal
+    frame it is j >= max(dci - a, dcj - b).  A threshold T picks the
+    cells j = max(T, lo)..hi (none once T > hi), so the two frames agree
+    on every cell of the run iff their min(max(T, lo), hi + 1) agree.
+
+    Runs come nearest the apex first, by the depth z of their first cell:
+    the corners sit near the apex, so a non-symmetric leg's scan meets a
+    run that differs early (after 15 runs on average for the legs up to
+    8 in window 12, of 313).  The runs depend only on K (the leg and
+    shift only move the corners), so they are built once per K.  A
+    negative window would compare nothing and call every leg symmetric,
+    so it raises.
     """
     if K < 0:
         raise ValueError("window must be >= 0, got %d" % K)
-    pairs = []
+    runs = []
     for k in range(-K, K + 1):
-        for i in range(K + 1):
-            for j in range(K + 1):
-                dk, di, dj = convert_frame(ANTI, k, i, j)
-                if abs(dk) <= K and di <= K and dj <= K:
-                    pairs.append((k, i, j, dk, di, dj))
-    return tuple(pairs)
+        for h in range(-K, K + 1):
+            dk = 2 * h + _odd_offset(k)
+            if abs(dk) > K:
+                continue
+            rest = k - _odd_offset(dk)
+            c = abs(k) + 2 * h - abs(dk)
+            a, b = (c + rest) // 4, (c - rest) // 4
+            lo, hi = max(0, -h), K - max(0, h, a, b)
+            if lo <= hi:
+                runs.append((abs(k) + 2 * (2 * lo + h),
+                             (k + K, h, dk + K, a, b, lo, hi + 1)))
+    runs.sort()
+    return tuple(run for _, run in runs)
+
+
+@lru_cache(maxsize=1)
+def _leg_corners(v, K):
+    """The shift-0 corners region(v, 0, k) of the slices k = -K..K, in
+    order, off one edge table, kept for the next call: the scan asks for
+    every shift of one leg in a row, and a shift only moves each corner
+    by (l, l), so the shifts share one table.  Without the cache, one
+    table and 2K + 1 corners per (leg, shift), the scan of the legs up
+    to 8 at shifts 0, 1 in window 12 runs about a third slower."""
+    t = EpsilonTable(v)
+    return tuple(region(v, 0, k, t) for k in range(-K, K + 1))
 
 
 def region_complement_equal(v, l, K):
     """Compare the union of region complements across frames inside the
     window (|slice| <= K, brick coordinates <= K), matching bricks through
-    their physical positions (see _window_pairs)."""
-    pairs = _window_pairs(K)
-    t = EpsilonTable(v)
-    corners = {k: region(v, l, k, t) for k in range(-K, K + 1)}
-    for k, i, j, dk, di, dj in pairs:
+    their physical positions one diagonal run at a time (see
+    _window_runs)."""
+    runs = _window_runs(K)
+    if l < 0:
+        raise ValueError("shift l must be >= 0")
+    corners = [(ci + l, cj + l) for ci, cj in _leg_corners(tuple(v), K)]
+    for k, h, dk, a, b, lo, end in runs:
         ci, cj = corners[k]
         dci, dcj = corners[dk]
-        if (i >= ci and j >= cj) != (di >= dci and dj >= dcj):
+        if (min(max(ci - h, cj, lo), end)
+                != min(max(dci - a, dcj - b, lo), end)):
             return False
     return True
 
@@ -459,7 +515,7 @@ def uniqueness_scan(max_leg_size, l_values, K):
     l_values = tuple(dict.fromkeys(l_values))
     if any(l < 0 for l in l_values):
         raise ValueError("shift l must be >= 0")
-    _window_pairs(K)                # raises on a negative window
+    _window_runs(K)                 # raises on a negative window
     out = {}
     for v in pc.partitions_up_to(max_leg_size):
         for l in l_values:

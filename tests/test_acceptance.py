@@ -90,8 +90,8 @@ def test_criterion_4_z2z2_z4_bridge_both_branch_families():
 
 
 def test_criterion_5_symmetric_interlacing_iff_staircase():
-    out = uniqueness_scan(8, (0, 1, 2), 14)
-    assert len(out) == 3 * len(pc.partitions_up_to(8))
+    out = uniqueness_scan(12, (0, 1, 2), 20)
+    assert len(out) == 3 * len(pc.partitions_up_to(12))
     for (v, l), flag in out.items():
         assert flag == pc.is_staircase(v), (v, l)
     pyramids = enumerate_pyramids(8)

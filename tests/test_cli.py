@@ -48,6 +48,17 @@ def test_vertex_zn_group(capsys):
     assert rec["series"]["vars"] == ["qt0", "qt1", "qt2", "qt3"]
 
 
+def test_vertex_zn_default_n(capsys):
+    code, out = run_cli(capsys, ["vertex", "--group", "zn", "--leg", "1",
+                                 "--degree", "2", "--method", "enumerate"])
+    assert code == 0
+    _, explicit = run_cli(capsys, ["vertex", "--group", "zn", "--n", "4",
+                                   "--leg", "1", "--degree", "2",
+                                   "--method", "enumerate"])
+    assert out == explicit
+    assert json.loads(out)["results"][0]["n"] == 4
+
+
 def test_pyramid_and_rpc_verify(capsys):
     code, _ = run_cli(capsys, ["pyramid", "--method", "closed,enumerate",
                                "--degree", "3", "--verify"])
@@ -164,11 +175,11 @@ def test_parse_errors_exit_two(capsys):
 ])
 def test_uniqueness_rejects_negative_bounds(capsys, monkeypatch, flag, value,
                                             message):
-    def no_region(*args, **kwargs):
-        raise AssertionError("region computed")
+    def no_corners(*args, **kwargs):
+        raise AssertionError("corners computed")
 
     # no leg is scanned before the bad value is seen
-    monkeypatch.setattr(cli.rpc, "region", no_region)
+    monkeypatch.setattr(cli.rpc, "_leg_corners", no_corners)
     with pytest.raises(SystemExit) as exc:
         cli.main(["uniqueness", flag, value])
     assert exc.value.code == 2
@@ -202,6 +213,12 @@ SERIES_FUNCTIONS = [
     pytest.param(["vertex", "--leg", "2", "--method",
                   "enumerate,transfer,closed"],
                  "staircase leg", id="vertex-closed-not-staircase"),
+    pytest.param(["vertex", "--group", "z2z2", "--n", "7", "--leg", "1",
+                  "--degree", "1", "--method", "enumerate"],
+                 "--n applies to --group zn only", id="vertex-n-under-z2z2"),
+    pytest.param(["vertex", "--n", "4", "--leg", "1"],
+                 "--n applies to --group zn only",
+                 id="vertex-n-under-default-group"),
 ])
 def test_bad_input_fails_before_any_series(capsys, monkeypatch, argv, message):
     called = []

@@ -5,7 +5,10 @@ import pytest
 import oracles
 from orbivertex import partition_core as pc
 from orbivertex import rpc
-from orbivertex.pyramid import ANTI, DIAG, PyramidPartition, enumerate_pyramids, pyramid_series
+from orbivertex.pyramid import (
+    ANTI, DIAG, PyramidPartition, address_to_position, enumerate_pyramids,
+    position_to_address, pyramid_series,
+)
 from orbivertex.rpc import (
     EpsilonTable, check_type_interlacing, generating_function,
     interlacing_families, mho, realize, region, region_complement_equal,
@@ -24,6 +27,19 @@ def test_epsilon_spots():
     assert t.eps(4, 5) == 0
     t = EpsilonTable((3, 2, 1))
     assert (t.rho1, t.rho2) == (2, 2)
+
+
+def test_eps_counts_edge_values():
+    # each counter against a direct count of the conjugate's edge values
+    for v in pc.partitions_up_to(8):
+        t = EpsilonTable(v)
+        e = lambda x: pc.edge_value(pc.conjugate(v), x)
+        for x in range(-1, t.bound + 3):
+            assert t.eps(1, x) == sum(e(2 * s) == 1 for s in range(x + 1))
+            assert t.eps(2, x) == sum(e(2 * s + 1) == 1 for s in range(x + 1))
+            assert t.eps(3, x) == sum(e(-2 * s) == -1 for s in range(1, x + 1))
+            assert t.eps(4, x) == sum(e(-2 * s + 1) == -1
+                                      for s in range(1, x + 1))
 
 
 def test_eps_monotone_and_hat():
@@ -235,11 +251,32 @@ def test_region_complement_equal_iff_staircase():
 
 
 def test_region_complement_equal_matches_per_cell_oracle():
-    for v in pc.partitions_up_to(5):
+    for v in pc.partitions_up_to(6):
         for l in (0, 1, 2):
-            for K in (0, 1, 2, 5, 9):
+            for K in range(13):
                 want = oracles.region_complement_equal_per_cell(v, l, K)
                 assert region_complement_equal(v, l, K) == want, (v, l, K)
+
+
+def test_window_runs_cover_the_window_cells():
+    # every window cell exactly once, with the diagonal address the
+    # per-cell conversion gives it, so also the same cells per (k, dk)
+    for K in range(13):
+        want = {}
+        for k in range(-K, K + 1):
+            for i in range(K + 1):
+                for j in range(K + 1):
+                    pos = address_to_position(ANTI, k, i, j)
+                    dk, di, dj = position_to_address(DIAG, *pos)
+                    if abs(dk) <= K and di <= K and dj <= K:
+                        want[(k, i, j)] = (dk, di, dj)
+        got = {}
+        for k, h, dk, a, b, lo, end in rpc._window_runs(K):
+            assert lo < end, (K, k, h)
+            for j in range(lo, end):
+                assert (k - K, j + h, j) not in got
+                got[(k - K, j + h, j)] = (dk - K, j + a, j + b)
+        assert got == want, K
 
 
 @pytest.mark.parametrize("frame", [DIAG, ANTI])
@@ -280,19 +317,20 @@ def test_interlacing_families_rejects_bad_leg(v):
         interlacing_families(v, 2)
 
 
-def _no_region(*args, **kwargs):
-    raise AssertionError("region computed")
+def _no_corners(*args, **kwargs):
+    raise AssertionError("corners computed")
 
 
 @pytest.mark.parametrize("shifts", [(0, -1), (-1,), (2, 0, -3)])
 def test_uniqueness_scan_rejects_negative_shift_up_front(monkeypatch, shifts):
-    monkeypatch.setattr(rpc, "region", _no_region)
+    # the scan reads every slice corner from _leg_corners
+    monkeypatch.setattr(rpc, "_leg_corners", _no_corners)
     with pytest.raises(ValueError, match="shift l must be >= 0"):
         uniqueness_scan(3, shifts, 4)
 
 
 def test_negative_window_rejected_up_front(monkeypatch):
-    monkeypatch.setattr(rpc, "region", _no_region)
+    monkeypatch.setattr(rpc, "_leg_corners", _no_corners)
     with pytest.raises(ValueError, match="window must be >= 0"):
         uniqueness_scan(3, (0,), -1)
     with pytest.raises(ValueError, match="window must be >= 0"):
@@ -301,6 +339,8 @@ def test_negative_window_rejected_up_front(monkeypatch):
     for v in [(), (2,), (3, 1)]:
         with pytest.raises(ValueError, match="window must be >= 0"):
             region_complement_equal(v, 0, -1)
+        with pytest.raises(ValueError, match="shift l must be >= 0"):
+            region_complement_equal(v, -1, 3)
 
 
 def test_uniqueness_scan_output():
