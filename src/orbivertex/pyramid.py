@@ -18,9 +18,10 @@ exactly the finitely-supported slice families that interlace along the
 chain; see validate().
 
 They are the restricted pyramid configurations of the empty leg, so
-enumerate_pyramids and pyramid_series are the slice walk of rpc at leg
-(), shift 0, in the diagonal frame: the first lists the families, the
-second counts them without listing any (see pyramid_series).
+enumerate_pyramids and pyramid_series are the forward slice sweep of rpc
+at leg (), shift 0, in the diagonal frame: the first lists the families
+in depth-first order, the second counts them without listing any (see
+pyramid_series).
 """
 
 from __future__ import annotations

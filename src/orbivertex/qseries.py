@@ -272,8 +272,7 @@ class Series:
         assignment[i] = index of the new variable that old variable i
         becomes.  Distinct old variables may map to the same new one.
         """
-        if len(assignment) != len(self.names):
-            raise ValueError("assignment arity mismatch")
+        _check_assignment(self.names, new_names, assignment)
         out = Series(new_names, self.cutoff)
         for e, c in self.terms.items():
             ne = [0] * len(new_names)
@@ -311,6 +310,17 @@ class Series:
 # sum(e[i] * base**i) with base = cutoff + 1.  Every exponent of a term of
 # total degree <= cutoff is below base, so adding packed ints adds the
 # exponent tuples without carries.
+
+
+def _check_assignment(names, new_names, assignment):
+    """map_vars input: one entry per old variable, each an index into
+    new_names; a negative index would silently wrap to the end."""
+    if len(assignment) != len(names):
+        raise ValueError("assignment arity mismatch")
+    for a in assignment:
+        if not 0 <= a < len(new_names):
+            raise ValueError("assignment index %r outside range(%d)"
+                             % (a, len(new_names)))
 
 
 def _pack(exps, base):
@@ -457,8 +467,7 @@ class Factors:
         """Relabel variables as Series.map_vars does; merged factors add
         their multiplicities.  Degrees are kept, so the cutoff still
         applies."""
-        if len(assignment) != len(self.names):
-            raise ValueError("assignment arity mismatch")
+        _check_assignment(self.names, new_names, assignment)
         out = Factors(new_names, self.cutoff)
         for (c, e), k in self.mult.items():
             ne = [0] * len(out.names)

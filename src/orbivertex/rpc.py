@@ -7,11 +7,12 @@ keeps the bricks inside the regions and re-bases each slice at its
 corner; the resulting slice families are exactly the finitely-supported
 families satisfying a directed interlacing condition, and realize()
 constructs an explicit preimage pyramid for any such family.
-One memoized slice walk finds them: interlacing_families lists them
-through it, each family weighing itself, and generating_function counts
-them, each weighing its packed color counts.  At the empty leg every
-corner is (0, 0) and the families are the pyramids themselves, so
-pyramid.enumerate_pyramids and pyramid.pyramid_series are this walk there.
+One forward sweep over the slices finds them: interlacing_families
+lists them through it, each family weighing itself, and
+generating_function counts them, each weighing its packed color counts.
+At the empty leg every corner is (0, 0) and the families are the
+pyramids themselves, so pyramid.enumerate_pyramids and
+pyramid.pyramid_series are this walk there.
 
 Everything is stated per frame (diagonal or antidiagonal); corner offsets
 are identical in the two frames, the brick content is not.
@@ -274,35 +275,50 @@ def _slice_range(conj, cutoff):
 def _slice_walk(v, cutoff, slice_weight):
     """{weight: count} over the finitely-supported second-type families
     of v with at most `cutoff` bricks.  A family weighs the sum, left to
-    right (w0 + w), of slice_weight(s, eta) over its slices s, empty ones
+    right (w + w0), of slice_weight(s, eta) over its slices s, empty ones
     included; each (s, eta) is weighed once per call.
 
-    Slices are fixed left to right from left = -(cutoff + b + 2),
-    b = edge_bound(conj).  Slice s lies below slice s - 1 where
-    tau = edge_value(conj, -s) is +1, above it where tau is -1, primed
-    exactly at even s.  completions(s, prev, rem) covers slices s, s + 1,
-    ... of every family whose slice s - 1 is `prev`, with `rem` bricks
-    left.  The recursion is one frame per slice deep.
+    Slices are fixed left to right over _slice_range, from
+    left = -(cutoff + b + 2), b = edge_bound(conj), in one forward sweep.
+    Slice s lies below slice s - 1 where tau = edge_value(conj, -s) is
+    +1, above it where tau is -1, primed exactly at even s; so every
+    s <= -b has tau = -1 and every s >= b has tau = +1.  After slice s
+    the state holds the unfinished families through s as
+    {slice s: {bricks left: {weight: count}}}.  Each step lists the
+    partners of each previous slice once, for the largest budget among
+    its buckets (partners_above's list at a smaller budget is the part of
+    that list that fits it), and carries every bucket that still fits.
 
-    * The key fixes the completions: slice s's direction, primed flag and
-      partners depend on s and prev only, the budget test on s and rem
-      only, partners_above's size bound on rem only, and every later
-      slice is chosen the same way.  Earlier slices only add their weight
-      in front, so one memo entry serves every way of reaching the key.
+    * Merging is exact.  Take two partial families through slice s with
+      the same slice s and the same bricks left.  Their continuations are
+      the same set: slice s + 1's direction and primed flag depend on
+      s + 1 only, its partners on slice s only, the budget tests below on
+      the bricks left only, and every later slice is chosen the same way.
+      A continuation only adds its weight after theirs, so their weight
+      dicts can be added.
+    * First slice: slice left is empty.  A slice of c >= 1 bricks there
+      would be contained in each of the slices left + 1, ..., -b, since
+      each lies above its predecessor; that is cutoff + 3 slices of at
+      least one brick.  So the sweep starts from the empty family,
+      weighing slice_weight(left, ()).
+    * Run prune: runs[s] counts the upward steps (tau = -1) right after
+      slice s.  An upward partner contains its source, primed or not
+      (row by row mu_i >= lam_i), so a slice of c bricks is followed by
+      runs[s] slices of at least c bricks each; it is skipped once
+      c * (1 + runs[s]) exceeds the bricks left, since no continuation
+      fits the budget.  Every kept slice passes c <= bricks left, so no
+      family over budget is counted.  Left of -b the run reaches -b, so
+      this prune subsumes a steps-left bound of 1 + (-b - s).
     * Early stop: once slice s - 1 is empty with s >= b, the family is
-      complete.  Every s' >= b has tau = +1 (-s' <= -b), and the only
-      partition below () is (), primed or not, so by induction every
-      later slice is empty; the completion weighs slice_weight(s, ()).
-      So the walk never steps past right = cutoff + b + 2: a non-empty
-      slice right - 1 would need the cutoff + 3 slices b - 1, ...,
-      right - 1 all non-empty.
-    * Steps-left prune: every s' <= -b has tau = -1, so the chain cannot
-      shrink before slice -b.  A slice of c bricks at s < -b is followed
-      by -b - s slices of at least c bricks each, so it is skipped once
-      c * (1 + (-b - s)) exceeds the bricks left.
+      complete.  Every later slice has tau = +1, and the only partition
+      below () is (), primed or not, so by induction every later slice
+      is empty; the family adds slice_weight(s, ()) and leaves the
+      state.  So the sweep ends by slice right = cutoff + b + 2: a
+      non-empty slice right - 1 would need the cutoff + 3 slices b - 1,
+      ..., right - 1 all non-empty, and the state is empty after it.
 
-    Each dict lists its completions depth first, partners in generator
-    order, so weights that never merge come out in listing order.
+    Families come out in the order they complete; interlacing_families
+    sorts them into depth-first order.
     """
     conj = pc.conjugate(pc.check_partition(tuple(v)))
     b = pc.edge_bound(conj)
@@ -310,46 +326,77 @@ def _slice_walk(v, cutoff, slice_weight):
     left = slices.start
     # taus[s - left]: direction of the relation between slices s - 1 and s
     taus = pc.edge_values(conj, [-s for s in slices])
+    # runs[s - left]: upward steps right after slice s
+    runs = [0] * len(slices)
+    for i in range(len(slices) - 2, -1, -1):
+        if taus[i + 1] == -1:
+            runs[i] = runs[i + 1] + 1
     weigh = lru_cache(maxsize=None)(slice_weight)
-    memo = {}
-
-    def completions(s, prev, rem):
-        if not prev and s >= b:
-            return {weigh(s, ()): 1}
-        key = (s, prev, rem)
-        out = memo.get(key)
-        if out is not None:
-            return out
-        out = {}
+    out = {}
+    state = {(): {cutoff: {weigh(left, ()): 1}}}
+    for s in slices[1:]:
         primed = (s % 2 == 0)
-        if taus[s - left] == 1:
-            options = pc.partners_below(prev, primed)
-        else:
-            options = pc.partners_above(prev, rem, primed)
-        steps = 1 + max(0, -b - s)
-        for opt in options:
-            cost = sum(opt)
-            if cost * steps > rem:
+        up = taus[s - left] == -1
+        steps = 1 + runs[s - left]
+        grown = {}
+        for prev, buckets in state.items():
+            if not prev and s >= b:
+                w0 = weigh(s, ())
+                for counts in buckets.values():
+                    for w, c in counts.items():
+                        w = w + w0
+                        out[w] = out.get(w, 0) + c
                 continue
-            w0 = weigh(s, opt)
-            for w, c in completions(s + 1, opt, rem - cost).items():
-                w = w0 + w
-                out[w] = out.get(w, 0) + c
-        memo[key] = out
-        return out
-
-    return completions(left, (), cutoff)
+            top = max(buckets)
+            if up:
+                options = pc.partners_above(prev, top, primed)
+            else:
+                options = pc.partners_below(prev, primed)
+            for opt in options:
+                cost = sum(opt)
+                need = cost * steps
+                if need > top:
+                    continue
+                w0 = weigh(s, opt)
+                into = grown.setdefault(opt, {})
+                for rem, counts in buckets.items():
+                    if need > rem:
+                        continue
+                    dst = into.setdefault(rem - cost, {})
+                    for w, c in counts.items():
+                        w = w + w0
+                        dst[w] = dst.get(w, 0) + c
+        state = grown
+    return out
 
 
 def interlacing_families(v, budget):
     """All finitely-supported second-type families with total size <= budget,
     in depth-first order: _slice_walk with each family weighing the tuple
-    of its (index, slice) pairs.  A negative budget raises.
+    of its (index, slice) pairs, sorted.  A negative budget raises.
+
+    Depth-first order fixes the slices of _slice_range left to right,
+    trying the partners of the previous slice in generator order.
+    partners_below and partners_above list them in ascending
+    lexicographic order of the partner, or of its conjugate when primed
+    (even s).  Two distinct families first differ at some slice s, where
+    their previous slices agree, so depth first puts first the one whose
+    slice s comes first in that order.  That is the lexicographic order
+    of the key below: per slice of the range, the slice, conjugated at
+    even s.  Complete families have only empty slices past their end,
+    and partitions compare as tuples here just as when padded by zeros.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     walk = _slice_walk(v, budget, lambda s, eta: ((s, eta),) if eta else ())
-    return [dict(f) for f in walk]
+    slices = _slice_range(pc.conjugate(v), budget)
+
+    def depth_first(family):
+        f = dict(family)
+        return tuple(pc.conjugate(f.get(s, ())) if s % 2 == 0
+                     else f.get(s, ()) for s in slices)
+
+    return [dict(f) for f in sorted(walk, key=depth_first)]
 
 
 _EVEN_PAIR = ("0", "c")     # parity 0 color, parity 1 color on even slices

@@ -6,9 +6,11 @@ as down-sets of the brick poset generated from raw quiver walks, one-leg
 box configurations are grown as sets one box at a time, and border
 strips are found by scanning skew diagrams.  Frozen literals in
 the tests were produced by these functions.  The last section differs:
-it keeps three straightforward forms of RPC-layer loops (a per-cell
-frame conversion, an unpruned slice walk and a sum over the listed
-families) as references for the shortcuts that replaced them in src/.
+it keeps four straightforward forms of RPC-layer loops (a per-cell
+frame conversion, an unpruned slice walk, a sum over the listed
+families and a sum over every slice assignment, the last free of the
+partner generators) as references for the shortcuts that replaced them
+in src/.
 """
 
 from __future__ import annotations
@@ -313,7 +315,7 @@ def one_leg_downsets_series(legs, group, cutoff, n=None):
 
 # ---------------------------------------------------------------------------
 # RPC layer: per-cell window comparison, unpruned interlacing walk and
-# the generating function summed over listed families
+# the generating function summed over listed or over all families
 # ---------------------------------------------------------------------------
 
 
@@ -397,4 +399,43 @@ def generating_function_listed(v, frame, cutoff):
             exps = [a + c for a, c in zip(exps, counts)]
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + 1
+    return Series(VARS_Z2Z2, cutoff, terms)
+
+
+def generating_function_brute(v, frame, cutoff):
+    """rpc.generating_function without the partner generators: every
+    assignment of partitions (from sympy) to the slices
+    |k| <= cutoff + b + 2, b = edge_bound(conj), with at most `cutoff`
+    bricks in all, kept iff rpc.check_type_interlacing accepts it (it
+    reads pc.interlaces), each slice weighing its color counts at the
+    corner parity of mho."""
+    from orbivertex import partition_core as pc
+    from orbivertex.pyramid import VARS_Z2Z2
+    from orbivertex.qseries import Series
+    from orbivertex.rpc import check_type_interlacing, mho, slice_color_counts
+
+    span = cutoff + pc.edge_bound(pc.conjugate(v)) + 2
+    slices = range(-span, span + 1)
+    by_size = [_sym_partitions_of(n) for n in range(1, cutoff + 1)]
+    parity = {k: mho(v, k) % 2 for k in slices}
+    terms = {}
+
+    def rec(i, left, family):
+        if i == len(slices):
+            if check_type_interlacing(family, v):
+                exps = [0, 0, 0, 0]
+                for k, eta in family.items():
+                    counts = slice_color_counts(k, eta, frame, parity[k])
+                    exps = [a + c for a, c in zip(exps, counts)]
+                key = tuple(exps)
+                terms[key] = terms.get(key, 0) + 1
+            return
+        rec(i + 1, left, family)
+        for n, etas in enumerate(by_size[:left], 1):
+            for eta in etas:
+                family[slices[i]] = eta
+                rec(i + 1, left - n, family)
+            del family[slices[i]]
+
+    rec(0, cutoff, {})
     return Series(VARS_Z2Z2, cutoff, terms)

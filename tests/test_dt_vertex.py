@@ -299,9 +299,9 @@ def test_corollary_rpc_closed():
         assert a == rpc.generating_function(v, 0, DIAG, 8), m
 
 
-def test_counting_walks_match_closed_products_degree_18():
-    assert pyramid_series(18) == pyramid_closed(18)
-    assert rpc.generating_function((1,), 0, ANTI, 18) == corollary_rpc_closed(1, 18)
+def test_counting_walks_match_closed_products_degree_22():
+    assert pyramid_series(22) == pyramid_closed(22)
+    assert rpc.generating_function((1,), 0, ANTI, 22) == corollary_rpc_closed(1, 22)
 
 
 @pytest.mark.parametrize("route", [

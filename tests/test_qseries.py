@@ -299,6 +299,16 @@ def test_map_vars():
     assert u.terms == {(3,): 3}
 
 
+@pytest.mark.parametrize("assignment", [(0, -1), (-2, 0), (0, 2)])
+def test_map_vars_rejects_index_outside_new_names(assignment):
+    s = Series(("a", "b"), 3, {(1, 0): 2, (0, 1): 5})
+    with pytest.raises(ValueError, match="outside range"):
+        s.map_vars(("x", "y"), assignment)
+    f = Factors(("a", "b"), 3, {term(1, (1, 0)): 1})
+    with pytest.raises(ValueError, match="outside range"):
+        f.map_vars(("x", "y"), assignment)
+
+
 def test_pow():
     q = Series.one_plus(("q",), 6, term(1, (1,)))
     assert (q ** 3).terms == {(0,): 1, (1,): 3, (2,): 3, (3,): 1}

@@ -289,6 +289,15 @@ def test_generating_function_matches_listed_families(frame):
                 assert got == want, (v, l, cutoff)
 
 
+@pytest.mark.parametrize("frame", [DIAG, ANTI])
+def test_generating_function_matches_partner_free_brute_force(frame):
+    # the staircases aside, no other route reaches these legs in the
+    # antidiagonal frame without partners_above and partners_below
+    for v in list(pc.partitions_up_to(3)) + [(3, 1), (2, 2)]:
+        want = oracles.generating_function_brute(v, frame, 4)
+        assert generating_function(v, 0, frame, 4) == want, v
+
+
 def test_interlacing_families_match_unpruned_oracle():
     for v in pc.partitions_up_to(4):
         for budget in range(7):
