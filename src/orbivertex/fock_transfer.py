@@ -1,15 +1,14 @@
 """Transfer-matrix evaluation of half-vertex operator products.
 
-The public operators act on a state, a row vector over the partition
-basis whose coefficients are truncated polynomials: a dict {partition:
-{exponent tuple: coefficient}} with one entry per partition whose
-polynomial has at least one term.  Operators act on the left factor by
-factor.  Transition operators move between interlacing partitions (plain
-or primed) and work once per partition, whatever its polynomial; weight
-operators are diagonal and multiply a partition's whole polynomial by
-one monomial with a variable per cell; the even-mode exponential
-operators move border strips of even length with signs.  They are kept
-plain, for the operator identities.
+The two public operators are the transfer step on a plain state, a row
+vector over the partition basis whose coefficients are truncated
+polynomials: a dict {partition: {exponent tuple: coefficient}} with one
+entry per partition whose polynomial has at least one term.
+gamma_apply() moves to interlacing partners (plain or primed) once per
+partition, whatever its polynomial; weight_apply() is diagonal and
+multiplies a partition's whole polynomial by one monomial.  They are
+kept plain for the operator identities of the tests, whose even-mode
+exponential E(x^2) and state helpers live with the test oracles.
 
 vertex_by_transfer() assembles the weighted products whose brackets give
 the zero- and one-leg orbifold series and the two restricted pyramid
@@ -23,21 +22,10 @@ upward steps still ahead force on every slice.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
-
 from . import partition_core as pc
 from .pyramid import COLOR_SLOT, VARS_Z2Z2, zn_names
-from .qseries import Series, mul_terms
+from .qseries import Series
 from .rpc import mho
-
-
-def empty_state(nvars):
-    return {(): {(0,) * nvars: 1}}
-
-
-def basis_state(lam, nvars):
-    return {pc.check_partition(tuple(lam)): {(0,) * nvars: 1}}
 
 
 def checkerboard_counts(lam):
@@ -49,29 +37,6 @@ def checkerboard_counts(lam):
         else:
             od += 1
     return ev, od
-
-
-def _add_into(out, lam, exps, coef):
-    poly = out.get(lam)
-    if poly is None:
-        out[lam] = {exps: coef}
-    else:
-        poly[exps] = poly.get(exps, 0) + coef
-
-
-def normalize_state(state):
-    """Integral Fractions become ints; zero terms and empty partitions go."""
-    out = {}
-    for lam, poly in state.items():
-        kept = {}
-        for exps, coef in poly.items():
-            if isinstance(coef, Fraction) and coef.denominator == 1:
-                coef = int(coef)
-            if coef:
-                kept[exps] = coef
-        if kept:
-            out[lam] = kept
-    return out
 
 
 def weight_apply(state, exps_fn, cutoff):
@@ -129,68 +94,6 @@ def gamma_apply(state, tau, primed, arg, cutoff):
                 for e, c in moved.items():
                     target[e] = target.get(e, 0) + c
     return out
-
-
-def e_apply(state, sign, xsq, cutoff):
-    """Even-mode exponential: exp(sum_k arg^(2k)/k * strip move of 2k).
-
-    xsq = (coef, exps) is the square of the argument and must have
-    positive degree so the expansion truncates.  sign=+1 adds border
-    strips to the bra partition, sign=-1 removes them.  Strip moves
-    depend only on the partition, so the j-fold moves of one partition
-    are summed with their signs first and then carry its whole
-    polynomial, shifted by j*k times the argument's exponents.
-    """
-    xc, xe = xsq
-    step = sum(xe)
-    if step <= 0:
-        raise ValueError("squared argument needs positive degree")
-    cur = state
-    for k in range(1, cutoff // step + 1):
-        nxt = {}
-        for lam, poly in cur.items():
-            for exps, coef in poly.items():
-                _add_into(nxt, lam, exps, coef)
-            low = min(map(sum, poly))
-            frontier = {lam: 1}
-            j = 0
-            while frontier and low + (j + 1) * k * step <= cutoff:
-                j += 1
-                fresh = {}
-                for l2, s2 in frontier.items():
-                    moves = (pc.add_border_strips(l2, 2 * k) if sign > 0
-                             else pc.remove_border_strips(l2, 2 * k))
-                    for l3, sgn in moves:
-                        fresh[l3] = fresh.get(l3, 0) + s2 * sgn
-                frontier = {l3: s3 for l3, s3 in fresh.items() if s3}
-                factor = Fraction(xc ** (k * j), (k ** j) * factorial(j))
-                room = cutoff - j * k * step
-                for l3, s3 in frontier.items():
-                    for exps, coef in poly.items():
-                        if sum(exps) <= room:
-                            e3 = tuple(a + j * k * b for a, b in zip(exps, xe))
-                            _add_into(nxt, l3, e3, coef * s3 * factor)
-        cur = nxt
-    return normalize_state(cur)
-
-
-def scalar_apply(state, series, cutoff):
-    """Multiply a state by a scalar series (same variable slots)."""
-    return normalize_state({lam: mul_terms(poly, series.terms, cutoff)
-                            for lam, poly in state.items()})
-
-
-def collect(state, names, cutoff):
-    """Empty-partition component of a finished bra vector, as a Series."""
-    s = Series(names, cutoff)
-    for exps, coef in state.get((), {}).items():
-        if isinstance(coef, Fraction):
-            if coef.denominator != 1:
-                raise AssertionError("non-integer bracket coefficient %r" % coef)
-            coef = int(coef)
-        if coef:
-            s._add(exps, coef)
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +230,13 @@ def _transfer_args(group, leg, cutoff, mode, n):
     if group == "zn":
         if not n or n < 1:
             raise ValueError("zn group needs n >= 1")
-        if mode not in ("standard", "zn"):
+        if mode not in (None, "zn"):
             raise ValueError("group zn takes mode zn, not %r" % (mode,))
         mode = "zn"
     elif group == "z2z2":
-        if mode == "zn":
+        if mode is None:
+            mode = "standard"
+        elif mode == "zn":
             raise ValueError("mode zn is for group zn")
         if n is not None:
             raise ValueError("n is for group zn, got n=%r with z2z2" % (n,))
@@ -344,12 +249,13 @@ def _transfer_args(group, leg, cutoff, mode, n):
     return v, mode, n, window
 
 
-def vertex_by_transfer(group, leg, cutoff, mode="standard", n=None):
+def vertex_by_transfer(group, leg, cutoff, mode=None, n=None):
     """Vertex or restricted-pyramid series via operator transfer.
 
-    group "z2z2" with mode standard / rpc_antidiagonal / rpc_diagonal,
-    or group "zn" (needs n >= 1; mode zn or the default).  Another mode
-    under zn, or an n under z2z2, raises.  The leg sits in the third
+    group "z2z2" with mode standard (the default) / rpc_antidiagonal /
+    rpc_diagonal, or group "zn" (needs n >= 1; mode zn, the default).
+    Another mode under zn, standard included, or an n under z2z2,
+    raises.  The leg sits in the third
     slot; the other two legs are empty.
 
     Why the window suffices: the weight of a slice is a monomial of
@@ -390,6 +296,6 @@ def vertex_by_transfer(group, leg, cutoff, mode="standard", n=None):
 
 def _window_pair(group, leg, cutoff, n=None):
     """(window, bracket on window, bracket on window + 2) for `verify`."""
-    v, mode, n, window = _transfer_args(group, leg, cutoff, "standard", n)
+    v, mode, n, window = _transfer_args(group, leg, cutoff, None, n)
     return (window, _bracket(v, cutoff, mode, n, window),
             _bracket(v, cutoff, mode, n, window + 2))

@@ -7,6 +7,9 @@ is ().
 Cell convention used across the package: (i, j) is a cell of p iff
 j < conjugate(p)[i], i.e. i indexes columns and j indexes rows.  Both
 indices start at 0.
+
+Border strips are not here: no route moves them, and the even-mode
+exponential of the operator identities takes them from the test oracles.
 """
 
 from __future__ import annotations
@@ -172,10 +175,6 @@ def edge_set_members(p):
     return [p[j] - j - 1 for j in range(len(p))]
 
 
-def in_edge_set(p, t):
-    return edge_value(p, t) == 1
-
-
 def edge_value(p, t):
     """+1 if t lies in the edge set of p, else -1.
 
@@ -195,69 +194,6 @@ def edge_values(p, ts):
 def edge_bound(p):
     """Some b >= 1 with edge_value(p, t) = -1 for t >= b and +1 for t <= -b."""
     return max(part(p, 0), len(p) + 1)
-
-
-def partition_from_edge_members(members, low):
-    """Rebuild a partition from its edge-set members >= low.
-
-    `members` must be exactly the edge-set elements >= low, and every
-    integer below `low` must belong to the edge set (solid tail).
-    """
-    s = sorted(members, reverse=True)
-    parts = []
-    for j, sj in enumerate(s):
-        v = sj + j + 1
-        if v <= 0:
-            break
-        parts.append(v)
-    else:
-        # past the explicit members the edge value is constant +1,
-        # contributing low - 1 - (j - len(s)) at index j
-        if len(s) + low > 0:
-            raise ValueError("edge data violates charge zero")
-    return check_partition(tuple(parts))
-
-
-def _windowed_members(p, low):
-    """Edge-set members of p that are >= low (low must be <= -len(p)-1)."""
-    m = set(edge_set_members(p))
-    m.update(range(low, -len(p)))
-    return m
-
-
-def add_border_strips(p, length):
-    """All ways to add a border strip of `length` cells to p.
-
-    Returns (result, sign) pairs, sign = (-1)**(rows spanned + 1).  Adding
-    a strip moves one edge-set element t to t + length; the sign counts
-    the members strictly between the two positions.
-    """
-    if length <= 0:
-        raise ValueError("strip length must be positive")
-    low = -len(p) - length - 2
-    members = _windowed_members(p, low)
-    out = []
-    for t in sorted(members):
-        if t + length not in members:
-            crossed = sum(1 for s in range(t + 1, t + length) if s in members)
-            new = (members - {t}) | {t + length}
-            out.append((partition_from_edge_members(new, low), (-1) ** crossed))
-    return out
-
-
-def remove_border_strips(p, length):
-    """All ways to remove a border strip of `length` cells from p."""
-    if length <= 0:
-        raise ValueError("strip length must be positive")
-    low = -len(p) - length - 2
-    members = _windowed_members(p, low)
-    out = []
-    for t in sorted(members):
-        if t - length >= low and t - length not in members:
-            crossed = sum(1 for s in range(t - length + 1, t) if s in members)
-            new = (members - {t}) | {t - length}
-            out.append((partition_from_edge_members(new, low), (-1) ** crossed))
-    return out
 
 
 # ---------------------------------------------------------------------------

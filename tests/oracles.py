@@ -5,7 +5,18 @@ series arithmetic goes through sympy polynomials, pyramids are enumerated
 as down-sets of the brick poset generated from raw quiver walks, one-leg
 box configurations are grown as sets one box at a time, and border
 strips are found by scanning skew diagrams.  Frozen literals in
-the tests were produced by these functions.  The last section differs:
+the tests were produced by these functions.
+
+Two sections serve the operator identities of the transfer step.  The
+Fock-state helpers and the even-mode exponential E(x^2) act on the state
+layout of fock_transfer.gamma_apply and weight_apply; E takes its strips
+from the skew-diagram scan, since no route in src/ moves strips.  The
+commutation route writes the zn and diagonal RPC brackets as a product,
+over pairs of edge steps, of one exchange rule, pair_factor, with no
+partner generator; it reads the edge sequence as transfer does, so each
+comparison of the two adds a third route.
+
+The last section differs:
 it keeps four straightforward forms of RPC-layer loops (a per-cell
 frame conversion, an unpruned slice walk, a sum over the listed
 families and a sum over every slice assignment, the last free of the
@@ -16,6 +27,9 @@ in src/.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
 import sympy
 from sympy import symbols, Poly, expand
@@ -238,6 +252,171 @@ def add_strips_oracle(lam, length):
         rows = len({j for (_, j) in skew})
         out.append((mu, (-1) ** (rows + 1)))
     return sorted(out)
+
+
+@lru_cache(maxsize=None)
+def border_strips(lam, length, sign=1):
+    """add_strips_oracle as a shared tuple for sign=+1; for sign=-1 the
+    (mu, strip sign) with lam/mu a border strip, read off the additions
+    to the partitions of |lam| - length."""
+    if sign > 0:
+        return tuple(add_strips_oracle(lam, length))
+    if sum(lam) < length:
+        return ()
+    return tuple((mu, s) for mu in _sym_partitions_of(sum(lam) - length)
+                 for nu, s in border_strips(mu, length) if nu == lam)
+
+
+# ---------------------------------------------------------------------------
+# Fock states and the even-mode exponential E(x^2)
+# ---------------------------------------------------------------------------
+
+# A state is the layout of fock_transfer.gamma_apply and weight_apply:
+# {partition: {exponent tuple: coefficient}}, coefficients ints or
+# Fractions along the way.
+
+
+def empty_state(nvars):
+    return {(): {(0,) * nvars: 1}}
+
+
+def basis_state(lam, nvars):
+    return {tuple(lam): {(0,) * nvars: 1}}
+
+
+def normalize_state(state):
+    """Integral Fractions become ints; zero terms and empty partitions go."""
+    out = {}
+    for lam, poly in state.items():
+        kept = {e: int(c) if c.denominator == 1 else c
+                for e, c in poly.items() if c}
+        if kept:
+            out[lam] = kept
+    return out
+
+
+def e_apply(state, sign, xsq, cutoff):
+    """exp(sum_k arg^(2k)/k * strip move of 2k) on a state.
+
+    xsq = (coef, exps) is the square of the argument and must have
+    positive degree so the expansion truncates.  sign=+1 adds border
+    strips of even length with their signs, sign=-1 removes them.  The
+    moves of one length commute, so the exponential is the product over
+    k of sum_j (arg^(2k)/k)^j / j! * (strip move of 2k)^j.
+    """
+    xc, xe = xsq
+    step = sum(xe)
+    if step <= 0:
+        raise ValueError("squared argument needs positive degree")
+    cur = state
+    for k in range(1, cutoff // step + 1):
+        nxt = {}
+        for lam, poly in cur.items():
+            low = min(map(sum, poly))
+            j, frontier = 0, {lam: 1}
+            while frontier:
+                factor = Fraction(xc ** (k * j), k ** j * factorial(j))
+                if factor.denominator == 1:
+                    factor = factor.numerator   # ints stay ints
+                room = cutoff - j * k * step
+                for l2, s2 in frontier.items():
+                    out = nxt.setdefault(l2, {})
+                    for exps, coef in poly.items():
+                        if sum(exps) <= room:
+                            e2 = tuple(a + j * k * b for a, b in zip(exps, xe))
+                            out[e2] = out.get(e2, 0) + coef * s2 * factor
+                j += 1
+                if low + j * k * step > cutoff:
+                    break
+                moved = {}
+                for l2, s2 in frontier.items():
+                    for l3, s3 in border_strips(l2, 2 * k, sign):
+                        moved[l3] = moved.get(l3, 0) + s2 * s3
+                frontier = {l3: s3 for l3, s3 in moved.items() if s3}
+        cur = nxt
+    return normalize_state(cur)
+
+
+def scalar_apply(state, series, cutoff):
+    """Multiply a state by a scalar Series (same variable slots)."""
+    from orbivertex.qseries import mul_terms
+
+    return normalize_state({lam: mul_terms(poly, series.terms, cutoff)
+                            for lam, poly in state.items()})
+
+
+def collect(state, names, cutoff):
+    """Empty-partition component of a finished bra vector, as a Series;
+    a coefficient that is not an integer raises."""
+    from orbivertex.qseries import Series
+
+    terms = {}
+    for exps, coef in state.get((), {}).items():
+        if Fraction(coef).denominator != 1:
+            raise AssertionError("non-integer bracket coefficient %r" % coef)
+        terms[exps] = int(coef)
+    return Series(names, cutoff, terms)
+
+
+# ---------------------------------------------------------------------------
+# commutation route: the bracket as a product over exchanged step pairs
+# ---------------------------------------------------------------------------
+
+
+def pair_factor(primed_i, primed_j):
+    """(c, k) of the scalar (1 - c w)^(-k), w = xy, that an up-step
+    transfer with argument x followed by a down-step with argument y
+    picks up when the two swap: (1 - w)^(-1) when both are primed or
+    both unprimed, (1 + w) otherwise."""
+    return (1, 1) if primed_i == primed_j else (-1, -1)
+
+
+def commute_series(mode, v, cutoff, n=None):
+    """fock_transfer.vertex_by_transfer in mode zn or rpc_diagonal, leg v
+    in the third slot, as the product over every up-step i and later
+    down-step j of the edge sequence of conjugate(v) of
+    pair_factor(primed_i, primed_j) at w = the product of the one-cell
+    weights of the slices -(t + 1), t = i..j-1.
+
+    In these modes every cell of a slice has one color, so swapping every
+    such pair until the down-steps come first leaves this product times
+    <empty|empty>.  A pair with j - i > cutoff has degree > cutoff.
+    Up-steps lie at t <= len(v) - 1 and down-steps at t >= -v_0, so a
+    pair with an end outside |t| <= cutoff + max(len(v), v_0) + 1 is
+    such a pair.  Steps are primed at even t in rpc_diagonal, never in
+    zn.  No partner generator, weight selector or transfer argument
+    check is read.
+    """
+    from orbivertex.pyramid import COLOR_SLOT, VARS_Z2Z2, zn_names
+    from orbivertex.qseries import Factors
+
+    if mode == "zn":
+        names = zn_names(n)
+        slot = lambda s: s % n
+    elif mode == "rpc_diagonal":
+        names = VARS_Z2Z2
+        slot = lambda s: COLOR_SLOT["0bca"[s % 4]]
+    else:
+        raise ValueError("commute_series takes mode zn or rpc_diagonal")
+    v = tuple(v)
+    conj = tuple(sum(1 for x in v if x > j) for j in range(v[0] if v else 0))
+    members = {conj[j] - j - 1 for j in range(len(conj))}
+    window = cutoff + max(len(v), len(conj)) + 1
+    up = {t: t < -len(conj) or t in members
+          for t in range(-window, window + 1)}
+    primed = lambda t: mode == "rpc_diagonal" and t % 2 == 0
+    mult = {}
+    for i in range(-window, window + 1):
+        if not up[i]:
+            continue
+        exps = [0] * len(names)
+        for j in range(i + 1, min(i + cutoff, window) + 1):
+            exps[slot(-j)] += 1
+            if not up[j]:
+                c, k = pair_factor(primed(i), primed(j))
+                key = (c, tuple(exps))
+                mult[key] = mult.get(key, 0) + k
+    return Factors(names, cutoff, mult).series()
 
 
 # ---------------------------------------------------------------------------

@@ -7,40 +7,12 @@ from orbivertex.dt_vertex import (
     vertex_closed_zn,
 )
 from orbivertex.fock_transfer import (
-    basis_state, checkerboard_counts, collect, e_apply, empty_state,
-    gamma_apply, normalize_state, scalar_apply, vertex_by_transfer,
-    weight_apply,
+    checkerboard_counts, gamma_apply, vertex_by_transfer,
 )
 from orbivertex.pyramid import ANTI, DIAG, pyramid_series
-from orbivertex.qseries import Series, term
+from orbivertex.qseries import Series
 from orbivertex.rpc import generating_function
-
-D = 6
-XY = ("x", "y")
-X = (1, (1, 0))
-Y = (1, (0, 1))
-XSQ = (1, (2, 0))
-YSQ = (1, (0, 2))
-
-
-def basis(lam):
-    return basis_state(lam, 2)
-
-
-def small_basis(maxsize=4):
-    return [lam for n in range(maxsize + 1) for lam in pc.partitions_of(n)]
-
-
-def eq(a, b):
-    return normalize_state(a) == normalize_state(b)
-
-
-def inv_factor(t):
-    return (Series.one(XY, D) - Series.from_term(XY, D, t)).invert()
-
-
-def plus_factor(t):
-    return Series.one_plus(XY, D, t)
+from oracles import basis_state, commute_series, e_apply, empty_state
 
 
 def test_checkerboard_counts():
@@ -48,122 +20,6 @@ def test_checkerboard_counts():
     assert checkerboard_counts((1,)) == (1, 0)
     assert checkerboard_counts((3, 1)) == (2, 2)
     assert checkerboard_counts((2, 2)) == (2, 2)
-
-
-def test_gamma_exchange_unprimed():
-    f = inv_factor(term(1, (1, 1)))
-    for lam in small_basis():
-        lhs = gamma_apply(gamma_apply(basis(lam), 1, False, X, D), -1, False, Y, D)
-        rhs = gamma_apply(gamma_apply(basis(lam), -1, False, Y, D), 1, False, X, D)
-        assert eq(lhs, scalar_apply(rhs, f, D)), lam
-
-
-def test_gamma_exchange_mixed():
-    f = plus_factor(term(1, (1, 1)))
-    for lam in small_basis():
-        lhs = gamma_apply(gamma_apply(basis(lam), 1, False, X, D), -1, True, Y, D)
-        rhs = gamma_apply(gamma_apply(basis(lam), -1, True, Y, D), 1, False, X, D)
-        assert eq(lhs, scalar_apply(rhs, f, D)), lam
-        lhs = gamma_apply(gamma_apply(basis(lam), 1, True, X, D), -1, False, Y, D)
-        rhs = gamma_apply(gamma_apply(basis(lam), -1, False, Y, D), 1, True, X, D)
-        assert eq(lhs, scalar_apply(rhs, f, D)), lam
-
-
-def test_gamma_exchange_primed():
-    f = inv_factor(term(1, (1, 1)))
-    for lam in small_basis():
-        lhs = gamma_apply(gamma_apply(basis(lam), 1, True, X, D), -1, True, Y, D)
-        rhs = gamma_apply(gamma_apply(basis(lam), -1, True, Y, D), 1, True, X, D)
-        assert eq(lhs, scalar_apply(rhs, f, D)), lam
-
-
-def test_gamma_factors_through_primed_and_even_modes():
-    for lam in small_basis():
-        lhs = gamma_apply(basis(lam), 1, False, X, D)
-        rhs = e_apply(gamma_apply(basis(lam), 1, True, X, D), 1, XSQ, D)
-        assert eq(lhs, rhs), lam
-        lhs = gamma_apply(basis(lam), -1, False, X, D)
-        rhs = e_apply(gamma_apply(basis(lam), -1, True, X, D), -1, XSQ, D)
-        assert eq(lhs, rhs), lam
-
-
-def test_e_commutes_with_same_sign_gamma():
-    for lam in small_basis(3):
-        for primed in (False, True):
-            a = e_apply(gamma_apply(basis(lam), 1, primed, X, D), 1, YSQ, D)
-            b = gamma_apply(e_apply(basis(lam), 1, YSQ, D), 1, primed, X, D)
-            assert eq(a, b), lam
-            a = e_apply(gamma_apply(basis(lam), -1, primed, X, D), -1, YSQ, D)
-            b = gamma_apply(e_apply(basis(lam), -1, YSQ, D), -1, primed, X, D)
-            assert eq(a, b), lam
-
-
-def test_e_gamma_exchange():
-    sq = term(1, (2, 2))
-    finv = inv_factor(sq)
-    fneg = Series.one_plus(XY, D, term(-1, (2, 2)))
-    for lam in small_basis():
-        lhs = gamma_apply(e_apply(basis(lam), 1, XSQ, D), -1, False, Y, D)
-        rhs = e_apply(gamma_apply(basis(lam), -1, False, Y, D), 1, XSQ, D)
-        assert eq(lhs, scalar_apply(rhs, finv, D)), lam
-        lhs = e_apply(gamma_apply(basis(lam), 1, False, X, D), -1, YSQ, D)
-        rhs = gamma_apply(e_apply(basis(lam), -1, YSQ, D), 1, False, X, D)
-        assert eq(lhs, scalar_apply(rhs, finv, D)), lam
-        lhs = e_apply(gamma_apply(basis(lam), 1, True, X, D), -1, YSQ, D)
-        rhs = gamma_apply(e_apply(basis(lam), -1, YSQ, D), 1, True, X, D)
-        assert eq(lhs, scalar_apply(rhs, fneg, D)), lam
-        lhs = gamma_apply(e_apply(basis(lam), 1, XSQ, D), -1, True, Y, D)
-        rhs = e_apply(gamma_apply(basis(lam), -1, True, Y, D), 1, XSQ, D)
-        assert eq(lhs, scalar_apply(rhs, fneg, D)), lam
-
-
-def test_e_minus_fixes_vacuum():
-    vac = empty_state(2)
-    assert eq(e_apply(vac, -1, XSQ, D), vac)
-
-
-def test_e_plus_into_vacuum():
-    for lam in small_basis():
-        s = collect(e_apply(basis(lam), 1, XSQ, D), XY, D)
-        if lam == ():
-            assert s == Series.one(XY, D)
-        else:
-            assert s == Series.zero(XY, D)
-
-
-def test_q_e_exchange_checkerboard():
-    names = ("qg", "qh", "x")
-    cut = 6
-
-    def q_gh(lam):
-        ev, od = checkerboard_counts(lam)
-        return (ev, od, 0)
-
-    for lam in small_basis(3):
-        st = basis_state(lam, 3)
-        lhs = weight_apply(e_apply(st, -1, (1, (1, 1, 2)), cut), q_gh, cut)
-        rhs = e_apply(weight_apply(st, q_gh, cut), -1, (1, (0, 0, 2)), cut)
-        assert eq(lhs, rhs), lam
-        lhs = e_apply(weight_apply(st, q_gh, cut), 1, (1, (1, 1, 2)), cut)
-        rhs = weight_apply(e_apply(st, 1, (1, (0, 0, 2)), cut), q_gh, cut)
-        assert eq(lhs, rhs), lam
-
-
-def test_q_e_exchange_single_color():
-    names = ("qg", "x")
-    cut = 6
-
-    def q_g(lam):
-        return (sum(lam), 0)
-
-    for lam in small_basis(3):
-        st = basis_state(lam, 2)
-        lhs = weight_apply(e_apply(st, -1, (1, (2, 2)), cut), q_g, cut)
-        rhs = e_apply(weight_apply(st, q_g, cut), -1, (1, (0, 2)), cut)
-        assert eq(lhs, rhs), lam
-        lhs = e_apply(weight_apply(st, q_g, cut), 1, (1, (2, 2)), cut)
-        rhs = weight_apply(e_apply(st, 1, (1, (0, 2)), cut), q_g, cut)
-        assert eq(lhs, rhs), lam
 
 
 def test_transfer_z2z2_no_leg_low_terms():
@@ -227,8 +83,18 @@ def test_transfer_bad_arguments():
     for mode in ("standard", "rpc_antidiagonal", "rpc_diagonal"):
         with pytest.raises(ValueError, match="n is for group zn"):
             vertex_by_transfer("z2z2", (1,), 4, mode=mode, n=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive degree"):
         e_apply(empty_state(2), 1, (1, (0, 0)), 4)
+
+
+def test_transfer_zn_rejects_standard_mode():
+    # it used to be taken for mode zn; the default mode goes by group
+    with pytest.raises(ValueError, match="group zn takes mode zn"):
+        vertex_by_transfer("zn", (1,), 4, mode="standard", n=4)
+    assert (vertex_by_transfer("zn", (1,), 4, n=4)
+            == vertex_by_transfer("zn", (1,), 4, mode="zn", n=4))
+    assert (vertex_by_transfer("z2z2", (1,), 4)
+            == vertex_by_transfer("z2z2", (1,), 4, mode="standard"))
 
 
 def test_gamma_apply_rejects_zero_degree_upward_argument():
@@ -237,11 +103,11 @@ def test_gamma_apply_rejects_zero_degree_upward_argument():
     for cutoff in (2, 3, 4):
         for primed in (False, True):
             with pytest.raises(ValueError, match="positive degree"):
-                gamma_apply(basis(()), 1, primed, (1, (0, 0)), cutoff)
+                gamma_apply(basis_state((), 2), 1, primed, (1, (0, 0)), cutoff)
     with pytest.raises(ValueError, match="positive degree"):
         gamma_apply({}, 1, False, (1, (0, 0)), 4)
     # downward partners are finite, so a zero-degree argument is fine
-    down = gamma_apply(basis((2, 1)), -1, False, (1, (0, 0)), 4)
+    down = gamma_apply(basis_state((2, 1), 2), -1, False, (1, (0, 0)), 4)
     assert sorted(down) == sorted(pc.partners_below((2, 1)))
 
 
@@ -393,3 +259,21 @@ def test_transfer_matches_closed_z4_degree_22():
 def test_transfer_matches_rpc_corollary_degree_22():
     assert (vertex_by_transfer("z2z2", (1,), DEEP_D, "rpc_antidiagonal")
             == corollary_rpc_closed(1, DEEP_D))
+
+
+def test_commute_oracle_matches_transfer():
+    # the pair_factor product (partner-free) against transfer, and each
+    # pair against a third route, since both read the edge sequence
+    legs = pc.partitions_up_to(4)
+    for n in (2, 3, 4):
+        for leg in legs:
+            want = enumerate_3d(leg, "zn", 8, n=n)
+            assert commute_series("zn", leg, 8, n) == want, (n, leg)
+            assert vertex_by_transfer("zn", leg, 8, n=n) == want, (n, leg)
+    for leg in legs + [(3, 2, 1)]:
+        want = generating_function(leg, 0, DIAG, 8)
+        assert commute_series("rpc_diagonal", leg, 8) == want, leg
+        assert vertex_by_transfer("z2z2", leg, 8, "rpc_diagonal") == want, leg
+    want = vertex_closed_zn(4, ((), (), (3, 1)), 20)
+    assert commute_series("zn", (3, 1), 20, 4) == want
+    assert vertex_by_transfer("zn", (3, 1), 20, n=4) == want
