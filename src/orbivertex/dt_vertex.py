@@ -16,8 +16,8 @@ from collections import Counter
 from . import partition_core as pc
 from .pyramid import VARS_Z2Z2, series_from_packed, zn_names
 from .qseries import (
-    Factors, Series, family_factors, macmahon_factors, mul_terms, term,
-    term_one,
+    Factors, Series, _check_cutoff, family_factors, macmahon_factors,
+    mul_terms, term, term_one,
 )
 
 _Z2Z2_SLOT = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
@@ -54,8 +54,7 @@ def enumerate_one_leg(legs, group, cutoff, n=None):
     x - 1 < dims.  Hence range(dims + 1) in every coordinate holds all
     first candidates; with no leg, only the origin qualifies.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+    _check_cutoff(cutoff)
     lam, mu, nu = (pc.check_partition(tuple(x)) for x in legs)
     if sum(1 for x in (lam, mu, nu) if x) > 1:
         raise ValueError("at most one non-empty leg")
@@ -318,8 +317,7 @@ def vertex_closed_zn(n, legs, cutoff):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+    _check_cutoff(cutoff)
     lam, mu, nu = (pc.check_partition(tuple(x)) for x in legs)
     if sum(1 for x in (lam, mu, nu) if x) > 1:
         raise ValueError("at most one non-empty leg")
@@ -340,7 +338,6 @@ def vertex_closed_zn(n, legs, cutoff):
         if e:
             rot = zero.map_vars(names, tuple((i + k) % n for i in range(n)))
             fixed = fixed * rot ** e
-    fixed = fixed.series()
 
     # len(nu) is the first part of nu', so tl and tm are the offsets
     # that _schur_values reads off nu' and nu
@@ -352,7 +349,7 @@ def vertex_closed_zn(n, legs, cutoff):
     shift = tuple(-(a + b) + pc.size(lam) * u + pc.size(mu) * v
                   for a, b, u, v in zip(g, gbar, _bar_exps(base_l, n), base_m))
     master = mul_terms(schur.terms, {shift: 1}, cutoff)
-    return Series(names, cutoff, mul_terms(master, fixed.terms, cutoff))
+    return fixed.times(master, cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from . import partition_core as pc
 from .pyramid import COLOR_SLOT, VARS_Z2Z2, zn_names
-from .qseries import Series
+from .qseries import Series, _check_cutoff
 from .rpc import mho
 
 
@@ -224,8 +224,7 @@ def _bracket(v, cutoff, mode, n, window):
 
 def _transfer_args(group, leg, cutoff, mode, n):
     """Checked (leg, mode, n, window) of vertex_by_transfer."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+    _check_cutoff(cutoff)
     v = pc.check_partition(tuple(leg))
     if group == "zn":
         if not n or n < 1:

@@ -5,12 +5,13 @@ intermediate data (signed monomials with possibly negative exponents) is
 carried by plain Term tuples and {exponents: coefficient} dicts, and must
 be combined into something non-negative before it can enter a Series;
 building a series or a factor with a negative exponent raises.  Every
-truncated product of such dicts, Series arithmetic included, goes
+truncated product of two such dicts, Series arithmetic included, goes
 through the one kernel mul_terms.
 
 Closed formulas are products of binomial factors (1 - t)^(-k).  They are
 kept as exponent multisets (Factors), combined by adding multiplicities,
-and expanded into a Series once, by the graded Euler recurrence.  The
+and multiplied into a Laurent dict (the constant 1 for a plain product)
+once, by one descending pass per factor over packed graded parts.  The
 MacMahon-style product factory used by every closed formula lives here.
 """
 
@@ -112,9 +113,7 @@ class Series:
 
     def __init__(self, names, cutoff, terms=None):
         self.names = tuple(names)
-        self.cutoff = int(cutoff)
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
+        self.cutoff = _check_cutoff(cutoff)
         self.terms = {}
         if terms:
             for e, c in terms.items():
@@ -131,7 +130,7 @@ class Series:
             return
         if len(exps) != len(self.names):
             raise ValueError("arity mismatch: %r with vars %r" % (exps, self.names))
-        if any(x < 0 for x in exps):
+        if exps and min(exps) < 0:
             raise ValueError("negative exponent %r; combine Laurent factors first" % (exps,))
         if sum(exps) > self.cutoff:
             return
@@ -250,9 +249,8 @@ class Series:
         base = self.cutoff + 1
         parts = _graded_parts(self.terms.items(), base, self.cutoff)
         parts[0] = {}
-        f = _graded_solve(parts, c0, self.cutoff,
-                          lambda N, acc: {e: -c0 * v for e, v in acc.items() if v})
-        return _series_from_parts(self.names, self.cutoff, base, f)
+        f = _graded_solve(parts, c0, self.cutoff)
+        return self._like(_decoded(f, base, len(self.names)))
 
     def __truediv__(self, other):
         if isinstance(other, Series):
@@ -304,12 +302,26 @@ class Series:
 
 
 # ---------------------------------------------------------------------------
-# Graded recurrences
+# Packed graded parts
 # ---------------------------------------------------------------------------
-# Inside a recurrence an exponent tuple is packed into one int,
+# Inside invert and Factors.times an exponent tuple is packed into one int,
 # sum(e[i] * base**i) with base = cutoff + 1.  Every exponent of a term of
 # total degree <= cutoff is below base, so adding packed ints adds the
 # exponent tuples without carries.
+
+
+def _check_int(x, what):
+    """x if it is an int; a float, Fraction or bool would pass int()
+    silently."""
+    if type(x) is not int:
+        raise TypeError("%s must be an int, not %r" % (what, x))
+    return x
+
+
+def _check_cutoff(cutoff):
+    if _check_int(cutoff, "cutoff") < 0:
+        raise ValueError("cutoff must be >= 0")
+    return cutoff
 
 
 def _check_assignment(names, new_names, assignment):
@@ -330,12 +342,29 @@ def _pack(exps, base):
     return key
 
 
-def _unpack(key, base, nvars):
-    out = []
-    for _ in range(nvars):
-        key, x = divmod(key, base)
-        out.append(x)
-    return tuple(out)
+def _decoded(parts, base, nvars):
+    """{exponent tuple: coefficient} of the nonzero entries of the packed
+    parts, nvars digits each.  A key splits once into its low nvars // 2
+    digits and the rest; each half is read from a table built here over
+    the distinct halves, so each distinct half is unpacked once."""
+    h = nvars // 2
+    split = base ** h
+    pairs = [(divmod(key, split), v)
+             for part in parts for key, v in part.items() if v]
+
+    def table(halves, width):
+        tab = {}
+        for key in halves:
+            x, digits = key, []
+            for _ in range(width):
+                x, d = divmod(x, base)
+                digits.append(d)
+            tab[key] = tuple(digits)
+        return tab
+
+    lo = table({b for (_, b), _ in pairs}, h)
+    hi = table({a for (a, _), _ in pairs}, nvars - h)
+    return {lo[b] + hi[a]: v for (a, b), v in pairs}
 
 
 def _graded_parts(items, base, cutoff):
@@ -349,11 +378,11 @@ def _graded_parts(items, base, cutoff):
     return parts
 
 
-def _graded_solve(parts, f0, cutoff, finish):
-    """Homogeneous parts f_0..f_cutoff of the series whose constant term
-    is f0 and whose degree-N part is finish(N, sum_{j=1..N} parts[j] *
-    f_{N-j}).  One pass costs about one product of parts with f."""
-    f = [{0: f0}]
+def _graded_solve(parts, c0, cutoff):
+    """Homogeneous parts f_0..f_cutoff of the inverse of the series with
+    constant term c0 = +-1 and parts[1..cutoff]: a*f = 1 gives
+    f_N = -c0 * sum_{j=1..N} parts[j] * f_{N-j}."""
+    f = [{0: c0}]
     for N in range(1, cutoff + 1):
         acc = {}
         get = acc.get
@@ -364,28 +393,8 @@ def _graded_solve(parts, f0, cutoff, finish):
                     for ef, cf in fk.items():
                         key = eg + ef
                         acc[key] = get(key, 0) + cg * cf
-        f.append(finish(N, acc))
+        f.append({e: -c0 * v for e, v in acc.items() if v})
     return f
-
-
-def _series_from_parts(names, cutoff, base, parts):
-    s = Series(names, cutoff)
-    nv = len(names)
-    s.terms = {_unpack(e, base, nv): c
-               for part in parts for e, c in part.items()}
-    return s
-
-
-def _exact_quotients(N, acc):
-    out = {}
-    for e, v in acc.items():
-        if v:
-            c, r = divmod(v, N)
-            if r:
-                raise ArithmeticError("inexact division by %d in the graded "
-                                      "Euler recurrence" % N)
-            out[e] = c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,25 +410,27 @@ class Factors:
     series with integer coefficients for every integer k.  A factor whose
     degree exceeds the cutoff is 1 after truncation and is dropped when it
     is added.  Products, quotients, integer powers and variable maps only
-    add, subtract, scale and relabel multiplicities; series() expands the
-    product once.  A negative cutoff raises.
+    add, subtract, scale and relabel multiplicities; times() multiplies
+    the product into a Laurent dict once, one pass per factor, and
+    series() is times() on the constant 1.  A negative cutoff raises, and
+    a cutoff, coefficient, exponent or multiplicity that is not an int
+    raises TypeError.
     """
 
     __slots__ = ("names", "cutoff", "mult")
 
     def __init__(self, names, cutoff, mult=None):
         self.names = tuple(names)
-        self.cutoff = int(cutoff)
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
+        self.cutoff = _check_cutoff(cutoff)
         self.mult = {}
         if mult:
             for t, k in mult.items():
                 self._add(t, k)
 
     def _add(self, t, k):
-        c, e = int(t[0]), tuple(int(x) for x in t[1])
-        if c == 0 or k == 0:
+        c = _check_int(t[0], "coefficient")
+        e = tuple(_check_int(x, "exponent") for x in t[1])
+        if c == 0 or _check_int(k, "multiplicity") == 0:
             return
         if len(e) != len(self.names):
             raise ValueError("arity mismatch: %r with vars %r" % (e, self.names))
@@ -477,34 +488,83 @@ class Factors:
         return out
 
     def series(self):
-        """The product as a Series, by the graded Euler recurrence.
+        """The product as a Series at self.cutoff."""
+        return self.times({(0,) * len(self.names): 1}, self.cutoff)
 
-        Let E = sum_i x_i d/dx_i, which multiplies a term of total degree
-        N by N.  For f = prod (1 - c x^e)^(-k),
+    def times(self, terms, cutoff):
+        """terms times the product, truncated at total degree `cutoff`, as
+        a Series over self.names.
 
-            E log f = g = sum k*|e| * sum_{r>=1} c^r x^(r*e),
+        terms is a {exponent tuple: coefficient} dict whose exponents may
+        be negative.  Only its nonzero terms of degree <= cutoff matter: a
+        factor has positive degree, so a term above cutoff stays above.
 
-        so E f = f*g, and comparing degree-N parts gives
+        Negative exponents.  If such a term has a negative exponent, the
+        product has one too, and the same ValueError as Series raises,
+        naming the term t of lowest degree among them: a monomial of the
+        product at t's degree comes from a term of degree <= t's times a
+        factor monomial, with exponents >= 0; a term of lower degree has
+        none negative, so only t times the constant 1 reaches t, and t
+        survives with its coefficient.  Hence every exponent passed on is
+        >= 0 and <= cutoff, and the packing base is cutoff + 1.
 
-            N * f_N = sum_{j=1..N} g_j * f_{N-j}.
+        Truncation.  A nonzero term of degree below cutoff - self.cutoff
+        raises ValueError: a factor of degree above self.cutoff was
+        dropped when it was added, and times such a term it could land at
+        degree <= cutoff.  Times a term of degree >= cutoff - self.cutoff,
+        every dropped factor lands above cutoff, so the result is exact.
 
-        Each factor has integer coefficients, so f does, and E f = f*g
-        has integer coefficients equal to N times those of f_N.  Hence
-        the division by N is exact; a remainder can only come from an
-        arithmetic fault and raises ArithmeticError.
+        One pass per factor (1 - c x^e)^(-k), of degree d = |e|: by the
+        binomial series it is sum_{r>=0} b_r c^r x^(r e) with b_0 = 1 and
+        b_r = b_{r-1} (k + r - 1) / r, the integer binom(k + r - 1, r);
+        r divides b_{r-1} (k + r - 1) = r b_r, so the floor division is
+        exact.  For k < 0, b_r = 0 from r = 1 - k on, and the pass stops
+        at the first zero, after |k| steps.  The new part j is
+        sum_r b_r c^r x^(r e) * old part[j - r d].  Running j from the top
+        down, part j reads only parts below it, which this pass has not
+        yet touched, so the update is in place.
         """
-        D = self.cutoff
-        base = D + 1
-
-        def g_items():
-            for (c, e), k in self.mult.items():
-                d = sum(e)
-                for r in range(1, D // d + 1):
-                    yield tuple(r * x for x in e), k * d * c ** r
-
-        parts = _graded_parts(g_items(), base, D)
-        f = _graded_solve(parts, 1, D, _exact_quotients)
-        return _series_from_parts(self.names, D, base, f)
+        _check_cutoff(cutoff)
+        nv = len(self.names)
+        items = []
+        for e, c in terms.items():
+            if len(e) != nv:
+                raise ValueError("arity mismatch: %r with vars %r"
+                                 % (e, self.names))
+            if c and sum(e) <= cutoff:
+                items.append((e, c))
+        neg = [(sum(e), e) for e, _ in items if e and min(e) < 0]
+        if neg:
+            raise ValueError("negative exponent %r; combine Laurent factors "
+                             "first" % (min(neg)[1],))
+        low = min((sum(e) for e, _ in items), default=cutoff)
+        if low < cutoff - self.cutoff:
+            raise ValueError("term of degree %d below cutoff %d - factor "
+                             "cutoff %d" % (low, cutoff, self.cutoff))
+        base = cutoff + 1
+        parts = _graded_parts(items, base, cutoff)
+        for (c, e), k in self.mult.items():
+            d = sum(e)
+            steps = []
+            b = cr = 1
+            for r in range(1, cutoff // d + 1):
+                b = b * (k + r - 1) // r
+                if not b:
+                    break
+                cr *= c
+                steps.append((r * d, r * _pack(e, base), b * cr))
+            for j in range(cutoff, d - 1, -1):
+                part = parts[j]
+                get = part.get
+                for rd, shift, coef in steps:
+                    if rd > j:
+                        break
+                    for key, v in parts[j - rd].items():
+                        key += shift
+                        part[key] = get(key, 0) + coef * v
+        out = Series(self.names, cutoff)
+        out.terms = _decoded(parts, base, nv)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .pyramid import (
     _DIAG_COLOR, ANTI, DIAG, VARS_Z2Z2, COLOR_SLOT, PyramidPartition,
     _odd_offset, address_to_position, series_from_packed,
 )
+from .qseries import _check_cutoff
 
 
 class EpsilonTable:
@@ -436,8 +437,7 @@ def generating_function(v, l, frame, cutoff):
     for every l >= 0; a negative l is rejected, as region() does.
     """
     _check_frame_shift(frame, l)
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+    _check_cutoff(cutoff)
     t = EpsilonTable(v)
     slices = _slice_range(t.conj, cutoff)
     parity = [mho(v, s, t) % 2 for s in slices]

@@ -1,11 +1,13 @@
 """Independent recomputations used as oracles by the test suite.
 
 Everything here is deliberately built on different machinery than src/:
-series arithmetic goes through sympy polynomials, pyramids are enumerated
-as down-sets of the brick poset generated from raw quiver walks, one-leg
-box configurations are grown as sets one box at a time, and border
-strips are found by scanning skew diagrams.  Frozen literals in
-the tests were produced by these functions.
+series arithmetic goes through sympy polynomials, products of binomial
+factors are also expanded by the graded Euler recurrence on exponent
+tuples, pyramids are enumerated as down-sets of the brick poset
+generated from raw quiver walks, one-leg box configurations are grown as
+sets one box at a time, and border strips are found by scanning skew
+diagrams.  Frozen literals in the tests were produced by these
+functions.
 
 Two sections serve the operator identities of the transfer step.  The
 Fock-state helpers and the even-mode exponential E(x^2) act on the state
@@ -32,7 +34,7 @@ from functools import lru_cache
 from math import factorial
 
 import sympy
-from sympy import symbols, Poly, expand
+from sympy import Poly, expand
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +116,50 @@ def series_to_dict(expr, gens):
         if c:
             out[tuple(int(m) for m in monom)] = c
     return out
+
+
+def factors_series_euler(fs):
+    """Factors.series() by the graded Euler recurrence on exponent tuples,
+    a second expansion of the product independent of Factors.times.
+
+    Let E = sum_i x_i d/dx_i, which multiplies a term of total degree N
+    by N.  For f = prod (1 - c x^e)^(-k),
+
+        E log f = g = sum k*|e| * sum_{r>=1} c^r x^(r*e),
+
+    so E f = f*g, and comparing degree-N parts gives
+
+        N * f_N = sum_{j=1..N} g_j * f_{N-j}.
+
+    Each factor has integer coefficients, so f does, and the division by
+    N is exact; a remainder raises ArithmeticError.
+    """
+    from orbivertex.qseries import Series
+
+    D = fs.cutoff
+    g = [{} for _ in range(D + 1)]
+    for (c, e), k in fs.mult.items():
+        d = sum(e)
+        for r in range(1, D // d + 1):
+            key = tuple(r * x for x in e)
+            g[r * d][key] = g[r * d].get(key, 0) + k * d * c ** r
+    f = [{(0,) * len(fs.names): 1}]
+    for N in range(1, D + 1):
+        acc = {}
+        for j in range(1, N + 1):
+            for eg, cg in g[j].items():
+                for ef, cf in f[N - j].items():
+                    key = tuple(a + b for a, b in zip(eg, ef))
+                    acc[key] = acc.get(key, 0) + cg * cf
+        part = {}
+        for key, v in acc.items():
+            q, r = divmod(v, N)
+            if r:
+                raise ArithmeticError("inexact division by %d" % N)
+            if q:
+                part[key] = q
+        f.append(part)
+    return Series(fs.names, D, {e: c for part in f for e, c in part.items()})
 
 
 # ---------------------------------------------------------------------------

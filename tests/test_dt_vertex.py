@@ -14,7 +14,7 @@ from orbivertex.dt_vertex import (
 from orbivertex.fock_transfer import vertex_by_transfer, zn_names
 from orbivertex.pyramid import ANTI, DIAG, VARS_Z2Z2, pyramid_series
 from orbivertex.qseries import (
-    Series, family_factors, term, term_mul, term_neg, term_var,
+    Series, family_factors, term, term_mul, term_var,
 )
 
 import oracles
@@ -324,6 +324,22 @@ def test_series_routes_reject_negative_cutoff(route):
     assert route(0).is_one()
 
 
+@pytest.mark.parametrize("route", [
+    lambda d: pyramid_closed(d),
+    lambda d: vertex_closed_zn(4, ((2, 1), (), ()), d),
+    lambda d: enumerate_3d((2, 1), "z2z2", d),
+    lambda d: vertex_by_transfer("z2z2", (2, 1), d),
+    lambda d: rpc.generating_function((2, 1), 0, ANTI, d),
+], ids=["closed", "closed_zn", "enumerate", "transfer", "rpc"])
+@pytest.mark.parametrize("cutoff", [60.0, 60.5, True])
+def test_series_routes_reject_non_int_cutoff(route, cutoff):
+    # int() used to read 2.7 as 2, and 2.0 gave a Series whose JSON
+    # printed float exponents; at 60 any work before the check would
+    # not end in time
+    with pytest.raises(TypeError, match="cutoff must be an int"):
+        route(cutoff)
+
+
 @pytest.mark.parametrize("build", [
     lambda d: Series.one(VARS_Z2Z2, d),
     lambda d: skew_schur_specialized((2, 1), (), [term_var(2, 0), term_var(2, 1)],
@@ -396,6 +412,16 @@ SWEEP_LEGS = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1), (3, 2, 1)]
 def test_vertex_closed_zn_matches_enumeration_degree_8(n, leg):
     for legs in [((), (), leg), (leg, (), ()), ((), leg, ())]:
         assert vertex_closed_zn(n, legs, 8) == enumerate_one_leg(legs, "zn", 8, n=n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("leg", [(2, 1), (3,), (1, 1, 1)])
+def test_vertex_closed_zn_first_slot_matches_enumeration_degree_12(n, leg):
+    # in the first slot the renormalization shift has negative exponents
+    # that the Schur part must cancel before Factors.times; no transfer
+    # mode reaches this slot
+    legs = (leg, (), ())
+    assert vertex_closed_zn(n, legs, 12) == enumerate_one_leg(legs, "zn", 12, n=n)
 
 
 @pytest.mark.parametrize("m", range(8))

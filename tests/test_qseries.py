@@ -1,13 +1,13 @@
 import json
 import random
+import re
 
 import pytest
 import sympy
 
 from orbivertex.qseries import (
-    Factors, Series, _exact_quotients, family_factors, macmahon_factors,
-    mul_terms, pochhammer_factors,
-    term, term_mul, term_neg, term_one, term_pow, term_var,
+    Factors, Series, family_factors, macmahon_factors, mul_terms,
+    pochhammer_factors, term, term_mul, term_neg, term_pow,
 )
 
 import oracles
@@ -318,7 +318,7 @@ def test_pow():
 
 
 # ---------------------------------------------------------------------------
-# exponent multisets (Factors) and their graded Euler evaluation
+# exponent multisets (Factors) and their one-pass-per-factor evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -411,7 +411,100 @@ def test_factors_truncation_and_rejections():
         Factors(V4, 4) * Series.one(V4, 4)
 
 
-def test_euler_division_is_checked():
-    assert _exact_quotients(3, {7: 6, 8: 0}) == {7: 2}
-    with pytest.raises(ArithmeticError):
-        _exact_quotients(3, {7: 5})
+def test_factors_reject_non_integer_input():
+    # int() used to truncate these silently: 1.5 read as 1
+    with pytest.raises(TypeError, match="exponent must be an int"):
+        Factors(("a",), 3, {(1, (1.5,)): 1})
+    with pytest.raises(TypeError, match="coefficient must be an int"):
+        Factors(("a",), 3, {(1.5, (1,)): 1})
+    with pytest.raises(TypeError, match="multiplicity must be an int"):
+        Factors(("a",), 3, {(1, (1,)): 1.5})
+    with pytest.raises(TypeError, match="multiplicity must be an int"):
+        Factors(("a",), 3, {(1, (1,)): True})
+
+
+@pytest.mark.parametrize("build", [Series, Factors], ids=["series", "factors"])
+@pytest.mark.parametrize("cutoff", [2.0, 2.7, True, "2"])
+def test_constructors_reject_non_int_cutoff(build, cutoff):
+    with pytest.raises(TypeError, match="cutoff must be an int"):
+        build(("a",), cutoff)
+
+
+def rand_multiset(rng, names, cutoff):
+    """3-9 factors (1 - c x^e)^(-k), c in {+-1, +-2}, k in [-3, 3]."""
+    mult = {}
+    for _ in range(rng.randrange(3, 10)):
+        while True:
+            e = tuple(rng.choice([0, 0, 1, 1, 2]) for _ in names)
+            if 0 < sum(e) <= cutoff:
+                break
+        key = (rng.choice([1, -1, 2, -2]), e)
+        mult[key] = mult.get(key, 0) + rng.randrange(-3, 4)
+    return Factors(names, cutoff, mult)
+
+
+def rand_master(rng, nvars, cutoff, negative):
+    """1-4 terms with exponents in {0, 1} plus a rand_laurent dict; unless
+    `negative`, each term of the latter with a negative exponent is
+    zeroed or lifted above the cutoff, so it cannot count."""
+    out = {tuple(rng.randrange(0, 2) for _ in range(nvars)): rng.randrange(1, 4)
+           for _ in range(rng.randrange(1, 5))}
+    for e, c in rand_laurent(rng, nvars, rng.randrange(1, 4)).items():
+        if min(e) < 0 and not negative:
+            if rng.random() < 0.5:
+                c = 0
+            else:
+                e = e[:-1] + (e[-1] + cutoff + 2 * nvars + 3,)
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def test_factors_times_matches_euler_oracle():
+    rng = random.Random(1717)
+    seen = set()
+    for case in range(24):
+        nvars = 1 + case % 4
+        names = tuple("x%d" % i for i in range(nvars))
+        D = 10 + case % 7 if nvars < 4 else 10 + case % 3
+        fs = rand_multiset(rng, names, D)
+        want = oracles.factors_series_euler(fs)
+        assert fs.series() == want, case
+        master = rand_master(rng, nvars, D, negative=case % 2)
+        cut = rng.randrange(D - 2, D + 1)
+        prod = mul_terms(master, want.terms, cut)
+        neg = {e: c for e, c in prod.items() if min(e) < 0}
+        if neg:
+            # the lowest-degree negative term survives with its
+            # coefficient, and times names it
+            t = min((sum(e), e) for e, c in master.items()
+                    if c and sum(e) <= cut and min(e) < 0)[1]
+            assert neg[t] == master[t]
+            with pytest.raises(ValueError, match=re.escape(
+                    "negative exponent %r;" % (t,))):
+                fs.times(master, cut)
+        else:
+            assert fs.times(master, cut).terms == prod, case
+        seen.add(bool(neg))
+    assert seen == {True, False}
+
+
+def test_factors_times_edge_cases():
+    names = ("a", "b")
+    f = Factors(names, 4, {term(1, (1, 0)): 2, term(-1, (0, 1)): -1})
+    s = f.series()
+    # zero coefficients are dropped, and so are the negative exponents
+    # that only a zero coefficient or a degree above the cutoff carries
+    got = f.times({(1, 0): 2, (0, 1): 0, (-1, 0): 0, (-1, 9): 4}, 4)
+    assert got.terms == mul_terms(s.terms, {(1, 0): 2}, 4)
+    # coefficients that cancel to 0 in the product are dropped
+    assert f.times(s.invert().terms, 4).is_one()
+    # a surviving negative exponent raises the Series error, naming it
+    with pytest.raises(ValueError, match=r"negative exponent \(-1, 1\)"):
+        f.times({(-1, 1): 1, (-1, 3): 1}, 4)
+    # below cutoff - self.cutoff a dropped factor could reach the result
+    with pytest.raises(ValueError, match="below cutoff 6 - factor cutoff 4"):
+        f.times({(1, 0): 1}, 6)
+    wide = Factors(names, 6, f.mult).series()
+    assert f.times({(1, 1): 1}, 6).terms == mul_terms(wide.terms, {(1, 1): 1}, 6)
+    with pytest.raises(ValueError, match="arity mismatch"):
+        f.times({(1,): 1}, 4)
