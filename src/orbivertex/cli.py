@@ -62,12 +62,18 @@ def _monomial(names, exps):
     return "*".join(bits) if bits else "1"
 
 
-def _first_diff(a, b):
-    keys = sorted(set(a.terms) | set(b.terms), key=lambda e: (sum(e), e))
-    for e in keys:
-        if a.coefficient(e) != b.coefficient(e):
-            return e
-    return None
+def _differ(what, a, b):
+    """Print "<what> at <monomial>: x != y" for the first monomial, by
+    degree and then exponents, at which a and b differ; return whether
+    they differ."""
+    if a.terms == b.terms:
+        return False
+    for e in sorted(set(a.terms) | set(b.terms), key=lambda e: (sum(e), e)):
+        x, y = a.coefficient(e), b.coefficient(e)
+        if x != y:
+            print("%s at %s: %d != %d" % (what, _monomial(a.names, e), x, y))
+            return True
+    return False
 
 
 def _series_obj(s):
@@ -90,20 +96,6 @@ def _emit(args, report, header, rows):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _check_pairs(named):
-    """named: list of (label, series).  Returns 0 or prints the first
-    differing monomial and returns 1."""
-    base_label, base = named[0]
-    for label, s in named[1:]:
-        e = _first_diff(base, s)
-        if e is not None:
-            print("mismatch %s vs %s at %s: %d != %d"
-                  % (base_label, label, _monomial(s.names, e),
-                     base.coefficient(e), s.coefficient(e)))
-            return 1
-    return 0
 
 
 def _need_staircase(leg):
@@ -189,7 +181,9 @@ def _run_series(args):
         raise ValueError("--verify needs at least two methods")
     check(args)
     named = [(method, series(args, method)) for method in args.method]
-    if args.verify and _check_pairs(named):
+    (base_label, base), others = named[0], named[1:]
+    if args.verify and any(_differ("mismatch %s vs %s" % (base_label, label),
+                                   base, s) for label, s in others):
         return 1
     head = fields(args)
     records = [dict(head, method=method, series=_series_obj(s))
@@ -221,60 +215,42 @@ def _run_uniqueness(args):
 
 def _run_verify(args):
     d = args.degree
-    checks = []
-    # check name -> (window, its series, the series on window + 2) for the
-    # transfer checks whose two windows disagree
-    unstable = {}
-
-    def transfer(name, group, leg, n=None):
-        window, first, second = fock_transfer._window_pair(group, leg, d, n=n)
-        if first != second:
-            unstable[name] = (window, first, second)
-        return first
-
     en = enumerate_3d((), "z2z2", d)
-    checks.append(("zero_leg_enumerate_transfer", en,
-                   transfer("zero_leg_enumerate_transfer", "z2z2", ())))
-    checks.append(("zero_leg_enumerate_closed", en, closed_z2z2_nolegs(d)))
-    checks.append(("zero_leg_z4_transfer_closed",
-                   transfer("zero_leg_z4_transfer_closed", "zn", (), n=4),
-                   vertex_closed_zn(4, ((), (), ()), d)))
-    for m in (1, 2):
-        checks.append(("staircase_m%d_enumerate_closed" % m,
-                       enumerate_3d(pc.staircase(m), "z2z2", d),
-                       closed_z2z2_staircase(m, d)))
-    checks.append(("staircase_m1_z4_branch",
-                   transfer("staircase_m1_z4_branch", "zn", (1,), n=4),
-                   one_leg_zn_staircase(4, 1, d)))
-    checks.append(("pyramid_enumerate_closed", pyramid_series(d),
-                   pyramid_closed(d)))
-    checks.append(("rpc_m1_interlacing_closed",
-                   rpc.generating_function((1,), 0, ANTI, d),
-                   corollary_rpc_closed(1, d)))
+    # (window, transfer series on it, the series on window + 2)
+    z2z2 = fock_transfer._window_pair("z2z2", (), d)
+    z4 = fock_transfer._window_pair("zn", (), d, n=4)
+    z4_m1 = fock_transfer._window_pair("zn", (1,), d, n=4)
+    # (check name, route, route, transfer windows or None)
+    battery = [
+        ("zero_leg_enumerate_transfer", en, z2z2[1], z2z2),
+        ("zero_leg_enumerate_closed", en, closed_z2z2_nolegs(d), None),
+        ("zero_leg_z4_transfer_closed", z4[1],
+         vertex_closed_zn(4, ((), (), ()), d), z4),
+        *[("staircase_m%d_enumerate_closed" % m,
+           enumerate_3d(pc.staircase(m), "z2z2", d),
+           closed_z2z2_staircase(m, d), None) for m in (1, 2)],
+        ("staircase_m1_z4_branch", z4_m1[1], one_leg_zn_staircase(4, 1, d),
+         z4_m1),
+        ("pyramid_enumerate_closed", pyramid_series(d), pyramid_closed(d),
+         None),
+        ("rpc_m1_interlacing_closed", rpc.generating_function((1,), 0, ANTI, d),
+         corollary_rpc_closed(1, d), None),
+    ]
     rows = []
-    status = 0
-    for name, a, b in checks:
-        e = _first_diff(a, b)
-        ok = e is None and name not in unstable
+    for name, a, b, pair in battery:
+        ok = not _differ("mismatch in " + name, a, b)
+        if pair is not None:
+            window, first, second = pair
+            ok = not _differ("transfer window %d not stable in %s: windows "
+                             "%d and %d differ" % (window, name, window,
+                                                    window + 2),
+                             first, second) and ok
         rows.append({"check": name, "ok": ok})
-        if e is not None:
-            print("mismatch in %s at %s: %d != %d"
-                  % (name, _monomial(a.names, e),
-                     a.coefficient(e), b.coefficient(e)))
-        if name in unstable:
-            window, first, second = unstable[name]
-            e = _first_diff(first, second)
-            print("transfer window %d not stable in %s: windows %d and %d "
-                  "differ at %s: %d != %d"
-                  % (window, name, window, window + 2,
-                     _monomial(first.names, e),
-                     first.coefficient(e), second.coefficient(e)))
-        if not ok:
-            status = 1
-    if status == 0:
+    ok = all(r["ok"] for r in rows)
+    if ok:
         _emit(args, {"checks": rows, "ok": True}, ["check", "ok"],
               ([r["check"], int(r["ok"])] for r in rows))
-    return status
+    return 0 if ok else 1
 
 
 def _add_common(p, methods, default_method):

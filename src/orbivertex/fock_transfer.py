@@ -17,15 +17,17 @@ large enough.  Its bracket does not call the public operators: it walks
 its own state, {partition: {degree: {packed exponents: coefficient}}},
 in which one step is a transition with argument 1 followed by the next
 slice's weight, truncated as it goes and pruned by the growth that the
-upward steps still ahead force on every slice.
+upward steps still ahead force on every slice.  A slice weighs its cells
+by one or two colors: one color table per mode gives the pair of each
+kind of slice, and the slice's corner parity swaps it.
 """
 
 from __future__ import annotations
 
 from . import partition_core as pc
-from .pyramid import COLOR_SLOT, VARS_Z2Z2, zn_names
+from .pyramid import _DIAG_COLOR, COLOR_SLOT, VARS_Z2Z2, zn_names
 from .qseries import Series, _check_cutoff
-from .rpc import mho
+from .rpc import EpsilonTable, mho
 
 
 def checkerboard_counts(lam):
@@ -97,57 +99,33 @@ def gamma_apply(state, tau, primed, arg, cutoff):
 
 
 # ---------------------------------------------------------------------------
-# weight selectors
+# slice colors
 # ---------------------------------------------------------------------------
 
-
-def pair_weight(h1, h2):
-    """Two-color checkerboard weight, h1 on cells with row = col mod 2."""
-    a, b = COLOR_SLOT[h1], COLOR_SLOT[h2]
-
-    def wf(lam):
-        ev, od = checkerboard_counts(lam)
-        e = [0, 0, 0, 0]
-        e[a] += ev
-        e[b] += od
-        return tuple(e)
-
-    return wf
+# The colors of a slice's cells with row = col mod 2 and of the others, at
+# corner parity 0, for an even slice, an odd slice s > 0 and an odd slice
+# s < 0; corner parity 1 swaps the pair.  Kept apart from rpc's own
+# color pairs on purpose: one color bug must not make two routes agree.
+_PAIRS = {"standard": ("0c", "ab", "ba"),
+          "rpc_antidiagonal": ("0c", "ba", "ab")}
 
 
-def single_weight(slot, nvars):
-    def wf(lam):
-        e = [0] * nvars
-        e[slot] = sum(lam)
-        return tuple(e)
-
-    return wf
-
-
-_DIAG_SLOT = {0: "0", 1: "b", 2: "c", 3: "a"}
-
-
-def weight_selector(mode, v, s, n=None):
-    """Weight function for slice s under the given product mode."""
-    if mode == "standard":
-        m = pc.diagonal_count(v, s) % 2
-        if s % 2 == 0:
-            return pair_weight(*(("0", "c") if m == 0 else ("c", "0")))
-        if s > 0:
-            return pair_weight(*(("a", "b") if m == 0 else ("b", "a")))
-        return pair_weight(*(("a", "b") if m == 1 else ("b", "a")))
-    if mode == "rpc_antidiagonal":
-        m = mho(v, s) % 2
-        if s % 2 == 0:
-            return pair_weight(*(("0", "c") if m == 0 else ("c", "0")))
-        if s > 0:
-            return pair_weight(*(("b", "a") if m == 0 else ("a", "b")))
-        return pair_weight(*(("b", "a") if m == 1 else ("a", "b")))
-    if mode == "rpc_diagonal":
-        return pair_weight(_DIAG_SLOT[s % 4], _DIAG_SLOT[s % 4])
+def _slice_slots(mode, v, s, n, table):
+    """(variable slot of the cells of slice s with row = col mod 2, slot
+    of the others).  The corner parity is diagonal_count(v, s) under
+    standard and mho(v, s, table) under rpc_antidiagonal, with table the
+    leg's EpsilonTable."""
     if mode == "zn":
-        return single_weight(s % n, n)
-    raise ValueError("unknown mode %r" % mode)
+        return s % n, s % n
+    if mode == "rpc_diagonal":
+        slot = COLOR_SLOT[_DIAG_COLOR[s % 4]]
+        return slot, slot
+    if mode == "standard":
+        parity = pc.diagonal_count(v, s) % 2
+    else:
+        parity = mho(v, s, table) % 2
+    pair = _PAIRS[mode][0 if s % 2 == 0 else 1 if s > 0 else 2]
+    return COLOR_SLOT[pair[parity]], COLOR_SLOT[pair[1 - parity]]
 
 
 def _bracket(v, cutoff, mode, n, window):
@@ -160,7 +138,9 @@ def _bracket(v, cutoff, mode, n, window):
     interlacing partners and multiplies in the weight of the partner's
     slice -(t + 1) at once, so a weight step is one int addition per term
     and a partner takes only the degree buckets that the growth still
-    forced on it (vertex_by_transfer) leaves <= cutoff.
+    forced on it (vertex_by_transfer) leaves <= cutoff.  The partner's
+    weight is read off the two slots of its slice (_slice_slots), once
+    per partner and step; the leg's edge table is built once per walk.
     The codec is private to this route on purpose: one codec bug must not
     make two routes agree.
     """
@@ -169,6 +149,7 @@ def _bracket(v, cutoff, mode, n, window):
     powers = [base ** i for i in range(len(names))]
     conj = pc.conjugate(v)
     rpc = mode in ("rpc_antidiagonal", "rpc_diagonal")
+    table = EpsilonTable(v) if mode == "rpc_antidiagonal" else None
     steps = range(-window, window + 1)
     taus = pc.edge_values(conj, steps)
     # runs[i]: the upward steps right after step i, inside the window
@@ -180,7 +161,8 @@ def _bracket(v, cutoff, mode, n, window):
     state = {(): {0: {0: 1}}}
     for t, tau, r in zip(steps, taus, runs):
         primed = rpc and t % 2 == 0
-        wf = weight_selector(mode, v, -(t + 1), n)
+        a, b = _slice_slots(mode, v, -(t + 1), n, table)
+        pa, pb = powers[a], powers[b]
         packed = {}
         out = {}
         for lam, buckets in state.items():
@@ -196,7 +178,12 @@ def _bracket(v, cutoff, mode, n, window):
                     continue
                 w = packed.get(mu)
                 if w is None:
-                    w = packed[mu] = sum(x * p for x, p in zip(wf(mu), powers))
+                    if a == b:
+                        w = size * pa
+                    else:
+                        ev, od = checkerboard_counts(mu)
+                        w = ev * pa + od * pb
+                    packed[mu] = w
                 target = out.get(mu)
                 if target is None:
                     target = out[mu] = {}
@@ -237,6 +224,8 @@ def _transfer_args(group, leg, cutoff, mode, n):
             mode = "standard"
         elif mode == "zn":
             raise ValueError("mode zn is for group zn")
+        elif mode not in ("standard", "rpc_antidiagonal", "rpc_diagonal"):
+            raise ValueError("unknown mode %r" % (mode,))
         if n is not None:
             raise ValueError("n is for group zn, got n=%r with z2z2" % (n,))
     else:
@@ -258,7 +247,7 @@ def vertex_by_transfer(group, leg, cutoff, mode=None, n=None):
     slot; the other two legs are empty.
 
     Why the window suffices: the weight of a slice is a monomial of
-    total degree equal to its size (weight_selector splits its cells
+    total degree equal to its size (_slice_slots splits its cells
     between one or two color variables), so every non-empty slice costs
     at least 1 degree.  Outside the leg region, |t| >= t0, the
     transitions are fixed: on the left slices can only grow towards

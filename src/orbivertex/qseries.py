@@ -26,7 +26,10 @@ from operator import add
 
 
 def term(coef, exps):
-    return (int(coef), tuple(int(e) for e in exps))
+    """The Term (coef, exps); a coefficient or exponent that is not an int
+    raises TypeError rather than being truncated."""
+    return (_check_int(coef, "coefficient"),
+            tuple(_check_int(e, "exponent") for e in exps))
 
 
 def term_one(nvars):
@@ -105,6 +108,7 @@ class Series:
 
     Terms from outside (the constructors, from_json, map_vars and the
     functions that count configurations) enter through _add, which checks
+    types (TypeError for a coefficient or exponent that is not an int),
     arity and negativity.  Arithmetic on series already checked writes its
     dicts directly.
     """
@@ -126,12 +130,17 @@ class Series:
         return s
 
     def _add(self, exps, coef):
+        if type(coef) is not int:
+            _check_int(coef, "coefficient")
         if coef == 0:
             return
         if len(exps) != len(self.names):
             raise ValueError("arity mismatch: %r with vars %r" % (exps, self.names))
-        if exps and min(exps) < 0:
-            raise ValueError("negative exponent %r; combine Laurent factors first" % (exps,))
+        for x in exps:
+            if type(x) is not int:
+                _check_int(x, "exponent")
+            if x < 0:
+                raise ValueError("negative exponent %r; combine Laurent factors first" % (exps,))
         if sum(exps) > self.cutoff:
             return
         new = self.terms.get(exps, 0) + coef
@@ -294,10 +303,14 @@ class Series:
 
     @classmethod
     def from_json(cls, text):
+        """Inverse of to_json.  A coefficient is read as to_json writes it,
+        a decimal string; any other value goes to _add's checks as it is,
+        so a float is rejected rather than truncated."""
         data = json.loads(text)
         s = cls(tuple(data["vars"]), data["cutoff"])
         for item in data["terms"]:
-            s._add(tuple(item["exp"]), int(item["coef"]))
+            c = item["coef"]
+            s._add(tuple(item["exp"]), int(c) if type(c) is str else c)
         return s
 
 

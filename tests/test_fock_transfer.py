@@ -2,6 +2,7 @@ import pytest
 
 from orbivertex import fock_transfer
 from orbivertex import partition_core as pc
+from orbivertex import rpc
 from orbivertex.dt_vertex import (
     closed_z2z2_staircase, corollary_rpc_closed, enumerate_3d,
     vertex_closed_zn,
@@ -43,11 +44,28 @@ def test_transfer_rpc_no_leg_is_pyramid_series():
 
 
 def test_transfer_rpc_matches_family_enumeration():
-    for v in [(1,), (2,), (2, 1)]:
-        got = vertex_by_transfer("z2z2", v, 4, "rpc_antidiagonal")
-        assert got == generating_function(v, 0, ANTI, 4), v
-        got = vertex_by_transfer("z2z2", v, 4, "rpc_diagonal")
-        assert got == generating_function(v, 0, DIAG, 4), v
+    # every leg of size <= 4 reaches both corner parities of every kind
+    # of slice (even, odd s > 0, odd s < 0) within degree 6
+    for v in pc.partitions_up_to(4):
+        got = vertex_by_transfer("z2z2", v, 6, "rpc_antidiagonal")
+        assert got == generating_function(v, 0, ANTI, 6), v
+        got = vertex_by_transfer("z2z2", v, 6, "rpc_diagonal")
+        assert got == generating_function(v, 0, DIAG, 6), v
+
+
+def test_transfer_builds_one_edge_table(monkeypatch):
+    # the antidiagonal corner parities of all slices come from one table;
+    # the walk used to build one per slice, 33 for this call
+    built = []
+    init = rpc.EpsilonTable.__init__
+
+    def counted(self, v):
+        built.append(v)
+        init(self, v)
+
+    monkeypatch.setattr(rpc.EpsilonTable, "__init__", counted)
+    vertex_by_transfer("z2z2", (2, 1), 8, mode="rpc_antidiagonal")
+    assert built == [(2, 1)]
 
 
 def test_transfer_z2_low_terms():
@@ -76,6 +94,11 @@ def test_transfer_bad_arguments():
         vertex_by_transfer("so3", (), 2)
     with pytest.raises(ValueError):
         vertex_by_transfer("z2z2", (), 2, mode="zn")
+    # rejected with the arguments, before any walk
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        fock_transfer._transfer_args("z2z2", (1,), 2, "bogus", None)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        vertex_by_transfer("z2z2", (1,), 2, mode="bogus")
     # a z2z2 mode under zn, and an n under z2z2, used to be ignored
     for mode in ("rpc_diagonal", "rpc_antidiagonal", "bogus"):
         with pytest.raises(ValueError, match="group zn takes mode zn"):

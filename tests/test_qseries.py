@@ -288,6 +288,9 @@ def test_json_roundtrip_and_order():
     assert Series.from_json(text) == s
     # byte-identical re-serialization
     assert Series.from_json(text).to_json() == text
+    # a coefficient written as a JSON int is read as it is
+    text = '{"cutoff":3,"vars":["a"],"terms":[{"exp":[1],"coef":5}]}'
+    assert Series.from_json(text).terms == {(1,): 5}
 
 
 def test_map_vars():
@@ -421,6 +424,32 @@ def test_factors_reject_non_integer_input():
         Factors(("a",), 3, {(1, (1,)): 1.5})
     with pytest.raises(TypeError, match="multiplicity must be an int"):
         Factors(("a",), 3, {(1, (1,)): True})
+
+
+def test_term_rejects_non_integer_input():
+    # int() used to truncate these silently: term(1.5, (1.7,)) was (1, (1,))
+    with pytest.raises(TypeError, match="coefficient must be an int"):
+        term(1.5, (1,))
+    with pytest.raises(TypeError, match="exponent must be an int"):
+        term(1, (1.7,))
+    with pytest.raises(TypeError, match="exponent must be an int"):
+        term(1, (0, True))
+    assert term(-2, [0, 3]) == (-2, (0, 3))
+
+
+@pytest.mark.parametrize("exp,coef,what", [
+    (1.5, 2, "exponent"), (1, 2.5, "coefficient"), (1.0, 2, "exponent"),
+    (1, 2.0, "coefficient"), (True, 2, "exponent"),
+], ids=["float-exp", "float-coef", "integral-float-exp", "integral-float-coef",
+        "bool-exp"])
+def test_series_rejects_non_integer_terms(exp, coef, what):
+    # these used to be stored and printed as "exp":[1.5],"coef":"2.5"
+    with pytest.raises(TypeError, match="%s must be an int" % what):
+        Series(("q0", "qa"), 3, {(0, exp): coef})
+    text = json.dumps({"cutoff": 3, "vars": ["q0", "qa"],
+                       "terms": [{"exp": [0, exp], "coef": coef}]})
+    with pytest.raises(TypeError, match="%s must be an int" % what):
+        Series.from_json(text)
 
 
 @pytest.mark.parametrize("build", [Series, Factors], ids=["series", "factors"])
