@@ -143,6 +143,14 @@ def _bracket(v, cutoff, mode, n, window):
     per partner and step; the leg's edge table is built once per walk.
     The codec is private to this route on purpose: one codec bug must not
     make two routes agree.
+
+    Retiring finished terms.  Once every step left in the window moves
+    down (edge value -1), the empty partition's terms are final: the only
+    partner below () is (), primed or not, and its weight, of degree
+    |()| = 0, is the constant 1, so each later step would copy them
+    unchanged (with r = 0 the room of () is the full cutoff).  They leave
+    the walk into the result instead, at every such step, since a
+    non-empty partition may still move down to ().
     """
     names = zn_names(n) if mode == "zn" else VARS_Z2Z2
     base = cutoff + 1
@@ -157,9 +165,15 @@ def _bracket(v, cutoff, mode, n, window):
     for i in range(len(taus) - 2, -1, -1):
         if taus[i + 1] == 1:
             runs[i] = runs[i + 1] + 1
+    # every step from index settled on moves down
+    settled = 1 + max((i for i, tau in enumerate(taus) if tau == 1),
+                      default=-1)
     # the weight step of slice -window, on the empty partition, is 1
     state = {(): {0: {0: 1}}}
-    for t, tau, r in zip(steps, taus, runs):
+    done = {}
+    for i, (t, tau, r) in enumerate(zip(steps, taus, runs)):
+        if i >= settled:
+            _retire(state, done)
         primed = rpc and t % 2 == 0
         a, b = _slice_slots(mode, v, -(t + 1), n, table)
         pa, pb = powers[a], powers[b]
@@ -198,15 +212,23 @@ def _bracket(v, cutoff, mode, n, window):
                             k += w
                             dst[k] = dst.get(k, 0) + c
         state = out
+    _retire(state, done)
     terms = {}
-    for bucket in state.get((), {}).values():
-        for k, c in bucket.items():
-            exps = []
-            for _ in names:
-                k, x = divmod(k, base)
-                exps.append(x)
-            terms[tuple(exps)] = c
+    for k, c in done.items():
+        exps = []
+        for _ in names:
+            k, x = divmod(k, base)
+            exps.append(x)
+        terms[tuple(exps)] = c
     return Series(names, cutoff, terms)
+
+
+def _retire(state, done):
+    """Move the terms of the empty partition out of the walk's state into
+    done, {packed exponents: coefficient}."""
+    for bucket in state.pop((), {}).values():
+        for k, c in bucket.items():
+            done[k] = done.get(k, 0) + c
 
 
 def _transfer_args(group, leg, cutoff, mode, n):

@@ -11,13 +11,17 @@ through the one kernel mul_terms.
 Closed formulas are products of binomial factors (1 - t)^(-k).  They are
 kept as exponent multisets (Factors), combined by adding multiplicities,
 and multiplied into a Laurent dict (the constant 1 for a plain product)
-once, by one descending pass per factor over packed graded parts.  The
-MacMahon-style product factory used by every closed formula lives here.
+once, by one pass per factor over packed graded parts: the factor is the
+finite polynomial (1 - t)^|k| or its inverse, so the pass multiplies top
+down or divides bottom up.  Series.invert is the same division, by the
+series itself.  The MacMahon-style product factory used by every closed
+formula lives here.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import product
 from operator import add
 
 # ---------------------------------------------------------------------------
@@ -248,18 +252,21 @@ class Series:
     def invert(self):
         """Multiplicative inverse; the constant term must be +1 or -1.
 
-        Solved degree by degree: a*f = 1 gives c0*f_N = -sum_{j>=1}
-        a_j*f_{N-j}, and 1/c0 = c0.
+        With f = c0 + g, g the terms of degree >= 1, and 1/c0 = c0,
+        1/f = c0 / (1 + c0 g): the constant c0 divided by a polynomial
+        with constant term 1, by _pass bottom up with the steps -c0 g.
         """
         c0 = self.constant()
         if c0 not in (1, -1):
             raise ValueError("series not invertible over the integers "
                              "(constant term %d)" % c0)
         base = self.cutoff + 1
-        parts = _graded_parts(self.terms.items(), base, self.cutoff)
-        parts[0] = {}
-        f = _graded_solve(parts, c0, self.cutoff)
-        return self._like(_decoded(f, base, len(self.names)))
+        zero = (0,) * len(self.names)
+        parts = _graded_parts([(zero, c0)], base, self.cutoff)
+        steps = sorted((sum(e), _pack(e, base), -c0 * c)
+                       for e, c in self.terms.items() if e != zero)
+        _pass(parts, steps, self.cutoff, True)
+        return self._like(_decoded(parts, base, len(self.names)))
 
     def __truediv__(self, other):
         if isinstance(other, Series):
@@ -357,27 +364,33 @@ def _pack(exps, base):
 
 def _decoded(parts, base, nvars):
     """{exponent tuple: coefficient} of the nonzero entries of the packed
-    parts, nvars digits each.  A key splits once into its low nvars // 2
-    digits and the rest; each half is read from a table built here over
-    the distinct halves, so each distinct half is unpacked once."""
+    parts, nvars digits each.  A key splits into its low h digits, read
+    from a list over every low half, and the rest, read from a table that
+    unpacks each high half the first time it appears.  h is nvars // 2,
+    lowered until the list is no longer than the entries: with many
+    variables, base ** (nvars // 2) low halves would dwarf the series."""
+    entries = sum(map(len, parts))
     h = nvars // 2
+    while h and base ** h > entries:
+        h -= 1
     split = base ** h
-    pairs = [(divmod(key, split), v)
-             for part in parts for key, v in part.items() if v]
-
-    def table(halves, width):
-        tab = {}
-        for key in halves:
-            x, digits = key, []
-            for _ in range(width):
-                x, d = divmod(x, base)
-                digits.append(d)
-            tab[key] = tuple(digits)
-        return tab
-
-    lo = table({b for (_, b), _ in pairs}, h)
-    hi = table({a for (a, _), _ in pairs}, nvars - h)
-    return {lo[b] + hi[a]: v for (a, b), v in pairs}
+    # product runs its last digit fastest, so reversed it is little-endian
+    lo = [t[::-1] for t in product(range(base), repeat=h)]
+    hi = {}
+    out = {}
+    for part in parts:
+        for key, v in part.items():
+            if v:
+                a, b = divmod(key, split)
+                high = hi.get(a)
+                if high is None:
+                    x, digits = a, []
+                    for _ in range(nvars - h):
+                        x, d = divmod(x, base)
+                        digits.append(d)
+                    high = hi[a] = tuple(digits)
+                out[lo[b] + high] = v
+    return out
 
 
 def _graded_parts(items, base, cutoff):
@@ -391,23 +404,28 @@ def _graded_parts(items, base, cutoff):
     return parts
 
 
-def _graded_solve(parts, c0, cutoff):
-    """Homogeneous parts f_0..f_cutoff of the inverse of the series with
-    constant term c0 = +-1 and parts[1..cutoff]: a*f = 1 gives
-    f_N = -c0 * sum_{j=1..N} parts[j] * f_{N-j}."""
-    f = [{0: c0}]
-    for N in range(1, cutoff + 1):
-        acc = {}
-        get = acc.get
-        for j in range(1, N + 1):
-            pj, fk = parts[j], f[N - j]
-            if pj and fk:
-                for eg, cg in pj.items():
-                    for ef, cf in fk.items():
-                        key = eg + ef
-                        acc[key] = get(key, 0) + cg * cf
-        f.append({e: -c0 * v for e, v in acc.items() if v})
-    return f
+def _pass(parts, steps, cutoff, up):
+    """Add S * parts[j - d] to every parts[j] in place, for S the sum of
+    the monomials coef * x^shift of degree d >= 1 in steps, a list of
+    (d, packed shift, coef) sorted by d.
+
+    Top down (up false), part j reads parts below it that this pass has
+    not touched yet, so the parts are multiplied by 1 + S.  Bottom up,
+    part j reads parts below it that already hold the result h, so
+    h = parts + S h, that is h = parts / (1 - S).
+    """
+    if not steps:
+        return
+    low = steps[0][0]
+    for j in range(low, cutoff + 1) if up else range(cutoff, low - 1, -1):
+        part = parts[j]
+        get = part.get
+        for d, shift, coef in steps:
+            if d > j:
+                break
+            for key, v in parts[j - d].items():
+                key += shift
+                part[key] = get(key, 0) + coef * v
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +545,30 @@ class Factors:
         degree <= cutoff.  Times a term of degree >= cutoff - self.cutoff,
         every dropped factor lands above cutoff, so the result is exact.
 
-        One pass per factor (1 - c x^e)^(-k), of degree d = |e|: by the
-        binomial series it is sum_{r>=0} b_r c^r x^(r e) with b_0 = 1 and
-        b_r = b_{r-1} (k + r - 1) / r, the integer binom(k + r - 1, r);
-        r divides b_{r-1} (k + r - 1) = r b_r, so the floor division is
-        exact.  For k < 0, b_r = 0 from r = 1 - k on, and the pass stops
-        at the first zero, after |k| steps.  The new part j is
-        sum_r b_r c^r x^(r e) * old part[j - r d].  Running j from the top
-        down, part j reads only parts below it, which this pass has not
-        yet touched, so the update is in place.
+        One pass per factor (1 - c x^e)^(-k), of degree d = |e|.  With
+        m = |k|, the factor is P or 1/P for the polynomial
+        P = (1 - c x^e)^m = sum_{r=0..m} binom(m, r) (-c)^r x^(r e), whose
+        terms with r > cutoff // d lie above cutoff and are left out;
+        binom(m, r) = binom(m, r - 1) (m - r + 1) / r, and r divides
+        binom(m, r - 1) (m - r + 1) = r binom(m, r), so the floor division
+        is exact.  For k < 0, _pass multiplies by P top down, with
+        S = P - 1.  For k > 0 it divides by P bottom up, with S = 1 - P:
+        the new part j is the old part j minus
+        sum_{r>=1} P_r x^(r e) * new part[j - r d], and reads only lower
+        parts, already divided.  The division is exact over the integers:
+        P has constant term 1 and integer coefficients, so each new part
+        is an integer combination of old parts and lower new parts, and
+        new * P = old holds part by part up to cutoff, which makes new the
+        truncation of old * (1 - c x^e)^(-m).  A k = 1 factor is one
+        shifted add per part.
+
+        Order.  The factors run in descending order of degree, ties in
+        insertion order.  Every pass maps the parts up to cutoff of its
+        operand to those of the true product or quotient, since P and 1/P
+        have no terms of negative degree, and the product commutes, so the
+        order changes only the cost: a factor of degree d reads only parts
+        of degree <= cutoff - d, which are still sparse while the factors
+        of high degree run.
         """
         _check_cutoff(cutoff)
         nv = len(self.names)
@@ -556,25 +589,18 @@ class Factors:
                              "cutoff %d" % (low, cutoff, self.cutoff))
         base = cutoff + 1
         parts = _graded_parts(items, base, cutoff)
-        for (c, e), k in self.mult.items():
-            d = sum(e)
+        for (c, e), k in sorted(self.mult.items(),
+                                key=lambda f: -sum(f[0][1])):
+            d, m = sum(e), abs(k)
+            shift = _pack(e, base)
+            # the steps of S = P - 1 (k < 0) or S = 1 - P (k > 0)
             steps = []
-            b = cr = 1
-            for r in range(1, cutoff // d + 1):
-                b = b * (k + r - 1) // r
-                if not b:
-                    break
-                cr *= c
-                steps.append((r * d, r * _pack(e, base), b * cr))
-            for j in range(cutoff, d - 1, -1):
-                part = parts[j]
-                get = part.get
-                for rd, shift, coef in steps:
-                    if rd > j:
-                        break
-                    for key, v in parts[j - rd].items():
-                        key += shift
-                        part[key] = get(key, 0) + coef * v
+            b, cr = 1, 1 if k < 0 else -1
+            for r in range(1, min(m, cutoff // d) + 1):
+                b = b * (m - r + 1) // r
+                cr *= -c
+                steps.append((r * d, r * shift, b * cr))
+            _pass(parts, steps, cutoff, k > 0)
         out = Series(self.names, cutoff)
         out.terms = _decoded(parts, base, nv)
         return out
@@ -589,18 +615,28 @@ def _walk(out, a, q, macmahon, k):
     """Add prod_{n>=1} (1 - a q^n)^(-k*n) (macmahon) or prod_{n>=0}
     (1 - a q^n)^k (q-Pochhammer) to the Factors out; return out.
 
-    a and q are Terms; every factor a*q^n up to the cutoff must come out
-    with non-negative exponents and positive degree.
+    a and q are Terms; q must have positive degree, or the walk would not
+    end, and every factor a*q^n up to the cutoff must come out with
+    non-negative exponents and positive degree.  The factor's coefficient
+    and exponents are carried from one n to the next.
     """
+    qc, qe = q
+    qd = sum(qe)
+    if qd <= 0:
+        raise ValueError("q of degree %d; the walk needs q of positive "
+                         "degree" % qd)
     n = 1 if macmahon else 0
-    while True:
-        f = term_mul(a, term_pow(q, n))
-        if f[0] == 0 or term_deg(f) > out.cutoff:
-            return out
-        if term_deg(f) <= 0:
-            raise ValueError("factor of degree %d at n=%d" % (term_deg(f), n))
-        out._add(f, k * n if macmahon else -k)
+    c, e = term_mul(a, q) if macmahon else a
+    d = sum(e)
+    while c and d <= out.cutoff:
+        if d <= 0:
+            raise ValueError("factor of degree %d at n=%d" % (d, n))
+        out._add((c, e), k * n if macmahon else -k)
+        c *= qc
+        e = tuple(map(add, e, qe))
+        d += qd
         n += 1
+    return out
 
 
 def pochhammer_factors(a, q, names, cutoff):

@@ -6,8 +6,8 @@ import pytest
 import sympy
 
 from orbivertex.qseries import (
-    Factors, Series, family_factors, macmahon_factors, mul_terms,
-    pochhammer_factors, term, term_mul, term_neg, term_pow,
+    Factors, Series, _decoded, _pack, family_factors, macmahon_factors,
+    mul_terms, pochhammer_factors, term, term_mul, term_neg, term_pow,
 )
 
 import oracles
@@ -460,15 +460,15 @@ def test_constructors_reject_non_int_cutoff(build, cutoff):
 
 
 def rand_multiset(rng, names, cutoff):
-    """3-9 factors (1 - c x^e)^(-k), c in {+-1, +-2}, k in [-3, 3]."""
+    """3-9 factors (1 - c x^e)^(-k), c in {+-1, +-2, +-3}, k in [-5, 5]."""
     mult = {}
     for _ in range(rng.randrange(3, 10)):
         while True:
-            e = tuple(rng.choice([0, 0, 1, 1, 2]) for _ in names)
+            e = tuple(rng.choice([0, 0, 1, 1, 2, 3]) for _ in names)
             if 0 < sum(e) <= cutoff:
                 break
-        key = (rng.choice([1, -1, 2, -2]), e)
-        mult[key] = mult.get(key, 0) + rng.randrange(-3, 4)
+        key = (rng.choice([1, -1, 2, -2, 3, -3]), e)
+        mult[key] = mult.get(key, 0) + rng.randrange(-5, 6)
     return Factors(names, cutoff, mult)
 
 
@@ -494,7 +494,7 @@ def test_factors_times_matches_euler_oracle():
     for case in range(24):
         nvars = 1 + case % 4
         names = tuple("x%d" % i for i in range(nvars))
-        D = 10 + case % 7 if nvars < 4 else 10 + case % 3
+        D = (20, 18, 14, 12)[nvars - 1] - case % 3
         fs = rand_multiset(rng, names, D)
         want = oracles.factors_series_euler(fs)
         assert fs.series() == want, case
@@ -515,6 +515,65 @@ def test_factors_times_matches_euler_oracle():
             assert fs.times(master, cut).terms == prod, case
         seen.add(bool(neg))
     assert seen == {True, False}
+
+
+def test_factors_order_does_not_change_the_product():
+    # times runs the factors highest degree first, ties in insertion
+    # order; any insertion order must give the same series
+    rng = random.Random(1919)
+    for case in range(6):
+        names = tuple("x%d" % i for i in range(1 + case % 3))
+        D = 12
+        items = list(rand_multiset(rng, names, D).mult.items())
+        master = rand_master(rng, len(names), D, negative=False)
+        shuffled = items[:]
+        rng.shuffle(shuffled)
+        orders = [sorted(items, key=lambda f: sum(f[0][1])),
+                  sorted(items, key=lambda f: -sum(f[0][1])), shuffled]
+        got = [Factors(names, D, dict(order)) for order in orders]
+        series = [f.series() for f in got]
+        assert series[0] == series[1] == series[2], case
+        prods = [f.times(master, D) for f in got]
+        assert prods[0] == prods[1] == prods[2], case
+
+
+def test_factors_times_round_trip():
+    # F ** -1 swaps every multiplication pass with the division pass by
+    # the same polynomial, so it undoes F exactly
+    rng = random.Random(2323)
+    for case in range(12):
+        nvars = 1 + case % 4
+        names = tuple("x%d" % i for i in range(nvars))
+        D = (18, 14, 12, 10)[nvars - 1]
+        F = rand_multiset(rng, names, D)
+        master = rand_master(rng, nvars, D, negative=False)
+        back = (F ** -1).times(F.times(master, D).terms, D)
+        assert back.terms == {e: c for e, c in master.items()
+                              if c and sum(e) <= D}, case
+
+
+@pytest.mark.parametrize("build", [
+    lambda q: pochhammer_factors(term(1, (1, 0)), q, ("a", "b"), 5),
+    lambda q: macmahon_factors(term(1, (0, 0)), q, ("a", "b"), 5),
+    lambda q: family_factors("Mt", ("a", "b"), 5, term(1, (1, 0)), q),
+])
+@pytest.mark.parametrize("q", [term(1, (0, 0)), term(1, (1, -1)),
+                               term(1, (-1, 0)), term(0, (0, 0))])
+def test_factor_walks_need_q_of_positive_degree(build, q):
+    # a walk over q^n with q of degree <= 0 would never pass the cutoff
+    with pytest.raises(ValueError, match="q of degree"):
+        build(q)
+
+
+def test_decoded_inverts_pack():
+    # every variable count, the low half list capped by the entries
+    rng = random.Random(77)
+    for nvars in range(13):
+        base = 13
+        want = {tuple(rng.randrange(base) for _ in range(nvars)):
+                rng.randrange(1, 9) for _ in range(5)}
+        parts = [{_pack(e, base): c for e, c in want.items()}, {0: 0}]
+        assert _decoded(parts, base, nvars) == want, nvars
 
 
 def test_factors_times_edge_cases():
