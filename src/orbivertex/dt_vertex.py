@@ -14,10 +14,10 @@ from __future__ import annotations
 from collections import Counter
 
 from . import partition_core as pc
-from .pyramid import VARS_Z2Z2, series_from_packed, zn_names
+from .pyramid import VARS_Z2Z2, _group_names, series_from_packed, zn_names
 from .qseries import (
-    Factors, Series, _check_cutoff, family_factors, macmahon_factors,
-    mul_terms, term, term_one,
+    Factors, Series, _check_cutoff, _check_exps, _check_int, family_factors,
+    macmahon_factors, mul_terms, term, term_one,
 )
 
 _Z2Z2_SLOT = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
@@ -55,25 +55,14 @@ def enumerate_one_leg(legs, group, cutoff, n=None):
     first candidates; with no leg, only the origin qualifies.
     """
     _check_cutoff(cutoff)
-    lam, mu, nu = (pc.check_partition(tuple(x)) for x in legs)
-    if sum(1 for x in (lam, mu, nu) if x) > 1:
-        raise ValueError("at most one non-empty leg")
+    lam, mu, nu = pc._check_legs(legs)
+    names = _group_names(group, n)
     if group == "z2z2":
-        if n is not None:
-            raise ValueError("n is for group zn, got n=%r with z2z2" % (n,))
-        names = VARS_Z2Z2
-
         def slot(x1, x2, x3):
             return _Z2Z2_SLOT[((x1 + x3) % 2, (x2 + x3) % 2)]
-    elif group == "zn":
-        if not n or n < 1:
-            raise ValueError("zn group needs n >= 1")
-        names = zn_names(n)
-
+    else:
         def slot(x1, x2, x3):
             return (x1 - x2) % n
-    else:
-        raise ValueError("unknown group %r" % group)
 
     def in_cyl(x1, x2, x3):
         return (pc.contains_cell(lam, x2, x3)
@@ -189,10 +178,10 @@ def _complete_homogeneous(vals, names, cutoff, kmax):
 def skew_schur_specialized(mu, eta, variables, cutoff, names):
     """Skew Schur function of mu/eta at finitely many monomial values.
 
-    variables is a sequence of Terms over `names` (or plain 0 entries)
-    with non-negative exponents; zero entries are skipped, degree-zero
-    entries must be exactly 1.  Expanded through the determinant in
-    complete homogeneous functions.
+    variables is a sequence of Terms over `names` (or plain 0 entries),
+    checked as Series terms are (_check_int, _check_exps); zero entries
+    are skipped, degree-zero entries must be exactly 1.  Expanded through
+    the determinant in complete homogeneous functions.
     """
     xi = pc.check_partition(tuple(mu))
     et = pc.check_partition(tuple(eta))
@@ -200,14 +189,13 @@ def skew_schur_specialized(mu, eta, variables, cutoff, names):
     for t in variables:
         if t == 0:
             continue
-        c, e = int(t[0]), tuple(t[1])
-        if c == 0:
-            continue
-        if any(x < 0 for x in e):
-            raise ValueError("negative exponent in value %r" % (t,))
-        if not any(e) and c != 1:
-            raise ValueError("degree-0 value %r is not 1" % (t,))
-        vals.append((c, e))
+        c, e = t
+        _check_int(c, "coefficient")
+        _check_exps(e, names)
+        if c:
+            if not any(e) and c != 1:
+                raise ValueError("degree-0 value %r is not 1" % (t,))
+            vals.append((c, tuple(e)))
     if any(pc.part(et, r) > pc.part(xi, r) for r in range(len(et))):
         return Series.zero(names, cutoff)
     ell = len(xi)
@@ -274,7 +262,7 @@ def _schur_values(part, n, work, bar):
         if bar:
             e = _bar_exps(e, n)
         if 0 <= sum(e) <= work:
-            vals.append(term(1, e))
+            vals.append((1, e))
     return vals
 
 
@@ -292,7 +280,7 @@ def _zero_zn(n, names, cutoff):
 def _hook_factors(nu, n, names, cutoff):
     # prod over the cells of nu of 1 / (1 - colored hook monomial)
     return Factors(names, cutoff, Counter(
-        term(1, pc.hook_color_count(nu, i, j, n)) for (i, j) in pc.cells(nu)))
+        (1, pc.hook_color_count(nu, i, j, n)) for (i, j) in pc.cells(nu)))
 
 
 def _rotation_exponents(nu, n):
@@ -315,13 +303,9 @@ def vertex_closed_zn(n, legs, cutoff):
     MacMahon, hook and rotation factors is the result; a negative
     exponent surviving in it raises.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    names = _group_names("zn", n)
     _check_cutoff(cutoff)
-    lam, mu, nu = (pc.check_partition(tuple(x)) for x in legs)
-    if sum(1 for x in (lam, mu, nu) if x) > 1:
-        raise ValueError("at most one non-empty leg")
-    names = zn_names(n)
+    lam, mu, nu = pc._check_legs(legs)
     lamc = pc.conjugate(lam)
     muc = pc.conjugate(mu)
     nuc = pc.conjugate(nu)

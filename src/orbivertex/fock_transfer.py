@@ -25,7 +25,7 @@ kind of slice, and the slice's corner parity swaps it.
 from __future__ import annotations
 
 from . import partition_core as pc
-from .pyramid import _DIAG_COLOR, COLOR_SLOT, VARS_Z2Z2, zn_names
+from .pyramid import _DIAG_COLOR, COLOR_SLOT, VARS_Z2Z2, _group_names, zn_names
 from .qseries import Series, _check_cutoff
 from .rpc import EpsilonTable, mho
 
@@ -235,23 +235,13 @@ def _transfer_args(group, leg, cutoff, mode, n):
     """Checked (leg, mode, n, window) of vertex_by_transfer."""
     _check_cutoff(cutoff)
     v = pc.check_partition(tuple(leg))
-    if group == "zn":
-        if not n or n < 1:
-            raise ValueError("zn group needs n >= 1")
-        if mode not in (None, "zn"):
-            raise ValueError("group zn takes mode zn, not %r" % (mode,))
-        mode = "zn"
-    elif group == "z2z2":
-        if mode is None:
-            mode = "standard"
-        elif mode == "zn":
-            raise ValueError("mode zn is for group zn")
-        elif mode not in ("standard", "rpc_antidiagonal", "rpc_diagonal"):
-            raise ValueError("unknown mode %r" % (mode,))
-        if n is not None:
-            raise ValueError("n is for group zn, got n=%r with z2z2" % (n,))
-    else:
-        raise ValueError("unknown group %r" % group)
+    _group_names(group, n)
+    modes = (("zn",) if group == "zn"
+             else ("standard", "rpc_antidiagonal", "rpc_diagonal"))
+    mode = modes[0] if mode is None else mode
+    if mode not in modes:
+        raise ValueError("unknown mode %r; group %s takes mode %s"
+                         % (mode, group, " or ".join(modes)))
     t0 = max(len(v), pc.part(v, 0)) + 1
     window = cutoff + t0 + 4
     if window % 2:
@@ -265,8 +255,7 @@ def vertex_by_transfer(group, leg, cutoff, mode=None, n=None):
     group "z2z2" with mode standard (the default) / rpc_antidiagonal /
     rpc_diagonal, or group "zn" (needs n >= 1; mode zn, the default).
     Another mode under zn, standard included, or an n under z2z2,
-    raises.  The leg sits in the third
-    slot; the other two legs are empty.
+    raises.  The leg sits in the third slot; the other two are empty.
 
     Why the window suffices: the weight of a slice is a monomial of
     total degree equal to its size (_slice_slots splits its cells

@@ -17,17 +17,29 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from .qseries import _check_int
+
 
 def check_partition(p):
-    """Raise if p is not a valid partition tuple."""
+    """Raise if p is not a valid partition tuple of ints."""
     if not isinstance(p, tuple):
         raise TypeError("partition must be a tuple, got %r" % (p,))
+    for x in p:
+        _check_int(x, "part")
     for a, b in zip(p, p[1:]):
         if a < b:
             raise ValueError("parts not weakly decreasing: %r" % (p,))
     if p and p[-1] <= 0:
         raise ValueError("parts must be positive (trim zeros): %r" % (p,))
     return p
+
+
+def _check_legs(legs):
+    """The three leg partitions, checked, at most one of them non-empty."""
+    legs = tuple(check_partition(tuple(x)) for x in legs)
+    if sum(1 for x in legs if x) > 1:
+        raise ValueError("at most one non-empty leg")
+    return legs
 
 
 def parse_partition(text):
@@ -43,9 +55,6 @@ def parse_partition(text):
         parts = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError("cannot parse partition from %r" % text)
-    for x in parts:
-        if x <= 0:
-            raise ValueError("parts must be positive: %r" % text)
     return check_partition(parts)
 
 

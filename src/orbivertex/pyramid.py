@@ -27,7 +27,7 @@ pyramid_series).
 from __future__ import annotations
 
 from . import partition_core as pc
-from .qseries import Series
+from .qseries import Series, _check_int
 
 DIAG = "diagonal"
 ANTI = "antidiagonal"
@@ -40,6 +40,17 @@ VARS_Z2Z2 = ("q0", "qa", "qb", "qc")
 def zn_names(n):
     """Variable names of the Zn series, one per residue."""
     return tuple("qt%d" % i for i in range(n))
+
+
+def _group_names(group, n):
+    """Variable names of group "z2z2" (n None) or "zn" (int n >= 1)."""
+    if group not in ("z2z2", "zn"):
+        raise ValueError("unknown group %r" % (group,))
+    if group == "z2z2" and n is not None:
+        raise ValueError("n is for group zn, got n=%r with z2z2" % (n,))
+    if group == "zn" and (n is None or _check_int(n, "n") < 1):
+        raise ValueError("n must be >= 1 for group zn, got %r" % (n,))
+    return VARS_Z2Z2 if group == "z2z2" else zn_names(n)
 
 
 # diagonal slice color by k mod 4

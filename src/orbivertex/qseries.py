@@ -4,7 +4,7 @@ Coefficients are Python ints, exponents are non-negative.  Laurent-style
 intermediate data (signed monomials with possibly negative exponents) is
 carried by plain Term tuples and {exponents: coefficient} dicts, and must
 be combined into something non-negative before it can enter a Series;
-building a series or a factor with a negative exponent raises.  Every
+one checker, _check_exps, rejects a negative exponent there.  Every
 truncated product of two such dicts, Series arithmetic included, goes
 through the one kernel mul_terms.
 
@@ -112,9 +112,9 @@ class Series:
 
     Terms from outside (the constructors, from_json, map_vars and the
     functions that count configurations) enter through _add, which checks
-    types (TypeError for a coefficient or exponent that is not an int),
-    arity and negativity.  Arithmetic on series already checked writes its
-    dicts directly.
+    coefficients with _check_int and exponent tuples with _check_exps
+    (types, arity, negativity).  Arithmetic on series already checked
+    writes its dicts directly.
     """
 
     __slots__ = ("names", "cutoff", "terms")
@@ -124,8 +124,7 @@ class Series:
         self.cutoff = _check_cutoff(cutoff)
         self.terms = {}
         if terms:
-            for e, c in terms.items():
-                self._add(e, c)
+            self._add(terms.items())
 
     def _like(self, terms, cutoff=None):
         # a series over the same variables holding terms already checked
@@ -133,25 +132,20 @@ class Series:
         s.terms = terms
         return s
 
-    def _add(self, exps, coef):
-        if type(coef) is not int:
-            _check_int(coef, "coefficient")
-        if coef == 0:
-            return
-        if len(exps) != len(self.names):
-            raise ValueError("arity mismatch: %r with vars %r" % (exps, self.names))
-        for x in exps:
-            if type(x) is not int:
-                _check_int(x, "exponent")
-            if x < 0:
-                raise ValueError("negative exponent %r; combine Laurent factors first" % (exps,))
-        if sum(exps) > self.cutoff:
-            return
-        new = self.terms.get(exps, 0) + coef
-        if new:
-            self.terms[exps] = new
-        else:
-            self.terms.pop(exps, None)
+    def _add(self, items):
+        # add (exps, coef) pairs from outside, each checked
+        names, cutoff, terms = self.names, self.cutoff, self.terms
+        for exps, coef in items:
+            if type(coef) is not int:
+                _check_int(coef, "coefficient")
+            if coef:
+                _check_exps(exps, names)
+                if sum(exps) <= cutoff:
+                    new = terms.get(exps, 0) + coef
+                    if new:
+                        terms[exps] = new
+                    else:
+                        terms.pop(exps, None)
 
     # -- constructors -------------------------------------------------------
 
@@ -162,13 +156,7 @@ class Series:
     @classmethod
     def one(cls, names, cutoff):
         s = cls(names, cutoff)
-        s._add((0,) * len(s.names), 1)
-        return s
-
-    @classmethod
-    def from_term(cls, names, cutoff, t):
-        s = cls(names, cutoff)
-        s._add(t[1], t[0])
+        s.terms[(0,) * len(s.names)] = 1
         return s
 
     @classmethod
@@ -177,7 +165,7 @@ class Series:
         if term_deg(t) == 0 and t[0] != 0:
             raise ValueError("degree-0 factor term %r" % (t,))
         s = cls.one(names, cutoff)
-        s._add(t[1], t[0])
+        s._add([(t[1], t[0])])
         return s
 
     # -- basics -------------------------------------------------------------
@@ -286,13 +274,9 @@ class Series:
         assignment[i] = index of the new variable that old variable i
         becomes.  Distinct old variables may map to the same new one.
         """
-        _check_assignment(self.names, new_names, assignment)
+        relabel = _relabeling(self.names, new_names, assignment)
         out = Series(new_names, self.cutoff)
-        for e, c in self.terms.items():
-            ne = [0] * len(new_names)
-            for i, x in enumerate(e):
-                ne[assignment[i]] += x
-            out._add(tuple(ne), c)
+        out._add([(relabel(e), c) for e, c in self.terms.items()])
         return out
 
     # -- serialization ------------------------------------------------------
@@ -315,9 +299,11 @@ class Series:
         so a float is rejected rather than truncated."""
         data = json.loads(text)
         s = cls(tuple(data["vars"]), data["cutoff"])
+        pairs = []
         for item in data["terms"]:
             c = item["coef"]
-            s._add(tuple(item["exp"]), int(c) if type(c) is str else c)
+            pairs.append((tuple(item["exp"]), int(c) if type(c) is str else c))
+        s._add(pairs)
         return s
 
 
@@ -338,21 +324,42 @@ def _check_int(x, what):
     return x
 
 
+def _check_exps(exps, names, laurent=False):
+    """The one check of an exponent tuple from outside: one int per name
+    (TypeError otherwise), none negative unless laurent."""
+    if len(exps) != len(names):
+        raise ValueError("arity mismatch: %r with vars %r" % (exps, names))
+    for x in exps:
+        if type(x) is not int:
+            _check_int(x, "exponent")
+        if x < 0 and not laurent:
+            raise ValueError("negative exponent %r; combine Laurent factors "
+                             "first" % (exps,))
+
+
 def _check_cutoff(cutoff):
     if _check_int(cutoff, "cutoff") < 0:
         raise ValueError("cutoff must be >= 0")
     return cutoff
 
 
-def _check_assignment(names, new_names, assignment):
-    """map_vars input: one entry per old variable, each an index into
-    new_names; a negative index would silently wrap to the end."""
+def _relabeling(names, new_names, assignment):
+    """The exponent map of map_vars, once its input is checked: one entry
+    per old variable, each an index into new_names; a negative index would
+    silently wrap to the end."""
     if len(assignment) != len(names):
         raise ValueError("assignment arity mismatch")
     for a in assignment:
         if not 0 <= a < len(new_names):
             raise ValueError("assignment index %r outside range(%d)"
                              % (a, len(new_names)))
+
+    def relabel(e):
+        ne = [0] * len(new_names)
+        for i, x in zip(assignment, e):
+            ne[i] += x
+        return tuple(ne)
+    return relabel
 
 
 def _pack(exps, base):
@@ -445,7 +452,8 @@ class Factors:
     the product into a Laurent dict once, one pass per factor, and
     series() is times() on the constant 1.  A negative cutoff raises, and
     a cutoff, coefficient, exponent or multiplicity that is not an int
-    raises TypeError.
+    raises TypeError: _add checks the constructor's mult, and _walk its
+    a, q and k once, not each factor it builds.
     """
 
     __slots__ = ("names", "cutoff", "mult")
@@ -459,18 +467,15 @@ class Factors:
                 self._add(t, k)
 
     def _add(self, t, k):
-        c = _check_int(t[0], "coefficient")
-        e = tuple(_check_int(x, "exponent") for x in t[1])
-        if c == 0 or _check_int(k, "multiplicity") == 0:
-            return
-        if len(e) != len(self.names):
-            raise ValueError("arity mismatch: %r with vars %r" % (e, self.names))
-        if any(x < 0 for x in e):
-            raise ValueError("negative exponent %r; combine Laurent factors first" % (e,))
-        if sum(e) <= 0:
-            raise ValueError("degree-0 factor term %r" % (t,))
-        if sum(e) <= self.cutoff:
-            self._bump((c, e), k)
+        # add the factor (1 - t)^(-k) from outside, checked
+        c, e = t
+        _check_int(c, "coefficient")
+        _check_exps(e, self.names)
+        if c and _check_int(k, "multiplicity"):
+            if sum(e) <= 0:
+                raise ValueError("degree-0 factor term %r" % (t,))
+            if sum(e) <= self.cutoff:
+                self._bump((c, tuple(e)), k)
 
     def _bump(self, key, k):
         new = self.mult.get(key, 0) + k
@@ -509,13 +514,10 @@ class Factors:
         """Relabel variables as Series.map_vars does; merged factors add
         their multiplicities.  Degrees are kept, so the cutoff still
         applies."""
-        _check_assignment(self.names, new_names, assignment)
+        relabel = _relabeling(self.names, new_names, assignment)
         out = Factors(new_names, self.cutoff)
         for (c, e), k in self.mult.items():
-            ne = [0] * len(out.names)
-            for i, x in enumerate(e):
-                ne[assignment[i]] += x
-            out._bump((c, tuple(ne)), k)
+            out._bump((c, relabel(e)), k)
         return out
 
     def series(self):
@@ -526,9 +528,9 @@ class Factors:
         """terms times the product, truncated at total degree `cutoff`, as
         a Series over self.names.
 
-        terms is a {exponent tuple: coefficient} dict whose exponents may
-        be negative.  Only its nonzero terms of degree <= cutoff matter: a
-        factor has positive degree, so a term above cutoff stays above.
+        terms is a {exponent tuple: coefficient} dict of ints, exponents
+        possibly negative.  Only its nonzero terms of degree <= cutoff
+        matter: a factor has positive degree, so a term above stays above.
 
         Negative exponents.  If such a term has a negative exponent, the
         product has one too, and the same ValueError as Series raises,
@@ -571,12 +573,10 @@ class Factors:
         of high degree run.
         """
         _check_cutoff(cutoff)
-        nv = len(self.names)
         items = []
         for e, c in terms.items():
-            if len(e) != nv:
-                raise ValueError("arity mismatch: %r with vars %r"
-                                 % (e, self.names))
+            _check_int(c, "coefficient")
+            _check_exps(e, self.names, laurent=True)
             if c and sum(e) <= cutoff:
                 items.append((e, c))
         neg = [(sum(e), e) for e, _ in items if e and min(e) < 0]
@@ -602,7 +602,7 @@ class Factors:
                 steps.append((r * d, r * shift, b * cr))
             _pass(parts, steps, cutoff, k > 0)
         out = Series(self.names, cutoff)
-        out.terms = _decoded(parts, base, nv)
+        out.terms = _decoded(parts, base, len(self.names))
         return out
 
 
@@ -615,23 +615,30 @@ def _walk(out, a, q, macmahon, k):
     """Add prod_{n>=1} (1 - a q^n)^(-k*n) (macmahon) or prod_{n>=0}
     (1 - a q^n)^k (q-Pochhammer) to the Factors out; return out.
 
-    a and q are Terms; q must have positive degree, or the walk would not
-    end, and every factor a*q^n up to the cutoff must come out with
-    non-negative exponents and positive degree.  The factor's coefficient
-    and exponents are carried from one n to the next.
+    a and q are Terms over out.names, exponents possibly negative, and k
+    an int, each checked once here; q must have positive degree, or the
+    walk would not end.  Each factor a*q^n up to the cutoff is tested
+    only for positive degree and non-negative exponents, then added to
+    out.  Its coefficient and exponents carry from one n to the next.
     """
+    for t in (a, q):
+        _check_int(t[0], "coefficient")
+        _check_exps(t[1], out.names, laurent=True)
+    _check_int(k, "multiplicity")
     qc, qe = q
     qd = sum(qe)
     if qd <= 0:
         raise ValueError("q of degree %d; the walk needs q of positive "
                          "degree" % qd)
     n = 1 if macmahon else 0
-    c, e = term_mul(a, q) if macmahon else a
+    c, e = term_mul(a, q) if macmahon else (a[0], tuple(a[1]))
     d = sum(e)
     while c and d <= out.cutoff:
         if d <= 0:
             raise ValueError("factor of degree %d at n=%d" % (d, n))
-        out._add((c, e), k * n if macmahon else -k)
+        if min(e) < 0:
+            _check_exps(e, out.names)       # raises the negative exponent
+        out._bump((c, e), k * n if macmahon else -k)
         c *= qc
         e = tuple(map(add, e, qe))
         d += qd

@@ -86,11 +86,20 @@ class EpsilonTable:
         return rho - self.eps(which, x)
 
 
-def region(v, l, k, table=None):
-    """Admissible corner (row, column) of slice k; same in both frames."""
-    t = table if table is not None else EpsilonTable(v)
+def _check_shift(l, frame=DIAG):
+    """l, once checked before any work: a negative shift has no region,
+    and an unknown frame would be read as the antidiagonal one."""
+    if frame not in (DIAG, ANTI):
+        raise ValueError("unknown frame %r" % frame)
     if l < 0:
         raise ValueError("shift l must be >= 0")
+    return l
+
+
+def region(v, l, k, table=None):
+    """Admissible corner (row, column) of slice k; same in both frames."""
+    _check_shift(l)
+    t = table if table is not None else EpsilonTable(v)
     if k % 2 == 0:
         h = k // 2
         if h <= 0:
@@ -109,19 +118,10 @@ def mho(v, k, table=None):
     return ci + cj
 
 
-def _check_frame_shift(frame, l):
-    """Reject an unknown frame or a negative shift before any work; an
-    unknown frame would otherwise be read as the antidiagonal one."""
-    if frame not in (DIAG, ANTI):
-        raise ValueError("unknown frame %r" % frame)
-    if l < 0:
-        raise ValueError("shift l must be >= 0")
-
-
 def restrict(p, v, l, frame):
     """Slice family of the bricks of p inside the regions, re-based at the
     corners: {k: partition}, empty slices dropped."""
-    _check_frame_shift(frame, l)
+    _check_shift(l, frame)
     slices = p.slices if frame == DIAG else p.antidiagonal_slices()
     t = EpsilonTable(v)
     out = {}
@@ -138,7 +138,7 @@ def restrict(p, v, l, frame):
 
 def restrict_positions(p, v, l, frame):
     """The same restriction as a set of physical brick positions."""
-    _check_frame_shift(frame, l)
+    _check_shift(l, frame)
     t = EpsilonTable(v)
     out = set()
     slices = p.slices if frame == DIAG else p.antidiagonal_slices()
@@ -185,7 +185,7 @@ def realize(slices, v, l, frame):
     construction pads each admissible region with a staircase of full
     rows so the chain conditions hold across region corners.
     """
-    _check_frame_shift(frame, l)
+    _check_shift(l, frame)
     family = {int(k): pc.check_partition(tuple(s))
               for k, s in slices.items() if tuple(s)}
     if not check_type_interlacing(family, v):
@@ -436,7 +436,7 @@ def generating_function(v, l, frame, cutoff):
     the slices are re-based at their corners, so the series is the same
     for every l >= 0; a negative l is rejected, as region() does.
     """
-    _check_frame_shift(frame, l)
+    _check_shift(l, frame)
     _check_cutoff(cutoff)
     t = EpsilonTable(v)
     slices = _slice_range(t.conj, cutoff)
@@ -538,8 +538,7 @@ def region_complement_equal(v, l, K):
     their physical positions one diagonal run at a time (see
     _window_runs)."""
     runs = _window_runs(K)
-    if l < 0:
-        raise ValueError("shift l must be >= 0")
+    _check_shift(l)
     corners = [(ci + l, cj + l) for ci, cj in _leg_corners(tuple(v), K)]
     for k, h, dk, a, b, lo, end in runs:
         ci, cj = corners[k]
@@ -559,9 +558,7 @@ def uniqueness_scan(max_leg_size, l_values, K):
     """
     if max_leg_size < 0:
         raise ValueError("max leg size must be >= 0, got %d" % max_leg_size)
-    l_values = tuple(dict.fromkeys(l_values))
-    if any(l < 0 for l in l_values):
-        raise ValueError("shift l must be >= 0")
+    l_values = tuple(map(_check_shift, dict.fromkeys(l_values)))
     _window_runs(K)                 # raises on a negative window
     out = {}
     for v in pc.partitions_up_to(max_leg_size):

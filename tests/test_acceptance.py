@@ -215,7 +215,7 @@ def test_criterion_9_property_suite():
         for s in (a, b, c):
             for _ in range(8):
                 e = tuple(rng.randrange(0, 3) for _ in VARS_Z2Z2)
-                s._add(e, rng.randrange(-5, 6))
+                s._add([(e, rng.randrange(-5, 6))])
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a

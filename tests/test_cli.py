@@ -281,3 +281,19 @@ def test_output_into_missing_directory_fails_first(tmp_path, capsys,
         assert exc.value.code == 2
         capsys.readouterr()
     assert not (tmp_path / "missing").exists()
+
+
+def test_zn_n_below_one_gives_one_message_per_method(capsys):
+    # closed said "n must be >= 1", enumerate and transfer "zn group needs
+    # n >= 1"
+    errors = set()
+    for method in ("closed", "enumerate", "transfer"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["vertex", "--group", "zn", "--n", "0", "--method",
+                      method])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.add(captured.err.splitlines()[-1])
+    assert len(errors) == 1
+    assert "n must be >= 1 for group zn, got 0" in errors.pop()

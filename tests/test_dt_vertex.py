@@ -427,3 +427,44 @@ def test_vertex_closed_zn_first_slot_matches_enumeration_degree_12(n, leg):
 @pytest.mark.parametrize("m", range(8))
 def test_closed_z2z2_staircase_matches_enumeration_degree_8(m):
     assert closed_z2z2_staircase(m, 8) == enumerate_3d(pc.staircase(m), "z2z2", 8)
+
+
+@pytest.mark.parametrize("value, error, message", [
+    ((1.5, (1, 0)), TypeError, "coefficient must be an int"),
+    ((1, (1.5, 0)), TypeError, "exponent must be an int"),
+    ((1, (1, 0, 0)), ValueError, "arity mismatch"),
+    ((1, (1,)), ValueError, "arity mismatch"),
+    ((1, (-1, 1)), ValueError, "negative exponent"),
+], ids=["float-coef", "float-exp", "long-exps", "short-exps", "negative"])
+def test_skew_schur_checks_values_as_series_terms(value, error, message):
+    # the coefficient 1.5 was read as 1, a float exponent went into the
+    # series, and zip cut a long tuple or kept a short one as a key
+    with pytest.raises(error, match=message):
+        skew_schur_specialized((1,), (), (value, term_var(2, 1)), 4,
+                               ("x1", "x2"))
+
+
+@pytest.mark.parametrize("n, error, message", [
+    (2.5, TypeError, "n must be an int"), (True, TypeError, "n must be an int"),
+    (3.0, TypeError, "n must be an int"),
+    (0, ValueError, "n must be >= 1 for group zn"),
+    (-2, ValueError, "n must be >= 1 for group zn"),
+])
+def test_routes_check_n_alike(n, error, message):
+    # range() failed on 2.5, True was read as 1, and n = 0 raised a
+    # different message in the closed route than in the other two
+    for build in (lambda: enumerate_3d((1,), "zn", 3, n=n),
+                  lambda: vertex_by_transfer("zn", (1,), 3, n=n),
+                  lambda: vertex_closed_zn(n, ((), (), (1,)), 3)):
+        with pytest.raises(error, match=message):
+            build()
+
+
+@pytest.mark.parametrize("leg", [(1.5,), (True,), (2, 1.0)])
+def test_routes_reject_non_int_leg_parts(leg):
+    for build in (lambda: enumerate_3d(leg, "z2z2", 3),
+                  lambda: enumerate_one_leg((leg, (), ()), "zn", 3, n=3),
+                  lambda: vertex_by_transfer("z2z2", leg, 3),
+                  lambda: vertex_closed_zn(3, ((), leg, ()), 3)):
+        with pytest.raises(TypeError, match="part must be an int"):
+            build()

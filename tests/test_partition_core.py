@@ -256,3 +256,11 @@ def test_primed_partners_are_conjugated_unprimed():
                 pc.conjugate(m) for m in pc.partners_above(lc, bound))
             assert all(pc.interlaces(m, lam, primed=True) and sum(m) <= bound
                        for m in above), (lam, bound)
+
+
+def test_check_partition_rejects_non_int_parts():
+    # (1.5,) and (True,) used to pass as partitions
+    for p in [(1.5,), (True,), (3, 2.0), (2, 1, False)]:
+        with pytest.raises(TypeError, match="part must be an int"):
+            pc.check_partition(p)
+    assert pc.check_partition((3, 1)) == (3, 1)

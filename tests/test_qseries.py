@@ -19,12 +19,12 @@ GENS = sympy.symbols("q0 qa qb qc")
 def rand_series(rng, names, cutoff, nterms=8, unit=False):
     s = Series(names, cutoff)
     if unit:
-        s._add((0,) * len(names), rng.choice([1, -1]))
+        s._add([((0,) * len(names), rng.choice([1, -1]))])
     for _ in range(nterms):
         e = tuple(rng.randrange(0, 3) for _ in names)
         if unit and not any(e):
             continue
-        s._add(e, rng.randrange(-5, 6))
+        s._add([(e, rng.randrange(-5, 6))])
     return s
 
 
@@ -76,7 +76,7 @@ def test_invert_random():
 def test_negative_exponent_rejected():
     s = Series(V4, 4)
     with pytest.raises(ValueError):
-        s._add((1, -1, 0, 0), 1)
+        s._add([((1, -1, 0, 0), 1)])
     with pytest.raises(ValueError):
         Series(V4, 4, {(1, -1, 0, 0): 1})
     with pytest.raises(ValueError):
@@ -295,7 +295,7 @@ def test_json_roundtrip_and_order():
 
 def test_map_vars():
     s = Series(("x", "y"), 4)
-    s._add((1, 2), 3)
+    s._add([((1, 2), 3)])
     t = s.map_vars(("u", "v", "w"), (2, 0))
     assert t.terms == {(2, 0, 1): 3}
     u = s.map_vars(("z",), (0, 0))
@@ -596,3 +596,47 @@ def test_factors_times_edge_cases():
     assert f.times({(1, 1): 1}, 6).terms == mul_terms(wide.terms, {(1, 1): 1}, 6)
     with pytest.raises(ValueError, match="arity mismatch"):
         f.times({(1,): 1}, 4)
+
+
+def test_factors_times_checks_term_types():
+    # a float coefficient used to come back as float coefficients, and a
+    # float exponent failed inside the packing with "list indices must be
+    # integers"
+    f = Factors(("a", "b"), 3, {(1, (1, 0)): 1})
+    with pytest.raises(TypeError, match="coefficient must be an int"):
+        f.times({(0, 0): 1.5}, 3)
+    with pytest.raises(TypeError, match="exponent must be an int"):
+        f.times({(1.5, 0): 1}, 3)
+    with pytest.raises(TypeError, match="exponent must be an int"):
+        f.times({(True, 0): 1}, 3)
+
+
+@pytest.mark.parametrize("build, factor", [
+    # x^-1 q with x = qa^2: the first factor carries qa^-1
+    (lambda: macmahon_factors(term_pow(term(1, (0, 2, 0, 0)), -1), q_full(),
+                              V4, 4), (1, -1, 1, 1)),
+    # a = qa^-1 qb qc has degree 1 but a negative exponent at n = 0
+    (lambda: pochhammer_factors(term(1, (0, -1, 1, 1)), q_full(), V4, 4),
+     (0, -1, 1, 1)),
+])
+def test_factor_walk_rejects_negative_exponent_factor(build, factor):
+    # the walk adds its factors without Factors._add, so its own test per
+    # factor must keep the error a checked factor raises
+    with pytest.raises(ValueError, match=re.escape(
+            "negative exponent %r; combine Laurent factors first" % (factor,))):
+        build()
+    with pytest.raises(ValueError, match=re.escape(
+            "negative exponent %r; combine Laurent factors first" % (factor,))):
+        Factors(V4, 8, {(1, factor): 1})
+
+
+def test_factor_walks_check_their_arguments_once():
+    # a and q of another arity used to be cut short by zip in term_mul
+    with pytest.raises(ValueError, match="arity mismatch"):
+        macmahon_factors(term(1, (0, 0, 0)), q_full(), V4, 4)
+    with pytest.raises(ValueError, match="arity mismatch"):
+        pochhammer_factors(term(1, (1, 0, 0, 0)), term(1, (1, 1)), V4, 4)
+    with pytest.raises(TypeError, match="exponent must be an int"):
+        macmahon_factors((1, (0, 0.5, 0, 0)), q_full(), V4, 4)
+    with pytest.raises(TypeError, match="coefficient must be an int"):
+        pochhammer_factors((1, (1, 0, 0, 0)), (1.0, (1, 1, 1, 1)), V4, 4)
