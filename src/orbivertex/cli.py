@@ -19,7 +19,7 @@ from .dt_vertex import (
     enumerate_3d, one_leg_zn_staircase, pyramid_closed, vertex_closed_zn,
 )
 from .fock_transfer import vertex_by_transfer
-from .pyramid import ANTI, DIAG, pyramid_series
+from .pyramid import ANTI, DIAG, _group_names, pyramid_series
 
 
 def _partition_arg(text):
@@ -98,19 +98,19 @@ def _emit(args, report, header, rows):
         sys.stdout.write(text)
 
 
-def _need_staircase(leg):
-    if not pc.is_staircase(leg):
-        raise ValueError("closed form needs a staircase leg, got %r" % (leg,))
+def _need_staircase(args):
+    if "closed" in args.method and not pc.is_staircase(args.leg):
+        raise ValueError("closed form needs a staircase leg, got %r"
+                         % (args.leg,))
 
 
 def _vertex_check(args):
-    # --n defaults to None, so that one given under z2z2 is seen
-    if args.group == "zn":
-        args.n = 4 if args.n is None else args.n
-    elif args.n is not None:
-        raise ValueError("--n applies to --group zn only")
-    elif "closed" in args.method:
-        _need_staircase(args.leg)
+    # --n defaults to None, so that one given under z2z2 reaches the check
+    if args.group == "zn" and args.n is None:
+        args.n = 4
+    _group_names(args.group, args.n)
+    if args.group == "z2z2":
+        _need_staircase(args)
 
 
 def _vertex_fields(args):
@@ -123,19 +123,15 @@ def _vertex_fields(args):
 
 def _vertex_series(args, method):
     leg, d = args.leg, args.degree
-    if args.group == "z2z2":
-        if method == "enumerate":
-            return enumerate_3d(leg, "z2z2", d)
-        if method == "transfer":
-            return vertex_by_transfer("z2z2", leg, d)
-        if not leg:
-            return closed_z2z2_nolegs(d)
-        return closed_z2z2_staircase(len(leg), d)
     if method == "enumerate":
-        return enumerate_3d(leg, "zn", d, n=args.n)
+        return enumerate_3d(leg, args.group, d, n=args.n)
     if method == "transfer":
-        return vertex_by_transfer("zn", leg, d, n=args.n)
-    return vertex_closed_zn(args.n, ((), (), leg), d)
+        return vertex_by_transfer(args.group, leg, d, n=args.n)
+    if args.group == "zn":
+        return vertex_closed_zn(args.n, ((), (), leg), d)
+    if not leg:
+        return closed_z2z2_nolegs(d)
+    return closed_z2z2_staircase(len(leg), d)
 
 
 def _pyramid_series(args, method):
@@ -145,10 +141,8 @@ def _pyramid_series(args, method):
 
 
 def _rpc_check(args):
-    if args.shift < 0:
-        raise ValueError("shift must be >= 0, got %d" % args.shift)
-    if "closed" in args.method:
-        _need_staircase(args.leg)
+    rpc._check_shift(args.shift, args.frame)
+    _need_staircase(args)
 
 
 def _rpc_series(args, method):
@@ -173,29 +167,26 @@ _SERIES_COMMANDS = {
 }
 
 
-def _run_series(args):
-    """Compute every requested method, verify, emit.  Input that would
-    fail later is rejected before any series is computed."""
+def _series(args):
+    """Every requested method's series; under --verify each is compared
+    with the first."""
     check, fields, series = _SERIES_COMMANDS[args.command]
     if args.verify and len(args.method) < 2:
         raise ValueError("--verify needs at least two methods")
     check(args)
     named = [(method, series(args, method)) for method in args.method]
-    (base_label, base), others = named[0], named[1:]
-    if args.verify and any(_differ("mismatch %s vs %s" % (base_label, label),
-                                   base, s) for label, s in others):
-        return 1
-    head = fields(args)
-    records = [dict(head, method=method, series=_series_obj(s))
+    base_label, base = named[0]
+    comparisons = [("mismatch %s vs %s" % (base_label, label), base, s)
+                   for label, s in named[1:] if args.verify]
+    records = [dict(fields(args), method=method, series=_series_obj(s))
                for method, s in named]
     header = ["method"] + records[0]["series"]["vars"] + ["coef"]
-    _emit(args, {"results": records}, header,
-          ([rec["method"]] + item["exp"] + [item["coef"]]
-           for rec in records for item in rec["series"]["terms"]))
-    return 0
+    return comparisons, {"results": records}, header, (
+        [rec["method"]] + item["exp"] + [item["coef"]]
+        for rec in records for item in rec["series"]["terms"])
 
 
-def _run_uniqueness(args):
+def _uniqueness(args):
     scan = rpc.uniqueness_scan(args.max_leg_size, args.shifts, args.window)
     rows = [{"leg": list(v), "shift": l, "symmetric": ok}
             for (v, l), ok in sorted(scan.items())]
@@ -207,13 +198,14 @@ def _run_uniqueness(args):
               "results": rows,
               "symmetric_legs": [list(v) for v in symmetric],
               "staircases_only": set(symmetric) == expected}
-    _emit(args, report, ["leg", "shift", "symmetric"],
-          ([",".join(str(x) for x in r["leg"]), r["shift"],
-            int(r["symmetric"])] for r in rows))
-    return 0
+    return [], report, ["leg", "shift", "symmetric"], (
+        [pc.format_partition(r["leg"]), r["shift"], int(r["symmetric"])]
+        for r in rows)
 
 
-def _run_verify(args):
+def _verify(args):
+    """Per check its two routes, then a transfer route's brackets on its
+    window and window + 2.  Every check in the report is ok."""
     d = args.degree
     en = enumerate_3d((), "z2z2", d)
     # (window, transfer series on it, the series on window + 2)
@@ -236,21 +228,28 @@ def _run_verify(args):
         ("rpc_m1_interlacing_closed", rpc.generating_function((1,), 0, ANTI, d),
          corollary_rpc_closed(1, d), None),
     ]
-    rows = []
+    comparisons = []
     for name, a, b, pair in battery:
-        ok = not _differ("mismatch in " + name, a, b)
+        comparisons.append(("mismatch in " + name, a, b))
         if pair is not None:
             window, first, second = pair
-            ok = not _differ("transfer window %d not stable in %s: windows "
-                             "%d and %d differ" % (window, name, window,
-                                                    window + 2),
-                             first, second) and ok
-        rows.append({"check": name, "ok": ok})
-    ok = all(r["ok"] for r in rows)
-    if ok:
-        _emit(args, {"checks": rows, "ok": True}, ["check", "ok"],
-              ([r["check"], int(r["ok"])] for r in rows))
-    return 0 if ok else 1
+            comparisons.append(
+                ("transfer window %d not stable in %s: windows %d and %d "
+                 "differ" % (window, name, window, window + 2), first, second))
+    report = {"checks": [{"check": name, "ok": True} for name, *_ in battery],
+              "ok": True}
+    return comparisons, report, ["check", "ok"], ([c[0], 1] for c in battery)
+
+
+def _run(args):
+    """Build the subcommand's comparisons and report; bad input fails in
+    the build before any series is computed.  Print every comparison that
+    differs and return 1, or emit the report and return 0."""
+    comparisons, report, header, rows = args.build(args)
+    if any([_differ(*c) for c in comparisons]):     # a list: print each
+        return 1
+    _emit(args, report, header, rows)
+    return 0
 
 
 def _add_common(p, methods, default_method):
@@ -259,7 +258,7 @@ def _add_common(p, methods, default_method):
                    default=default_method)
     p.add_argument("--verify", action="store_true")
     _add_output(p)
-    p.set_defaults(run=_run_series)
+    p.set_defaults(build=_series)
 
 
 def _add_output(p):
@@ -294,12 +293,12 @@ def build_parser():
     p.add_argument("--window", type=int, default=10)
     p.add_argument("--shifts", type=_shifts_arg, default=(0, 1))
     _add_output(p)
-    p.set_defaults(run=_run_uniqueness)
+    p.set_defaults(build=_uniqueness)
 
     p = sub.add_parser("verify", help="cross-check the three pipelines")
     p.add_argument("--degree", type=int, default=6)
     _add_output(p)
-    p.set_defaults(run=_run_verify)
+    p.set_defaults(build=_verify)
 
     return parser
 
@@ -316,7 +315,7 @@ def main(argv=None):
         if os.path.isdir(args.output):
             parser.error("output %s is a directory" % args.output)
     try:
-        return args.run(args)
+        return _run(args)
     except ValueError as ex:
         parser.error(str(ex))
 

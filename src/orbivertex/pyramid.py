@@ -31,7 +31,6 @@ from .qseries import Series, _check_int
 
 DIAG = "diagonal"
 ANTI = "antidiagonal"
-FRAMES = (DIAG, ANTI)
 
 # variable slot order used by every four-color series in the package
 VARS_Z2Z2 = ("q0", "qa", "qb", "qc")
@@ -140,7 +139,7 @@ class PyramidPartition:
     __slots__ = ("slices",)
 
     def __init__(self, slices):
-        self.slices = {int(k): pc.check_partition(tuple(v))
+        self.slices = {_check_int(k, "slice index"): pc.check_partition(tuple(v))
                        for k, v in slices.items() if tuple(v)}
 
     @classmethod
@@ -231,13 +230,12 @@ def enumerate_pyramids(max_bricks):
     depth-first order of rpc.interlacing_families((), max_bricks).
 
     They are the second-type interlacing families of the empty leg (see
-    pyramid_series).  A negative bound raises: it used to return no
-    pyramid at all, not even the empty one.
+    pyramid_series).  A negative bound raises in interlacing_families,
+    before any slice is walked: it used to return no pyramid at all, not
+    even the empty one.
     """
     # rpc imports this module for its geometry, so import it here
     from . import rpc
-    if max_bricks < 0:
-        raise ValueError("max_bricks must be >= 0")
     return [PyramidPartition(f) for f in rpc.interlacing_families((), max_bricks)]
 
 

@@ -27,7 +27,7 @@ from .pyramid import (
     _DIAG_COLOR, ANTI, DIAG, VARS_Z2Z2, COLOR_SLOT, PyramidPartition,
     _odd_offset, address_to_position, series_from_packed,
 )
-from .qseries import _check_cutoff
+from .qseries import _check_cutoff, _check_int
 
 
 class EpsilonTable:
@@ -87,11 +87,12 @@ class EpsilonTable:
 
 
 def _check_shift(l, frame=DIAG):
-    """l, once checked before any work: a negative shift has no region,
-    and an unknown frame would be read as the antidiagonal one."""
+    """l, once checked before any work: a float would be carried into the
+    corners, a negative shift has no region, and an unknown frame would be
+    read as the antidiagonal one."""
     if frame not in (DIAG, ANTI):
         raise ValueError("unknown frame %r" % frame)
-    if l < 0:
+    if _check_int(l, "shift l") < 0:
         raise ValueError("shift l must be >= 0")
     return l
 
@@ -186,7 +187,7 @@ def realize(slices, v, l, frame):
     rows so the chain conditions hold across region corners.
     """
     _check_shift(l, frame)
-    family = {int(k): pc.check_partition(tuple(s))
+    family = {_check_int(k, "slice index"): pc.check_partition(tuple(s))
               for k, s in slices.items() if tuple(s)}
     if not check_type_interlacing(family, v):
         raise ValueError("family does not satisfy the interlacing condition")

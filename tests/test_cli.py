@@ -137,6 +137,50 @@ def test_verify_fails_on_unstable_transfer_window(capsys, monkeypatch):
         % (window, window, window + 2)]
 
 
+def test_verify_prints_both_lines_of_a_failing_check(capsys, monkeypatch):
+    # the bracket on the window itself gains a term, so the zero-leg z2z2
+    # check fails against enumeration and against window + 2
+    window = fock_transfer._transfer_args("z2z2", (), 3, "standard", None)[3]
+    bracket = fock_transfer._bracket
+
+    def tampered(v, cutoff, mode, n, w):
+        s = bracket(v, cutoff, mode, n, w)
+        if v == () and mode == "standard" and w == window:
+            s = s + Series(s.names, cutoff, {(1, 1, 0, 0): 1})
+        return s
+
+    monkeypatch.setattr(fock_transfer, "_bracket", tampered)
+    code, out = run_cli(capsys, ["verify", "--degree", "3"])
+    assert code == 1
+    assert out.splitlines() == [
+        "mismatch in zero_leg_enumerate_transfer at q0*qa: 1 != 2",
+        "transfer window %d not stable in zero_leg_enumerate_transfer: "
+        "windows %d and %d differ at q0*qa: 2 != 1"
+        % (window, window, window + 2)]
+
+
+def test_verify_flag_prints_every_differing_method(capsys, monkeypatch):
+    # enumerate gains q0*qa and transfer q0*qb; each is compared with closed
+    def tamper(route, exps):
+        def run(*args, **kwargs):
+            s = route(*args, **kwargs)
+            return s + Series(s.names, s.cutoff, {exps: 1})
+        return run
+
+    monkeypatch.setattr(cli, "enumerate_3d",
+                        tamper(cli.enumerate_3d, (1, 1, 0, 0)))
+    monkeypatch.setattr(cli, "vertex_by_transfer",
+                        tamper(cli.vertex_by_transfer, (1, 0, 1, 0)))
+    code, out = run_cli(capsys, ["vertex", "--leg", "2,1", "--degree", "3",
+                                 "--method", "closed,enumerate,transfer",
+                                 "--verify"])
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("mismatch closed vs enumerate at q0*qa: ")
+    assert lines[1].startswith("mismatch closed vs transfer at q0*qb: ")
+
+
 def test_mismatch_exits_one(capsys, monkeypatch):
     tampered = closed_z2z2_nolegs(2)
     tampered = tampered + Series(tampered.names, 2, {(1, 1, 0, 0): 1})
@@ -200,10 +244,10 @@ SERIES_FUNCTIONS = [
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["vertex", "--workers", "4"], "unrecognized arguments",
                  id="workers"),
-    pytest.param(["rpc", "--leg", "1", "--shift", "-1"], "shift must be >= 0",
-                 id="rpc-shift-1"),
-    pytest.param(["rpc", "--leg", "1", "--shift", "-3"], "shift must be >= 0",
-                 id="rpc-shift-3"),
+    pytest.param(["rpc", "--leg", "1", "--shift", "-1"],
+                 "shift l must be >= 0", id="rpc-shift-1"),
+    pytest.param(["rpc", "--leg", "1", "--shift", "-3"],
+                 "shift l must be >= 0", id="rpc-shift-3"),
     pytest.param(["vertex", "--leg", "1", "--method", "enumerate", "--verify"],
                  "at least two methods", id="vertex-verify-one-method"),
     pytest.param(["pyramid", "--method", "closed", "--verify"],
@@ -215,9 +259,10 @@ SERIES_FUNCTIONS = [
                  "staircase leg", id="vertex-closed-not-staircase"),
     pytest.param(["vertex", "--group", "z2z2", "--n", "7", "--leg", "1",
                   "--degree", "1", "--method", "enumerate"],
-                 "--n applies to --group zn only", id="vertex-n-under-z2z2"),
+                 "n is for group zn, got n=7 with z2z2",
+                 id="vertex-n-under-z2z2"),
     pytest.param(["vertex", "--n", "4", "--leg", "1"],
-                 "--n applies to --group zn only",
+                 "n is for group zn, got n=4 with z2z2",
                  id="vertex-n-under-default-group"),
 ])
 def test_bad_input_fails_before_any_series(capsys, monkeypatch, argv, message):

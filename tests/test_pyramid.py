@@ -100,9 +100,15 @@ def test_enumeration_against_downset_oracle():
 
 def test_enumerate_pyramids_rejects_negative_bound():
     # it used to return no pyramid at all, not even the empty one
-    with pytest.raises(ValueError, match="max_bricks must be >= 0"):
+    with pytest.raises(ValueError, match="budget must be >= 0"):
         enumerate_pyramids(-1)
     assert enumerate_pyramids(0) == [PyramidPartition({})]
+
+
+def test_slice_index_must_be_int():
+    # int(k) used to read slice 1.5 as slice 1
+    with pytest.raises(TypeError, match="slice index must be an int"):
+        PyramidPartition({1.5: (1,)})
 
 
 def test_validate_and_brick_roundtrip():

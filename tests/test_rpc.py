@@ -237,6 +237,24 @@ def test_restriction_rejects_negative_shift_up_front(monkeypatch):
             realize({}, (), -1, frame)
 
 
+@pytest.mark.parametrize("call, what", [
+    pytest.param(lambda: realize({0.7: (1,)}, (), 0, DIAG), "slice index",
+                 id="realize-slice-index"),
+    pytest.param(lambda: region((), 1.5, 0), "shift l", id="region-shift"),
+    pytest.param(lambda: uniqueness_scan(2, (0.5,), 3), "shift l",
+                 id="uniqueness-scan-shift"),
+    pytest.param(lambda: generating_function((1,), 1.5, ANTI, 3), "shift l",
+                 id="generating-function-shift"),
+])
+def test_float_slice_index_or_shift_raises_up_front(monkeypatch, call, what):
+    # each used to run: realize built slice 0 from 0.7, region returned
+    # (1.5, 1.5), and the scan and the walk carried the float shift
+    monkeypatch.setattr(rpc, "EpsilonTable", _no_table)
+    monkeypatch.setattr(rpc, "_leg_corners", _no_corners)
+    with pytest.raises(TypeError, match=what + " must be an int"):
+        call()
+
+
 def test_frames_agree_iff_staircase_small():
     assert generating_function((1,), 0, DIAG, 4) == generating_function((1,), 0, ANTI, 4)
     a = generating_function((2,), 0, ANTI, 4)
