@@ -149,6 +149,7 @@ def symmetry_check(leg, shift, cutoff):
     on both sides; group is the order-four product of two involutions.
     """
     v = pc.check_partition(tuple(leg))
+    _check_int(shift, "shift")
     lhs = enumerate_3d(v, "z2z2", cutoff)
     if shift == 1:
         legs, assign = (v, (), ()), (0, 3, 1, 2)
@@ -387,8 +388,9 @@ _Z4_TAIL = _tail("Mt", 1, 1, (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 
 
 def _product(table, m, cutoff, names=VARS_Z2Z2):
-    """The table's product as Factors at the staircase leg of size m."""
-    if m < 0:
+    """The table's product as Factors at the staircase leg of size m, an
+    int >= 0: True would be read as 1, and a float as a family name."""
+    if _check_int(m, "m") < 0:
         raise ValueError("m must be >= 0")
     main, other, ell = str(m % 2), str(1 - m % 2), (m + 1) // 2
     out = Factors(names, cutoff)

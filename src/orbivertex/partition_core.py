@@ -106,15 +106,6 @@ def interlaces(lam, mu, primed=False):
     return True
 
 
-def interlaces_tau(a, b, tau, primed=False):
-    """Directed interlacing: tau=+1 means a <= b, tau=-1 means a >= b."""
-    if tau == 1:
-        return interlaces(b, a, primed)
-    if tau == -1:
-        return interlaces(a, b, primed)
-    raise ValueError("tau must be +1 or -1")
-
-
 def partners_below(lam, primed=False):
     """All mu with lam >= mu in the interlacing order (finitely many).
 

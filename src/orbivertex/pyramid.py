@@ -15,7 +15,8 @@ Two slicing frames are used throughout:
 A slice is recorded as a partition sigma: cell (i, j) -- row i, offset j
 within the row -- is occupied iff j < sigma[i].  Valid pyramids are
 exactly the finitely-supported slice families that interlace along the
-chain; see validate().
+chain: check_type_interlacing at the empty leg, the one chain checker of
+the package, which rpc applies at every leg; see validate().
 
 They are the restricted pyramid configurations of the empty leg, so
 enumerate_pyramids and pyramid_series are the forward slice sweep of rpc
@@ -123,14 +124,26 @@ def color(frame, k, i, j):
     return _DIAG_COLOR[(x - y) % 4]
 
 
-def chain_relation(k):
-    """(tau, primed) linking slice k to slice k+1 in either frame.
-
-    tau=+1 means slice_k <= slice_{k+1} (interlacing upward), tau=-1 the
-    reverse; the relation is primed exactly when k is odd.
+def check_type_interlacing(slices, v):
+    """Second-type interlacing of a finitely-supported slice family:
+    eta_k and eta_{k-1} interlace in the direction given by the conjugate
+    edge value at -k, primed exactly at even k.  Empty families pass.
     """
-    tau = 1 if k < 0 else -1
-    return tau, (k % 2 != 0)
+    conj = pc.conjugate(v)
+    support = [k for k, s in slices.items() if s]
+    if not support:
+        return True
+    lo, hi = min(support), max(support)
+    for s in range(lo, hi + 2):
+        a = tuple(slices.get(s, ()))
+        b = tuple(slices.get(s - 1, ()))
+        tau = pc.edge_value(conj, -s)
+        primed = (s % 2 == 0)
+        # tau=+1: eta_s <= eta_{s-1}; tau=-1: eta_s >= eta_{s-1}
+        ok = pc.interlaces(b, a, primed) if tau == 1 else pc.interlaces(a, b, primed)
+        if not ok:
+            return False
+    return True
 
 
 class PyramidPartition:
@@ -177,15 +190,11 @@ class PyramidPartition:
         return {k: _cells_to_partition(cells) for k, cells in by_slice.items()}
 
     def validate(self):
-        """Check the full interlacing chain; raises ValueError if broken."""
-        if not self.slices:
-            return True
-        lo, hi = min(self.slices), max(self.slices)
-        for k in range(lo - 1, hi + 1):
-            a, b = self.slice(k), self.slice(k + 1)
-            tau, primed = chain_relation(k)
-            if not pc.interlaces_tau(a, b, tau, primed):
-                raise ValueError("slices %d and %d do not interlace" % (k, k + 1))
+        """Check the full interlacing chain, the second-type interlacing
+        of the empty leg (see pyramid_series); raises ValueError if
+        broken."""
+        if not check_type_interlacing(self.slices, ()):
+            raise ValueError("slices do not interlace: %r" % (self.slices,))
         return True
 
     def color_counts(self):
@@ -269,10 +278,11 @@ def pyramid_series(cutoff):
 
     * EpsilonTable(()) has every eps equal to 0, so every region corner
       is (0, 0) and restriction keeps every brick in place;
-    * edge_value((), -s) is -1 for s <= 0 and +1 for s >= 1, so slice s
-      lies above slice s - 1 left of the center and below it from slice
-      1 on, primed exactly at even s: the relation chain_relation(s - 1)
-      puts between slices s - 1 and s, which validate() checks;
+    * validate() is check_type_interlacing at leg (), so the slice
+      families of the pyramids are the second-type families of () by
+      definition: edge_value((), -s) is -1 for s <= 0 and +1 for s >= 1,
+      so slice s lies above slice s - 1 left of the center and below it
+      from slice 1 on, primed exactly at even s;
     * rpc.slice_color_counts colors diagonal slice k _DIAG_COLOR[k % 4],
       as color() does.
 

@@ -21,11 +21,13 @@ are identical in the two frames, the brick content is not.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 from . import partition_core as pc
 from .pyramid import (
     _DIAG_COLOR, ANTI, DIAG, VARS_Z2Z2, COLOR_SLOT, PyramidPartition,
-    _odd_offset, address_to_position, series_from_packed,
+    _odd_offset, address_to_position, check_type_interlacing,
+    series_from_packed,
 )
 from .qseries import _check_cutoff, _check_int
 
@@ -48,25 +50,16 @@ class EpsilonTable:
         low = -2 * self.bound
         values = pc.edge_values(self.conj, range(low, 2 * self.bound))
         e = lambda t: values[t - low]
-        self._e1 = self._accumulate([(e(2 * t) + 1) // 2
-                                     for t in range(self.bound)])
-        self._e2 = self._accumulate([(e(2 * t + 1) + 1) // 2
-                                     for t in range(self.bound)])
-        self._e3 = self._accumulate([(1 - e(-2 * t)) // 2
-                                     for t in range(1, self.bound + 1)])
-        self._e4 = self._accumulate([(1 - e(-2 * t + 1)) // 2
-                                     for t in range(1, self.bound + 1)])
+        self._e1 = list(accumulate((e(2 * t) + 1) // 2
+                                   for t in range(self.bound)))
+        self._e2 = list(accumulate((e(2 * t + 1) + 1) // 2
+                                   for t in range(self.bound)))
+        self._e3 = list(accumulate((1 - e(-2 * t)) // 2
+                                   for t in range(1, self.bound + 1)))
+        self._e4 = list(accumulate((1 - e(-2 * t + 1)) // 2
+                                   for t in range(1, self.bound + 1)))
         self.rho1 = max(self._e2[-1], self._e4[-1])
         self.rho2 = max(self._e1[-1], self._e3[-1])
-
-    @staticmethod
-    def _accumulate(steps):
-        out = []
-        run = 0
-        for s in steps:
-            run += s
-            out.append(run)
-        return out
 
     def eps(self, which, x):
         if which in (1, 2):
@@ -80,10 +73,6 @@ class EpsilonTable:
             table = self._e3 if which == 3 else self._e4
             return table[min(x - 1, len(table) - 1)]
         raise ValueError("which must be 1..4")
-
-    def eps_hat(self, which, x):
-        rho = self.rho2 if which in (1, 3) else self.rho1
-        return rho - self.eps(which, x)
 
 
 def _check_shift(l, frame=DIAG):
@@ -152,28 +141,6 @@ def restrict_positions(p, v, l, frame):
     return frozenset(out)
 
 
-def check_type_interlacing(slices, v):
-    """Second-type interlacing of a finitely-supported slice family:
-    eta_k and eta_{k-1} interlace in the direction given by the conjugate
-    edge value at -k, primed exactly at even k.  Empty families pass.
-    """
-    conj = pc.conjugate(v)
-    support = [k for k, s in slices.items() if s]
-    if not support:
-        return True
-    lo, hi = min(support), max(support)
-    for s in range(lo, hi + 2):
-        a = tuple(slices.get(s, ()))
-        b = tuple(slices.get(s - 1, ()))
-        tau = pc.edge_value(conj, -s)
-        primed = (s % 2 == 0)
-        # tau=+1: eta_s <= eta_{s-1}; tau=-1: eta_s >= eta_{s-1}
-        ok = pc.interlaces(b, a, primed) if tau == 1 else pc.interlaces(a, b, primed)
-        if not ok:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # realize: canonical pyramid restricting to a given family
 # ---------------------------------------------------------------------------
@@ -182,9 +149,19 @@ def check_type_interlacing(slices, v):
 def realize(slices, v, l, frame):
     """A pyramid whose restriction at (v, l, frame) is the given family.
 
-    The family must satisfy the second-type interlacing for v.  The
-    construction pads each admissible region with a staircase of full
-    rows so the chain conditions hold across region corners.
+    The family must satisfy the second-type interlacing for v.  With
+    theta rows and xi columns bounding every slice of the family, each
+    slice k of a window -2 half - 1 .. 2 half past the family and the
+    leg's edges is its region corner (ci, cj) padded: ci full rows of
+    length cj + xi, then cj + eta_k[r] for r < theta.  Two tails of
+    staircase blocks close the pyramid off past the window, each read
+    from the corner (ci, cj) of its end slice -2 half or 2 half; the m-th
+    pair of slices out, m >= 1, is
+    * left: ci rows of length L = cj + xi + 1 - m on the inner slice,
+      L - 1 on the outer one, then theta rows of min(L, cj);
+    * right: ci - max(0, m - theta) rows of length cj + xi, then
+      theta - m rows of cj, on both slices.
+    So the chain conditions hold across the region corners.
     """
     _check_shift(l, frame)
     family = {_check_int(k, "slice index"): pc.check_partition(tuple(s))
@@ -193,72 +170,37 @@ def realize(slices, v, l, frame):
         raise ValueError("family does not satisfy the interlacing condition")
     t = EpsilonTable(v)
     support = max((abs(k) for k in family), default=0)
-    hbar = max(support + 1, pc.edge_bound(t.conj), 2)
-    if hbar % 2:
-        hbar += 1
-    half = hbar // 2
+    half = (max(support + 1, pc.edge_bound(t.conj), 2) + 1) // 2
     theta = max((len(s) for s in family.values()), default=0)
     xi = max((s[0] for s in family.values()), default=0)
 
-    def eh(which, x):
-        return t.eps_hat(which, x) + l
-
-    def eta(k):
-        return family.get(k, ())
-
-    def block(nrows, length):
-        return [length] * max(0, nrows)
-
     built = {}
-    for k in range(-half, 1):                                   # case (i)
-        rows = block(eh(2, -k - 1), eh(1, -k - 1) + xi)
-        rows += [eh(1, -k - 1) + pc.part(eta(2 * k), r) for r in range(theta)]
-        built[2 * k] = rows
-        rows = block(eh(2, -k - 1), eh(1, -k) + xi)
-        rows += [eh(1, -k) + pc.part(eta(2 * k - 1), r) for r in range(theta)]
-        built[2 * k - 1] = rows
-    e1s, e2s = eh(1, half - 1), eh(2, half - 1)
-    for k in range(-half - xi, -half):                          # case (ii)
-        built[2 * k] = block(e2s, e1s + xi + k + half + 1) + block(theta, e1s)
-        built[2 * k - 1] = block(e2s, e1s + xi + k + half) + block(theta, e1s)
-    for k in range(-half - xi - e1s, -half - xi):               # case (iii)
-        built[2 * k] = block(e2s + theta, e1s + k + half + xi + 1)
-        built[2 * k - 1] = block(e2s + theta, e1s + k + half + xi)
-    for k in range(1, half + 1):                                # case (v)
-        rows = block(eh(4, k), eh(3, k) + xi)
-        rows += [eh(3, k) + pc.part(eta(2 * k), r) for r in range(theta)]
-        built[2 * k] = rows
-        rows = block(eh(4, k), eh(3, k - 1) + xi)
-        rows += [eh(3, k - 1) + pc.part(eta(2 * k - 1), r) for r in range(theta)]
-        built[2 * k - 1] = rows
-    e3s, e4s = eh(3, half), eh(4, half)
-    for k in range(half + 1, half + theta + 1):                 # case (vi)
-        rows = block(e4s, e3s + xi) + block(theta - k + half, e3s)
-        built[2 * k] = rows
-        built[2 * k - 1] = list(rows)
-    for k in range(half + theta + 1, half + theta + e4s + 1):   # case (vii)
-        rows = block(e4s - k + half + theta, e3s + xi)
-        built[2 * k] = rows
-        built[2 * k - 1] = list(rows)
+    for k in range(-2 * half - 1, 2 * half + 1):
+        ci, cj = region(v, l, k, t)
+        eta = family.get(k, ())
+        built[k] = [cj + xi] * ci + [cj + pc.part(eta, r) for r in range(theta)]
+    ci, cj = region(v, l, -2 * half, t)
+    for m in range(1, cj + xi + 1):
+        for k, length in ((-2 * half - 2 * m, cj + xi + 1 - m),
+                          (-2 * half - 2 * m - 1, cj + xi - m)):
+            built[k] = [length] * ci + [min(length, cj)] * theta
+    ci, cj = region(v, l, 2 * half, t)
+    for m in range(1, ci + theta + 1):
+        rows = [cj + xi] * (ci - max(0, m - theta)) + [cj] * (theta - m)
+        built[2 * half + 2 * m - 1] = built[2 * half + 2 * m] = rows
 
     final = {}
     for k, rows in built.items():
-        trimmed = tuple(x for x in rows if x > 0)
         if any(a < b for a, b in zip(rows, rows[1:])):
             raise AssertionError("constructed slice %d not a partition: %r"
                                  % (k, rows))
-        if trimmed:
-            final[k] = trimmed
-
+        final[k] = tuple(x for x in rows if x)
     if frame == DIAG:
         p = PyramidPartition(final)
     else:
-        positions = []
-        for k, sigma in final.items():
-            for i, row in enumerate(sigma):
-                for j in range(row):
-                    positions.append(address_to_position(ANTI, k, i, j))
-        p = PyramidPartition.from_bricks(positions)
+        p = PyramidPartition.from_bricks(
+            address_to_position(ANTI, k, i, j) for k, sigma in final.items()
+            for i, row in enumerate(sigma) for j in range(row))
     p.validate()
     return p
 
@@ -375,7 +317,8 @@ def _slice_walk(v, cutoff, slice_weight):
 def interlacing_families(v, budget):
     """All finitely-supported second-type families with total size <= budget,
     in depth-first order: _slice_walk with each family weighing the tuple
-    of its (index, slice) pairs, sorted.  A negative budget raises.
+    of its (index, slice) pairs, sorted.  A budget that is not an int
+    raises TypeError (True would be read as 1), a negative one ValueError.
 
     Depth-first order fixes the slices of _slice_range left to right,
     trying the partners of the previous slice in generator order.
@@ -388,7 +331,7 @@ def interlacing_families(v, budget):
     even s.  Complete families have only empty slices past their end,
     and partitions compare as tuples here just as when padded by zeros.
     """
-    if budget < 0:
+    if _check_int(budget, "budget") < 0:
         raise ValueError("budget must be >= 0")
     walk = _slice_walk(v, budget, lambda s, eta: ((s, eta),) if eta else ())
     slices = _slice_range(pc.conjugate(v), budget)
@@ -555,12 +498,14 @@ def uniqueness_scan(max_leg_size, l_values, K):
 
     A negative size would scan nothing, a negative shift has no region
     and a negative window calls every leg symmetric, so each raises
-    before any leg is scanned.  A repeated shift is scanned once.
+    before any leg is scanned, as does a size, shift or window that is
+    not an int.  A repeated shift is scanned once.
     """
-    if max_leg_size < 0:
+    if _check_int(max_leg_size, "max leg size") < 0:
         raise ValueError("max leg size must be >= 0, got %d" % max_leg_size)
     l_values = tuple(map(_check_shift, dict.fromkeys(l_values)))
-    _window_runs(K)                 # raises on a negative window
+    # the int check comes first: the cached runs would answer True as 1
+    _window_runs(_check_int(K, "window"))   # raises on a negative window
     out = {}
     for v in pc.partitions_up_to(max_leg_size):
         for l in l_values:

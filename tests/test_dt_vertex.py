@@ -126,6 +126,13 @@ def test_symmetry_check():
         symmetry_check((1,), 3, 2)
 
 
+def test_symmetry_check_rejects_non_int_shift():
+    # True was read as shift 1 and 1.0 compared equal to it
+    for shift in (True, 1.0):
+        with pytest.raises(TypeError, match="shift must be an int"):
+            symmetry_check((1,), shift, 2)
+
+
 def test_skew_schur_basics():
     names = ("x1", "x2")
     x1, x2 = term_var(2, 0), term_var(2, 1)
@@ -458,6 +465,24 @@ def test_routes_check_n_alike(n, error, message):
                   lambda: vertex_closed_zn(n, ((), (), (1,)), 3)):
         with pytest.raises(error, match=message):
             build()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda m: upsilon(m, 3), id="upsilon"),
+    pytest.param(lambda m: phi(m, 3), id="phi"),
+    pytest.param(lambda m: closed_z2z2_staircase(m, 3),
+                 id="closed-z2z2-staircase"),
+    pytest.param(lambda m: corollary_rpc_closed(m, 3),
+                 id="corollary-rpc-closed"),
+    pytest.param(lambda m: one_leg_zn_staircase(4, m, 3),
+                 id="one-leg-zn-staircase"),
+])
+def test_staircase_products_reject_non_int_size(build):
+    # True returned the m = 1 series, and 1.5 became a MacMahon family
+    # name that no table holds
+    for m in (True, 1.5):
+        with pytest.raises(TypeError, match="m must be an int"):
+            build(m)
 
 
 @pytest.mark.parametrize("leg", [(1.5,), (True,), (2, 1.0)])

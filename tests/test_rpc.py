@@ -48,8 +48,9 @@ def test_eps_monotone_and_hat():
         for which in (1, 2, 3, 4):
             vals = [t.eps(which, x) for x in range(-2, t.bound + 3)]
             assert all(b - a in (0, 1) for a, b in zip(vals, vals[1:]))
-            assert t.eps_hat(which, t.bound) >= 0
-            assert t.eps_hat(which, -5) in (t.rho1, t.rho2)
+            rho = t.rho2 if which in (1, 3) else t.rho1
+            assert rho - t.eps(which, t.bound) >= 0
+            assert rho - t.eps(which, -5) in (t.rho1, t.rho2)
 
 
 def test_empty_leg_corners_are_shift():
@@ -140,6 +141,23 @@ def test_realize_empty_family():
     assert restrict(p, (), 1, DIAG) == {}
     with pytest.raises(ValueError):
         realize({0: (1,)}, (1,), 0, DIAG)
+
+
+def test_realize_frozen():
+    # the construction itself, not only its restriction, which would not
+    # see a change in the padding: the empty family's staircase padding
+    # at shift 1, and one family of leg (2, 1) in each frame at shift 1
+    assert realize({}, (), 1, DIAG).slices == {k: (1,) for k in range(-4, 3)}
+    fam = {0: (1,), 2: (1,), 3: (1,)}
+    assert realize(fam, (2, 1), 1, DIAG).slices == {
+        -10: (1, 1), -9: (1, 1), -8: (2, 2), -7: (2, 2), -6: (3, 2),
+        -5: (3, 2), -4: (3, 2), -3: (3, 2), -2: (3, 2), -1: (3, 3, 2),
+        0: (3, 3, 3), 1: (3, 3, 2), 2: (2, 2, 2), 3: (2, 2, 2),
+        4: (2, 2, 1), 5: (2, 2), 6: (2, 2), 7: (2,), 8: (2,)}
+    assert realize(fam, (2, 1), 1, ANTI).slices == {
+        -5: (3,), -4: (4,), -3: (4, 2), -2: (5, 2, 1, 1, 1),
+        -1: (5, 5, 2, 1, 1), 0: (6, 6, 3, 2, 2), 1: (6, 3, 2, 2),
+        2: (6, 2, 2, 1), 3: (2, 2, 2), 4: (1, 1, 1), 5: (1, 1)}
 
 
 def test_realize_validates():
@@ -251,6 +269,27 @@ def test_float_slice_index_or_shift_raises_up_front(monkeypatch, call, what):
     # (1.5, 1.5), and the scan and the walk carried the float shift
     monkeypatch.setattr(rpc, "EpsilonTable", _no_table)
     monkeypatch.setattr(rpc, "_leg_corners", _no_corners)
+    with pytest.raises(TypeError, match=what + " must be an int"):
+        call()
+
+
+@pytest.mark.parametrize("call, what", [
+    pytest.param(lambda: interlacing_families((), True), "budget",
+                 id="budget-bool"),
+    pytest.param(lambda: interlacing_families((), 1.5), "budget",
+                 id="budget-float"),
+    pytest.param(lambda: uniqueness_scan(True, (0,), 3), "max leg size",
+                 id="size-bool"),
+    pytest.param(lambda: uniqueness_scan(1.5, (0,), 3), "max leg size",
+                 id="size-float"),
+    pytest.param(lambda: uniqueness_scan(2, (0,), True), "window",
+                 id="window-bool"),
+    pytest.param(lambda: uniqueness_scan(2, (0,), 1.5), "window",
+                 id="window-float"),
+])
+def test_rpc_counts_must_be_ints(call, what):
+    # True was read as 1, the window's from the cached runs of window 1,
+    # and a float failed inside range()
     with pytest.raises(TypeError, match=what + " must be an int"):
         call()
 
