@@ -1,12 +1,9 @@
-"""One-leg orbifold vertex series by direct box enumeration and by the
-closed MacMahon-type product formulas.
-
-The cyclic formula is the paper's skew Schur sum; the staircase products
-are tables of family entries over one staircase tail, at the end.
-The operator-transfer route lives in fock_transfer; the restricted
-pyramid generating functions live in rpc.  Everything here returns
-Series objects truncated by total degree, and the three routes are meant
-to agree coefficient by coefficient.
+"""One-leg orbifold vertex series by box enumeration, on column heights
+in the leg's own frame, and by the closed MacMahon-type products: the
+paper's skew Schur sum for Zn, and tables of family entries over one
+staircase tail, at the end, for Z2 x Z2.  Operator transfer lives in
+fock_transfer, the restricted pyramid series in rpc; all three routes
+return Series truncated by total degree, to agree term by term.
 """
 
 from __future__ import annotations
@@ -35,106 +32,83 @@ def enumerate_one_leg(legs, group, cutoff, n=None):
     nothing; each extra box weighs one unit of its color variable.  The
     cylinders run along the first, second and third axis respectively.
 
-    The configurations are the down-sets of the boxes outside the
-    cylinders, each reached once: a node adds one candidate box (a box
-    whose predecessors outside the cylinders are all present), and its
-    children may add only the candidates after it plus the boxes it
-    completes.  Per call, each box visited gets a table entry once (its
-    color unit and its successors outside the cylinders), and each
-    successor a count of its missing predecessors, decremented on add
-    and restored on backtrack.  Weights are packed ints, base cutoff + 1
-    per variable, so no digit carries; they are unpacked once, at the end.
+    Box (r, c, h) lies h up the leg's axis (the third with no leg) over
+    cell (r, c) across it, at place(r, c, h) = (x1, x2, x3), where its
+    color is read.  top holds the column heights, width cells a row; leg
+    cells, row -1 and column -1 stay full (cutoff + 1).  The extra boxes
+    form a down-set exactly when top is weakly decreasing along rows and
+    columns, so the next box of column x is addable when top[x - width]
+    and top[x - 1] exceed its height; the root, the empty down-set, has
+    the leg's outer corners as addable boxes.  A node with down-set D
+    and addable list L forbids the boxes its ancestors skipped; a
+    down-set E > D with no forbidden box holds a box of L, and lies
+    under child i (D + L[i], forbidding L[:i]) for the first such L[i]
+    only.  The child's list is L[i + 1:] plus the boxes L[i] completed,
+    never addable before, so not forbidden: the next box of column x
+    and, if at height h, of x + width and x + 1.  So each down-set of
+    size <= cutoff is reached once.
 
-    The first candidates are the boxes outside the cylinders whose
-    predecessors all lie in the cylinder.  Such a box b has coordinate 0
-    along the leg's axis: its predecessor along that axis has the same
-    cross-section as b, so it too would lie outside the cylinder.  Each
-    non-zero other coordinate x of b has its predecessor inside the
-    cylinder, whose cross-section fits in a dims x dims square, so
-    x - 1 < dims.  Hence range(dims + 1) in every coordinate holds all
-    first candidates; with no leg, only the origin qualifies.
+    No index wraps: a box (r, c, h) with r >= len(leg) needs the boxes
+    (len(leg)..r - 1, c, h), none in the leg, so r < len(leg) + cutoff
+    and len(leg) + cutoff + 2 rows, border included, hold every
+    successor; so do leg[0] + cutoff + 2 columns, x + 1 within its row.
+    The color has period 2 (z2z2) or n (zn) in each coordinate, so at
+    most period**3 units are built.  Weights are packed ints, base
+    cutoff + 1, so no digit carries; they are unpacked once, at the end.
     """
     _check_cutoff(cutoff)
-    lam, mu, nu = pc._check_legs(legs)
+    legs = pc._check_legs(legs)
     names = _group_names(group, n)
-    if group == "z2z2":
-        def slot(x1, x2, x3):
+    axis = next((i for i, p in enumerate(legs) if p), 2)
+    leg = legs[axis]
+    period = 2 if n is None else n
+
+    def place(r, c, h):
+        return ((h, c, r), (r, h, c), (c, r, h))[axis]
+
+    def slot(x1, x2, x3):
+        if n is None:
             return _Z2Z2_SLOT[((x1 + x3) % 2, (x2 + x3) % 2)]
-    else:
-        def slot(x1, x2, x3):
-            return (x1 - x2) % n
+        return (x1 - x2) % n
 
-    def in_cyl(x1, x2, x3):
-        return (pc.contains_cell(lam, x2, x3)
-                or pc.contains_cell(mu, x3, x1)
-                or pc.contains_cell(nu, x1, x2))
-
-    dims = max(pc.part(lam, 0), len(lam), pc.part(mu, 0), len(mu),
-               pc.part(nu, 0), len(nu))
-    base = cutoff + 1
-    # a box of a down-set of size c has coordinates at most dims + c - 1,
-    # so the successors of every box entered stay below `side`
-    side = cutoff + dims + 2
-    unit, succs, missing = {}, {}, {}
-
-    def preds_outside(x1, x2, x3):
-        return ((x1 > 0 and not in_cyl(x1 - 1, x2, x3))
-                + (x2 > 0 and not in_cyl(x1, x2 - 1, x3))
-                + (x3 > 0 and not in_cyl(x1, x2, x3 - 1)))
-
-    def enter(b):
-        # table entry of box b, and predecessor counts of its successors
-        x3, rest = divmod(b, side * side)
-        x2, x1 = divmod(rest, side)
-        unit[b] = base ** slot(x1, x2, x3)
-        out = []
-        for y, step in (((x1 + 1, x2, x3), 1), ((x1, x2 + 1, x3), side),
-                        ((x1, x2, x3 + 1), side * side)):
-            if not in_cyl(*y):
-                s = b + step
-                out.append(s)
-                if s not in missing:
-                    missing[s] = preds_outside(*y)
-        succs[b] = tuple(out)
-
-    initial = []
-    for x3 in range(dims + 1):
-        for x2 in range(dims + 1):
-            for x1 in range(dims + 1):
-                if not in_cyl(x1, x2, x3) and not preds_outside(x1, x2, x3):
-                    b = x1 + side * (x2 + side * x3)
-                    enter(b)
-                    initial.append(b)
-
+    base = full = cutoff + 1
+    units = {(i, j): tuple(base ** slot(*place(i, j, h))
+                           for h in range(period)) * (cutoff // period + 1)
+             for i in range(period) for j in range(period)}
+    width = pc.part(leg, 0) + cutoff + 2
+    cells = [(r, c) for r in range(-1, len(leg) + cutoff + 1)
+             for c in range(-1, width - 1)]
+    unit = [units[(r % period, c % period)] for r, c in cells]
+    top = [full if min(r, c) < 0 or c < pc.part(leg, r) else 0
+           for r, c in cells]
     counts = {0: 1}
     get = counts.get
 
     def rec(cands, w, room):
         # room: how many more boxes may follow the one added here
         if not room:
-            for b in cands:
-                x = w + unit[b]
-                counts[x] = get(x, 0) + 1
+            for x in cands:
+                v = w + unit[x][top[x]]
+                counts[v] = get(v, 0) + 1
             return
-        for i, b in enumerate(cands):
-            x = w + unit[b]
-            counts[x] = get(x, 0) + 1
+        for i, x in enumerate(cands):
+            h = top[x]
+            v = w + unit[x][h]
+            counts[v] = get(v, 0) + 1
             nxt = cands[i + 1:]
-            bs = succs[b]
-            for s in bs:
-                m = missing[s] - 1
-                missing[s] = m
-                if not m:
-                    if s not in unit:
-                        enter(s)
-                    nxt.append(s)
-            if nxt:
-                rec(nxt, x, room - 1)
-            for s in bs:
-                missing[s] += 1
+            top[x] = g = h + 1
+            if top[x - width] > g and top[x - 1] > g:
+                nxt.append(x)
+            if top[x + width] == h and top[x + width - 1] > h:
+                nxt.append(x + width)
+            if top[x + 1] == h and top[x + 1 - width] > h:
+                nxt.append(x + 1)
+            rec(nxt, v, room - 1)
+            top[x] = h
 
     if cutoff >= 1:
-        rec(initial, 0, cutoff - 1)
+        rec([x for x, t in enumerate(top)
+             if not t and top[x - width] and top[x - 1]], 0, cutoff - 1)
     return series_from_packed(names, cutoff, counts, len(names))
 
 

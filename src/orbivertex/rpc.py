@@ -89,6 +89,7 @@ def _check_shift(l, frame=DIAG):
 def region(v, l, k, table=None):
     """Admissible corner (row, column) of slice k; same in both frames."""
     _check_shift(l)
+    _check_int(k, "slice index")
     t = table if table is not None else EpsilonTable(v)
     if k % 2 == 0:
         h = k // 2
@@ -481,7 +482,7 @@ def region_complement_equal(v, l, K):
     window (|slice| <= K, brick coordinates <= K), matching bricks through
     their physical positions one diagonal run at a time (see
     _window_runs)."""
-    runs = _window_runs(K)
+    runs = _window_runs(_check_int(K, "window"))
     _check_shift(l)
     corners = [(ci + l, cj + l) for ci, cj in _leg_corners(tuple(v), K)]
     for k, h, dk, a, b, lo, end in runs:

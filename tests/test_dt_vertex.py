@@ -96,7 +96,8 @@ def _one_leg_slots(max_size):
             yield from [((), (), leg), (leg, (), ()), ((), leg, ())]
 
 
-@pytest.mark.parametrize("group, n", [("z2z2", None), ("zn", 2), ("zn", 3)])
+@pytest.mark.parametrize("group, n", [
+    ("z2z2", None), ("zn", 1), ("zn", 2), ("zn", 3), ("zn", 4)])
 def test_enumerate_one_leg_matches_downset_oracle(group, n):
     for legs in _one_leg_slots(3):
         for cutoff in (0, 6):
@@ -429,6 +430,18 @@ def test_vertex_closed_zn_first_slot_matches_enumeration_degree_12(n, leg):
     # mode reaches this slot
     legs = (leg, (), ())
     assert vertex_closed_zn(n, legs, 12) == enumerate_one_leg(legs, "zn", 12, n=n)
+
+
+@pytest.mark.parametrize("group, closed", [
+    ("z2z2", lambda d: closed_z2z2_staircase(2, d)),
+    ("zn", lambda d: vertex_closed_zn(4, ((), (), (2, 1)), d)),
+], ids=["z2z2", "z4"])
+def test_three_routes_agree_at_leg_21_degree_16(group, closed):
+    # all three routes at one leg, above the degrees of the slot sweeps
+    n = 4 if group == "zn" else None
+    want = enumerate_3d((2, 1), group, 16, n=n)
+    assert closed(16) == want
+    assert vertex_by_transfer(group, (2, 1), 16, n=n) == want
 
 
 @pytest.mark.parametrize("m", range(8))

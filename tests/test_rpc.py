@@ -259,6 +259,10 @@ def test_restriction_rejects_negative_shift_up_front(monkeypatch):
     pytest.param(lambda: realize({0.7: (1,)}, (), 0, DIAG), "slice index",
                  id="realize-slice-index"),
     pytest.param(lambda: region((), 1.5, 0), "shift l", id="region-shift"),
+    pytest.param(lambda: region((2, 1), 0, 1.5), "slice index",
+                 id="region-slice-index"),
+    pytest.param(lambda: mho((2, 1), 1.5), "slice index",
+                 id="mho-slice-index"),
     pytest.param(lambda: uniqueness_scan(2, (0.5,), 3), "shift l",
                  id="uniqueness-scan-shift"),
     pytest.param(lambda: generating_function((1,), 1.5, ANTI, 3), "shift l",
@@ -266,7 +270,8 @@ def test_restriction_rejects_negative_shift_up_front(monkeypatch):
 ])
 def test_float_slice_index_or_shift_raises_up_front(monkeypatch, call, what):
     # each used to run: realize built slice 0 from 0.7, region returned
-    # (1.5, 1.5), and the scan and the walk carried the float shift
+    # (1.5, 1.5), and the scan and the walk carried the float shift;
+    # region and mho failed on slice 1.5 inside the edge table
     monkeypatch.setattr(rpc, "EpsilonTable", _no_table)
     monkeypatch.setattr(rpc, "_leg_corners", _no_corners)
     with pytest.raises(TypeError, match=what + " must be an int"):
@@ -286,10 +291,19 @@ def test_float_slice_index_or_shift_raises_up_front(monkeypatch, call, what):
                  id="window-bool"),
     pytest.param(lambda: uniqueness_scan(2, (0,), 1.5), "window",
                  id="window-float"),
+    pytest.param(lambda: region((2, 1), 0, True), "slice index",
+                 id="region-slice-bool"),
+    pytest.param(lambda: mho((2, 1), True), "slice index",
+                 id="mho-slice-bool"),
+    pytest.param(lambda: region_complement_equal((1,), 0, True), "window",
+                 id="complement-window-bool"),
+    pytest.param(lambda: region_complement_equal((1,), 0, 2.0), "window",
+                 id="complement-window-float"),
 ])
 def test_rpc_counts_must_be_ints(call, what):
-    # True was read as 1, the window's from the cached runs of window 1,
-    # and a float failed inside range()
+    # True was read as 1 (region and mho gave slice 1's corner, the
+    # window's from the cached runs of window 1), and a float window
+    # failed inside range()
     with pytest.raises(TypeError, match=what + " must be an int"):
         call()
 
