@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import partition_core as pc
-from .pyramid import VARS_Z2Z2, _group_names, series_from_packed, zn_names
+from .pyramid import VARS_Z2Z2, _group_names, series_from_packed
 from .qseries import (
     Factors, Series, _check_cutoff, _check_exps, _check_int, family_factors,
     macmahon_factors, mul_terms, term, term_one,
@@ -388,9 +388,9 @@ def _branch(m, factors, swap):
 def one_leg_zn_staircase(n, m, cutoff):
     """Branch form of the order-four vertex with a staircase third leg:
     the zero-leg Z4 vertex times _Z4_TAIL."""
+    names = _group_names("zn", n)
     if n != 4:
         raise ValueError("staircase branch form needs n = 4")
-    names = zn_names(4)
     out = _product(_Z4_TAIL, m, cutoff, names) * _zero_zn(4, names, cutoff)
     return _branch(m, out, (2, 3, 0, 1)).series()
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from . import partition_core as pc
 from .pyramid import _DIAG_COLOR, COLOR_SLOT, VARS_Z2Z2, _group_names, zn_names
 from .qseries import Series, _check_cutoff
-from .rpc import EpsilonTable, mho
+from .rpc import corners
 
 
 def checkerboard_counts(lam):
@@ -110,20 +110,15 @@ _PAIRS = {"standard": ("0c", "ab", "ba"),
           "rpc_antidiagonal": ("0c", "ba", "ab")}
 
 
-def _slice_slots(mode, v, s, n, table):
+def _slice_slots(mode, s, n, parity):
     """(variable slot of the cells of slice s with row = col mod 2, slot
-    of the others).  The corner parity is diagonal_count(v, s) under
-    standard and mho(v, s, table) under rpc_antidiagonal, with table the
-    leg's EpsilonTable."""
+    of the others) at the slice's corner parity, which only standard and
+    rpc_antidiagonal read."""
     if mode == "zn":
         return s % n, s % n
     if mode == "rpc_diagonal":
         slot = COLOR_SLOT[_DIAG_COLOR[s % 4]]
         return slot, slot
-    if mode == "standard":
-        parity = pc.diagonal_count(v, s) % 2
-    else:
-        parity = mho(v, s, table) % 2
     pair = _PAIRS[mode][0 if s % 2 == 0 else 1 if s > 0 else 2]
     return COLOR_SLOT[pair[parity]], COLOR_SLOT[pair[1 - parity]]
 
@@ -140,7 +135,9 @@ def _bracket(v, cutoff, mode, n, window):
     and a partner takes only the degree buckets that the growth still
     forced on it (vertex_by_transfer) leaves <= cutoff.  The partner's
     weight is read off the two slots of its slice (_slice_slots), once
-    per partner and step; the leg's edge table is built once per walk.
+    per partner and step, with the slice's corner parity, read before
+    the walk: the corner sum under rpc_antidiagonal, from one corners()
+    call, and diagonal_count(v, s) under standard.
     The codec is private to this route on purpose: one codec bug must not
     make two routes agree.
 
@@ -157,8 +154,13 @@ def _bracket(v, cutoff, mode, n, window):
     powers = [base ** i for i in range(len(names))]
     conj = pc.conjugate(v)
     rpc = mode in ("rpc_antidiagonal", "rpc_diagonal")
-    table = EpsilonTable(v) if mode == "rpc_antidiagonal" else None
     steps = range(-window, window + 1)
+    slices = [-(t + 1) for t in steps]
+    parities = [0] * len(slices)
+    if mode == "rpc_antidiagonal":
+        parities = [(ci + cj) % 2 for ci, cj in corners(v, 0, slices)]
+    elif mode == "standard":
+        parities = [pc.diagonal_count(v, s) % 2 for s in slices]
     taus = pc.edge_values(conj, steps)
     # runs[i]: the upward steps right after step i, inside the window
     runs = [0] * len(taus)
@@ -175,7 +177,7 @@ def _bracket(v, cutoff, mode, n, window):
         if i >= settled:
             _retire(state, done)
         primed = rpc and t % 2 == 0
-        a, b = _slice_slots(mode, v, -(t + 1), n, table)
+        a, b = _slice_slots(mode, slices[i], n, parities[i])
         pa, pb = powers[a], powers[b]
         packed = {}
         out = {}

@@ -276,8 +276,8 @@ def pyramid_series(cutoff):
     diagonal frame, which counts the families without listing them.  The
     two count the same objects with the same weights:
 
-    * EpsilonTable(()) has every eps equal to 0, so every region corner
-      is (0, 0) and restriction keeps every brick in place;
+    * the empty leg has no Frobenius coordinates, so rpc.corners gives
+      every slice the corner (0, 0) and restriction keeps every brick;
     * validate() is check_type_interlacing at leg (), so the slice
       families of the pyramids are the second-type families of () by
       definition: edge_value((), -s) is -1 for s <= 0 and +1 for s >= 1,

@@ -1,8 +1,8 @@
 """Restricted pyramid configurations.
 
 For a partition v (the leg) and an integer shift l >= 0, every slice k of
-a pyramid gets a rectangular admissible region with corner offsets built
-from four edge-sequence counting functions of v.  Restricting a pyramid
+a pyramid gets a rectangular admissible region whose corner, corners(),
+counts v's Frobenius coordinates below |k| by parity.  Restricting a pyramid
 keeps the bricks inside the regions and re-bases each slice at its
 corner; the resulting slice families are exactly the finitely-supported
 families satisfying a directed interlacing condition, and realize()
@@ -21,7 +21,6 @@ are identical in the two frames, the brick content is not.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 
 from . import partition_core as pc
 from .pyramid import (
@@ -30,49 +29,6 @@ from .pyramid import (
     series_from_packed,
 )
 from .qseries import _check_cutoff, _check_int
-
-
-class EpsilonTable:
-    """The four cumulative edge counters of a leg partition.
-
-    eps(1, x) counts +1 edge values of the conjugate at even spots 0..2x,
-    eps(2, x) the same at odd spots 1..2x+1; eps(3, x) counts -1 values at
-    even spots -2..-2x, eps(4, x) at odd spots -1..-2x+1.  All four are
-    non-decreasing, step by 0/1 and stabilize; rho1/rho2 are the limits
-    paired for the row/column corner offsets.
-    """
-
-    def __init__(self, v):
-        self.v = pc.check_partition(tuple(v))
-        self.conj = pc.conjugate(self.v)
-        self.bound = pc.edge_bound(self.conj) + 2
-        # every spot read below lies in -2 * bound .. 2 * bound - 1
-        low = -2 * self.bound
-        values = pc.edge_values(self.conj, range(low, 2 * self.bound))
-        e = lambda t: values[t - low]
-        self._e1 = list(accumulate((e(2 * t) + 1) // 2
-                                   for t in range(self.bound)))
-        self._e2 = list(accumulate((e(2 * t + 1) + 1) // 2
-                                   for t in range(self.bound)))
-        self._e3 = list(accumulate((1 - e(-2 * t)) // 2
-                                   for t in range(1, self.bound + 1)))
-        self._e4 = list(accumulate((1 - e(-2 * t + 1)) // 2
-                                   for t in range(1, self.bound + 1)))
-        self.rho1 = max(self._e2[-1], self._e4[-1])
-        self.rho2 = max(self._e1[-1], self._e3[-1])
-
-    def eps(self, which, x):
-        if which in (1, 2):
-            if x < 0:
-                return 0
-            table = self._e1 if which == 1 else self._e2
-            return table[min(x, len(table) - 1)]
-        if which in (3, 4):
-            if x < 1:
-                return 0
-            table = self._e3 if which == 3 else self._e4
-            return table[min(x - 1, len(table) - 1)]
-        raise ValueError("which must be 1..4")
 
 
 def _check_shift(l, frame=DIAG):
@@ -86,27 +42,53 @@ def _check_shift(l, frame=DIAG):
     return l
 
 
-def region(v, l, k, table=None):
-    """Admissible corner (row, column) of slice k; same in both frames."""
+def corners(v, l, ks):
+    """Admissible corners [(row, column)] of the slices ks, in order.
+
+    With v's Frobenius coordinates, arms a_i = v_i - i - 1 and legs
+    b_i = v'_i - i - 1 for i below the Durfee size, and with
+    rows = l + max(#odd b, #even a), cols = l + max(#even b, #odd a):
+        k <= 0:  (rows - #{odd b < -k},  cols - #{even b < -k})
+        k > 0:   (rows - #{even a < k},  cols - #{odd a < k})
+
+    This is the paper's form l + rho - eps: eps1(x) counts the +1 edge
+    values of v' at even spots 0..2x, eps2(x) at odd spots 1..2x + 1,
+    eps3(x) the -1 values at even spots -2..-2x, eps4(x) at odd spots
+    -1..-2x + 1, rho1 = max(eps2, eps4), rho2 = max(eps1, eps3) at their
+    limits, and with h = (k + 1) // 2 the corner minus (l, l) is
+        h <= 0:  (rho1 - eps2(-h - 1), rho2 - eps1(-h - 1 + k % 2))
+        h > 0:   (rho1 - eps4(h),      rho2 - eps3(h - k % 2))
+    Proof: the edge set {v'_j - j - 1 : j >= 0} of v' holds exactly the
+    b_i at spots t >= 0 (v'_j <= j past the Durfee size) and misses
+    exactly the -a_i - 1 at spots t < 0 (it and {i - v_i} split the
+    integers).  So eps1(x) = #{even b <= 2x}, eps2(x) = #{odd b <= 2x + 1},
+    eps3(x) = #{odd a <= 2x - 1} and eps4(x) = #{even a <= 2x - 2}: their
+    limits give rows and cols, and as a count of one parity skips the
+    values of the other, each bound is the threshold above (for odd
+    k < 0, eps2(-h - 1) = #{odd b <= -2h - 1} = #{odd b < -k}).
+    """
     _check_shift(l)
-    _check_int(k, "slice index")
-    t = table if table is not None else EpsilonTable(v)
-    if k % 2 == 0:
-        h = k // 2
-        if h <= 0:
-            return (l + t.rho1 - t.eps(2, -h - 1), l + t.rho2 - t.eps(1, -h - 1))
-        return (l + t.rho1 - t.eps(4, h), l + t.rho2 - t.eps(3, h))
-    h = (k + 1) // 2
-    if h <= 0:
-        return (l + t.rho1 - t.eps(2, -h - 1), l + t.rho2 - t.eps(1, -h))
-    return (l + t.rho1 - t.eps(4, h), l + t.rho2 - t.eps(3, h - 1))
+    v = pc.check_partition(tuple(v))
+    arms = [x - i - 1 for i, x in enumerate(v) if x > i]
+    legs = [x - i - 1 for i, x in enumerate(pc.conjugate(v)) if x > i]
+    odd_arms, odd_legs = sum(a % 2 for a in arms), sum(b % 2 for b in legs)
+    rows = l + max(odd_legs, len(arms) - odd_arms)
+    cols = l + max(len(legs) - odd_legs, odd_arms)
+    out = []
+    for k in ks:
+        right = _check_int(k, "slice index") > 0
+        below = [x for x in (arms if right else legs) if x < abs(k)]
+        odd = sum(x % 2 for x in below)
+        even = len(below) - odd
+        out.append((rows - even, cols - odd) if right
+                   else (rows - odd, cols - even))
+    return out
 
 
-def mho(v, k, table=None):
-    """Corner coordinate sum of slice k at shift 0 (its parity drives the
-    checkerboard weight swap)."""
-    ci, cj = region(v, 0, k, table)
-    return ci + cj
+def region(v, l, k):
+    """Admissible corner (row, column) of slice k: corners() at one slice."""
+    _check_shift(l)
+    return corners(v, l, (_check_int(k, "slice index"),))[0]
 
 
 def restrict(p, v, l, frame):
@@ -114,32 +96,20 @@ def restrict(p, v, l, frame):
     corners: {k: partition}, empty slices dropped."""
     _check_shift(l, frame)
     slices = p.slices if frame == DIAG else p.antidiagonal_slices()
-    t = EpsilonTable(v)
-    out = {}
-    for k, sigma in slices.items():
-        ci, cj = region(v, l, k, t)
-        eta = tuple(x for x in
-                    (max(0, sigma[r] - cj) for r in range(ci, len(sigma)))
-                    if x)
-        if eta:
-            pc.check_partition(eta)
-            out[k] = eta
-    return out
+    at = corners(v, l, slices)
+    cut = ((k, tuple(x - cj for x in sigma[ci:] if x > cj))
+           for (k, sigma), (ci, cj) in zip(slices.items(), at))
+    return {k: eta for k, eta in cut if eta}
 
 
 def restrict_positions(p, v, l, frame):
-    """The same restriction as a set of physical brick positions."""
-    _check_shift(l, frame)
-    t = EpsilonTable(v)
-    out = set()
-    slices = p.slices if frame == DIAG else p.antidiagonal_slices()
-    for k, sigma in slices.items():
-        ci, cj = region(v, l, k, t)
-        for i, row in enumerate(sigma):
-            for j in range(row):
-                if i >= ci and j >= cj:
-                    out.add(address_to_position(frame, k, i, j))
-    return frozenset(out)
+    """The same restriction as a set of physical brick positions: the
+    family of restrict() at its un-rebased cells (ci + i, cj + j)."""
+    family = restrict(p, v, l, frame)
+    return frozenset(
+        address_to_position(frame, k, ci + i, cj + j)
+        for (k, eta), (ci, cj) in zip(family.items(), corners(v, l, family))
+        for i, row in enumerate(eta) for j in range(row))
 
 
 # ---------------------------------------------------------------------------
@@ -169,23 +139,23 @@ def realize(slices, v, l, frame):
               for k, s in slices.items() if tuple(s)}
     if not check_type_interlacing(family, v):
         raise ValueError("family does not satisfy the interlacing condition")
-    t = EpsilonTable(v)
     support = max((abs(k) for k in family), default=0)
-    half = (max(support + 1, pc.edge_bound(t.conj), 2) + 1) // 2
+    half = (max(support + 1, pc.edge_bound(pc.conjugate(v)), 2) + 1) // 2
     theta = max((len(s) for s in family.values()), default=0)
     xi = max((s[0] for s in family.values()), default=0)
 
+    window = range(-2 * half - 1, 2 * half + 1)
+    corner = dict(zip(window, corners(v, l, window)))
     built = {}
-    for k in range(-2 * half - 1, 2 * half + 1):
-        ci, cj = region(v, l, k, t)
+    for k, (ci, cj) in corner.items():
         eta = family.get(k, ())
         built[k] = [cj + xi] * ci + [cj + pc.part(eta, r) for r in range(theta)]
-    ci, cj = region(v, l, -2 * half, t)
+    ci, cj = corner[-2 * half]
     for m in range(1, cj + xi + 1):
         for k, length in ((-2 * half - 2 * m, cj + xi + 1 - m),
                           (-2 * half - 2 * m - 1, cj + xi - m)):
             built[k] = [length] * ci + [min(length, cj)] * theta
-    ci, cj = region(v, l, 2 * half, t)
+    ci, cj = corner[2 * half]
     for m in range(1, ci + theta + 1):
         rows = [cj + xi] * (ci - max(0, m - theta)) + [cj] * (theta - m)
         built[2 * half + 2 * m - 1] = built[2 * half + 2 * m] = rows
@@ -357,6 +327,8 @@ def slice_color_counts(k, eta, frame, corner_parity):
     if frame == DIAG:
         counts[COLOR_SLOT[_DIAG_COLOR[k % 4]]] = total
         return tuple(counts)
+    if frame != ANTI:
+        raise ValueError("unknown frame %r" % frame)
     if k % 2 == 0:
         pair = _EVEN_PAIR
     elif k > 0:
@@ -383,9 +355,8 @@ def generating_function(v, l, frame, cutoff):
     """
     _check_shift(l, frame)
     _check_cutoff(cutoff)
-    t = EpsilonTable(v)
-    slices = _slice_range(t.conj, cutoff)
-    parity = [mho(v, s, t) % 2 for s in slices]
+    slices = _slice_range(pc.conjugate(v), cutoff)
+    parity = [(ci + cj) % 2 for ci, cj in corners(v, 0, slices)]
     base = cutoff + 1
     units = [base ** slot for slot in range(len(COLOR_SLOT))]
 
@@ -467,14 +438,11 @@ def _window_runs(K):
 
 @lru_cache(maxsize=1)
 def _leg_corners(v, K):
-    """The shift-0 corners region(v, 0, k) of the slices k = -K..K, in
-    order, off one edge table, kept for the next call: the scan asks for
-    every shift of one leg in a row, and a shift only moves each corner
-    by (l, l), so the shifts share one table.  Without the cache, one
-    table and 2K + 1 corners per (leg, shift), the scan of the legs up
-    to 8 at shifts 0, 1 in window 12 runs about a third slower."""
-    t = EpsilonTable(v)
-    return tuple(region(v, 0, k, t) for k in range(-K, K + 1))
+    """The shift-0 corners of the slices k = -K..K, in order, from one
+    corners() call, kept for the next call: the scan asks for every shift
+    of one leg in a row, and a shift only moves each corner by (l, l), so
+    the shifts share one list."""
+    return tuple(corners(v, 0, range(-K, K + 1)))
 
 
 def region_complement_equal(v, l, K):
@@ -484,10 +452,10 @@ def region_complement_equal(v, l, K):
     _window_runs)."""
     runs = _window_runs(_check_int(K, "window"))
     _check_shift(l)
-    corners = [(ci + l, cj + l) for ci, cj in _leg_corners(tuple(v), K)]
+    shifted = [(ci + l, cj + l) for ci, cj in _leg_corners(tuple(v), K)]
     for k, h, dk, a, b, lo, end in runs:
-        ci, cj = corners[k]
-        dci, dcj = corners[dk]
+        ci, cj = shifted[k]
+        dci, dcj = shifted[dk]
         if (min(max(ci - h, cj, lo), end)
                 != min(max(dci - a, dcj - b, lo), end)):
             return False

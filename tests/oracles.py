@@ -19,11 +19,12 @@ partner generator; it reads the edge sequence as transfer does, so each
 comparison of the two adds a third route.
 
 The last section differs:
-it keeps four straightforward forms of RPC-layer loops (a per-cell
-frame conversion, an unpruned slice walk, a sum over the listed
-families and a sum over every slice assignment, the last free of the
-partner generators) as references for the shortcuts that replaced them
-in src/.
+it keeps the paper's definition of the slice corners, four cumulative
+edge counters read through a four-case slice map, and four
+straightforward forms of RPC-layer loops (a per-cell frame conversion,
+an unpruned slice walk, a sum over the listed families and a sum over
+every slice assignment, the last free of the partner generators) as
+references for the shortcuts that replaced them in src/.
 """
 
 from __future__ import annotations
@@ -539,9 +540,70 @@ def one_leg_downsets_series(legs, group, cutoff, n=None):
 
 
 # ---------------------------------------------------------------------------
-# RPC layer: per-cell window comparison, unpruned interlacing walk and
-# the generating function summed over listed or over all families
+# RPC layer: the paper's epsilon-counter corners, per-cell window
+# comparison, unpruned interlacing walk and the generating function summed
+# over listed or over all families
 # ---------------------------------------------------------------------------
+
+
+class EpsilonTable:
+    """The four cumulative edge counters of a leg partition.
+
+    eps(1, x) counts +1 edge values of the conjugate at even spots 0..2x,
+    eps(2, x) the same at odd spots 1..2x+1; eps(3, x) counts -1 values at
+    even spots -2..-2x, eps(4, x) at odd spots -1..-2x+1.  All four are
+    non-decreasing, step by 0/1 and stabilize; rho1/rho2 are the limits
+    paired for the row/column corner offsets.
+    """
+
+    def __init__(self, v):
+        from orbivertex import partition_core as pc
+
+        self.v = pc.check_partition(tuple(v))
+        self.conj = pc.conjugate(self.v)
+        self.bound = pc.edge_bound(self.conj) + 2
+        # every spot read below lies in -2 * bound .. 2 * bound - 1
+        low = -2 * self.bound
+        values = pc.edge_values(self.conj, range(low, 2 * self.bound))
+        e = lambda t: values[t - low]
+        self._e1 = list(itertools.accumulate((e(2 * t) + 1) // 2
+                                             for t in range(self.bound)))
+        self._e2 = list(itertools.accumulate((e(2 * t + 1) + 1) // 2
+                                             for t in range(self.bound)))
+        self._e3 = list(itertools.accumulate((1 - e(-2 * t)) // 2
+                                             for t in range(1, self.bound + 1)))
+        self._e4 = list(itertools.accumulate((1 - e(-2 * t + 1)) // 2
+                                             for t in range(1, self.bound + 1)))
+        self.rho1 = max(self._e2[-1], self._e4[-1])
+        self.rho2 = max(self._e1[-1], self._e3[-1])
+
+    def eps(self, which, x):
+        if which in (1, 2):
+            if x < 0:
+                return 0
+            table = self._e1 if which == 1 else self._e2
+            return table[min(x, len(table) - 1)]
+        if which in (3, 4):
+            if x < 1:
+                return 0
+            table = self._e3 if which == 3 else self._e4
+            return table[min(x - 1, len(table) - 1)]
+        raise ValueError("which must be 1..4")
+
+
+def region_by_eps(v, l, k, table=None):
+    """The corner of slice k in the paper's form, l + rho - eps, through
+    the four-case slice map: the reference for rpc.corners."""
+    t = table if table is not None else EpsilonTable(v)
+    if k % 2 == 0:
+        h = k // 2
+        if h <= 0:
+            return (l + t.rho1 - t.eps(2, -h - 1), l + t.rho2 - t.eps(1, -h - 1))
+        return (l + t.rho1 - t.eps(4, h), l + t.rho2 - t.eps(3, h))
+    h = (k + 1) // 2
+    if h <= 0:
+        return (l + t.rho1 - t.eps(2, -h - 1), l + t.rho2 - t.eps(1, -h))
+    return (l + t.rho1 - t.eps(4, h), l + t.rho2 - t.eps(3, h - 1))
 
 
 def region_complement_equal_per_cell(v, l, K):
@@ -611,7 +673,7 @@ def generating_function_listed(v, frame, cutoff):
     shift l does not enter."""
     from orbivertex.pyramid import VARS_Z2Z2
     from orbivertex.qseries import Series
-    from orbivertex.rpc import mho, slice_color_counts
+    from orbivertex.rpc import region, slice_color_counts
 
     parity = {}
     terms = {}
@@ -619,7 +681,7 @@ def generating_function_listed(v, frame, cutoff):
         exps = [0, 0, 0, 0]
         for k, eta in family.items():
             if k not in parity:
-                parity[k] = mho(v, k) % 2
+                parity[k] = sum(region(v, 0, k)) % 2
             counts = slice_color_counts(k, eta, frame, parity[k])
             exps = [a + c for a, c in zip(exps, counts)]
         key = tuple(exps)
@@ -633,16 +695,16 @@ def generating_function_brute(v, frame, cutoff):
     |k| <= cutoff + b + 2, b = edge_bound(conj), with at most `cutoff`
     bricks in all, kept iff rpc.check_type_interlacing accepts it (it
     reads pc.interlaces), each slice weighing its color counts at the
-    corner parity of mho."""
+    parity of region(v, 0, k)'s coordinate sum."""
     from orbivertex import partition_core as pc
     from orbivertex.pyramid import VARS_Z2Z2
     from orbivertex.qseries import Series
-    from orbivertex.rpc import check_type_interlacing, mho, slice_color_counts
+    from orbivertex.rpc import check_type_interlacing, region, slice_color_counts
 
     span = cutoff + pc.edge_bound(pc.conjugate(v)) + 2
     slices = range(-span, span + 1)
     by_size = [_sym_partitions_of(n) for n in range(1, cutoff + 1)]
-    parity = {k: mho(v, k) % 2 for k in slices}
+    parity = {k: sum(region(v, 0, k)) % 2 for k in slices}
     terms = {}
 
     def rec(i, left, family):

@@ -480,6 +480,17 @@ def test_routes_check_n_alike(n, error, message):
             build()
 
 
+@pytest.mark.parametrize("n, error, message", [
+    (4.0, TypeError, "n must be an int"), (True, TypeError, "n must be an int"),
+    (0, ValueError, "n must be >= 1 for group zn"),
+])
+def test_one_leg_zn_staircase_checks_n_as_the_routes_do(n, error, message):
+    # 4.0 passed the n != 4 test and returned the n = 4 series, where
+    # the closed product, transfer and enumeration reject it
+    with pytest.raises(error, match=message):
+        one_leg_zn_staircase(n, 1, 3)
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda m: upsilon(m, 3), id="upsilon"),
     pytest.param(lambda m: phi(m, 3), id="phi"),

@@ -53,19 +53,19 @@ def test_transfer_rpc_matches_family_enumeration():
         assert got == generating_function(v, 0, DIAG, 6), v
 
 
-def test_transfer_builds_one_edge_table(monkeypatch):
-    # the antidiagonal corner parities of all slices come from one table;
-    # the walk used to build one per slice, 33 for this call
-    built = []
-    init = rpc.EpsilonTable.__init__
+def test_transfer_reads_corners_once(monkeypatch):
+    # the antidiagonal corner parities of all slices come from one
+    # corners() call; the walk once built one edge table per slice, 33
+    # for this call
+    calls = []
 
-    def counted(self, v):
-        built.append(v)
-        init(self, v)
+    def counted(v, l, ks):
+        calls.append((v, l))
+        return rpc.corners(v, l, ks)
 
-    monkeypatch.setattr(rpc.EpsilonTable, "__init__", counted)
+    monkeypatch.setattr(fock_transfer, "corners", counted)
     vertex_by_transfer("z2z2", (2, 1), 8, mode="rpc_antidiagonal")
-    assert built == [(2, 1)]
+    assert calls == [((2, 1), 0)]
 
 
 def test_transfer_z2_low_terms():

@@ -29,7 +29,7 @@ ALLOWED = {
     "symmetry_check": "the vertex's cyclic symmetry, checked by enumeration",
     "pochhammer_factors": "the q-Pochhammer symbol behind the closed products",
     "term_var": "builds a one-variable term for the tests' series",
-    "restrict": "the paper's restriction of a pyramid to a leg's regions",
+    "region": "the paper's admissible corner of one slice, as corners() gives",
     "restrict_positions": "the same restriction as brick positions",
     "realize": "the inverse of restrict, a pyramid for a restricted family",
     "convert_frame": "re-addresses a brick between the two slice frames",

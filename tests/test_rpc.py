@@ -10,29 +10,29 @@ from orbivertex.pyramid import (
     position_to_address, pyramid_series,
 )
 from orbivertex.rpc import (
-    EpsilonTable, check_type_interlacing, generating_function,
-    interlacing_families, mho, realize, region, region_complement_equal,
+    check_type_interlacing, corners, generating_function,
+    interlacing_families, realize, region, region_complement_equal,
     restrict, restrict_positions, slice_color_counts, uniqueness_scan,
 )
 
 
 def test_epsilon_spots():
-    t = EpsilonTable(())
+    t = oracles.EpsilonTable(())
     assert (t.rho1, t.rho2) == (0, 0)
-    t = EpsilonTable((2, 1))
+    t = oracles.EpsilonTable((2, 1))
     assert (t.rho1, t.rho2) == (1, 1)
     assert t.eps(2, 0) == 1
     assert t.eps(3, 1) == 1
     assert t.eps(1, 5) == 0
     assert t.eps(4, 5) == 0
-    t = EpsilonTable((3, 2, 1))
+    t = oracles.EpsilonTable((3, 2, 1))
     assert (t.rho1, t.rho2) == (2, 2)
 
 
 def test_eps_counts_edge_values():
     # each counter against a direct count of the conjugate's edge values
     for v in pc.partitions_up_to(8):
-        t = EpsilonTable(v)
+        t = oracles.EpsilonTable(v)
         e = lambda x: pc.edge_value(pc.conjugate(v), x)
         for x in range(-1, t.bound + 3):
             assert t.eps(1, x) == sum(e(2 * s) == 1 for s in range(x + 1))
@@ -44,7 +44,7 @@ def test_eps_counts_edge_values():
 
 def test_eps_monotone_and_hat():
     for v in [(), (1,), (3, 1), (2, 2), (4, 2, 1)]:
-        t = EpsilonTable(v)
+        t = oracles.EpsilonTable(v)
         for which in (1, 2, 3, 4):
             vals = [t.eps(which, x) for x in range(-2, t.bound + 3)]
             assert all(b - a in (0, 1) for a, b in zip(vals, vals[1:]))
@@ -57,14 +57,43 @@ def test_empty_leg_corners_are_shift():
     for l in range(3):
         for k in range(-5, 6):
             assert region((), l, k) == (l, l)
-            assert mho((), k) == 0
+            assert sum(region((), 0, k)) == 0
+
+
+def test_corners_match_epsilon_counters():
+    # the Frobenius form against the paper's four counters and four-case
+    # slice map, on every slice out to where both have settled
+    for v in pc.partitions_up_to(12):
+        t = oracles.EpsilonTable(v)
+        span = 2 * pc.edge_bound(pc.conjugate(v)) + 5
+        ks = range(-span, span + 1)
+        for l in range(4):
+            want = [oracles.region_by_eps(v, l, k, t) for k in ks]
+            assert corners(v, l, ks) == want, (v, l)
+
+
+def test_corners_step_by_one_and_settle():
+    # the arms are distinct, and so are the legs, so one slice step
+    # passes at most one of them; past the largest leg on the left and
+    # the largest arm on the right nothing is left to pass
+    for v in pc.partitions_up_to(10):
+        conj = pc.conjugate(v)
+        arms = [x - i - 1 for i, x in enumerate(v) if x > i]
+        legs = [x - i - 1 for i, x in enumerate(conj) if x > i]
+        span = pc.edge_bound(conj) + 4
+        got = corners(v, 2, range(-span, span + 1))
+        for (ri, rj), (si, sj) in zip(got, got[1:]):
+            assert abs(ri - si) + abs(rj - sj) <= 1, v
+        low, high = -max(legs, default=-1) - 1, max(arms, default=0) + 1
+        assert len(set(got[:low + span + 1])) == 1, v
+        assert len(set(got[high + span:])) == 1, v
 
 
 def test_staircase_corner_sum_closed_form():
     for m in range(0, 7):
         v = pc.staircase(m)
         for k in range(-(m + 4), m + 5):
-            got = mho(v, k)
+            got = sum(region(v, 0, k))
             if m % 2 == 0:
                 want = m - abs(k) // 2 if abs(k) <= m else m // 2
             else:
@@ -177,6 +206,13 @@ def test_slice_color_counts_frozen():
     assert slice_color_counts(-1, (2, 1), ANTI, 0) == (0, 1, 2, 0)
 
 
+def test_slice_color_counts_rejects_unknown_frame():
+    # any frame but the diagonal one was read as the antidiagonal one:
+    # this call returned (1, 0, 0, 2)
+    with pytest.raises(ValueError, match="unknown frame 'bogus'"):
+        slice_color_counts(0, (2, 1), "bogus", 0)
+
+
 def test_generating_function_empty_leg_is_pyramid_series():
     # pyramid_series is the diagonal walk at the empty leg, so that frame
     # is checked against the down-set oracle; the antidiagonal frame
@@ -220,15 +256,15 @@ def test_generating_function_rejects_negative_shift(monkeypatch):
     assert calls
 
 
-def _no_table(*args, **kwargs):
-    raise AssertionError("edge table built")
+def _no_corners(*args, **kwargs):
+    raise AssertionError("corners computed")
 
 
 def test_restriction_rejects_unknown_frame_up_front(monkeypatch):
     # an unknown frame used to be read as the antidiagonal one, and
     # realize rejected it only after building every slice
     p = PyramidPartition({0: (3,), -1: (3,)})
-    monkeypatch.setattr(rpc, "EpsilonTable", _no_table)
+    monkeypatch.setattr(rpc, "corners", _no_corners)
     calls = [lambda: restrict(p, (), 0, "bogus"),
              lambda: restrict_positions(p, (), 0, "bogus"),
              lambda: restrict_positions(PyramidPartition({}), (1,), 0, "bogus"),
@@ -244,7 +280,7 @@ def test_restriction_rejects_negative_shift_up_front(monkeypatch):
     empty = PyramidPartition({})
     with pytest.raises(ValueError, match="shift l must be >= 0"):
         restrict(empty, (1,), -1, DIAG)
-    monkeypatch.setattr(rpc, "EpsilonTable", _no_table)
+    monkeypatch.setattr(rpc, "corners", _no_corners)
     p = PyramidPartition({0: (3,), -1: (3,)})
     for frame in (DIAG, ANTI):
         for call in (restrict, restrict_positions):
@@ -261,8 +297,8 @@ def test_restriction_rejects_negative_shift_up_front(monkeypatch):
     pytest.param(lambda: region((), 1.5, 0), "shift l", id="region-shift"),
     pytest.param(lambda: region((2, 1), 0, 1.5), "slice index",
                  id="region-slice-index"),
-    pytest.param(lambda: mho((2, 1), 1.5), "slice index",
-                 id="mho-slice-index"),
+    pytest.param(lambda: corners((2, 1), 0, (0, 1.5)), "slice index",
+                 id="corners-slice-index"),
     pytest.param(lambda: uniqueness_scan(2, (0.5,), 3), "shift l",
                  id="uniqueness-scan-shift"),
     pytest.param(lambda: generating_function((1,), 1.5, ANTI, 3), "shift l",
@@ -271,8 +307,8 @@ def test_restriction_rejects_negative_shift_up_front(monkeypatch):
 def test_float_slice_index_or_shift_raises_up_front(monkeypatch, call, what):
     # each used to run: realize built slice 0 from 0.7, region returned
     # (1.5, 1.5), and the scan and the walk carried the float shift;
-    # region and mho failed on slice 1.5 inside the edge table
-    monkeypatch.setattr(rpc, "EpsilonTable", _no_table)
+    # region failed on slice 1.5 inside its edge table
+    monkeypatch.setattr(rpc, "corners", _no_corners)
     monkeypatch.setattr(rpc, "_leg_corners", _no_corners)
     with pytest.raises(TypeError, match=what + " must be an int"):
         call()
@@ -293,15 +329,15 @@ def test_float_slice_index_or_shift_raises_up_front(monkeypatch, call, what):
                  id="window-float"),
     pytest.param(lambda: region((2, 1), 0, True), "slice index",
                  id="region-slice-bool"),
-    pytest.param(lambda: mho((2, 1), True), "slice index",
-                 id="mho-slice-bool"),
+    pytest.param(lambda: corners((2, 1), 0, (True,)), "slice index",
+                 id="corners-slice-bool"),
     pytest.param(lambda: region_complement_equal((1,), 0, True), "window",
                  id="complement-window-bool"),
     pytest.param(lambda: region_complement_equal((1,), 0, 2.0), "window",
                  id="complement-window-float"),
 ])
 def test_rpc_counts_must_be_ints(call, what):
-    # True was read as 1 (region and mho gave slice 1's corner, the
+    # True was read as 1 (region gave slice 1's corner, the
     # window's from the cached runs of window 1), and a float window
     # failed inside range()
     with pytest.raises(TypeError, match=what + " must be an int"):
@@ -390,15 +426,11 @@ def test_interlacing_families_rejects_negative_budget(monkeypatch):
 
 @pytest.mark.parametrize("v", [(1, 2), (1, 0)])
 def test_interlacing_families_rejects_bad_leg(v):
-    # as generating_function does, through EpsilonTable
+    # as generating_function does, through corners
     with pytest.raises(ValueError):
         generating_function(v, 0, DIAG, 2)
     with pytest.raises(ValueError):
         interlacing_families(v, 2)
-
-
-def _no_corners(*args, **kwargs):
-    raise AssertionError("corners computed")
 
 
 @pytest.mark.parametrize("shifts", [(0, -1), (-1,), (2, 0, -3)])
