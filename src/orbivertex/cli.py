@@ -76,10 +76,6 @@ def _differ(what, a, b):
     return False
 
 
-def _series_obj(s):
-    return json.loads(s.to_json())
-
-
 def _emit(args, report, header, rows):
     """Write `report` as one line of compact, key-sorted JSON, or the
     iterable `rows` under `header` as CSV, to --output or stdout."""
@@ -178,7 +174,7 @@ def _series(args):
     base_label, base = named[0]
     comparisons = [("mismatch %s vs %s" % (base_label, label), base, s)
                    for label, s in named[1:] if args.verify]
-    records = [dict(fields(args), method=method, series=_series_obj(s))
+    records = [dict(fields(args), method=method, series=s.to_record())
                for method, s in named]
     header = ["method"] + records[0]["series"]["vars"] + ["coef"]
     return comparisons, {"results": records}, header, (

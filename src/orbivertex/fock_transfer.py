@@ -16,10 +16,10 @@ series, evaluating each product once on a window its docstring proves
 large enough.  Its bracket does not call the public operators: it walks
 its own state, {partition: {degree: {packed exponents: coefficient}}},
 in which one step is a transition with argument 1 followed by the next
-slice's weight, truncated as it goes and pruned by the growth that the
-upward steps still ahead force on every slice.  A slice weighs its cells
-by one or two colors: one color table per mode gives the pair of each
-kind of slice, and the slice's corner parity swaps it.
+slice's weight, truncated as it goes and pruned by the least size that
+the steps still ahead force on the slices to come.  A slice weighs its
+cells by one or two colors: one color table per mode gives the pair of
+each kind of slice, and the slice's corner parity swaps it.
 """
 
 from __future__ import annotations
@@ -123,6 +123,24 @@ def _slice_slots(mode, s, n, parity):
     return COLOR_SLOT[pair[parity]], COLOR_SLOT[pair[1 - parity]]
 
 
+def _diagonal_parities(v, ks):
+    """[number of cells of v with column - row = k, mod 2, for k in ks],
+    read from one pass over v's rows.  Row j holds one cell on each
+    diagonal -j .. v_j - j - 1, so it flips the parity of the diagonals
+    from -j on and flips it back from v_j - j on; the parity of diagonal
+    k is the sum of the flips at or below k, mod 2."""
+    low = -len(v)
+    flips = [0] * (pc.part(v, 0) - low + 1)
+    for j, x in enumerate(v):
+        flips[-j - low] ^= 1
+        flips[x - j - low] ^= 1
+    parity = 0
+    for i, f in enumerate(flips):
+        parity = flips[i] = parity ^ f
+    # every flip has its pair at or below v_0, so the parity is 0 past it
+    return [flips[k - low] if 0 <= k - low < len(flips) else 0 for k in ks]
+
+
 def _bracket(v, cutoff, mode, n, window):
     """<empty| weighted transfer product on slices -window..window |empty>.
 
@@ -132,12 +150,13 @@ def _bracket(v, cutoff, mode, n, window):
     carries), grouped by total degree.  Step t moves each partition to its
     interlacing partners and multiplies in the weight of the partner's
     slice -(t + 1) at once, so a weight step is one int addition per term
-    and a partner takes only the degree buckets that the growth still
-    forced on it (vertex_by_transfer) leaves <= cutoff.  The partner's
-    weight is read off the two slots of its slice (_slice_slots), once
-    per partner and step, with the slice's corner parity, read before
-    the walk: the corner sum under rpc_antidiagonal, from one corners()
-    call, and diagonal_count(v, s) under standard.
+    and a partner takes only the degree buckets that the size its least
+    continuation still forces on it (_least_ahead, vertex_by_transfer)
+    leaves <= cutoff.  The partner's weight is read off the two slots of
+    its slice (_slice_slots), once per partner and step, with the
+    slice's corner parity, read before the walk: the corner sum under
+    rpc_antidiagonal, from one corners() call, and _diagonal_parities
+    under standard.
     The codec is private to this route on purpose: one codec bug must not
     make two routes agree.
 
@@ -160,13 +179,15 @@ def _bracket(v, cutoff, mode, n, window):
     if mode == "rpc_antidiagonal":
         parities = [(ci + cj) % 2 for ci, cj in corners(v, 0, slices)]
     elif mode == "standard":
-        parities = [pc.diagonal_count(v, s) % 2 for s in slices]
+        parities = _diagonal_parities(v, slices)
     taus = pc.edge_values(conj, steps)
     # runs[i]: the upward steps right after step i, inside the window
     runs = [0] * len(taus)
     for i in range(len(taus) - 2, -1, -1):
         if taus[i + 1] == 1:
             runs[i] = runs[i + 1] + 1
+    ahead = _least_ahead([(tau == -1, rpc and t % 2 == 0)
+                          for t, tau in zip(steps, taus)])
     # every step from index settled on moves down
     settled = 1 + max((i for i, tau in enumerate(taus) if tau == 1),
                       default=-1)
@@ -179,7 +200,7 @@ def _bracket(v, cutoff, mode, n, window):
         primed = rpc and t % 2 == 0
         a, b = _slice_slots(mode, slices[i], n, parities[i])
         pa, pb = powers[a], powers[b]
-        packed = {}
+        seen = {}
         out = {}
         for lam, buckets in state.items():
             low = min(buckets)
@@ -188,18 +209,21 @@ def _bracket(v, cutoff, mode, n, window):
             else:
                 nxts = pc.partners_below(lam, primed)
             for mu in nxts:
-                size = sum(mu)
-                room = cutoff - size * (1 + r)
+                hit = seen.get(mu)
+                if hit is None:
+                    size = sum(mu)
+                    room = cutoff - size - ahead(mu, i)
+                    w = None
+                    if room >= 0:
+                        if a == b:
+                            w = size * pa
+                        else:
+                            ev, od = checkerboard_counts(mu)
+                            w = ev * pa + od * pb
+                    hit = seen[mu] = (size, room, w)
+                size, room, w = hit
                 if room < low:
                     continue
-                w = packed.get(mu)
-                if w is None:
-                    if a == b:
-                        w = size * pa
-                    else:
-                        ev, od = checkerboard_counts(mu)
-                        w = ev * pa + od * pb
-                    packed[mu] = w
                 target = out.get(mu)
                 if target is None:
                     target = out[mu] = {}
@@ -223,6 +247,46 @@ def _bracket(v, cutoff, mode, n, window):
             exps.append(x)
         terms[tuple(exps)] = c
     return Series(names, cutoff, terms)
+
+
+def _least_ahead(steps):
+    """ahead(mu, i): the least total size of the slices that the steps
+    after step i produce from a slice mu, where steps[i] = (down, primed)
+    says whether step i moves down and whether it is primed.
+
+    The least partner of each step is contained in every partner: an
+    upward partner contains its source, an unprimed downward partner nu
+    of mu has nu_j >= mu_{j+1}, so it contains mu with its first row
+    removed, and a primed one has nu_j >= mu_j - 1, so it contains mu
+    with its first column removed.  Each least partner is monotone under
+    containment, so by induction every slice of every continuation
+    contains the slice of the greedy chain that takes the least partner
+    at each step, and the chain's total size bounds theirs from below.
+    The chain keeps mu up to the next downward step and moves only
+    there; chain() sums it from one downward step on, memoized per call
+    on (slice, step).
+    """
+    n = len(steps)
+    # following[i]: the first downward step after step i, n if none
+    following = [n] * n
+    for i in range(n - 2, -1, -1):
+        following[i] = i + 1 if steps[i + 1][0] else following[i + 1]
+    memo = {}
+
+    def chain(mu, d):
+        got = memo.get((mu, d))
+        if got is None:
+            nu = tuple(x - 1 for x in mu if x > 1) if steps[d][1] else mu[1:]
+            e = following[d]
+            got = (e - d) * sum(nu) + (chain(nu, e) if nu and e < n else 0)
+            memo[(mu, d)] = got
+        return got
+
+    def ahead(mu, i):
+        d = following[i]
+        return (d - i - 1) * sum(mu) + (chain(mu, d) if mu and d < n else 0)
+
+    return ahead
 
 
 def _retire(state, done):
@@ -275,21 +339,25 @@ def vertex_by_transfer(group, leg, cutoff, mode=None, n=None):
     Why truncating inside each step loses nothing: every exponent is
     non-negative, so no later step lowers a term's degree.  A term of
     degree d that moves to the partner mu at once takes the weight of
-    mu's slice, which adds exactly |mu|.  Let r be the number of steps
-    right after this one, inside the window, whose edge value is +1.
-    Each of them moves to a partner above the current slice, and an
-    upward partner contains its source, primed or not, so the r slices
-    they produce all contain mu and each adds at least |mu|; every other
-    weight step adds at least 0.  The term's final degree is therefore at
-    least d + |mu| * (1 + r).  A term with d + |mu| * (1 + r) > cutoff can
-    reach no coefficient of degree <= cutoff, and the walk drops it when
-    it moves (d > room, with room = cutoff - |mu| * (1 + r)); a term with
-    equality is kept.  Every term of a partition has degree at least its
-    lowest degree, low, so a partner with room < low receives nothing and
-    is skipped; upward, only partners of size <= (cutoff - low) // (1 + r)
-    are enumerated at all.  Left of the leg region every step is upward,
-    so a slice k steps left of t = -t0 holds at most cutoff / (k + 1)
-    cells, and the margin steps carry only the empty partition.
+    mu's slice, which adds exactly |mu|.  Every later slice of the
+    window, up to the last, contains the slice that the least
+    continuation of mu has there, the chain that takes at each later
+    step the least partner: mu itself upward, mu without its first row
+    downward and unprimed, mu without its first column downward and
+    primed; so the later weight steps add at least ahead, that chain's
+    total size (_least_ahead proves it).  The term's final degree is
+    therefore at least d + |mu| + ahead.  A term with
+    d + |mu| + ahead > cutoff can reach no coefficient of degree
+    <= cutoff, and the walk drops it when it moves (d > room, with
+    room = cutoff - |mu| - ahead); a term with equality is kept.  Every
+    term of a partition has degree at least its lowest degree, low, so a
+    partner with room < low receives nothing and is skipped.  The chain
+    keeps mu through the r steps right after this one, inside the
+    window, whose edge value is +1, so ahead >= r * |mu|, and upward
+    only partners of size <= (cutoff - low) // (1 + r) are enumerated at
+    all.  Left of the leg region every step is upward, so a slice k
+    steps left of t = -t0 holds at most cutoff / (k + 1) cells, and the
+    margin steps carry only the empty partition.
     """
     v, mode, n, window = _transfer_args(group, leg, cutoff, mode, n)
     return _bracket(v, cutoff, mode, n, window)

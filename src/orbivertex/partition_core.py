@@ -109,6 +109,14 @@ def interlaces(lam, mu, primed=False):
 def partners_below(lam, primed=False):
     """All mu with lam >= mu in the interlacing order (finitely many).
 
+    Unprimed partners come in ascending lexicographic order.  Primed ones
+    come in the order of the unprimed partners of conjugate(lam) that they
+    conjugate: each such m is carried onto conjugate(m) by rewriting only
+    the rows of its strip.  Column j of lam has lamc_j = conjugate(lam)[j]
+    cells and m_j lies in [lamc_{j+1}, lamc_j], so the rows
+    m_j..lamc_j - 1 all have length j + 1 in lam; in conjugate(m) exactly
+    those rows lose their last cell and read j.  The rows that j = 0
+    empties are the last ones, so conjugate(m) keeps the first m_0.
     Memoized on (lam, bool(primed)); the result is a shared tuple.
     """
     return _partners_below(lam, bool(primed))
@@ -117,7 +125,16 @@ def partners_below(lam, primed=False):
 @lru_cache(maxsize=None)
 def _partners_below(lam, primed):
     if primed:
-        return tuple(conjugate(m) for m in _partners_below(conjugate(lam), False))
+        lamc = conjugate(lam)
+        out = []
+        for m in _partners_below(lamc, False):
+            nu = list(lam)
+            for j in range(1, len(lamc)):
+                lo, hi = part(m, j), lamc[j]
+                if lo < hi:
+                    nu[lo:hi] = [j] * (hi - lo)
+            out.append(tuple(nu[:part(m, 0)]))
+        return tuple(out)
     # mu_i ranges over [lam_{i+1}, lam_i], so every choice is weakly
     # decreasing already and only its last part, bounded below by 0, can
     # need trimming
@@ -130,6 +147,16 @@ def _partners_below(lam, primed):
 def partners_above(lam, max_size, primed=False):
     """All mu with mu >= lam in the interlacing order and |mu| <= max_size.
 
+    Unprimed partners come in ascending lexicographic order: the first
+    row, whose only cap is the budget, runs outermost over one product of
+    the lower rows' ranges (row i in [lam_i, lam_{i-1}], one row past lam
+    included), each choice kept while its growth fits what the first row
+    left of the budget.  Primed ones come in the order of the unprimed
+    partners of conjugate(lam) at the same budget, each m carried onto
+    conjugate(m) by rewriting only the rows of its strip: m_j lies in
+    [lamc_j, lamc_{j-1}] for lamc = conjugate(lam), so the rows
+    lamc_j..m_j - 1 all have length j in lam, and in conjugate(m) exactly
+    those rows gain a cell and read j + 1.
     Memoized on (lam, max_size - |lam|, bool(primed)); the result is a
     shared tuple, empty when max_size < |lam|.
     """
@@ -141,24 +168,30 @@ def _partners_above(lam, budget, primed):
     if budget < 0:
         return ()
     if primed:
-        return tuple(conjugate(m)
-                     for m in _partners_above(conjugate(lam), budget, False))
+        lamc = conjugate(lam)
+        out = []
+        for m in _partners_above(lamc, budget, False):
+            nu = list(lam) + [0] * (part(m, 0) - len(lam))
+            for j, hi in enumerate(m):
+                lo = part(lamc, j)
+                if lo < hi:
+                    nu[lo:hi] = [j + 1] * (hi - lo)
+            out.append(tuple(nu))
+        return tuple(out)
+    if not lam:
+        return ((),) + tuple((x,) for x in range(1, budget + 1))
+    # mu has at most one more nonzero row than lam; row i >= 1 lies in
+    # [lam_i, lam_{i-1}] (lam_i = 0 past the end), cut to the budget, and
+    # only the extra row can be 0
+    ranges = [range(lo, min(hi, lo + budget) + 1)
+              for lo, hi in zip(lam[1:] + (0,), lam)]
+    base = sum(lam) - lam[0]
+    lower = [(sum(tail) - base, tail[:-1] if not tail[-1] else tail)
+             for tail in itertools.product(*ranges)]
     out = []
-    # mu has at most one more nonzero row than lam, so extend lam by a 0
-    lam_ext = lam + (0,)
-
-    def rec(i, prefix, spent):
-        if i == len(lam_ext):
-            out.append(tuple(x for x in prefix if x))
-            return
-        lo = lam_ext[i]
-        # mu_i is capped by lam_{i-1} (interlacing), unbounded for i = 0
-        hi = lam_ext[i - 1] if i > 0 else lo + (budget - spent)
-        hi = min(hi, lo + (budget - spent))
-        for v in range(lo, hi + 1):
-            rec(i + 1, prefix + (v,), spent + (v - lo))
-
-    rec(0, (), 0)
+    for first in range(lam[0], lam[0] + budget + 1):
+        left = budget - (first - lam[0])
+        out.extend((first,) + tail for grow, tail in lower if grow <= left)
     return tuple(out)
 
 
@@ -199,11 +232,6 @@ def edge_bound(p):
 # ---------------------------------------------------------------------------
 # Diagonals, residues, hooks
 # ---------------------------------------------------------------------------
-
-def diagonal_count(p, k):
-    """Number of cells on the diagonal i - j = k."""
-    return sum(1 for (i, j) in cells(p) if i - j == k)
-
 
 def residue_count(p, k, n):
     """Number of cells with i - j = k (mod n)."""

@@ -284,13 +284,18 @@ class Series:
     def sorted_items(self):
         return sorted(self.terms.items())
 
-    def to_json(self):
-        return json.dumps({
+    def to_record(self):
+        """{cutoff, vars, terms}: the JSON-ready record that to_json dumps,
+        terms sorted by exponents, each coefficient a decimal string."""
+        return {
             "cutoff": self.cutoff,
             "vars": list(self.names),
             "terms": [{"exp": list(e), "coef": str(c)}
                       for e, c in self.sorted_items()],
-        }, separators=(",", ":"))
+        }
+
+    def to_json(self):
+        return json.dumps(self.to_record(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text):

@@ -20,6 +20,7 @@ are identical in the two frames, the brick content is not.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 
 from . import partition_core as pc
@@ -201,8 +202,9 @@ def _slice_walk(v, cutoff, slice_weight):
     the state holds the unfinished families through s as
     {slice s: {bricks left: {weight: count}}}.  Each step lists the
     partners of each previous slice once, for the largest budget among
-    its buckets (partners_above's list at a smaller budget is the part of
-    that list that fits it), and carries every bucket that still fits.
+    its buckets less what the chain prune below already charges it
+    (partners_above's list at a smaller budget is the part of that list
+    that fits it), and carries every bucket that still fits.
 
     * Merging is exact.  Take two partial families through slice s with
       the same slice s and the same bricks left.  Their continuations are
@@ -216,14 +218,25 @@ def _slice_walk(v, cutoff, slice_weight):
       each lies above its predecessor; that is cutoff + 3 slices of at
       least one brick.  So the sweep starts from the empty family,
       weighing slice_weight(left, ()).
-    * Run prune: runs[s] counts the upward steps (tau = -1) right after
-      slice s.  An upward partner contains its source, primed or not
-      (row by row mu_i >= lam_i), so a slice of c bricks is followed by
-      runs[s] slices of at least c bricks each; it is skipped once
-      c * (1 + runs[s]) exceeds the bricks left, since no continuation
-      fits the budget.  Every kept slice passes c <= bricks left, so no
-      family over budget is counted.  Left of -b the run reaches -b, so
-      this prune subsumes a steps-left bound of 1 + (-b - s).
+    * Chain prune: a slice opt at s is skipped once need = |opt| +
+      ahead(opt, s) exceeds the bricks left, where ahead is the total
+      size of the least continuation, the chain that takes the least
+      partner at each later slice of the range.  The least partner is
+      contained in every partner: above, the source itself (row by row
+      mu_i >= lam_i, primed or not); below and unprimed, the source
+      without its first row (mu_i >= lam_{i+1}); below and primed, the
+      source without its first column (mu_i >= lam_i - 1).  Each is
+      monotone under containment, so by induction every later slice of
+      every continuation of opt contains the chain's slice there, and
+      no continuation takes fewer than ahead bricks; none fits the
+      budget.  Every kept slice passes |opt| <= bricks left, so no
+      family over budget is counted.  An upward partner contains the
+      previous slice, whose cells live as long in it, so only partners
+      of size <= top - ahead(prev, s) are listed.  The chain keeps opt
+      through the upward run after s, so need >= |opt| * (1 + run): the
+      prune subsumes the run prune, and left of -b, where the run
+      reaches -b, a steps-left bound of 1 + (-b - s).  _ahead gives the
+      chain's size in closed form from _cell_lives.
     * Early stop: once slice s - 1 is empty with s >= b, the family is
       complete.  Every later slice has tau = +1, and the only partition
       below () is (), primed or not, so by induction every later slice
@@ -239,20 +252,17 @@ def _slice_walk(v, cutoff, slice_weight):
     b = pc.edge_bound(conj)
     slices = _slice_range(conj, cutoff)
     left = slices.start
-    # taus[s - left]: direction of the relation between slices s - 1 and s
+    # steps[s - left]: (slice s lies below slice s - 1, slice s is primed)
     taus = pc.edge_values(conj, [-s for s in slices])
-    # runs[s - left]: upward steps right after slice s
-    runs = [0] * len(slices)
-    for i in range(len(slices) - 2, -1, -1):
-        if taus[i + 1] == -1:
-            runs[i] = runs[i + 1] + 1
+    steps = [(tau == 1, s % 2 == 0) for s, tau in zip(slices, taus)]
+    lives = _cell_lives(steps, cutoff + 1)
     weigh = lru_cache(maxsize=None)(slice_weight)
     out = {}
     state = {(): {cutoff: {weigh(left, ()): 1}}}
     for s in slices[1:]:
-        primed = (s % 2 == 0)
-        up = taus[s - left] == -1
-        steps = 1 + runs[s - left]
+        down, primed = steps[s - left]
+        life = lives[s - left]
+        needs = {}
         grown = {}
         for prev, buckets in state.items():
             if not prev and s >= b:
@@ -263,15 +273,18 @@ def _slice_walk(v, cutoff, slice_weight):
                         out[w] = out.get(w, 0) + c
                 continue
             top = max(buckets)
-            if up:
-                options = pc.partners_above(prev, top, primed)
-            else:
+            if down:
                 options = pc.partners_below(prev, primed)
+            else:
+                options = pc.partners_above(prev, top - _ahead(prev, life),
+                                            primed)
             for opt in options:
-                cost = sum(opt)
-                need = cost * steps
+                need = needs.get(opt)
+                if need is None:
+                    need = needs[opt] = sum(opt) + _ahead(opt, life)
                 if need > top:
                     continue
+                cost = sum(opt)
                 w0 = weigh(s, opt)
                 into = grown.setdefault(opt, {})
                 for rem, counts in buckets.items():
@@ -283,6 +296,61 @@ def _slice_walk(v, cutoff, slice_weight):
                         dst[w] = dst.get(w, 0) + c
         state = grown
     return out
+
+
+def _cell_lives(steps, cap):
+    """Per slice k of a sweep, how long each cell of a slice there lives
+    in the least continuation (see _slice_walk's chain prune).
+
+    steps[k] = (down, primed) is the step into slice k: below slice
+    k - 1 or above it, primed or not.  The least continuation of a slice
+    mu at k is, at a later slice, mu without its first u rows and first
+    p columns, u and p counting the unprimed and the primed downward
+    steps since k: an upward step keeps the slice, an unprimed downward
+    one drops its first row, a primed one its first column, and the two
+    commute.  So cell (r, c) of mu (row r, column c) is in it until the
+    (r + 1)-th unprimed or the (c + 1)-th primed downward step after k,
+    whichever comes first.  Entry k is (rows, cuts, prefix) with, for
+    r, c < cap: rows[r] the slices after k before the (r + 1)-th
+    unprimed downward step (all of them once the steps run out), cols[c]
+    likewise for primed ones, cuts[r] the number of c with
+    cols[c] < rows[r], and prefix[c] = cols[0] + ... + cols[c - 1].
+    """
+    n = len(steps)
+    row_kills, col_kills = [], []   # downward steps after k, nearest last
+    out = [None] * n
+    for k in range(n - 1, -1, -1):
+        rows = _kill_times(row_kills, k, n, cap)
+        cols = _kill_times(col_kills, k, n, cap)
+        prefix = [0]
+        for x in cols:
+            prefix.append(prefix[-1] + x)
+        out[k] = (rows, [bisect_left(cols, x) for x in rows], prefix)
+        down, primed = steps[k]
+        if down:
+            (col_kills if primed else row_kills).append(k)
+    return out
+
+
+def _kill_times(kills, k, n, cap):
+    """[slices after k before the (i + 1)-th kill] for i < cap, from the
+    kill positions after k, nearest last, out of n slices."""
+    times = [t - k - 1 for t in reversed(kills[-cap:])]
+    return times + [n - k - 1] * (cap - len(times))
+
+
+def _ahead(mu, life):
+    """ahead(mu, k): the total size of mu's least continuation after its
+    slice k, life = _cell_lives(...)[k], mu with at most cap rows and
+    columns.  Cell (r, c) lives through min(rows[r], cols[c]) later
+    slices, and cols is weakly increasing, so in row r the columns
+    c < cuts[r] give cols[c] and the others rows[r]."""
+    rows, cuts, prefix = life
+    total = 0
+    for x, cut, m in zip(rows, cuts, mu):
+        cut = cut if cut < m else m
+        total += prefix[cut] + x * (m - cut)
+    return total
 
 
 def interlacing_families(v, budget):

@@ -20,11 +20,13 @@ comparison of the two adds a third route.
 
 The last section differs:
 it keeps the paper's definition of the slice corners, four cumulative
-edge counters read through a four-case slice map, and four
-straightforward forms of RPC-layer loops (a per-cell frame conversion,
-an unpruned slice walk, a sum over the listed families and a sum over
-every slice assignment, the last free of the partner generators) as
-references for the shortcuts that replaced them in src/.
+edge counters read through a four-case slice map, the least
+continuation of a slice by a minimum over every chain of interlacing
+partitions, and four straightforward forms of RPC-layer loops (a
+per-cell frame conversion, an unpruned slice walk, a sum over the listed
+families and a sum over every slice assignment, the last free of the
+partner generators) as references for the shortcuts that replaced them
+in src/.
 """
 
 from __future__ import annotations
@@ -255,6 +257,12 @@ def pyramid_series_dict(max_bricks):
 
 def _cells(p):
     return {(i, j) for j, row in enumerate(p) for i in range(row)}
+
+
+def diagonal_count(p, k):
+    """Number of cells (i, j) of p (column i, row j) with i - j = k: the
+    reference for fock_transfer's diagonal parities."""
+    return sum(1 for (i, j) in _cells(p) if i - j == k)
 
 
 def _sym_partitions_of(n):
@@ -625,6 +633,39 @@ def region_complement_equal_per_cell(v, l, K):
                 if (i >= ci and j >= cj) != (di >= dci and dj >= dcj):
                     return False
     return True
+
+
+def step_patterns(longest):
+    """Every tuple of at most `longest` sweep steps (down, primed): up,
+    primed up, down and primed down."""
+    kinds = list(itertools.product((False, True), repeat=2))
+    return [p for n in range(longest + 1)
+            for p in itertools.product(kinds, repeat=n)]
+
+
+@lru_cache(maxsize=None)
+def _interlacing_options(prev, down, primed, top):
+    """Every partition of size <= top that may follow prev on a step
+    (down, primed), found by testing pc.interlaces on each."""
+    from orbivertex import partition_core as pc
+
+    return tuple(nu for nu in pc.partitions_up_to(top)
+                 if (pc.interlaces(prev, nu, primed) if down
+                     else pc.interlaces(nu, prev, primed)))
+
+
+@lru_cache(maxsize=None)
+def least_continuation(mu, pattern, top=7):
+    """The least total size of the slices that the steps of pattern, a
+    tuple of (down, primed) pairs, produce from the slice mu, over every
+    chain whose slices have size <= top: the reference for the sweeps'
+    ahead bounds.  An upward step is offered every partner up to size
+    top, the ones strictly larger than mu included."""
+    if not pattern:
+        return 0
+    (down, primed), rest = pattern[0], pattern[1:]
+    return min(sum(nu) + least_continuation(nu, rest, top)
+               for nu in _interlacing_options(mu, down, primed, top))
 
 
 def interlacing_families_unpruned(v, budget):

@@ -13,6 +13,7 @@ from orbivertex.fock_transfer import (
 from orbivertex.pyramid import ANTI, DIAG, pyramid_series
 from orbivertex.qseries import Series
 from orbivertex.rpc import generating_function
+import oracles
 from oracles import basis_state, commute_series, e_apply, empty_state
 
 
@@ -257,11 +258,30 @@ def test_transfer_evaluates_one_window(monkeypatch):
                          ids=["z2z2", "z3"])
 @pytest.mark.parametrize("leg", [(), (1,), (2, 1), (3, 1)], ids=leg_id)
 def test_transfer_prune_boundary(group, n, leg):
-    # terms with d + |mu| * (1 + r) == cutoff must be kept; every cutoff
+    # terms with d + |mu| + ahead == cutoff must be kept; every cutoff
     # puts that boundary on different terms
     for cutoff in range(11):
         want = enumerate_3d(leg, group, cutoff, n=n)
         assert vertex_by_transfer(group, leg, cutoff, n=n) == want, cutoff
+
+
+def test_transfer_ahead_is_the_least_continuation():
+    # the truncation's bound after every step of every pattern, against a
+    # minimum over every chain of interlacing partitions
+    for pattern in oracles.step_patterns(5):
+        ahead = fock_transfer._least_ahead(((False, False),) + pattern)
+        for mu in pc.partitions_up_to(6):
+            for k in range(len(pattern) + 1):
+                want = oracles.least_continuation(mu, pattern[k:])
+                assert ahead(mu, k) == want, (mu, pattern, k)
+
+
+def test_diagonal_parities_match_diagonal_counts():
+    for v in pc.partitions_up_to(8):
+        window = fock_transfer._transfer_args("z2z2", v, 6, None, None)[3]
+        ks = [-(t + 1) for t in range(-window, window + 1)]
+        want = [oracles.diagonal_count(v, k) % 2 for k in ks]
+        assert fock_transfer._diagonal_parities(v, ks) == want, v
 
 
 DEEP_D = 22

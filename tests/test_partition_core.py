@@ -103,15 +103,15 @@ def test_edge_charge_zero():
 
 
 def test_diagonal_count():
-    assert pc.diagonal_count((3, 1), 0) == 1
-    assert pc.diagonal_count((3, 1), 1) == 1
-    assert pc.diagonal_count((3, 1), 2) == 1
-    assert pc.diagonal_count((3, 1), -1) == 1
-    assert pc.diagonal_count((3, 1), -2) == 0
+    assert oracles.diagonal_count((3, 1), 0) == 1
+    assert oracles.diagonal_count((3, 1), 1) == 1
+    assert oracles.diagonal_count((3, 1), 2) == 1
+    assert oracles.diagonal_count((3, 1), -1) == 1
+    assert oracles.diagonal_count((3, 1), -2) == 0
     for p in pc.partitions_up_to(8):
-        assert sum(pc.diagonal_count(p, k) for k in range(-9, 10)) == sum(p)
+        assert sum(oracles.diagonal_count(p, k) for k in range(-9, 10)) == sum(p)
         for k in range(-9, 10):
-            assert pc.diagonal_count(p, k) == pc.diagonal_count(pc.conjugate(p), -k)
+            assert oracles.diagonal_count(p, k) == oracles.diagonal_count(pc.conjugate(p), -k)
 
 
 def test_diagonal_count_staircase_closed_form():
@@ -124,7 +124,7 @@ def test_diagonal_count_staircase_closed_form():
                 expected = m // 2 - abs(k) // 2
             else:
                 expected = (m + 1) // 2 - (1 + abs(k)) // 2
-            assert pc.diagonal_count(v, k) == expected, (m, k)
+            assert oracles.diagonal_count(v, k) == expected, (m, k)
 
 
 def test_residue_count():
@@ -244,18 +244,30 @@ def test_partners_above_negative_budget_is_empty():
 
 
 def test_primed_partners_are_conjugated_unprimed():
+    # tuple for tuple, in order: interlacing_families' depth-first order
+    # reads the primed partners in the order of their conjugates
     for lam in pc.partitions_up_to(6):
         lc = pc.conjugate(lam)
         below = pc.partners_below(lam, primed=True)
-        assert sorted(below) == sorted(
-            pc.conjugate(m) for m in pc.partners_below(lc))
+        assert list(below) == [pc.conjugate(m) for m in pc.partners_below(lc)]
         assert all(pc.interlaces(lam, m, primed=True) for m in below), lam
         for bound in (sum(lam), sum(lam) + 2):
             above = pc.partners_above(lam, bound, primed=True)
-            assert sorted(above) == sorted(
-                pc.conjugate(m) for m in pc.partners_above(lc, bound))
+            assert list(above) == [
+                pc.conjugate(m) for m in pc.partners_above(lc, bound)]
             assert all(pc.interlaces(m, lam, primed=True) and sum(m) <= bound
                        for m in above), (lam, bound)
+
+
+def test_unprimed_partners_ascend():
+    # the generator order that interlacing_families' depth-first order
+    # reads: ascending lexicographic, each partner once
+    for lam in pc.partitions_up_to(7):
+        below = list(pc.partners_below(lam))
+        assert below == sorted(set(below)), lam
+        for bound in range(sum(lam), sum(lam) + 5):
+            above = list(pc.partners_above(lam, bound))
+            assert above == sorted(set(above)), (lam, bound)
 
 
 def test_check_partition_rejects_non_int_parts():
