@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -262,7 +263,17 @@ def _add_output(p):
     p.add_argument("--output", default=None)
 
 
+@functools.cache
 def build_parser():
+    """The orbivertex argument parser, built once per process.
+
+    main() calls it on every invocation, so an in-process caller that
+    runs many commands builds the six parsers and their arguments once; a
+    one-shot console call builds it once either way, and gains and loses
+    nothing.  Sharing is safe: parse_args fills a fresh namespace on each
+    call, and the parser holds only the converters and build functions,
+    which keep no state and look up the names they use when called.
+    """
     parser = argparse.ArgumentParser(
         prog="orbivertex",
         description="orbifold vertex and pyramid partition series")

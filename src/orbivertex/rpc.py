@@ -44,7 +44,8 @@ def _check_shift(l, frame=DIAG):
 
 
 def corners(v, l, ks):
-    """Admissible corners [(row, column)] of the slices ks, in order.
+    """Admissible corners [(row, column)] of the slices ks, in order; ks
+    is any iterable of ints, in any order and with repeats.
 
     With v's Frobenius coordinates, arms a_i = v_i - i - 1 and legs
     b_i = v'_i - i - 1 for i below the Durfee size, and with
@@ -67,22 +68,41 @@ def corners(v, l, ks):
     limits give rows and cols, and as a count of one parity skips the
     values of the other, each bound is the threshold above (for odd
     k < 0, eps2(-h - 1) = #{odd b <= -2h - 1} = #{odd b < -k}).
+
+    The counts come from prefix tables, built once per call: for
+    t = 0..top, with top one past the largest coordinate, the even and
+    odd arms below t and the even and odd legs below t.  No coordinate
+    reaches top, so the counts below |k| are the counts below
+    t = min(|k|, top), and each slice reads one entry of its side.
     """
     _check_shift(l)
     v = pc.check_partition(tuple(v))
     arms = [x - i - 1 for i, x in enumerate(v) if x > i]
     legs = [x - i - 1 for i, x in enumerate(pc.conjugate(v)) if x > i]
-    odd_arms, odd_legs = sum(a % 2 for a in arms), sum(b % 2 for b in legs)
-    rows = l + max(odd_legs, len(arms) - odd_arms)
-    cols = l + max(len(legs) - odd_legs, odd_arms)
+    top = max(arms + legs, default=-1) + 1
+
+    def below(coords):
+        # [(#even x < t, #odd x < t) for t = 0..top]
+        hit = set(coords)
+        counts, even_odd = [(0, 0)], [0, 0]
+        for t in range(top):
+            if t in hit:
+                even_odd[t % 2] += 1
+            counts.append(tuple(even_odd))
+        return counts
+
+    arm, leg = below(arms), below(legs)
+    (even_arms, odd_arms), (even_legs, odd_legs) = arm[top], leg[top]
+    rows = l + max(odd_legs, even_arms)
+    cols = l + max(even_legs, odd_arms)
+    right = [(rows - even, cols - odd) for even, odd in arm]
+    left = [(rows - odd, cols - even) for even, odd in leg]
     out = []
     for k in ks:
-        right = _check_int(k, "slice index") > 0
-        below = [x for x in (arms if right else legs) if x < abs(k)]
-        odd = sum(x % 2 for x in below)
-        even = len(below) - odd
-        out.append((rows - even, cols - odd) if right
-                   else (rows - odd, cols - even))
+        if _check_int(k, "slice index") > 0:
+            out.append(right[k] if k < top else right[top])
+        else:
+            out.append(left[-k] if -k < top else left[top])
     return out
 
 
@@ -517,13 +537,26 @@ def region_complement_equal(v, l, K):
     """Compare the union of region complements across frames inside the
     window (|slice| <= K, brick coordinates <= K), matching bricks through
     their physical positions one diagonal run at a time (see
-    _window_runs)."""
+    _window_runs).
+
+    The shift moves onto the run bounds instead of the corners.  Shift l
+    adds l to every corner coordinate, so a run's two thresholds are
+    ci + l - h, cj + l and dci + l - a, dcj + l - b with (ci, cj) and
+    (dci, dcj) the shift-0 corners.  Translation commutes with max and
+    min, min(max(x + l, y + l, lo), end) = min(max(x, y, lo - l),
+    end - l) + l, and both sides carry the same + l, so the shifted
+    clamps agree iff the shift-0 thresholds clamped to lo - l and
+    end - l agree.  So the scan reads _leg_corners as they are and builds
+    no shifted copy of the 2K + 1 corners per (leg, shift), which would
+    cost more than the few runs that most scans compare before they stop.
+    """
     runs = _window_runs(_check_int(K, "window"))
     _check_shift(l)
-    shifted = [(ci + l, cj + l) for ci, cj in _leg_corners(tuple(v), K)]
+    at = _leg_corners(tuple(v), K)
     for k, h, dk, a, b, lo, end in runs:
-        ci, cj = shifted[k]
-        dci, dcj = shifted[dk]
+        ci, cj = at[k]
+        dci, dcj = at[dk]
+        lo, end = lo - l, end - l
         if (min(max(ci - h, cj, lo), end)
                 != min(max(dci - a, dcj - b, lo), end)):
             return False

@@ -47,3 +47,22 @@ def test_cli_stdout_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / (name + ".out")).read_text()
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # main reuses one parser per process: every case forward, a call that
+    # exits 2, then every case in reverse must still match its golden
+    # stdout, so neither a filled namespace (_vertex_check sets args.n)
+    # nor a failed parse leaks into the next call
+    assert cli.build_parser() is cli.build_parser()
+    names = sorted(CASES)
+    for name in names:
+        assert cli.main(CASES[name]) == 0, name
+        assert capsys.readouterr().out == (GOLDEN / (name + ".out")).read_text()
+    with pytest.raises(SystemExit) as ex:
+        cli.main(["vertex", "--n", "3"])
+    assert ex.value.code == 2
+    assert capsys.readouterr().out == ""
+    for name in reversed(names):
+        assert cli.main(CASES[name]) == 0, name
+        assert capsys.readouterr().out == (GOLDEN / (name + ".out")).read_text()

@@ -89,6 +89,19 @@ def test_corners_step_by_one_and_settle():
         assert len(set(got[high + span:])) == 1, v
 
 
+def test_corners_match_one_region_call_per_slice():
+    # slices unsorted, repeated, from a one-shot iterator, and far past
+    # the largest coordinate, where the prefix tables stop
+    rng = random.Random(26)
+    for v in pc.partitions_up_to(10):
+        span = 3 * (pc.edge_bound(pc.conjugate(v)) + 4)
+        ks = list(range(-span, span + 1)) * 2
+        rng.shuffle(ks)
+        for l in range(3):
+            want = [region(v, l, k) for k in ks]
+            assert corners(v, l, iter(ks)) == want, (v, l)
+
+
 def test_staircase_corner_sum_closed_form():
     for m in range(0, 7):
         v = pc.staircase(m)
@@ -359,7 +372,7 @@ def test_region_complement_equal_iff_staircase():
 
 def test_region_complement_equal_matches_per_cell_oracle():
     for v in pc.partitions_up_to(6):
-        for l in (0, 1, 2):
+        for l in (0, 1, 2, 3):
             for K in range(13):
                 want = oracles.region_complement_equal_per_cell(v, l, K)
                 assert region_complement_equal(v, l, K) == want, (v, l, K)
