@@ -184,6 +184,9 @@ def _series(args):
 
 
 def _uniqueness(args):
+    if args.window is None:
+        # edge_bound(v') + l <= max_leg_size + 1 + l for every leg scanned
+        args.window = args.max_leg_size + 1 + max(args.shifts)
     scan = rpc.uniqueness_scan(args.max_leg_size, args.shifts, args.window)
     rows = [{"leg": list(v), "shift": l, "symmetric": ok}
             for (v, l), ok in sorted(scan.items())]
@@ -297,7 +300,9 @@ def build_parser():
 
     p = sub.add_parser("uniqueness", help="symmetric interlacing scan")
     p.add_argument("--max-leg-size", type=int, default=6)
-    p.add_argument("--window", type=int, default=10)
+    p.add_argument("--window", type=int, default=None,
+                   help="default max-leg-size + 1 + the largest shift, a "
+                   "bound observed, not proven, to settle every verdict")
     p.add_argument("--shifts", type=_shifts_arg, default=(0, 1))
     _add_output(p)
     p.set_defaults(build=_uniqueness)

@@ -169,9 +169,6 @@ class PyramidPartition:
     def size(self):
         return sum(sum(v) for v in self.slices.values())
 
-    def slice(self, k):
-        return self.slices.get(k, ())
-
     def bricks(self):
         """All brick positions, sorted."""
         out = []

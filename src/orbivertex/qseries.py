@@ -67,10 +67,6 @@ def term_neg(t):
     return (-t[0], t[1])
 
 
-def term_deg(t):
-    return sum(t[1])
-
-
 def mul_terms(a, b, cap, out=None):
     """Add every product of a term of a with a term of b whose total
     degree is at most cap into out (a new dict by default); return out.
@@ -110,11 +106,12 @@ def mul_terms(a, b, cap, out=None):
 class Series:
     """Truncated exact power series: dict of exponent tuple -> int.
 
-    Terms from outside (the constructors, from_json, map_vars and the
-    functions that count configurations) enter through _add, which checks
-    coefficients with _check_int and exponent tuples with _check_exps
-    (types, arity, negativity).  Arithmetic on series already checked
-    writes its dicts directly.
+    Terms from outside (the constructor, map_vars and the functions that
+    count configurations) enter through _add, which checks coefficients
+    with _check_int and exponent tuples with _check_exps (types, arity,
+    negativity).  Arithmetic on series already checked (sums, products,
+    multiples, powers, the inverse) writes its dicts directly.  A result
+    leaves as to_json's record; nothing reads a Series back in.
     """
 
     __slots__ = ("names", "cutoff", "terms")
@@ -126,9 +123,9 @@ class Series:
         if terms:
             self._add(terms.items())
 
-    def _like(self, terms, cutoff=None):
+    def _like(self, terms):
         # a series over the same variables holding terms already checked
-        s = Series(self.names, self.cutoff if cutoff is None else cutoff)
+        s = Series(self.names, self.cutoff)
         s.terms = terms
         return s
 
@@ -159,15 +156,6 @@ class Series:
         s.terms[(0,) * len(s.names)] = 1
         return s
 
-    @classmethod
-    def one_plus(cls, names, cutoff, t):
-        """The factor 1 + t for a signed monomial t of positive degree."""
-        if term_deg(t) == 0 and t[0] != 0:
-            raise ValueError("degree-0 factor term %r" % (t,))
-        s = cls.one(names, cutoff)
-        s._add([(t[1], t[0])])
-        return s
-
     # -- basics -------------------------------------------------------------
 
     def coefficient(self, exps):
@@ -175,9 +163,6 @@ class Series:
 
     def constant(self):
         return self.terms.get((0,) * len(self.names), 0)
-
-    def is_one(self):
-        return self.terms == {(0,) * len(self.names): 1}
 
     def __eq__(self, other):
         return (isinstance(other, Series) and self.names == other.names
@@ -199,20 +184,12 @@ class Series:
             raise ValueError("incompatible series: %r/%d vs %r/%d"
                              % (self.names, self.cutoff, other.names, other.cutoff))
 
-    def _plus(self, other, sign):
-        # self + sign*other: other times the unit sign, added onto self
-        if isinstance(other, int):
-            other = Series.one(self.names, self.cutoff).scaled(other)
+    def __add__(self, other):
+        # other times the unit 1, added onto a copy of self
         self._check_compat(other)
-        unit = {(0,) * len(self.names): sign}
+        unit = {(0,) * len(self.names): 1}
         return self._like(mul_terms(other.terms, unit, self.cutoff,
                                     dict(self.terms)))
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
 
     def scaled(self, k):
         return self._like({e: c * k for e, c in self.terms.items()} if k else {})
@@ -256,18 +233,6 @@ class Series:
         _pass(parts, steps, self.cutoff, True)
         return self._like(_decoded(parts, base, len(self.names)))
 
-    def __truediv__(self, other):
-        if isinstance(other, Series):
-            return self * other.invert()
-        raise TypeError("divide by Series only")
-
-    def truncate(self, new_cutoff):
-        if new_cutoff > self.cutoff:
-            raise ValueError("cannot raise cutoff from %d to %d"
-                             % (self.cutoff, new_cutoff))
-        return self._like({e: c for e, c in self.terms.items()
-                           if sum(e) <= new_cutoff}, new_cutoff)
-
     def map_vars(self, new_names, assignment):
         """Reinterpret each old variable as one new variable.
 
@@ -281,9 +246,6 @@ class Series:
 
     # -- serialization ------------------------------------------------------
 
-    def sorted_items(self):
-        return sorted(self.terms.items())
-
     def to_record(self):
         """{cutoff, vars, terms}: the JSON-ready record that to_json dumps,
         terms sorted by exponents, each coefficient a decimal string."""
@@ -291,25 +253,11 @@ class Series:
             "cutoff": self.cutoff,
             "vars": list(self.names),
             "terms": [{"exp": list(e), "coef": str(c)}
-                      for e, c in self.sorted_items()],
+                      for e, c in sorted(self.terms.items())],
         }
 
     def to_json(self):
         return json.dumps(self.to_record(), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text):
-        """Inverse of to_json.  A coefficient is read as to_json writes it,
-        a decimal string; any other value goes to _add's checks as it is,
-        so a float is rejected rather than truncated."""
-        data = json.loads(text)
-        s = cls(tuple(data["vars"]), data["cutoff"])
-        pairs = []
-        for item in data["terms"]:
-            c = item["coef"]
-            pairs.append((tuple(item["exp"]), int(c) if type(c) is str else c))
-        s._add(pairs)
-        return s
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +400,14 @@ class Factors:
     exponents e of positive total degree, so (1 - t)^(-k) is a power
     series with integer coefficients for every integer k.  A factor whose
     degree exceeds the cutoff is 1 after truncation and is dropped when it
-    is added.  Products, quotients, integer powers and variable maps only
-    add, subtract, scale and relabel multiplicities; times() multiplies
-    the product into a Laurent dict once, one pass per factor, and
-    series() is times() on the constant 1.  A negative cutoff raises, and
-    a cutoff, coefficient, exponent or multiplicity that is not an int
-    raises TypeError: _add checks the constructor's mult, and _walk its
-    a, q and k once, not each factor it builds.
+    is added.  Products, integer powers and variable maps only add, scale
+    and relabel multiplicities (a quotient is a product with the -1st
+    power); times() multiplies the product into a Laurent dict once, one
+    pass per factor, and series() is times() on the constant 1.  A
+    negative cutoff raises, and a cutoff, coefficient, exponent or
+    multiplicity that is not an int raises TypeError: _add checks the
+    constructor's mult, and _walk its a, q and k once, not each factor it
+    builds.
     """
 
     __slots__ = ("names", "cutoff", "mult")
@@ -489,7 +438,7 @@ class Factors:
         else:
             self.mult.pop(key, None)
 
-    def _merged(self, other, sign):
+    def __mul__(self, other):
         if not isinstance(other, Factors):
             raise TypeError("combine Factors with Factors only")
         if self.names != other.names or self.cutoff != other.cutoff:
@@ -498,14 +447,8 @@ class Factors:
         out = Factors(self.names, self.cutoff)
         out.mult = dict(self.mult)
         for t, k in other.mult.items():
-            out._bump(t, sign * k)
+            out._bump(t, k)
         return out
-
-    def __mul__(self, other):
-        return self._merged(other, 1)
-
-    def __truediv__(self, other):
-        return self._merged(other, -1)
 
     def __pow__(self, k):
         if not isinstance(k, int):

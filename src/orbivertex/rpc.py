@@ -465,7 +465,7 @@ def generating_function(v, l, frame, cutoff):
 def _window_runs(K):
     """The window |k| <= K, 0 <= i, j <= K of antidiagonal cells (k, i, j)
     whose diagonal address (dk, di, dj) lies in the same window, cut into
-    diagonal runs: tuples (k + K, h, dk + K, a, b, lo, hi + 1), one per
+    diagonal runs: tuples (k + K, h, dk + K, a, b, hi + 1), one per
     slice k and h = i - j, covering the cells j = lo..hi.
 
     Run form, from address_to_position(ANTI, k, i, j) and
@@ -484,7 +484,8 @@ def _window_runs(K):
                         h < 0:  a = h + (k + 1)/2,   b = h
         k odd, k < 0:   h >= 1: a = 0,               b = (1 - k)/2
                         h <= 0: a = h,               b = h + (-k - 1)/2
-    so a and b are integers, both >= min(h, 0).  A run starts at
+    so a and b are integers, both >= min(h, 0), and one of them equals
+    it: min(a, b) = min(h, 0).  A run starts at
     lo = max(0, -h), which keeps j >= 0 and i = j + h >= 0, so
     di = j + a >= j + min(h, 0) >= 0 and likewise dj >= 0 on every cell:
     each is a brick of the diagonal frame, and no cell needs its own
@@ -519,7 +520,7 @@ def _window_runs(K):
             lo, hi = max(0, -h), K - max(0, h, a, b)
             if lo <= hi:
                 runs.append((abs(k) + 2 * (2 * lo + h),
-                             (k + K, h, dk + K, a, b, lo, hi + 1)))
+                             (k + K, h, dk + K, a, b, hi + 1)))
     runs.sort()
     return tuple(run for _, run in runs)
 
@@ -549,16 +550,19 @@ def region_complement_equal(v, l, K):
     end - l agree.  So the scan reads _leg_corners as they are and builds
     no shifted copy of the 2K + 1 corners per (leg, shift), which would
     cost more than the few runs that most scans compare before they stop.
+
+    The clamp to lo - l never binds, so the runs do not carry lo: with
+    shift-0 corners >= 0, max(ci - h, cj) >= max(-h, 0) = lo, and as
+    min(a, b) = min(h, 0), max(dci - a, dcj - b) >= lo too; lo >= lo - l.
     """
     runs = _window_runs(_check_int(K, "window"))
     _check_shift(l)
     at = _leg_corners(tuple(v), K)
-    for k, h, dk, a, b, lo, end in runs:
+    for k, h, dk, a, b, end in runs:
         ci, cj = at[k]
         dci, dcj = at[dk]
-        lo, end = lo - l, end - l
-        if (min(max(ci - h, cj, lo), end)
-                != min(max(dci - a, dcj - b, lo), end)):
+        end -= l
+        if min(max(ci - h, cj), end) != min(max(dci - a, dcj - b), end):
             return False
     return True
 
@@ -570,6 +574,11 @@ def uniqueness_scan(max_leg_size, l_values, K):
     and a negative window calls every leg symmetric, so each raises
     before any leg is scanned, as does a size, shift or window that is
     not an int.  A repeated shift is scanned once.
+
+    Too small a K calls non-staircase legs symmetric ((12) and (1^12) at
+    K = 10).  K = max_leg_size + 1 + max(l_values) covers edge_bound(v')
+    + l for every leg, as edge_bound(v') = max(len v, v_0 + 1); that it
+    suffices is observed (legs up to 14 against K + 10), not proven.
     """
     if _check_int(max_leg_size, "max leg size") < 0:
         raise ValueError("max leg size must be >= 0, got %d" % max_leg_size)

@@ -135,8 +135,8 @@ def test_criterion_8_operator_identity_suite():
     # against a transfer is the unprimed pair's over the primed pair's
     flags = [(a, b) for a in (False, True) for b in (False, True)]
     pair = {ab: exchange(*ab) for ab in flags}
-    sq_inv = (pair[False, False] / pair[True, False]).series()
-    sq_neg = (pair[False, True] / pair[True, True]).series()
+    sq_inv = (pair[False, False] * pair[True, False] ** -1).series()
+    sq_neg = (pair[False, True] * pair[True, True] ** -1).series()
     for lam in small_basis(4):
         # creation/annihilation exchange, every pair of primed flags
         for pi, pj in flags:

@@ -85,6 +85,17 @@ def test_uniqueness_report(capsys):
     assert got[(3,)] is False and got[(2, 1)] is True
 
 
+def test_uniqueness_default_window_finds_only_staircases(capsys):
+    # the default window follows the legs; a window of 10 reads (12) and
+    # (1^12) as symmetric
+    code, out = run_cli(capsys, ["uniqueness", "--max-leg-size", "12"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["window"] == 14
+    assert data["staircases_only"] is True
+    assert data["symmetric_legs"] == [[], [1], [2, 1], [3, 2, 1], [4, 3, 2, 1]]
+
+
 def test_uniqueness_drops_repeated_shifts(capsys, monkeypatch):
     calls = []
     scan_one = rpc.region_complement_equal

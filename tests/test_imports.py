@@ -10,9 +10,23 @@ A function, class or constant that no package module reads is dead code
 unless it is one of the paper's objects that only the tests call, or the
 benchmark in perfbench/ reaches it; those are listed in ALLOWED with a
 reason, or read from perfbench's own task and trace tables.
+
+A name that some package module reads may still sit on a path that
+nothing runs.  So every package function and method must also be entered
+when the golden CLI cases and one call of each benchmark task run under
+sys.setprofile, or be a path that perfbench/tracer.py wraps, or be named
+in ALLOWED (a class entry covers its methods).
 """
 
 import ast
+import contextlib
+import importlib
+import inspect
+import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,7 +36,8 @@ SRC = sorted((ROOT / "src" / "orbivertex").glob("*.py"))
 MODULES = SRC + sorted((ROOT / "tests").glob("*.py"))
 PERFBENCH = ROOT / "perfbench"
 
-# top-level names no package module reads -> why each stays
+# top-level names no package module reads, or functions, methods and
+# classes that no CLI case or benchmark task enters -> why each stays
 ALLOWED = {
     "upsilon": "the paper's staircase correction factor, checked on its own",
     "phi": "the paper's Z2xZ2 / Z4 bridge factor, checked on its own",
@@ -34,6 +49,23 @@ ALLOWED = {
     "realize": "the inverse of restrict, a pyramid for a restricted family",
     "convert_frame": "re-addresses a brick between the two slice frames",
     "color": "the color of a brick at its address in either frame",
+    "PyramidPartition": "the paper's pyramid partition as bricks, which "
+                        "the tests enumerate and validate",
+    "_cells_to_partition": "reads a PyramidPartition slice off its bricks",
+    "address_to_position": "the paper's brick address in a slice frame",
+    "position_to_address": "the inverse of address_to_position",
+    "check_type_interlacing": "the paper's chain condition on slices, "
+                              "which validate and realize check",
+    "interlaces": "one link of the chain condition",
+    "edge_value": "the edge sequence that orders a chain's links",
+    "restrict": "the paper's restriction of a pyramid to a leg's family",
+    "term_neg": "x -> -x of the hat families, which only phi uses",
+    "Series.map_vars": "relabels a vertex for symmetry_check, and rotates "
+                       "the closed Zn factors of a leg in slot 1 or 2",
+    "Series.constant": "the constant term that invert divides by",
+    "Series.coefficient": "reads the first differing coefficient when "
+                          "--verify finds a mismatch",
+    "_monomial": "names that coefficient's monomial",
 }
 
 
@@ -84,6 +116,16 @@ def read_names(source):
     return out
 
 
+def wrapped_paths():
+    """The attribute paths ("gamma_apply", "Series.invert") of tracer.py's
+    WRAPS."""
+    for node in ast.parse((PERFBENCH / "tracer.py").read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["WRAPS"]):
+            return {wrap.elts[1].value for wrap in node.value.elts}
+    raise AssertionError("no WRAPS in tracer.py")
+
+
 def perfbench_names():
     """Package names the benchmark reaches: the function of every
     call("module", "function", ...) in workloads.py and every part of a
@@ -93,12 +135,7 @@ def perfbench_names():
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "call"):
             out.add(node.args[1].value)
-    for node in ast.parse((PERFBENCH / "tracer.py").read_text()).body:
-        if (isinstance(node, ast.Assign)
-                and [t.id for t in node.targets] == ["WRAPS"]):
-            out |= {part for wrap in node.value.elts
-                    for part in wrap.elts[1].value.split(".")}
-    return out
+    return out | {part for path in wrapped_paths() for part in path.split(".")}
 
 
 def test_scan_finds_unread_names():
@@ -108,10 +145,106 @@ def test_scan_finds_unread_names():
     assert {"enumerate_3d", "gamma_apply", "Series"} <= perfbench_names()
 
 
-def test_every_top_level_name_is_read():
+def unread_names():
     defined = set().union(*(top_level_names(p.read_text()) for p in SRC))
     read = set().union(*(read_names(p.read_text()) for p in SRC))
-    unread = defined - read - perfbench_names()
-    assert sorted(unread - set(ALLOWED)) == []
-    # an entry that is read again, or gone, leaves the list
-    assert sorted(set(ALLOWED) - unread) == []
+    return defined - read - perfbench_names()
+
+
+def test_every_top_level_name_is_read():
+    assert sorted(unread_names() - set(ALLOWED)) == []
+
+
+# dunders that only a test or a debugger calls
+EXEMPT = {"__eq__", "__hash__", "__repr__"}
+
+
+def package_functions():
+    """{"f" or "Class.method": code object} over the package's modules:
+    the functions and classes each module defines, cached functions
+    unwrapped, and every function in a class body, classmethods
+    included."""
+    out = {}
+    for path in SRC:
+        module = importlib.import_module("orbivertex." + path.stem)
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)
+                    if inspect.isfunction(member) and attr not in EXEMPT:
+                        out[name + "." + attr] = member.__code__
+            elif callable(obj):
+                out[name] = inspect.unwrap(obj).__code__
+    return out
+
+
+def run_routes():
+    """Every golden CLI case and one call of each benchmark task, with
+    to_json() on each series result as the benchmark's worker does."""
+    from orbivertex import cli
+    from test_cli_golden import CASES
+
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    package = importlib.import_module("orbivertex")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in CASES.values():
+            assert cli.main(argv) == 0, argv
+        for name in workloads.WORKLOADS:
+            for t in workloads.tasks(name):
+                if t.is_cli:
+                    assert cli.main(t.argv) == 0, t.argv
+                else:
+                    fn = t.run.resolve(package)
+                    fn(*t.run.args, **dict(t.run.kwargs)).to_json()
+
+
+def unreached_paths():
+    """The package functions and methods that neither importing the
+    package nor run_routes enters, as a sorted list of paths."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        run_routes()
+    finally:
+        sys.setprofile(None)
+    return sorted(path for path, code in package_functions().items()
+                  if code not in seen)
+
+
+def test_every_function_is_reached():
+    # a fresh interpreter, so module-level calls count and no memo cache
+    # that an earlier test filled skips a function's body; it imports the
+    # package from the src/ that SRC lists
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, __file__], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    unreached = set(json.loads(run.stdout)) - wrapped_paths()
+
+    def excused(path):
+        return path in ALLOWED or path.split(".")[0] in ALLOWED
+
+    assert sorted(p for p in unreached if not excused(p)) == []
+    # an entry that excuses neither an unread name nor an unreached
+    # function, or names nothing, leaves the list
+    unread = unread_names()
+    stale = {n for n in ALLOWED
+             if n not in unread
+             and not any(p == n or p.startswith(n + ".") for p in unreached)}
+    assert sorted(stale) == []
+
+
+if __name__ == "__main__":
+    print(json.dumps(unreached_paths()))

@@ -68,7 +68,7 @@ def test_invert_random():
     rng = random.Random(77)
     for _ in range(20):
         a = rand_series(rng, V4, 5, unit=True)
-        assert (a * a.invert()).is_one()
+        assert (a * a.invert()).terms == {(0, 0, 0, 0): 1}
     with pytest.raises(ValueError):
         rand_series(rng, V4, 5).scaled(2).invert()
 
@@ -79,8 +79,6 @@ def test_negative_exponent_rejected():
         s._add([((1, -1, 0, 0), 1)])
     with pytest.raises(ValueError):
         Series(V4, 4, {(1, -1, 0, 0): 1})
-    with pytest.raises(ValueError):
-        Series.one_plus(V4, 4, term(1, (0, 0, 0, 0)))
 
 
 def rand_laurent(rng, nvars, nterms):
@@ -134,13 +132,13 @@ def test_series_arithmetic_skips_the_entry_checks(monkeypatch):
     rng = random.Random(12)
     a = rand_series(rng, V4, 4)
     b = rand_series(rng, V4, 4)
-    want = (a * b, a + b, a - b, a.truncate(2))
+    want = (a * b, a + b, a + b.scaled(-1))
 
     def refuse(self, exps, coef):
         raise AssertionError("_add called by internal arithmetic")
 
     monkeypatch.setattr(Series, "_add", refuse)
-    assert (a * b, a + b, a - b, a.truncate(2)) == want
+    assert (a * b, a + b, a + b.scaled(-1)) == want
 
 
 def test_pochhammer_frozen():
@@ -241,9 +239,9 @@ def test_sym_ratio_identity():
     q = q_full()
     qix = term_mul(q, term_pow(x, -1))
     lhs = (family_factors("Mt", V4, 6, x, q).series()
-           / family_factors("Mt", V4, 6, qix, q).series())
+           * family_factors("Mt", V4, 6, qix, q).series().invert())
     rhs = (pochhammer_factors(x, q, V4, 6).series()
-           / pochhammer_factors(qix, q, V4, 6).series())
+           * pochhammer_factors(qix, q, V4, 6).series().invert())
     assert lhs == rhs
 
 
@@ -256,7 +254,7 @@ def test_family_shift_link():
         lhs = family_factors("Mt1", V4, 6, qix, q, l=l + 1).series()
         rhs = (family_factors("Mt0", V4, 6, x, q, l=l).series()
                * pochhammer_factors(x, q, V4, 6).series()
-               / pochhammer_factors(qix, q, V4, 6).series())
+               * pochhammer_factors(qix, q, V4, 6).series().invert())
         assert lhs == rhs, l
 
 
@@ -285,12 +283,6 @@ def test_json_roundtrip_and_order():
     data = json.loads(text)
     exps = [tuple(t["exp"]) for t in data["terms"]]
     assert exps == sorted(exps)
-    assert Series.from_json(text) == s
-    # byte-identical re-serialization
-    assert Series.from_json(text).to_json() == text
-    # a coefficient written as a JSON int is read as it is
-    text = '{"cutoff":3,"vars":["a"],"terms":[{"exp":[1],"coef":5}]}'
-    assert Series.from_json(text).terms == {(1,): 5}
 
 
 def test_map_vars():
@@ -313,11 +305,11 @@ def test_map_vars_rejects_index_outside_new_names(assignment):
 
 
 def test_pow():
-    q = Series.one_plus(("q",), 6, term(1, (1,)))
+    q = Series(("q",), 6, {(0,): 1, (1,): 1})
     assert (q ** 3).terms == {(0,): 1, (1,): 3, (2,): 3, (3,): 1}
-    assert (q ** 0).is_one()
+    assert (q ** 0).terms == {(0,): 1}
     inv2 = q ** -2
-    assert (inv2 * q * q).is_one()
+    assert (inv2 * q * q).terms == {(0,): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +373,7 @@ def test_factors_operations_match_series_operations():
         b = rand_factors(rng, V4, 6, 3)
         sa, sb = a.series(), b.series()
         assert (a * b).series() == sa * sb
-        assert (a / b).series() == sa / sb
+        assert (a * b ** -1).series() == sa * sb.invert()
         for k in (-2, -1, 0, 2, 3):
             assert (a ** k).series() == sa ** k
         for new, assign in [(V4, (3, 0, 2, 1)), (("u", "v"), (0, 1, 1, 0)),
@@ -389,14 +381,14 @@ def test_factors_operations_match_series_operations():
             assert a.map_vars(new, assign).series() == sa.map_vars(new, assign)
     # merged factors cancel: (1 - x)/(1 - y) with x, y mapped together is 1
     c = (Factors(("x", "y"), 4, {term(1, (1, 0)): 1})
-         / Factors(("x", "y"), 4, {term(1, (0, 1)): 1}))
+         * Factors(("x", "y"), 4, {term(1, (0, 1)): 1}) ** -1)
     assert c.map_vars(("z",), (0, 0)).mult == {}
 
 
 def test_factors_truncation_and_rejections():
     # factors above the cutoff are dropped when built
     assert Factors(("q",), 3, {term(1, (4,)): 5}).mult == {}
-    assert Factors(("q",), 3, {term(1, (4,)): 5}).series().is_one()
+    assert Factors(("q",), 3, {term(1, (4,)): 5}).series().terms == {(0,): 1}
     with pytest.raises(ValueError):
         Factors(V4, 4, {term(1, (0, 0, 0, 0)): 1})
     with pytest.raises(ValueError):
@@ -446,10 +438,6 @@ def test_series_rejects_non_integer_terms(exp, coef, what):
     # these used to be stored and printed as "exp":[1.5],"coef":"2.5"
     with pytest.raises(TypeError, match="%s must be an int" % what):
         Series(("q0", "qa"), 3, {(0, exp): coef})
-    text = json.dumps({"cutoff": 3, "vars": ["q0", "qa"],
-                       "terms": [{"exp": [0, exp], "coef": coef}]})
-    with pytest.raises(TypeError, match="%s must be an int" % what):
-        Series.from_json(text)
 
 
 @pytest.mark.parametrize("build", [Series, Factors], ids=["series", "factors"])
@@ -585,7 +573,7 @@ def test_factors_times_edge_cases():
     got = f.times({(1, 0): 2, (0, 1): 0, (-1, 0): 0, (-1, 9): 4}, 4)
     assert got.terms == mul_terms(s.terms, {(1, 0): 2}, 4)
     # coefficients that cancel to 0 in the product are dropped
-    assert f.times(s.invert().terms, 4).is_one()
+    assert f.times(s.invert().terms, 4).terms == {(0, 0): 1}
     # a surviving negative exponent raises the Series error, naming it
     with pytest.raises(ValueError, match=r"negative exponent \(-1, 1\)"):
         f.times({(-1, 1): 1, (-1, 3): 1}, 4)

@@ -391,12 +391,22 @@ def test_window_runs_cover_the_window_cells():
                     if abs(dk) <= K and di <= K and dj <= K:
                         want[(k, i, j)] = (dk, di, dj)
         got = {}
-        for k, h, dk, a, b, lo, end in rpc._window_runs(K):
+        for k, h, dk, a, b, end in rpc._window_runs(K):
+            lo = max(0, -h)
             assert lo < end, (K, k, h)
             for j in range(lo, end):
                 assert (k - K, j + h, j) not in got
                 got[(k - K, j + h, j)] = (dk - K, j + a, j + b)
         assert got == want, K
+
+
+def test_window_runs_offsets_reach_the_run_start():
+    # one of a, b is min(h, 0), so neither frame's threshold falls below
+    # the run start max(0, -h) and region_complement_equal clamps only
+    # at the run end
+    for K in range(31):
+        for _, h, _, a, b, _ in rpc._window_runs(K):
+            assert min(a, b) == min(h, 0), (K, h, a, b)
 
 
 @pytest.mark.parametrize("frame", [DIAG, ANTI])
