@@ -137,15 +137,10 @@ def _pyramid_series(args, method):
     return pyramid_series(args.degree)
 
 
-def _rpc_check(args):
-    rpc._check_shift(args.shift, args.frame)
-    _need_staircase(args)
-
-
 def _rpc_series(args, method):
     if method == "interlacing":
-        return rpc.generating_function(args.leg, args.shift, args.frame,
-                                       args.degree)
+        # the series is the same at every shift (see generating_function)
+        return rpc.generating_function(args.leg, 0, args.frame, args.degree)
     return corollary_rpc_closed(len(args.leg), args.degree)
 
 
@@ -156,10 +151,9 @@ _SERIES_COMMANDS = {
     "pyramid": (lambda args: None,
                 lambda args: {"vertex": "pyramid", "group": "z2z2", "leg": []},
                 _pyramid_series),
-    "rpc": (_rpc_check,
+    "rpc": (_need_staircase,
             lambda args: {"vertex": "rpc", "group": "z2z2",
-                          "leg": list(args.leg), "frame": args.frame,
-                          "shift": args.shift},
+                          "leg": list(args.leg), "frame": args.frame},
             _rpc_series),
 }
 
@@ -294,7 +288,6 @@ def build_parser():
 
     p = sub.add_parser("rpc", help="restricted pyramid series")
     p.add_argument("--leg", type=_partition_arg, default=())
-    p.add_argument("--shift", type=int, default=0)
     p.add_argument("--frame", choices=(ANTI, DIAG), default=ANTI)
     _add_common(p, ("interlacing", "closed"), ("interlacing",))
 

@@ -36,6 +36,9 @@ def check_partition(p):
 
 def _check_legs(legs):
     """The three leg partitions, checked, at most one of them non-empty."""
+    legs = tuple(legs)
+    if len(legs) != 3:
+        raise ValueError("need three legs, got %d" % len(legs))
     legs = tuple(check_partition(tuple(x)) for x in legs)
     if sum(1 for x in legs if x) > 1:
         raise ValueError("at most one non-empty leg")

@@ -192,18 +192,17 @@ class Series:
                                     dict(self.terms)))
 
     def scaled(self, k):
+        k = _check_int(k, "scale factor")
         return self._like({e: c * k for e, c in self.terms.items()} if k else {})
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, Series):
             return self.scaled(other)
         self._check_compat(other)
         return self._like(mul_terms(self.terms, other.terms, self.cutoff))
 
     def __pow__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("integer powers only")
-        if k < 0:
+        if _check_int(k, "power") < 0:
             return self.invert() ** (-k)
         out = Series.one(self.names, self.cutoff)
         base = self
@@ -451,10 +450,8 @@ class Factors:
         return out
 
     def __pow__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("integer powers only")
         out = Factors(self.names, self.cutoff)
-        if k:
+        if _check_int(k, "power"):
             out.mult = {t: m * k for t, m in self.mult.items()}
         return out
 

@@ -410,6 +410,8 @@ _ODD_NEG_PAIR = ("a", "b")
 
 def slice_color_counts(k, eta, frame, corner_parity):
     """Brick counts per color for one restricted slice, VARS_Z2Z2 slots."""
+    if _check_int(corner_parity, "corner parity") not in (0, 1):
+        raise ValueError("corner parity must be 0 or 1, got %d" % corner_parity)
     counts = [0, 0, 0, 0]
     total = sum(eta)
     if frame == DIAG:
@@ -439,7 +441,8 @@ def generating_function(v, l, frame, cutoff):
     depend only on (k, slice) and the corner parity of k, read once per
     call.  The shift only translates every region corner by (l, l), and
     the slices are re-based at their corners, so the series is the same
-    for every l >= 0; a negative l is rejected, as region() does.
+    for every l >= 0: l is only checked, as region() does, and the rpc
+    command passes 0.
     """
     _check_shift(l, frame)
     _check_cutoff(cutoff)
@@ -525,46 +528,43 @@ def _window_runs(K):
     return tuple(run for _, run in runs)
 
 
-@lru_cache(maxsize=1)
-def _leg_corners(v, K):
-    """The shift-0 corners of the slices k = -K..K, in order, from one
-    corners() call, kept for the next call: the scan asks for every shift
-    of one leg in a row, and a shift only moves each corner by (l, l), so
-    the shifts share one list."""
-    return tuple(corners(v, 0, range(-K, K + 1)))
+def _slack(at, runs, cap):
+    """The leg's slack: the largest end - min(A, D) over the runs whose
+    shift-0 thresholds A = max(ci - h, cj), D = max(dci - a, dcj - b)
+    differ, -1 if none does, from the shift-0 corners `at` of the slices
+    -K..K; the walk stops once it exceeds cap, the largest shift asked.
+
+    Shift l adds l to every corner, so a run's thresholds are A + l and
+    D + l, clamped to lo..end (see _window_runs).  The clamp to lo never
+    binds: corners are >= 0, so A >= max(-h, 0) = lo, and D >= lo as
+    min(a, b) = min(h, 0).  So the run agrees at l iff min(A + l, end)
+    == min(D + l, end), iff A == D or l >= end - min(A, D), and the leg
+    is symmetric at l iff l >= its slack: a shift only shrinks the part
+    of the window where the frames can differ.
+    """
+    slack = -1
+    for k, h, dk, a, b, end in runs:
+        ci, cj = at[k]
+        dci, dcj = at[dk]
+        mine, theirs = max(ci - h, cj), max(dci - a, dcj - b)
+        if mine != theirs:
+            gap = end - min(mine, theirs)
+            if gap > slack:
+                slack = gap
+                if slack > cap:
+                    break
+    return slack
 
 
 def region_complement_equal(v, l, K):
     """Compare the union of region complements across frames inside the
     window (|slice| <= K, brick coordinates <= K), matching bricks through
     their physical positions one diagonal run at a time (see
-    _window_runs).
-
-    The shift moves onto the run bounds instead of the corners.  Shift l
-    adds l to every corner coordinate, so a run's two thresholds are
-    ci + l - h, cj + l and dci + l - a, dcj + l - b with (ci, cj) and
-    (dci, dcj) the shift-0 corners.  Translation commutes with max and
-    min, min(max(x + l, y + l, lo), end) = min(max(x, y, lo - l),
-    end - l) + l, and both sides carry the same + l, so the shifted
-    clamps agree iff the shift-0 thresholds clamped to lo - l and
-    end - l agree.  So the scan reads _leg_corners as they are and builds
-    no shifted copy of the 2K + 1 corners per (leg, shift), which would
-    cost more than the few runs that most scans compare before they stop.
-
-    The clamp to lo - l never binds, so the runs do not carry lo: with
-    shift-0 corners >= 0, max(ci - h, cj) >= max(-h, 0) = lo, and as
-    min(a, b) = min(h, 0), max(dci - a, dcj - b) >= lo too; lo >= lo - l.
-    """
+    _window_runs): whether l reaches the leg's _slack, read from the
+    shift-0 corners."""
     runs = _window_runs(_check_int(K, "window"))
     _check_shift(l)
-    at = _leg_corners(tuple(v), K)
-    for k, h, dk, a, b, end in runs:
-        ci, cj = at[k]
-        dci, dcj = at[dk]
-        end -= l
-        if min(max(ci - h, cj), end) != min(max(dci - a, dcj - b), end):
-            return False
-    return True
+    return l >= _slack(corners(v, 0, range(-K, K + 1)), runs, l)
 
 
 def uniqueness_scan(max_leg_size, l_values, K):
@@ -575,6 +575,9 @@ def uniqueness_scan(max_leg_size, l_values, K):
     before any leg is scanned, as does a size, shift or window that is
     not an int.  A repeated shift is scanned once.
 
+    One corners() call and one _slack walk per leg settle every shift,
+    l >= slack, so a symmetric verdict stays so at every larger shift.
+
     Too small a K calls non-staircase legs symmetric ((12) and (1^12) at
     K = 10).  K = max_leg_size + 1 + max(l_values) covers edge_bound(v')
     + l for every leg, as edge_bound(v') = max(len v, v_0 + 1); that it
@@ -584,9 +587,10 @@ def uniqueness_scan(max_leg_size, l_values, K):
         raise ValueError("max leg size must be >= 0, got %d" % max_leg_size)
     l_values = tuple(map(_check_shift, dict.fromkeys(l_values)))
     # the int check comes first: the cached runs would answer True as 1
-    _window_runs(_check_int(K, "window"))   # raises on a negative window
+    runs = _window_runs(_check_int(K, "window"))   # raises if K < 0
     out = {}
-    for v in pc.partitions_up_to(max_leg_size):
+    for v in pc.partitions_up_to(max_leg_size) if l_values else ():
+        slack = _slack(corners(v, 0, range(-K, K + 1)), runs, max(l_values))
         for l in l_values:
-            out[(v, l)] = region_complement_equal(v, l, K)
+            out[(v, l)] = l >= slack
     return out

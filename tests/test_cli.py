@@ -70,7 +70,7 @@ def test_pyramid_and_rpc_verify(capsys):
                                  "--frame", "diagonal"])
     assert code == 0
     rec = json.loads(out)["results"][0]
-    assert rec["frame"] == "diagonal" and rec["shift"] == 0
+    assert rec["frame"] == "diagonal" and "shift" not in rec
 
 
 def test_uniqueness_report(capsys):
@@ -97,27 +97,29 @@ def test_uniqueness_default_window_finds_only_staircases(capsys):
 
 
 def test_uniqueness_drops_repeated_shifts(capsys, monkeypatch):
+    # each leg's corners are read once per scan, at shift 0, whatever the
+    # shifts asked for
     calls = []
-    scan_one = rpc.region_complement_equal
+    read_corners = rpc.corners
 
-    def counted(v, l, K):
+    def counted(v, l, ks):
         calls.append((v, l))
-        return scan_one(v, l, K)
+        return read_corners(v, l, ks)
 
-    monkeypatch.setattr(rpc, "region_complement_equal", counted)
+    monkeypatch.setattr(rpc, "corners", counted)
     code, out = run_cli(capsys, ["uniqueness", "--max-leg-size", "2",
                                  "--window", "3", "--shifts", "0,0,1"])
     assert code == 0
     data = json.loads(out)
     assert data["shifts"] == [0, 1]
     legs = [(), (1,), (2,), (1, 1)]
-    assert sorted(calls) == sorted((v, l) for v in legs for l in (0, 1))
+    assert sorted(calls) == sorted((v, 0) for v in legs)
     assert [[r["leg"], r["shift"]] for r in data["results"]] == sorted(
         [list(v), l] for v in legs for l in (0, 1))
     # the library scan drops repeats on its own
     calls.clear()
     assert rpc.uniqueness_scan(2, (1, 0, 1), 3) == rpc.uniqueness_scan(2, (0, 1), 3)
-    assert len(calls) == 2 * 2 * len(legs)
+    assert sorted(calls) == sorted((v, 0) for v in legs for _ in range(2))
 
 
 def test_verify_battery(capsys):
@@ -234,7 +236,7 @@ def test_uniqueness_rejects_negative_bounds(capsys, monkeypatch, flag, value,
         raise AssertionError("corners computed")
 
     # no leg is scanned before the bad value is seen
-    monkeypatch.setattr(cli.rpc, "_leg_corners", no_corners)
+    monkeypatch.setattr(cli.rpc, "corners", no_corners)
     with pytest.raises(SystemExit) as exc:
         cli.main(["uniqueness", flag, value])
     assert exc.value.code == 2
@@ -255,10 +257,9 @@ SERIES_FUNCTIONS = [
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["vertex", "--workers", "4"], "unrecognized arguments",
                  id="workers"),
-    pytest.param(["rpc", "--leg", "1", "--shift", "-1"],
-                 "shift l must be >= 0", id="rpc-shift-1"),
-    pytest.param(["rpc", "--leg", "1", "--shift", "-3"],
-                 "shift l must be >= 0", id="rpc-shift-3"),
+    # the series is the same at every shift, so rpc takes none
+    pytest.param(["rpc", "--leg", "1", "--shift", "1"],
+                 "unrecognized arguments: --shift 1", id="rpc-shift"),
     pytest.param(["vertex", "--leg", "1", "--method", "enumerate", "--verify"],
                  "at least two methods", id="vertex-verify-one-method"),
     pytest.param(["pyramid", "--method", "closed", "--verify"],

@@ -32,7 +32,7 @@ CASES = {
                               "--method", "interlacing,closed",
                               "--degree", "4", "--verify"],
     "rpc_diagonal_json": ["rpc", "--leg", "2", "--frame", "diagonal",
-                          "--shift", "1", "--degree", "4"],
+                          "--degree", "4"],
     "uniqueness_json": ["uniqueness", "--max-leg-size", "4", "--window", "6"],
     "uniqueness_csv": ["uniqueness", "--max-leg-size", "4", "--window", "6",
                        "--shifts", "0,2", "--format", "csv"],

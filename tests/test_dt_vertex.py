@@ -234,6 +234,21 @@ def test_vertex_closed_zn_rejects_two_legs_before_any_work():
         vertex_closed_zn(4, ((2, 1), (), (1,)), 40)
 
 
+@pytest.mark.parametrize("legs", [
+    ((2, 1),), ((), (), (), ()), (), ((), (2, 1)),
+], ids=["one", "four", "none", "two"])
+def test_leg_count_must_be_three(legs):
+    # one leg was read as the first slot's, four empty legs as no leg,
+    # and () and two legs failed inside the unpacking
+    n = len(legs)
+    with pytest.raises(ValueError, match="need three legs, got %d" % n):
+        enumerate_one_leg(legs, "z2z2", 3)
+    with pytest.raises(ValueError, match="need three legs, got %d" % n):
+        enumerate_one_leg(legs, "zn", 3, n=4)
+    with pytest.raises(ValueError, match="need three legs, got %d" % n):
+        vertex_closed_zn(4, legs, 3)
+
+
 def test_one_leg_zn_staircase_both_branches():
     # m = 0..7 runs every m mod 4 branch at shifts ell = 0..4
     for m in range(8):

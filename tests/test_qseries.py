@@ -440,6 +440,24 @@ def test_series_rejects_non_integer_terms(exp, coef, what):
         Series(("q0", "qa"), 3, {(0, exp): coef})
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, True], ids=["float", "integral-float",
+                                                    "bool"])
+def test_scale_and_power_reject_non_int(k):
+    # scaled(1.5) stored the float coefficient 3.0, series * 1.5 failed
+    # reading the float's names, and ** True ran as power 1
+    s = Series(("x",), 3, {(1,): 2})
+    with pytest.raises(TypeError, match="scale factor must be an int"):
+        s.scaled(k)
+    with pytest.raises(TypeError, match="scale factor must be an int"):
+        s * k
+    with pytest.raises(TypeError, match="power must be an int"):
+        s ** k
+    with pytest.raises(TypeError, match="power must be an int"):
+        Factors(("x",), 3, {(1, (1,)): 1}) ** k
+    assert (s * 3).terms == s.scaled(3).terms == {(1,): 6}
+    assert (s * 0).terms == {}
+
+
 @pytest.mark.parametrize("build", [Series, Factors], ids=["series", "factors"])
 @pytest.mark.parametrize("cutoff", [2.0, 2.7, True, "2"])
 def test_constructors_reject_non_int_cutoff(build, cutoff):

@@ -6,9 +6,10 @@ import oracles
 from orbivertex import partition_core as pc
 from orbivertex import rpc
 from orbivertex.pyramid import (
-    ANTI, DIAG, PyramidPartition, address_to_position, enumerate_pyramids,
-    position_to_address, pyramid_series,
+    ANTI, COLOR_SLOT, DIAG, VARS_Z2Z2, PyramidPartition, address_to_position,
+    color, enumerate_pyramids, position_to_address, pyramid_series,
 )
+from orbivertex.qseries import Series
 from orbivertex.rpc import (
     check_type_interlacing, corners, generating_function,
     interlacing_families, realize, region, region_complement_equal,
@@ -219,6 +220,16 @@ def test_slice_color_counts_frozen():
     assert slice_color_counts(-1, (2, 1), ANTI, 0) == (0, 1, 2, 0)
 
 
+@pytest.mark.parametrize("parity, error", [
+    (2, ValueError), (-1, ValueError), (True, TypeError), (1.0, TypeError),
+])
+def test_slice_color_counts_rejects_bad_corner_parity(parity, error):
+    # parity 2 was read as 0, True and 1.0 as 1
+    for frame in (DIAG, ANTI):
+        with pytest.raises(error, match="corner parity must be"):
+            slice_color_counts(0, (2, 1), frame, parity)
+
+
 def test_slice_color_counts_rejects_unknown_frame():
     # any frame but the diagonal one was read as the antidiagonal one:
     # this call returned (1, 0, 0, 2)
@@ -252,6 +263,28 @@ def test_generating_function_shift_independent():
             base = generating_function(v, 0, frame, 4)
             for l in (1, 2):
                 assert generating_function(v, l, frame, 4) == base
+
+
+def test_shifted_restrictions_weigh_the_shift_0_series():
+    # generating_function never reads l, so comparing it across shifts
+    # holds by construction; here each family is placed at shift l by
+    # realize, restricted back at l, and its physical bricks weighed by
+    # their colors, which depend on the shifted corners
+    for v in pc.partitions_up_to(3):
+        families = interlacing_families(v, 6)
+        for frame in (DIAG, ANTI):
+            want = generating_function(v, 0, frame, 6)
+            for l in (1, 2):
+                terms = {}
+                for family in families:
+                    p = realize(family, v, l, frame)
+                    exps = [0] * len(VARS_Z2Z2)
+                    for pos in restrict_positions(p, v, l, frame):
+                        address = position_to_address(frame, *pos)
+                        exps[COLOR_SLOT[color(frame, *address)]] += 1
+                    key = tuple(exps)
+                    terms[key] = terms.get(key, 0) + 1
+                assert Series(VARS_Z2Z2, 6, terms) == want, (v, frame, l)
 
 
 def test_generating_function_rejects_negative_shift(monkeypatch):
@@ -322,7 +355,6 @@ def test_float_slice_index_or_shift_raises_up_front(monkeypatch, call, what):
     # (1.5, 1.5), and the scan and the walk carried the float shift;
     # region failed on slice 1.5 inside its edge table
     monkeypatch.setattr(rpc, "corners", _no_corners)
-    monkeypatch.setattr(rpc, "_leg_corners", _no_corners)
     with pytest.raises(TypeError, match=what + " must be an int"):
         call()
 
@@ -376,6 +408,58 @@ def test_region_complement_equal_matches_per_cell_oracle():
             for K in range(13):
                 want = oracles.region_complement_equal_per_cell(v, l, K)
                 assert region_complement_equal(v, l, K) == want, (v, l, K)
+
+
+def _clamped_per_shift(v, l, K):
+    # each run's two thresholds read from the corners at shift l and
+    # clamped to the run end, one shift at a time, with no slack
+    at = corners(v, l, range(-K, K + 1))
+    for k, h, dk, a, b, end in rpc._window_runs(K):
+        (ci, cj), (dci, dcj) = at[k], at[dk]
+        if min(max(ci - h, cj), end) != min(max(dci - a, dcj - b), end):
+            return False
+    return True
+
+
+def test_uniqueness_scan_matches_each_shift_on_its_own():
+    shifts = range(6)
+    for K in range(25):
+        scan = uniqueness_scan(10, shifts, K)
+        assert len(scan) == len(shifts) * len(pc.partitions_up_to(10))
+        for (v, l), ok in scan.items():
+            assert region_complement_equal(v, l, K) == ok, (v, l, K)
+            assert _clamped_per_shift(v, l, K) == ok, (v, l, K)
+
+
+def test_symmetric_verdict_stays_symmetric_at_larger_shifts():
+    flips = 0
+    for K in range(25):
+        scan = uniqueness_scan(8, range(6), K)
+        for v in pc.partitions_up_to(8):
+            verdicts = [scan[(v, l)] for l in range(6)]
+            assert verdicts == sorted(verdicts), (v, K, verdicts)
+            flips += verdicts[0] != verdicts[-1]
+    # not vacuous: in small windows some legs turn symmetric at a shift
+    assert flips
+
+
+def test_uniqueness_scan_reads_corners_once_per_leg(monkeypatch):
+    calls = []
+    read_corners = rpc.corners
+
+    def counted(v, l, ks):
+        calls.append((v, l))
+        return read_corners(v, l, ks)
+
+    monkeypatch.setattr(rpc, "corners", counted)
+    legs = pc.partitions_up_to(5)
+    for shifts in [(0,), (0, 1, 2, 3), (3, 1)]:
+        calls.clear()
+        uniqueness_scan(5, shifts, 7)
+        assert sorted(calls) == sorted((v, 0) for v in legs), shifts
+    calls.clear()
+    assert uniqueness_scan(5, (), 7) == {}
+    assert calls == []
 
 
 def test_window_runs_cover_the_window_cells():
@@ -469,14 +553,14 @@ def test_interlacing_families_rejects_bad_leg(v):
 
 @pytest.mark.parametrize("shifts", [(0, -1), (-1,), (2, 0, -3)])
 def test_uniqueness_scan_rejects_negative_shift_up_front(monkeypatch, shifts):
-    # the scan reads every slice corner from _leg_corners
-    monkeypatch.setattr(rpc, "_leg_corners", _no_corners)
+    # the scan reads every slice corner from corners
+    monkeypatch.setattr(rpc, "corners", _no_corners)
     with pytest.raises(ValueError, match="shift l must be >= 0"):
         uniqueness_scan(3, shifts, 4)
 
 
 def test_negative_window_rejected_up_front(monkeypatch):
-    monkeypatch.setattr(rpc, "_leg_corners", _no_corners)
+    monkeypatch.setattr(rpc, "corners", _no_corners)
     with pytest.raises(ValueError, match="window must be >= 0"):
         uniqueness_scan(3, (0,), -1)
     with pytest.raises(ValueError, match="window must be >= 0"):
