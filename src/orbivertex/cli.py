@@ -16,8 +16,8 @@ from . import fock_transfer
 from . import partition_core as pc
 from . import rpc
 from .dt_vertex import (
-    closed_z2z2_nolegs, closed_z2z2_staircase, corollary_rpc_closed,
-    enumerate_3d, one_leg_zn_staircase, pyramid_closed, vertex_closed_zn,
+    closed_z2z2_staircase, corollary_rpc_closed, enumerate_3d,
+    one_leg_zn_staircase, pyramid_closed, vertex_closed_zn,
 )
 from .fock_transfer import vertex_by_transfer
 from .pyramid import ANTI, DIAG, _group_names, pyramid_series
@@ -126,8 +126,6 @@ def _vertex_series(args, method):
         return vertex_by_transfer(args.group, leg, d, n=args.n)
     if args.group == "zn":
         return vertex_closed_zn(args.n, ((), (), leg), d)
-    if not leg:
-        return closed_z2z2_nolegs(d)
     return closed_z2z2_staircase(len(leg), d)
 
 
@@ -209,7 +207,7 @@ def _verify(args):
     # (check name, route, route, transfer windows or None)
     battery = [
         ("zero_leg_enumerate_transfer", en, z2z2[1], z2z2),
-        ("zero_leg_enumerate_closed", en, closed_z2z2_nolegs(d), None),
+        ("zero_leg_enumerate_closed", en, closed_z2z2_staircase(0, d), None),
         ("zero_leg_z4_transfer_closed", z4[1],
          vertex_closed_zn(4, ((), (), ()), d), z4),
         *[("staircase_m%d_enumerate_closed" % m,

@@ -140,23 +140,16 @@ def symmetry_check(leg, shift, cutoff):
 # ---------------------------------------------------------------------------
 
 
-def _complete_homogeneous(vals, names, cutoff, kmax):
-    h = [Series.one(names, cutoff)]
-    h += [Series.zero(names, cutoff) for _ in range(kmax)]
-    for c, e in vals:
-        # h_k gains x * h_k-1, where h_k-1 already includes x
-        for k in range(1, kmax + 1):
-            mul_terms(h[k - 1].terms, {e: c}, cutoff, h[k].terms)
-    return h
-
-
 def skew_schur_specialized(mu, eta, variables, cutoff, names):
     """Skew Schur function of mu/eta at finitely many monomial values.
 
     variables is a sequence of Terms over `names` (or plain 0 entries),
     checked as Series terms are (_check_int, _check_exps); zero entries
     are skipped, degree-zero entries must be exactly 1.  Expanded through
-    the determinant in complete homogeneous functions.
+    the Jacobi-Trudi determinant in complete homogeneous functions h_k,
+    on {exponents: coefficient} dicts: each minor, memoized by its
+    columns, adds +-h_d times a smaller minor along its first row, and
+    the result enters a Series once.
     """
     xi = pc.check_partition(tuple(mu))
     et = pc.check_partition(tuple(eta))
@@ -171,37 +164,38 @@ def skew_schur_specialized(mu, eta, variables, cutoff, names):
             if not any(e) and c != 1:
                 raise ValueError("degree-0 value %r is not 1" % (t,))
             vals.append((c, tuple(e)))
+    out = Series(names, cutoff)
     if any(pc.part(et, r) > pc.part(xi, r) for r in range(len(et))):
-        return Series.zero(names, cutoff)
+        return out
+    one = {(0,) * len(names): 1}
     ell = len(xi)
-    if ell == 0:
-        return Series.one(names, cutoff)
     need = [[xi[i] - pc.part(et, j) + j - i for j in range(ell)]
             for i in range(ell)]
-    kmax = max(max(row) for row in need)
-    h = _complete_homogeneous(vals, names, cutoff, max(kmax, 0))
-    memo = {}
+    # eta fits in mu, so need[i][i] >= 0 and kmax >= 0
+    kmax = max((d for row in need for d in row), default=0)
+    h = [one] + [{} for _ in range(kmax)]
+    for c, e in vals:
+        # h_k gains x * h_k-1, where h_k-1 already includes x
+        for k in range(1, kmax + 1):
+            mul_terms(h[k - 1], {e: c}, cutoff, h[k])
+    # h_d with the sign of the column's place in the row
+    signed = (h, [{e: -c for e, c in hd.items()} for hd in h])
+    memo = {(): one}
 
     def minor(cols):
-        if not cols:
-            return Series.one(names, cutoff)
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        i = ell - len(cols)
-        acc = Series.zero(names, cutoff)
-        sign = 1
-        for p, j in enumerate(cols):
-            d = need[i][j]
-            if 0 <= d:
-                block = h[d]
-                if block.terms:
-                    acc = acc + (block * minor(cols[:p] + cols[p + 1:])).scaled(sign)
-            sign = -sign
-        memo[cols] = acc
+        acc = memo.get(cols)
+        if acc is None:
+            i = ell - len(cols)
+            acc = memo[cols] = {}
+            for p, j in enumerate(cols):
+                d = need[i][j]
+                if 0 <= d and h[d]:
+                    mul_terms(signed[p % 2][d],
+                              minor(cols[:p] + cols[p + 1:]), cutoff, acc)
         return acc
 
-    return minor(tuple(range(ell)))
+    out.terms = minor(tuple(range(ell)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +314,8 @@ def vertex_closed_zn(n, legs, cutoff):
 # q the product of all four variables.  At the staircase leg
 # (m, m-1, ..., 1), ell = ceil(m / 2), and "{main}" and "{other}" in a
 # family name stand for the suffixes m mod 2 and 1 - m mod 2; Mt and Mh
-# take no shift, so their entries carry 0.  x is a Term over
-# (q0, qa, qb, qc) for Z2 x Z2 and (q0, q1, q2, q3) for Z4.
+# take no shift, so their entries carry 0 and _product passes none.  x
+# is a Term over (q0, qa, qb, qc) for Z2 x Z2 and (q0, q1, q2, q3) for Z4.
 _Q = term(1, (1, 1, 1, 1))
 _A, _B, _C = (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 _AB, _ABC = (0, 1, 1, 0), (0, 1, 1, 1)
@@ -371,7 +365,7 @@ def _product(table, m, cutoff, names=VARS_Z2Z2):
     for family, x, power, shift in table:
         name = family.format(main=main, other=other)
         out = out * family_factors(name, names, cutoff, x, _Q,
-                                   l=shift * ell) ** power
+                                   l=shift * ell if shift else None) ** power
     return out
 
 
@@ -395,11 +389,6 @@ def one_leg_zn_staircase(n, m, cutoff):
     return _branch(m, out, (2, 3, 0, 1)).series()
 
 
-def closed_z2z2_nolegs(cutoff):
-    """Zero-leg closed product over the variables q0, qa, qb, qc."""
-    return _product(_NOLEGS, 0, cutoff).series()
-
-
 def pyramid_closed(cutoff):
     """Closed form of the pyramid partition generating function."""
     return _product(_PYRAMID, 0, cutoff).series()
@@ -412,7 +401,9 @@ def upsilon(m, cutoff):
 
 def closed_z2z2_staircase(m, cutoff):
     """The one-leg vertex at the staircase leg of size m: the zero-leg
-    product times Upsilon."""
+    product times Upsilon.  At m = 0 it is the zero-leg vertex: Upsilon's
+    entries are Mt0 at l = 0 and the tail, and each adds no factor (see
+    _tail)."""
     return _product(_NOLEGS + _UPSILON, m, cutoff).series()
 
 

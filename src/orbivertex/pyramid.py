@@ -67,7 +67,10 @@ def _odd_offset(k):
 
 
 def address_to_position(frame, k, i, j):
-    """Position (x, y, z) of brick (i, j) on slice k of the given frame."""
+    """Position (x, y, z) of brick (i, j) on slice k of the given frame;
+    k, i and j must be ints, i and j non-negative."""
+    for t in (k, i, j):
+        _check_int(t, "brick address")
     if i < 0 or j < 0:
         raise ValueError("brick coordinates must be non-negative")
     other = 2 * (i - j) + _odd_offset(k)
@@ -84,7 +87,10 @@ def address_to_position(frame, k, i, j):
 
 
 def position_to_address(frame, x, y, z):
-    """Inverse of address_to_position; None if no brick sits there."""
+    """Inverse of address_to_position; None if no brick sits there.
+    x, y and z must be ints."""
+    for t in (x, y, z):
+        _check_int(t, "brick position")
     if frame == DIAG:
         k, other = x - y, x + y
     elif frame == ANTI:
@@ -117,9 +123,8 @@ def convert_frame(frame, k, i, j):
 
 
 def color(frame, k, i, j):
-    """Color letter of a brick given in either frame."""
-    if frame == DIAG:
-        return _DIAG_COLOR[k % 4]
+    """Color letter of a brick given in either frame, from its position,
+    so its address is checked in both."""
     x, y, _ = address_to_position(frame, k, i, j)
     return _DIAG_COLOR[(x - y) % 4]
 

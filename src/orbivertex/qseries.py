@@ -109,9 +109,10 @@ class Series:
     Terms from outside (the constructor, map_vars and the functions that
     count configurations) enter through _add, which checks coefficients
     with _check_int and exponent tuples with _check_exps (types, arity,
-    negativity).  Arithmetic on series already checked (sums, products,
-    multiples, powers, the inverse) writes its dicts directly.  A result
-    leaves as to_json's record; nothing reads a Series back in.
+    negativity).  Arithmetic on series already checked (products, powers
+    and the inverse; there are no sums or multiples) writes its dicts
+    directly.  A result leaves as to_json's record; nothing reads a
+    Series back in.
     """
 
     __slots__ = ("names", "cutoff", "terms")
@@ -144,18 +145,6 @@ class Series:
                     else:
                         terms.pop(exps, None)
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, names, cutoff):
-        return cls(names, cutoff)
-
-    @classmethod
-    def one(cls, names, cutoff):
-        s = cls(names, cutoff)
-        s.terms[(0,) * len(s.names)] = 1
-        return s
-
     # -- basics -------------------------------------------------------------
 
     def coefficient(self, exps):
@@ -179,32 +168,18 @@ class Series:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_compat(self, other):
+    def __mul__(self, other):
+        if not isinstance(other, Series):
+            raise TypeError("combine Series with Series only")
         if self.names != other.names or self.cutoff != other.cutoff:
             raise ValueError("incompatible series: %r/%d vs %r/%d"
                              % (self.names, self.cutoff, other.names, other.cutoff))
-
-    def __add__(self, other):
-        # other times the unit 1, added onto a copy of self
-        self._check_compat(other)
-        unit = {(0,) * len(self.names): 1}
-        return self._like(mul_terms(other.terms, unit, self.cutoff,
-                                    dict(self.terms)))
-
-    def scaled(self, k):
-        k = _check_int(k, "scale factor")
-        return self._like({e: c * k for e, c in self.terms.items()} if k else {})
-
-    def __mul__(self, other):
-        if not isinstance(other, Series):
-            return self.scaled(other)
-        self._check_compat(other)
         return self._like(mul_terms(self.terms, other.terms, self.cutoff))
 
     def __pow__(self, k):
         if _check_int(k, "power") < 0:
             return self.invert() ** (-k)
-        out = Series.one(self.names, self.cutoff)
+        out = self._like({(0,) * len(self.names): 1})
         base = self
         while k:
             if k & 1:
@@ -627,14 +602,17 @@ def family_factors(name, names, cutoff, x, q, l=None):
 
     Names: Mt, Mh, Mt0, Mt1, Mh0, Mh1 (the paper's M~, M^, M~0, M~1,
     M^0, M^1; see _TILDE and _HAT).  x and q are Terms; l is the integer
-    shift of the four families that end in 0 or 1, and Mt and Mh ignore it.
+    shift of the four families that end in 0 or 1, and Mt and Mh, which
+    have none, raise if given one.
     """
     tilde, power = _HAT.get(name, (name, 1))
     if tilde not in _TILDE:
         raise ValueError("unknown MacMahon family name %r" % name)
+    if tilde == "Mt" and l is not None:
+        raise ValueError("family %s takes no shift l" % name)
     if tilde != "Mt" and l is None:
         raise ValueError("family %s needs the shift l" % name)
-    l = l or 0
+    l = 0 if l is None else _check_int(l, "shift l")
     out = Factors(names, cutoff)
     for y in ((x, term_neg(x)) if name in _HAT else (x,)):
         for macmahon, i, (ja, jb), (ka, kb) in _TILDE[tilde]:

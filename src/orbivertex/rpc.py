@@ -556,17 +556,6 @@ def _slack(at, runs, cap):
     return slack
 
 
-def region_complement_equal(v, l, K):
-    """Compare the union of region complements across frames inside the
-    window (|slice| <= K, brick coordinates <= K), matching bricks through
-    their physical positions one diagonal run at a time (see
-    _window_runs): whether l reaches the leg's _slack, read from the
-    shift-0 corners."""
-    runs = _window_runs(_check_int(K, "window"))
-    _check_shift(l)
-    return l >= _slack(corners(v, 0, range(-K, K + 1)), runs, l)
-
-
 def uniqueness_scan(max_leg_size, l_values, K):
     """{(leg, l): complements-equal} over all legs up to the given size.
 

@@ -322,6 +322,38 @@ def border_strips(lam, length, sign=1):
                  for nu, s in border_strips(mu, length) if nu == lam)
 
 
+def skew_schur_tableaux(mu, eta, values, nvars, cutoff):
+    """s_{mu/eta} at the monomial values (coef, exps), as an {exponents:
+    coefficient} dict truncated at total degree cutoff: the sum over the
+    semistandard tableaux of shape mu/eta (rows weakly, columns strictly
+    increasing), entries indexing values, of the product of the entries'
+    values.  The reference for dt_vertex.skew_schur_specialized, which
+    expands the Jacobi-Trudi determinant instead."""
+    if len(eta) > len(mu) or any(b > a for a, b in zip(mu, eta)):
+        return {}
+    eta = tuple(eta) + (0,) * (len(mu) - len(eta))
+    cells = [(r, c) for r in range(len(mu)) for c in range(eta[r], mu[r])]
+    fill, out = {}, {}
+
+    def rec(idx, coef, exps):
+        if sum(exps) > cutoff:
+            return
+        if idx == len(cells):
+            out[exps] = out.get(exps, 0) + coef
+            return
+        r, c = cells[idx]
+        # the cells left of and above (r, c) come earlier, if in the shape
+        lo = max(fill.get((r, c - 1), 0), fill.get((r - 1, c), -1) + 1)
+        for t in range(lo, len(values)):
+            vc, ve = values[t]
+            fill[(r, c)] = t
+            rec(idx + 1, coef * vc, tuple(a + b for a, b in zip(exps, ve)))
+        fill.pop((r, c), None)
+
+    rec(0, 1, (0,) * nvars)
+    return {e: c for e, c in out.items() if c}
+
+
 # ---------------------------------------------------------------------------
 # Fock states and the even-mode exponential E(x^2)
 # ---------------------------------------------------------------------------
@@ -398,6 +430,21 @@ def scalar_apply(state, series, cutoff):
 
     return normalize_state({lam: mul_terms(poly, series.terms, cutoff)
                             for lam, poly in state.items()})
+
+
+def series_sum(*series):
+    """The sum of Series over the same variables and cutoff, entered
+    through the checked constructor: the package multiplies series but
+    never adds them."""
+    from orbivertex.qseries import Series
+
+    first = series[0]
+    terms = {}
+    for s in series:
+        assert (s.names, s.cutoff) == (first.names, first.cutoff)
+        for e, c in s.terms.items():
+            terms[e] = terms.get(e, 0) + c
+    return Series(first.names, first.cutoff, terms)
 
 
 def collect(state, names, cutoff):
@@ -615,8 +662,10 @@ def region_by_eps(v, l, k, table=None):
 
 
 def region_complement_equal_per_cell(v, l, K):
-    """rpc.region_complement_equal converting every window cell on its own:
-    antidiagonal address -> physical position -> diagonal address."""
+    """Whether the region complements of leg v at shift l agree across
+    frames inside the window K, as rpc.uniqueness_scan decides, converting
+    every window cell on its own: antidiagonal address -> physical
+    position -> diagonal address."""
     from orbivertex.pyramid import ANTI, DIAG, address_to_position, position_to_address
     from orbivertex.rpc import region
 

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from orbivertex import cli, fock_transfer, rpc
-from orbivertex.dt_vertex import closed_z2z2_nolegs
+from orbivertex.dt_vertex import closed_z2z2_staircase
 from orbivertex.qseries import Series
+from oracles import series_sum
 
 
 def run_cli(capsys, argv):
@@ -22,7 +23,7 @@ def test_vertex_empty_leg_record(capsys):
     assert rec["group"] == "z2z2"
     assert rec["leg"] == []
     assert rec["method"] == "closed"
-    assert rec["series"] == json.loads(closed_z2z2_nolegs(3).to_json())
+    assert rec["series"] == json.loads(closed_z2z2_staircase(0, 3).to_json())
 
 
 def test_vertex_triple_agreement_example(capsys):
@@ -138,7 +139,7 @@ def test_verify_fails_on_unstable_transfer_window(capsys, monkeypatch):
     def tampered(v, cutoff, mode, n, w):
         s = bracket(v, cutoff, mode, n, w)
         if v == () and mode == "standard" and w == window + 2:
-            s = s + Series(s.names, cutoff, {(1, 1, 0, 0): 1})
+            s = series_sum(s, Series(s.names, cutoff, {(1, 1, 0, 0): 1}))
         return s
 
     monkeypatch.setattr(fock_transfer, "_bracket", tampered)
@@ -159,7 +160,7 @@ def test_verify_prints_both_lines_of_a_failing_check(capsys, monkeypatch):
     def tampered(v, cutoff, mode, n, w):
         s = bracket(v, cutoff, mode, n, w)
         if v == () and mode == "standard" and w == window:
-            s = s + Series(s.names, cutoff, {(1, 1, 0, 0): 1})
+            s = series_sum(s, Series(s.names, cutoff, {(1, 1, 0, 0): 1}))
         return s
 
     monkeypatch.setattr(fock_transfer, "_bracket", tampered)
@@ -177,7 +178,7 @@ def test_verify_flag_prints_every_differing_method(capsys, monkeypatch):
     def tamper(route, exps):
         def run(*args, **kwargs):
             s = route(*args, **kwargs)
-            return s + Series(s.names, s.cutoff, {exps: 1})
+            return series_sum(s, Series(s.names, s.cutoff, {exps: 1}))
         return run
 
     monkeypatch.setattr(cli, "enumerate_3d",
@@ -195,9 +196,9 @@ def test_verify_flag_prints_every_differing_method(capsys, monkeypatch):
 
 
 def test_mismatch_exits_one(capsys, monkeypatch):
-    tampered = closed_z2z2_nolegs(2)
-    tampered = tampered + Series(tampered.names, 2, {(1, 1, 0, 0): 1})
-    monkeypatch.setattr(cli, "closed_z2z2_nolegs", lambda d: tampered)
+    base = closed_z2z2_staircase(0, 2)
+    tampered = series_sum(base, Series(base.names, 2, {(1, 1, 0, 0): 1}))
+    monkeypatch.setattr(cli, "closed_z2z2_staircase", lambda m, d: tampered)
     code, out = run_cli(capsys, ["vertex", "--leg", "", "--degree", "2",
                                  "--method", "closed,enumerate", "--verify"])
     assert code == 1
@@ -247,8 +248,8 @@ def test_uniqueness_rejects_negative_bounds(capsys, monkeypatch, flag, value,
 
 SERIES_FUNCTIONS = [
     (cli, "enumerate_3d"), (cli, "vertex_by_transfer"),
-    (cli, "closed_z2z2_nolegs"), (cli, "closed_z2z2_staircase"),
-    (cli, "vertex_closed_zn"), (cli, "one_leg_zn_staircase"),
+    (cli, "closed_z2z2_staircase"), (cli, "vertex_closed_zn"),
+    (cli, "one_leg_zn_staircase"),
     (cli, "pyramid_closed"), (cli, "pyramid_series"),
     (cli, "corollary_rpc_closed"), (cli.rpc, "generating_function"),
 ]

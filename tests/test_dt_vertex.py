@@ -6,10 +6,10 @@ import sympy
 from orbivertex import partition_core as pc
 from orbivertex import rpc
 from orbivertex.dt_vertex import (
-    closed_z2z2_nolegs, closed_z2z2_staircase, corollary_rpc_closed,
-    enumerate_3d, enumerate_one_leg, one_leg_zn_staircase, phi,
-    pyramid_closed, skew_schur_specialized, symmetry_check, upsilon,
-    vertex_closed_zn, _hook_factors, _rotation_exponents,
+    closed_z2z2_staircase, corollary_rpc_closed, enumerate_3d,
+    enumerate_one_leg, one_leg_zn_staircase, phi, pyramid_closed,
+    skew_schur_specialized, symmetry_check, upsilon, vertex_closed_zn,
+    _NOLEGS, _UPSILON, _hook_factors, _product, _rotation_exponents,
 )
 from orbivertex.fock_transfer import vertex_by_transfer, zn_names
 from orbivertex.pyramid import ANTI, DIAG, VARS_Z2Z2, pyramid_series
@@ -160,6 +160,22 @@ def test_skew_schur_zero_and_one_values():
         skew_schur_specialized((1,), (), (term(2, (0, 0)),), 4, names)
 
 
+def test_skew_schur_matches_tableau_sum():
+    # the signed minors of the determinant against the tableau sum, at
+    # values of both signs, a coefficient 2 and the degree-0 value 1, with
+    # a cutoff that cuts through the tableaux
+    names = ("x", "y", "z")
+    values = [term(1, (1, 0, 0)), term(-1, (0, 1, 0)), term(2, (1, 0, 1)),
+              term(1, (0, 0, 0))]
+    shapes = pc.partitions_up_to(4)
+    for mu in shapes:
+        for eta in shapes:
+            for cutoff in (3, 6):
+                got = skew_schur_specialized(mu, eta, values, cutoff, names)
+                want = oracles.skew_schur_tableaux(mu, eta, values, 3, cutoff)
+                assert got.terms == want, (mu, eta, cutoff)
+
+
 def test_vertex_z1_leg_hook_values():
     v = vertex_closed_zn(1, ((), (), (2,)), 4)
     assert v.coefficient((1,)) == 2
@@ -213,7 +229,7 @@ def test_vertex_closed_zn_hook_and_rotation_internals():
     for v in [(), (1,), (2, 1), (3, 1, 1)]:
         assert sum(_rotation_exponents(v, 4)) == 0
     hook = _hook_factors((2, 1), 4, names, 3).series()
-    expect = Series.one(names, 3)
+    expect = Series(names, 3, {(0,) * 4: 1})
     for exps in [(0, 1, 0, 0), (0, 0, 0, 1), (1, 1, 0, 1)]:
         expect = expect * Series(names, 3, {(0,) * 4: 1, exps: -1}).invert()
     assert hook == expect
@@ -275,9 +291,15 @@ def test_one_leg_zn_staircase_low_terms():
 
 
 def test_closed_z2z2_nolegs():
-    c = closed_z2z2_nolegs(4)
+    # the zero-leg vertex is the staircase product at m = 0, where
+    # Upsilon adds no factor to the zero-leg table
+    c = closed_z2z2_staircase(0, 4)
     assert c == enumerate_3d((), "z2z2", 4)
     assert c == vertex_by_transfer("z2z2", (), 4)
+    for d in range(19):
+        zero_leg = _product(_NOLEGS, 0, d)
+        assert _product(_NOLEGS + _UPSILON, 0, d).mult == zero_leg.mult, d
+        assert closed_z2z2_staircase(0, d) == zero_leg.series(), d
 
 
 def test_upsilon_factor():
@@ -329,7 +351,7 @@ def test_counting_walks_match_closed_products_degree_22():
 
 
 @pytest.mark.parametrize("route", [
-    lambda d: closed_z2z2_nolegs(d),
+    lambda d: closed_z2z2_staircase(0, d),
     lambda d: pyramid_closed(d),
     lambda d: closed_z2z2_staircase(1, d),
     lambda d: one_leg_zn_staircase(4, 1, d),
@@ -366,7 +388,7 @@ def test_series_routes_reject_non_int_cutoff(route, cutoff):
 
 
 @pytest.mark.parametrize("build", [
-    lambda d: Series.one(VARS_Z2Z2, d),
+    lambda d: Series(VARS_Z2Z2, d, {(0, 0, 0, 0): 1}),
     lambda d: skew_schur_specialized((2, 1), (), [term_var(2, 0), term_var(2, 1)],
                                      d, ("x", "y")),
     lambda d: skew_schur_specialized((1,), (2,), [term_var(2, 0)], d, ("x", "y")),
@@ -419,7 +441,7 @@ def test_diag_frame_restriction_matches_z4_vertex():
 
 
 def test_closed_series_coefficients_nonnegative():
-    series = [closed_z2z2_nolegs(5), pyramid_closed(5),
+    series = [closed_z2z2_staircase(0, 5), pyramid_closed(5),
               corollary_rpc_closed(2, 5),
               one_leg_zn_staircase(4, 3, 5),
               vertex_closed_zn(3, ((), (), (2, 1)), 4),

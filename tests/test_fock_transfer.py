@@ -200,7 +200,7 @@ def test_transfer_truncation_boundaries(group, mode, n, other):
     # the partners of size cutoff - low and the terms with d == room
     for leg in [(), (1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2)]:
         got = vertex_by_transfer(group, leg, 0, mode, n)
-        assert got == Series.one(got.names, 0), leg
+        assert got == Series(got.names, 0, {(0,) * len(got.names): 1}), leg
         assert vertex_by_transfer(group, leg, 1, mode, n) == other(leg, 1), leg
 
 

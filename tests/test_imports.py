@@ -59,12 +59,9 @@ ALLOWED = {
     "interlaces": "one link of the chain condition",
     "edge_value": "the edge sequence that orders a chain's links",
     "restrict": "the paper's restriction of a pyramid to a leg's family",
-    "region_complement_equal": "one leg's symmetric-interlacing verdict at "
-                               "one shift, which uniqueness_scan gives for "
-                               "every shift of the leg at once",
     "term_neg": "x -> -x of the hat families, which only phi uses",
-    "Series.map_vars": "relabels a vertex for symmetry_check, and rotates "
-                       "the closed Zn factors of a leg in slot 1 or 2",
+    "Series.map_vars": "relabels the side-slot enumeration for "
+                       "symmetry_check",
     "Series.constant": "the constant term that invert divides by",
     "Series.coefficient": "reads the first differing coefficient when "
                           "--verify finds a mismatch",

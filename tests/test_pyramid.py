@@ -109,6 +109,26 @@ def test_slice_index_must_be_int():
     # int(k) used to read slice 1.5 as slice 1
     with pytest.raises(TypeError, match="slice index must be an int"):
         PyramidPartition({1.5: (1,)})
+    # a float address gave the float position (1.0, -1.0, 2.0)
+    for frame in (DIAG, ANTI):
+        for address in [(2.0, 0, 0), (0, 1.0, 0), (0, 0, True)]:
+            with pytest.raises(TypeError, match="brick address must be an int"):
+                address_to_position(frame, *address)
+            with pytest.raises(TypeError, match="brick address must be an int"):
+                color(frame, *address)
+        for position in [(1.0, -1, 2), (0, 0.0, 0), (0, 0, 2.5)]:
+            with pytest.raises(TypeError, match="brick position must be an int"):
+                position_to_address(frame, *position)
+
+
+def test_brick_coordinates_must_be_non_negative():
+    # the diagonal frame read the color off k alone, so (0, -1, 0) was "0"
+    for frame in (DIAG, ANTI):
+        for i, j in [(-1, 0), (0, -1)]:
+            with pytest.raises(ValueError, match="must be non-negative"):
+                color(frame, 0, i, j)
+            with pytest.raises(ValueError, match="must be non-negative"):
+                address_to_position(frame, 3, i, j)
 
 
 def test_validate_and_brick_roundtrip():

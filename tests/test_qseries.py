@@ -41,11 +41,11 @@ def test_ring_axioms_random():
         a = rand_series(rng, V4, 5)
         b = rand_series(rng, V4, 5)
         c = rand_series(rng, V4, 5)
-        assert (a + b) * c == a * c + b * c
+        add = oracles.series_sum
+        assert add(a, b) * c == add(a * c, b * c)
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
-        assert a * Series.one(V4, 5) == a
-        assert a + Series.zero(V4, 5) == a
+        assert a * Series(V4, 5, {(0, 0, 0, 0): 1}) == a
         # cross-check one product against sympy
         got = to_sym(a * b)
         want = oracles.strunc(to_sym(a) * to_sym(b), GENS, 5)
@@ -70,7 +70,7 @@ def test_invert_random():
         a = rand_series(rng, V4, 5, unit=True)
         assert (a * a.invert()).terms == {(0, 0, 0, 0): 1}
     with pytest.raises(ValueError):
-        rand_series(rng, V4, 5).scaled(2).invert()
+        Series(V4, 5, {(0, 0, 0, 0): 2, (1, 0, 0, 0): 1}).invert()
 
 
 def test_negative_exponent_rejected():
@@ -132,13 +132,14 @@ def test_series_arithmetic_skips_the_entry_checks(monkeypatch):
     rng = random.Random(12)
     a = rand_series(rng, V4, 4)
     b = rand_series(rng, V4, 4)
-    want = (a * b, a + b, a + b.scaled(-1))
+    unit = rand_series(rng, V4, 4, unit=True)
+    want = (a * b, a ** 3, unit.invert(), unit ** -2)
 
     def refuse(self, exps, coef):
         raise AssertionError("_add called by internal arithmetic")
 
     monkeypatch.setattr(Series, "_add", refuse)
-    assert (a * b, a + b, a + b.scaled(-1)) == want
+    assert (a * b, a ** 3, unit.invert(), unit ** -2) == want
 
 
 def test_pochhammer_frozen():
@@ -274,6 +275,16 @@ def test_family_name_rejections():
             family_factors(name, V4, 4, x, q, l=1)
     with pytest.raises(ValueError, match="needs the shift l"):
         family_factors("Mt0", V4, 4, x, q)
+    # a shift given to a family that has none was silently ignored
+    for name in ("Mt", "Mh"):
+        for l in (0, 3):
+            with pytest.raises(ValueError, match="family %s takes no shift l"
+                               % name):
+                family_factors(name, V4, 4, x, q, l=l)
+    # l=True ran as the shift 1
+    for l in (True, 1.0):
+        with pytest.raises(TypeError, match="shift l must be an int"):
+            family_factors("Mt0", V4, 4, x, q, l=l)
 
 
 def test_json_roundtrip_and_order():
@@ -403,7 +414,7 @@ def test_factors_truncation_and_rejections():
     with pytest.raises(ValueError):
         Factors(V4, 4) * Factors(V4, 5)
     with pytest.raises(TypeError):
-        Factors(V4, 4) * Series.one(V4, 4)
+        Factors(V4, 4) * Series(V4, 4, {(0, 0, 0, 0): 1})
 
 
 def test_factors_reject_non_integer_input():
@@ -443,19 +454,16 @@ def test_series_rejects_non_integer_terms(exp, coef, what):
 @pytest.mark.parametrize("k", [1.5, 2.0, True], ids=["float", "integral-float",
                                                     "bool"])
 def test_scale_and_power_reject_non_int(k):
-    # scaled(1.5) stored the float coefficient 3.0, series * 1.5 failed
-    # reading the float's names, and ** True ran as power 1
+    # series * 1.5 failed reading the float's names, and ** True ran as
+    # power 1; a Series multiplies only a Series, as Factors does
     s = Series(("x",), 3, {(1,): 2})
-    with pytest.raises(TypeError, match="scale factor must be an int"):
-        s.scaled(k)
-    with pytest.raises(TypeError, match="scale factor must be an int"):
-        s * k
+    for other in (k, 3, 0):
+        with pytest.raises(TypeError, match="combine Series with Series only"):
+            s * other
     with pytest.raises(TypeError, match="power must be an int"):
         s ** k
     with pytest.raises(TypeError, match="power must be an int"):
         Factors(("x",), 3, {(1, (1,)): 1}) ** k
-    assert (s * 3).terms == s.scaled(3).terms == {(1,): 6}
-    assert (s * 0).terms == {}
 
 
 @pytest.mark.parametrize("build", [Series, Factors], ids=["series", "factors"])

@@ -12,8 +12,8 @@ from orbivertex.pyramid import (
 from orbivertex.qseries import Series
 from orbivertex.rpc import (
     check_type_interlacing, corners, generating_function,
-    interlacing_families, realize, region, region_complement_equal,
-    restrict, restrict_positions, slice_color_counts, uniqueness_scan,
+    interlacing_families, realize, region, restrict, restrict_positions,
+    slice_color_counts, uniqueness_scan,
 )
 
 
@@ -376,10 +376,10 @@ def test_float_slice_index_or_shift_raises_up_front(monkeypatch, call, what):
                  id="region-slice-bool"),
     pytest.param(lambda: corners((2, 1), 0, (True,)), "slice index",
                  id="corners-slice-bool"),
-    pytest.param(lambda: region_complement_equal((1,), 0, True), "window",
-                 id="complement-window-bool"),
-    pytest.param(lambda: region_complement_equal((1,), 0, 2.0), "window",
-                 id="complement-window-float"),
+    pytest.param(lambda: uniqueness_scan(2, (), True), "window",
+                 id="window-bool-no-shifts"),
+    pytest.param(lambda: uniqueness_scan(2, (0,), 2.0), "window",
+                 id="window-integral-float"),
 ])
 def test_rpc_counts_must_be_ints(call, what):
     # True was read as 1 (region gave slice 1's corner, the
@@ -397,17 +397,19 @@ def test_frames_agree_iff_staircase_small():
 
 
 def test_region_complement_equal_iff_staircase():
-    for v in pc.partitions_up_to(4):
-        for l in (0, 1):
-            assert region_complement_equal(v, l, 8) == pc.is_staircase(v), (v, l)
+    scan = uniqueness_scan(4, (0, 1), 8)
+    assert len(scan) == 2 * len(pc.partitions_up_to(4))
+    for (v, l), ok in scan.items():
+        assert ok == pc.is_staircase(v), (v, l)
 
 
 def test_region_complement_equal_matches_per_cell_oracle():
-    for v in pc.partitions_up_to(6):
-        for l in (0, 1, 2, 3):
-            for K in range(13):
-                want = oracles.region_complement_equal_per_cell(v, l, K)
-                assert region_complement_equal(v, l, K) == want, (v, l, K)
+    for K in range(13):
+        scan = uniqueness_scan(6, (0, 1, 2, 3), K)
+        assert len(scan) == 4 * len(pc.partitions_up_to(6))
+        for (v, l), ok in scan.items():
+            want = oracles.region_complement_equal_per_cell(v, l, K)
+            assert ok == want, (v, l, K)
 
 
 def _clamped_per_shift(v, l, K):
@@ -427,7 +429,6 @@ def test_uniqueness_scan_matches_each_shift_on_its_own():
         scan = uniqueness_scan(10, shifts, K)
         assert len(scan) == len(shifts) * len(pc.partitions_up_to(10))
         for (v, l), ok in scan.items():
-            assert region_complement_equal(v, l, K) == ok, (v, l, K)
             assert _clamped_per_shift(v, l, K) == ok, (v, l, K)
 
 
@@ -486,8 +487,7 @@ def test_window_runs_cover_the_window_cells():
 
 def test_window_runs_offsets_reach_the_run_start():
     # one of a, b is min(h, 0), so neither frame's threshold falls below
-    # the run start max(0, -h) and region_complement_equal clamps only
-    # at the run end
+    # the run start max(0, -h) and _slack clamps only at the run end
     for K in range(31):
         for _, h, _, a, b, _ in rpc._window_runs(K):
             assert min(a, b) == min(h, 0), (K, h, a, b)
@@ -566,11 +566,11 @@ def test_negative_window_rejected_up_front(monkeypatch):
     with pytest.raises(ValueError, match="window must be >= 0"):
         uniqueness_scan(3, (), -1)
     # it used to compare empty ranges and call every leg symmetric
-    for v in [(), (2,), (3, 1)]:
+    for size in (0, 2, 4):
         with pytest.raises(ValueError, match="window must be >= 0"):
-            region_complement_equal(v, 0, -1)
+            uniqueness_scan(size, (0,), -1)
         with pytest.raises(ValueError, match="shift l must be >= 0"):
-            region_complement_equal(v, -1, 3)
+            uniqueness_scan(size, (-1,), 3)
 
 
 def test_uniqueness_scan_output():
