@@ -145,11 +145,8 @@ def skew_schur_specialized(mu, eta, variables, cutoff, names):
 
     variables is a sequence of Terms over `names` (or plain 0 entries),
     checked as Series terms are (_check_int, _check_exps); zero entries
-    are skipped, degree-zero entries must be exactly 1.  Expanded through
-    the Jacobi-Trudi determinant in complete homogeneous functions h_k,
-    on {exponents: coefficient} dicts: each minor, memoized by its
-    columns, adds +-h_d times a smaller minor along its first row, and
-    the result enters a Series once.
+    are skipped, degree-zero entries must be exactly 1.  Expanded by
+    _jacobi_trudi, of order min(mu_1, len(mu)), into one Series.
     """
     xi = pc.check_partition(tuple(mu))
     et = pc.check_partition(tuple(eta))
@@ -167,16 +164,31 @@ def skew_schur_specialized(mu, eta, variables, cutoff, names):
     out = Series(names, cutoff)
     if any(pc.part(et, r) > pc.part(xi, r) for r in range(len(et))):
         return out
-    one = {(0,) * len(names): 1}
-    ell = len(xi)
-    need = [[xi[i] - pc.part(et, j) + j - i for j in range(ell)]
+    out.terms = _jacobi_trudi(xi, et, vals, cutoff, len(names),
+                              pc.part(xi, 0) < len(xi))
+    return out
+
+
+def _jacobi_trudi(mu, eta, vals, cutoff, nvars, dual):
+    """s_{mu/eta} at the values (c, e), eta inside mu, as a dict truncated
+    at cutoff: det(h_{mu_i - eta_j - i + j}) of order len(mu), or when
+    dual the equal det(e_{mu'_i - eta'_j - i + j}) of order mu_1.  Values
+    x go in highest degree first, so the h_k stay small while most
+    products pass the cutoff; mul_terms adds x h_(k-1) to h_k, k up, as
+    h_(k-1) already holds x, or x e_(k-1) to e_k, k down, as e_(k-1) does
+    not.  Each minor, memoized by its columns, adds +-h_d (or e_d) times
+    a smaller minor along its first row."""
+    if dual:
+        mu, eta = pc.conjugate(mu), pc.conjugate(eta)
+    one = {(0,) * nvars: 1}
+    ell = len(mu)
+    need = [[mu[i] - pc.part(eta, j) + j - i for j in range(ell)]
             for i in range(ell)]
     # eta fits in mu, so need[i][i] >= 0 and kmax >= 0
     kmax = max((d for row in need for d in row), default=0)
     h = [one] + [{} for _ in range(kmax)]
-    for c, e in vals:
-        # h_k gains x * h_k-1, where h_k-1 already includes x
-        for k in range(1, kmax + 1):
+    for c, e in sorted(vals, key=lambda v: -sum(v[1])):
+        for k in range(kmax, 0, -1) if dual else range(1, kmax + 1):
             mul_terms(h[k - 1], {e: c}, cutoff, h[k])
     # h_d with the sign of the column's place in the row
     signed = (h, [{e: -c for e, c in hd.items()} for hd in h])
@@ -194,8 +206,7 @@ def skew_schur_specialized(mu, eta, variables, cutoff, names):
                               minor(cols[:p] + cols[p + 1:]), cutoff, acc)
         return acc
 
-    out.terms = minor(tuple(range(ell)))
-    return out
+    return minor(tuple(range(ell)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +253,7 @@ def _zero_zn(n, names, cutoff):
     for a in range(1, n):
         for b in range(a, n):
             x = term(1, tuple(1 if a <= i <= b else 0 for i in range(n)))
-            out = out * family_factors("Mt", names, cutoff, x, qall)
+            out._absorb(family_factors("Mt", names, cutoff, x, qall))
     return out
 
 
@@ -287,15 +298,16 @@ def vertex_closed_zn(n, legs, cutoff):
 
     zero = _zero_zn(n, names, work)
     fixed = zero * _hook_factors(nu, n, names, work)
+    # rotation k moves each exponent of zero k places up, mod n
     for k, e in enumerate(_rotation_exponents(nu, n)):
         if e:
-            rot = zero.map_vars(names, tuple((i + k) % n for i in range(n)))
-            fixed = fixed * rot ** e
+            for (c, x), m in zero.mult.items():
+                fixed._bump((c, x[n - k:] + x[:n - k]), m * e)
 
-    # len(nu) is the first part of nu', so tl and tm are the offsets
-    # that _schur_values reads off nu' and nu
-    vals_l = _schur_values(nuc, n, work, True)
-    vals_m = _schur_values(nu, n, work, False)
+    # len(nu) is the first part of nu', so tl and tm are the offsets that
+    # _schur_values reads off nu' and nu; s_() = 1, so () gets no values
+    vals_l = _schur_values(nuc, n, work, True) if lamc else ()
+    vals_m = _schur_values(nu, n, work, False) if mu else ()
     schur = (skew_schur_specialized(lamc, (), vals_l, work, names)
              * skew_schur_specialized(mu, (), vals_m, work, names))
     base_l, base_m = _qq_exps(n, -tl), _qq_exps(n, -tm)
@@ -364,8 +376,8 @@ def _product(table, m, cutoff, names=VARS_Z2Z2):
     out = Factors(names, cutoff)
     for family, x, power, shift in table:
         name = family.format(main=main, other=other)
-        out = out * family_factors(name, names, cutoff, x, _Q,
-                                   l=shift * ell if shift else None) ** power
+        out._absorb(family_factors(name, names, cutoff, x, _Q,
+                                   l=shift * ell if shift else None), power)
     return out
 
 

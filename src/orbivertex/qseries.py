@@ -55,18 +55,6 @@ def term_mul(*ts):
     return (coef, exps)
 
 
-def term_pow(t, k):
-    c, e = t
-    if k < 0 and c not in (1, -1):
-        raise ValueError("cannot invert coefficient %d" % c)
-    coef = c ** k if k >= 0 else c ** (-k)
-    return (coef, tuple(x * k for x in e))
-
-
-def term_neg(t):
-    return (-t[0], t[1])
-
-
 def mul_terms(a, b, cap, out=None):
     """Add every product of a term of a with a term of b whose total
     degree is at most cap into out (a new dict by default); return out.
@@ -380,8 +368,8 @@ class Factors:
     pass per factor, and series() is times() on the constant 1.  A
     negative cutoff raises, and a cutoff, coefficient, exponent or
     multiplicity that is not an int raises TypeError: _add checks the
-    constructor's mult, and _walk its a, q and k once, not each factor it
-    builds.
+    constructor's mult, and _walk_entry a walk product's Terms once, not
+    each a or factor derived from them.
     """
 
     __slots__ = ("names", "cutoff", "mult")
@@ -420,9 +408,13 @@ class Factors:
                              % (self.names, self.cutoff, other.names, other.cutoff))
         out = Factors(self.names, self.cutoff)
         out.mult = dict(self.mult)
-        for t, k in other.mult.items():
-            out._bump(t, k)
-        return out
+        return out._absorb(other)
+
+    def _absorb(self, other, k=1):
+        # times other ** k in place, other over the same names and cutoff
+        for t, m in other.mult.items():
+            self._bump(t, m * k)
+        return self
 
     def __pow__(self, k):
         out = Factors(self.names, self.cutoff)
@@ -531,25 +523,32 @@ class Factors:
 # ---------------------------------------------------------------------------
 
 
+def _walk_entry(names, cutoff, a, q):
+    """An empty Factors for walks over the Terms a and q, once both are
+    checked as a Series term is, exponents possibly negative, a before q;
+    q must have positive degree, or a walk would not end."""
+    out = Factors(names, cutoff)
+    for t in (a, q):
+        _check_int(t[0], "coefficient")
+        _check_exps(t[1], out.names, laurent=True)
+    if sum(q[1]) <= 0:
+        raise ValueError("q of degree %d; the walk needs q of positive "
+                         "degree" % sum(q[1]))
+    return out
+
+
 def _walk(out, a, q, macmahon, k):
     """Add prod_{n>=1} (1 - a q^n)^(-k*n) (macmahon) or prod_{n>=0}
     (1 - a q^n)^k (q-Pochhammer) to the Factors out; return out.
 
     a and q are Terms over out.names, exponents possibly negative, and k
-    an int, each checked once here; q must have positive degree, or the
-    walk would not end.  Each factor a*q^n up to the cutoff is tested
-    only for positive degree and non-negative exponents, then added to
-    out.  Its coefficient and exponents carry from one n to the next.
+    an int, none checked here (see _walk_entry).  Each factor a*q^n up to
+    the cutoff is tested only for positive degree and non-negative
+    exponents, then added to out.  Its coefficient and exponents carry
+    from one n to the next.
     """
-    for t in (a, q):
-        _check_int(t[0], "coefficient")
-        _check_exps(t[1], out.names, laurent=True)
-    _check_int(k, "multiplicity")
     qc, qe = q
     qd = sum(qe)
-    if qd <= 0:
-        raise ValueError("q of degree %d; the walk needs q of positive "
-                         "degree" % qd)
     n = 1 if macmahon else 0
     c, e = term_mul(a, q) if macmahon else (a[0], tuple(a[1]))
     d = sum(e)
@@ -568,13 +567,13 @@ def _walk(out, a, q, macmahon, k):
 
 def pochhammer_factors(a, q, names, cutoff):
     """(a; q)_infinity = prod_{k>=0} (1 - a q^k) as Factors."""
-    return _walk(Factors(names, cutoff), a, q, False, 1)
+    return _walk(_walk_entry(names, cutoff, a, q), a, q, False, 1)
 
 
 def macmahon_factors(x, q, names, cutoff):
     """M(x, q) = prod_{n>=1} (1 - x q^n)^(-n) as Factors; x may have
     degree 0 (e.g. the constant 1)."""
-    return _walk(Factors(names, cutoff), x, q, True, 1)
+    return _walk(_walk_entry(names, cutoff, x, q), x, q, True, 1)
 
 
 # Each tilde family is a product of entries (macmahon, power of x, power
@@ -601,9 +600,11 @@ def family_factors(name, names, cutoff, x, q, l=None):
     """The named MacMahon-type product as Factors.
 
     Names: Mt, Mh, Mt0, Mt1, Mh0, Mh1 (the paper's M~, M^, M~0, M~1,
-    M^0, M^1; see _TILDE and _HAT).  x and q are Terms; l is the integer
-    shift of the four families that end in 0 or 1, and Mt and Mh, which
-    have none, raise if given one.
+    M^0, M^1; see _TILDE and _HAT).  x and q are Terms, checked once on
+    entry; each entry's a = (+-x)^i q^j is formed from them, and i or
+    j < 0 needs a coefficient +-1.  l is the integer shift of the four
+    families that end in 0 or 1; Mt and Mh, which have none, raise if
+    given one.
     """
     tilde, power = _HAT.get(name, (name, 1))
     if tilde not in _TILDE:
@@ -613,9 +614,15 @@ def family_factors(name, names, cutoff, x, q, l=None):
     if tilde != "Mt" and l is None:
         raise ValueError("family %s needs the shift l" % name)
     l = 0 if l is None else _check_int(l, "shift l")
-    out = Factors(names, cutoff)
-    for y in ((x, term_neg(x)) if name in _HAT else (x,)):
+    out = _walk_entry(names, cutoff, x, q)
+    (xc, xe), (qc, qe) = x, q
+    for s in ((1, -1) if name in _HAT else (1,)):
         for macmahon, i, (ja, jb), (ka, kb) in _TILDE[tilde]:
-            a = term_mul(term_pow(y, i), term_pow(q, ja + jb * l))
+            j = ja + jb * l
+            for c, p in ((xc, i), (qc, j)):
+                if p < 0 and c not in (1, -1):
+                    raise ValueError("cannot invert coefficient %d" % c)
+            a = ((s * xc) ** abs(i) * qc ** abs(j),
+                 tuple(i * u + j * v for u, v in zip(xe, qe)))
             _walk(out, a, q, macmahon, power * (ka + kb * l))
     return out

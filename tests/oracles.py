@@ -108,6 +108,19 @@ def smac(x, q, gens, D):
     return strunc(out, gens, D)
 
 
+def term_pow(t, k):
+    """The Term t**k; k < 0 needs the coefficient +-1.  The tests build
+    the a of a factor walk with it; family_factors forms its own."""
+    c, e = t
+    if k < 0 and c not in (1, -1):
+        raise ValueError("cannot invert coefficient %d" % c)
+    return (c ** abs(k), tuple(x * k for x in e))
+
+
+def term_neg(t):
+    return (-t[0], t[1])
+
+
 def series_to_dict(expr, gens):
     """Expression -> {exponent tuple: int} with zeros dropped."""
     if expr == 0:

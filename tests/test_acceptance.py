@@ -17,11 +17,11 @@ from orbivertex.fock_transfer import (
 from orbivertex.pyramid import ANTI, DIAG, VARS_Z2Z2, enumerate_pyramids, pyramid_series
 from orbivertex.qseries import (
     Factors, Series, macmahon_factors, pochhammer_factors, term, term_mul,
-    term_pow, term_var,
+    term_var,
 )
 from oracles import (
     basis_state, collect, e_apply, empty_state, normalize_state, pair_factor,
-    scalar_apply, series_sum,
+    scalar_apply, series_sum, term_pow,
 )
 from orbivertex.rpc import (
     generating_function, interlacing_families, realize, restrict,

@@ -9,7 +9,8 @@ from orbivertex.dt_vertex import (
     closed_z2z2_staircase, corollary_rpc_closed, enumerate_3d,
     enumerate_one_leg, one_leg_zn_staircase, phi, pyramid_closed,
     skew_schur_specialized, symmetry_check, upsilon, vertex_closed_zn,
-    _NOLEGS, _UPSILON, _hook_factors, _product, _rotation_exponents,
+    _NOLEGS, _UPSILON, _hook_factors, _jacobi_trudi, _product,
+    _rotation_exponents,
 )
 from orbivertex.fock_transfer import vertex_by_transfer, zn_names
 from orbivertex.pyramid import ANTI, DIAG, VARS_Z2Z2, pyramid_series
@@ -160,20 +161,40 @@ def test_skew_schur_zero_and_one_values():
         skew_schur_specialized((1,), (), (term(2, (0, 0)),), 4, names)
 
 
+SCHUR_VALUES = [term(1, (1, 0, 0)), term(-1, (0, 1, 0)), term(2, (1, 0, 1)),
+                term(1, (0, 0, 0))]
+
+
 def test_skew_schur_matches_tableau_sum():
     # the signed minors of the determinant against the tableau sum, at
     # values of both signs, a coefficient 2 and the degree-0 value 1, with
-    # a cutoff that cuts through the tableaux
+    # a cutoff that cuts through the tableaux; a tall mu takes the dual
+    # determinant, whose e_k vanish for k above the number of values, as
+    # at (1^5) with four values or (2, 1, 1) with two
     names = ("x", "y", "z")
-    values = [term(1, (1, 0, 0)), term(-1, (0, 1, 0)), term(2, (1, 0, 1)),
-              term(1, (0, 0, 0))]
-    shapes = pc.partitions_up_to(4)
-    for mu in shapes:
-        for eta in shapes:
-            for cutoff in (3, 6):
-                got = skew_schur_specialized(mu, eta, values, cutoff, names)
-                want = oracles.skew_schur_tableaux(mu, eta, values, 3, cutoff)
-                assert got.terms == want, (mu, eta, cutoff)
+    shapes = pc.partitions_up_to(6)
+    for values in (SCHUR_VALUES, SCHUR_VALUES[:2]):
+        for mu in shapes:
+            for eta in shapes:
+                for cutoff in (3, 6):
+                    got = skew_schur_specialized(mu, eta, values, cutoff, names)
+                    want = oracles.skew_schur_tableaux(mu, eta, values, 3,
+                                                       cutoff)
+                    assert got.terms == want, (mu, eta, len(values), cutoff)
+
+
+def test_skew_schur_direct_and_dual_determinants_agree():
+    # every tall mu of size <= 7, over every eta inside it: the h_k
+    # determinant of order len(mu) and the e_k one of order mu_1
+    for mu in pc.partitions_up_to(7):
+        if pc.part(mu, 0) >= len(mu):
+            continue
+        for eta in pc.partitions_up_to(pc.size(mu)):
+            if all(pc.part(eta, r) <= pc.part(mu, r) for r in range(len(eta))):
+                for cutoff in (4, 7):
+                    args = (mu, eta, SCHUR_VALUES, cutoff, 3)
+                    assert (_jacobi_trudi(*args, False)
+                            == _jacobi_trudi(*args, True)), args
 
 
 def test_vertex_z1_leg_hook_values():

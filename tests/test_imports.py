@@ -59,7 +59,6 @@ ALLOWED = {
     "interlaces": "one link of the chain condition",
     "edge_value": "the edge sequence that orders a chain's links",
     "restrict": "the paper's restriction of a pyramid to a leg's family",
-    "term_neg": "x -> -x of the hat families, which only phi uses",
     "Series.map_vars": "relabels the side-slot enumeration for "
                        "symmetry_check",
     "Series.constant": "the constant term that invert divides by",

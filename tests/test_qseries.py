@@ -7,10 +7,11 @@ import sympy
 
 from orbivertex.qseries import (
     Factors, Series, _decoded, _pack, family_factors, macmahon_factors,
-    mul_terms, pochhammer_factors, term, term_mul, term_neg, term_pow,
+    mul_terms, pochhammer_factors, term, term_mul,
 )
 
 import oracles
+from oracles import term_neg, term_pow
 
 V4 = ("q0", "qa", "qb", "qc")
 GENS = sympy.symbols("q0 qa qb qc")
@@ -644,6 +645,29 @@ def test_factor_walk_rejects_negative_exponent_factor(build, factor):
         Factors(V4, 8, {(1, factor): 1})
 
 
+# (x, q, error, message): the error that family_factors' entry check of
+# x and q raises, the one the walk of its first entry, a = x q^0, raised
+# on checking that a; the last x, of coefficient 2, cannot be inverted
+FAMILY_ENTRY_ERRORS = [
+    (term(1, (0, 1, 0)), q_full(), ValueError,
+     "arity mismatch: (0, 1, 0) with vars %r" % (V4,)),
+    (term(1, (0, 1, 0, 0)), term(1, (1, 1, 1, 1, 1)), ValueError,
+     "arity mismatch: (1, 1, 1, 1, 1) with vars %r" % (V4,)),
+    ((1, (0, 0.5, 0, 0)), q_full(), TypeError,
+     "exponent must be an int, not 0.5"),
+    ((1.5, (0, 1, 0, 0)), q_full(), TypeError,
+     "coefficient must be an int, not 1.5"),
+    (term(1, (0, 1, 0, 0)), (1.0, (1, 1, 1, 1)), TypeError,
+     "coefficient must be an int, not 1.0"),
+    (term(1, (0, 1, 0, 0)), (True, (1, 1, 1, 1)), TypeError,
+     "coefficient must be an int, not True"),
+    (term(1, (0, 1, 0, 0)), term(1, (1, -1, 0, 0)), ValueError,
+     "q of degree 0; the walk needs q of positive degree"),
+    (term(2, (0, 1, 0, 0)), q_full(), ValueError,
+     "cannot invert coefficient 2"),
+]
+
+
 def test_factor_walks_check_their_arguments_once():
     # a and q of another arity used to be cut short by zip in term_mul
     with pytest.raises(ValueError, match="arity mismatch"):
@@ -654,3 +678,20 @@ def test_factor_walks_check_their_arguments_once():
         macmahon_factors((1, (0, 0.5, 0, 0)), q_full(), V4, 4)
     with pytest.raises(TypeError, match="coefficient must be an int"):
         pochhammer_factors((1, (1, 0, 0, 0)), (1.0, (1, 1, 1, 1)), V4, 4)
+    # family_factors checks x and q on entry, not each a = (+-x)^i q^j
+    for x, q, error, message in FAMILY_ENTRY_ERRORS:
+        for name, l in (("Mt", None), ("Mh", None), ("Mt0", 0), ("Mh0", 0)):
+            with pytest.raises(error, match=re.escape(message)):
+                family_factors(name, V4, 4, x, q, l=l)
+
+
+def test_family_factors_reject_what_the_derived_a_hid():
+    # x^1 turned a True coefficient or exponent into the int 1, and zip
+    # cut an x longer than q down to q's arity
+    q = q_full()
+    with pytest.raises(TypeError, match="coefficient must be an int, not True"):
+        family_factors("Mt", V4, 4, (True, (0, 1, 0, 0)), q)
+    with pytest.raises(TypeError, match="exponent must be an int, not True"):
+        family_factors("Mh", V4, 4, (1, (0, True, 0, 0)), q)
+    with pytest.raises(ValueError, match="arity mismatch"):
+        family_factors("Mt", V4, 4, term(1, (0, 1, 0, 0, 0)), q)
