@@ -15,12 +15,10 @@ import sys
 from . import fock_transfer
 from . import partition_core as pc
 from . import rpc
-from .dt_vertex import (
-    closed_z2z2_staircase, corollary_rpc_closed, enumerate_3d,
-    one_leg_zn_staircase, pyramid_closed, vertex_closed_zn,
-)
+from .dt_vertex import (closed_z2z2_staircase, corollary_rpc_closed,
+                        enumerate_3d, one_leg_zn_staircase, vertex_closed_zn)
 from .fock_transfer import vertex_by_transfer
-from .pyramid import ANTI, DIAG, _group_names, pyramid_series
+from .pyramid import ANTI, DIAG, _group_names
 
 
 def _partition_arg(text):
@@ -95,19 +93,11 @@ def _emit(args, report, header, rows):
         sys.stdout.write(text)
 
 
-def _need_staircase(args):
-    if "closed" in args.method and not pc.is_staircase(args.leg):
-        raise ValueError("closed form needs a staircase leg, got %r"
-                         % (args.leg,))
-
-
 def _vertex_check(args):
     # --n defaults to None, so that one given under z2z2 reaches the check
     if args.group == "zn" and args.n is None:
         args.n = 4
     _group_names(args.group, args.n)
-    if args.group == "z2z2":
-        _need_staircase(args)
 
 
 def _vertex_fields(args):
@@ -118,52 +108,63 @@ def _vertex_fields(args):
     return rec
 
 
-def _vertex_series(args, method):
-    leg, d = args.leg, args.degree
-    if method == "enumerate":
-        return enumerate_3d(leg, args.group, d, n=args.n)
-    if method == "transfer":
-        return vertex_by_transfer(args.group, leg, d, n=args.n)
+def _vertex_closed(args):
     if args.group == "zn":
-        return vertex_closed_zn(args.n, ((), (), leg), d)
-    return closed_z2z2_staircase(len(leg), d)
+        return vertex_closed_zn(args.n, ((), (), args.leg), args.degree)
+    return closed_z2z2_staircase(len(args.leg), args.degree)
 
 
-def _pyramid_series(args, method):
-    if method == "closed":
-        return pyramid_closed(args.degree)
-    return pyramid_series(args.degree)
+def _interlacing(args):
+    # the series is the same at every shift (see generating_function)
+    return rpc.generating_function(args.leg, 0, args.frame, args.degree)
 
 
-def _rpc_series(args, method):
-    if method == "interlacing":
-        # the series is the same at every shift (see generating_function)
-        return rpc.generating_function(args.leg, 0, args.frame, args.degree)
+def _rpc_closed(args):
     return corollary_rpc_closed(len(args.leg), args.degree)
 
 
 # subcommand -> (input check, record fields besides method and series,
-# series of one method)
-_SERIES_COMMANDS = {
-    "vertex": (_vertex_check, _vertex_fields, _vertex_series),
-    "pyramid": (lambda args: None,
-                lambda args: {"vertex": "pyramid", "group": "z2z2", "leg": []},
-                _pyramid_series),
-    "rpc": (_need_staircase,
-            lambda args: {"vertex": "rpc", "group": "z2z2",
-                          "leg": list(args.leg), "frame": args.frame},
-            _rpc_series),
+# {method: (series of the parsed args, whether it needs a staircase leg,
+# independence class)}), the first method the default.  The class names
+# what a route rests on: boxes (enumerate_3d), partners (the interlacing
+# walk and transfer) or factors (the closed products).  Rows look their
+# functions up when run, so a patched module name reaches the route.
+_ANY_LEG, _STAIRCASE = (lambda args: False), (lambda args: True)
+_RPC_ROUTES = {"interlacing": (_interlacing, _ANY_LEG, "partners"),
+               "closed": (_rpc_closed, _STAIRCASE, "factors")}
+_ROUTES = {
+    "vertex": (_vertex_check, _vertex_fields, {
+        "closed": (_vertex_closed, lambda args: args.group == "z2z2",
+                   "factors"),
+        "enumerate": (lambda args: enumerate_3d(
+            args.leg, args.group, args.degree, n=args.n), _ANY_LEG, "boxes"),
+        "transfer": (lambda args: vertex_by_transfer(
+            args.group, args.leg, args.degree, n=args.n), _ANY_LEG,
+            "partners"),
+    }),
+    # rpc at leg () in the diagonal frame, which its parser sets
+    "pyramid": (lambda args: None, lambda args: {
+        "vertex": "pyramid", "group": "z2z2", "leg": []},
+        {"closed": _RPC_ROUTES["closed"],
+         "enumerate": _RPC_ROUTES["interlacing"]}),
+    "rpc": (lambda args: None, lambda args: {
+        "vertex": "rpc", "group": "z2z2", "leg": list(args.leg),
+        "frame": args.frame}, _RPC_ROUTES),
 }
 
 
 def _series(args):
     """Every requested method's series; under --verify each is compared
     with the first."""
-    check, fields, series = _SERIES_COMMANDS[args.command]
+    check, fields, routes = _ROUTES[args.command]
     if args.verify and len(args.method) < 2:
         raise ValueError("--verify needs at least two methods")
     check(args)
-    named = [(method, series(args, method)) for method in args.method]
+    for method in args.method:
+        if routes[method][1](args) and not pc.is_staircase(args.leg):
+            raise ValueError("%s form needs a staircase leg, got %r"
+                             % (method, args.leg))
+    named = [(method, routes[method][0](args)) for method in args.method]
     base_label, base = named[0]
     comparisons = [("mismatch %s vs %s" % (base_label, label), base, s)
                    for label, s in named[1:] if args.verify]
@@ -215,8 +216,8 @@ def _verify(args):
            closed_z2z2_staircase(m, d), None) for m in (1, 2)],
         ("staircase_m1_z4_branch", z4_m1[1], one_leg_zn_staircase(4, 1, d),
          z4_m1),
-        ("pyramid_enumerate_closed", pyramid_series(d), pyramid_closed(d),
-         None),
+        ("pyramid_enumerate_closed", rpc.generating_function((), 0, DIAG, d),
+         corollary_rpc_closed(0, d), None),
         ("rpc_m1_interlacing_closed", rpc.generating_function((1,), 0, ANTI, d),
          corollary_rpc_closed(1, d), None),
     ]
@@ -244,10 +245,11 @@ def _run(args):
     return 0
 
 
-def _add_common(p, methods, default_method):
+def _add_common(p, command):
+    methods = _ROUTES[command][2]
     p.add_argument("--degree", type=int, default=6)
     p.add_argument("--method", type=_methods_arg(methods),
-                   default=default_method)
+                   default=(next(iter(methods)),))
     p.add_argument("--verify", action="store_true")
     _add_output(p)
     p.set_defaults(build=_series)
@@ -279,15 +281,16 @@ def build_parser():
     p.add_argument("--n", type=int, default=None,
                    help="order of the group Zn (default 4)")
     p.add_argument("--leg", type=_partition_arg, default=())
-    _add_common(p, ("closed", "enumerate", "transfer"), ("closed",))
+    _add_common(p, "vertex")
 
     p = sub.add_parser("pyramid", help="pyramid partition series")
-    _add_common(p, ("closed", "enumerate"), ("closed",))
+    p.set_defaults(leg=(), frame=DIAG)
+    _add_common(p, "pyramid")
 
     p = sub.add_parser("rpc", help="restricted pyramid series")
     p.add_argument("--leg", type=_partition_arg, default=())
     p.add_argument("--frame", choices=(ANTI, DIAG), default=ANTI)
-    _add_common(p, ("interlacing", "closed"), ("interlacing",))
+    _add_common(p, "rpc")
 
     p = sub.add_parser("uniqueness", help="symmetric interlacing scan")
     p.add_argument("--max-leg-size", type=int, default=6)

@@ -189,7 +189,8 @@ def _jacobi_trudi(mu, eta, vals, cutoff, nvars, dual):
     h = [one] + [{} for _ in range(kmax)]
     for c, e in sorted(vals, key=lambda v: -sum(v[1])):
         for k in range(kmax, 0, -1) if dual else range(1, kmax + 1):
-            mul_terms(h[k - 1], {e: c}, cutoff, h[k])
+            if h[k - 1]:
+                mul_terms(h[k - 1], {e: c}, cutoff, h[k])
     # h_d with the sign of the column's place in the row
     signed = (h, [{e: -c for e, c in hd.items()} for hd in h])
     memo = {(): one}
@@ -215,15 +216,9 @@ def _jacobi_trudi(mu, eta, vals, cutoff, nvars, dual):
 
 
 def _qq_exps(n, t):
-    # exponent vector of the running variable product at offset t
-    e = [0] * n
-    if t >= 0:
-        for u in range(1, t + 1):
-            e[u % n] += 1
-    else:
-        for u in range(t + 1, 1):
-            e[u % n] -= 1
-    return tuple(e)
+    # exponent vector of the running variable product at offset t: the
+    # count of u in 1..t with u = j mod n, negated over t+1..0 when t < 0
+    return tuple((t - (j or n)) // n + 1 for j in range(n))
 
 
 def _bar_exps(e, n):
@@ -402,7 +397,8 @@ def one_leg_zn_staircase(n, m, cutoff):
 
 
 def pyramid_closed(cutoff):
-    """Closed form of the pyramid partition generating function."""
+    """Closed form of the pyramid partition generating function, kept as
+    a library name: it equals corollary_rpc_closed(0, cutoff)."""
     return _product(_PYRAMID, 0, cutoff).series()
 
 

@@ -273,9 +273,9 @@ def series_from_packed(names, cutoff, counts, nvars):
 def pyramid_series(cutoff):
     """Generating function of pyramid partitions, graded by color counts,
     complete through total degree `cutoff` (one brick = one degree).
-
-    This is rpc.generating_function at the empty leg, shift 0, in the
-    diagonal frame, which counts the families without listing them.  The
+    Kept as a library name; it returns rpc.generating_function at the
+    empty leg, shift 0, in the diagonal frame, which the CLI calls
+    directly and which counts the families without listing them.  The
     two count the same objects with the same weights:
 
     * the empty leg has no Frobenius coordinates, so rpc.corners gives

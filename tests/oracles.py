@@ -335,6 +335,19 @@ def border_strips(lam, length, sign=1):
                  for nu, s in border_strips(mu, length) if nu == lam)
 
 
+def qq_exps_loop(n, t):
+    """Exponent vector of the running variable product at offset t, one
+    unit at a time: +1 at u mod n for u in 1..t, -1 for u in t+1..0."""
+    e = [0] * n
+    if t >= 0:
+        for u in range(1, t + 1):
+            e[u % n] += 1
+    else:
+        for u in range(t + 1, 1):
+            e[u % n] -= 1
+    return tuple(e)
+
+
 def skew_schur_tableaux(mu, eta, values, nvars, cutoff):
     """s_{mu/eta} at the monomial values (coef, exps), as an {exponents:
     coefficient} dict truncated at total degree cutoff: the sum over the

@@ -74,6 +74,42 @@ def test_pyramid_and_rpc_verify(capsys):
     assert rec["frame"] == "diagonal" and "shift" not in rec
 
 
+def test_pyramid_is_rpc_at_the_empty_leg_in_the_diagonal_frame(capsys):
+    _, pyramid = run_cli(capsys, ["pyramid", "--method", "enumerate,closed",
+                                  "--degree", "10"])
+    _, restricted = run_cli(capsys, ["rpc", "--leg", "", "--frame",
+                                     "diagonal", "--method",
+                                     "interlacing,closed", "--degree", "10"])
+
+    def same_part(out):
+        return [{k: v for k, v in rec.items()
+                 if k not in ("vertex", "frame", "method")}
+                for rec in json.loads(out)["results"]]
+
+    assert same_part(pyramid) == same_part(restricted)
+    assert len(same_part(pyramid)) == 2
+
+
+# subcommand -> {method: independence class}, the first method the default
+ROUTE_CLASSES = {
+    "vertex": {"closed": "factors", "enumerate": "boxes",
+               "transfer": "partners"},
+    "pyramid": {"closed": "factors", "enumerate": "partners"},
+    "rpc": {"interlacing": "partners", "closed": "factors"},
+}
+
+
+def test_route_table_classes_differ_within_each_subcommand():
+    # every --verify compares routes that rest on different machinery
+    got = {command: {method: row[2] for method, row in routes.items()}
+           for command, (_, _, routes) in cli._ROUTES.items()}
+    assert got == ROUTE_CLASSES
+    for command, classes in ROUTE_CLASSES.items():
+        assert len(set(classes.values())) == len(classes), command
+        args = cli.build_parser().parse_args([command])
+        assert args.method == (next(iter(classes)),)
+
+
 def test_uniqueness_report(capsys):
     code, out = run_cli(capsys, ["uniqueness", "--max-leg-size", "3",
                                  "--window", "8", "--shifts", "0"])
@@ -250,7 +286,6 @@ SERIES_FUNCTIONS = [
     (cli, "enumerate_3d"), (cli, "vertex_by_transfer"),
     (cli, "closed_z2z2_staircase"), (cli, "vertex_closed_zn"),
     (cli, "one_leg_zn_staircase"),
-    (cli, "pyramid_closed"), (cli, "pyramid_series"),
     (cli, "corollary_rpc_closed"), (cli.rpc, "generating_function"),
 ]
 

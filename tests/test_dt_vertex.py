@@ -4,18 +4,18 @@ import pytest
 import sympy
 
 from orbivertex import partition_core as pc
-from orbivertex import rpc
+from orbivertex import dt_vertex, rpc
 from orbivertex.dt_vertex import (
     closed_z2z2_staircase, corollary_rpc_closed, enumerate_3d,
     enumerate_one_leg, one_leg_zn_staircase, phi, pyramid_closed,
     skew_schur_specialized, symmetry_check, upsilon, vertex_closed_zn,
-    _NOLEGS, _UPSILON, _hook_factors, _jacobi_trudi, _product,
+    _NOLEGS, _UPSILON, _hook_factors, _jacobi_trudi, _product, _qq_exps,
     _rotation_exponents,
 )
 from orbivertex.fock_transfer import vertex_by_transfer, zn_names
 from orbivertex.pyramid import ANTI, DIAG, VARS_Z2Z2, pyramid_series
 from orbivertex.qseries import (
-    Series, family_factors, term, term_mul, term_var,
+    Series, family_factors, mul_terms, term, term_mul, term_var,
 )
 
 import oracles
@@ -195,6 +195,29 @@ def test_skew_schur_direct_and_dual_determinants_agree():
                     args = (mu, eta, SCHUR_VALUES, cutoff, 3)
                     assert (_jacobi_trudi(*args, False)
                             == _jacobi_trudi(*args, True)), args
+
+
+def test_jacobi_trudi_multiplies_no_empty_h(monkeypatch):
+    # an h_(k-1) (or e_(k-1)) that holds no term below the cutoff adds
+    # nothing to h_k, so no mul_terms call gets one
+    seen = []
+
+    def counted(a, b, cap, out=None):
+        seen.append(bool(a))
+        return mul_terms(a, b, cap, out)
+
+    monkeypatch.setattr(dt_vertex, "mul_terms", counted)
+    # the first value, of degree 2, leaves h_2 empty at cutoff 3: its
+    # square passes the cutoff
+    for mu, dual in [((4, 2, 1), False), ((2, 1, 1, 1), True)]:
+        _jacobi_trudi(mu, (1,), SCHUR_VALUES, 3, 3, dual)
+    assert seen and all(seen)
+
+
+def test_qq_exps_closed_form_matches_the_loop():
+    for n in range(1, 8):
+        for t in range(-40, 41):
+            assert _qq_exps(n, t) == oracles.qq_exps_loop(n, t), (n, t)
 
 
 def test_vertex_z1_leg_hook_values():
