@@ -19,7 +19,8 @@ in which one step is a transition with argument 1 followed by the next
 slice's weight, truncated as it goes and pruned by the least size that
 the steps still ahead force on the slices to come.  A slice weighs its
 cells by one or two colors: one color table per mode gives the pair of
-each kind of slice, and the slice's corner parity swaps it.
+each kind of slice, and the slice's corner parity, read off the leg's
+diagonals, swaps it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 from . import partition_core as pc
 from .pyramid import _DIAG_COLOR, COLOR_SLOT, VARS_Z2Z2, _group_names, zn_names
 from .qseries import Series, _check_cutoff
-from .rpc import corners
 
 
 def checkerboard_counts(lam):
@@ -154,11 +154,27 @@ def _bracket(v, cutoff, mode, n, window):
     continuation still forces on it (_least_ahead, vertex_by_transfer)
     leaves <= cutoff.  The partner's weight is read off the two slots of
     its slice (_slice_slots), once per partner and step, with the
-    slice's corner parity, read before the walk: the corner sum under
-    rpc_antidiagonal, from one corners() call, and _diagonal_parities
-    under standard.
+    slice's corner parity, read before the walk by _diagonal_parities:
+    under standard the parity of the leg's cells on the slice's diagonal,
+    under rpc_antidiagonal that parity XOR |v| mod 2 (below).
     The codec is private to this route on purpose: one codec bug must not
     make two routes agree.
+
+    Antidiagonal corner parity.  rpc.corners puts the corner of slice k
+    at shift 0 at (rows - #{odd b < -k}, cols - #{even b < -k}) for
+    k <= 0 and (rows - #{even a < k}, cols - #{odd a < k}) for k > 0,
+    where a_i = v_i - i - 1 and b_i = v'_i - i - 1, i < d, are v's
+    Frobenius coordinates (d its Durfee size), rows = max(B_o, A_e) and
+    cols = max(B_e, A_o), A_e and A_o counting the even and odd a, B_e
+    and B_o the even and odd b.  The corner sum is rows + cols minus
+    #{b < -k} or #{a < k}.  Row i of v meets diagonal k >= 0 iff
+    a_i >= k, and column i meets diagonal k <= 0 iff b_i >= -k, so that
+    sum is rows + cols - d + (cells of v on diagonal k) for every k.  As
+    A_e + A_o = B_e + B_o = d, B_o - A_e = A_o - B_e, so rows + cols is
+    A_o + B_o or A_e + B_e = 2d - (A_o + B_o), in both cases A_o + B_o
+    mod 2; and |v| = sum (a_i + b_i + 1) = A_o + B_o + d mod 2.  Hence
+    rows + cols - d = |v| mod 2, and the corner parity of slice k is the
+    diagonal parity of k XOR |v| mod 2; this route reads no corner.
 
     Retiring finished terms.  Once every step left in the window moves
     down (edge value -1), the empty partition's terms are final: the only
@@ -176,10 +192,9 @@ def _bracket(v, cutoff, mode, n, window):
     steps = range(-window, window + 1)
     slices = [-(t + 1) for t in steps]
     parities = [0] * len(slices)
-    if mode == "rpc_antidiagonal":
-        parities = [(ci + cj) % 2 for ci, cj in corners(v, 0, slices)]
-    elif mode == "standard":
-        parities = _diagonal_parities(v, slices)
+    if mode in ("standard", "rpc_antidiagonal"):
+        flip = sum(v) % 2 if mode == "rpc_antidiagonal" else 0
+        parities = [p ^ flip for p in _diagonal_parities(v, slices)]
     taus = pc.edge_values(conj, steps)
     # runs[i]: the upward steps right after step i, inside the window
     runs = [0] * len(taus)

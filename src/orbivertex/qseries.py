@@ -40,12 +40,6 @@ def term_one(nvars):
     return (1, (0,) * nvars)
 
 
-def term_var(nvars, idx, coef=1):
-    e = [0] * nvars
-    e[idx] = 1
-    return (coef, tuple(e))
-
-
 def term_mul(*ts):
     coef = 1
     exps = None
@@ -138,9 +132,6 @@ class Series:
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), 0)
 
-    def constant(self):
-        return self.terms.get((0,) * len(self.names), 0)
-
     def __eq__(self, other):
         return (isinstance(other, Series) and self.names == other.names
                 and self.cutoff == other.cutoff and self.terms == other.terms)
@@ -183,12 +174,12 @@ class Series:
         1/f = c0 / (1 + c0 g): the constant c0 divided by a polynomial
         with constant term 1, by _pass bottom up with the steps -c0 g.
         """
-        c0 = self.constant()
+        zero = (0,) * len(self.names)
+        c0 = self.terms.get(zero, 0)
         if c0 not in (1, -1):
             raise ValueError("series not invertible over the integers "
                              "(constant term %d)" % c0)
         base = self.cutoff + 1
-        zero = (0,) * len(self.names)
         parts = _graded_parts([(zero, c0)], base, self.cutoff)
         steps = sorted((sum(e), _pack(e, base), -c0 * c)
                        for e, c in self.terms.items() if e != zero)
@@ -563,11 +554,6 @@ def _walk(out, a, q, macmahon, k):
         d += qd
         n += 1
     return out
-
-
-def pochhammer_factors(a, q, names, cutoff):
-    """(a; q)_infinity = prod_{k>=0} (1 - a q^k) as Factors."""
-    return _walk(_walk_entry(names, cutoff, a, q), a, q, False, 1)
 
 
 def macmahon_factors(x, q, names, cutoff):

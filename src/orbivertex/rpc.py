@@ -446,6 +446,7 @@ def generating_function(v, l, frame, cutoff):
     """
     _check_shift(l, frame)
     _check_cutoff(cutoff)
+    v = pc.check_partition(tuple(v))
     slices = _slice_range(pc.conjugate(v), cutoff)
     parity = [(ci + cj) % 2 for ci, cj in corners(v, 0, slices)]
     base = cutoff + 1

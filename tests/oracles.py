@@ -3,11 +3,11 @@
 Everything here is deliberately built on different machinery than src/:
 series arithmetic goes through sympy polynomials, products of binomial
 factors are also expanded by the graded Euler recurrence on exponent
-tuples, pyramids are enumerated as down-sets of the brick poset
-generated from raw quiver walks, one-leg box configurations are grown as
-sets one box at a time, and border strips are found by scanning skew
-diagrams.  Frozen literals in the tests were produced by these
-functions.
+tuples, the q-Pochhammer symbol is its factor multiset written out,
+pyramids are enumerated as down-sets of the brick poset generated from
+raw quiver walks, one-leg box configurations are grown as sets one box
+at a time, and border strips are found by scanning skew diagrams.
+Frozen literals in the tests were produced by these functions.
 
 Two sections serve the operator identities of the transfer step.  The
 Fock-state helpers and the even-mode exponential E(x^2) act on the state
@@ -108,6 +108,13 @@ def smac(x, q, gens, D):
     return strunc(out, gens, D)
 
 
+def term_var(nvars, idx, coef=1):
+    """The Term coef * x_idx over nvars variables."""
+    e = [0] * nvars
+    e[idx] = 1
+    return (coef, tuple(e))
+
+
 def term_pow(t, k):
     """The Term t**k; k < 0 needs the coefficient +-1.  The tests build
     the a of a factor walk with it; family_factors forms its own."""
@@ -132,6 +139,23 @@ def series_to_dict(expr, gens):
         if c:
             out[tuple(int(m) for m in monom)] = c
     return out
+
+
+def pochhammer_factors(a, q, names, cutoff):
+    """(a; q)_infinity = prod_{k>=0} (1 - a q^k) as Factors: the multiset
+    {a q^k: -1} over the k with deg(a q^k) <= cutoff, written out and
+    entered through the checked Factors constructor, not qseries' factor
+    walk.  a and q are Terms, q of positive degree."""
+    from orbivertex.qseries import Factors
+
+    (ac, ae), (qc, qe) = a, q
+    assert sum(qe) > 0
+    mult = {}
+    k = 0
+    while sum(ae) + k * sum(qe) <= cutoff:
+        mult[(ac * qc ** k, tuple(x + k * y for x, y in zip(ae, qe)))] = -1
+        k += 1
+    return Factors(names, cutoff, mult)
 
 
 def factors_series_euler(fs):

@@ -15,13 +15,10 @@ from orbivertex.fock_transfer import (
     checkerboard_counts, gamma_apply, vertex_by_transfer, weight_apply,
 )
 from orbivertex.pyramid import ANTI, DIAG, VARS_Z2Z2, enumerate_pyramids, pyramid_series
-from orbivertex.qseries import (
-    Factors, Series, macmahon_factors, pochhammer_factors, term, term_mul,
-    term_var,
-)
+from orbivertex.qseries import Factors, Series, macmahon_factors, term, term_mul
 from oracles import (
     basis_state, collect, e_apply, empty_state, normalize_state, pair_factor,
-    scalar_apply, series_sum, term_pow,
+    pochhammer_factors, scalar_apply, series_sum, term_pow, term_var,
 )
 from orbivertex.rpc import (
     generating_function, interlacing_families, realize, restrict,

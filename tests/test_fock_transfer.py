@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import pytest
 
 from orbivertex import fock_transfer
@@ -54,19 +57,30 @@ def test_transfer_rpc_matches_family_enumeration():
         assert got == generating_function(v, 0, DIAG, 6), v
 
 
-def test_transfer_reads_corners_once(monkeypatch):
-    # the antidiagonal corner parities of all slices come from one
-    # corners() call; the walk once built one edge table per slice, 33
-    # for this call
-    calls = []
+def test_antidiagonal_corner_parity_is_diagonal_parity_and_size():
+    # _bracket's proof: the corner sum of slice k at shift 0 is the
+    # number of the leg's cells on diagonal k plus |v| mod 2
+    for v in pc.partitions_up_to(12):
+        ks = range(-30, 31)
+        want = [(ci + cj) % 2 for ci, cj in rpc.corners(v, 0, ks)]
+        got = [p ^ sum(v) % 2 for p in fock_transfer._diagonal_parities(v, ks)]
+        assert got == want, v
 
-    def counted(v, l, ks):
-        calls.append((v, l))
-        return rpc.corners(v, l, ks)
 
-    monkeypatch.setattr(fock_transfer, "corners", counted)
-    vertex_by_transfer("z2z2", (2, 1), 8, mode="rpc_antidiagonal")
-    assert calls == [((2, 1), 0)]
+def test_transfer_reads_no_rpc_corners():
+    # transfer and the RPC walk are compared with each other, so the
+    # antidiagonal weights of the two must not come from one function
+    assert not hasattr(fock_transfer, "corners")
+    assert rpc not in vars(fock_transfer).values()
+    imported = []
+    for node in ast.walk(ast.parse(inspect.getsource(fock_transfer))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""]
+            imported += [alias.name for alias in node.names]
+    assert imported and not [name for name in imported
+                             if name.split(".")[-1] == "rpc"]
 
 
 def test_transfer_z2_low_terms():

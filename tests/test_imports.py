@@ -14,8 +14,9 @@ reason, or read from perfbench's own task and trace tables.
 A name that some package module reads may still sit on a path that
 nothing runs.  So every package function and method must also be entered
 when the golden CLI cases and one call of each benchmark task run under
-sys.setprofile, or be a path that perfbench/tracer.py wraps, or be named
-in ALLOWED (a class entry covers its methods).
+sys.setprofile, or be named in ALLOWED (a class entry covers its
+methods): a wrap in perfbench/tracer.py excuses no function, since
+wrapping a function does not run it.
 """
 
 import ast
@@ -42,8 +43,6 @@ ALLOWED = {
     "upsilon": "the paper's staircase correction factor, checked on its own",
     "phi": "the paper's Z2xZ2 / Z4 bridge factor, checked on its own",
     "symmetry_check": "the vertex's cyclic symmetry, checked by enumeration",
-    "pochhammer_factors": "the q-Pochhammer symbol behind the closed products",
-    "term_var": "builds a one-variable term for the tests' series",
     "region": "the paper's admissible corner of one slice, as corners() gives",
     "restrict_positions": "the same restriction as brick positions",
     "realize": "the inverse of restrict, a pyramid for a restricted family",
@@ -59,9 +58,17 @@ ALLOWED = {
     "interlaces": "one link of the chain condition",
     "edge_value": "the edge sequence that orders a chain's links",
     "restrict": "the paper's restriction of a pyramid to a leg's family",
+    "enumerate_pyramids": "the paper's listing of the pyramid partitions",
+    "interlacing_families": "the paper's listing of a leg's restricted "
+                            "families",
+    # perfbench/tracer.py wraps these four, and its self-check needs
+    # every wrapped metric, so they stay until the tracer drops them
+    "gamma_apply": "the plain transition step of the operator identities",
+    "weight_apply": "the plain diagonal step of the operator identities",
+    "Series.invert": "the inverse that the tracer's invert layer wraps",
+    "Series.__pow__": "the power that the tracer's pow layer wraps",
     "Series.map_vars": "relabels the side-slot enumeration for "
                        "symmetry_check",
-    "Series.constant": "the constant term that invert divides by",
     "Series.coefficient": "reads the first differing coefficient when "
                           "--verify finds a mismatch",
     "_monomial": "names that coefficient's monomial",
@@ -230,7 +237,7 @@ def test_every_function_is_reached():
     run = subprocess.run([sys.executable, __file__], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": path})
     assert run.returncode == 0, run.stderr
-    unreached = set(json.loads(run.stdout)) - wrapped_paths()
+    unreached = set(json.loads(run.stdout))
 
     def excused(path):
         return path in ALLOWED or path.split(".")[0] in ALLOWED

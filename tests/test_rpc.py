@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -387,6 +388,19 @@ def test_rpc_counts_must_be_ints(call, what):
     # failed inside range()
     with pytest.raises(TypeError, match=what + " must be an int"):
         call()
+
+
+@pytest.mark.parametrize("leg", [(1.5,), ("a",)], ids=["float", "str"])
+def test_leg_parts_must_be_ints(leg):
+    # generating_function conjugated the leg before checking it, and
+    # failed inside conjugate: "'float' object cannot be interpreted as
+    # an integer"; the walk's other entries checked it first
+    message = "part must be an int, not %r" % (leg[0],)
+    for frame in (DIAG, ANTI):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            generating_function(leg, 0, frame, 3)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        interlacing_families(leg, 3)
 
 
 def test_frames_agree_iff_staircase_small():
