@@ -226,19 +226,11 @@ def _bar_exps(e, n):
     return tuple(e[(-j) % n] for j in range(n))
 
 
-def _schur_values(part, n, work, bar):
-    # the monomials qq(r - part_r) / qq(-part_0), r >= 0, of degree 0..work,
-    # indexwise negated when bar
-    base = _qq_exps(n, -pc.part(part, 0))
-    vals = []
-    for r in range(work + pc.part(part, 0) + 2):
-        e = tuple(a - b for a, b in
-                  zip(_qq_exps(n, r - pc.part(part, r)), base))
-        if bar:
-            e = _bar_exps(e, n)
-        if 0 <= sum(e) <= work:
-            vals.append((1, e))
-    return vals
+def _schur_values(n, work, bar):
+    # the principal values qq(r), r = 0..work, of degree r, indexwise
+    # negated when bar
+    return [(1, _bar_exps(_qq_exps(n, r), n) if bar else _qq_exps(n, r))
+            for r in range(work + 1)]
 
 
 def _zero_zn(n, names, cutoff):
@@ -265,51 +257,51 @@ def _rotation_exponents(nu, n):
 
 
 def vertex_closed_zn(n, legs, cutoff):
-    """Full closed formula for the cyclic vertex with legs (lam, mu, nu).
+    """Closed formula for the cyclic vertex with legs (lam, mu, nu).
 
-    The general formula sums over partitions eta inside
-    iota = (min(lam'_r, mu_r))_r of the skew Schur product
-    s_{lam'/eta} * s_{mu/eta} at the specialized values.  At most one leg
-    may be non-empty: with two, a negative exponent survives
-    specialization, so such input is rejected before any work.  Then lam'
-    or mu is empty, iota = (), and the sum has the single term eta = (),
-    which is s_{lam'} * s_mu with one factor equal to 1.  That product,
-    shifted by the renormalization and leg-size monomial, times the
-    MacMahon, hook and rotation factors is the result; a negative
-    exponent surviving in it raises.
+    The paper's formula sums s_{lam'/eta} s_{mu/eta} over eta inside
+    iota = (min(lam'_r, mu_r))_r, at the values qq(r - nu_r) / qq(-tm)
+    for mu and the barred qq(r - nu'_r) / qq(-tl) for lam', where
+    tl = len(nu) and tm = nu_1; shifts it by the monomial -(g + gbar)
+    + |lam| bar(qq(-tl)) + |mu| qq(-tm), g and gbar the renormalization
+    exponents of lam and, indexwise negated, of mu'; and multiplies in
+    the zero-leg product and the hook and rotation factors of nu.  With
+    two legs a negative exponent survives specialization, so _check_legs
+    rejects them first.  With one, lam' or mu is empty, so iota = (),
+    eta = () and the other Schur factor is s_() = 1:
+    - a side leg, lam or mu: nu = () and tl = tm = 0, so the values are
+      qq(r) / qq(0) = qq(r) and the shift is -(g + gbar), one of them 0;
+      the shift has degree -sum(g), so s_{lam'} or s_mu and the zero-leg
+      product run to cutoff + sum(g), as Factors.times requires, and a
+      surviving negative exponent raises there;
+    - a third leg nu, or none: the Schur part is 1, |lam| = |mu| = 0 and
+      g = gbar = 0, so the zero-leg, hook and rotation factors remain.
     """
     names = _group_names("zn", n)
     _check_cutoff(cutoff)
     lam, mu, nu = pc._check_legs(legs)
-    lamc = pc.conjugate(lam)
-    muc = pc.conjugate(mu)
-    nuc = pc.conjugate(nu)
-    g = [pc.renormalization_exponent(lam, k, n) for k in range(n)]
-    gbar = [0] * n
-    for k in range(n):
-        gbar[(-k) % n] += pc.renormalization_exponent(muc, k, n)
-    tl, tm = len(nu), pc.part(nu, 0)
-    work = cutoff + sum(g) + sum(gbar) + tl * pc.size(lam) + tm * pc.size(mu)
-
-    zero = _zero_zn(n, names, work)
-    fixed = zero * _hook_factors(nu, n, names, work)
-    # rotation k moves each exponent of zero k places up, mod n
-    for k, e in enumerate(_rotation_exponents(nu, n)):
-        if e:
-            for (c, x), m in zero.mult.items():
-                fixed._bump((c, x[n - k:] + x[:n - k]), m * e)
-
-    # len(nu) is the first part of nu', so tl and tm are the offsets that
-    # _schur_values reads off nu' and nu; s_() = 1, so () gets no values
-    vals_l = _schur_values(nuc, n, work, True) if lamc else ()
-    vals_m = _schur_values(nu, n, work, False) if mu else ()
-    schur = (skew_schur_specialized(lamc, (), vals_l, work, names)
-             * skew_schur_specialized(mu, (), vals_m, work, names))
-    base_l, base_m = _qq_exps(n, -tl), _qq_exps(n, -tm)
-    shift = tuple(-(a + b) + pc.size(lam) * u + pc.size(mu) * v
-                  for a, b, u, v in zip(g, gbar, _bar_exps(base_l, n), base_m))
-    master = mul_terms(schur.terms, {shift: 1}, cutoff)
-    return fixed.times(master, cutoff)
+    if not (lam or mu):
+        zero = _zero_zn(n, names, cutoff)
+        fixed = zero * _hook_factors(nu, n, names, cutoff)
+        # rotation k moves each exponent of zero k places up, mod n
+        for k, e in enumerate(_rotation_exponents(nu, n)):
+            if e:
+                for (c, x), m in zero.mult.items():
+                    fixed._bump((c, x[n - k:] + x[:n - k]), m * e)
+        return fixed.series()
+    if lam:
+        part, bar = pc.conjugate(lam), True
+        g = [pc.renormalization_exponent(lam, k, n) for k in range(n)]
+    else:
+        part, bar = mu, False
+        muc = pc.conjugate(mu)
+        g = _bar_exps([pc.renormalization_exponent(muc, k, n)
+                       for k in range(n)], n)
+    work = cutoff + sum(g)
+    schur = skew_schur_specialized(part, (), _schur_values(n, work, bar),
+                                   work, names)
+    master = mul_terms(schur.terms, {tuple(-a for a in g): 1}, cutoff)
+    return _zero_zn(n, names, work).times(master, cutoff)
 
 
 # ---------------------------------------------------------------------------

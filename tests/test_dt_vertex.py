@@ -507,12 +507,36 @@ def test_vertex_closed_zn_matches_enumeration_degree_8(n, leg):
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("leg", [(2, 1), (3,), (1, 1, 1)])
-def test_vertex_closed_zn_first_slot_matches_enumeration_degree_12(n, leg):
-    # in the first slot the renormalization shift has negative exponents
+def test_vertex_closed_zn_side_slots_match_enumeration_degree_12(n, leg):
+    # in a side slot the renormalization shift has negative exponents
     # that the Schur part must cancel before Factors.times; no transfer
-    # mode reaches this slot
-    legs = (leg, (), ())
-    assert vertex_closed_zn(n, legs, 12) == enumerate_one_leg(legs, "zn", 12, n=n)
+    # mode reaches these slots, and the first takes the barred values
+    for legs in [(leg, (), ()), ((), leg, ())]:
+        got = vertex_closed_zn(n, legs, 12)
+        assert got == enumerate_one_leg(legs, "zn", 12, n=n), legs
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("slot", range(3))
+def test_vertex_closed_zn_makes_no_series_product(monkeypatch, n, slot):
+    # a side leg is one Schur function times the zero-leg product, and a
+    # third leg needs none: the Schur factor of the empty slot is 1
+    def refuse(self, other):
+        raise AssertionError("Series product in vertex_closed_zn")
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return skew_schur_specialized(*args)
+
+    monkeypatch.setattr(Series, "__mul__", refuse)
+    monkeypatch.setattr(dt_vertex, "skew_schur_specialized", counted)
+    legs = [(), (), ()]
+    legs[slot] = (2, 1)
+    got = vertex_closed_zn(n, tuple(legs), 6)
+    assert len(calls) == (slot < 2)
+    assert got == enumerate_one_leg(tuple(legs), "zn", 6, n=n)
 
 
 @pytest.mark.parametrize("group, closed", [

@@ -61,12 +61,15 @@ ALLOWED = {
     "enumerate_pyramids": "the paper's listing of the pyramid partitions",
     "interlacing_families": "the paper's listing of a leg's restricted "
                             "families",
-    # perfbench/tracer.py wraps these four, and its self-check needs
+    # perfbench/tracer.py wraps the next five, and its self-check needs
     # every wrapped metric, so they stay until the tracer drops them
     "gamma_apply": "the plain transition step of the operator identities",
     "weight_apply": "the plain diagonal step of the operator identities",
     "Series.invert": "the inverse that the tracer's invert layer wraps",
     "Series.__pow__": "the power that the tracer's pow layer wraps",
+    "Series.__mul__": "the product that the tracer's mul layer wraps; "
+                      "the closed Zn vertex makes one Schur function",
+    "Series._like": "builds the results of the product, power and inverse",
     "Series.map_vars": "relabels the side-slot enumeration for "
                        "symmetry_check",
     "Series.coefficient": "reads the first differing coefficient when "
