@@ -1,7 +1,8 @@
 """One-leg orbifold vertex series by box enumeration, on column heights
-in the leg's own frame, and by the closed MacMahon-type products: the
-paper's skew Schur sum for Zn, and tables of family entries over one
-staircase tail, at the end, for Z2 x Z2.  Operator transfer lives in
+in the leg's own frame, and by the closed MacMahon-type products, each
+one table of family entries: the Zn zero-leg vertex and its rotations,
+times a Schur function or hook factors for Zn, and the staircase tails,
+at the end, for Z2 x Z2 and Z4.  Operator transfer lives in
 fock_transfer, the restricted pyramid series in rpc; all three routes
 return Series truncated by total degree, to agree term by term.
 """
@@ -9,12 +10,13 @@ return Series truncated by total degree, to agree term by term.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 
 from . import partition_core as pc
 from .pyramid import VARS_Z2Z2, _group_names, series_from_packed
 from .qseries import (
     Factors, Series, _check_cutoff, _check_exps, _check_int, family_factors,
-    macmahon_factors, mul_terms, term, term_one,
+    mul_terms, term,
 )
 
 _Z2Z2_SLOT = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
@@ -233,15 +235,15 @@ def _schur_values(n, work, bar):
             for r in range(work + 1)]
 
 
-def _zero_zn(n, names, cutoff):
-    # the zero-leg cyclic vertex, as Factors
-    qall = term(1, (1,) * n)
-    out = macmahon_factors(term_one(n), qall, names, cutoff) ** n
-    for a in range(1, n):
-        for b in range(a, n):
-            x = term(1, tuple(1 if a <= i <= b else 0 for i in range(n)))
-            out._absorb(family_factors("Mt", names, cutoff, x, qall))
-    return out
+@lru_cache(maxsize=None)
+def _zero_zn(n, k=0, power=1):
+    """The Zn zero-leg vertex M(1)^n prod M~(qt_a ... qt_b), 0 < a <= b < n,
+    each index moved k places up mod n, to `power`, as a cached table.
+    Exact: a rotation fixes q = qt_0 ... qt_(n-1) and M(1), sends x q^j to
+    the rotated x times q^j, and keeps degrees, so no truncation differs."""
+    return (("M", (1, (0,) * n), n * power, 0),) + tuple(
+        ("Mt", (1, tuple(int(a <= (i - k) % n <= b) for i in range(n))),
+         power, 0) for a in range(1, n) for b in range(a, n))
 
 
 def _hook_factors(nu, n, names, cutoff):
@@ -275,20 +277,19 @@ def vertex_closed_zn(n, legs, cutoff):
       product run to cutoff + sum(g), as Factors.times requires, and a
       surviving negative exponent raises there;
     - a third leg nu, or none: the Schur part is 1, |lam| = |mu| = 0 and
-      g = gbar = 0, so the zero-leg, hook and rotation factors remain.
+      g = gbar = 0, so one table remains: the zero-leg product, its
+      rotation by k to each power e_k != 0 (_zero_zn), and the hooks.
     """
     names = _group_names("zn", n)
     _check_cutoff(cutoff)
     lam, mu, nu = pc._check_legs(legs)
     if not (lam or mu):
-        zero = _zero_zn(n, names, cutoff)
-        fixed = zero * _hook_factors(nu, n, names, cutoff)
-        # rotation k moves each exponent of zero k places up, mod n
+        table = _zero_zn(n)
         for k, e in enumerate(_rotation_exponents(nu, n)):
             if e:
-                for (c, x), m in zero.mult.items():
-                    fixed._bump((c, x[n - k:] + x[:n - k]), m * e)
-        return fixed.series()
+                table += _zero_zn(n, k, e)
+        out = _product(table, 0, cutoff, names)
+        return out._absorb(_hook_factors(nu, n, names, cutoff)).series()
     if lam:
         part, bar = pc.conjugate(lam), True
         g = [pc.renormalization_exponent(lam, k, n) for k in range(n)]
@@ -301,7 +302,7 @@ def vertex_closed_zn(n, legs, cutoff):
     schur = skew_schur_specialized(part, (), _schur_values(n, work, bar),
                                    work, names)
     master = mul_terms(schur.terms, {tuple(-a for a in g): 1}, cutoff)
-    return _zero_zn(n, names, work).times(master, cutoff)
+    return _product(_zero_zn(n), 0, work, names).times(master, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +311,11 @@ def vertex_closed_zn(n, legs, cutoff):
 
 # A product is a table of entries (family, x, power, shift), each the
 # factor family(x; shift * ell) ** power of qseries.family_factors, with
-# q the product of all four variables.  At the staircase leg
+# q the product of all the variables.  At the staircase leg
 # (m, m-1, ..., 1), ell = ceil(m / 2), and "{main}" and "{other}" in a
-# family name stand for the suffixes m mod 2 and 1 - m mod 2; Mt and Mh
-# take no shift, so their entries carry 0 and _product passes none.  x
-# is a Term over (q0, qa, qb, qc) for Z2 x Z2 and (q0, q1, q2, q3) for Z4.
-_Q = term(1, (1, 1, 1, 1))
+# family name stand for the suffixes m mod 2 and 1 - m mod 2; M, Mt and
+# Mh take no shift, so their entries carry 0 and _product passes none.
+# x is a Term over (q0, qa, qb, qc) for Z2 x Z2 and the qt for Zn.
 _A, _B, _C = (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 _AB, _ABC = (0, 1, 1, 0), (0, 1, 1, 1)
 
@@ -355,16 +355,21 @@ _Z4_TAIL = _tail("Mt", 1, 1, (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 
 
 def _product(table, m, cutoff, names=VARS_Z2Z2):
-    """The table's product as Factors at the staircase leg of size m, an
-    int >= 0: True would be read as 1, and a float as a family name."""
+    """The table's product as Factors over `names`, q their product, at
+    the staircase leg of size m, an int >= 0 (True would be read as 1, a
+    float as a family name).  Equal entries add powers, then walk once."""
     if _check_int(m, "m") < 0:
         raise ValueError("m must be >= 0")
     main, other, ell = str(m % 2), str(1 - m % 2), (m + 1) // 2
-    out = Factors(names, cutoff)
+    q = term(1, (1,) * len(names))
+    powers = Counter()
     for family, x, power, shift in table:
-        name = family.format(main=main, other=other)
-        out._absorb(family_factors(name, names, cutoff, x, _Q,
-                                   l=shift * ell if shift else None), power)
+        powers[family.format(main=main, other=other), x, shift] += power
+    out = Factors(names, cutoff)
+    for (name, x, shift), power in powers.items():
+        if power:
+            l = shift * ell if shift else None
+            out._absorb(family_factors(name, names, cutoff, x, q, l=l), power)
     return out
 
 
@@ -380,11 +385,11 @@ def _branch(m, factors, swap):
 
 def one_leg_zn_staircase(n, m, cutoff):
     """Branch form of the order-four vertex with a staircase third leg:
-    the zero-leg Z4 vertex times _Z4_TAIL."""
+    the zero-leg Z4 vertex times _Z4_TAIL, as one table."""
     names = _group_names("zn", n)
     if n != 4:
         raise ValueError("staircase branch form needs n = 4")
-    out = _product(_Z4_TAIL, m, cutoff, names) * _zero_zn(4, names, cutoff)
+    out = _product(_Z4_TAIL + _zero_zn(4), m, cutoff, names)
     return _branch(m, out, (2, 3, 0, 1)).series()
 
 

@@ -14,8 +14,8 @@ and multiplied into a Laurent dict (the constant 1 for a plain product)
 once, by one pass per factor over packed graded parts: the factor is the
 finite polynomial (1 - t)^|k| or its inverse, so the pass multiplies top
 down or divides bottom up.  Series.invert is the same division, by the
-series itself.  The MacMahon-style product factory used by every closed
-formula lives here.
+series itself.  family_factors, the one walk entry for closed products,
+builds each named family as Factors, and Factors._absorb combines them.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ def term(coef, exps):
     raises TypeError rather than being truncated."""
     return (_check_int(coef, "coefficient"),
             tuple(_check_int(e, "exponent") for e in exps))
-
-
-def term_one(nvars):
-    return (1, (0,) * nvars)
 
 
 def term_mul(*ts):
@@ -251,12 +247,12 @@ def _check_cutoff(cutoff):
 
 def _relabeling(names, new_names, assignment):
     """The exponent map of map_vars, once its input is checked: one entry
-    per old variable, each an index into new_names; a negative index would
-    silently wrap to the end."""
+    per old variable, each an int index into new_names; True would be read
+    as 1, and a negative index would silently wrap to the end."""
     if len(assignment) != len(names):
         raise ValueError("assignment arity mismatch")
     for a in assignment:
-        if not 0 <= a < len(new_names):
+        if not 0 <= _check_int(a, "assignment index") < len(new_names):
             raise ValueError("assignment index %r outside range(%d)"
                              % (a, len(new_names)))
 
@@ -353,14 +349,14 @@ class Factors:
     exponents e of positive total degree, so (1 - t)^(-k) is a power
     series with integer coefficients for every integer k.  A factor whose
     degree exceeds the cutoff is 1 after truncation and is dropped when it
-    is added.  Products, integer powers and variable maps only add, scale
-    and relabel multiplicities (a quotient is a product with the -1st
-    power); times() multiplies the product into a Laurent dict once, one
-    pass per factor, and series() is times() on the constant 1.  A
-    negative cutoff raises, and a cutoff, coefficient, exponent or
-    multiplicity that is not an int raises TypeError: _add checks the
-    constructor's mult, and _walk_entry a walk product's Terms once, not
-    each a or factor derived from them.
+    is added.  _absorb(other, k), the one way to combine products,
+    multiplies in other ** k by adding k times its multiplicities (a
+    quotient is k = -1), and map_vars relabels them; times() multiplies
+    the product into a Laurent dict once, one pass per factor, and
+    series() is times() on the constant 1.  A negative cutoff raises, and
+    a cutoff, coefficient, exponent or multiplicity that is not an int
+    raises TypeError: _add checks the constructor's mult, and _walk_entry
+    a walk product's Terms once, not each a or factor derived from them.
     """
 
     __slots__ = ("names", "cutoff", "mult")
@@ -391,27 +387,11 @@ class Factors:
         else:
             self.mult.pop(key, None)
 
-    def __mul__(self, other):
-        if not isinstance(other, Factors):
-            raise TypeError("combine Factors with Factors only")
-        if self.names != other.names or self.cutoff != other.cutoff:
-            raise ValueError("incompatible factors: %r/%d vs %r/%d"
-                             % (self.names, self.cutoff, other.names, other.cutoff))
-        out = Factors(self.names, self.cutoff)
-        out.mult = dict(self.mult)
-        return out._absorb(other)
-
     def _absorb(self, other, k=1):
         # times other ** k in place, other over the same names and cutoff
         for t, m in other.mult.items():
             self._bump(t, m * k)
         return self
-
-    def __pow__(self, k):
-        out = Factors(self.names, self.cutoff)
-        if _check_int(k, "power"):
-            out.mult = {t: m * k for t, m in self.mult.items()}
-        return out
 
     def map_vars(self, new_names, assignment):
         """Relabel variables as Series.map_vars does; merged factors add
@@ -556,17 +536,13 @@ def _walk(out, a, q, macmahon, k):
     return out
 
 
-def macmahon_factors(x, q, names, cutoff):
-    """M(x, q) = prod_{n>=1} (1 - x q^n)^(-n) as Factors; x may have
-    degree 0 (e.g. the constant 1)."""
-    return _walk(_walk_entry(names, cutoff, x, q), x, q, True, 1)
-
-
 # Each tilde family is a product of entries (macmahon, power of x, power
 # of q, multiplicity): M(x^i q^j)^k when macmahon, else (x^i q^j; q)^k.
 # Powers and multiplicities are affine in the shift l, written (a, b)
 # for a + b*l.
 _TILDE = {
+    # M(x) = prod_{n>=1} (1 - x q^n)^(-n); x may have degree 0
+    "M": ((True, 1, (0, 0), (1, 0)),),
     # M~(x) = M(x) M(x^-1)
     "Mt": ((True, 1, (0, 0), (1, 0)), (True, -1, (0, 0), (1, 0))),
     # M~0(x; l) = M(x q^l) M(x)^-1 (q x^-1; q)^-l
@@ -585,20 +561,19 @@ _HAT = {"Mh": ("Mt", -1), "Mh0": ("Mt0", 1), "Mh1": ("Mt1", 1)}
 def family_factors(name, names, cutoff, x, q, l=None):
     """The named MacMahon-type product as Factors.
 
-    Names: Mt, Mh, Mt0, Mt1, Mh0, Mh1 (the paper's M~, M^, M~0, M~1,
-    M^0, M^1; see _TILDE and _HAT).  x and q are Terms, checked once on
-    entry; each entry's a = (+-x)^i q^j is formed from them, and i or
-    j < 0 needs a coefficient +-1.  l is the integer shift of the four
-    families that end in 0 or 1; Mt and Mh, which have none, raise if
-    given one.
+    Names: M, Mt, Mh, Mt0, Mt1, Mh0, Mh1 (MacMahon's M and the paper's
+    M~, M^, M~0, M~1, M^0, M^1; see _TILDE and _HAT).  x and q are Terms,
+    checked once on entry; each entry's a = (+-x)^i q^j is formed from
+    them, and i or j < 0 needs a coefficient +-1.  l is the integer shift
+    of the four families that end in 0 or 1; M, Mt and Mh, which have
+    none, raise if given one.
     """
     tilde, power = _HAT.get(name, (name, 1))
     if tilde not in _TILDE:
         raise ValueError("unknown MacMahon family name %r" % name)
-    if tilde == "Mt" and l is not None:
-        raise ValueError("family %s takes no shift l" % name)
-    if tilde != "Mt" and l is None:
-        raise ValueError("family %s needs the shift l" % name)
+    if (l is None) != (tilde in ("M", "Mt")):
+        raise ValueError("family %s %s shift l" % (
+            name, "needs the" if l is None else "takes no"))
     l = 0 if l is None else _check_int(l, "shift l")
     out = _walk_entry(names, cutoff, x, q)
     (xc, xe), (qc, qe) = x, q

@@ -10,7 +10,7 @@ from orbivertex.dt_vertex import (
     enumerate_one_leg, one_leg_zn_staircase, phi, pyramid_closed,
     skew_schur_specialized, symmetry_check, upsilon, vertex_closed_zn,
     _NOLEGS, _UPSILON, _hook_factors, _jacobi_trudi, _product, _qq_exps,
-    _rotation_exponents,
+    _rotation_exponents, _zero_zn,
 )
 from orbivertex.fock_transfer import vertex_by_transfer, zn_names
 from orbivertex.pyramid import ANTI, DIAG, VARS_Z2Z2, pyramid_series
@@ -278,6 +278,40 @@ def test_vertex_closed_zn_hook_and_rotation_internals():
     assert hook.terms == {(0,) * 4: 1}
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_zero_leg_table_rotates_its_factors(n):
+    # the rotated table's product is the zero-leg product with every key
+    # moved k places up mod n and every multiplicity times e: a rotation
+    # fixes q and M(1) and keeps degrees, so the cutoff drops the same
+    # factors
+    names = zn_names(n)
+    zero = _product(_zero_zn(n), 0, 12, names).mult
+    for k in range(n):
+        for e in (-2, 1, 3):
+            want = {(c, x[n - k:] + x[:n - k]): m * e
+                    for (c, x), m in zero.items()}
+            got = _product(_zero_zn(n, k, e), 0, 12, names).mult
+            assert got == want, (k, e)
+
+
+def test_product_walks_each_distinct_entry_once(monkeypatch):
+    # equal entries add their powers before any walk, and an entry whose
+    # powers cancel is not walked at all
+    walked = []
+
+    def counted(name, names, cutoff, x, q, l=None):
+        walked.append((name, x, l))
+        return family_factors(name, names, cutoff, x, q, l=l)
+
+    monkeypatch.setattr(dt_vertex, "family_factors", counted)
+    names = zn_names(4)
+    assert _product(_zero_zn(4) + _zero_zn(4, 0, -1), 0, 12, names).mult == {}
+    assert walked == []
+    twice = _product(_zero_zn(4) + _zero_zn(4), 0, 12, names)
+    assert len(walked) == len(set(walked)) == len(_zero_zn(4))
+    assert twice.mult == _product(_zero_zn(4, 0, 2), 0, 12, names).mult
+
+
 def test_vertex_closed_zn_rejects_bad_input():
     with pytest.raises(ValueError, match="at most one non-empty leg"):
         vertex_closed_zn(1, ((1,), (1,), ()), 3)
@@ -498,7 +532,7 @@ def test_closed_series_coefficients_nonnegative():
 SWEEP_LEGS = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1), (3, 2, 1)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("leg", SWEEP_LEGS)
 def test_vertex_closed_zn_matches_enumeration_degree_8(n, leg):
     for legs in [((), (), leg), (leg, (), ()), ((), leg, ())]:
