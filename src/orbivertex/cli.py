@@ -87,8 +87,13 @@ def _emit(args, report, header, rows):
         w.writerows(rows)
         text = buf.getvalue()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as ex:
+            # main turns it into a usage error, exit 2, not 1 (a mismatch)
+            raise ValueError("cannot write %s: %s"
+                             % (args.output, ex.strerror or ex)) from ex
     else:
         sys.stdout.write(text)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from operator import sub
 
 from . import partition_core as pc
 from .pyramid import VARS_Z2Z2, _group_names, series_from_packed
@@ -126,13 +127,13 @@ def symmetry_check(leg, shift, cutoff):
     """
     v = pc.check_partition(tuple(leg))
     _check_int(shift, "shift")
-    lhs = enumerate_3d(v, "z2z2", cutoff)
     if shift == 1:
         legs, assign = (v, (), ()), (0, 3, 1, 2)
     elif shift == 2:
         legs, assign = ((), v, ()), (0, 2, 3, 1)
     else:
         raise ValueError("shift must be 1 or 2")
+    lhs = enumerate_3d(v, "z2z2", cutoff)
     rhs = enumerate_one_leg(legs, "z2z2", cutoff).map_vars(VARS_Z2Z2, assign)
     return lhs == rhs
 
@@ -273,9 +274,11 @@ def vertex_closed_zn(n, legs, cutoff):
     eta = () and the other Schur factor is s_() = 1:
     - a side leg, lam or mu: nu = () and tl = tm = 0, so the values are
       qq(r) / qq(0) = qq(r) and the shift is -(g + gbar), one of them 0;
-      the shift has degree -sum(g), so s_{lam'} or s_mu and the zero-leg
-      product run to cutoff + sum(g), as Factors.times requires, and a
-      surviving negative exponent raises there;
+      the shift has degree -sum(g), so s_{lam'} or s_mu runs to
+      cutoff + sum(g), and the shifted terms enter a Series at the
+      cutoff, where a surviving negative exponent raises.  The zero-leg
+      product needs only the cutoff: every term of that Series has degree
+      >= 0, so a factor of degree > cutoff lands above it;
     - a third leg nu, or none: the Schur part is 1, |lam| = |mu| = 0 and
       g = gbar = 0, so one table remains: the zero-leg product, its
       rotation by k to each power e_k != 0 (_zero_zn), and the hooks.
@@ -301,8 +304,9 @@ def vertex_closed_zn(n, legs, cutoff):
     work = cutoff + sum(g)
     schur = skew_schur_specialized(part, (), _schur_values(n, work, bar),
                                    work, names)
-    master = mul_terms(schur.terms, {tuple(-a for a in g): 1}, cutoff)
-    return _product(_zero_zn(n), 0, work, names).times(master, cutoff)
+    master = Series(names, cutoff, {tuple(map(sub, e, g)): c
+                                    for e, c in schur.terms.items()})
+    return _product(_zero_zn(n), 0, cutoff, names).times(master)
 
 
 # ---------------------------------------------------------------------------

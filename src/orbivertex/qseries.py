@@ -2,20 +2,21 @@
 
 Coefficients are Python ints, exponents are non-negative.  Laurent-style
 intermediate data (signed monomials with possibly negative exponents) is
-carried by plain Term tuples and {exponents: coefficient} dicts, and must
-be combined into something non-negative before it can enter a Series;
-one checker, _check_exps, rejects a negative exponent there.  Every
-truncated product of two such dicts, Series arithmetic included, goes
-through the one kernel mul_terms.
+carried by plain Term tuples, and must be combined into something
+non-negative before it can enter a Series; one checker, _check_exps,
+rejects a negative exponent there.  Every truncated product of two
+{exponents: coefficient} dicts, Series arithmetic included, goes through
+the one kernel mul_terms.
 
 Closed formulas are products of binomial factors (1 - t)^(-k).  They are
 kept as exponent multisets (Factors), combined by adding multiplicities,
-and multiplied into a Laurent dict (the constant 1 for a plain product)
-once, by one pass per factor over packed graded parts: the factor is the
-finite polynomial (1 - t)^|k| or its inverse, so the pass multiplies top
-down or divides bottom up.  Series.invert is the same division, by the
-series itself.  family_factors, the one walk entry for closed products,
-builds each named family as Factors, and Factors._absorb combines them.
+and multiplied into a Series over the same names and cutoff (the
+constant 1 for a plain product) once, by one pass per factor over packed
+graded parts: the factor is the finite polynomial (1 - t)^|k| or its
+inverse, so the pass multiplies top down or divides bottom up.
+Series.invert is the same division, by the series itself.
+family_factors, the one walk entry for closed products, builds each
+named family as Factors, and Factors._absorb combines them.
 """
 
 from __future__ import annotations
@@ -49,11 +50,12 @@ def mul_terms(a, b, cap, out=None):
     """Add every product of a term of a with a term of b whose total
     degree is at most cap into out (a new dict by default); return out.
 
-    a, b and out are {exponent tuple: coefficient} dicts.  Exponents may
-    be negative, so Laurent data goes through the same loop.  A key whose
-    coefficient sums to 0 is removed.  The larger operand runs outside and
-    the smaller one is sorted by degree, so each outer term stops at the
-    first partner that would pass the cap.
+    a, b and out are {exponent tuple: coefficient} dicts.  The loop never
+    reads an exponent's sign, so Laurent dicts would pass too, though no
+    route gives it one.  A key whose coefficient sums to 0 is removed.
+    The larger operand runs outside and the smaller one is sorted by
+    degree, so each outer term stops at the first partner that would
+    pass the cap.
     """
     if out is None:
         out = {}
@@ -144,11 +146,7 @@ class Series:
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other):
-        if not isinstance(other, Series):
-            raise TypeError("combine Series with Series only")
-        if self.names != other.names or self.cutoff != other.cutoff:
-            raise ValueError("incompatible series: %r/%d vs %r/%d"
-                             % (self.names, self.cutoff, other.names, other.cutoff))
+        _check_like(self, other)
         return self._like(mul_terms(self.terms, other.terms, self.cutoff))
 
     def __pow__(self, k):
@@ -237,6 +235,15 @@ def _check_exps(exps, names, laurent=False):
         if x < 0 and not laurent:
             raise ValueError("negative exponent %r; combine Laurent factors "
                              "first" % (exps,))
+
+
+def _check_like(a, other):
+    # other must be a Series over a's names at a's cutoff
+    if not isinstance(other, Series):
+        raise TypeError("combine Series with Series only")
+    if a.names != other.names or a.cutoff != other.cutoff:
+        raise ValueError("incompatible series: %r/%d vs %r/%d"
+                         % (a.names, a.cutoff, other.names, other.cutoff))
 
 
 def _check_cutoff(cutoff):
@@ -352,11 +359,12 @@ class Factors:
     is added.  _absorb(other, k), the one way to combine products,
     multiplies in other ** k by adding k times its multiplicities (a
     quotient is k = -1), and map_vars relabels them; times() multiplies
-    the product into a Laurent dict once, one pass per factor, and
-    series() is times() on the constant 1.  A negative cutoff raises, and
-    a cutoff, coefficient, exponent or multiplicity that is not an int
-    raises TypeError: _add checks the constructor's mult, and _walk_entry
-    a walk product's Terms once, not each a or factor derived from them.
+    the product into a Series over the same names and cutoff once, one
+    pass per factor, and series() is times() on the constant 1.  A
+    negative cutoff raises, and a cutoff, coefficient, exponent or
+    multiplicity that is not an int raises TypeError: _add checks the
+    constructor's mult, and _walk_entry a walk product's Terms once, not
+    each a or factor derived from them.
     """
 
     __slots__ = ("names", "cutoff", "mult")
@@ -405,30 +413,15 @@ class Factors:
 
     def series(self):
         """The product as a Series at self.cutoff."""
-        return self.times({(0,) * len(self.names): 1}, self.cutoff)
+        one = Series(self.names, self.cutoff, {(0,) * len(self.names): 1})
+        return self.times(one)
 
-    def times(self, terms, cutoff):
-        """terms times the product, truncated at total degree `cutoff`, as
-        a Series over self.names.
-
-        terms is a {exponent tuple: coefficient} dict of ints, exponents
-        possibly negative.  Only its nonzero terms of degree <= cutoff
-        matter: a factor has positive degree, so a term above stays above.
-
-        Negative exponents.  If such a term has a negative exponent, the
-        product has one too, and the same ValueError as Series raises,
-        naming the term t of lowest degree among them: a monomial of the
-        product at t's degree comes from a term of degree <= t's times a
-        factor monomial, with exponents >= 0; a term of lower degree has
-        none negative, so only t times the constant 1 reaches t, and t
-        survives with its coefficient.  Hence every exponent passed on is
-        >= 0 and <= cutoff, and the packing base is cutoff + 1.
-
-        Truncation.  A nonzero term of degree below cutoff - self.cutoff
-        raises ValueError: a factor of degree above self.cutoff was
-        dropped when it was added, and times such a term it could land at
-        degree <= cutoff.  Times a term of degree >= cutoff - self.cutoff,
-        every dropped factor lands above cutoff, so the result is exact.
+    def times(self, master):
+        """master times the product, as a Series over self.names at
+        self.cutoff; master must be a Series over the same names and
+        cutoff, checked as Series * Series checks its operands.  Its
+        exponents are >= 0 and its degrees <= cutoff, so every exponent
+        passed on is <= cutoff, and the packing base is cutoff + 1.
 
         One pass per factor (1 - c x^e)^(-k), of degree d = |e|.  With
         m = |k|, the factor is P or 1/P for the polynomial
@@ -455,23 +448,10 @@ class Factors:
         of degree <= cutoff - d, which are still sparse while the factors
         of high degree run.
         """
-        _check_cutoff(cutoff)
-        items = []
-        for e, c in terms.items():
-            _check_int(c, "coefficient")
-            _check_exps(e, self.names, laurent=True)
-            if c and sum(e) <= cutoff:
-                items.append((e, c))
-        neg = [(sum(e), e) for e, _ in items if e and min(e) < 0]
-        if neg:
-            raise ValueError("negative exponent %r; combine Laurent factors "
-                             "first" % (min(neg)[1],))
-        low = min((sum(e) for e, _ in items), default=cutoff)
-        if low < cutoff - self.cutoff:
-            raise ValueError("term of degree %d below cutoff %d - factor "
-                             "cutoff %d" % (low, cutoff, self.cutoff))
+        _check_like(self, master)
+        cutoff = self.cutoff
         base = cutoff + 1
-        parts = _graded_parts(items, base, cutoff)
+        parts = _graded_parts(master.terms.items(), base, cutoff)
         for (c, e), k in sorted(self.mult.items(),
                                 key=lambda f: -sum(f[0][1])):
             d, m = sum(e), abs(k)
@@ -484,9 +464,7 @@ class Factors:
                 cr *= -c
                 steps.append((r * d, r * shift, b * cr))
             _pass(parts, steps, cutoff, k > 0)
-        out = Series(self.names, cutoff)
-        out.terms = _decoded(parts, base, len(self.names))
-        return out
+        return master._like(_decoded(parts, base, len(self.names)))
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,21 @@ def test_output_into_missing_directory_fails_first(tmp_path, capsys,
     assert not (tmp_path / "missing").exists()
 
 
+def test_failed_write_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # an OSError from --output escaped main as a traceback, exit 1 like a
+    # mismatch; it is a usage error now, naming the path and the reason
+    def refuse(path, mode="r"):
+        raise PermissionError("permission denied")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    target = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as ex:
+        cli.main(["vertex", "--degree", "3", "--output", str(target)])
+    assert ex.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot write %s: permission denied" % target in err
+
+
 def test_zn_n_below_one_gives_one_message_per_method(capsys):
     # closed said "n must be >= 1", enumerate and transfer "zn group needs
     # n >= 1"

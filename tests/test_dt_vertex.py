@@ -127,6 +127,17 @@ def test_symmetry_check():
         symmetry_check((1,), 3, 2)
 
 
+@pytest.mark.parametrize("shift", [0, 3, -1])
+def test_symmetry_check_rejects_shift_before_enumerating(monkeypatch, shift):
+    # the shift used to be read only after the left-hand side was counted
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the shift was checked")
+
+    monkeypatch.setattr(dt_vertex, "enumerate_one_leg", refuse)
+    with pytest.raises(ValueError, match="shift must be 1 or 2"):
+        symmetry_check((2, 1), shift, 16)
+
+
 def test_symmetry_check_rejects_non_int_shift():
     # True was read as shift 1 and 1.0 compared equal to it
     for shift in (True, 1.0):
@@ -543,8 +554,9 @@ def test_vertex_closed_zn_matches_enumeration_degree_8(n, leg):
 @pytest.mark.parametrize("leg", [(2, 1), (3,), (1, 1, 1)])
 def test_vertex_closed_zn_side_slots_match_enumeration_degree_12(n, leg):
     # in a side slot the renormalization shift has negative exponents
-    # that the Schur part must cancel before Factors.times; no transfer
-    # mode reaches these slots, and the first takes the barred values
+    # that the Schur part must cancel before its terms enter a Series; no
+    # transfer mode reaches these slots, and the first takes the barred
+    # values
     for legs in [(leg, (), ()), ((), leg, ())]:
         got = vertex_closed_zn(n, legs, 12)
         assert got == enumerate_one_leg(legs, "zn", 12, n=n), legs
@@ -571,6 +583,26 @@ def test_vertex_closed_zn_makes_no_series_product(monkeypatch, n, slot):
     got = vertex_closed_zn(n, tuple(legs), 6)
     assert len(calls) == (slot < 2)
     assert got == enumerate_one_leg(tuple(legs), "zn", 6, n=n)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("legs", [((3, 1), (), ()), ((), (2, 2, 1), ())],
+                         ids=["slot-1", "slot-2"])
+def test_vertex_closed_zn_side_slot_product_runs_at_the_cutoff(
+        monkeypatch, n, legs):
+    # only the Schur function runs to cutoff + sum(g) (3 and 4 here): the
+    # shifted master has no term of negative degree, so a factor above
+    # the cutoff cannot reach it
+    cutoffs = []
+
+    def recorded(table, m, cutoff, names):
+        cutoffs.append(cutoff)
+        return _product(table, m, cutoff, names)
+
+    monkeypatch.setattr(dt_vertex, "_product", recorded)
+    got = vertex_closed_zn(n, legs, 7)
+    assert cutoffs == [7]
+    assert got == enumerate_one_leg(legs, "zn", 7, n=n)
 
 
 @pytest.mark.parametrize("group, closed", [

@@ -69,7 +69,6 @@ ALLOWED = {
     "Series.__pow__": "the power that the tracer's pow layer wraps",
     "Series.__mul__": "the product that the tracer's mul layer wraps; "
                       "the closed Zn vertex makes one Schur function",
-    "Series._like": "builds the results of the product, power and inverse",
     "Series.map_vars": "relabels the side-slot enumeration for "
                        "symmetry_check",
     "Series.coefficient": "reads the first differing coefficient when "

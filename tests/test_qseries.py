@@ -528,25 +528,19 @@ def rand_multiset(rng, names, cutoff):
     return Factors(names, cutoff, mult)
 
 
-def rand_master(rng, nvars, cutoff, negative):
-    """1-4 terms with exponents in {0, 1} plus a rand_laurent dict; unless
-    `negative`, each term of the latter with a negative exponent is
-    zeroed or lifted above the cutoff, so it cannot count."""
-    out = {tuple(rng.randrange(0, 2) for _ in range(nvars)): rng.randrange(1, 4)
+def rand_master(rng, names, cutoff):
+    """A Series of 1-4 terms with exponents in {0, 1} and 1-3 with
+    exponents in 0..2 and coefficients in -4..4."""
+    out = {tuple(rng.randrange(0, 2) for _ in names): rng.randrange(1, 4)
            for _ in range(rng.randrange(1, 5))}
-    for e, c in rand_laurent(rng, nvars, rng.randrange(1, 4)).items():
-        if min(e) < 0 and not negative:
-            if rng.random() < 0.5:
-                c = 0
-            else:
-                e = e[:-1] + (e[-1] + cutoff + 2 * nvars + 3,)
-        out[e] = out.get(e, 0) + c
-    return out
+    for _ in range(rng.randrange(1, 4)):
+        e = tuple(rng.randrange(0, 3) for _ in names)
+        out[e] = out.get(e, 0) + rng.randrange(-4, 5)
+    return Series(names, cutoff, out)
 
 
 def test_factors_times_matches_euler_oracle():
     rng = random.Random(1717)
-    seen = set()
     for case in range(24):
         nvars = 1 + case % 4
         names = tuple("x%d" % i for i in range(nvars))
@@ -554,23 +548,9 @@ def test_factors_times_matches_euler_oracle():
         fs = rand_multiset(rng, names, D)
         want = oracles.factors_series_euler(fs)
         assert fs.series() == want, case
-        master = rand_master(rng, nvars, D, negative=case % 2)
-        cut = rng.randrange(D - 2, D + 1)
-        prod = mul_terms(master, want.terms, cut)
-        neg = {e: c for e, c in prod.items() if min(e) < 0}
-        if neg:
-            # the lowest-degree negative term survives with its
-            # coefficient, and times names it
-            t = min((sum(e), e) for e, c in master.items()
-                    if c and sum(e) <= cut and min(e) < 0)[1]
-            assert neg[t] == master[t]
-            with pytest.raises(ValueError, match=re.escape(
-                    "negative exponent %r;" % (t,))):
-                fs.times(master, cut)
-        else:
-            assert fs.times(master, cut).terms == prod, case
-        seen.add(bool(neg))
-    assert seen == {True, False}
+        master = rand_master(rng, names, D)
+        prod = mul_terms(master.terms, want.terms, D)
+        assert fs.times(master).terms == prod, case
 
 
 def test_factors_order_does_not_change_the_product():
@@ -581,7 +561,7 @@ def test_factors_order_does_not_change_the_product():
         names = tuple("x%d" % i for i in range(1 + case % 3))
         D = 12
         items = list(rand_multiset(rng, names, D).mult.items())
-        master = rand_master(rng, len(names), D, negative=False)
+        master = rand_master(rng, names, D)
         shuffled = items[:]
         rng.shuffle(shuffled)
         orders = [sorted(items, key=lambda f: sum(f[0][1])),
@@ -589,7 +569,7 @@ def test_factors_order_does_not_change_the_product():
         got = [Factors(names, D, dict(order)) for order in orders]
         series = [f.series() for f in got]
         assert series[0] == series[1] == series[2], case
-        prods = [f.times(master, D) for f in got]
+        prods = [f.times(master) for f in got]
         assert prods[0] == prods[1] == prods[2], case
 
 
@@ -602,10 +582,9 @@ def test_factors_times_round_trip():
         names = tuple("x%d" % i for i in range(nvars))
         D = (18, 14, 12, 10)[nvars - 1]
         F = rand_multiset(rng, names, D)
-        master = rand_master(rng, nvars, D, negative=False)
-        back = combined(names, D, (F, -1)).times(F.times(master, D).terms, D)
-        assert back.terms == {e: c for e, c in master.items()
-                              if c and sum(e) <= D}, case
+        master = rand_master(rng, names, D)
+        back = combined(names, D, (F, -1)).times(F.times(master))
+        assert back == master, case
 
 
 @pytest.mark.parametrize("build", [
@@ -636,37 +615,41 @@ def test_factors_times_edge_cases():
     names = ("a", "b")
     f = Factors(names, 4, {term(1, (1, 0)): 2, term(-1, (0, 1)): -1})
     s = f.series()
-    # zero coefficients are dropped, and so are the negative exponents
-    # that only a zero coefficient or a degree above the cutoff carries
-    got = f.times({(1, 0): 2, (0, 1): 0, (-1, 0): 0, (-1, 9): 4}, 4)
+    # a master's zero coefficients are dropped
+    got = f.times(Series(names, 4, {(1, 0): 2, (0, 1): 0}))
     assert got.terms == mul_terms(s.terms, {(1, 0): 2}, 4)
-    # coefficients that cancel to 0 in the product are dropped
+    # coefficients that cancel to 0 in the product are dropped, and the
+    # master is left as it was
     inverse = mul_terms({(0, 0): 1, (1, 0): -2, (2, 0): 1},
                         {(0, j): (-1) ** j for j in range(5)}, 4)
-    assert f.times(inverse, 4).terms == {(0, 0): 1}
-    # a surviving negative exponent raises the Series error, naming it
-    with pytest.raises(ValueError, match=r"negative exponent \(-1, 1\)"):
-        f.times({(-1, 1): 1, (-1, 3): 1}, 4)
-    # below cutoff - self.cutoff a dropped factor could reach the result
-    with pytest.raises(ValueError, match="below cutoff 6 - factor cutoff 4"):
-        f.times({(1, 0): 1}, 6)
-    wide = Factors(names, 6, f.mult).series()
-    assert f.times({(1, 1): 1}, 6).terms == mul_terms(wide.terms, {(1, 1): 1}, 6)
-    with pytest.raises(ValueError, match="arity mismatch"):
-        f.times({(1,): 1}, 4)
+    master = Series(names, 4, inverse)
+    assert f.times(master).terms == {(0, 0): 1}
+    assert master.terms == inverse
 
 
 def test_factors_times_checks_term_types():
     # a float coefficient used to come back as float coefficients, and a
     # float exponent failed inside the packing with "list indices must be
-    # integers"
-    f = Factors(("a", "b"), 3, {(1, (1, 0)): 1})
-    with pytest.raises(TypeError, match="coefficient must be an int"):
-        f.times({(0, 0): 1.5}, 3)
-    with pytest.raises(TypeError, match="exponent must be an int"):
-        f.times({(1.5, 0): 1}, 3)
-    with pytest.raises(TypeError, match="exponent must be an int"):
-        f.times({(True, 0): 1}, 3)
+    # integers": times takes no dict, and a Series checks each term
+    names = ("a", "b")
+    f = Factors(names, 3, {(1, (1, 0)): 1})
+    for terms, what in [({(0, 0): 1.5}, "coefficient"),
+                        ({(1.5, 0): 1}, "exponent"),
+                        ({(True, 0): 1}, "exponent")]:
+        with pytest.raises(TypeError, match="combine Series with Series only"):
+            f.times(terms)
+        with pytest.raises(TypeError, match="%s must be an int" % what):
+            Series(names, 3, terms)
+
+
+@pytest.mark.parametrize("names, cutoff", [
+    (("a",), 4), (("b", "a"), 4), (("a", "b"), 3), (("a", "b"), 5)])
+def test_factors_times_rejects_another_space(names, cutoff):
+    # as Series * Series: the master must have the product's names and
+    # cutoff; a higher cutoff would need the factors dropped above 4
+    f = Factors(("a", "b"), 4, {(1, (1, 0)): 1})
+    with pytest.raises(ValueError, match="incompatible series"):
+        f.times(Series(names, cutoff, {(0,) * len(names): 1}))
 
 
 @pytest.mark.parametrize("build, factor", [
