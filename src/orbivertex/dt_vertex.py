@@ -16,8 +16,7 @@ from operator import sub
 from . import partition_core as pc
 from .pyramid import VARS_Z2Z2, _group_names, series_from_packed
 from .qseries import (
-    Factors, Series, _check_cutoff, _check_exps, _check_int, family_factors,
-    mul_terms, term,
+    Factors, Series, _check_cutoff, _check_exps, _check_int, mul_terms, term,
 )
 
 _Z2Z2_SLOT = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
@@ -55,8 +54,11 @@ def enumerate_one_leg(legs, group, cutoff, n=None):
     (len(leg)..r - 1, c, h), none in the leg, so r < len(leg) + cutoff
     and len(leg) + cutoff + 2 rows, border included, hold every
     successor; so do leg[0] + cutoff + 2 columns, x + 1 within its row.
-    The color has period 2 (z2z2) or n (zn) in each coordinate, so at
-    most period**3 units are built.  Weights are packed ints, base
+    A column holds at most cutoff boxes, so a unit, the packed color
+    of each height of a column, reads heights below cutoff.  The color
+    has period 2 (z2z2) or n (zn) in each coordinate, so one unit is
+    built per residue pair (r, c) mod period that the cells reach, at
+    most min(period**2, cells).  Weights are packed ints, base
     cutoff + 1, so no digit carries; they are unpacked once, at the end.
     """
     _check_cutoff(cutoff)
@@ -75,12 +77,12 @@ def enumerate_one_leg(legs, group, cutoff, n=None):
         return (x1 - x2) % n
 
     base = full = cutoff + 1
-    units = {(i, j): tuple(base ** slot(*place(i, j, h))
-                           for h in range(period)) * (cutoff // period + 1)
-             for i in range(period) for j in range(period)}
     width = pc.part(leg, 0) + cutoff + 2
     cells = [(r, c) for r in range(-1, len(leg) + cutoff + 1)
              for c in range(-1, width - 1)]
+    units = {(i, j): tuple(base ** slot(*place(i, j, h))
+                           for h in range(cutoff))
+             for i, j in {(r % period, c % period) for r, c in cells}}
     unit = [units[(r % period, c % period)] for r, c in cells]
     top = [full if min(r, c) < 0 or c < pc.part(leg, r) else 0
            for r, c in cells]
@@ -237,20 +239,21 @@ def _schur_values(n, work, bar):
 
 
 @lru_cache(maxsize=None)
-def _zero_zn(n, k=0, power=1):
+def _zero_zn(n, cutoff, k=0, power=1):
     """The Zn zero-leg vertex M(1)^n prod M~(qt_a ... qt_b), 0 < a <= b < n,
-    each index moved k places up mod n, to `power`, as a cached table.
+    each index moved k places up mod n, to `power`, as a cached table of
+    the entries that add a factor at the cutoff.
     Exact: a rotation fixes q = qt_0 ... qt_(n-1) and M(1), sends x q^j to
-    the rotated x times q^j, and keeps degrees, so no truncation differs."""
+    the rotated x times q^j, and keeps degrees, so no truncation differs.
+    Bound: M~(x) = M(x) M(x^-1) has the factors x q^j and x^-1 q^j,
+    j >= 1, of degrees |x| + jn and jn - |x| >= n - |x|, so a run with
+    |x| = b - a + 1 < n - cutoff adds none and is left out.  The kept
+    runs have b >= a + n - 1 - cutoff; there are at most cutoff (cutoff
+    + 1) / 2 of them, whatever n."""
     return (("M", (1, (0,) * n), n * power, 0),) + tuple(
         ("Mt", (1, tuple(int(a <= (i - k) % n <= b) for i in range(n))),
-         power, 0) for a in range(1, n) for b in range(a, n))
-
-
-def _hook_factors(nu, n, names, cutoff):
-    # prod over the cells of nu of 1 / (1 - colored hook monomial)
-    return Factors(names, cutoff, Counter(
-        (1, pc.hook_color_count(nu, i, j, n)) for (i, j) in pc.cells(nu)))
+         power, 0)
+        for a in range(1, n) for b in range(max(a, a + n - 1 - cutoff), n))
 
 
 def _rotation_exponents(nu, n):
@@ -287,12 +290,15 @@ def vertex_closed_zn(n, legs, cutoff):
     _check_cutoff(cutoff)
     lam, mu, nu = pc._check_legs(legs)
     if not (lam or mu):
-        table = _zero_zn(n)
+        table = _zero_zn(n, cutoff)
         for k, e in enumerate(_rotation_exponents(nu, n)):
             if e:
-                table += _zero_zn(n, k, e)
+                table += _zero_zn(n, cutoff, k, e)
         out = _product(table, 0, cutoff, names)
-        return out._absorb(_hook_factors(nu, n, names, cutoff)).series()
+        # prod over the cells of nu of 1 / (1 - colored hook monomial)
+        for i, j in pc.cells(nu):
+            out._add((1, pc.hook_color_count(nu, i, j, n)), 1)
+        return out.series()
     if lam:
         part, bar = pc.conjugate(lam), True
         g = [pc.renormalization_exponent(lam, k, n) for k in range(n)]
@@ -306,7 +312,7 @@ def vertex_closed_zn(n, legs, cutoff):
                                    work, names)
     master = Series(names, cutoff, {tuple(map(sub, e, g)): c
                                     for e, c in schur.terms.items()})
-    return _product(_zero_zn(n), 0, cutoff, names).times(master)
+    return _product(_zero_zn(n, cutoff), 0, cutoff, names).times(master)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +320,7 @@ def vertex_closed_zn(n, legs, cutoff):
 # ---------------------------------------------------------------------------
 
 # A product is a table of entries (family, x, power, shift), each the
-# factor family(x; shift * ell) ** power of qseries.family_factors, with
+# factor family(x; shift * ell) ** power that Factors.walk adds, with
 # q the product of all the variables.  At the staircase leg
 # (m, m-1, ..., 1), ell = ceil(m / 2), and "{main}" and "{other}" in a
 # family name stand for the suffixes m mod 2 and 1 - m mod 2; M, Mt and
@@ -361,7 +367,8 @@ _Z4_TAIL = _tail("Mt", 1, 1, (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 def _product(table, m, cutoff, names=VARS_Z2Z2):
     """The table's product as Factors over `names`, q their product, at
     the staircase leg of size m, an int >= 0 (True would be read as 1, a
-    float as a family name).  Equal entries add powers, then walk once."""
+    float as a family name).  Equal entries add powers, then each walks
+    once into the one product."""
     if _check_int(m, "m") < 0:
         raise ValueError("m must be >= 0")
     main, other, ell = str(m % 2), str(1 - m % 2), (m + 1) // 2
@@ -372,8 +379,7 @@ def _product(table, m, cutoff, names=VARS_Z2Z2):
     out = Factors(names, cutoff)
     for (name, x, shift), power in powers.items():
         if power:
-            l = shift * ell if shift else None
-            out._absorb(family_factors(name, names, cutoff, x, q, l=l), power)
+            out.walk(name, x, q, shift * ell if shift else None, power)
     return out
 
 
@@ -393,7 +399,7 @@ def one_leg_zn_staircase(n, m, cutoff):
     names = _group_names("zn", n)
     if n != 4:
         raise ValueError("staircase branch form needs n = 4")
-    out = _product(_Z4_TAIL + _zero_zn(4), m, cutoff, names)
+    out = _product(_Z4_TAIL + _zero_zn(4, cutoff), m, cutoff, names)
     return _branch(m, out, (2, 3, 0, 1)).series()
 
 

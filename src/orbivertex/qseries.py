@@ -15,8 +15,8 @@ constant 1 for a plain product) once, by one pass per factor over packed
 graded parts: the factor is the finite polynomial (1 - t)^|k| or its
 inverse, so the pass multiplies top down or divides bottom up.
 Series.invert is the same division, by the series itself.
-family_factors, the one walk entry for closed products, builds each
-named family as Factors, and Factors._absorb combines them.
+Factors.walk, the one entry to the factor walk, multiplies a named
+family to a power into the multiset it is called on.
 """
 
 from __future__ import annotations
@@ -356,14 +356,13 @@ class Factors:
     exponents e of positive total degree, so (1 - t)^(-k) is a power
     series with integer coefficients for every integer k.  A factor whose
     degree exceeds the cutoff is 1 after truncation and is dropped when it
-    is added.  _absorb(other, k), the one way to combine products,
-    multiplies in other ** k by adding k times its multiplicities (a
-    quotient is k = -1), and map_vars relabels them; times() multiplies
-    the product into a Series over the same names and cutoff once, one
-    pass per factor, and series() is times() on the constant 1.  A
-    negative cutoff raises, and a cutoff, coefficient, exponent or
-    multiplicity that is not an int raises TypeError: _add checks the
-    constructor's mult, and _walk_entry a walk product's Terms once, not
+    is added.  Factors are added in place, each once: _add one checked
+    factor, walk a named family to a power; map_vars relabels them;
+    times() multiplies the product into a Series over the same names and
+    cutoff once, one pass per factor, and series() is times() on the
+    constant 1.  A negative cutoff raises, and a cutoff, coefficient,
+    exponent, multiplicity or power that is not an int raises TypeError:
+    _add checks each factor, walk its Terms, shift and power once, not
     each a or factor derived from them.
     """
 
@@ -395,10 +394,44 @@ class Factors:
         else:
             self.mult.pop(key, None)
 
-    def _absorb(self, other, k=1):
-        # times other ** k in place, other over the same names and cutoff
-        for t, m in other.mult.items():
-            self._bump(t, m * k)
+    def walk(self, name, x, q, l=None, power=1):
+        """Multiply the named MacMahon-type product to `power` into self;
+        return self.
+
+        Names: M, Mt, Mh, Mt0, Mt1, Mh0, Mh1 (MacMahon's M and the paper's
+        M~, M^, M~0, M~1, M^0, M^1; see _TILDE and _HAT).  x and q are
+        Terms over self.names, exponents possibly negative, checked once
+        as a Series term is, and q must have positive degree, or a walk
+        would not end; each entry's a = (+-x)^i q^j is formed from them,
+        and i or j < 0 needs a coefficient +-1.  l is the integer shift of
+        the four families that end in 0 or 1; M, Mt and Mh, which have
+        none, raise if given one.  power, an int, multiplies each entry's
+        multiplicity, so every factor is added once.
+        """
+        tilde, hat = _HAT.get(name, (name, 1))
+        if tilde not in _TILDE:
+            raise ValueError("unknown MacMahon family name %r" % name)
+        if (l is None) != (tilde in ("M", "Mt")):
+            raise ValueError("family %s %s shift l" % (
+                name, "needs the" if l is None else "takes no"))
+        l = 0 if l is None else _check_int(l, "shift l")
+        power = hat * _check_int(power, "power")
+        for t in (x, q):
+            _check_int(t[0], "coefficient")
+            _check_exps(t[1], self.names, laurent=True)
+        if sum(q[1]) <= 0:
+            raise ValueError("q of degree %d; the walk needs q of positive "
+                             "degree" % sum(q[1]))
+        (xc, xe), (qc, qe) = x, q
+        for s in ((1, -1) if name in _HAT else (1,)):
+            for macmahon, i, (ja, jb), (ka, kb) in _TILDE[tilde]:
+                j = ja + jb * l
+                for c, p in ((xc, i), (qc, j)):
+                    if p < 0 and c not in (1, -1):
+                        raise ValueError("cannot invert coefficient %d" % c)
+                a = ((s * xc) ** abs(i) * qc ** abs(j),
+                     tuple(i * u + j * v for u, v in zip(xe, qe)))
+                _walk(self, a, q, macmahon, power * (ka + kb * l))
         return self
 
     def map_vars(self, new_names, assignment):
@@ -472,26 +505,12 @@ class Factors:
 # ---------------------------------------------------------------------------
 
 
-def _walk_entry(names, cutoff, a, q):
-    """An empty Factors for walks over the Terms a and q, once both are
-    checked as a Series term is, exponents possibly negative, a before q;
-    q must have positive degree, or a walk would not end."""
-    out = Factors(names, cutoff)
-    for t in (a, q):
-        _check_int(t[0], "coefficient")
-        _check_exps(t[1], out.names, laurent=True)
-    if sum(q[1]) <= 0:
-        raise ValueError("q of degree %d; the walk needs q of positive "
-                         "degree" % sum(q[1]))
-    return out
-
-
 def _walk(out, a, q, macmahon, k):
     """Add prod_{n>=1} (1 - a q^n)^(-k*n) (macmahon) or prod_{n>=0}
     (1 - a q^n)^k (q-Pochhammer) to the Factors out; return out.
 
     a and q are Terms over out.names, exponents possibly negative, and k
-    an int, none checked here (see _walk_entry).  Each factor a*q^n up to
+    an int, none checked here (see Factors.walk).  Each factor a*q^n up to
     the cutoff is tested only for positive degree and non-negative
     exponents, then added to out.  Its coefficient and exponents carry
     from one n to the next.
@@ -534,34 +553,3 @@ _TILDE = {
 # Each hat family is the product over +-x of a tilde family, to a power:
 # M^(x) = (M~(x) M~(-x))^-1, M^0 and M^1 likewise from M~0 and M~1.
 _HAT = {"Mh": ("Mt", -1), "Mh0": ("Mt0", 1), "Mh1": ("Mt1", 1)}
-
-
-def family_factors(name, names, cutoff, x, q, l=None):
-    """The named MacMahon-type product as Factors.
-
-    Names: M, Mt, Mh, Mt0, Mt1, Mh0, Mh1 (MacMahon's M and the paper's
-    M~, M^, M~0, M~1, M^0, M^1; see _TILDE and _HAT).  x and q are Terms,
-    checked once on entry; each entry's a = (+-x)^i q^j is formed from
-    them, and i or j < 0 needs a coefficient +-1.  l is the integer shift
-    of the four families that end in 0 or 1; M, Mt and Mh, which have
-    none, raise if given one.
-    """
-    tilde, power = _HAT.get(name, (name, 1))
-    if tilde not in _TILDE:
-        raise ValueError("unknown MacMahon family name %r" % name)
-    if (l is None) != (tilde in ("M", "Mt")):
-        raise ValueError("family %s %s shift l" % (
-            name, "needs the" if l is None else "takes no"))
-    l = 0 if l is None else _check_int(l, "shift l")
-    out = _walk_entry(names, cutoff, x, q)
-    (xc, xe), (qc, qe) = x, q
-    for s in ((1, -1) if name in _HAT else (1,)):
-        for macmahon, i, (ja, jb), (ka, kb) in _TILDE[tilde]:
-            j = ja + jb * l
-            for c, p in ((xc, i), (qc, j)):
-                if p < 0 and c not in (1, -1):
-                    raise ValueError("cannot invert coefficient %d" % c)
-            a = ((s * xc) ** abs(i) * qc ** abs(j),
-                 tuple(i * u + j * v for u, v in zip(xe, qe)))
-            _walk(out, a, q, macmahon, power * (ka + kb * l))
-    return out

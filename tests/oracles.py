@@ -117,7 +117,7 @@ def term_var(nvars, idx, coef=1):
 
 def term_pow(t, k):
     """The Term t**k; k < 0 needs the coefficient +-1.  The tests build
-    the a of a factor walk with it; family_factors forms its own."""
+    the a of a factor walk with it; Factors.walk forms its own."""
     c, e = t
     if k < 0 and c not in (1, -1):
         raise ValueError("cannot invert coefficient %d" % c)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 import sympy
@@ -9,12 +10,12 @@ from orbivertex.dt_vertex import (
     closed_z2z2_staircase, corollary_rpc_closed, enumerate_3d,
     enumerate_one_leg, one_leg_zn_staircase, phi, pyramid_closed,
     skew_schur_specialized, symmetry_check, upsilon, vertex_closed_zn,
-    _NOLEGS, _UPSILON, _hook_factors, _jacobi_trudi, _product, _qq_exps,
+    _NOLEGS, _UPSILON, _jacobi_trudi, _product, _qq_exps,
     _rotation_exponents, _zero_zn,
 )
 from orbivertex.fock_transfer import vertex_by_transfer, zn_names
 from orbivertex.pyramid import ANTI, DIAG, VARS_Z2Z2, pyramid_series
-from orbivertex.qseries import Series, family_factors, mul_terms, term, term_mul
+from orbivertex.qseries import Factors, Series, mul_terms, term, term_mul
 
 import oracles
 from oracles import term_var
@@ -278,15 +279,12 @@ def test_vertex_closed_zn_random_single_legs():
 
 
 def test_vertex_closed_zn_hook_and_rotation_internals():
-    names = zn_names(4)
     assert _rotation_exponents((2, 1), 4) == (0, -1, 2, -1)
     for v in [(), (1,), (2, 1), (3, 1, 1)]:
         assert sum(_rotation_exponents(v, 4)) == 0
-    hook = _hook_factors((2, 1), 4, names, 3).series()
-    # the hook product is 1 / prod (1 - t) over these three t
-    for exps in [(0, 1, 0, 0), (0, 0, 0, 1), (1, 1, 0, 1)]:
-        hook = hook * Series(names, 3, {(0,) * 4: 1, exps: -1})
-    assert hook.terms == {(0,) * 4: 1}
+    # the hook product is 1 / prod (1 - t) over these three t, one a cell
+    hooks = [pc.hook_color_count((2, 1), i, j, 4) for i, j in pc.cells((2, 1))]
+    assert Counter(hooks) == Counter([(0, 1, 0, 0), (0, 0, 0, 1), (1, 1, 0, 1)])
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -296,12 +294,12 @@ def test_zero_leg_table_rotates_its_factors(n):
     # fixes q and M(1) and keeps degrees, so the cutoff drops the same
     # factors
     names = zn_names(n)
-    zero = _product(_zero_zn(n), 0, 12, names).mult
+    zero = _product(_zero_zn(n, 12), 0, 12, names).mult
     for k in range(n):
         for e in (-2, 1, 3):
             want = {(c, x[n - k:] + x[:n - k]): m * e
                     for (c, x), m in zero.items()}
-            got = _product(_zero_zn(n, k, e), 0, 12, names).mult
+            got = _product(_zero_zn(n, 12, k, e), 0, 12, names).mult
             assert got == want, (k, e)
 
 
@@ -309,18 +307,47 @@ def test_product_walks_each_distinct_entry_once(monkeypatch):
     # equal entries add their powers before any walk, and an entry whose
     # powers cancel is not walked at all
     walked = []
+    walk = Factors.walk
 
-    def counted(name, names, cutoff, x, q, l=None):
+    def counted(self, name, x, q, l=None, power=1):
         walked.append((name, x, l))
-        return family_factors(name, names, cutoff, x, q, l=l)
+        return walk(self, name, x, q, l, power)
 
-    monkeypatch.setattr(dt_vertex, "family_factors", counted)
+    monkeypatch.setattr(Factors, "walk", counted)
     names = zn_names(4)
-    assert _product(_zero_zn(4) + _zero_zn(4, 0, -1), 0, 12, names).mult == {}
+    zero = _zero_zn(4, 12)
+    assert _product(zero + _zero_zn(4, 12, 0, -1), 0, 12, names).mult == {}
     assert walked == []
-    twice = _product(_zero_zn(4) + _zero_zn(4), 0, 12, names)
-    assert len(walked) == len(set(walked)) == len(_zero_zn(4))
-    assert twice.mult == _product(_zero_zn(4, 0, 2), 0, 12, names).mult
+    twice = _product(zero + zero, 0, 12, names)
+    assert len(walked) == len(set(walked)) == len(zero)
+    assert twice.mult == _product(_zero_zn(4, 12, 0, 2), 0, 12, names).mult
+
+
+@pytest.mark.parametrize("n, D", [(12, 10), (60, 3), (200, 2)])
+@pytest.mark.parametrize("leg", [(), (2, 1)])
+def test_zn_routes_agree_where_n_exceeds_the_degree(n, D, leg):
+    # n > D, so the zero-leg table leaves out the short runs of M~, and
+    # enumeration builds units for far fewer than n**2 residue pairs
+    want = enumerate_3d(leg, "zn", D, n=n)
+    assert vertex_closed_zn(n, ((), (), leg), D) == want
+    assert vertex_by_transfer("zn", leg, D, n=n) == want
+    for legs in ((leg, (), ()), ((), leg, ())):
+        assert vertex_closed_zn(n, legs, D) == enumerate_one_leg(legs, "zn", D, n=n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_zero_leg_table_keeps_the_runs_that_reach_the_cutoff(n):
+    # a run x of M~ adds no factor below degree n - |x|, so leaving out
+    # the shorter ones changes no product; the rest number c (c + 1) / 2,
+    # c = min(cutoff, n - 1), besides M(1)^n
+    names = zn_names(n)
+    for cutoff in range(n + 2):
+        table = _zero_zn(n, cutoff)
+        c = min(cutoff, n - 1)
+        assert len(table) == 1 + c * (c + 1) // 2
+        assert _product(table, 0, cutoff, names).mult \
+            == _product(_zero_zn(n, n), 0, cutoff, names).mult
+    assert len(_zero_zn(200, 2)) == 4
 
 
 def test_vertex_closed_zn_rejects_bad_input():
@@ -500,9 +527,8 @@ def test_anti_frame_restriction_factors_the_vertex():
             gf = gf.map_vars(names, (0, 2, 1, 3))
         else:
             gf = gf.map_vars(names, (3, 1, 2, 0))
-        rhs = (family_factors("Mt", names, 4, term_mul(xa, xb), q).series()
-               * family_factors(fam, names, 4, term_mul(xa, xb), q, l=2 * ell).series()
-               * gf)
+        rhs = (Factors(names, 4).walk("Mt", term_mul(xa, xb), q)
+               .walk(fam, term_mul(xa, xb), q, l=2 * ell).series() * gf)
         assert closed_z2z2_staircase(m, 4) == rhs
 
 
@@ -523,10 +549,10 @@ def test_diag_frame_restriction_matches_z4_vertex():
         # times the four unshifted ones
         lhs = rpc.generating_function(pc.staircase(m), 0, DIAG, 4)
         for name, x in ((fam, xa), (fam, xb), (other, xlast), (fam, triple)):
-            lhs = lhs * family_factors(name, names, 4, x, q, l=ell).series()
+            lhs = lhs * Factors(names, 4).walk(name, x, q, l=ell).series()
         rhs = one_leg_zn_staircase(4, m, 4).map_vars(names, (0, 2, 3, 1))
         for x in (xa, xb, xlast, triple):
-            rhs = rhs * family_factors("Mh", names, 4, x, q).series()
+            rhs = rhs * Factors(names, 4).walk("Mh", x, q).series()
         assert lhs == rhs
 
 

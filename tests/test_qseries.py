@@ -1,13 +1,15 @@
 import json
 import random
 import re
+from collections import Counter
+from itertools import product
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from orbivertex.qseries import (
-    Factors, Series, _decoded, _pack, _walk, _walk_entry, family_factors,
-    mul_terms, term, term_mul,
+    Factors, Series, _decoded, _pack, _walk, mul_terms, term, term_mul,
 )
 
 import oracles
@@ -29,10 +31,10 @@ def rand_series(rng, names, cutoff, nterms=8, unit=False):
     return s
 
 
-def to_sym(s):
+def to_sym(s, gens=GENS):
     expr = sympy.Integer(0)
     for e, c in s.terms.items():
-        expr += c * sympy.prod(g ** x for g, x in zip(GENS, e))
+        expr += c * sympy.prod(g ** x for g, x in zip(gens, e))
     return sympy.expand(expr)
 
 
@@ -144,9 +146,9 @@ def test_series_arithmetic_skips_the_entry_checks(monkeypatch):
 
 
 def poch_walk(a, q, names, cutoff):
-    """(a; q)_infinity by qseries' factor walk, the one family_factors
-    runs for its Pochhammer entries."""
-    return _walk(_walk_entry(names, cutoff, a, q), a, q, False, 1)
+    """(a; q)_infinity by qseries' factor walk, the one Factors.walk runs
+    for its Pochhammer entries; a and q go in unchecked."""
+    return _walk(Factors(names, cutoff), a, q, False, 1)
 
 
 def test_pochhammer_frozen():
@@ -164,7 +166,7 @@ def test_macmahon_one_variable_frozen():
     # M(1, q) counts plane partitions: 1, 1, 3, 6
     one = term(1, (0,))
     q = term(1, (1,))
-    got = family_factors("M", ("q",), 3, one, q).series()
+    got = Factors(("q",), 3).walk("M", one, q).series()
     assert got.terms == {(0,): 1, (1,): 1, (2,): 3, (3,): 6}
 
 
@@ -175,34 +177,37 @@ def q_full():
 def test_macmahon_vs_sympy():
     q0, qa, qb, qc = GENS
     x = term(1, (0, 1, 0, 1))           # qa*qc
-    got = to_sym(family_factors("M", V4, 6, x, q_full()).series())
+    got = to_sym(Factors(V4, 6).walk("M", x, q_full()).series())
     want = oracles.smac(qa * qc, q0 * qa * qb * qc, GENS, 6)
     assert sympy.expand(got - want) == 0
 
 
-def sym_family(name, x, l, D):
+def sym_family(name, x, l, D, gens=GENS):
     """(num, den) with the named family equal to num / den, from its
-    written definition through the sympy oracles: M~(x) = M(x) M(1/x),
+    written definition through the sympy oracles, q the product of gens:
+    M(x) is itself, M~(x) = M(x) M(1/x),
     M~0(x; l) = M(x q^l) / (M(x) (q/x; q)^l) and M~1(x; l) =
     M(q^l/x) / (M(1/x) (x; q)^l); each hat family is the product of its
     tilde family at x and -x, and M^ is inverted."""
-    q = sympy.prod(GENS)
+    q = sympy.prod(gens)
 
     def mul(a, b):
-        return oracles.smul(a, b, GENS, D)
+        return oracles.smul(a, b, gens, D)
 
     def tilde(y):
         if name[2:] == "":
-            return mul(oracles.smac(y, q, GENS, D),
-                       oracles.smac(1 / y, q, GENS, D)), sympy.Integer(1)
+            return mul(oracles.smac(y, q, gens, D),
+                       oracles.smac(1 / y, q, gens, D)), sympy.Integer(1)
         if name[2:] == "0":
             num, den, p = y * q ** l, y, q / y
         else:
             num, den, p = q ** l / y, 1 / y, y
-        poch = oracles.spoch(p, q, GENS, D) ** l
-        return (oracles.smac(num, q, GENS, D),
-                mul(oracles.smac(den, q, GENS, D), poch))
+        poch = oracles.spoch(p, q, gens, D) ** l
+        return (oracles.smac(num, q, gens, D),
+                mul(oracles.smac(den, q, gens, D), poch))
 
+    if name == "M":
+        return oracles.smac(x, q, gens, D), sympy.Integer(1)
     if name.startswith("Mt"):
         return tilde(x)
     (na, da), (nb, db) = tilde(x), tilde(-x)
@@ -220,16 +225,56 @@ def test_families_match_their_definitions_in_sympy():
     for name in ("Mt", "Mh", "Mt0", "Mt1", "Mh0", "Mh1"):
         for x, sx in xs:
             for l in ((None,) if name in ("Mt", "Mh") else range(4)):
-                got = to_sym(family_factors(name, V4, D, x, q_full(), l=l).series())
+                got = to_sym(Factors(V4, D).walk(name, x, q_full(), l=l).series())
                 num, den = sym_family(name, sx, l, D)
                 diff = oracles.smul(got, den, GENS, D) - oracles.strunc(num, GENS, D)
                 assert sympy.expand(diff) == 0, (name, x, l)
 
 
+XYZ = ("x", "y", "z")
+XYZ_GENS = sympy.symbols("x y z")
+# a table entry (family, sign, exponents of x, power, shift): x is a
+# signed product of one or two of the three variables, so every factor
+# x^(+-1) q^n, q = xyz, has non-negative exponents and positive degree
+WALK_ENTRY = st.tuples(
+    st.sampled_from(("M", "Mt", "Mh", "Mt0", "Mt1", "Mh0", "Mh1")),
+    st.sampled_from((1, -1)),
+    st.sampled_from([e for e in product((0, 1), repeat=3) if 0 < sum(e) < 3]),
+    st.integers(-2, 2), st.integers(0, 2))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(st.lists(WALK_ENTRY, min_size=1, max_size=4), st.integers(0, 6))
+def test_walked_table_is_the_product_of_its_families(table, D):
+    # one multiset walked entry by entry is, key for key, the sum of each
+    # family walked alone times its power, and its series is the product
+    # of the families' sympy definitions to those powers
+    q = term(1, (1, 1, 1))
+    out = Factors(XYZ, D)
+    alone = Counter()
+    num = den = sympy.Integer(1)
+    for name, sign, e, power, l in table:
+        l = None if name in ("M", "Mt", "Mh") else l
+        out.walk(name, (sign, e), q, l, power)
+        for t, k in Factors(XYZ, D).walk(name, (sign, e), q, l).mult.items():
+            alone[t] += k * power
+        x = sign * sympy.prod(g ** a for g, a in zip(XYZ_GENS, e))
+        fnum, fden = sym_family(name, x, l, D, XYZ_GENS)
+        if power < 0:
+            fnum, fden = fden, fnum
+        for _ in range(abs(power)):
+            num = oracles.smul(num, fnum, XYZ_GENS, D)
+            den = oracles.smul(den, fden, XYZ_GENS, D)
+    assert out.mult == {t: k for t, k in alone.items() if k}
+    got = to_sym(out.series(), XYZ_GENS)
+    diff = oracles.smul(got, den, XYZ_GENS, D) - oracles.strunc(num, XYZ_GENS, D)
+    assert sympy.expand(diff) == 0
+
+
 def test_macmahon_sym_low_order():
     # M(x^-1, q) factor at n=1 produces the dual variables
     x = term(1, (0, 1, 0, 1))           # qa*qc; q/x = q0*qb
-    s = family_factors("Mt", V4, 2, x, q_full()).series()
+    s = Factors(V4, 2).walk("Mt", x, q_full()).series()
     assert s.coefficient((1, 0, 1, 0)) == 1
     assert s.coefficient((0, 0, 0, 0)) == 1
     assert sum(s.terms.values()) == 2   # nothing else through degree 2
@@ -239,8 +284,8 @@ def test_macmahon_shift_identity():
     # M(x, q) = M(x q^-1, q) * (x; q)_infinity
     x = term(1, (0, 1, 1, 0))           # qa*qb
     q = q_full()
-    lhs = family_factors("M", V4, 6, x, q).series()
-    rhs = (family_factors("M", V4, 6, term_mul(x, term_pow(q, -1)), q).series()
+    lhs = Factors(V4, 6).walk("M", x, q).series()
+    rhs = (Factors(V4, 6).walk("M", term_mul(x, term_pow(q, -1)), q).series()
            * pochhammer_factors(x, q, V4, 6).series())
     assert lhs == rhs
 
@@ -252,10 +297,10 @@ def test_sym_ratio_identity():
     qix = term_mul(q, term_pow(x, -1))
     # Mt(x) / Mt(qix) = (x; q) / (qix; q), with the denominators
     # multiplied across
-    lhs = (family_factors("Mt", V4, 6, x, q).series()
+    lhs = (Factors(V4, 6).walk("Mt", x, q).series()
            * pochhammer_factors(qix, q, V4, 6).series())
     rhs = (pochhammer_factors(x, q, V4, 6).series()
-           * family_factors("Mt", V4, 6, qix, q).series())
+           * Factors(V4, 6).walk("Mt", qix, q).series())
     assert lhs == rhs
 
 
@@ -266,9 +311,9 @@ def test_family_shift_link():
     qix = term_mul(q, term_pow(x, -1))
     for l in (0, 1, 2):
         # Mt1(qix, l + 1) = Mt0(x, l) (x; q) / (qix; q)
-        lhs = (family_factors("Mt1", V4, 6, qix, q, l=l + 1).series()
+        lhs = (Factors(V4, 6).walk("Mt1", qix, q, l=l + 1).series()
                * pochhammer_factors(qix, q, V4, 6).series())
-        rhs = (family_factors("Mt0", V4, 6, x, q, l=l).series()
+        rhs = (Factors(V4, 6).walk("Mt0", x, q, l=l).series()
                * pochhammer_factors(x, q, V4, 6).series())
         assert lhs == rhs, l
 
@@ -276,9 +321,9 @@ def test_family_shift_link():
 def test_family_hat_composition():
     x = term(1, (0, 1, 0, 0))
     q = q_full()
-    mt = family_factors("Mt", V4, 6, x, q).series()
-    mtn = family_factors("Mt", V4, 6, term_neg(x), q).series()
-    mh = family_factors("Mh", V4, 6, x, q).series()
+    mt = Factors(V4, 6).walk("Mt", x, q).series()
+    mtn = Factors(V4, 6).walk("Mt", term_neg(x), q).series()
+    mh = Factors(V4, 6).walk("Mh", x, q).series()
     assert (mh * mt * mtn).terms == {(0,) * 4: 1}
 
 
@@ -287,19 +332,21 @@ def test_family_name_rejections():
     q = q_full()
     for name in ("Mx", "M2", "M~0"):
         with pytest.raises(ValueError, match="unknown MacMahon family"):
-            family_factors(name, V4, 4, x, q, l=1)
+            Factors(V4, 4).walk(name, x, q, l=1)
     with pytest.raises(ValueError, match="needs the shift l"):
-        family_factors("Mt0", V4, 4, x, q)
+        Factors(V4, 4).walk("Mt0", x, q)
     # a shift given to a family that has none was silently ignored
     for name in ("M", "Mt", "Mh"):
         for l in (0, 3):
             with pytest.raises(ValueError, match="family %s takes no shift l"
                                % name):
-                family_factors(name, V4, 4, x, q, l=l)
+                Factors(V4, 4).walk(name, x, q, l=l)
     # l=True ran as the shift 1
     for l in (True, 1.0):
         with pytest.raises(TypeError, match="shift l must be an int"):
-            family_factors("Mt0", V4, 4, x, q, l=l)
+            Factors(V4, 4).walk("Mt0", x, q, l=l)
+        with pytest.raises(TypeError, match="power must be an int"):
+            Factors(V4, 4).walk("Mt", x, q, power=l)
 
 
 def test_json_roundtrip_and_order():
@@ -370,19 +417,20 @@ def rand_factor_term(rng, nvars):
 
 
 def rand_factors(rng, names, cutoff, nfactors):
-    out = Factors(names, cutoff)
+    mult = Counter()
     for _ in range(nfactors):
         t = rand_factor_term(rng, len(names))
-        out._absorb(Factors(names, cutoff, {t: rng.choice([-2, -1, 1, 2, 3])}))
-    return out
+        mult[t] += rng.choice([-2, -1, 1, 2, 3])
+    return Factors(names, cutoff, mult)
 
 
 def combined(names, cutoff, *powers):
-    # prod f ** k over the pairs (f, k), each absorbed into a new product
-    out = Factors(names, cutoff)
+    # prod f ** k over the pairs (f, k), entered as one multiset
+    mult = Counter()
     for f, k in powers:
-        out._absorb(f, k)
-    return out
+        for t, m in f.mult.items():
+            mult[t] += m * k
+    return Factors(names, cutoff, mult)
 
 
 def sym_product(fs, gens, D):
@@ -456,7 +504,7 @@ def test_factors_truncation_and_rejections():
         Factors(V4, 4, {term(1, (1, 0, 0)): 1})
     # x^-1 q leaves the exponent -1 on qa at degree 2
     with pytest.raises(ValueError):
-        family_factors("M", V4, 4, term_pow(term(1, (0, 2, 0, 0)), -1), q_full())
+        Factors(V4, 4).walk("M", term_pow(term(1, (0, 2, 0, 0)), -1), q_full())
     with pytest.raises(ValueError, match="cutoff must be >= 0"):
         Factors(V4, -1)
 
@@ -588,9 +636,9 @@ def test_factors_times_round_trip():
 
 
 @pytest.mark.parametrize("build", [
-    lambda q: poch_walk(term(1, (1, 0)), q, ("a", "b"), 5),
-    lambda q: family_factors("M", ("a", "b"), 5, term(1, (0, 0)), q),
-    lambda q: family_factors("Mt", ("a", "b"), 5, term(1, (1, 0)), q),
+    lambda q: Factors(("a", "b"), 5).walk("Mt0", term(1, (1, 0)), q, l=1),
+    lambda q: Factors(("a", "b"), 5).walk("M", term(1, (0, 0)), q),
+    lambda q: Factors(("a", "b"), 5).walk("Mt", term(1, (1, 0)), q),
 ])
 @pytest.mark.parametrize("q", [term(1, (0, 0)), term(1, (1, -1)),
                                term(1, (-1, 0)), term(0, (0, 0))])
@@ -654,8 +702,8 @@ def test_factors_times_rejects_another_space(names, cutoff):
 
 @pytest.mark.parametrize("build, factor", [
     # x^-1 q with x = qa^2: the first factor carries qa^-1
-    (lambda: family_factors("M", V4, 4, term_pow(term(1, (0, 2, 0, 0)), -1),
-                            q_full()), (1, -1, 1, 1)),
+    (lambda: Factors(V4, 4).walk("M", term_pow(term(1, (0, 2, 0, 0)), -1),
+                                 q_full()), (1, -1, 1, 1)),
     # a = qa^-1 qb qc has degree 1 but a negative exponent at n = 0
     (lambda: poch_walk(term(1, (0, -1, 1, 1)), q_full(), V4, 4),
      (0, -1, 1, 1)),
@@ -671,7 +719,7 @@ def test_factor_walk_rejects_negative_exponent_factor(build, factor):
         Factors(V4, 8, {(1, factor): 1})
 
 
-# (x, q, error, message): the error that family_factors' entry check of
+# (x, q, error, message): the error that Factors.walk's entry check of
 # x and q raises, the one the walk of its first entry, a = x q^0, raised
 # on checking that a; the last x, of coefficient 2, cannot be inverted
 FAMILY_ENTRY_ERRORS = [
@@ -697,27 +745,27 @@ FAMILY_ENTRY_ERRORS = [
 def test_factor_walks_check_their_arguments_once():
     # a and q of another arity used to be cut short by zip in term_mul
     with pytest.raises(ValueError, match="arity mismatch"):
-        family_factors("M", V4, 4, term(1, (0, 0, 0)), q_full())
+        Factors(V4, 4).walk("M", term(1, (0, 0, 0)), q_full())
     with pytest.raises(ValueError, match="arity mismatch"):
-        poch_walk(term(1, (1, 0, 0, 0)), term(1, (1, 1)), V4, 4)
+        Factors(V4, 4).walk("Mt0", term(1, (1, 0, 0, 0)), term(1, (1, 1)), l=1)
     with pytest.raises(TypeError, match="exponent must be an int"):
-        family_factors("M", V4, 4, (1, (0, 0.5, 0, 0)), q_full())
+        Factors(V4, 4).walk("M", (1, (0, 0.5, 0, 0)), q_full())
     with pytest.raises(TypeError, match="coefficient must be an int"):
-        poch_walk((1, (1, 0, 0, 0)), (1.0, (1, 1, 1, 1)), V4, 4)
-    # family_factors checks x and q on entry, not each a = (+-x)^i q^j
+        Factors(V4, 4).walk("Mt0", (1, (1, 0, 0, 0)), (1.0, (1, 1, 1, 1)), l=1)
+    # walk checks x and q on entry, not each a = (+-x)^i q^j
     for x, q, error, message in FAMILY_ENTRY_ERRORS:
         for name, l in (("Mt", None), ("Mh", None), ("Mt0", 0), ("Mh0", 0)):
             with pytest.raises(error, match=re.escape(message)):
-                family_factors(name, V4, 4, x, q, l=l)
+                Factors(V4, 4).walk(name, x, q, l=l)
 
 
-def test_family_factors_reject_what_the_derived_a_hid():
+def test_family_walk_rejects_what_the_derived_a_hid():
     # x^1 turned a True coefficient or exponent into the int 1, and zip
     # cut an x longer than q down to q's arity
     q = q_full()
     with pytest.raises(TypeError, match="coefficient must be an int, not True"):
-        family_factors("Mt", V4, 4, (True, (0, 1, 0, 0)), q)
+        Factors(V4, 4).walk("Mt", (True, (0, 1, 0, 0)), q)
     with pytest.raises(TypeError, match="exponent must be an int, not True"):
-        family_factors("Mh", V4, 4, (1, (0, True, 0, 0)), q)
+        Factors(V4, 4).walk("Mh", (1, (0, True, 0, 0)), q)
     with pytest.raises(ValueError, match="arity mismatch"):
-        family_factors("Mt", V4, 4, term(1, (0, 1, 0, 0, 0)), q)
+        Factors(V4, 4).walk("Mt", term(1, (0, 1, 0, 0, 0)), q)
