@@ -320,8 +320,8 @@ def vertex_closed_zn(n, legs, cutoff):
 # ---------------------------------------------------------------------------
 
 # A product is a table of entries (family, x, power, shift), each the
-# factor family(x; shift * ell) ** power that Factors.walk adds, with
-# q the product of all the variables.  At the staircase leg
+# factor family(x; shift * ell) ** power that Factors.walk adds over q,
+# the product of all the variables.  At the staircase leg
 # (m, m-1, ..., 1), ell = ceil(m / 2), and "{main}" and "{other}" in a
 # family name stand for the suffixes m mod 2 and 1 - m mod 2; M, Mt and
 # Mh take no shift, so their entries carry 0 and _product passes none.
@@ -364,33 +364,35 @@ _PHI = (tuple(("Mh", term(1, x), 1, 0) for x in (_A, _B, _C, _ABC))
 _Z4_TAIL = _tail("Mt", 1, 1, (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 
 
-def _product(table, m, cutoff, names=VARS_Z2Z2):
+def _product(table, m, cutoff, names=VARS_Z2Z2, swap=None):
     """The table's product as Factors over `names`, q their product, at
     the staircase leg of size m, an int >= 0 (True would be read as 1, a
     float as a family name).  Equal entries add powers, then each walks
-    once into the one product."""
+    once into the one product.
+
+    swap is the paper's branch rule: at m mod 4 in {1, 2} it relabels
+    the base by swap, an involution fixing q that exchanges the tail's
+    last variable y3 with q0, and takes y3 = q0.  Relabeling the whole
+    product does both: swap fixes or exchanges y1 and y2, both under
+    {main}.  It is done on each entry's x, before the walk, and that is
+    exact: every factor of an entry is (+-x)^i q^j, so relabeling x
+    relabels each factor, and keeps its degree, so the cutoff drops the
+    same ones.  As swap is an involution, variable k of the relabeled x
+    is variable swap[k] of x.
+    """
     if _check_int(m, "m") < 0:
         raise ValueError("m must be >= 0")
     main, other, ell = str(m % 2), str(1 - m % 2), (m + 1) // 2
-    q = term(1, (1,) * len(names))
     powers = Counter()
-    for family, x, power, shift in table:
-        powers[family.format(main=main, other=other), x, shift] += power
+    for family, (c, e), power, shift in table:
+        if swap and m % 4 in (1, 2):
+            e = tuple(e[k] for k in swap)
+        powers[family.format(main=main, other=other), (c, e), shift] += power
     out = Factors(names, cutoff)
     for (name, x, shift), power in powers.items():
         if power:
-            out.walk(name, x, q, shift * ell if shift else None, power)
+            out.walk(name, x, shift * ell if shift else None, power)
     return out
-
-
-def _branch(m, factors, swap):
-    """The paper's branch rule: at m mod 4 in {1, 2} it relabels the base
-    by `swap`, an involution fixing q that exchanges the tail's last
-    variable y3 with q0, and takes y3 = q0.  Relabeling the whole product
-    does both: swap fixes or exchanges y1 and y2, both under {main}."""
-    if m % 4 in (1, 2):
-        return factors.map_vars(factors.names, swap)
-    return factors
 
 
 def one_leg_zn_staircase(n, m, cutoff):
@@ -399,8 +401,8 @@ def one_leg_zn_staircase(n, m, cutoff):
     names = _group_names("zn", n)
     if n != 4:
         raise ValueError("staircase branch form needs n = 4")
-    out = _product(_Z4_TAIL + _zero_zn(4, cutoff), m, cutoff, names)
-    return _branch(m, out, (2, 3, 0, 1)).series()
+    return _product(_Z4_TAIL + _zero_zn(4, cutoff), m, cutoff, names,
+                    (2, 3, 0, 1)).series()
 
 
 def pyramid_closed(cutoff):
@@ -430,5 +432,5 @@ def phi(m, cutoff):
 def corollary_rpc_closed(m, cutoff):
     """Closed form for the restricted pyramid series at a staircase leg:
     the pyramid product times _RPC_TAIL, which is 1 at m = 0."""
-    out = _product(_PYRAMID + _RPC_TAIL, m, cutoff)
-    return _branch(m, out, (3, 1, 2, 0)).series()
+    return _product(_PYRAMID + _RPC_TAIL, m, cutoff, VARS_Z2Z2,
+                    (3, 1, 2, 0)).series()

@@ -16,7 +16,8 @@ graded parts: the factor is the finite polynomial (1 - t)^|k| or its
 inverse, so the pass multiplies top down or divides bottom up.
 Series.invert is the same division, by the series itself.
 Factors.walk, the one entry to the factor walk, multiplies a named
-family to a power into the multiset it is called on.
+family over q, the product of all the names, to a power into the
+multiset it is called on; a family is given by its x alone.
 """
 
 from __future__ import annotations
@@ -35,15 +36,6 @@ def term(coef, exps):
     raises TypeError rather than being truncated."""
     return (_check_int(coef, "coefficient"),
             tuple(_check_int(e, "exponent") for e in exps))
-
-
-def term_mul(*ts):
-    coef = 1
-    exps = None
-    for c, e in ts:
-        coef *= c
-        exps = e if exps is None else tuple(a + b for a, b in zip(exps, e))
-    return (coef, exps)
 
 
 def mul_terms(a, b, cap, out=None):
@@ -184,11 +176,23 @@ class Series:
         """Reinterpret each old variable as one new variable.
 
         assignment[i] = index of the new variable that old variable i
-        becomes.  Distinct old variables may map to the same new one.
+        becomes.  Distinct old variables may map to the same new one.  It
+        is checked first: one entry per old variable, each an int index
+        into new_names; True would be read as 1, and a negative index
+        would silently wrap to the end.
         """
-        relabel = _relabeling(self.names, new_names, assignment)
+        if len(assignment) != len(self.names):
+            raise ValueError("assignment arity mismatch")
+        for a in assignment:
+            if not 0 <= _check_int(a, "assignment index") < len(new_names):
+                raise ValueError("assignment index %r outside range(%d)"
+                                 % (a, len(new_names)))
         out = Series(new_names, self.cutoff)
-        out._add([(relabel(e), c) for e, c in self.terms.items()])
+        for e, c in self.terms.items():
+            ne = [0] * len(new_names)
+            for i, x in zip(assignment, e):
+                ne[i] += x
+            out._add([(tuple(ne), c)])
         return out
 
     # -- serialization ------------------------------------------------------
@@ -250,25 +254,6 @@ def _check_cutoff(cutoff):
     if _check_int(cutoff, "cutoff") < 0:
         raise ValueError("cutoff must be >= 0")
     return cutoff
-
-
-def _relabeling(names, new_names, assignment):
-    """The exponent map of map_vars, once its input is checked: one entry
-    per old variable, each an int index into new_names; True would be read
-    as 1, and a negative index would silently wrap to the end."""
-    if len(assignment) != len(names):
-        raise ValueError("assignment arity mismatch")
-    for a in assignment:
-        if not 0 <= _check_int(a, "assignment index") < len(new_names):
-            raise ValueError("assignment index %r outside range(%d)"
-                             % (a, len(new_names)))
-
-    def relabel(e):
-        ne = [0] * len(new_names)
-        for i, x in zip(assignment, e):
-            ne[i] += x
-        return tuple(ne)
-    return relabel
 
 
 def _pack(exps, base):
@@ -356,14 +341,13 @@ class Factors:
     exponents e of positive total degree, so (1 - t)^(-k) is a power
     series with integer coefficients for every integer k.  A factor whose
     degree exceeds the cutoff is 1 after truncation and is dropped when it
-    is added.  Factors are added in place, each once: _add one checked
-    factor, walk a named family to a power; map_vars relabels them;
-    times() multiplies the product into a Series over the same names and
-    cutoff once, one pass per factor, and series() is times() on the
-    constant 1.  A negative cutoff raises, and a cutoff, coefficient,
-    exponent, multiplicity or power that is not an int raises TypeError:
-    _add checks each factor, walk its Terms, shift and power once, not
-    each a or factor derived from them.
+    is added.  Factors are added in place, each once: _add one checked factor,
+    walk a named family to a power; times() multiplies the product into a
+    Series over the same names and cutoff once, one pass per factor, and
+    series() is times() on the constant 1.  A negative cutoff raises, and a
+    cutoff, coefficient, exponent, multiplicity or power that is not an int
+    raises TypeError: _add checks each factor, walk its x, shift and power
+    once, not what is derived from them.
     """
 
     __slots__ = ("names", "cutoff", "mult")
@@ -394,19 +378,21 @@ class Factors:
         else:
             self.mult.pop(key, None)
 
-    def walk(self, name, x, q, l=None, power=1):
-        """Multiply the named MacMahon-type product to `power` into self;
-        return self.
+    def walk(self, name, x, l=None, power=1):
+        """Multiply the named MacMahon-type product over q, the product of
+        self.names, to `power` into self; return self.
 
         Names: M, Mt, Mh, Mt0, Mt1, Mh0, Mh1 (MacMahon's M and the paper's
-        M~, M^, M~0, M~1, M^0, M^1; see _TILDE and _HAT).  x and q are
-        Terms over self.names, exponents possibly negative, checked once
-        as a Series term is, and q must have positive degree, or a walk
-        would not end; each entry's a = (+-x)^i q^j is formed from them,
-        and i or j < 0 needs a coefficient +-1.  l is the integer shift of
-        the four families that end in 0 or 1; M, Mt and Mh, which have
-        none, raise if given one.  power, an int, multiplies each entry's
-        multiplicity, so every factor is added once.
+        M~, M^, M~0, M~1, M^0, M^1; see _TILDE and _HAT).  x is a Term over
+        self.names, exponents possibly negative, checked once as a Series
+        term is; each entry's a = (+-x)^i q^j is formed from it, and
+        i < 0 needs a coefficient +-1.  With no names q = 1 and a walk
+        would not end, so that raises.  Every check runs before the first
+        entry is walked, so a walk that raises leaves self as it was.  l
+        is the integer shift of the four families that end in 0 or 1; M,
+        Mt and Mh, which have none, raise if given one.  power, an int,
+        multiplies each entry's multiplicity, so every factor is added
+        once.
         """
         tilde, hat = _HAT.get(name, (name, 1))
         if tilde not in _TILDE:
@@ -416,33 +402,19 @@ class Factors:
                 name, "needs the" if l is None else "takes no"))
         l = 0 if l is None else _check_int(l, "shift l")
         power = hat * _check_int(power, "power")
-        for t in (x, q):
-            _check_int(t[0], "coefficient")
-            _check_exps(t[1], self.names, laurent=True)
-        if sum(q[1]) <= 0:
-            raise ValueError("q of degree %d; the walk needs q of positive "
-                             "degree" % sum(q[1]))
-        (xc, xe), (qc, qe) = x, q
+        xc, xe = x
+        _check_int(xc, "coefficient")
+        _check_exps(xe, self.names, laurent=True)
+        if not self.names:
+            raise ValueError("no variables: q = 1, and the walk would not end")
+        if xc not in (1, -1) and any(i < 0 for _, i, _, _ in _TILDE[tilde]):
+            raise ValueError("cannot invert coefficient %d" % xc)
         for s in ((1, -1) if name in _HAT else (1,)):
             for macmahon, i, (ja, jb), (ka, kb) in _TILDE[tilde]:
                 j = ja + jb * l
-                for c, p in ((xc, i), (qc, j)):
-                    if p < 0 and c not in (1, -1):
-                        raise ValueError("cannot invert coefficient %d" % c)
-                a = ((s * xc) ** abs(i) * qc ** abs(j),
-                     tuple(i * u + j * v for u, v in zip(xe, qe)))
-                _walk(self, a, q, macmahon, power * (ka + kb * l))
+                a = ((s * xc) ** abs(i), tuple(i * u + j for u in xe))
+                _walk(self, a, macmahon, power * (ka + kb * l))
         return self
-
-    def map_vars(self, new_names, assignment):
-        """Relabel variables as Series.map_vars does; merged factors add
-        their multiplicities.  Degrees are kept, so the cutoff still
-        applies."""
-        relabel = _relabeling(self.names, new_names, assignment)
-        out = Factors(new_names, self.cutoff)
-        for (c, e), k in self.mult.items():
-            out._bump((c, relabel(e)), k)
-        return out
 
     def series(self):
         """The product as a Series at self.cutoff."""
@@ -505,20 +477,21 @@ class Factors:
 # ---------------------------------------------------------------------------
 
 
-def _walk(out, a, q, macmahon, k):
+def _walk(out, a, macmahon, k):
     """Add prod_{n>=1} (1 - a q^n)^(-k*n) (macmahon) or prod_{n>=0}
-    (1 - a q^n)^k (q-Pochhammer) to the Factors out; return out.
+    (1 - a q^n)^k (q-Pochhammer) to the Factors out, q the product of
+    out.names, of which there is at least one; return out.
 
-    a and q are Terms over out.names, exponents possibly negative, and k
-    an int, none checked here (see Factors.walk).  Each factor a*q^n up to
-    the cutoff is tested only for positive degree and non-negative
-    exponents, then added to out.  Its coefficient and exponents carry
-    from one n to the next.
+    a is a Term over out.names, exponents possibly negative, and k an
+    int, neither checked here (see Factors.walk).  Each factor a*q^n up
+    to the cutoff is tested only for positive degree and non-negative
+    exponents, then added to out.  q has coefficient 1, so every factor
+    has a's coefficient, and each step adds 1 to every exponent and
+    len(out.names) to the degree.
     """
-    qc, qe = q
-    qd = sum(qe)
+    ones = (1,) * len(out.names)
     n = 1 if macmahon else 0
-    c, e = term_mul(a, q) if macmahon else (a[0], tuple(a[1]))
+    c, e = a[0], tuple(x + n for x in a[1])
     d = sum(e)
     while c and d <= out.cutoff:
         if d <= 0:
@@ -526,9 +499,8 @@ def _walk(out, a, q, macmahon, k):
         if min(e) < 0:
             _check_exps(e, out.names)       # raises the negative exponent
         out._bump((c, e), k * n if macmahon else -k)
-        c *= qc
-        e = tuple(map(add, e, qe))
-        d += qd
+        e = tuple(map(add, e, ones))
+        d += len(ones)
         n += 1
     return out
 

@@ -115,6 +115,16 @@ def term_var(nvars, idx, coef=1):
     return (coef, tuple(e))
 
 
+def term_mul(*ts):
+    """The Term product of ts, all of one arity."""
+    coef = 1
+    exps = None
+    for c, e in ts:
+        coef *= c
+        exps = e if exps is None else tuple(a + b for a, b in zip(exps, e))
+    return (coef, exps)
+
+
 def term_pow(t, k):
     """The Term t**k; k < 0 needs the coefficient +-1.  The tests build
     the a of a factor walk with it; Factors.walk forms its own."""

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -10,15 +11,15 @@ from orbivertex.dt_vertex import (
     closed_z2z2_staircase, corollary_rpc_closed, enumerate_3d,
     enumerate_one_leg, one_leg_zn_staircase, phi, pyramid_closed,
     skew_schur_specialized, symmetry_check, upsilon, vertex_closed_zn,
-    _NOLEGS, _UPSILON, _jacobi_trudi, _product, _qq_exps,
-    _rotation_exponents, _zero_zn,
+    _NOLEGS, _PYRAMID, _RPC_TAIL, _UPSILON, _Z4_TAIL, _jacobi_trudi,
+    _product, _qq_exps, _rotation_exponents, _zero_zn,
 )
 from orbivertex.fock_transfer import vertex_by_transfer, zn_names
 from orbivertex.pyramid import ANTI, DIAG, VARS_Z2Z2, pyramid_series
-from orbivertex.qseries import Factors, Series, mul_terms, term, term_mul
+from orbivertex.qseries import Factors, Series, mul_terms, term
 
 import oracles
-from oracles import term_var
+from oracles import term_mul, term_var
 
 
 def test_enumerate_z2z2_no_leg_low_terms():
@@ -309,9 +310,9 @@ def test_product_walks_each_distinct_entry_once(monkeypatch):
     walked = []
     walk = Factors.walk
 
-    def counted(self, name, x, q, l=None, power=1):
+    def counted(self, name, x, l=None, power=1):
         walked.append((name, x, l))
-        return walk(self, name, x, q, l, power)
+        return walk(self, name, x, l, power)
 
     monkeypatch.setattr(Factors, "walk", counted)
     names = zn_names(4)
@@ -460,6 +461,60 @@ def test_corollary_rpc_closed():
         assert a == rpc.generating_function(v, 0, DIAG, 8), m
 
 
+def test_branch_rule_relabels_entries_as_the_product():
+    # at m mod 4 in {1, 2} the entries' x are relabeled before the walk;
+    # relabeling the unswapped product's series after it must agree
+    for m in range(8):
+        for got, table, names, swap in [
+                (corollary_rpc_closed(m, 8), _PYRAMID + _RPC_TAIL, VARS_Z2Z2,
+                 (3, 1, 2, 0)),
+                (one_leg_zn_staircase(4, m, 8), _Z4_TAIL + _zero_zn(4, 8),
+                 zn_names(4), (2, 3, 0, 1))]:
+            want = _product(table, m, 8, names).series()
+            if m % 4 in (1, 2):
+                want = want.map_vars(names, swap)
+            assert got == want, (m, swap)
+
+
+# sha1 of the closed-output grid at each degree D, every series as its
+# to_json() and a newline, in the order closed_grid_sha1 writes them
+CLOSED_GRID_SHA1 = {
+    0: "9f37539dac7ae24d87c6569729fd7c5f9962da7a",
+    1: "bc2b1f4c9ad48042545afa4260a2bc8589cb3e37",
+    6: "97dd8726c0ee61cfaa6060799bf94df470ad9f27",
+    15: "24b307abe588b8ecbd08a3c693f657c3d64bab9f",
+    22: "e88551681fdfe1c6a40571d09700de9d3e559808",
+}
+
+
+def closed_grid_sha1(D):
+    """sha1 of every closed product at degree D: vertex_closed_zn for
+    n = 1..5, the leg in slot 0, 1, 2, each leg of partitions_up_to(4);
+    then for m = 0..4 closed_z2z2_staircase, upsilon, phi,
+    corollary_rpc_closed and one_leg_zn_staircase(4, m, D); then
+    pyramid_closed(D)."""
+    out = []
+    for n in range(1, 6):
+        for slot in range(3):
+            for v in pc.partitions_up_to(4):
+                legs = [(), (), ()]
+                legs[slot] = v
+                out.append(vertex_closed_zn(n, tuple(legs), D))
+    for m in range(5):
+        out += [f(m, D) for f in (closed_z2z2_staircase, upsilon, phi,
+                                  corollary_rpc_closed)]
+        out.append(one_leg_zn_staircase(4, m, D))
+    out.append(pyramid_closed(D))
+    text = "".join(s.to_json() + "\n" for s in out)
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("D", [0, 1, 6, 15])
+def test_closed_output_grid_is_unchanged(D):
+    # a regression anchor for the closed route, byte for byte
+    assert closed_grid_sha1(D) == CLOSED_GRID_SHA1[D]
+
+
 def test_counting_walks_match_closed_products_degree_22():
     assert pyramid_series(22) == pyramid_closed(22)
     assert rpc.generating_function((1,), 0, ANTI, 22) == corollary_rpc_closed(1, 22)
@@ -518,7 +573,6 @@ def test_series_constructors_reject_negative_cutoff(build):
 def test_anti_frame_restriction_factors_the_vertex():
     names = VARS_Z2Z2
     xa, xb, xc = (term_var(4, i) for i in (1, 2, 3))
-    q = term(1, (1, 1, 1, 1))
     for m in (1, 2):
         sub, ell = m % 2, (m + 1) // 2
         fam = "Mt1" if sub else "Mt0"
@@ -527,15 +581,14 @@ def test_anti_frame_restriction_factors_the_vertex():
             gf = gf.map_vars(names, (0, 2, 1, 3))
         else:
             gf = gf.map_vars(names, (3, 1, 2, 0))
-        rhs = (Factors(names, 4).walk("Mt", term_mul(xa, xb), q)
-               .walk(fam, term_mul(xa, xb), q, l=2 * ell).series() * gf)
+        rhs = (Factors(names, 4).walk("Mt", term_mul(xa, xb))
+               .walk(fam, term_mul(xa, xb), l=2 * ell).series() * gf)
         assert closed_z2z2_staircase(m, 4) == rhs
 
 
 def test_diag_frame_restriction_matches_z4_vertex():
     names = VARS_Z2Z2
     xa, xb, xc = (term_var(4, i) for i in (1, 2, 3))
-    q = term(1, (1, 1, 1, 1))
     x0 = term_var(4, 0)
     for m in (1, 2):
         sub, ell = m % 2, (m + 1) // 2
@@ -549,10 +602,10 @@ def test_diag_frame_restriction_matches_z4_vertex():
         # times the four unshifted ones
         lhs = rpc.generating_function(pc.staircase(m), 0, DIAG, 4)
         for name, x in ((fam, xa), (fam, xb), (other, xlast), (fam, triple)):
-            lhs = lhs * Factors(names, 4).walk(name, x, q, l=ell).series()
+            lhs = lhs * Factors(names, 4).walk(name, x, l=ell).series()
         rhs = one_leg_zn_staircase(4, m, 4).map_vars(names, (0, 2, 3, 1))
         for x in (xa, xb, xlast, triple):
-            rhs = rhs * Factors(names, 4).walk("Mh", x, q).series()
+            rhs = rhs * Factors(names, 4).walk("Mh", x).series()
         assert lhs == rhs
 
 
@@ -621,9 +674,9 @@ def test_vertex_closed_zn_side_slot_product_runs_at_the_cutoff(
     # the cutoff cannot reach it
     cutoffs = []
 
-    def recorded(table, m, cutoff, names):
+    def recorded(table, m, cutoff, names, swap=None):
         cutoffs.append(cutoff)
-        return _product(table, m, cutoff, names)
+        return _product(table, m, cutoff, names, swap)
 
     monkeypatch.setattr(dt_vertex, "_product", recorded)
     got = vertex_closed_zn(n, legs, 7)
