@@ -31,14 +31,10 @@ from .qseries import Series, _check_cutoff
 
 
 def checkerboard_counts(lam):
-    """(cells with row = col mod 2, the other cells)."""
-    ev = od = 0
-    for i, j in pc.cells(lam):
-        if (i + j) % 2 == 0:
-            ev += 1
-        else:
-            od += 1
-    return ev, od
+    """(cells with row = col mod 2, the other cells), counted by rows:
+    row j holds (lam_j + 1 - j % 2) // 2 cells of the first kind."""
+    ev = sum((x + 1 - j % 2) // 2 for j, x in enumerate(lam))
+    return ev, sum(lam) - ev
 
 
 def weight_apply(state, exps_fn, cutoff):
@@ -153,12 +149,13 @@ def _bracket(v, cutoff, mode, n, window):
     and a partner takes only the degree buckets that the size its least
     continuation still forces on it (_least_ahead, vertex_by_transfer)
     leaves <= cutoff.  The partner's weight is read off the two slots of
-    its slice (_slice_slots), once per partner and step, with the
-    slice's corner parity, read before the walk by _diagonal_parities:
-    under standard the parity of the leg's cells on the slice's diagonal,
-    under rpc_antidiagonal that parity XOR |v| mod 2 (below).
-    The codec is private to this route on purpose: one codec bug must not
-    make two routes agree.
+    its slice (_slice_slots) once per partner and step, and under two
+    colors off its checkerboard counts, kept in counts once per call.
+    The slots depend on the slice's corner parity, read before the walk
+    by _diagonal_parities: under standard the parity of the leg's cells
+    on the slice's diagonal, under rpc_antidiagonal that parity XOR |v|
+    mod 2 (below).  The codec is private to this route on purpose: one
+    codec bug must not make two routes agree.
 
     Antidiagonal corner parity.  rpc.corners puts the corner of slice k
     at shift 0 at (rows - #{odd b < -k}, cols - #{even b < -k}) for
@@ -182,7 +179,10 @@ def _bracket(v, cutoff, mode, n, window):
     |()| = 0, is the constant 1, so each later step would copy them
     unchanged (with r = 0 the room of () is the full cutoff).  They leave
     the walk into the result instead, at every such step, since a
-    non-empty partition may still move down to ().
+    non-empty partition may still move down to ().  Once that leaves the
+    state empty, the walk stops.  The stop is exact: past settled every
+    step moves down and the only partner below () is (), so the retired
+    terms are final, and an empty state has no partner left to move to.
     """
     names = zn_names(n) if mode == "zn" else VARS_Z2Z2
     base = cutoff + 1
@@ -209,9 +209,12 @@ def _bracket(v, cutoff, mode, n, window):
     # the weight step of slice -window, on the empty partition, is 1
     state = {(): {0: {0: 1}}}
     done = {}
+    counts = {}
     for i, (t, tau, r) in enumerate(zip(steps, taus, runs)):
         if i >= settled:
             _retire(state, done)
+            if not state:
+                break
         primed = rpc and t % 2 == 0
         a, b = _slice_slots(mode, slices[i], n, parities[i])
         pa, pb = powers[a], powers[b]
@@ -233,8 +236,10 @@ def _bracket(v, cutoff, mode, n, window):
                         if a == b:
                             w = size * pa
                         else:
-                            ev, od = checkerboard_counts(mu)
-                            w = ev * pa + od * pb
+                            cb = counts.get(mu)
+                            if cb is None:
+                                cb = counts[mu] = checkerboard_counts(mu)
+                            w = cb[0] * pa + cb[1] * pb
                     hit = seen[mu] = (size, room, w)
                 size, room, w = hit
                 if room < low:
@@ -323,11 +328,7 @@ def _transfer_args(group, leg, cutoff, mode, n):
     if mode not in modes:
         raise ValueError("unknown mode %r; group %s takes mode %s"
                          % (mode, group, " or ".join(modes)))
-    t0 = max(len(v), pc.part(v, 0)) + 1
-    window = cutoff + t0 + 4
-    if window % 2:
-        window += 1
-    return v, mode, n, window
+    return v, mode, n, cutoff + max(len(v), pc.part(v, 0)) + 1
 
 
 def vertex_by_transfer(group, leg, cutoff, mode=None, n=None):
@@ -347,9 +348,9 @@ def vertex_by_transfer(group, leg, cutoff, mode=None, n=None):
     slice non-empty at |t| = t0 + k therefore forces k + 1 non-empty
     slices, more than the cutoff allows once k >= cutoff, so every window
     of at least cutoff + t0 gives the same truncation.  The window used
-    adds a margin of 4, rounded up to even, and the product is evaluated
-    on it once.  The tests and the `verify` command compare it with the
-    minimum window and with the window + 2.
+    is that least one, with no margin, and the product is evaluated on
+    it once.  The tests compare it with the window + 1 and the window +
+    2, and the `verify` command with the window + 2.
 
     Why truncating inside each step loses nothing: every exponent is
     non-negative, so no later step lowers a term's degree.  A term of
@@ -370,9 +371,7 @@ def vertex_by_transfer(group, leg, cutoff, mode=None, n=None):
     keeps mu through the r steps right after this one, inside the
     window, whose edge value is +1, so ahead >= r * |mu|, and upward
     only partners of size <= (cutoff - low) // (1 + r) are enumerated at
-    all.  Left of the leg region every step is upward, so a slice k
-    steps left of t = -t0 holds at most cutoff / (k + 1) cells, and the
-    margin steps carry only the empty partition.
+    all.
     """
     v, mode, n, window = _transfer_args(group, leg, cutoff, mode, n)
     return _bracket(v, cutoff, mode, n, window)

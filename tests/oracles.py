@@ -312,6 +312,14 @@ def diagonal_count(p, k):
     return sum(1 for (i, j) in _cells(p) if i - j == k)
 
 
+def checkerboard_cells(p):
+    """(cells (i, j) of pc.cells(p) with i + j even, the other cells): the
+    reference for fock_transfer.checkerboard_counts, which counts by rows."""
+    from orbivertex import partition_core as pc
+    ev = sum(1 for i, j in pc.cells(p) if (i + j) % 2 == 0)
+    return ev, sum(p) - ev
+
+
 def _sym_partitions_of(n):
     from sympy.utilities.iterables import partitions as sym_parts
     out = []

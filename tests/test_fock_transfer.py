@@ -25,6 +25,27 @@ def test_checkerboard_counts():
     assert checkerboard_counts((1,)) == (1, 0)
     assert checkerboard_counts((3, 1)) == (2, 2)
     assert checkerboard_counts((2, 2)) == (2, 2)
+    # the row count against the cell walk
+    for lam in pc.partitions_up_to(10):
+        assert checkerboard_counts(lam) == oracles.checkerboard_cells(lam), lam
+
+
+def test_checkerboard_counts_once_per_partner(monkeypatch):
+    # the two-color walk counts each partner it weighs once per call, not
+    # once per step; the one-color modes weigh by size alone
+    calls = []
+
+    def counted(lam):
+        calls.append(lam)
+        return checkerboard_counts(lam)
+
+    monkeypatch.setattr(fock_transfer, "checkerboard_counts", counted)
+    vertex_by_transfer("z2z2", (2, 1), 8)
+    assert len(calls) == len(set(calls)) > 1
+    for group, mode, n in [("z2z2", "rpc_diagonal", None), ("zn", "zn", 4)]:
+        calls.clear()
+        vertex_by_transfer(group, (2, 1), 8, mode, n)
+        assert calls == [], mode
 
 
 def test_transfer_z2z2_no_leg_low_terms():
@@ -238,19 +259,27 @@ ALL_MODES = ([("z2z2", m, None)
 @pytest.mark.parametrize("group,mode,n", ALL_MODES,
                          ids=["%s%s" % (m[1], m[2] or "") for m in ALL_MODES])
 def test_transfer_window_stable(group, mode, n):
-    # the window argument of vertex_by_transfer, checked where it is
-    # tight: the proven minimum cutoff + t0, the window used and window + 2
-    # agree for every leg of size <= 4, staircase or not
+    # the window of vertex_by_transfer is the proven minimum cutoff + t0;
+    # it, window + 1 and window + 2 (one odd and one even neighbour) agree
+    # for every leg of size <= 4, staircase or not
     for leg in pc.partitions_up_to(4):
-        t0 = max(len(leg), pc.part(leg, 0)) + 1
         for cutoff in range(9):
             v, mode_, n_, window = fock_transfer._transfer_args(
                 group, leg, cutoff, mode, n)
-            assert window >= cutoff + t0
             want = fock_transfer._bracket(v, cutoff, mode_, n_, window)
-            for w in (cutoff + t0, window + 2):
+            for w in (window + 1, window + 2):
                 got = fock_transfer._bracket(v, cutoff, mode_, n_, w)
                 assert got == want, (leg, cutoff, w)
+
+
+def test_transfer_window_is_the_proven_minimum():
+    # cutoff + t0 with t0 = max(len(v), v_0) + 1, no margin, odd or even
+    for group, mode, n in ALL_MODES:
+        for leg in pc.partitions_up_to(5):
+            for cutoff in range(12):
+                window = fock_transfer._transfer_args(
+                    group, leg, cutoff, mode, n)[3]
+                assert window == cutoff + max(len(leg), pc.part(leg, 0)) + 1
 
 
 def test_transfer_evaluates_one_window(monkeypatch):
