@@ -114,7 +114,7 @@ def enumerate_one_leg(legs, group, cutoff, n=None):
     if cutoff >= 1:
         rec([x for x, t in enumerate(top)
              if not t and top[x - width] and top[x - 1]], 0, cutoff - 1)
-    return series_from_packed(names, cutoff, counts, len(names))
+    return series_from_packed(names, cutoff, counts)
 
 
 def enumerate_3d(v, group, cutoff, n=None):
@@ -148,17 +148,16 @@ def symmetry_check(leg, shift, cutoff):
 def skew_schur_specialized(mu, eta, variables, cutoff, names):
     """Skew Schur function of mu/eta at finitely many monomial values.
 
-    variables is a sequence of Terms over `names` (or plain 0 entries),
-    checked as Series terms are (_check_int, _check_exps); zero entries
-    are skipped, degree-zero entries must be exactly 1.  Expanded by
-    _jacobi_trudi, of order min(mu_1, len(mu)), into one Series.
+    variables is a sequence of Terms (c, e) over `names`, checked as
+    Series terms are (_check_int, _check_exps); anything else, a plain 0
+    included, raises TypeError.  A Term with c = 0 is skipped, and a
+    degree-zero Term must be exactly 1.  Expanded by _jacobi_trudi, of
+    order min(mu_1, len(mu)), into one Series.
     """
     xi = pc.check_partition(tuple(mu))
     et = pc.check_partition(tuple(eta))
     vals = []
     for t in variables:
-        if t == 0:
-            continue
         c, e = t
         _check_int(c, "coefficient")
         _check_exps(e, names)
@@ -274,45 +273,42 @@ def vertex_closed_zn(n, legs, cutoff):
     the zero-leg product and the hook and rotation factors of nu.  With
     two legs a negative exponent survives specialization, so _check_legs
     rejects them first.  With one, lam' or mu is empty, so iota = (),
-    eta = () and the other Schur factor is s_() = 1:
-    - a side leg, lam or mu: nu = () and tl = tm = 0, so the values are
-      qq(r) / qq(0) = qq(r) and the shift is -(g + gbar), one of them 0;
-      the shift has degree -sum(g), so s_{lam'} or s_mu runs to
-      cutoff + sum(g), and the shifted terms enter a Series at the
-      cutoff, where a surviving negative exponent raises.  The zero-leg
-      product needs only the cutoff: every term of that Series has degree
-      >= 0, so a factor of degree > cutoff lands above it;
-    - a third leg nu, or none: the Schur part is 1, |lam| = |mu| = 0 and
-      g = gbar = 0, so one table remains: the zero-leg product, its
-      rotation by k to each power e_k != 0 (_zero_zn), and the hooks.
+    eta = () and one Schur function remains, s_{lam'} or s_mu, or
+    s_() = 1 for a third leg or none; every factor of an empty leg is 1,
+    so each slot takes this one path.  A side leg has nu = (), so
+    tl = tm = 0, no rotation and no hook; its values are qq(r) / qq(0) =
+    qq(r) and its shift -(g + gbar), to which the empty one of lam and
+    mu' adds 0.  A third leg has g = gbar = 0 and |lam| = |mu| = 0.  The
+    zero-leg product, its rotation by k to each power e_k != 0
+    (_zero_zn) and the hooks form one Factors.  The shift has degree
+    -sum(g), so the Schur function runs to cutoff + sum(g), and the
+    shifted terms enter a Series at the cutoff, where a surviving
+    negative exponent raises.  The product needs only the cutoff: every
+    term of that Series has degree >= 0, so a factor of degree > cutoff
+    lands above it.
     """
     names = _group_names("zn", n)
     _check_cutoff(cutoff)
     lam, mu, nu = pc._check_legs(legs)
-    if not (lam or mu):
-        table = _zero_zn(n, cutoff)
-        for k, e in enumerate(_rotation_exponents(nu, n)):
-            if e:
-                table += _zero_zn(n, cutoff, k, e)
-        out = _product(table, 0, cutoff, names)
-        # prod over the cells of nu of 1 / (1 - colored hook monomial)
-        for i, j in pc.cells(nu):
-            out._add((1, pc.hook_color_count(nu, i, j, n)), 1)
-        return out.series()
-    if lam:
-        part, bar = pc.conjugate(lam), True
-        g = [pc.renormalization_exponent(lam, k, n) for k in range(n)]
-    else:
-        part, bar = mu, False
-        muc = pc.conjugate(mu)
-        g = _bar_exps([pc.renormalization_exponent(muc, k, n)
-                       for k in range(n)], n)
+    table = _zero_zn(n, cutoff)
+    for k, e in enumerate(_rotation_exponents(nu, n)):
+        if e:
+            table += _zero_zn(n, cutoff, k, e)
+    out = _product(table, 0, cutoff, names)
+    # prod over the cells of nu of 1 / (1 - colored hook monomial)
+    for i, j in pc.cells(nu):
+        out._add((1, pc.hook_color_count(nu, i, j, n)), 1)
+    # g + gbar, gbar_k the exponent of mu' at -k mod n
+    muc = pc.conjugate(mu)
+    g = [pc.renormalization_exponent(lam, k, n)
+         + pc.renormalization_exponent(muc, -k % n, n) for k in range(n)]
     work = cutoff + sum(g)
-    schur = skew_schur_specialized(part, (), _schur_values(n, work, bar),
+    schur = skew_schur_specialized(pc.conjugate(lam) or mu, (),
+                                   _schur_values(n, work, bool(lam)),
                                    work, names)
     master = Series(names, cutoff, {tuple(map(sub, e, g)): c
                                     for e, c in schur.terms.items()})
-    return _product(_zero_zn(n, cutoff), 0, cutoff, names).times(master)
+    return out.times(master)
 
 
 # ---------------------------------------------------------------------------

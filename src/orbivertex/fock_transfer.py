@@ -196,13 +196,8 @@ def _bracket(v, cutoff, mode, n, window):
         flip = sum(v) % 2 if mode == "rpc_antidiagonal" else 0
         parities = [p ^ flip for p in _diagonal_parities(v, slices)]
     taus = pc.edge_values(conj, steps)
-    # runs[i]: the upward steps right after step i, inside the window
-    runs = [0] * len(taus)
-    for i in range(len(taus) - 2, -1, -1):
-        if taus[i + 1] == 1:
-            runs[i] = runs[i + 1] + 1
-    ahead = _least_ahead([(tau == -1, rpc and t % 2 == 0)
-                          for t, tau in zip(steps, taus)])
+    ahead, following = _least_ahead([(tau == -1, rpc and t % 2 == 0)
+                                      for t, tau in zip(steps, taus)])
     # every step from index settled on moves down
     settled = 1 + max((i for i, tau in enumerate(taus) if tau == 1),
                       default=-1)
@@ -210,12 +205,14 @@ def _bracket(v, cutoff, mode, n, window):
     state = {(): {0: {0: 1}}}
     done = {}
     counts = {}
-    for i, (t, tau, r) in enumerate(zip(steps, taus, runs)):
+    for i, (t, tau) in enumerate(zip(steps, taus)):
         if i >= settled:
             _retire(state, done)
             if not state:
                 break
         primed = rpc and t % 2 == 0
+        # the upward steps right after step i, inside the window
+        r = following[i] - i - 1
         a, b = _slice_slots(mode, slices[i], n, parities[i])
         pa, pb = powers[a], powers[b]
         seen = {}
@@ -285,6 +282,10 @@ def _least_ahead(steps):
     The chain keeps mu up to the next downward step and moves only
     there; chain() sums it from one downward step on, memoized per call
     on (slice, step).
+
+    Returns (ahead, following), following[i] the first downward step
+    after step i, len(steps) if none, so the following[i] - i - 1 steps
+    right after step i are the upward run that keeps mu.
     """
     n = len(steps)
     # following[i]: the first downward step after step i, n if none
@@ -306,7 +307,7 @@ def _least_ahead(steps):
         d = following[i]
         return (d - i - 1) * sum(mu) + (chain(mu, d) if mu and d < n else 0)
 
-    return ahead
+    return ahead, following
 
 
 def _retire(state, done):

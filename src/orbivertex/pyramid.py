@@ -250,9 +250,9 @@ def enumerate_pyramids(max_bricks):
     return [PyramidPartition(f) for f in rpc.interlacing_families((), max_bricks)]
 
 
-def series_from_packed(names, cutoff, counts, nvars):
-    """Series from {packed exponents: count}, nvars digits of base
-    cutoff + 1; the Series checks them against `names`.
+def series_from_packed(names, cutoff, counts):
+    """Series from {packed exponents: count}, one digit of base
+    cutoff + 1 per name; the Series checks them against `names`.
 
     The enumerators pack their weights this way, so that adding a brick
     or box adds one int.  They unpack here rather than through the packed
@@ -263,7 +263,7 @@ def series_from_packed(names, cutoff, counts, nvars):
     terms = {}
     for w, c in counts.items():
         exps = []
-        for _ in range(nvars):
+        for _ in names:
             w, x = divmod(w, base)
             exps.append(x)
         terms[tuple(exps)] = c

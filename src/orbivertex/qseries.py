@@ -81,9 +81,9 @@ class Series:
     Terms from outside (the constructor, map_vars and the functions that
     count configurations) enter through _add, which checks coefficients
     with _check_int and exponent tuples with _check_exps (types, arity,
-    negativity).  Arithmetic on series already checked (products, powers
-    and the inverse; there are no sums or multiples) writes its dicts
-    directly.  A result leaves as to_json's record; nothing reads a
+    negativity), whatever the coefficient.  Arithmetic on series already
+    checked (products, powers and the inverse; there are no sums or
+    multiples) writes its dicts directly.  A result leaves as to_json's record; nothing reads a
     Series back in.
     """
 
@@ -108,14 +108,13 @@ class Series:
         for exps, coef in items:
             if type(coef) is not int:
                 _check_int(coef, "coefficient")
-            if coef:
-                _check_exps(exps, names)
-                if sum(exps) <= cutoff:
-                    new = terms.get(exps, 0) + coef
-                    if new:
-                        terms[exps] = new
-                    else:
-                        terms.pop(exps, None)
+            _check_exps(exps, names)
+            if coef and sum(exps) <= cutoff:
+                new = terms.get(exps, 0) + coef
+                if new:
+                    terms[exps] = new
+                else:
+                    terms.pop(exps, None)
 
     # -- basics -------------------------------------------------------------
 
@@ -365,11 +364,11 @@ class Factors:
         c, e = t
         _check_int(c, "coefficient")
         _check_exps(e, self.names)
-        if c and _check_int(k, "multiplicity"):
-            if sum(e) <= 0:
-                raise ValueError("degree-0 factor term %r" % (t,))
-            if sum(e) <= self.cutoff:
-                self._bump((c, tuple(e)), k)
+        _check_int(k, "multiplicity")
+        if sum(e) <= 0:
+            raise ValueError("degree-0 factor term %r" % (t,))
+        if c and k and sum(e) <= self.cutoff:
+            self._bump((c, tuple(e)), k)
 
     def _bump(self, key, k):
         new = self.mult.get(key, 0) + k

@@ -457,7 +457,7 @@ def generating_function(v, l, frame, cutoff):
         return sum(u * c for u, c in zip(units, counts))
 
     counts = _slice_walk(v, cutoff, weight)
-    return series_from_packed(VARS_Z2Z2, cutoff, counts, len(COLOR_SLOT))
+    return series_from_packed(VARS_Z2Z2, cutoff, counts)
 
 
 # ---------------------------------------------------------------------------

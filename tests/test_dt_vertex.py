@@ -163,9 +163,16 @@ def test_skew_schur_basics():
 
 
 def test_skew_schur_zero_and_one_values():
+    # values are Terms: a plain zero, of any type, is no Term and raises
+    # as in Factors._add, while a Term with coefficient 0 is skipped
     names = ("x1", "x2")
     x2 = term_var(2, 1)
-    s = skew_schur_specialized((1,), (), (term_var(2, 0), x2, 0, 0), 4, names)
+    for zero in (0, 0.0, False):
+        with pytest.raises(TypeError):
+            skew_schur_specialized((1,), (), (term_var(2, 0), x2, zero),
+                                   4, names)
+    s = skew_schur_specialized((1,), (), (term_var(2, 0), x2,
+                                          term(0, (1, 1))), 4, names)
     assert s.terms == {(1, 0): 1, (0, 1): 1}
     s = skew_schur_specialized((1,), (), (term(1, (0, 0)), x2), 4, names)
     assert s.coefficient((0, 0)) == 1 and s.coefficient((0, 1)) == 1
@@ -644,8 +651,8 @@ def test_vertex_closed_zn_side_slots_match_enumeration_degree_12(n, leg):
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("slot", range(3))
 def test_vertex_closed_zn_makes_no_series_product(monkeypatch, n, slot):
-    # a side leg is one Schur function times the zero-leg product, and a
-    # third leg needs none: the Schur factor of the empty slot is 1
+    # every slot runs the one path: one Schur function, s_() = 1 for a
+    # third leg, as the master of the one Factors product
     def refuse(self, other):
         raise AssertionError("Series product in vertex_closed_zn")
 
@@ -655,13 +662,39 @@ def test_vertex_closed_zn_makes_no_series_product(monkeypatch, n, slot):
         calls.append(args[0])
         return skew_schur_specialized(*args)
 
+    products = []
+
+    def recorded(*args):
+        products.append(args)
+        return _product(*args)
+
+    def no_series(self):
+        raise AssertionError("Factors.series in vertex_closed_zn")
+
     monkeypatch.setattr(Series, "__mul__", refuse)
+    monkeypatch.setattr(Factors, "series", no_series)
     monkeypatch.setattr(dt_vertex, "skew_schur_specialized", counted)
+    monkeypatch.setattr(dt_vertex, "_product", recorded)
     legs = [(), (), ()]
-    legs[slot] = (2, 1)
+    legs[slot] = (3, 1)
     got = vertex_closed_zn(n, tuple(legs), 6)
-    assert len(calls) == (slot < 2)
+    assert calls == [((2, 1, 1), (3, 1), ())[slot]]
+    assert len(products) == 1
     assert got == enumerate_one_leg(tuple(legs), "zn", 6, n=n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_vertex_closed_zn_side_slots_are_bar_symmetric_degree_16(n):
+    # the leg lam in slot 1 is the leg lam' in slot 2 with every color
+    # label negated mod n: the barred values and g on one side, the plain
+    # values and gbar on the other, above the degrees enumeration reaches
+    names = zn_names(n)
+    bar = [-j % n for j in range(n)]
+    for size in range(1, 5):
+        for lam in pc.partitions_of(size):
+            got = vertex_closed_zn(n, (lam, (), ()), 16)
+            other = vertex_closed_zn(n, ((), pc.conjugate(lam), ()), 16)
+            assert got == other.map_vars(names, bar), lam
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -310,9 +310,16 @@ def test_transfer_prune_boundary(group, n, leg):
 
 def test_transfer_ahead_is_the_least_continuation():
     # the truncation's bound after every step of every pattern, against a
-    # minimum over every chain of interlacing partitions
+    # minimum over every chain of interlacing partitions; following[k] - k
+    # - 1 counts the upward steps right after step k, the run that keeps mu
     for pattern in oracles.step_patterns(5):
-        ahead = fock_transfer._least_ahead(((False, False),) + pattern)
+        steps = ((False, False),) + pattern
+        ahead, following = fock_transfer._least_ahead(steps)
+        for k in range(len(steps)):
+            run = 0
+            while k + run + 1 < len(steps) and not steps[k + run + 1][0]:
+                run += 1
+            assert following[k] - k - 1 == run, (pattern, k)
         for mu in pc.partitions_up_to(6):
             for k in range(len(pattern) + 1):
                 want = oracles.least_continuation(mu, pattern[k:])

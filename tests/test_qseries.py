@@ -85,6 +85,16 @@ def test_negative_exponent_rejected():
         Series(V4, 4, {(1, -1, 0, 0): 1})
 
 
+@pytest.mark.parametrize("exps,error", [
+    (("a",), TypeError), ((1, 2, 3), ValueError), ((-1,), ValueError),
+    ((1.5,), TypeError),
+], ids=["str", "arity", "negative", "float"])
+def test_series_checks_the_exponents_of_a_zero_coefficient(exps, error):
+    # every exponent tuple that enters is checked, whatever its coefficient
+    with pytest.raises(error):
+        Series(("q",), 3, {exps: 0})
+
+
 def rand_laurent(rng, nvars, nterms):
     return {tuple(rng.randrange(-2, 3) for _ in range(nvars)): rng.randrange(-4, 5)
             for _ in range(nterms)}
@@ -503,6 +513,17 @@ def test_factors_reject_non_integer_input():
         Factors(("a",), 3, {(1, (1,)): 1.5})
     with pytest.raises(TypeError, match="multiplicity must be an int"):
         Factors(("a",), 3, {(1, (1,)): True})
+
+
+@pytest.mark.parametrize("factor,k,error", [
+    ((0, (1,)), 1.5, TypeError), ((0, (1,)), True, TypeError),
+    ((0, (0,)), 1, ValueError), ((1, (0,)), 0, ValueError),
+], ids=["float-mult", "bool-mult", "zero-coef-degree-0", "zero-mult-degree-0"])
+def test_factors_check_a_factor_that_adds_nothing(factor, k, error):
+    # the multiplicity and the degree are checked before a factor with
+    # coefficient 0 or multiplicity 0 is dropped
+    with pytest.raises(error):
+        Factors(("q",), 3, {factor: k})
 
 
 def test_term_rejects_non_integer_input():
