@@ -23,6 +23,7 @@ multiset it is called on; a family is given by its x alone.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import product
 from operator import add
 
@@ -119,6 +120,10 @@ class Series:
     # -- basics -------------------------------------------------------------
 
     def coefficient(self, exps):
+        """The coefficient of x^exps, 0 if absent; exps is checked as a
+        term's exponents are, so a wrong arity, a negative exponent or one
+        that is not an int raises rather than reading as 0."""
+        _check_exps(exps, self.names)
         return self.terms.get(tuple(exps), 0)
 
     def __eq__(self, other):
@@ -228,9 +233,14 @@ def _check_int(x, what):
 
 
 def _check_exps(exps, names, laurent=False):
-    """The one check of an exponent tuple from outside: one int per name
-    (TypeError otherwise), none negative unless laurent."""
-    if len(exps) != len(names):
+    """The one check of an exponent tuple from outside: a sequence of one
+    int per name (TypeError otherwise), none negative unless laurent."""
+    try:
+        arity = len(exps)
+    except TypeError:
+        raise TypeError("exponents must be a sequence of ints, not %r"
+                        % (exps,)) from None
+    if arity != len(names):
         raise ValueError("arity mismatch: %r with vars %r" % (exps, names))
     for x in exps:
         if type(x) is not int:
@@ -262,20 +272,39 @@ def _pack(exps, base):
     return key
 
 
+# The most digit tables that _digits keeps; each is no longer than twice
+# the entries of the decode that first built it.
+_DIGIT_TABLES = 32
+
+
+@lru_cache(maxsize=_DIGIT_TABLES)
+def _digits(base, width):
+    """Every tuple of `width` little-endian digits below base, at the index
+    it packs to; a tuple of tuples, so the callers that share it cannot
+    change it."""
+    # product runs its last digit fastest, so reversed it is little-endian
+    return tuple(t[::-1] for t in product(range(base), repeat=width))
+
+
 def _decoded(parts, base, nvars):
     """{exponent tuple: coefficient} of the nonzero entries of the packed
-    parts, nvars digits each.  A key splits into its low h digits, read
-    from a list over every low half, and the rest, read from a table that
-    unpacks each high half the first time it appears.  h is nvars // 2,
-    lowered until the list is no longer than the entries: with many
-    variables, base ** (nvars // 2) low halves would dwarf the series."""
+    parts, nvars digits each.  A key splits into its low h digits and its
+    high nvars - h digits, each read from the _digits table of its width,
+    built once per base and width.  h is nvars // 2, lowered until the low
+    table is no longer than the entries: with many variables,
+    base ** (nvars // 2) low halves would dwarf the series.  When the high
+    table would be longer than twice the entries, the high halves are
+    unpacked instead, each the first time it appears."""
     entries = sum(map(len, parts))
     h = nvars // 2
     while h and base ** h > entries:
         h -= 1
     split = base ** h
-    # product runs its last digit fastest, so reversed it is little-endian
-    lo = [t[::-1] for t in product(range(base), repeat=h)]
+    lo = _digits(base, h)
+    if base ** (nvars - h) <= 2 * entries:
+        hi = _digits(base, nvars - h)
+        return {lo[key % split] + hi[key // split]: v
+                for part in parts for key, v in part.items() if v}
     hi = {}
     out = {}
     for part in parts:

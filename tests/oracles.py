@@ -151,6 +151,22 @@ def series_to_dict(expr, gens):
     return out
 
 
+def decoded_digits(parts, base, nvars):
+    """qseries._decoded one digit at a time: each nonzero entry's packed
+    key unpacked by nvars divmods by base, lowest variable first, with no
+    tables."""
+    out = {}
+    for part in parts:
+        for key, v in part.items():
+            if v:
+                digits = []
+                for _ in range(nvars):
+                    key, d = divmod(key, base)
+                    digits.append(d)
+                out[tuple(digits)] = v
+    return out
+
+
 def pochhammer_factors(a, q, names, cutoff):
     """(a; q)_infinity = prod_{k>=0} (1 - a q^k) as Factors: the multiset
     {a q^k: -1} over the k with deg(a q^k) <= cutoff, written out and

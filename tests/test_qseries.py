@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from orbivertex import qseries
+from orbivertex.dt_vertex import skew_schur_specialized
 from orbivertex.qseries import (
     Factors, Series, _decoded, _pack, _walk, mul_terms, term,
 )
@@ -665,15 +666,111 @@ def test_factor_walks_need_q_of_positive_degree(monkeypatch, build, x):
         build(x)
 
 
-def test_decoded_inverts_pack():
-    # every variable count, the low half list capped by the entries
-    rng = random.Random(77)
+def _recorded_tables(monkeypatch):
+    # the (base, width, table) of every _digits read, through the cache
+    reads = []
+    digits = qseries._digits
+
+    def record(base, width):
+        table = digits(base, width)
+        reads.append((base, width, table))
+        return table
+
+    monkeypatch.setattr(qseries, "_digits", record)
+    return reads
+
+
+def test_decoded_inverts_pack(monkeypatch):
+    # random graded parts at every variable count and cutoff, empty parts
+    # and zero coefficients included, against one divmod per digit; the
+    # tables each decode reads show its path: a complete high table, or
+    # high halves unpacked one by one (many variables, few entries)
+    reads = _recorded_tables(monkeypatch)
+    rng = random.Random(40)
+    narrow, paths = False, set()
     for nvars in range(13):
-        base = 13
-        want = {tuple(rng.randrange(base) for _ in range(nvars)):
-                rng.randrange(1, 9) for _ in range(5)}
-        parts = [{_pack(e, base): c for e, c in want.items()}, {0: 0}]
-        assert _decoded(parts, base, nvars) == want, nvars
+        for cutoff in range(41):
+            base = cutoff + 1
+            parts = [{} for _ in range(base)]
+            for _ in range(rng.choice([0, 1, 2, 5, 30, 150])):
+                e = [0] * nvars
+                for _ in range(rng.randrange(base) if nvars else 0):
+                    e[rng.randrange(nvars)] += 1
+                parts[sum(e)][_pack(e, base)] = rng.randrange(-2, 3)
+            del reads[:]
+            got = _decoded(parts, base, nvars)
+            assert got == oracles.decoded_digits(parts, base, nvars)
+            h = reads[0][1]
+            assert [w for _, w, _ in reads] in ([h], [h, nvars - h])
+            narrow |= h < nvars // 2
+            paths.add(("table" if len(reads) == 2 else "unpacked",
+                       nvars >= 8))
+    assert narrow and {("table", False), ("unpacked", True)} <= paths
+
+
+def test_digit_tables_are_cached_bounded_and_frozen(monkeypatch):
+    # two products at one cutoff over as many names read the tables the
+    # first built; each table is a tuple of digit tuples no longer than
+    # the size rule allows, and the cache keeps a constant number of them
+    digits = qseries._digits
+    digits.cache_clear()
+    reads = _recorded_tables(monkeypatch)
+    for nvars, cutoff in [(4, 15), (5, 12), (8, 8)]:
+        names = V4 + tuple("x%d" % i for i in range(nvars - 4))
+        ones = term(1, (0,) * nvars)
+        del reads[:]
+        entries = len(Factors(names, cutoff).walk("M", ones).series().terms)
+        built = digits.cache_info().misses
+        first = reads[:]
+        assert Factors(names, cutoff).walk("Mt", ones).series().terms
+        assert digits.cache_info().misses == built
+        for base, width, table in first:
+            assert base == cutoff + 1
+            assert type(table) is tuple and len(table) == base ** width
+            assert all(type(t) is tuple and len(t) == width for t in table)
+            assert len(table) <= 2 * entries
+        assert len(first[0][2]) <= entries
+    assert digits.cache_info().maxsize == qseries._DIGIT_TABLES
+    assert type(qseries._DIGIT_TABLES) is int
+
+
+def test_coefficient_checks_its_exponents():
+    # a wrong arity or a negative exponent used to read as 0, and a float
+    # exponent as the int it equals
+    s = Series(V4, 4, {(1, 0, 0, 0): 3})
+    assert s.coefficient((1, 0, 0, 0)) == 3 and s.coefficient([0] * 4) == 0
+    with pytest.raises(ValueError, match="arity"):
+        s.coefficient((1, 0))
+    with pytest.raises(ValueError, match="negative"):
+        s.coefficient((-1, 0, 0, 0))
+    with pytest.raises(TypeError, match="exponent must be an int"):
+        s.coefficient((1.0, 0, 0, 0))
+    with pytest.raises(TypeError, match="sequence of ints, not 5"):
+        s.coefficient(5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda e: Series(("a",), 3, {e: 1}),
+    lambda e: Factors(("a",), 3).walk("M", (1, e)),
+    lambda e: Factors(("a",), 3, {(1, e): 1}),
+    lambda e: skew_schur_specialized((1,), (), [(1, e)], 3, ("a",)),
+], ids=["series", "walk", "factors", "skew_schur"])
+@pytest.mark.parametrize("exps", [5, None])
+def test_exponents_without_a_length_are_named(build, exps):
+    # len() of an int used to raise a bare "object of type 'int' has no
+    # len()"
+    with pytest.raises(TypeError,
+                       match="exponents must be a sequence of ints, not %r"
+                       % exps):
+        build(exps)
+
+
+def test_term_exponents_may_be_lists():
+    # walk and skew_schur_specialized read a Term's exponents as given
+    assert (Factors(("a",), 3).walk("M", (1, [0])).mult
+            == Factors(("a",), 3).walk("M", (1, (0,))).mult)
+    assert (skew_schur_specialized((1,), (), [(1, [1])], 3, ("a",))
+            == Series(("a",), 3, {(1,): 1}))
 
 
 def test_factors_times_edge_cases():
