@@ -147,7 +147,7 @@ def _bracket(v, cutoff, mode, n, window):
     interlacing partners and multiplies in the weight of the partner's
     slice -(t + 1) at once, so a weight step is one int addition per term
     and a partner takes only the degree buckets that the size its least
-    continuation still forces on it (_least_ahead, vertex_by_transfer)
+    continuation still forces on it (pc.least_ahead, vertex_by_transfer)
     leaves <= cutoff.  The partner's weight is read off the two slots of
     its slice (_slice_slots) once per partner and step, and under two
     colors off its checkerboard counts, kept in counts once per call.
@@ -196,8 +196,8 @@ def _bracket(v, cutoff, mode, n, window):
         flip = sum(v) % 2 if mode == "rpc_antidiagonal" else 0
         parities = [p ^ flip for p in _diagonal_parities(v, slices)]
     taus = pc.edge_values(conj, steps)
-    ahead, following = _least_ahead([(tau == -1, rpc and t % 2 == 0)
-                                      for t, tau in zip(steps, taus)])
+    ahead, following = pc.least_ahead([(tau == -1, rpc and t % 2 == 0)
+                                       for t, tau in zip(steps, taus)])
     # every step from index settled on moves down
     settled = 1 + max((i for i, tau in enumerate(taus) if tau == 1),
                       default=-1)
@@ -266,50 +266,6 @@ def _bracket(v, cutoff, mode, n, window):
     return Series(names, cutoff, terms)
 
 
-def _least_ahead(steps):
-    """ahead(mu, i): the least total size of the slices that the steps
-    after step i produce from a slice mu, where steps[i] = (down, primed)
-    says whether step i moves down and whether it is primed.
-
-    The least partner of each step is contained in every partner: an
-    upward partner contains its source, an unprimed downward partner nu
-    of mu has nu_j >= mu_{j+1}, so it contains mu with its first row
-    removed, and a primed one has nu_j >= mu_j - 1, so it contains mu
-    with its first column removed.  Each least partner is monotone under
-    containment, so by induction every slice of every continuation
-    contains the slice of the greedy chain that takes the least partner
-    at each step, and the chain's total size bounds theirs from below.
-    The chain keeps mu up to the next downward step and moves only
-    there; chain() sums it from one downward step on, memoized per call
-    on (slice, step).
-
-    Returns (ahead, following), following[i] the first downward step
-    after step i, len(steps) if none, so the following[i] - i - 1 steps
-    right after step i are the upward run that keeps mu.
-    """
-    n = len(steps)
-    # following[i]: the first downward step after step i, n if none
-    following = [n] * n
-    for i in range(n - 2, -1, -1):
-        following[i] = i + 1 if steps[i + 1][0] else following[i + 1]
-    memo = {}
-
-    def chain(mu, d):
-        got = memo.get((mu, d))
-        if got is None:
-            nu = tuple(x - 1 for x in mu if x > 1) if steps[d][1] else mu[1:]
-            e = following[d]
-            got = (e - d) * sum(nu) + (chain(nu, e) if nu and e < n else 0)
-            memo[(mu, d)] = got
-        return got
-
-    def ahead(mu, i):
-        d = following[i]
-        return (d - i - 1) * sum(mu) + (chain(mu, d) if mu and d < n else 0)
-
-    return ahead, following
-
-
 def _retire(state, done):
     """Move the terms of the empty partition out of the walk's state into
     done, {packed exponents: coefficient}."""
@@ -356,23 +312,18 @@ def vertex_by_transfer(group, leg, cutoff, mode=None, n=None):
     Why truncating inside each step loses nothing: every exponent is
     non-negative, so no later step lowers a term's degree.  A term of
     degree d that moves to the partner mu at once takes the weight of
-    mu's slice, which adds exactly |mu|.  Every later slice of the
-    window, up to the last, contains the slice that the least
-    continuation of mu has there, the chain that takes at each later
-    step the least partner: mu itself upward, mu without its first row
-    downward and unprimed, mu without its first column downward and
-    primed; so the later weight steps add at least ahead, that chain's
-    total size (_least_ahead proves it).  The term's final degree is
-    therefore at least d + |mu| + ahead.  A term with
+    mu's slice, which adds exactly |mu|, and the later weight steps of
+    the window add at least ahead, the total size of mu's least
+    continuation (pc.least_ahead proves it).  A term with
     d + |mu| + ahead > cutoff can reach no coefficient of degree
     <= cutoff, and the walk drops it when it moves (d > room, with
     room = cutoff - |mu| - ahead); a term with equality is kept.  Every
     term of a partition has degree at least its lowest degree, low, so a
-    partner with room < low receives nothing and is skipped.  The chain
-    keeps mu through the r steps right after this one, inside the
-    window, whose edge value is +1, so ahead >= r * |mu|, and upward
-    only partners of size <= (cutoff - low) // (1 + r) are enumerated at
-    all.
+    partner with room < low receives nothing and is skipped.  The least
+    continuation keeps mu through the r steps right after this one,
+    inside the window, whose edge value is +1, so ahead >= r * |mu|, and
+    upward only partners of size <= (cutoff - low) // (1 + r) are
+    enumerated at all.
     """
     v, mode, n, window = _transfer_args(group, leg, cutoff, mode, n)
     return _bracket(v, cutoff, mode, n, window)

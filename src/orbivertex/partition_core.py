@@ -1,4 +1,5 @@
-"""Integer partitions: interlacing, edge sequences, diagonals, hooks.
+"""Integer partitions: interlacing and its least continuation, edge
+sequences, diagonals, hooks.
 
 Partitions are plain tuples of weakly decreasing positive ints, trailing
 zeros trimmed, so they hash and compare for free.  The empty partition
@@ -198,6 +199,49 @@ def _partners_above(lam, budget, primed):
     return tuple(out)
 
 
+def least_ahead(steps):
+    """ahead(mu, i): the least total size of the slices that the steps
+    after step i produce from a slice mu, where steps[i] = (down, primed)
+    says whether step i moves down and whether it is primed.
+
+    The least partner of each step is contained in every partner: an
+    upward partner contains its source (row by row, primed or not), an
+    unprimed downward partner nu of mu has nu_j >= mu_{j+1}, so it
+    contains mu with its first row removed, and a primed one has
+    nu_j >= mu_j - 1, so it contains mu with its first column removed.
+    Each least partner is monotone under containment, so by induction
+    every slice of every continuation contains the slice of the greedy
+    chain that takes the least partner at each step, and the chain's
+    total size bounds theirs from below.  The chain keeps mu up to the
+    next downward step and moves only there; chain() sums it from one
+    downward step on, memoized per call on (slice, step).
+
+    Returns (ahead, following), following[i] the first downward step
+    after step i, len(steps) if none, so the following[i] - i - 1 steps
+    right after step i are the upward run that keeps mu.
+    """
+    n = len(steps)
+    following = [n] * n
+    for i in range(n - 2, -1, -1):
+        following[i] = i + 1 if steps[i + 1][0] else following[i + 1]
+    memo = {}
+
+    def chain(mu, d):
+        got = memo.get((mu, d))
+        if got is None:
+            nu = tuple(x - 1 for x in mu if x > 1) if steps[d][1] else mu[1:]
+            e = following[d]
+            got = (e - d) * sum(nu) + (chain(nu, e) if nu and e < n else 0)
+            memo[(mu, d)] = got
+        return got
+
+    def ahead(mu, i):
+        d = following[i]
+        return (d - i - 1) * sum(mu) + (chain(mu, d) if mu and d < n else 0)
+
+    return ahead, following
+
+
 # ---------------------------------------------------------------------------
 # Edge sequence (Maya coding)
 # ---------------------------------------------------------------------------
@@ -236,9 +280,16 @@ def edge_bound(p):
 # Diagonals, residues, hooks
 # ---------------------------------------------------------------------------
 
+def _check_n(n):
+    """n of Z_n, an int >= 1, checked once per count."""
+    if _check_int(n, "n") < 1:
+        raise ValueError("n must be >= 1, got %r" % (n,))
+    return n
+
+
 def residue_count(p, k, n):
     """Number of cells with i - j = k (mod n)."""
-    k %= n
+    k %= _check_n(n)
     return sum(1 for (i, j) in cells(p) if (i - j) % n == k)
 
 
@@ -249,6 +300,7 @@ def hook_color_count(p, i, j, n):
     and the cells below it in the same column; entry k counts hook cells
     with i' - j' = k (mod n).
     """
+    _check_n(n)
     if not contains_cell(p, i, j):
         raise ValueError("cell (%d, %d) not in %r" % (i, j, p))
     pc = conjugate(p)
@@ -263,6 +315,7 @@ def hook_color_count(p, i, j, n):
 
 def renormalization_exponent(p, k, n):
     """Sum of floor((i + k) / n) over the cells of p (i = column index)."""
+    _check_n(n)
     return sum((i + k) // n for (i, j) in cells(p))
 
 

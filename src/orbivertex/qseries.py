@@ -415,10 +415,12 @@ class Factors:
         self.names, exponents possibly negative, checked once as a Series
         term is; each entry's a = (+-x)^i q^j is formed from it, and
         i < 0 needs a coefficient +-1.  With no names q = 1 and a walk
-        would not end, so that raises.  Every check runs before the first
-        entry is walked, so a walk that raises leaves self as it was.  l
-        is the integer shift of the four families that end in 0 or 1; M,
-        Mt and Mh, which have none, raise if given one.  power, an int,
+        would not end, so that raises.  Every argument is checked before
+        the first entry is walked, and a walk that raises later, at a
+        factor of degree <= 0 or with a negative exponent, restores the
+        multiset it started from, so it leaves self as it was.  l is the
+        integer shift of the four families that end in 0 or 1; M, Mt and
+        Mh, which have none, raise if given one.  power, an int,
         multiplies each entry's multiplicity, so every factor is added
         once.
         """
@@ -437,11 +439,16 @@ class Factors:
             raise ValueError("no variables: q = 1, and the walk would not end")
         if xc not in (1, -1) and any(i < 0 for _, i, _, _ in _TILDE[tilde]):
             raise ValueError("cannot invert coefficient %d" % xc)
-        for s in ((1, -1) if name in _HAT else (1,)):
-            for macmahon, i, (ja, jb), (ka, kb) in _TILDE[tilde]:
-                j = ja + jb * l
-                a = ((s * xc) ** abs(i), tuple(i * u + j for u in xe))
-                _walk(self, a, macmahon, power * (ka + kb * l))
+        saved = dict(self.mult)
+        try:
+            for s in ((1, -1) if name in _HAT else (1,)):
+                for macmahon, i, (ja, jb), (ka, kb) in _TILDE[tilde]:
+                    j = ja + jb * l
+                    a = ((s * xc) ** abs(i), tuple(i * u + j for u in xe))
+                    _walk(self, a, macmahon, power * (ka + kb * l))
+        except BaseException:
+            self.mult = saved
+            raise
         return self
 
     def series(self):

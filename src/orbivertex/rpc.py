@@ -20,7 +20,6 @@ are identical in the two frames, the brick content is not.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 
 from . import partition_core as pc
@@ -239,24 +238,17 @@ def _slice_walk(v, cutoff, slice_weight):
       least one brick.  So the sweep starts from the empty family,
       weighing slice_weight(left, ()).
     * Chain prune: a slice opt at s is skipped once need = |opt| +
-      ahead(opt, s) exceeds the bricks left, where ahead is the total
-      size of the least continuation, the chain that takes the least
-      partner at each later slice of the range.  The least partner is
-      contained in every partner: above, the source itself (row by row
-      mu_i >= lam_i, primed or not); below and unprimed, the source
-      without its first row (mu_i >= lam_{i+1}); below and primed, the
-      source without its first column (mu_i >= lam_i - 1).  Each is
-      monotone under containment, so by induction every later slice of
-      every continuation of opt contains the chain's slice there, and
-      no continuation takes fewer than ahead bricks; none fits the
-      budget.  Every kept slice passes |opt| <= bricks left, so no
-      family over budget is counted.  An upward partner contains the
-      previous slice, whose cells live as long in it, so only partners
-      of size <= top - ahead(prev, s) are listed.  The chain keeps opt
+      ahead(opt, s - left) exceeds the bricks left, ahead the total size
+      of the least continuation over the later slices of the range
+      (pc.least_ahead proves that no continuation of opt takes fewer
+      bricks), so none fits the budget.  Every kept slice passes
+      |opt| <= bricks left, so no family over budget is counted.  An
+      upward partner contains the previous slice, and the least
+      continuation is monotone under containment, so only partners of
+      size <= top - ahead(prev, s - left) are listed.  It keeps opt
       through the upward run after s, so need >= |opt| * (1 + run): the
       prune subsumes the run prune, and left of -b, where the run
-      reaches -b, a steps-left bound of 1 + (-b - s).  _ahead gives the
-      chain's size in closed form from _cell_lives.
+      reaches -b, a steps-left bound of 1 + (-b - s).
     * Early stop: once slice s - 1 is empty with s >= b, the family is
       complete.  Every later slice has tau = +1, and the only partition
       below () is (), primed or not, so by induction every later slice
@@ -275,13 +267,12 @@ def _slice_walk(v, cutoff, slice_weight):
     # steps[s - left]: (slice s lies below slice s - 1, slice s is primed)
     taus = pc.edge_values(conj, [-s for s in slices])
     steps = [(tau == 1, s % 2 == 0) for s, tau in zip(slices, taus)]
-    lives = _cell_lives(steps, cutoff + 1)
+    ahead, _ = pc.least_ahead(steps)
     weigh = lru_cache(maxsize=None)(slice_weight)
     out = {}
     state = {(): {cutoff: {weigh(left, ()): 1}}}
     for s in slices[1:]:
         down, primed = steps[s - left]
-        life = lives[s - left]
         needs = {}
         grown = {}
         for prev, buckets in state.items():
@@ -296,12 +287,12 @@ def _slice_walk(v, cutoff, slice_weight):
             if down:
                 options = pc.partners_below(prev, primed)
             else:
-                options = pc.partners_above(prev, top - _ahead(prev, life),
+                options = pc.partners_above(prev, top - ahead(prev, s - left),
                                             primed)
             for opt in options:
                 need = needs.get(opt)
                 if need is None:
-                    need = needs[opt] = sum(opt) + _ahead(opt, life)
+                    need = needs[opt] = sum(opt) + ahead(opt, s - left)
                 if need > top:
                     continue
                 cost = sum(opt)
@@ -316,61 +307,6 @@ def _slice_walk(v, cutoff, slice_weight):
                         dst[w] = dst.get(w, 0) + c
         state = grown
     return out
-
-
-def _cell_lives(steps, cap):
-    """Per slice k of a sweep, how long each cell of a slice there lives
-    in the least continuation (see _slice_walk's chain prune).
-
-    steps[k] = (down, primed) is the step into slice k: below slice
-    k - 1 or above it, primed or not.  The least continuation of a slice
-    mu at k is, at a later slice, mu without its first u rows and first
-    p columns, u and p counting the unprimed and the primed downward
-    steps since k: an upward step keeps the slice, an unprimed downward
-    one drops its first row, a primed one its first column, and the two
-    commute.  So cell (r, c) of mu (row r, column c) is in it until the
-    (r + 1)-th unprimed or the (c + 1)-th primed downward step after k,
-    whichever comes first.  Entry k is (rows, cuts, prefix) with, for
-    r, c < cap: rows[r] the slices after k before the (r + 1)-th
-    unprimed downward step (all of them once the steps run out), cols[c]
-    likewise for primed ones, cuts[r] the number of c with
-    cols[c] < rows[r], and prefix[c] = cols[0] + ... + cols[c - 1].
-    """
-    n = len(steps)
-    row_kills, col_kills = [], []   # downward steps after k, nearest last
-    out = [None] * n
-    for k in range(n - 1, -1, -1):
-        rows = _kill_times(row_kills, k, n, cap)
-        cols = _kill_times(col_kills, k, n, cap)
-        prefix = [0]
-        for x in cols:
-            prefix.append(prefix[-1] + x)
-        out[k] = (rows, [bisect_left(cols, x) for x in rows], prefix)
-        down, primed = steps[k]
-        if down:
-            (col_kills if primed else row_kills).append(k)
-    return out
-
-
-def _kill_times(kills, k, n, cap):
-    """[slices after k before the (i + 1)-th kill] for i < cap, from the
-    kill positions after k, nearest last, out of n slices."""
-    times = [t - k - 1 for t in reversed(kills[-cap:])]
-    return times + [n - k - 1] * (cap - len(times))
-
-
-def _ahead(mu, life):
-    """ahead(mu, k): the total size of mu's least continuation after its
-    slice k, life = _cell_lives(...)[k], mu with at most cap rows and
-    columns.  Cell (r, c) lives through min(rows[r], cols[c]) later
-    slices, and cols is weakly increasing, so in row r the columns
-    c < cuts[r] give cols[c] and the others rows[r]."""
-    rows, cuts, prefix = life
-    total = 0
-    for x, cut, m in zip(rows, cuts, mu):
-        cut = cut if cut < m else m
-        total += prefix[cut] + x * (m - cut)
-    return total
 
 
 def interlacing_families(v, budget):

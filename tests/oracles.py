@@ -791,9 +791,10 @@ def _interlacing_options(prev, down, primed, top):
 def least_continuation(mu, pattern, top=7):
     """The least total size of the slices that the steps of pattern, a
     tuple of (down, primed) pairs, produce from the slice mu, over every
-    chain whose slices have size <= top: the reference for the sweeps'
-    ahead bounds.  An upward step is offered every partner up to size
-    top, the ones strictly larger than mu included."""
+    chain whose slices have size <= top: the reference for
+    partition_core.least_ahead, the bound of both sweeps.  An upward
+    step is offered every partner up to size top, the ones strictly
+    larger than mu included."""
     if not pattern:
         return 0
     (down, primed), rest = pattern[0], pattern[1:]

@@ -270,6 +270,38 @@ def test_unprimed_partners_ascend():
             assert above == sorted(set(above)), (lam, bound)
 
 
+def test_least_ahead_is_the_least_continuation():
+    # the bound of both sweeps after every step of every pattern, against
+    # a minimum over every chain of interlacing partitions; following[k] -
+    # k - 1 counts the upward steps right after step k, the run that keeps
+    # mu
+    for pattern in oracles.step_patterns(5):
+        steps = ((False, False),) + pattern
+        ahead, following = pc.least_ahead(steps)
+        for k in range(len(steps)):
+            run = 0
+            while k + run + 1 < len(steps) and not steps[k + run + 1][0]:
+                run += 1
+            assert following[k] - k - 1 == run, (pattern, k)
+        for mu in pc.partitions_up_to(6):
+            for k in range(len(pattern) + 1):
+                want = oracles.least_continuation(mu, pattern[k:])
+                assert ahead(mu, k) == want, (mu, pattern, k)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_zn_cell_counts_reject_n_below_one(n):
+    # n = 0 divided by zero, the histogram indexed out of range, and
+    # n = -2 returned a count
+    for count in [lambda: pc.residue_count((2, 1), 0, n),
+                  lambda: pc.hook_color_count((2, 1), 0, 0, n),
+                  lambda: pc.renormalization_exponent((2, 1), 1, n)]:
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            count()
+    with pytest.raises(TypeError, match="n must be an int"):
+        pc.residue_count((2, 1), 0, 4.0)
+
+
 def test_check_partition_rejects_non_int_parts():
     # (1.5,) and (True,) used to pass as partitions
     for p in [(1.5,), (True,), (3, 2.0), (2, 1, False)]:

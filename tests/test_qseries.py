@@ -860,6 +860,17 @@ def test_factor_walks_check_their_arguments_once():
             with pytest.raises(error, match=re.escape(message)):
                 out.walk(name, x, l=l)
             assert out.mult == {}, (name, x)
+    # a factor that _walk rejects after earlier entries were walked used
+    # to leave those entries in the product
+    for names, name, x, l, power, message in [
+            (("a",), "Mt", (1, (2,)), None, 1, "factor of degree -1 at n=1"),
+            (("a",), "Mh", (1, (1,)), None, 1, "factor of degree 0 at n=1"),
+            (("a", "b"), "Mt0", (1, (2, -2)), 1, -3, "negative exponent")]:
+        before = {(1, (1,) * len(names)): 1}
+        out = Factors(names, 6, before)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            out.walk(name, x, l, power)
+        assert out.mult == before, (name, x)
 
 
 def test_family_walk_rejects_what_the_derived_a_hid():

@@ -533,17 +533,6 @@ def test_interlacing_families_match_unpruned_oracle():
             assert interlacing_families(v, budget) == want, (v, budget)
 
 
-def test_walk_ahead_is_the_least_continuation():
-    # the chain prune's bound at every slice of every pattern, against a
-    # minimum over every chain of interlacing partitions
-    for pattern in oracles.step_patterns(5):
-        lives = rpc._cell_lives(((False, False),) + pattern, 7)
-        for mu in pc.partitions_up_to(6):
-            for k in range(len(pattern) + 1):
-                want = oracles.least_continuation(mu, pattern[k:])
-                assert rpc._ahead(mu, lives[k]) == want, (mu, pattern, k)
-
-
 def test_interlacing_families_rejects_negative_budget(monkeypatch):
     def no_partners(*args, **kwargs):
         raise AssertionError("walk started")
