@@ -308,6 +308,40 @@ def test_transfer_prune_boundary(group, n, leg):
         assert vertex_by_transfer(group, leg, cutoff, n=n) == want, cutoff
 
 
+def test_transfer_ahead_is_the_least_continuation(monkeypatch):
+    # the truncation's bound after every step of the step list that the
+    # transfer itself hands pc.least_ahead, against a minimum over every
+    # chain of interlacing partitions: step t moves down where the leg's
+    # edge value is -1 and is primed at even t under the RPC modes
+    least_ahead = pc.least_ahead
+    seen = []
+
+    def spy(steps):
+        got = least_ahead(steps)
+        seen.append((tuple(steps), got[0]))
+        return got
+
+    monkeypatch.setattr(pc, "least_ahead", spy)
+    for group, mode, n in [("z2z2", "standard", None),
+                           ("z2z2", "rpc_antidiagonal", None),
+                           ("z2z2", "rpc_diagonal", None), ("zn", "zn", 3)]:
+        for leg in [(), (1,), (2, 1), (1, 1, 1)]:
+            seen.clear()
+            vertex_by_transfer(group, leg, 3, mode, n=n)
+            (steps, ahead), = seen
+            window = fock_transfer._transfer_args(group, leg, 3, mode, n)[3]
+            conj = pc.conjugate(leg)
+            primes = mode.startswith("rpc")
+            assert steps == tuple((pc.edge_value(conj, t) == -1,
+                                   primes and t % 2 == 0)
+                                  for t in range(-window, window + 1)), (
+                                      mode, leg)
+            for mu in pc.partitions_up_to(5):
+                for k in range(len(steps)):
+                    want = oracles.least_continuation(mu, steps[k + 1:])
+                    assert ahead(mu, k) == want, (mode, leg, mu, k)
+
+
 def test_diagonal_parities_match_diagonal_counts():
     for v in pc.partitions_up_to(8):
         window = fock_transfer._transfer_args("z2z2", v, 6, None, None)[3]

@@ -533,6 +533,37 @@ def test_interlacing_families_match_unpruned_oracle():
             assert interlacing_families(v, budget) == want, (v, budget)
 
 
+def test_walk_ahead_is_the_least_continuation(monkeypatch):
+    # the chain prune's bound at every slice of the step list that the
+    # walk itself hands pc.least_ahead, against a minimum over every chain
+    # of interlacing partitions: slice s lies below slice s - 1 where the
+    # leg's edge value at -s is +1 and is primed at even s, as in
+    # oracles.interlacing_families_unpruned
+    least_ahead = pc.least_ahead
+    seen = []
+
+    def spy(steps):
+        got = least_ahead(steps)
+        seen.append((tuple(steps), got[0]))
+        return got
+
+    monkeypatch.setattr(pc, "least_ahead", spy)
+    for v in [(), (1,), (2,), (2, 1), (1, 1, 1)]:
+        for budget in range(4):
+            seen.clear()
+            want = oracles.interlacing_families_unpruned(v, budget)
+            assert interlacing_families(v, budget) == want, (v, budget)
+            (steps, ahead), = seen
+            conj = pc.conjugate(v)
+            slices = rpc._slice_range(conj, budget)
+            assert steps == tuple((pc.edge_value(conj, -s) == 1, s % 2 == 0)
+                                  for s in slices), (v, budget)
+            for mu in pc.partitions_up_to(5):
+                for k in range(len(steps)):
+                    want = oracles.least_continuation(mu, steps[k + 1:])
+                    assert ahead(mu, k) == want, (v, budget, mu, k)
+
+
 def test_interlacing_families_rejects_negative_budget(monkeypatch):
     def no_partners(*args, **kwargs):
         raise AssertionError("walk started")
