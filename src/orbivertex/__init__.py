@@ -5,5 +5,5 @@ formulas, together with pyramid partitions and their restricted variants.
 
 __all__ = [
     "partition_core", "qseries", "pyramid", "rpc", "fock_transfer",
-    "dt_vertex", "cli",
+    "dt_vertex", "routes", "cli",
 ]

@@ -1,6 +1,6 @@
-"""Command line front end: compute vertex/pyramid series, cross-verify the
-independent pipelines, and run the uniqueness scan.  Emits JSON or CSV.
-"""
+"""Command line front end: vertex and pyramid series by the routes of
+orbivertex.routes, their cross-checks and the uniqueness scan, as JSON
+or CSV."""
 
 from __future__ import annotations
 
@@ -12,12 +12,8 @@ import json
 import os
 import sys
 
-from . import fock_transfer
 from . import partition_core as pc
-from . import rpc
-from .dt_vertex import (closed_z2z2_staircase, corollary_rpc_closed,
-                        enumerate_3d, one_leg_zn_staircase, vertex_closed_zn)
-from .fock_transfer import vertex_by_transfer
+from . import routes, rpc
 from .pyramid import ANTI, DIAG, _group_names
 
 
@@ -51,16 +47,6 @@ def _shifts_arg(text):
             "shifts must be comma-separated integers")
 
 
-def _monomial(names, exps):
-    bits = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            bits.append(name)
-        elif e:
-            bits.append("%s^%d" % (name, e))
-    return "*".join(bits) if bits else "1"
-
-
 def _differ(what, a, b):
     """Print "<what> at <monomial>: x != y" for the first monomial, by
     degree and then exponents, at which a and b differ; return whether
@@ -70,7 +56,9 @@ def _differ(what, a, b):
     for e in sorted(set(a.terms) | set(b.terms), key=lambda e: (sum(e), e)):
         x, y = a.coefficient(e), b.coefficient(e)
         if x != y:
-            print("%s at %s: %d != %d" % (what, _monomial(a.names, e), x, y))
+            monomial = "*".join(name if k == 1 else "%s^%d" % (name, k)
+                                for name, k in zip(a.names, e) if k) or "1"
+            print("%s at %s: %d != %d" % (what, monomial, x, y))
             return True
     return False
 
@@ -98,82 +86,41 @@ def _emit(args, report, header, rows):
         sys.stdout.write(text)
 
 
-def _vertex_check(args):
-    # --n defaults to None, so that one given under z2z2 reaches the check
-    if args.group == "zn" and args.n is None:
-        args.n = 4
-    _group_names(args.group, args.n)
-
-
-def _vertex_fields(args):
-    rec = {"vertex": "one_leg" if args.leg else "zero_leg",
-           "group": args.group, "leg": list(args.leg)}
-    if args.group == "zn":
-        rec["n"] = args.n
+def _fields(args):
+    """A record's fields besides method and series."""
+    rec = {"vertex": args.command, "group": "z2z2", "leg": list(args.leg)}
+    if args.command == "rpc":
+        rec["frame"] = args.frame
+    elif args.command == "vertex":
+        rec.update(vertex="one_leg" if args.leg else "zero_leg",
+                   group=args.group)
+        if args.group == "zn":
+            rec["n"] = args.n
     return rec
-
-
-def _vertex_closed(args):
-    if args.group == "zn":
-        return vertex_closed_zn(args.n, ((), (), args.leg), args.degree)
-    return closed_z2z2_staircase(len(args.leg), args.degree)
-
-
-def _interlacing(args):
-    # the series is the same at every shift (see generating_function)
-    return rpc.generating_function(args.leg, 0, args.frame, args.degree)
-
-
-def _rpc_closed(args):
-    return corollary_rpc_closed(len(args.leg), args.degree)
-
-
-# subcommand -> (input check, record fields besides method and series,
-# {method: (series of the parsed args, whether it needs a staircase leg,
-# independence class)}), the first method the default.  The class names
-# what a route rests on: boxes (enumerate_3d), partners (the interlacing
-# walk and transfer) or factors (the closed products).  Rows look their
-# functions up when run, so a patched module name reaches the route.
-_ANY_LEG, _STAIRCASE = (lambda args: False), (lambda args: True)
-_RPC_ROUTES = {"interlacing": (_interlacing, _ANY_LEG, "partners"),
-               "closed": (_rpc_closed, _STAIRCASE, "factors")}
-_ROUTES = {
-    "vertex": (_vertex_check, _vertex_fields, {
-        "closed": (_vertex_closed, lambda args: args.group == "z2z2",
-                   "factors"),
-        "enumerate": (lambda args: enumerate_3d(
-            args.leg, args.group, args.degree, n=args.n), _ANY_LEG, "boxes"),
-        "transfer": (lambda args: vertex_by_transfer(
-            args.group, args.leg, args.degree, n=args.n), _ANY_LEG,
-            "partners"),
-    }),
-    # rpc at leg () in the diagonal frame, which its parser sets
-    "pyramid": (lambda args: None, lambda args: {
-        "vertex": "pyramid", "group": "z2z2", "leg": []},
-        {"closed": _RPC_ROUTES["closed"],
-         "enumerate": _RPC_ROUTES["interlacing"]}),
-    "rpc": (lambda args: None, lambda args: {
-        "vertex": "rpc", "group": "z2z2", "leg": list(args.leg),
-        "frame": args.frame}, _RPC_ROUTES),
-}
 
 
 def _series(args):
     """Every requested method's series; under --verify each is compared
     with the first."""
-    check, fields, routes = _ROUTES[args.command]
     if args.verify and len(args.method) < 2:
         raise ValueError("--verify needs at least two methods")
-    check(args)
-    for method in args.method:
-        if routes[method][1](args) and not pc.is_staircase(args.leg):
+    if args.command == "vertex":
+        # --n defaults to None, so that one given under z2z2 is refused
+        if args.group == "zn" and args.n is None:
+            args.n = 4
+        _group_names(args.group, args.n)
+    rows = [(method, routes.ROUTES[routes.CLI[args.command][method]])
+            for method in args.method]
+    for method, route in rows:
+        if route.staircase(args) and not pc.is_staircase(args.leg):
             raise ValueError("%s form needs a staircase leg, got %r"
                              % (method, args.leg))
-    named = [(method, routes[method][0](args)) for method in args.method]
+    named = [(method, route.series(args, args.degree))
+             for method, route in rows]
     base_label, base = named[0]
     comparisons = [("mismatch %s vs %s" % (base_label, label), base, s)
                    for label, s in named[1:] if args.verify]
-    records = [dict(fields(args), method=method, series=s.to_record())
+    records = [dict(_fields(args), method=method, series=s.to_record())
                for method, s in named]
     header = ["method"] + records[0]["series"]["vars"] + ["coef"]
     return comparisons, {"results": records}, header, (
@@ -192,8 +139,7 @@ def _uniqueness(args):
     expected = {tuple(pc.staircase(m)) for m in range(args.max_leg_size + 1)
                 if pc.size(pc.staircase(m)) <= args.max_leg_size}
     report = {"window": args.window, "shifts": list(args.shifts),
-              "max_leg_size": args.max_leg_size,
-              "results": rows,
+              "max_leg_size": args.max_leg_size, "results": rows,
               "symmetric_legs": [list(v) for v in symmetric],
               "staircases_only": set(symmetric) == expected}
     return [], report, ["leg", "shift", "symmetric"], (
@@ -202,41 +148,26 @@ def _uniqueness(args):
 
 
 def _verify(args):
-    """Per check its two routes, then a transfer route's brackets on its
-    window and window + 2.  Every check in the report is ok."""
-    d = args.degree
-    en = enumerate_3d((), "z2z2", d)
-    # (window, transfer series on it, the series on window + 2)
-    z2z2 = fock_transfer._window_pair("z2z2", (), d)
-    z4 = fock_transfer._window_pair("zn", (), d, n=4)
-    z4_m1 = fock_transfer._window_pair("zn", (1,), d, n=4)
-    # (check name, route, route, transfer windows or None)
-    battery = [
-        ("zero_leg_enumerate_transfer", en, z2z2[1], z2z2),
-        ("zero_leg_enumerate_closed", en, closed_z2z2_staircase(0, d), None),
-        ("zero_leg_z4_transfer_closed", z4[1],
-         vertex_closed_zn(4, ((), (), ()), d), z4),
-        *[("staircase_m%d_enumerate_closed" % m,
-           enumerate_3d(pc.staircase(m), "z2z2", d),
-           closed_z2z2_staircase(m, d), None) for m in (1, 2)],
-        ("staircase_m1_z4_branch", z4_m1[1], one_leg_zn_staircase(4, 1, d),
-         z4_m1),
-        ("pyramid_enumerate_closed", rpc.generating_function((), 0, DIAG, d),
-         corollary_rpc_closed(0, d), None),
-        ("rpc_m1_interlacing_closed", rpc.generating_function((1,), 0, ANTI, d),
-         corollary_rpc_closed(1, d), None),
-    ]
-    comparisons = []
-    for name, a, b, pair in battery:
-        comparisons.append(("mismatch in " + name, a, b))
-        if pair is not None:
-            window, first, second = pair
-            comparisons.append(
-                ("transfer window %d not stable in %s: windows %d and %d "
-                 "differ" % (window, name, window, window + 2), first, second))
-    report = {"checks": [{"check": name, "ok": True} for name, *_ in battery],
+    """Each check's two routes, then transfer's brackets on its window and
+    window + 2, each (row, input) run once; every reported check is ok."""
+    runs, comparisons = {}, []   # (row, input) -> (window, series, wide)
+    for name, *rows, inp in routes.CHECKS:
+        for row in rows:
+            if (row, inp) not in runs:
+                route = routes.ROUTES[row]
+                runs[row, inp] = (route.windows(inp, args.degree)
+                                  if route.windows else
+                                  (None, route.series(inp, args.degree), None))
+        ends = [runs[row, inp] for row in rows]
+        comparisons.append(("mismatch in " + name, ends[0][1], ends[1][1]))
+        comparisons += [
+            ("transfer window %d not stable in %s: windows %d and %d differ"
+             % (window, name, window, window + 2), first, second)
+            for window, first, second in ends if window is not None]
+    report = {"checks": [{"check": c[0], "ok": True} for c in routes.CHECKS],
               "ok": True}
-    return comparisons, report, ["check", "ok"], ([c[0], 1] for c in battery)
+    return comparisons, report, ["check", "ok"], (
+        [c[0], 1] for c in routes.CHECKS)
 
 
 def _run(args):
@@ -251,7 +182,7 @@ def _run(args):
 
 
 def _add_common(p, command):
-    methods = _ROUTES[command][2]
+    methods = routes.CLI[command]
     p.add_argument("--degree", type=int, default=6)
     p.add_argument("--method", type=_methods_arg(methods),
                    default=(next(iter(methods)),))
@@ -267,15 +198,10 @@ def _add_output(p):
 
 @functools.cache
 def build_parser():
-    """The orbivertex argument parser, built once per process.
-
-    main() calls it on every invocation, so an in-process caller that
-    runs many commands builds the six parsers and their arguments once; a
-    one-shot console call builds it once either way, and gains and loses
-    nothing.  Sharing is safe: parse_args fills a fresh namespace on each
-    call, and the parser holds only the converters and build functions,
-    which keep no state and look up the names they use when called.
-    """
+    """The orbivertex argument parser, built once per process, so that an
+    in-process caller of main() builds it once.  Sharing is safe: each
+    parse_args fills a fresh namespace, and the parser holds only
+    stateless converters and build functions."""
     parser = argparse.ArgumentParser(
         prog="orbivertex",
         description="orbifold vertex and pyramid partition series")

@@ -38,7 +38,9 @@ VARS_Z2Z2 = ("q0", "qa", "qb", "qc")
 
 
 def zn_names(n):
-    """Variable names of the Zn series, one per residue."""
+    """Variable names of the Zn series, one per residue; n an int >= 1."""
+    if n is None or _check_int(n, "n") < 1:
+        raise ValueError("n must be >= 1 for group zn, got %r" % (n,))
     return tuple("qt%d" % i for i in range(n))
 
 
@@ -48,8 +50,6 @@ def _group_names(group, n):
         raise ValueError("unknown group %r" % (group,))
     if group == "z2z2" and n is not None:
         raise ValueError("n is for group zn, got n=%r with z2z2" % (n,))
-    if group == "zn" and (n is None or _check_int(n, "n") < 1):
-        raise ValueError("n must be >= 1 for group zn, got %r" % (n,))
     return VARS_Z2Z2 if group == "z2z2" else zn_names(n)
 
 

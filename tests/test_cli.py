@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from orbivertex import cli, fock_transfer, rpc
+from orbivertex import cli, dt_vertex, fock_transfer, routes, rpc
 from orbivertex.dt_vertex import closed_z2z2_staircase
 from orbivertex.qseries import Series
 from oracles import series_sum
@@ -99,15 +99,27 @@ ROUTE_CLASSES = {
 }
 
 
-def test_route_table_classes_differ_within_each_subcommand():
+def test_route_table_classes_differ_within_each_subcommand(capsys):
     # every --verify compares routes that rest on different machinery
-    got = {command: {method: row[2] for method, row in routes.items()}
-           for command, (_, _, routes) in cli._ROUTES.items()}
+    got = {command: {method: routes.ROUTES[row].kind
+                     for method, row in methods.items()}
+           for command, methods in routes.CLI.items()}
     assert got == ROUTE_CLASSES
+    parser = cli.build_parser()
+    every = {method for classes in ROUTE_CLASSES.values() for method in classes}
     for command, classes in ROUTE_CLASSES.items():
         assert len(set(classes.values())) == len(classes), command
-        args = cli.build_parser().parse_args([command])
-        assert args.method == (next(iter(classes)),)
+        # the view's methods in order, the first the default, are exactly
+        # the --method choices
+        assert list(routes.CLI[command]) == list(classes), command
+        assert parser.parse_args([command]).method == (next(iter(classes)),)
+        assert parser.parse_args(
+            [command, "--method", ",".join(classes)]).method == tuple(classes)
+        for method in sorted(every - set(classes)):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--method", method])
+            err = capsys.readouterr().err
+            assert "method must be one of " + ",".join(sorted(classes)) in err
 
 
 def test_uniqueness_report(capsys):
@@ -217,10 +229,10 @@ def test_verify_flag_prints_every_differing_method(capsys, monkeypatch):
             return series_sum(s, Series(s.names, s.cutoff, {exps: 1}))
         return run
 
-    monkeypatch.setattr(cli, "enumerate_3d",
-                        tamper(cli.enumerate_3d, (1, 1, 0, 0)))
-    monkeypatch.setattr(cli, "vertex_by_transfer",
-                        tamper(cli.vertex_by_transfer, (1, 0, 1, 0)))
+    monkeypatch.setattr(dt_vertex, "enumerate_3d",
+                        tamper(dt_vertex.enumerate_3d, (1, 1, 0, 0)))
+    monkeypatch.setattr(fock_transfer, "vertex_by_transfer",
+                        tamper(fock_transfer.vertex_by_transfer, (1, 0, 1, 0)))
     code, out = run_cli(capsys, ["vertex", "--leg", "2,1", "--degree", "3",
                                  "--method", "closed,enumerate,transfer",
                                  "--verify"])
@@ -234,7 +246,8 @@ def test_verify_flag_prints_every_differing_method(capsys, monkeypatch):
 def test_mismatch_exits_one(capsys, monkeypatch):
     base = closed_z2z2_staircase(0, 2)
     tampered = series_sum(base, Series(base.names, 2, {(1, 1, 0, 0): 1}))
-    monkeypatch.setattr(cli, "closed_z2z2_staircase", lambda m, d: tampered)
+    monkeypatch.setattr(dt_vertex, "closed_z2z2_staircase",
+                        lambda m, d: tampered)
     code, out = run_cli(capsys, ["vertex", "--leg", "", "--degree", "2",
                                  "--method", "closed,enumerate", "--verify"])
     assert code == 1
@@ -282,11 +295,13 @@ def test_uniqueness_rejects_negative_bounds(capsys, monkeypatch, flag, value,
     assert message in captured.err
 
 
+# every function a route row calls, where the row looks it up
 SERIES_FUNCTIONS = [
-    (cli, "enumerate_3d"), (cli, "vertex_by_transfer"),
-    (cli, "closed_z2z2_staircase"), (cli, "vertex_closed_zn"),
-    (cli, "one_leg_zn_staircase"),
-    (cli, "corollary_rpc_closed"), (cli.rpc, "generating_function"),
+    (dt_vertex, "enumerate_3d"), (dt_vertex, "enumerate_one_leg"),
+    (fock_transfer, "vertex_by_transfer"), (fock_transfer, "_window_pair"),
+    (dt_vertex, "closed_z2z2_staircase"), (dt_vertex, "vertex_closed_zn"),
+    (dt_vertex, "one_leg_zn_staircase"),
+    (dt_vertex, "corollary_rpc_closed"), (rpc, "generating_function"),
 ]
 
 
@@ -356,8 +371,8 @@ def test_output_into_missing_directory_fails_first(tmp_path, capsys,
     def no_walk(*args):
         raise AssertionError("series computed")
 
-    monkeypatch.setattr(cli, "vertex_by_transfer", no_walk)
-    monkeypatch.setattr(cli, "enumerate_3d", no_walk)
+    monkeypatch.setattr(fock_transfer, "vertex_by_transfer", no_walk)
+    monkeypatch.setattr(dt_vertex, "enumerate_3d", no_walk)
     for target, message in [
             (tmp_path / "missing" / "x",
              "output directory %s does not exist" % (tmp_path / "missing")),

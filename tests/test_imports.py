@@ -73,7 +73,6 @@ ALLOWED = {
                        "symmetry_check",
     "Series.coefficient": "reads the first differing coefficient when "
                           "--verify finds a mismatch",
-    "_monomial": "names that coefficient's monomial",
 }
 
 

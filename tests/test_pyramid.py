@@ -7,7 +7,7 @@ import pytest
 from orbivertex.pyramid import (
     ANTI, DIAG, PyramidPartition, address_to_position, check_type_interlacing,
     color, convert_frame, enumerate_pyramids, position_to_address,
-    pyramid_series,
+    pyramid_series, _group_names, zn_names,
 )
 
 import oracles
@@ -191,3 +191,17 @@ def test_pyramid_imports_alone():
                          text=True, check=True).stdout.splitlines()
     assert out == [pyramid_series(3).to_json(),
                    str(len(oracles.pyramid_downsets(3)[0]))]
+
+
+@pytest.mark.parametrize("n, error, message", [
+    (0, ValueError, "n must be >= 1 for group zn, got 0"),
+    (-2, ValueError, "n must be >= 1 for group zn, got -2"),
+    (True, TypeError, "n must be an int"),
+    (2.0, TypeError, "n must be an int"),
+])
+def test_zn_names_checks_n_as_group_names_does(n, error, message):
+    # zn_names(0) and zn_names(-2) returned (), and zn_names(True) ('qt0',)
+    for names in (lambda: zn_names(n), lambda: _group_names("zn", n)):
+        with pytest.raises(error, match=message):
+            names()
+    assert zn_names(3) == _group_names("zn", 3) == ("qt0", "qt1", "qt2")

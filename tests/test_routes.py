@@ -1,0 +1,218 @@
+"""CI's cross-route checks as rows of one table, DEEP, over the routes of
+orbivertex.routes, and the independence rule for every check.
+
+A DEEP row is (check, route, route, input, degree): the two routes must
+give the same series at the input, up to the degree.  Besides the rows
+of routes.ROUTES, a row may name three test routes: "wide", transfer's
+bracket on its window + 2; "commute", the partner-free product of
+oracles.commute_series; and "barred", the slot route at the conjugate
+leg in the other side slot with every color label j read as -j mod n.
+
+CI runs every row at its own degree, in one step:
+
+    cd tests && python -X dev -W error -c \\
+        'from test_routes import run_deep; run_deep()'
+
+Tier-1 runs every row at degree min(D, 6), so a broken row fails first.
+The degrees live here, not in the library: they say how far CI looks,
+not what a route is.
+"""
+
+import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+
+import pytest
+
+from orbivertex import fock_transfer, routes
+from orbivertex import partition_core as pc
+from orbivertex.pyramid import ANTI, DIAG, zn_names
+from orbivertex.routes import Input, Route
+from oracles import commute_series
+
+
+def _wide(inp, d):
+    # transfer in the input's mode: its group's own, or rpc_<frame>
+    mode = "rpc_" + inp.frame if inp.frame else None
+    v, mode, n, window = fock_transfer._transfer_args(
+        inp.group, inp.leg, d, mode, inp.n)
+    return fock_transfer._bracket(v, d, mode, n, window + 2)
+
+
+def _commute(inp, d):
+    mode = "zn" if inp.group == "zn" else "rpc_" + inp.frame
+    return commute_series(mode, inp.leg, d, n=inp.n)
+
+
+def _barred(inp, d):
+    other = inp._replace(leg=pc.conjugate(inp.leg), slot=3 - inp.slot)
+    bar = [-j % inp.n for j in range(inp.n)]
+    return routes.ROUTES["slot_closed"].series(other, d).map_vars(
+        zn_names(inp.n), bar)
+
+
+# commute_series multiplies pair factors, as the closed products do
+ALL = {**routes.ROUTES, "wide": Route(_wide, "partners"),
+       "commute": Route(_commute, "factors"),
+       "barred": Route(_barred, "factors")}
+
+LEGS = [(3, 1), (2, 2, 1)]
+# (n, leg, side slot): (4) and (1,1,1,1) take the dual Jacobi-Trudi
+# determinant, e_4; (3,1) in slot 1 and (2,2,1) in slot 2 exceed the
+# output cutoff in the Schur function by 3 and 4
+SIDE = ([(4, (4,), 1), (4, (1, 1, 1, 1), 2)]
+        + [(n, leg, slot) for n in (3, 4) for leg in LEGS for slot in (1, 2)]
+        + [(n, leg, slot) for n in (2, 5)
+           for leg, slot in [((3, 1), 1), ((2, 2, 1), 2)]])
+
+DEEP = [
+    # the window is the proven minimum with no margin; verify checks it
+    # only at the zero leg and Z4 (1)
+    *[("transfer_window", route, "wide", inp, 18) for leg in LEGS
+      for route, inp in [("transfer", Input(leg)),
+                         ("rpc_transfer", Input(leg, frame=ANTI)),
+                         ("rpc_transfer", Input(leg, frame=DIAG)),
+                         ("transfer", Input(leg, "zn", 3)),
+                         ("transfer", Input(leg, "zn", 4))]],
+    # the three vertex routes; above the degree (n = 12 and 200) the
+    # zero-leg table keeps only the runs of M~ that reach the cutoff, and
+    # enumeration builds a color unit only for the residues its cells reach
+    *[(check, "enumerate", route, inp, d)
+      for inp, d in [(Input((2, 1)), 22), (Input((2, 1), "zn", 4), 22),
+                     (Input((2, 1), "zn", 12), 10),
+                     (Input((2, 1), "zn", 200), 2)]
+      for check, route in [("enumerate_closed", "closed"),
+                           ("enumerate_transfer", "transfer")]],
+    # the walks against the closed products: the antidiagonal weights are
+    # the only ones that read the corners, Durfee 2 from (4,3,2,1) on
+    ("walk_closed", "interlacing", "rpc_closed",
+     Input((3, 2, 1), frame=ANTI), 22),
+    *[("walk_closed", "interlacing", "rpc_closed",
+       Input(pc.staircase(m), frame=ANTI), 20) for m in (4, 5)],
+    ("walk_closed", "interlacing", "rpc_closed", Input(frame=DIAG), 30),
+    # closed products against transfer; n = 3 and 5 rebuild the rotation
+    # table of the third slot for another n, and n = 6 and 8 decode the
+    # closed product's packed result at 6 and 8 variables
+    ("closed_transfer", "closed", "transfer", Input((4, 3, 2, 1)), 14),
+    *[("closed_transfer", "closed", "transfer", Input(leg, "zn", n), d)
+      for n, leg, d in [(4, (3, 1), 22), (3, (3, 1), 22), (3, (2, 2, 1), 22),
+                        (5, (3, 1), 22), (5, (2, 2, 1), 22), (6, (3, 1), 18),
+                        (8, (2, 1), 14)]],
+    *[("closed_transfer", "closed", "transfer", inp, 26)
+      for inp in [Input((2, 1)), Input((2, 1), "zn", 4)]],
+    # the walk and transfer prune by one least-continuation bound,
+    # partition_core.least_ahead, so one bug in it could make them agree;
+    # commute_series runs no such bound
+    *[row for leg in [(3, 1), (2, 2), (4, 1), (3, 1, 1)] for row in [
+        ("walk_commute", "interlacing", "commute", Input(leg, frame=DIAG), 30),
+        ("transfer_commute", "rpc_transfer", "commute",
+         Input(leg, frame=DIAG), 30),
+        ("walk_transfer", "interlacing", "rpc_transfer",
+         Input(leg, frame=ANTI), 30)]],
+    # a leg in slot 1 or 2 is the one place where the closed Zn formula's
+    # skew Schur determinant is non-trivial; no CLI command reaches it
+    *[("slot_closed_enumerate", "slot_closed", "slot_enumerate",
+       Input(leg, "zn", n, slot=slot), 18) for n, leg, slot in SIDE],
+    *[("slot_bar_symmetry", "slot_closed", "barred",
+       Input(lam, "zn", n, slot=1), 30) for n in (3, 4, 5)
+      for lam in [(3, 1), (2, 2, 1), (4,), (1, 1, 1, 1)]],
+]
+
+# check -> why its rows may compare two routes of one class
+SAME_CLASS = {
+    "transfer_window": "checks the proven window: one bracket on the "
+                       "window and on the window + 2",
+    "walk_transfer": "no route of another class reaches a non-staircase "
+                     "antidiagonal leg above degree 4; the diagonal rows "
+                     "meet the partner-free commute_series",
+    "slot_bar_symmetry": "a symmetry of one closed route, lambda in slot 1 "
+                         "against lambda' in slot 2 relabelled",
+}
+
+
+def run(row, degree, kept=()):
+    """Assert that the row's two routes agree at degree, reusing the
+    series in kept; return {(route, input, degree): series}."""
+    check, a, b, inp, _ = row
+    got = {}
+    for name in (a, b):
+        route, key = ALL[name], (name, inp, degree)
+        assert not route.staircase(inp) or pc.is_staircase(inp.leg), key
+        got[key] = kept[key] if key in kept else route.series(inp, degree)
+    x, y = got.values()
+    assert x == y, "%s: %s and %s differ at %r, degree %d" % (
+        check, a, b, inp, degree)
+    return got
+
+
+def shared_runs():
+    """DEEP cut into runs of rows, a row joining the run before it when
+    it shares a series with that run's last row."""
+    def keys(row):
+        return {(name, row[3], row[4]) for name in row[1:3]}
+
+    runs = []
+    for row in DEEP:
+        if runs and keys(row) & keys(runs[-1][-1]):
+            runs[-1].append(row)
+        else:
+            runs.append([row])
+    return runs
+
+
+def run_rows(rows):
+    """Every row at its own degree, in order, a series that the row
+    before computed reused."""
+    kept = {}
+    for row in rows:
+        start = time.perf_counter()
+        kept = run(row, row[4], kept)
+        print("%-21s %-12s %-14s %r D=%d: %.2f s" % (
+            *row[:5], time.perf_counter() - start), flush=True)
+
+
+def run_deep():
+    """Every DEEP row at its own degree, in two processes that take the
+    shared runs in turn."""
+    runs = shared_runs()
+    with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
+        list(pool.map(run_rows, [sum(runs[i::2], []) for i in (0, 1)]))
+
+
+def row_id(row):
+    check, a, b, inp, d = row
+    parts = [check, a, b, inp.group + str(inp.n or ""),
+             ",".join(map(str, inp.leg)) or "0"]
+    if inp.frame:
+        parts.append(inp.frame)
+    if inp.slot != 3:
+        parts.append("slot%d" % inp.slot)
+    return "-".join(parts + ["D%d" % d])
+
+
+def test_deep_rows_are_distinct_and_shared_runs_cover_them():
+    ids = [row_id(row) for row in DEEP]
+    assert len(set(ids)) == len(ids) == 70
+    runs = shared_runs()
+    assert sum(runs, []) == DEEP
+    # enumeration at each (2,1) input, commute_series at each leg
+    assert [len(run) for run in runs if len(run) > 1] == [2] * 8
+
+
+@pytest.mark.parametrize("row", DEEP, ids=row_id)
+def test_deep_row_at_degree_6(row):
+    run(row, min(row[4], 6))
+
+
+def same_class(rows):
+    """The checks among rows that compare two routes of one class."""
+    return {row[0] for row in rows if ALL[row[1]].kind == ALL[row[2]].kind}
+
+
+def test_every_check_pairs_routes_of_different_classes():
+    # verify's checks and CI's, each routes of two classes unless
+    # SAME_CLASS says why not; verify's are all cross-class
+    assert same_class(routes.CHECKS) == set()
+    assert same_class(DEEP) == set(SAME_CLASS)
+    # a row given two routes of one class is caught
+    assert same_class([("x", "transfer", "interlacing", Input())]) == {"x"}
