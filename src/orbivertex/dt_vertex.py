@@ -122,24 +122,6 @@ def enumerate_3d(v, group, cutoff, n=None):
     return enumerate_one_leg(((), (), v), group, cutoff, n)
 
 
-def symmetry_check(leg, shift, cutoff):
-    """Compare the third-slot series against the leg moved 'shift' slots
-    forward, with the matching cyclic variable relabeling.  Enumeration
-    on both sides; group is the order-four product of two involutions.
-    """
-    v = pc.check_partition(tuple(leg))
-    _check_int(shift, "shift")
-    if shift == 1:
-        legs, assign = (v, (), ()), (0, 3, 1, 2)
-    elif shift == 2:
-        legs, assign = ((), v, ()), (0, 2, 3, 1)
-    else:
-        raise ValueError("shift must be 1 or 2")
-    lhs = enumerate_3d(v, "z2z2", cutoff)
-    rhs = enumerate_one_leg(legs, "z2z2", cutoff).map_vars(VARS_Z2Z2, assign)
-    return lhs == rhs
-
-
 # ---------------------------------------------------------------------------
 # Skew Schur specialization
 # ---------------------------------------------------------------------------

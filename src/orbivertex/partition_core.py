@@ -11,6 +11,8 @@ indices start at 0.
 
 Border strips are not here: no route moves them, and the even-mode
 exponential of the operator identities takes them from the test oracles.
+The one-pair interlacing test and the single edge value, which no route
+reads, are the references interlaces and edge_value of tests/paper.py.
 """
 
 from __future__ import annotations
@@ -91,23 +93,6 @@ def cells(p):
 
 def contains_cell(p, i, j):
     return 0 <= j < len(p) and 0 <= i < p[j]
-
-
-def interlaces(lam, mu, primed=False):
-    """True iff lam >= mu in the interlacing order.
-
-    Unprimed: lam_0 >= mu_0 >= lam_1 >= mu_1 >= ...  Primed is the same
-    after conjugating both, equivalently lam[i] - mu[i] in {0, 1} per row.
-    """
-    if primed:
-        for i in range(max(len(lam), len(mu))):
-            if part(lam, i) - part(mu, i) not in (0, 1):
-                return False
-        return True
-    for i in range(max(len(lam), len(mu))):
-        if not (part(lam, i) >= part(mu, i) >= part(lam, i + 1)):
-            return False
-    return True
 
 
 def partners_below(lam, primed=False):
@@ -255,24 +240,16 @@ def edge_set_members(p):
     return [p[j] - j - 1 for j in range(len(p))]
 
 
-def edge_value(p, t):
-    """+1 if t lies in the edge set of p, else -1.
-
-    The edge set of p is {p_j - j - 1 : j >= 0}; far negative t give +1,
-    far positive t give -1.
-    """
-    return edge_values(p, (t,))[0]
-
-
 def edge_values(p, ts):
-    """[edge_value(p, t) for t in ts], reading the edge set of p once."""
+    """+1 per t in ts in the edge set {p_j - j - 1 : j >= 0} of p, else -1
+    (far negative t give +1, far positive t -1), reading the set once."""
     low = -len(p) - 1
     members = set(edge_set_members(p))
     return [1 if t <= low or t in members else -1 for t in ts]
 
 
 def edge_bound(p):
-    """Some b >= 1 with edge_value(p, t) = -1 for t >= b and +1 for t <= -b."""
+    """Some b >= 1 with edge_values -1 at t >= b and +1 at t <= -b."""
     return max(part(p, 0), len(p) + 1)
 
 

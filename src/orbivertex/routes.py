@@ -11,6 +11,7 @@ the CLI's parsed arguments; the slot rows put the leg in slot 1, 2 or 3.
 from collections import namedtuple
 
 from . import dt_vertex, fock_transfer, rpc
+from . import partition_core as pc
 from .pyramid import ANTI, DIAG
 
 
@@ -24,11 +25,20 @@ class Route(namedtuple("Route", "series kind staircase windows",
     __slots__ = ()
 
 
+def _staircase_m(leg):
+    """m of the staircase leg (m, ..., 1), which is all that the staircase
+    products read; any other leg raises, also when staircase is skipped."""
+    if not pc.is_staircase(tuple(leg)):
+        raise ValueError("staircase product needs a staircase leg, got %r"
+                         % (leg,))
+    return len(leg)
+
+
 ROUTES = {
     "closed": Route(lambda inp, d: (
         dt_vertex.vertex_closed_zn(inp.n, ((), (), inp.leg), d)
         if inp.group == "zn" else
-        dt_vertex.closed_z2z2_staircase(len(inp.leg), d)), "factors",
+        dt_vertex.closed_z2z2_staircase(_staircase_m(inp.leg), d)), "factors",
         lambda inp: inp.group == "z2z2"),
     "enumerate": Route(lambda inp, d: dt_vertex.enumerate_3d(
         inp.leg, inp.group, d, n=inp.n), "boxes"),
@@ -39,12 +49,12 @@ ROUTES = {
     "interlacing": Route(lambda inp, d: rpc.generating_function(
         inp.leg, 0, inp.frame, d), "partners"),
     "rpc_closed": Route(lambda inp, d: dt_vertex.corollary_rpc_closed(
-        len(inp.leg), d), "factors", lambda inp: True),
+        _staircase_m(inp.leg), d), "factors", lambda inp: True),
     # library-only rows
     "rpc_transfer": Route(lambda inp, d: fock_transfer.vertex_by_transfer(
-        "z2z2", inp.leg, d, "rpc_" + inp.frame), "partners"),
+        "z2z2", inp.leg, d, "rpc_" + rpc._check_frame(inp.frame)), "partners"),
     "zn_branch": Route(lambda inp, d: dt_vertex.one_leg_zn_staircase(
-        inp.n, len(inp.leg), d), "factors", lambda inp: True),
+        inp.n, _staircase_m(inp.leg), d), "factors", lambda inp: True),
     "slot_closed": Route(lambda inp, d: dt_vertex.vertex_closed_zn(
         inp.n, tuple(inp.leg if s == inp.slot else () for s in (1, 2, 3)),
         d), "factors"),

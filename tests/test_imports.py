@@ -9,7 +9,8 @@ somewhere in the module (attribute access a.b reads the Name a).
 A function, class or constant that no package module reads is dead code
 unless it is one of the paper's objects that only the tests call, or the
 benchmark in perfbench/ reaches it; those are listed in ALLOWED with a
-reason, or read from perfbench's own task and trace tables.
+reason, or read from perfbench's own task and trace tables.  No package
+module imports one of tests/, such as the references of paper.py.
 
 A name that some package module reads may still sit on a path that
 nothing runs.  So every package function and method must also be entered
@@ -42,22 +43,6 @@ PERFBENCH = ROOT / "perfbench"
 ALLOWED = {
     "upsilon": "the paper's staircase correction factor, checked on its own",
     "phi": "the paper's Z2xZ2 / Z4 bridge factor, checked on its own",
-    "symmetry_check": "the vertex's cyclic symmetry, checked by enumeration",
-    "region": "the paper's admissible corner of one slice, as corners() gives",
-    "restrict_positions": "the same restriction as brick positions",
-    "realize": "the inverse of restrict, a pyramid for a restricted family",
-    "convert_frame": "re-addresses a brick between the two slice frames",
-    "color": "the color of a brick at its address in either frame",
-    "PyramidPartition": "the paper's pyramid partition as bricks, which "
-                        "the tests enumerate and validate",
-    "_cells_to_partition": "reads a PyramidPartition slice off its bricks",
-    "address_to_position": "the paper's brick address in a slice frame",
-    "position_to_address": "the inverse of address_to_position",
-    "check_type_interlacing": "the paper's chain condition on slices, "
-                              "which validate and realize check",
-    "interlaces": "one link of the chain condition",
-    "edge_value": "the edge sequence that orders a chain's links",
-    "restrict": "the paper's restriction of a pyramid to a leg's family",
     "enumerate_pyramids": "the paper's listing of the pyramid partitions",
     "interlacing_families": "the paper's listing of a leg's restricted "
                             "families",
@@ -70,7 +55,7 @@ ALLOWED = {
     "Series.__mul__": "the product that the tracer's mul layer wraps; "
                       "the closed Zn vertex makes one Schur function",
     "Series.map_vars": "relabels the side-slot enumeration for "
-                       "symmetry_check",
+                       "tests/paper.py's symmetry_check",
     "Series.coefficient": "reads the first differing coefficient when "
                           "--verify finds a mismatch",
 }
@@ -99,6 +84,22 @@ def test_scan_finds_unused_imports():
                          ids=[p.parent.name + "/" + p.name for p in MODULES])
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source):
+    """First parts of the absolute imports, function-level ones too."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({a.name.split(".")[0] for n in nodes if isinstance(n, ast.Import)
+             for a in n.names}
+            | {n.module.split(".")[0] for n in nodes
+               if isinstance(n, ast.ImportFrom) and not n.level})
+
+
+def test_package_imports_no_test_module():
+    source = "import paper.x\ndef f():\n    from oracles import g\nfrom . import rpc\n"
+    assert imported_modules(source) == {"paper", "oracles"}
+    tests = {p.stem for p in (ROOT / "tests").glob("*.py")}
+    assert [p.name for p in SRC if imported_modules(p.read_text()) & tests] == []
 
 
 def top_level_names(source):

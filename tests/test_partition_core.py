@@ -5,6 +5,7 @@ import pytest
 from orbivertex import partition_core as pc
 
 import oracles
+from paper import edge_value, interlaces
 
 
 def all_pairs_up_to(n):
@@ -58,48 +59,48 @@ def test_cells_convention():
 
 
 def test_interlaces_examples():
-    assert pc.interlaces((3, 1), (2, 1))
-    assert pc.interlaces((3, 1), (3,))
-    assert not pc.interlaces((3, 1), (3, 2))
-    assert pc.interlaces((1,), ())
-    assert not pc.interlaces((1, 1), ())
-    assert pc.interlaces((2, 2), (2, 2), primed=True)
-    assert pc.interlaces((3, 2), (2, 2), primed=True)
-    assert not pc.interlaces((4, 2), (2, 2), primed=True)
+    assert interlaces((3, 1), (2, 1))
+    assert interlaces((3, 1), (3,))
+    assert not interlaces((3, 1), (3, 2))
+    assert interlaces((1,), ())
+    assert not interlaces((1, 1), ())
+    assert interlaces((2, 2), (2, 2), primed=True)
+    assert interlaces((3, 2), (2, 2), primed=True)
+    assert not interlaces((4, 2), (2, 2), primed=True)
 
 
 def test_interlacing_equivalence_small():
     # row interlacing iff conjugate rows differ by 0/1
     for a, b in all_pairs_up_to(6):
-        direct = pc.interlaces(a, b)
+        direct = interlaces(a, b)
         via_conj = all(
             pc.part(pc.conjugate(a), i) - pc.part(pc.conjugate(b), i) in (0, 1)
             for i in range(max(len(pc.conjugate(a)), len(pc.conjugate(b)), 1)))
         assert direct == via_conj, (a, b)
-        assert pc.interlaces(a, b, primed=True) == pc.interlaces(
+        assert interlaces(a, b, primed=True) == interlaces(
             pc.conjugate(a), pc.conjugate(b))
 
 
 def test_edge_value_frozen():
     # edge set of (1) is {0, -2, -3, ...}
-    assert pc.edge_value((1,), 0) == 1
-    assert pc.edge_value((1,), -1) == -1
-    assert pc.edge_value((1,), -2) == 1
-    assert pc.edge_value((1,), 1) == -1
+    assert edge_value((1,), 0) == 1
+    assert edge_value((1,), -1) == -1
+    assert edge_value((1,), -2) == 1
+    assert edge_value((1,), 1) == -1
     # empty partition: sign change exactly at 0
-    assert pc.edge_value((), -1) == 1
-    assert pc.edge_value((), 0) == -1
+    assert edge_value((), -1) == 1
+    assert edge_value((), 0) == -1
 
 
 def test_edge_charge_zero():
     for p in pc.partitions_up_to(10):
         members = pc.edge_set_members(p)
         plus = [t for t in members if t >= 0]
-        minus = [t for t in range(-len(p) - 1, 0) if pc.edge_value(p, t) != 1]
+        minus = [t for t in range(-len(p) - 1, 0) if edge_value(p, t) != 1]
         assert len(plus) == len(minus), p
         b = pc.edge_bound(p)
-        assert pc.edge_value(p, b) == -1
-        assert pc.edge_value(p, -b) == 1
+        assert edge_value(p, b) == -1
+        assert edge_value(p, -b) == 1
 
 
 def test_diagonal_count():
@@ -204,11 +205,11 @@ def test_partners_below():
     for lam in pc.partitions_up_to(5):
         got = sorted(set(pc.partners_below(lam)))
         want = sorted(m for m in pc.partitions_up_to(sum(lam))
-                      if pc.interlaces(lam, m))
+                      if interlaces(lam, m))
         assert got == sorted(set(want)), lam
         gotp = sorted(set(pc.partners_below(lam, primed=True)))
         wantp = sorted(m for m in pc.partitions_up_to(sum(lam))
-                       if pc.interlaces(lam, m, primed=True))
+                       if interlaces(lam, m, primed=True))
         assert gotp == sorted(set(wantp)), lam
 
 
@@ -217,11 +218,11 @@ def test_partners_above():
         for bound in (sum(lam), sum(lam) + 3):
             got = sorted(set(pc.partners_above(lam, bound)))
             want = sorted(m for m in pc.partitions_up_to(bound)
-                          if pc.interlaces(m, lam))
+                          if interlaces(m, lam))
             assert got == want, (lam, bound)
             gotp = sorted(set(pc.partners_above(lam, bound, primed=True)))
             wantp = sorted(m for m in pc.partitions_up_to(bound)
-                           if pc.interlaces(m, lam, primed=True))
+                           if interlaces(m, lam, primed=True))
             assert gotp == wantp, (lam, bound)
 
 
@@ -250,12 +251,12 @@ def test_primed_partners_are_conjugated_unprimed():
         lc = pc.conjugate(lam)
         below = pc.partners_below(lam, primed=True)
         assert list(below) == [pc.conjugate(m) for m in pc.partners_below(lc)]
-        assert all(pc.interlaces(lam, m, primed=True) for m in below), lam
+        assert all(interlaces(lam, m, primed=True) for m in below), lam
         for bound in (sum(lam), sum(lam) + 2):
             above = pc.partners_above(lam, bound, primed=True)
             assert list(above) == [
                 pc.conjugate(m) for m in pc.partners_above(lc, bound)]
-            assert all(pc.interlaces(m, lam, primed=True) and sum(m) <= bound
+            assert all(interlaces(m, lam, primed=True) and sum(m) <= bound
                        for m in above), (lam, bound)
 
 

@@ -216,3 +216,17 @@ def test_every_check_pairs_routes_of_different_classes():
     assert same_class(DEEP) == set(SAME_CLASS)
     # a row given two routes of one class is caught
     assert same_class([("x", "transfer", "interlacing", Input())]) == {"x"}
+
+
+@pytest.mark.parametrize("name, inp, message", [
+    ("closed", Input((2,)), r"needs a staircase leg, got \(2,\)"),
+    ("rpc_closed", Input((2,)), r"needs a staircase leg, got \(2,\)"),
+    ("zn_branch", Input((2,), "zn", 4), r"needs a staircase leg, got \(2,\)"),
+    ("rpc_transfer", Input((1,)), "^unknown frame None$"),
+    ("interlacing", Input((1,)), "^unknown frame None$"),
+], ids=["closed", "rpc_closed", "zn_branch", "rpc_transfer", "interlacing"])
+def test_rows_reject_what_they_cannot_read(name, inp, message):
+    # the staircase rows read only len(leg), so rpc_closed at (2,) gave the
+    # product of (1,); rpc_transfer raised TypeError from "rpc_" + None
+    with pytest.raises(ValueError, match=message):
+        routes.ROUTES[name].series(inp, 3)

@@ -7,14 +7,16 @@ import oracles
 from orbivertex import partition_core as pc
 from orbivertex import rpc
 from orbivertex.pyramid import (
-    ANTI, COLOR_SLOT, DIAG, VARS_Z2Z2, PyramidPartition, address_to_position,
-    color, enumerate_pyramids, position_to_address, pyramid_series,
+    ANTI, COLOR_SLOT, DIAG, VARS_Z2Z2, enumerate_pyramids, pyramid_series,
 )
 from orbivertex.qseries import Series
 from orbivertex.rpc import (
-    check_type_interlacing, corners, generating_function,
-    interlacing_families, realize, region, restrict, restrict_positions,
-    slice_color_counts, uniqueness_scan,
+    corners, generating_function, interlacing_families, slice_color_counts,
+    uniqueness_scan,
+)
+from paper import (
+    PyramidPartition, address_to_position, check_type_interlacing, color,
+    edge_value, position_to_address, realize, restrict, restrict_positions,
 )
 
 
@@ -35,7 +37,7 @@ def test_eps_counts_edge_values():
     # each counter against a direct count of the conjugate's edge values
     for v in pc.partitions_up_to(8):
         t = oracles.EpsilonTable(v)
-        e = lambda x: pc.edge_value(pc.conjugate(v), x)
+        e = lambda x: edge_value(pc.conjugate(v), x)
         for x in range(-1, t.bound + 3):
             assert t.eps(1, x) == sum(e(2 * s) == 1 for s in range(x + 1))
             assert t.eps(2, x) == sum(e(2 * s + 1) == 1 for s in range(x + 1))
@@ -58,8 +60,8 @@ def test_eps_monotone_and_hat():
 def test_empty_leg_corners_are_shift():
     for l in range(3):
         for k in range(-5, 6):
-            assert region((), l, k) == (l, l)
-            assert sum(region((), 0, k)) == 0
+            assert corners((), l, (k,)) == [(l, l)]
+            assert sum(corners((), 0, (k,))[0]) == 0
 
 
 def test_corners_match_epsilon_counters():
@@ -100,7 +102,7 @@ def test_corners_match_one_region_call_per_slice():
         ks = list(range(-span, span + 1)) * 2
         rng.shuffle(ks)
         for l in range(3):
-            want = [region(v, l, k) for k in ks]
+            want = [corners(v, l, (k,))[0] for k in ks]
             assert corners(v, l, iter(ks)) == want, (v, l)
 
 
@@ -108,7 +110,7 @@ def test_staircase_corner_sum_closed_form():
     for m in range(0, 7):
         v = pc.staircase(m)
         for k in range(-(m + 4), m + 5):
-            got = sum(region(v, 0, k))
+            got = sum(corners(v, 0, (k,))[0])
             if m % 2 == 0:
                 want = m - abs(k) // 2 if abs(k) <= m else m // 2
             else:
@@ -117,7 +119,7 @@ def test_staircase_corner_sum_closed_form():
 
 
 def test_restrict_empty_leg_is_identity():
-    for p in enumerate_pyramids(5):
+    for p in map(PyramidPartition, enumerate_pyramids(5)):
         assert restrict(p, (), 0, DIAG) == p.slices
         assert restrict(p, (), 0, ANTI) == p.antidiagonal_slices()
         assert restrict_positions(p, (), 0, DIAG) == frozenset(p.bricks())
@@ -126,7 +128,7 @@ def test_restrict_empty_leg_is_identity():
 
 def test_restrict_position_count_matches_slices():
     random.seed(7)
-    pyramids = enumerate_pyramids(7)
+    pyramids = list(map(PyramidPartition, enumerate_pyramids(7)))
     for p in random.sample(pyramids, 40):
         for v in [(1,), (2,), (2, 1)]:
             for frame in (DIAG, ANTI):
@@ -137,7 +139,7 @@ def test_restrict_position_count_matches_slices():
 
 def test_restriction_satisfies_second_type():
     legs = [(), (1,), (2,), (2, 1), (3, 1)]
-    for p in enumerate_pyramids(6):
+    for p in map(PyramidPartition, enumerate_pyramids(6)):
         for v in legs:
             for l in (0, 1):
                 for frame in (DIAG, ANTI):
@@ -341,8 +343,8 @@ def test_restriction_rejects_negative_shift_up_front(monkeypatch):
 @pytest.mark.parametrize("call, what", [
     pytest.param(lambda: realize({0.7: (1,)}, (), 0, DIAG), "slice index",
                  id="realize-slice-index"),
-    pytest.param(lambda: region((), 1.5, 0), "shift l", id="region-shift"),
-    pytest.param(lambda: region((2, 1), 0, 1.5), "slice index",
+    pytest.param(lambda: corners((), 1.5, (0,)), "shift l", id="region-shift"),
+    pytest.param(lambda: corners((2, 1), 0, (1.5,)), "slice index",
                  id="region-slice-index"),
     pytest.param(lambda: corners((2, 1), 0, (0, 1.5)), "slice index",
                  id="corners-slice-index"),
@@ -352,9 +354,9 @@ def test_restriction_rejects_negative_shift_up_front(monkeypatch):
                  id="generating-function-shift"),
 ])
 def test_float_slice_index_or_shift_raises_up_front(monkeypatch, call, what):
-    # each used to run: realize built slice 0 from 0.7, region returned
-    # (1.5, 1.5), and the scan and the walk carried the float shift;
-    # region failed on slice 1.5 inside its edge table
+    # each used to run: realize built slice 0 from 0.7, a one-slice
+    # corners call returned (1.5, 1.5), and the scan and the walk carried
+    # the float shift; slice 1.5 failed inside the edge table
     monkeypatch.setattr(rpc, "corners", _no_corners)
     with pytest.raises(TypeError, match=what + " must be an int"):
         call()
@@ -373,9 +375,9 @@ def test_float_slice_index_or_shift_raises_up_front(monkeypatch, call, what):
                  id="window-bool"),
     pytest.param(lambda: uniqueness_scan(2, (0,), 1.5), "window",
                  id="window-float"),
-    pytest.param(lambda: region((2, 1), 0, True), "slice index",
-                 id="region-slice-bool"),
     pytest.param(lambda: corners((2, 1), 0, (True,)), "slice index",
+                 id="region-slice-bool"),
+    pytest.param(lambda: corners((2, 1), 0, (0, True)), "slice index",
                  id="corners-slice-bool"),
     pytest.param(lambda: uniqueness_scan(2, (), True), "window",
                  id="window-bool-no-shifts"),
@@ -383,7 +385,7 @@ def test_float_slice_index_or_shift_raises_up_front(monkeypatch, call, what):
                  id="window-integral-float"),
 ])
 def test_rpc_counts_must_be_ints(call, what):
-    # True was read as 1 (region gave slice 1's corner, the
+    # True was read as 1 (corners gave slice 1's corner, the
     # window's from the cached runs of window 1), and a float window
     # failed inside range()
     with pytest.raises(TypeError, match=what + " must be an int"):
@@ -556,7 +558,7 @@ def test_walk_ahead_is_the_least_continuation(monkeypatch):
             (steps, ahead), = seen
             conj = pc.conjugate(v)
             slices = rpc._slice_range(conj, budget)
-            assert steps == tuple((pc.edge_value(conj, -s) == 1, s % 2 == 0)
+            assert steps == tuple((edge_value(conj, -s) == 1, s % 2 == 0)
                                   for s in slices), (v, budget)
             for mu in pc.partitions_up_to(5):
                 for k in range(len(steps)):
@@ -616,7 +618,7 @@ def test_uniqueness_scan_output():
 
 
 def test_restrict_level_uniqueness():
-    pyramids = enumerate_pyramids(6)
+    pyramids = list(map(PyramidPartition, enumerate_pyramids(6)))
     for v in [(1,), (2, 1)]:
         for p in pyramids:
             assert restrict_positions(p, v, 0, ANTI) == restrict_positions(p, v, 0, DIAG)
