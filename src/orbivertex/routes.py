@@ -34,6 +34,13 @@ def _staircase_m(leg):
     return len(leg)
 
 
+def _slot_legs(inp):
+    """The three legs, inp.leg in slot inp.slot: the int 1, 2 or 3."""
+    if type(inp.slot) is not int or inp.slot not in (1, 2, 3):
+        raise ValueError("slot must be 1, 2 or 3, got %r" % (inp.slot,))
+    return tuple(inp.leg if s == inp.slot else () for s in (1, 2, 3))
+
+
 ROUTES = {
     "closed": Route(lambda inp, d: (
         dt_vertex.vertex_closed_zn(inp.n, ((), (), inp.leg), d)
@@ -56,11 +63,9 @@ ROUTES = {
     "zn_branch": Route(lambda inp, d: dt_vertex.one_leg_zn_staircase(
         inp.n, _staircase_m(inp.leg), d), "factors", lambda inp: True),
     "slot_closed": Route(lambda inp, d: dt_vertex.vertex_closed_zn(
-        inp.n, tuple(inp.leg if s == inp.slot else () for s in (1, 2, 3)),
-        d), "factors"),
+        inp.n, _slot_legs(inp), d), "factors"),
     "slot_enumerate": Route(lambda inp, d: dt_vertex.enumerate_one_leg(
-        tuple(inp.leg if s == inp.slot else () for s in (1, 2, 3)),
-        inp.group, d, n=inp.n), "boxes"),
+        _slot_legs(inp), inp.group, d, n=inp.n), "boxes"),
 }
 
 # subcommand -> {method: row}, the first method the default; pyramid is

@@ -1,5 +1,4 @@
 import hashlib
-import random
 from collections import Counter
 
 import pytest
@@ -62,12 +61,6 @@ def test_enumerate_zn_low_terms():
     assert leg.coefficient((0, 0, 0, 1)) == 1
     assert leg.coefficient((1, 0, 0, 0)) == 0
     assert leg.coefficient((0, 0, 1, 0)) == 0
-
-
-def test_enumerate_matches_transfer():
-    for leg in [(), (2,)]:
-        assert enumerate_3d(leg, "z2z2", 4) == vertex_by_transfer("z2z2", leg, 4)
-    assert enumerate_3d((1,), "zn", 3, n=4) == vertex_by_transfer("zn", (1,), 3, n=4)
 
 
 def test_enumerate_rejects_bad_input():
@@ -261,32 +254,6 @@ def test_vertex_closed_zn_no_legs_matches_enumeration():
         assert v.coefficient((0,) * n) == 1
 
 
-def test_vertex_closed_zn_side_legs_match_enumeration():
-    for legs in [((2,), (), ()), ((), (2,), ()), ((1, 1), (), ())]:
-        v = vertex_closed_zn(2, legs, 4)
-        assert v == enumerate_one_leg(legs, "zn", 4, n=2)
-    v = vertex_closed_zn(4, ((1,), (), ()), 3)
-    assert v == enumerate_one_leg(((1,), (), ()), "zn", 3, n=4)
-
-
-def test_vertex_closed_zn_third_leg():
-    v = vertex_closed_zn(4, ((), (), (2, 1)), 4)
-    assert v == enumerate_3d((2, 1), "zn", 4, n=4)
-    assert v == vertex_by_transfer("zn", (2, 1), 4, n=4)
-
-
-def test_vertex_closed_zn_random_single_legs():
-    rng = random.Random(77)
-    pool = [p for k in range(4) for p in pc.partitions_of(k)]
-    for _ in range(10):
-        n = rng.choice([1, 2, 3, 4])
-        slot = rng.randrange(3)
-        legs = [(), (), ()]
-        legs[slot] = rng.choice(pool)
-        legs = tuple(legs)
-        assert vertex_closed_zn(n, legs, 3) == enumerate_one_leg(legs, "zn", 3, n=n)
-
-
 def test_vertex_closed_zn_hook_and_rotation_internals():
     assert _rotation_exponents((2, 1), 4) == (0, -1, 2, -1)
     for v in [(), (1,), (2, 1), (3, 1, 1)]:
@@ -330,18 +297,6 @@ def test_product_walks_each_distinct_entry_once(monkeypatch):
     twice = _product(zero + zero, 0, 12, names)
     assert len(walked) == len(set(walked)) == len(zero)
     assert twice.mult == _product(_zero_zn(4, 12, 0, 2), 0, 12, names).mult
-
-
-@pytest.mark.parametrize("n, D", [(12, 10), (60, 3), (200, 2)])
-@pytest.mark.parametrize("leg", [(), (2, 1)])
-def test_zn_routes_agree_where_n_exceeds_the_degree(n, D, leg):
-    # n > D, so the zero-leg table leaves out the short runs of M~, and
-    # enumeration builds units for far fewer than n**2 residue pairs
-    want = enumerate_3d(leg, "zn", D, n=n)
-    assert vertex_closed_zn(n, ((), (), leg), D) == want
-    assert vertex_by_transfer("zn", leg, D, n=n) == want
-    for legs in ((leg, (), ()), ((), leg, ())):
-        assert vertex_closed_zn(n, legs, D) == enumerate_one_leg(legs, "zn", D, n=n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
@@ -462,11 +417,6 @@ def test_pyramid_closed_matches_enumeration():
 
 def test_corollary_rpc_closed():
     assert corollary_rpc_closed(0, 8) == pyramid_closed(8)
-    for m in range(8):
-        v = pc.staircase(m)
-        a = corollary_rpc_closed(m, 8)
-        assert a == rpc.generating_function(v, 0, ANTI, 8), m
-        assert a == rpc.generating_function(v, 0, DIAG, 8), m
 
 
 def test_branch_rule_relabels_entries_as_the_product():
@@ -525,7 +475,6 @@ def test_closed_output_grid_is_unchanged(D):
 
 def test_counting_walks_match_closed_products_degree_22():
     assert pyramid_series(22) == pyramid_closed(22)
-    assert rpc.generating_function((1,), 0, ANTI, 22) == corollary_rpc_closed(1, 22)
 
 
 @pytest.mark.parametrize("route", [
@@ -637,16 +586,9 @@ def test_vertex_closed_zn_matches_enumeration_degree_8(n, leg):
         assert vertex_closed_zn(n, legs, 8) == enumerate_one_leg(legs, "zn", 8, n=n)
 
 
-@pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("leg", [(2, 1), (3,), (1, 1, 1)])
-def test_vertex_closed_zn_side_slots_match_enumeration_degree_12(n, leg):
-    # in a side slot the renormalization shift has negative exponents
-    # that the Schur part must cancel before its terms enter a Series; no
-    # transfer mode reaches these slots, and the first takes the barred
-    # values
-    for legs in [(leg, (), ()), ((), leg, ())]:
-        got = vertex_closed_zn(n, legs, 12)
-        assert got == enumerate_one_leg(legs, "zn", 12, n=n), legs
+@pytest.mark.parametrize("m", range(8))
+def test_closed_z2z2_staircase_matches_enumeration_degree_8(m):
+    assert closed_z2z2_staircase(m, 8) == enumerate_3d(pc.staircase(m), "z2z2", 8)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -684,20 +626,6 @@ def test_vertex_closed_zn_makes_no_series_product(monkeypatch, n, slot):
     assert got == enumerate_one_leg(tuple(legs), "zn", 6, n=n)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_vertex_closed_zn_side_slots_are_bar_symmetric_degree_16(n):
-    # the leg lam in slot 1 is the leg lam' in slot 2 with every color
-    # label negated mod n: the barred values and g on one side, the plain
-    # values and gbar on the other, above the degrees enumeration reaches
-    names = zn_names(n)
-    bar = [-j % n for j in range(n)]
-    for size in range(1, 5):
-        for lam in pc.partitions_of(size):
-            got = vertex_closed_zn(n, (lam, (), ()), 16)
-            other = vertex_closed_zn(n, ((), pc.conjugate(lam), ()), 16)
-            assert got == other.map_vars(names, bar), lam
-
-
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("legs", [((3, 1), (), ()), ((), (2, 2, 1), ())],
                          ids=["slot-1", "slot-2"])
@@ -716,23 +644,6 @@ def test_vertex_closed_zn_side_slot_product_runs_at_the_cutoff(
     got = vertex_closed_zn(n, legs, 7)
     assert cutoffs == [7]
     assert got == enumerate_one_leg(legs, "zn", 7, n=n)
-
-
-@pytest.mark.parametrize("group, closed", [
-    ("z2z2", lambda d: closed_z2z2_staircase(2, d)),
-    ("zn", lambda d: vertex_closed_zn(4, ((), (), (2, 1)), d)),
-], ids=["z2z2", "z4"])
-def test_three_routes_agree_at_leg_21_degree_16(group, closed):
-    # all three routes at one leg, above the degrees of the slot sweeps
-    n = 4 if group == "zn" else None
-    want = enumerate_3d((2, 1), group, 16, n=n)
-    assert closed(16) == want
-    assert vertex_by_transfer(group, (2, 1), 16, n=n) == want
-
-
-@pytest.mark.parametrize("m", range(8))
-def test_closed_z2z2_staircase_matches_enumeration_degree_8(m):
-    assert closed_z2z2_staircase(m, 8) == enumerate_3d(pc.staircase(m), "z2z2", 8)
 
 
 @pytest.mark.parametrize("value, error, message", [

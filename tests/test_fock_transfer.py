@@ -6,10 +6,7 @@ import pytest
 from orbivertex import fock_transfer
 from orbivertex import partition_core as pc
 from orbivertex import rpc
-from orbivertex.dt_vertex import (
-    closed_z2z2_staircase, corollary_rpc_closed, enumerate_3d,
-    vertex_closed_zn,
-)
+from orbivertex.dt_vertex import enumerate_3d
 from orbivertex.fock_transfer import (
     checkerboard_counts, gamma_apply, vertex_by_transfer,
 )
@@ -17,7 +14,7 @@ from orbivertex.pyramid import ANTI, DIAG, pyramid_series
 from orbivertex.qseries import Series
 from orbivertex.rpc import generating_function
 import oracles
-from oracles import basis_state, commute_series, e_apply, empty_state
+from oracles import basis_state, e_apply, empty_state
 from paper import edge_value
 
 
@@ -67,16 +64,6 @@ def test_transfer_rpc_no_leg_is_pyramid_series():
     want = pyramid_series(5)
     assert vertex_by_transfer("z2z2", (), 5, "rpc_antidiagonal") == want
     assert vertex_by_transfer("z2z2", (), 5, "rpc_diagonal") == want
-
-
-def test_transfer_rpc_matches_family_enumeration():
-    # every leg of size <= 4 reaches both corner parities of every kind
-    # of slice (even, odd s > 0, odd s < 0) within degree 6
-    for v in pc.partitions_up_to(4):
-        got = vertex_by_transfer("z2z2", v, 6, "rpc_antidiagonal")
-        assert got == generating_function(v, 0, ANTI, 6), v
-        got = vertex_by_transfer("z2z2", v, 6, "rpc_diagonal")
-        assert got == generating_function(v, 0, DIAG, 6), v
 
 
 def test_antidiagonal_corner_parity_is_diagonal_parity_and_size():
@@ -189,36 +176,6 @@ def test_transfer_deterministic():
     assert a == b and a.to_json() == b.to_json()
 
 
-CROSS_D = 12
-
-
-def leg_id(leg):
-    return "leg" + "".join(map(str, leg))
-
-
-@pytest.mark.parametrize("leg", [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1)],
-                         ids=leg_id)
-def test_transfer_matches_enumeration_z2z2(leg):
-    want = enumerate_3d(leg, "z2z2", CROSS_D)
-    assert vertex_by_transfer("z2z2", leg, CROSS_D) == want
-
-
-@pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("leg", [(1,), (2, 1)], ids=leg_id)
-def test_transfer_matches_enumeration_zn(n, leg):
-    want = enumerate_3d(leg, "zn", CROSS_D, n=n)
-    assert vertex_by_transfer("zn", leg, CROSS_D, n=n) == want
-
-
-@pytest.mark.parametrize("mode,frame", [("rpc_antidiagonal", ANTI),
-                                        ("rpc_diagonal", DIAG)],
-                         ids=["antidiagonal", "diagonal"])
-@pytest.mark.parametrize("leg", [(1,), (2, 1)], ids=leg_id)
-def test_transfer_matches_family_enumeration_deep(mode, frame, leg):
-    want = generating_function(leg, 0, frame, CROSS_D - 1)
-    assert vertex_by_transfer("z2z2", leg, CROSS_D - 1, mode) == want
-
-
 # the four product modes, each with the route that must equal it at degree d
 MODES = [
     ("z2z2", "standard", None, lambda leg, d: enumerate_3d(leg, "z2z2", d)),
@@ -238,17 +195,6 @@ def test_transfer_truncation_boundaries(group, mode, n, other):
         got = vertex_by_transfer(group, leg, 0, mode, n)
         assert got == Series(got.names, 0, {(0,) * len(got.names): 1}), leg
         assert vertex_by_transfer(group, leg, 1, mode, n) == other(leg, 1), leg
-
-
-def test_transfer_matches_enumeration_degree_18():
-    assert vertex_by_transfer("z2z2", (), 18) == enumerate_3d((), "z2z2", 18)
-
-
-def test_transfer_matches_family_count_degree_14():
-    # the vertex-operator product against the family count, two degrees
-    # past the parametrized comparisons above
-    want = generating_function((2, 1), 0, DIAG, 14)
-    assert vertex_by_transfer("z2z2", (2, 1), 14, mode="rpc_diagonal") == want
 
 
 # every product mode, as (group, mode, n)
@@ -298,17 +244,6 @@ def test_transfer_evaluates_one_window(monkeypatch):
         assert len(calls) == 1, mode
 
 
-@pytest.mark.parametrize("group,n", [("z2z2", None), ("zn", 3)],
-                         ids=["z2z2", "z3"])
-@pytest.mark.parametrize("leg", [(), (1,), (2, 1), (3, 1)], ids=leg_id)
-def test_transfer_prune_boundary(group, n, leg):
-    # terms with d + |mu| + ahead == cutoff must be kept; every cutoff
-    # puts that boundary on different terms
-    for cutoff in range(11):
-        want = enumerate_3d(leg, group, cutoff, n=n)
-        assert vertex_by_transfer(group, leg, cutoff, n=n) == want, cutoff
-
-
 def test_transfer_ahead_is_the_least_continuation(monkeypatch):
     # the truncation's bound after every step of the step list that the
     # transfer itself hands pc.least_ahead, against a minimum over every
@@ -349,43 +284,3 @@ def test_diagonal_parities_match_diagonal_counts():
         ks = [-(t + 1) for t in range(-window, window + 1)]
         want = [oracles.diagonal_count(v, k) % 2 for k in ks]
         assert fock_transfer._diagonal_parities(v, ks) == want, v
-
-
-DEEP_D = 22
-
-
-@pytest.mark.parametrize("m", [1, 2])
-def test_transfer_matches_staircase_product_degree_22(m):
-    leg = pc.staircase(m)
-    assert (vertex_by_transfer("z2z2", leg, DEEP_D)
-            == closed_z2z2_staircase(m, DEEP_D))
-
-
-def test_transfer_matches_closed_z4_degree_22():
-    assert (vertex_by_transfer("zn", (2, 1), DEEP_D, n=4)
-            == vertex_closed_zn(4, ((), (), (2, 1)), DEEP_D))
-
-
-def test_transfer_matches_rpc_corollary_degree_22():
-    assert (vertex_by_transfer("z2z2", (1,), DEEP_D, "rpc_antidiagonal")
-            == corollary_rpc_closed(1, DEEP_D))
-
-
-def test_commute_oracle_matches_transfer():
-    # the pair_factor product (partner-free) against transfer, and each
-    # pair against a third route, since both read the edge sequence
-    legs = pc.partitions_up_to(4)
-    for n in (2, 3, 4):
-        for leg in legs:
-            want = enumerate_3d(leg, "zn", 8, n=n)
-            assert commute_series("zn", leg, 8, n) == want, (n, leg)
-            assert vertex_by_transfer("zn", leg, 8, n=n) == want, (n, leg)
-    # the walk and transfer share pc.least_ahead; commute_series runs no
-    # such bound
-    for leg in pc.partitions_up_to(5) + [(3, 2, 1)]:
-        want = generating_function(leg, 0, DIAG, 12)
-        assert commute_series("rpc_diagonal", leg, 12) == want, leg
-        assert vertex_by_transfer("z2z2", leg, 12, "rpc_diagonal") == want, leg
-    want = vertex_closed_zn(4, ((), (), (3, 1)), 20)
-    assert commute_series("zn", (3, 1), 20, 4) == want
-    assert vertex_by_transfer("zn", (3, 1), 20, n=4) == want

@@ -1,21 +1,23 @@
-"""CI's cross-route checks as rows of one table, DEEP, over the routes of
-orbivertex.routes, and the independence rule for every check.
+"""The cross-route checks as rows of two tables over the routes of
+orbivertex.routes, DEEP for CI and TIER1 for tier-1, and the
+independence rule for every check.
 
-A DEEP row is (check, route, route, input, degree): the two routes must
-give the same series at the input, up to the degree.  Besides the rows
-of routes.ROUTES, a row may name three test routes: "wide", transfer's
+A row is (check, route, route, input, degree): the two routes must give
+the same series at the input, up to the degree.  Besides the rows of
+routes.ROUTES, a row may name three test routes: "wide", transfer's
 bracket on its window + 2; "commute", the partner-free product of
 oracles.commute_series; and "barred", the slot route at the conjugate
 leg in the other side slot with every color label j read as -j mod n.
 
-CI runs every row at its own degree, in one step:
+CI runs every DEEP row at its own degree, in one step:
 
     cd tests && python -X dev -W error -c \\
         'from test_routes import run_deep; run_deep()'
 
-Tier-1 runs every row at degree min(D, 6), so a broken row fails first.
-The degrees live here, not in the library: they say how far CI looks,
-not what a route is.
+Tier-1 runs every DEEP row at degree min(D, 6), so a broken row fails
+first, and every TIER1 row at its own degree.  No comparison sits in
+both tables.  The degrees live here, not in the library: they say how
+far the tests look, not what a route is.
 """
 
 import time
@@ -123,11 +125,94 @@ SAME_CLASS = {
     "transfer_window": "checks the proven window: one bracket on the "
                        "window and on the window + 2",
     "walk_transfer": "no route of another class reaches a non-staircase "
-                     "antidiagonal leg above degree 4; the diagonal rows "
-                     "meet the partner-free commute_series",
+                     "antidiagonal leg above degree 4; diagonal walks "
+                     "also meet commute_series (walk_commute)",
     "slot_bar_symmetry": "a symmetry of one closed route, lambda in slot 1 "
                          "against lambda' in slot 2 relabelled",
 }
+
+
+# tier-1's own comparisons, each at its own degree; SLOTS holds single
+# legs (n, leg, slot, degree) at degrees 4 and 3, in any slot at 3
+PRUNE_LEGS = [(), (1,), (2, 1), (3, 1)]
+SLOTS = [(2, (2,), 1, 4), (2, (2,), 2, 4), (2, (1, 1), 1, 4), (4, (1,), 1, 3),
+         (3, (1,), 2, 3), (2, (1, 1, 1), 1, 3), (1, (1, 1), 2, 3),
+         (2, (3,), 1, 3), (1, (), 3, 3), (4, (1, 1, 1), 1, 3),
+         (2, (1, 1, 1), 3, 3), (4, (2,), 1, 3), (3, (), 3, 3),
+         (3, (1, 1), 3, 3)]
+
+TIER1 = [
+    # transfer keeps the terms with d + |mu| + ahead == cutoff, and every
+    # cutoff puts that boundary on other terms; DEEP has z2z2 (2,1) at 6
+    *[("enumerate_transfer", "enumerate", "transfer", Input(leg, group, n), d)
+      for group, n in [("z2z2", None), ("zn", 3)] for leg in PRUNE_LEGS
+      for d in range(11) if (leg, group, d) != ((2, 1), "z2z2", 6)],
+    *[("enumerate_transfer", "enumerate", "transfer", inp, d)
+      for inp, d in [*[(Input(leg), 12) for leg in
+                       [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1)]],
+                     *[(Input(leg, "zn", n), 12) for n in (3, 4)
+                       for leg in [(1,), (2, 1)]],
+                     (Input(), 18), (Input((2,)), 4),
+                     (Input((1,), "zn", 4), 3)]],
+    # commute_series multiplies pair factors and walks no partners; Z3 at
+    # PRUNE_LEGS is above
+    *[("enumerate_commute", "enumerate", "commute", Input(leg, "zn", n), 8)
+      for n in (2, 3, 4) for leg in pc.partitions_up_to(4)],
+    *[("enumerate_transfer", "enumerate", "transfer", Input(leg, "zn", n), 8)
+      for n in (2, 3, 4) for leg in pc.partitions_up_to(4)
+      if n != 3 or leg not in PRUNE_LEGS],
+    ("transfer_commute", "transfer", "commute", Input((3, 1), "zn", 4), 20),
+    ("closed_transfer", "closed", "transfer", Input((3, 1), "zn", 4), 20),
+    # the walk and transfer share pc.least_ahead, commute_series runs no
+    # such bound
+    *[row for leg in pc.partitions_up_to(5) + [(3, 2, 1)] for row in [
+        ("walk_commute", "interlacing", "commute", Input(leg, frame=DIAG), 12),
+        ("walk_transfer", "interlacing", "rpc_transfer",
+         Input(leg, frame=DIAG), 12)]],
+    # every leg of size <= 4 reaches both corner parities of every kind of
+    # slice (even, odd s > 0, odd s < 0) within degree 6; DEEP has (3,1)
+    # and (2,2) antidiagonal at 6
+    *[("walk_transfer", "interlacing", "rpc_transfer", Input(leg, frame=f), 6)
+      for f in (ANTI, DIAG) for leg in pc.partitions_up_to(4)
+      if f == DIAG or leg not in [(3, 1), (2, 2)]],
+    *[("walk_transfer", "interlacing", "rpc_transfer", Input(leg, frame=f), d)
+      for leg, f, d in [((1,), ANTI, 11), ((2, 1), ANTI, 11), ((1,), DIAG, 11),
+                        ((2, 1), DIAG, 11), ((2, 1), DIAG, 14)]],
+    # the staircase products against the walks and transfer
+    *[("walk_closed", "interlacing", "rpc_closed",
+       Input(pc.staircase(m), frame=f), 8) for m in range(8)
+      for f in (ANTI, DIAG)],
+    ("walk_closed", "interlacing", "rpc_closed", Input((1,), frame=ANTI), 22),
+    ("closed_transfer", "rpc_closed", "rpc_transfer",
+     Input((1,), frame=ANTI), 22),
+    *[("closed_transfer", "closed", "transfer", inp, 22)
+      for inp in [Input((1,)), Input((2, 1)), Input((2, 1), "zn", 4)]],
+    # the three vertex routes at (2,1); above the degree (n = 12, 60 and
+    # 200) the zero-leg table keeps only the runs of M~ that reach the
+    # cutoff, and enumeration builds a color unit only for the residues
+    # its cells reach; DEEP has (2,1) at Z200, D=2
+    ("enumerate_closed", "enumerate", "closed", Input((2, 1), "zn", 4), 4),
+    ("closed_transfer", "closed", "transfer", Input((2, 1), "zn", 4), 4),
+    *[(check, "enumerate", route, inp, d)
+      for inp, d in [(Input((2, 1)), 16), (Input((2, 1), "zn", 4), 16),
+                     *[(Input(leg, "zn", n), d) for n, d in [(12, 10), (60, 3)]
+                       for leg in [(), (2, 1)]], (Input((), "zn", 200), 2)]
+      for check, route in [("enumerate_closed", "closed"),
+                           ("enumerate_transfer", "transfer")]],
+    # in slot 1 or 2 the closed formula's renormalization shift has
+    # negative exponents that the Schur part must cancel, and slot 1 takes
+    # the barred values; no transfer mode reaches these slots
+    *[("slot_closed_enumerate", "slot_closed", "slot_enumerate",
+       Input(leg, "zn", n, slot=slot), d) for n, leg, slot, d in [
+           *SLOTS,
+           *[(n, leg, slot, 12) for n in (3, 4)
+             for leg in [(2, 1), (3,), (1, 1, 1)] for slot in (1, 2)],
+           *[(n, (2, 1), slot, d) for n, d in [(12, 10), (60, 3), (200, 2)]
+             for slot in (1, 2)]]],
+    *[("slot_bar_symmetry", "slot_closed", "barred",
+       Input(lam, "zn", n, slot=1), 16) for n in range(1, 6)
+      for lam in pc.partitions_up_to(4)[1:]],
+]
 
 
 def run(row, degree, kept=()):
@@ -191,8 +276,10 @@ def row_id(row):
 
 
 def test_deep_rows_are_distinct_and_shared_runs_cover_them():
-    ids = [row_id(row) for row in DEEP]
-    assert len(set(ids)) == len(ids) == 70
+    # DEEP at tier-1's degree and TIER1 list no comparison twice
+    ids = [row_id((*row[:4], min(row[4], 6))) for row in DEEP]
+    ids += map(row_id, TIER1)
+    assert len(DEEP) == 70 and len(set(ids)) == len(ids)
     runs = shared_runs()
     assert sum(runs, []) == DEEP
     # enumeration at each (2,1) input, commute_series at each leg
@@ -204,18 +291,27 @@ def test_deep_row_at_degree_6(row):
     run(row, min(row[4], 6))
 
 
+@pytest.mark.parametrize("row", TIER1, ids=row_id)
+def test_tier1_row(row):
+    run(row, row[4])
+
+
 def same_class(rows):
     """The checks among rows that compare two routes of one class."""
     return {row[0] for row in rows if ALL[row[1]].kind == ALL[row[2]].kind}
 
 
 def test_every_check_pairs_routes_of_different_classes():
-    # verify's checks and CI's, each routes of two classes unless
+    # verify's checks and the tests', each routes of two classes unless
     # SAME_CLASS says why not; verify's are all cross-class
     assert same_class(routes.CHECKS) == set()
-    assert same_class(DEEP) == set(SAME_CLASS)
+    assert same_class(DEEP + TIER1) == set(SAME_CLASS)
     # a row given two routes of one class is caught
     assert same_class([("x", "transfer", "interlacing", Input())]) == {"x"}
+
+
+BAD_SLOTS = [(name, slot) for name in ("slot_closed", "slot_enumerate")
+             for slot in (0, 5, True)]
 
 
 @pytest.mark.parametrize("name, inp, message", [
@@ -224,9 +320,13 @@ def test_every_check_pairs_routes_of_different_classes():
     ("zn_branch", Input((2,), "zn", 4), r"needs a staircase leg, got \(2,\)"),
     ("rpc_transfer", Input((1,)), "^unknown frame None$"),
     ("interlacing", Input((1,)), "^unknown frame None$"),
-], ids=["closed", "rpc_closed", "zn_branch", "rpc_transfer", "interlacing"])
+    *[(name, Input((1,), "zn", 4, slot=slot),
+       "^slot must be 1, 2 or 3, got %r$" % slot) for name, slot in BAD_SLOTS],
+], ids=["closed", "rpc_closed", "zn_branch", "rpc_transfer", "interlacing",
+        *["%s-%r" % bad for bad in BAD_SLOTS]])
 def test_rows_reject_what_they_cannot_read(name, inp, message):
     # the staircase rows read only len(leg), so rpc_closed at (2,) gave the
-    # product of (1,); rpc_transfer raised TypeError from "rpc_" + None
+    # product of (1,); rpc_transfer raised TypeError from "rpc_" + None;
+    # the slot rows dropped a leg outside slots 1..3 and read True as 1
     with pytest.raises(ValueError, match=message):
         routes.ROUTES[name].series(inp, 3)
