@@ -1,9 +1,11 @@
 """The cross-route checks as rows of two tables over the routes of
 orbivertex.routes, DEEP for CI and TIER1 for tier-1, and the
-independence rule for every check.
+independence rule for every check.  Every route comparison of tier-1
+is a row; the unit test files keep what a row cannot state.
 
 A row is (check, route, route, input, degree): the two routes must give
-the same series at the input, up to the degree.  Besides the rows of
+the same series at the input, up to the degree, and each field that the
+input sets must be read by one of them.  Besides the rows of
 routes.ROUTES, a row may name three test routes: "wide", transfer's
 bracket on its window + 2; "commute", the partner-free product of
 oracles.commute_series; and "barred", the slot route at the conjugate
@@ -15,9 +17,10 @@ CI runs every DEEP row at its own degree, in one step:
         'from test_routes import run_deep; run_deep()'
 
 Tier-1 runs every DEEP row at degree min(D, 6), so a broken row fails
-first, and every TIER1 row at its own degree.  No comparison sits in
-both tables.  The degrees live here, not in the library: they say how
-far the tests look, not what a route is.
+first, and every TIER1 row at its own degree, a row reusing the series
+of the row before it.  No comparison sits in both tables.  The degrees
+live here, not in the library: they say how far the tests look, not
+what a route is.
 """
 
 import time
@@ -28,7 +31,7 @@ import pytest
 
 from orbivertex import fock_transfer, routes
 from orbivertex import partition_core as pc
-from orbivertex.pyramid import ANTI, DIAG, zn_names
+from orbivertex.pyramid import ANTI, DIAG, _group_names
 from orbivertex.routes import Input, Route
 from oracles import commute_series
 
@@ -50,7 +53,7 @@ def _barred(inp, d):
     other = inp._replace(leg=pc.conjugate(inp.leg), slot=3 - inp.slot)
     bar = [-j % inp.n for j in range(inp.n)]
     return routes.ROUTES["slot_closed"].series(other, d).map_vars(
-        zn_names(inp.n), bar)
+        _group_names(inp.group, inp.n), bar)
 
 
 # commute_series multiplies pair factors, as the closed products do
@@ -140,18 +143,32 @@ SLOTS = [(2, (2,), 1, 4), (2, (2,), 2, 4), (2, (1, 1), 1, 4), (4, (1,), 1, 3),
          (2, (3,), 1, 3), (1, (), 3, 3), (4, (1, 1, 1), 1, 3),
          (2, (1, 1, 1), 3, 3), (4, (2,), 1, 3), (3, (), 3, 3),
          (3, (1, 1), 3, 3)]
+# the legs of the closed Zn vertex against enumeration at degree 8, in
+# every slot; but () and (3,2,1), transfer's z2z2 legs at degree 12
+SWEEP = [(), (1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1), (3, 2, 1)]
 
-TIER1 = [
+
+def shared_runs(rows=DEEP):
+    """The rows cut into runs, one per input and degree, in first-seen
+    order; a row can reuse a series of the row before it in its run."""
+    runs = {}
+    for row in rows:
+        runs.setdefault(row[3:], []).append(row)
+    return list(runs.values())
+
+
+TIER1 = sum(shared_runs([
     # transfer keeps the terms with d + |mu| + ahead == cutoff, and every
     # cutoff puts that boundary on other terms; DEEP has z2z2 (2,1) at 6
     *[("enumerate_transfer", "enumerate", "transfer", Input(leg, group, n), d)
       for group, n in [("z2z2", None), ("zn", 3)] for leg in PRUNE_LEGS
       for d in range(11) if (leg, group, d) != ((2, 1), "z2z2", 6)],
     *[("enumerate_transfer", "enumerate", "transfer", inp, d)
-      for inp, d in [*[(Input(leg), 12) for leg in
-                       [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1)]],
+      for inp, d in [*[(Input(leg), 12) for leg in SWEEP[1:-1]],
                      *[(Input(leg, "zn", n), 12) for n in (3, 4)
                        for leg in [(1,), (2, 1)]],
+                     *[(Input(leg, *g), 1) for g in [("z2z2",), ("zn", 3)]
+                       for leg in [(2,), (1, 1), (2, 2)]],
                      (Input(), 18), (Input((2,)), 4),
                      (Input((1,), "zn", 4), 3)]],
     # commute_series multiplies pair factors and walks no partners; Z3 at
@@ -161,6 +178,9 @@ TIER1 = [
     *[("enumerate_transfer", "enumerate", "transfer", Input(leg, "zn", n), 8)
       for n in (2, 3, 4) for leg in pc.partitions_up_to(4)
       if n != 3 or leg not in PRUNE_LEGS],
+    # slot 3 on the CLI's rows; n = 1 is the hook product
+    *[("enumerate_closed", "enumerate", "closed", Input(leg, "zn", n), 8)
+      for n in range(1, 6) for leg in SWEEP],
     ("transfer_commute", "transfer", "commute", Input((3, 1), "zn", 4), 20),
     ("closed_transfer", "closed", "transfer", Input((3, 1), "zn", 4), 20),
     # the walk and transfer share pc.least_ahead, commute_series runs no
@@ -170,23 +190,30 @@ TIER1 = [
         ("walk_transfer", "interlacing", "rpc_transfer",
          Input(leg, frame=DIAG), 12)]],
     # every leg of size <= 4 reaches both corner parities of every kind of
-    # slice (even, odd s > 0, odd s < 0) within degree 6; DEEP has (3,1)
-    # and (2,2) antidiagonal at 6
-    *[("walk_transfer", "interlacing", "rpc_transfer", Input(leg, frame=f), 6)
-      for f in (ANTI, DIAG) for leg in pc.partitions_up_to(4)
-      if f == DIAG or leg not in [(3, 1), (2, 2)]],
+    # slice (even, odd s > 0, odd s < 0) within degree 6, DEEP has (3,1)
+    # and (2,2) antidiagonal at 6; degree 1 keeps exactly the partners of
+    # size cutoff - low and the terms with d == room, as under enumeration
+    *[("walk_transfer", "interlacing", "rpc_transfer", Input(leg, frame=f), d)
+      for f in (ANTI, DIAG) for leg in pc.partitions_up_to(4) for d in (1, 6)
+      if f == DIAG or d == 1 or leg not in [(3, 1), (2, 2)]],
     *[("walk_transfer", "interlacing", "rpc_transfer", Input(leg, frame=f), d)
       for leg, f, d in [((1,), ANTI, 11), ((2, 1), ANTI, 11), ((1,), DIAG, 11),
                         ((2, 1), DIAG, 11), ((2, 1), DIAG, 14)]],
-    # the staircase products against the walks and transfer
-    *[("walk_closed", "interlacing", "rpc_closed",
-       Input(pc.staircase(m), frame=f), 8) for m in range(8)
-      for f in (ANTI, DIAG)],
-    ("walk_closed", "interlacing", "rpc_closed", Input((1,), frame=ANTI), 22),
+    # the staircase products against the walks, enumeration and transfer;
+    # m = 0..7 runs every m mod 4 branch of both Z4 forms at shifts 0..4
+    *[row for m in range(8) for leg in [pc.staircase(m)] for row in [
+        *[("walk_closed", "interlacing", "rpc_closed", Input(leg, frame=f), 8)
+          for f in (ANTI, DIAG)],
+        ("enumerate_closed", "enumerate", "closed", Input(leg), 8),
+        ("closed_transfer", "closed", "transfer", Input(leg, "zn", 4), 8),
+        ("branch_transfer", "zn_branch", "transfer", Input(leg, "zn", 4), 8)]],
+    *[("walk_closed", "interlacing", "rpc_closed", Input(leg, frame=f), 22)
+      for leg, f in [((1,), ANTI), ((), DIAG)]],
     ("closed_transfer", "rpc_closed", "rpc_transfer",
      Input((1,), frame=ANTI), 22),
     *[("closed_transfer", "closed", "transfer", inp, 22)
-      for inp in [Input((1,)), Input((2, 1)), Input((2, 1), "zn", 4)]],
+      for inp in [Input(), Input((1,)), Input((2, 1)),
+                  Input((2, 1), "zn", 4)]],
     # the three vertex routes at (2,1); above the degree (n = 12, 60 and
     # 200) the zero-leg table keeps only the runs of M~ that reach the
     # cutoff, and enumeration builds a color unit only for the residues
@@ -205,6 +232,8 @@ TIER1 = [
     *[("slot_closed_enumerate", "slot_closed", "slot_enumerate",
        Input(leg, "zn", n, slot=slot), d) for n, leg, slot, d in [
            *SLOTS,
+           *[(n, leg, slot, 8) for n in range(1, 6) for leg in SWEEP[1:]
+             for slot in (1, 2)],
            *[(n, leg, slot, 12) for n in (3, 4)
              for leg in [(2, 1), (3,), (1, 1, 1)] for slot in (1, 2)],
            *[(n, (2, 1), slot, d) for n, d in [(12, 10), (60, 3), (200, 2)]
@@ -212,7 +241,7 @@ TIER1 = [
     *[("slot_bar_symmetry", "slot_closed", "barred",
        Input(lam, "zn", n, slot=1), 16) for n in range(1, 6)
       for lam in pc.partitions_up_to(4)[1:]],
-]
+]), [])
 
 
 def run(row, degree, kept=()):
@@ -228,21 +257,6 @@ def run(row, degree, kept=()):
     assert x == y, "%s: %s and %s differ at %r, degree %d" % (
         check, a, b, inp, degree)
     return got
-
-
-def shared_runs():
-    """DEEP cut into runs of rows, a row joining the run before it when
-    it shares a series with that run's last row."""
-    def keys(row):
-        return {(name, row[3], row[4]) for name in row[1:3]}
-
-    runs = []
-    for row in DEEP:
-        if runs and keys(row) & keys(runs[-1][-1]):
-            runs[-1].append(row)
-        else:
-            runs.append([row])
-    return runs
 
 
 def run_rows(rows):
@@ -291,9 +305,13 @@ def test_deep_row_at_degree_6(row):
     run(row, min(row[4], 6))
 
 
+LAST = [{}]  # the series of the TIER1 row run last
+
+
 @pytest.mark.parametrize("row", TIER1, ids=row_id)
 def test_tier1_row(row):
-    run(row, row[4])
+    # a row reuses a series of the row before it; alone, it makes its own
+    LAST[0] = run(row, row[4], LAST[0])
 
 
 def same_class(rows):
@@ -308,6 +326,36 @@ def test_every_check_pairs_routes_of_different_classes():
     assert same_class(DEEP + TIER1) == set(SAME_CLASS)
     # a row given two routes of one class is caught
     assert same_class([("x", "transfer", "interlacing", Input())]) == {"x"}
+
+
+def unread(rows):
+    """(check, input, field) for each field that a row's input sets away
+    from Input's default and neither of its routes reads at degree 0."""
+    read, out = set(), set()
+
+    class Spy(Input):
+        # an Input that notes the name of each attribute read from it
+        __slots__ = ()
+
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    for check, a, b, inp, _ in rows:
+        read.clear()
+        for name in (a, b):
+            ALL[name].series(Spy(*inp), 0)
+        out |= {(check, inp, f) for f, v, d in zip(Input._fields, inp, Input())
+                if v != d and f not in read}
+    return out
+
+
+def test_every_field_a_row_sets_is_read():
+    # a route that ignores a field would compare another input than the
+    # row names: transfer at slot 1 gives the slot-3 series
+    assert unread(DEEP + TIER1) == set()
+    bad = ("x", "enumerate", "transfer", Input((1,), slot=1), 4)
+    assert unread([bad]) == {("x", Input((1,), slot=1), "slot")}
 
 
 BAD_SLOTS = [(name, slot) for name in ("slot_closed", "slot_enumerate")
