@@ -16,7 +16,8 @@ from operator import sub
 from . import partition_core as pc
 from .pyramid import VARS_Z2Z2, _group_names, series_from_packed
 from .qseries import (
-    Factors, Series, _check_cutoff, _check_exps, _check_int, mul_terms, term,
+    Factors, Series, _check_cutoff, _check_exps, _check_int, _decoded, _pack,
+    _pass, _steps, term,
 )
 
 _Z2Z2_SLOT = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
@@ -158,42 +159,46 @@ def skew_schur_specialized(mu, eta, variables, cutoff, names):
 def _jacobi_trudi(mu, eta, vals, cutoff, nvars, dual):
     """s_{mu/eta} at the values (c, e), eta inside mu, as a dict truncated
     at cutoff: det(h_{mu_i - eta_j - i + j}) of order len(mu), or when
-    dual the equal det(e_{mu'_i - eta'_j - i + j}) of order mu_1.  Values
-    x go in highest degree first, so the h_k stay small while most
-    products pass the cutoff; mul_terms adds x h_(k-1) to h_k, k up, as
-    h_(k-1) already holds x, or x e_(k-1) to e_k, k down, as e_(k-1) does
-    not.  Each minor, memoized by its columns, adds +-h_d (or e_d) times
-    a smaller minor along its first row."""
+    dual the equal det(e_{mu'_i - eta'_j - i + j}) of order mu_1, on graded
+    parts at base cutoff + 1, decoded once.  Values x go in highest degree
+    first, so the h_k stay small while most products pass the cutoff; x
+    is a one-step _pass from h_(k-1) into h_k, k up, as h_(k-1) already
+    holds x, or e_(k-1) into e_k, k down, as e_(k-1) does not.  Each
+    minor, memoized by its columns, adds a pass of +-h_d (or e_d), the
+    sign in its steps, over a smaller nonempty minor along its first row."""
     if dual:
         mu, eta = pc.conjugate(mu), pc.conjugate(eta)
-    one = {(0,) * nvars: 1}
+    base = cutoff + 1
     ell = len(mu)
     need = [[mu[i] - pc.part(eta, j) + j - i for j in range(ell)]
             for i in range(ell)]
     # eta fits in mu, so need[i][i] >= 0 and kmax >= 0
     kmax = max((d for row in need for d in row), default=0)
-    h = [one] + [{} for _ in range(kmax)]
-    for c, e in sorted(vals, key=lambda v: -sum(v[1])):
+    h = [[{} for _ in range(base)] for _ in range(kmax + 1)]
+    h[0][0][0] = 1  # h_0 = 1, whose exponents pack to 0
+    # with kmax = 0 no h_k takes a value
+    for c, e in sorted(vals, key=lambda v: -sum(v[1])) if kmax else ():
+        step = [(sum(e), _pack(e, base), c)]
         for k in range(kmax, 0, -1) if dual else range(1, kmax + 1):
-            if h[k - 1]:
-                mul_terms(h[k - 1], {e: c}, cutoff, h[k])
-    # h_d with the sign of the column's place in the row
-    signed = (h, [{e: -c for e, c in hd.items()} for hd in h])
-    memo = {(): one}
+            if any(h[k - 1]):
+                _pass(h[k], step, cutoff, False, h[k - 1])
+    memo = {(): h[0]}
 
     def minor(cols):
         acc = memo.get(cols)
         if acc is None:
             i = ell - len(cols)
-            acc = memo[cols] = {}
+            acc = memo[cols] = [{} for _ in range(base)]
             for p, j in enumerate(cols):
                 d = need[i][j]
-                if 0 <= d and h[d]:
-                    mul_terms(signed[p % 2][d],
-                              minor(cols[:p] + cols[p + 1:]), cutoff, acc)
+                if 0 <= d and any(h[d]):
+                    rest = minor(cols[:p] + cols[p + 1:])
+                    if any(rest):
+                        _pass(acc, _steps(h[d], (-1) ** p), cutoff, False,
+                              rest)
         return acc
 
-    return minor(tuple(range(ell)))
+    return _decoded(minor(tuple(range(ell))), base, nvars)
 
 
 # ---------------------------------------------------------------------------

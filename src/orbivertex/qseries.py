@@ -1,23 +1,22 @@
 """Exact multivariate power series truncated by total degree.
 
-Coefficients are Python ints, exponents are non-negative.  Laurent-style
-intermediate data (signed monomials with possibly negative exponents) is
-carried by plain Term tuples, and must be combined into something
-non-negative before it can enter a Series; one checker, _check_exps,
-rejects a negative exponent there.  Every truncated product of two
-{exponents: coefficient} dicts, Series arithmetic included, goes through
-the one kernel mul_terms.
+Coefficients are Python ints, exponents are non-negative; one checker,
+_check_exps, rejects a negative exponent wherever a term enters.  Only a
+family's x in Factors.walk, a plain Term tuple, may have negative ones.
 
-Closed formulas are products of binomial factors (1 - t)^(-k).  They are
-kept as exponent multisets (Factors), combined by adding multiplicities,
-and multiplied into a Series over the same names and cutoff (the
-constant 1 for a plain product) once, by one pass per factor over packed
-graded parts: the factor is the finite polynomial (1 - t)^|k| or its
-inverse, so the pass multiplies top down or divides bottom up.
-Series.invert is the same division, by the series itself.
-Factors.walk, the one entry to the factor walk, multiplies a named
-family over q, the product of all the names, to a power into the
-multiset it is called on; a family is given by its x alone.
+Every truncated product is one kernel, _pass, over packed graded parts:
+it adds the steps S from _steps times a source into the parts, in place
+or from other parts (Series * Series, the skew Schur determinant of
+dt_vertex).  Closed formulas are products of binomial factors
+(1 - t)^(-k), kept as exponent multisets (Factors), combined by adding
+multiplicities, and multiplied into a Series over the same names and
+cutoff (the constant 1 for a plain product) once, one pass per factor:
+the factor is the finite polynomial (1 - t)^|k| or its inverse, so the
+pass multiplies top down or divides bottom up.  Series.invert is the
+same division, by the series itself.  Factors.walk, the one entry to the
+factor walk, multiplies a named family over q, the product of all the
+names, to a power into the multiset it is called on; a family is given
+by its x alone.
 """
 
 from __future__ import annotations
@@ -37,38 +36,6 @@ def term(coef, exps):
     raises TypeError rather than being truncated."""
     return (_check_int(coef, "coefficient"),
             tuple(_check_int(e, "exponent") for e in exps))
-
-
-def mul_terms(a, b, cap, out=None):
-    """Add every product of a term of a with a term of b whose total
-    degree is at most cap into out (a new dict by default); return out.
-
-    a, b and out are {exponent tuple: coefficient} dicts.  The loop never
-    reads an exponent's sign, so Laurent dicts would pass too, though no
-    route gives it one.  A key whose coefficient sums to 0 is removed.
-    The larger operand runs outside and the smaller one is sorted by
-    degree, so each outer term stops at the first partner that would
-    pass the cap.
-    """
-    if out is None:
-        out = {}
-    if len(a) < len(b):
-        a, b = b, a
-    inner = sorted(((sum(e), e, c) for e, c in b.items()),
-                   key=lambda item: item[0])
-    get, pop = out.get, out.pop
-    for ea, ca in a.items():
-        room = cap - sum(ea)
-        for d, eb, cb in inner:
-            if d > room:
-                break
-            key = tuple(map(add, ea, eb))
-            v = get(key, 0) + ca * cb
-            if v:
-                out[key] = v
-            else:
-                pop(key, None)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +110,19 @@ class Series:
 
     def __mul__(self, other):
         _check_like(self, other)
-        return self._like(mul_terms(self.terms, other.terms, self.cutoff))
+        base = self.cutoff + 1
+        a, b = (_graded_parts(s.terms.items(), base, self.cutoff)
+                for s in sorted((self, other), key=lambda s: len(s.terms)))
+        parts = [{} for _ in range(base)]
+        _pass(parts, _steps(a, 1), self.cutoff, False, b)  # a: the smaller
+        return self._like(_decoded(parts, base, len(self.names)))
 
     def __pow__(self, k):
         if _check_int(k, "power") < 0:
             return self.invert() ** (-k)
         out = self._like({(0,) * len(self.names): 1})
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        for _ in range(k):
+            out = out * self
         return out
 
     def invert(self):
@@ -164,16 +132,14 @@ class Series:
         1/f = c0 / (1 + c0 g): the constant c0 divided by a polynomial
         with constant term 1, by _pass bottom up with the steps -c0 g.
         """
-        zero = (0,) * len(self.names)
-        c0 = self.terms.get(zero, 0)
+        base = self.cutoff + 1
+        g = _graded_parts(self.terms.items(), base, self.cutoff)
+        c0 = g[0].pop(0, 0)
         if c0 not in (1, -1):
             raise ValueError("series not invertible over the integers "
                              "(constant term %d)" % c0)
-        base = self.cutoff + 1
-        parts = _graded_parts([(zero, c0)], base, self.cutoff)
-        steps = sorted((sum(e), _pack(e, base), -c0 * c)
-                       for e, c in self.terms.items() if e != zero)
-        _pass(parts, steps, self.cutoff, True)
+        parts = [{0: c0}] + [{} for _ in range(self.cutoff)]
+        _pass(parts, _steps(g, -c0), self.cutoff, True)
         return self._like(_decoded(parts, base, len(self.names)))
 
     def map_vars(self, new_names, assignment):
@@ -218,7 +184,7 @@ class Series:
 # ---------------------------------------------------------------------------
 # Packed graded parts
 # ---------------------------------------------------------------------------
-# Inside invert and Factors.times an exponent tuple is packed into one int,
+# Inside every product an exponent tuple is packed into one int,
 # sum(e[i] * base**i) with base = cutoff + 1.  Every exponent of a term of
 # total degree <= cutoff is below base, so adding packed ints adds the
 # exponent tuples without carries.
@@ -333,26 +299,31 @@ def _graded_parts(items, base, cutoff):
     return parts
 
 
-def _pass(parts, steps, cutoff, up):
-    """Add S * parts[j - d] to every parts[j] in place, for S the sum of
-    the monomials coef * x^shift of degree d >= 1 in steps, a list of
-    (d, packed shift, coef) sorted by d.
+def _steps(parts, sign):
+    """_pass's steps of sign times the graded parts, sorted by degree."""
+    return [(d, key, sign * v) for d, part in enumerate(parts)
+            for key, v in part.items() if v]
 
-    Top down (up false), part j reads parts below it that this pass has
-    not touched yet, so the parts are multiplied by 1 + S.  Bottom up,
-    part j reads parts below it that already hold the result h, so
-    h = parts + S h, that is h = parts / (1 - S).
+
+def _pass(parts, steps, cutoff, up, source=None):
+    """Add S * source[j - d] to every parts[j] in place, for S the sum of
+    the monomials coef * x^shift of degree d in steps, a list of
+    (d, packed shift, coef) sorted by d.  Another source adds source * S,
+    d >= 0, either way.  In place (the default), d >= 1: top down (up
+    false), part j reads parts below it that this pass has not touched
+    yet, so the parts are multiplied by 1 + S; bottom up, part j reads
+    parts below it that already hold the result h, so h = parts + S h,
+    that is h = parts / (1 - S).  With no steps no part is touched.
     """
-    if not steps:
-        return
-    low = steps[0][0]
+    source = parts if source is None else source
+    low = steps[0][0] if steps else cutoff + 1
     for j in range(low, cutoff + 1) if up else range(cutoff, low - 1, -1):
         part = parts[j]
         get = part.get
         for d, shift, coef in steps:
             if d > j:
                 break
-            for key, v in parts[j - d].items():
+            for key, v in source[j - d].items():
                 key += shift
                 part[key] = get(key, 0) + coef * v
 

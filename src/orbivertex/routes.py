@@ -4,15 +4,16 @@ boxes (enumeration), partners (the interlacing walk and transfer) or
 factors (the closed products); staircase(input), whether the leg must be
 a staircase; and transfer's windows(input, degree) = (window, the series,
 its bracket on window + 2).  Rows look their functions up when run, so a
-patched or wrapped module name reaches them.  An input is an Input or
-the CLI's parsed arguments; the slot rows put the leg in slot 1, 2 or 3.
+patched or wrapped module name reaches them.  An input is an Input or the
+CLI's parsed arguments; the slot rows put the leg in slot 1, 2 or 3, and
+a row of one group refuses another group or an n that it does not read.
 """
 
 from collections import namedtuple
 
 from . import dt_vertex, fock_transfer, rpc
 from . import partition_core as pc
-from .pyramid import ANTI, DIAG
+from .pyramid import ANTI, DIAG, _group_names
 
 
 class Input(namedtuple("Input", "leg group n frame slot",
@@ -34,6 +35,16 @@ def _staircase_m(leg):
     return len(leg)
 
 
+def _group(inp, group):
+    """inp, if its group is the row's and its n one that group takes; the
+    CLI's pyramid and rpc namespaces lack both, read as Input's defaults."""
+    got = getattr(inp, "group", "z2z2")
+    if got != group:
+        raise ValueError("group must be %r, got %r" % (group, got))
+    _group_names(group, getattr(inp, "n", None))
+    return inp
+
+
 def _slot_legs(inp):
     """The three legs, inp.leg in slot inp.slot: the int 1, 2 or 3."""
     if type(inp.slot) is not int or inp.slot not in (1, 2, 3):
@@ -44,8 +55,8 @@ def _slot_legs(inp):
 ROUTES = {
     "closed": Route(lambda inp, d: (
         dt_vertex.vertex_closed_zn(inp.n, ((), (), inp.leg), d)
-        if inp.group == "zn" else
-        dt_vertex.closed_z2z2_staircase(_staircase_m(inp.leg), d)), "factors",
+        if inp.group == "zn" else dt_vertex.closed_z2z2_staircase(
+            _staircase_m(_group(inp, "z2z2").leg), d)), "factors",
         lambda inp: inp.group == "z2z2"),
     "enumerate": Route(lambda inp, d: dt_vertex.enumerate_3d(
         inp.leg, inp.group, d, n=inp.n), "boxes"),
@@ -54,16 +65,19 @@ ROUTES = {
         fock_transfer._window_pair(inp.group, inp.leg, d, n=inp.n)),
     # the series is the same at every shift (see generating_function)
     "interlacing": Route(lambda inp, d: rpc.generating_function(
-        inp.leg, 0, inp.frame, d), "partners"),
+        _group(inp, "z2z2").leg, 0, inp.frame, d), "partners"),
     "rpc_closed": Route(lambda inp, d: dt_vertex.corollary_rpc_closed(
-        _staircase_m(inp.leg), d), "factors", lambda inp: True),
+        _staircase_m(_group(inp, "z2z2").leg), d), "factors",
+        lambda inp: True),
     # library-only rows
     "rpc_transfer": Route(lambda inp, d: fock_transfer.vertex_by_transfer(
-        "z2z2", inp.leg, d, "rpc_" + rpc._check_frame(inp.frame)), "partners"),
+        "z2z2", _group(inp, "z2z2").leg, d,
+        "rpc_" + rpc._check_frame(inp.frame)), "partners"),
     "zn_branch": Route(lambda inp, d: dt_vertex.one_leg_zn_staircase(
-        inp.n, _staircase_m(inp.leg), d), "factors", lambda inp: True),
+        _group(inp, "zn").n, _staircase_m(inp.leg), d), "factors",
+        lambda inp: True),
     "slot_closed": Route(lambda inp, d: dt_vertex.vertex_closed_zn(
-        inp.n, _slot_legs(inp), d), "factors"),
+        _group(inp, "zn").n, _slot_legs(inp), d), "factors"),
     "slot_enumerate": Route(lambda inp, d: dt_vertex.enumerate_one_leg(
         _slot_legs(inp), inp.group, d, n=inp.n), "boxes"),
 }

@@ -109,6 +109,19 @@ def smac(x, q, gens, D):
     return strunc(out, gens, D)
 
 
+def dict_mul(a, b, cap):
+    """The product of two {exponent tuple: coefficient} dicts, every pair
+    of terms, truncated at total degree cap, zeros dropped; the package's
+    products run through qseries._pass instead."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= cap:
+                out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
 def term_var(nvars, idx, coef=1):
     """The Term coef * x_idx over nvars variables."""
     e = [0] * nvars
@@ -511,9 +524,7 @@ def e_apply(state, sign, xsq, cutoff):
 
 def scalar_apply(state, series, cutoff):
     """Multiply a state by a scalar Series (same variable slots)."""
-    from orbivertex.qseries import mul_terms
-
-    return normalize_state({lam: mul_terms(poly, series.terms, cutoff)
+    return normalize_state({lam: dict_mul(poly, series.terms, cutoff)
                             for lam, poly in state.items()})
 
 

@@ -15,7 +15,7 @@ from orbivertex.dt_vertex import (
 )
 from orbivertex.fock_transfer import vertex_by_transfer, zn_names
 from orbivertex.pyramid import ANTI, DIAG, VARS_Z2Z2, pyramid_series
-from orbivertex.qseries import Factors, Series, mul_terms, term
+from orbivertex.qseries import Factors, Series, term
 
 import oracles
 from oracles import term_mul, term_var
@@ -212,14 +212,15 @@ def test_skew_schur_direct_and_dual_determinants_agree():
 
 def test_jacobi_trudi_multiplies_no_empty_h(monkeypatch):
     # an h_(k-1) (or e_(k-1)) that holds no term below the cutoff adds
-    # nothing to h_k, so no mul_terms call gets one
+    # nothing to h_k, so no pass reads an all-empty source
     seen = []
 
-    def counted(a, b, cap, out=None):
-        seen.append(bool(a))
-        return mul_terms(a, b, cap, out)
+    def counted(parts, steps, cutoff, up, source=None):
+        seen.append(any(source))
+        return pass_(parts, steps, cutoff, up, source)
 
-    monkeypatch.setattr(dt_vertex, "mul_terms", counted)
+    pass_ = dt_vertex._pass
+    monkeypatch.setattr(dt_vertex, "_pass", counted)
     # the first value, of degree 2, leaves h_2 empty at cutoff 3: its
     # square passes the cutoff
     for mu, dual in [((4, 2, 1), False), ((2, 1, 1, 1), True)]:

@@ -6,10 +6,13 @@ is a row; the unit test files keep what a row cannot state.
 A row is (check, route, route, input, degree): the two routes must give
 the same series at the input, up to the degree, and each field that the
 input sets must be read by one of them.  Besides the rows of
-routes.ROUTES, a row may name three test routes: "wide", transfer's
+routes.ROUTES, a row may name four test routes: "wide", transfer's
 bracket on its window + 2; "commute", the partner-free product of
-oracles.commute_series; and "barred", the slot route at the conjugate
-leg in the other side slot with every color label j read as -j mod n.
+oracles.commute_series; "barred", the slot route at the conjugate leg
+in the other side slot with every color label j read as -j mod n; and
+"restricted", z2z2 transfer at the leg with each color sent to its
+restriction on a Z2 subgroup or the trivial group, which puts the leg
+in the slot of RESTRICT.
 
 CI runs every DEEP row at its own degree, in one step:
 
@@ -31,7 +34,7 @@ import pytest
 
 from orbivertex import fock_transfer, routes
 from orbivertex import partition_core as pc
-from orbivertex.pyramid import ANTI, DIAG, _group_names
+from orbivertex.pyramid import ANTI, DIAG, _group_names, zn_names
 from orbivertex.routes import Input, Route
 from oracles import commute_series
 
@@ -56,10 +59,23 @@ def _barred(inp, d):
         _group_names(inp.group, inp.n), bar)
 
 
+# (n, slot) -> the Z_n variable that each of q0, qa, qb, qc becomes: a
+# Z2 subgroup of Z2 x Z2 fixes one axis, and puts the leg in that slot
+RESTRICT = {(2, 3): (0, 1, 1, 0), (2, 2): (0, 0, 1, 1), (2, 1): (0, 1, 0, 1),
+            (1, 3): (0, 0, 0, 0)}
+
+
+def _restricted(inp, d):
+    # a box's color on a subgroup H is its Z2 x Z2 color restricted to H
+    return routes.ROUTES["transfer"].series(Input(inp.leg), d).map_vars(
+        zn_names(inp.n), RESTRICT[inp.n, inp.slot])
+
+
 # commute_series multiplies pair factors, as the closed products do
 ALL = {**routes.ROUTES, "wide": Route(_wide, "partners"),
        "commute": Route(_commute, "factors"),
-       "barred": Route(_barred, "factors")}
+       "barred": Route(_barred, "factors"),
+       "restricted": Route(_restricted, "partners")}
 
 LEGS = [(3, 1), (2, 2, 1)]
 # (n, leg, side slot): (4) and (1,1,1,1) take the dual Jacobi-Trudi
@@ -121,6 +137,11 @@ DEEP = [
     *[("slot_bar_symmetry", "slot_closed", "barred",
        Input(lam, "zn", n, slot=1), 30) for n in (3, 4, 5)
       for lam in [(3, 1), (2, 2, 1), (4,), (1, 1, 1, 1)]],
+    # z2z2 transfer against the closed Z2 vertex in every slot: the one
+    # check of a side slot by a route of another class than boxes
+    *[("restricted_closed", "restricted", "slot_closed",
+       Input(leg, "zn", 2, slot=slot), 30)
+      for leg in [(3, 1), (2, 2, 1), (4, 1)] for slot in (1, 2, 3)],
 ]
 
 # check -> why its rows may compare two routes of one class
@@ -241,6 +262,9 @@ TIER1 = sum(shared_runs([
     *[("slot_bar_symmetry", "slot_closed", "barred",
        Input(lam, "zn", n, slot=1), 16) for n in range(1, 6)
       for lam in pc.partitions_up_to(4)[1:]],
+    *[("restricted_closed", "restricted", "slot_closed",
+       Input(leg, "zn", n, slot=slot), 10)
+      for leg in pc.partitions_up_to(5) for n, slot in RESTRICT],
 ]), [])
 
 
@@ -293,7 +317,7 @@ def test_deep_rows_are_distinct_and_shared_runs_cover_them():
     # DEEP at tier-1's degree and TIER1 list no comparison twice
     ids = [row_id((*row[:4], min(row[4], 6))) for row in DEEP]
     ids += map(row_id, TIER1)
-    assert len(DEEP) == 70 and len(set(ids)) == len(ids)
+    assert len(DEEP) == 79 and len(set(ids)) == len(ids)
     runs = shared_runs()
     assert sum(runs, []) == DEEP
     # enumeration at each (2,1) input, commute_series at each leg
@@ -360,6 +384,17 @@ def test_every_field_a_row_sets_is_read():
 
 BAD_SLOTS = [(name, slot) for name in ("slot_closed", "slot_enumerate")
              for slot in (0, 5, True)]
+# rows of one group given another, or an n that z2z2 does not take
+WRONG = "^group must be %r, got %r$"
+BAD_GROUPS = [
+    ("closed", Input((1,), n=4), "^n is for group zn, got n=4 with z2z2$"),
+    ("zn_branch", Input((1,), "z2z2", 4), WRONG % ("zn", "z2z2")),
+    ("slot_closed", Input((1,), "z2z2", 4, slot=1), WRONG % ("zn", "z2z2")),
+    *[row for name in ("interlacing", "rpc_closed", "rpc_transfer")
+      for row in [(name, Input((1,), "zn", 4, frame=ANTI),
+                   WRONG % ("z2z2", "zn")),
+                  (name, Input((1,), n=4, frame=ANTI),
+                   "^n is for group zn, got n=4 with z2z2$")]]]
 
 
 @pytest.mark.parametrize("name, inp, message", [
@@ -370,11 +405,16 @@ BAD_SLOTS = [(name, slot) for name in ("slot_closed", "slot_enumerate")
     ("interlacing", Input((1,)), "^unknown frame None$"),
     *[(name, Input((1,), "zn", 4, slot=slot),
        "^slot must be 1, 2 or 3, got %r$" % slot) for name, slot in BAD_SLOTS],
+    *BAD_GROUPS,
 ], ids=["closed", "rpc_closed", "zn_branch", "rpc_transfer", "interlacing",
-        *["%s-%r" % bad for bad in BAD_SLOTS]])
+        *["%s-%r" % bad for bad in BAD_SLOTS],
+        *["%s-%s-n%r" % (name, inp.group, inp.n)
+          for name, inp, _ in BAD_GROUPS]])
 def test_rows_reject_what_they_cannot_read(name, inp, message):
     # the staircase rows read only len(leg), so rpc_closed at (2,) gave the
     # product of (1,); rpc_transfer raised TypeError from "rpc_" + None;
-    # the slot rows dropped a leg outside slots 1..3 and read True as 1
+    # the slot rows dropped a leg outside slots 1..3 and read True as 1;
+    # zn_branch and slot_closed read no group, so z2z2 gave the Z4 series,
+    # and the z2z2 rows read neither group nor n
     with pytest.raises(ValueError, match=message):
         routes.ROUTES[name].series(inp, 3)
