@@ -14,7 +14,7 @@ import sys
 
 from . import partition_core as pc
 from . import routes, rpc
-from .pyramid import ANTI, DIAG, _group_names
+from .pyramid import ANTI, DIAG
 
 
 def _partition_arg(text):
@@ -104,19 +104,14 @@ def _series(args):
     with the first."""
     if args.verify and len(args.method) < 2:
         raise ValueError("--verify needs at least two methods")
-    if args.command == "vertex":
-        # --n defaults to None, so that one given under z2z2 is refused
-        if args.group == "zn" and args.n is None:
-            args.n = 4
-        _group_names(args.group, args.n)
-    rows = [(method, routes.ROUTES[routes.CLI[args.command][method]])
-            for method in args.method]
-    for method, route in rows:
-        if route.staircase(args) and not pc.is_staircase(args.leg):
-            raise ValueError("%s form needs a staircase leg, got %r"
-                             % (method, args.leg))
+    # --n defaults to None, so that one given under z2z2 is refused
+    if args.command == "vertex" and args.group == "zn" and args.n is None:
+        args.n = 4
+    rows = [routes.ROUTES[routes.CLI[args.command][m]] for m in args.method]
+    for route in rows:      # every method's input, before any series
+        route.check(args)
     named = [(method, route.series(args, args.degree))
-             for method, route in rows]
+             for method, route in zip(args.method, rows)]
     base_label, base = named[0]
     comparisons = [("mismatch %s vs %s" % (base_label, label), base, s)
                    for label, s in named[1:] if args.verify]

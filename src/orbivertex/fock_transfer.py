@@ -220,7 +220,8 @@ def _bracket(v, cutoff, mode, n, window):
         for lam, buckets in state.items():
             low = min(buckets)
             if tau == 1:
-                nxts = pc.partners_above(lam, (cutoff - low) // (1 + r), primed)
+                nxts = pc.partners_above(lam, (cutoff - low) // (1 + r),
+                                         primed)
             else:
                 nxts = pc.partners_below(lam, primed)
             for mu in nxts:

@@ -51,8 +51,8 @@ class Series:
     with _check_int and exponent tuples with _check_exps (types, arity,
     negativity), whatever the coefficient.  Arithmetic on series already
     checked (products, powers and the inverse; there are no sums or
-    multiples) writes its dicts directly.  A result leaves as to_json's record; nothing reads a
-    Series back in.
+    multiples) writes its dicts directly.  A result leaves as to_json's
+    record; nothing reads a Series back in.
     """
 
     __slots__ = ("names", "cutoff", "terms")
@@ -103,8 +103,10 @@ class Series:
     def __repr__(self):
         items = sorted(self.terms.items())[:6]
         body = ", ".join("%r: %d" % (e, c) for e, c in items)
-        more = "" if len(self.terms) <= 6 else ", ... (%d terms)" % len(self.terms)
-        return "Series(%s, D=%d, {%s%s})" % (",".join(self.names), self.cutoff, body, more)
+        more = ("" if len(self.terms) <= 6
+                else ", ... (%d terms)" % len(self.terms))
+        return "Series(%s, D=%d, {%s%s})" % (",".join(self.names),
+                                            self.cutoff, body, more)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -1,12 +1,11 @@
 """The one table of series routes, the CLI's view of it and verify's
-checks.  A row holds series(input, degree); its independence class:
-boxes (enumeration), partners (the interlacing walk and transfer) or
-factors (the closed products); staircase(input), whether the leg must be
-a staircase; and transfer's windows(input, degree) = (window, the series,
-its bracket on window + 2).  Rows look their functions up when run, so a
-patched or wrapped module name reaches them.  An input is an Input or the
-CLI's parsed arguments; the slot rows put the leg in slot 1, 2 or 3, and
-a row of one group refuses another group or an n that it does not read.
+checks.  A row holds fn(input, degree); its independence class: boxes
+(enumeration), partners (the walk and transfer) or factors (the closed
+products); transfer's windows(input, degree) = (window, the series, its
+bracket on window + 2); and its one domain, which Route.check enforces
+for every caller before Route.series runs fn.  Rows look their functions
+up when run, so a patched or wrapped module name reaches them.  An input
+is an Input or the CLI's parsed arguments, missing fields the defaults.
 """
 
 from collections import namedtuple
@@ -21,65 +20,67 @@ class Input(namedtuple("Input", "leg group n frame slot",
     __slots__ = ()
 
 
-class Route(namedtuple("Route", "series kind staircase windows",
-                       defaults=(lambda inp: False, None))):
+class Route(namedtuple("Route", "fn kind windows group frame slot stairs",
+                       defaults=(None, None, False, False, None))):
     __slots__ = ()
 
+    def check(self, inp):
+        """inp as an Input in the row's domain: the row's group (None: any)
+        at an n it takes; a frame only if the row reads one; slot 3, or 1,
+        2 or 3 if it reads the slot; a staircase leg in group stairs."""
+        inp = Input._make(getattr(inp, f, d)
+                          for f, d in Input._field_defaults.items())
+        if self.group and inp.group != self.group:
+            raise ValueError("group must be %r, got %r"
+                             % (self.group, inp.group))
+        _group_names(inp.group, inp.n)
+        if self.frame:
+            rpc._check_frame(inp.frame)
+        elif inp.frame is not None:
+            raise ValueError("frame is for rpc rows, got %r" % (inp.frame,))
+        if type(inp.slot) is not int or inp.slot not in (
+                (1, 2, 3) if self.slot else (3,)):
+            raise ValueError("slot must be %s, got %r" % (
+                "1, 2 or 3" if self.slot else "3", inp.slot))
+        if inp.group == self.stairs and not pc.is_staircase(tuple(inp.leg)):
+            raise ValueError("staircase product needs a staircase leg, got %r"
+                             % (inp.leg,))
+        return inp
 
-def _staircase_m(leg):
-    """m of the staircase leg (m, ..., 1), which is all that the staircase
-    products read; any other leg raises, also when staircase is skipped."""
-    if not pc.is_staircase(tuple(leg)):
-        raise ValueError("staircase product needs a staircase leg, got %r"
-                         % (leg,))
-    return len(leg)
-
-
-def _group(inp, group):
-    """inp, if its group is the row's and its n one that group takes; the
-    CLI's pyramid and rpc namespaces lack both, read as Input's defaults."""
-    got = getattr(inp, "group", "z2z2")
-    if got != group:
-        raise ValueError("group must be %r, got %r" % (group, got))
-    _group_names(group, getattr(inp, "n", None))
-    return inp
-
-
-def _slot_legs(inp):
-    """The three legs, inp.leg in slot inp.slot: the int 1, 2 or 3."""
-    if type(inp.slot) is not int or inp.slot not in (1, 2, 3):
-        raise ValueError("slot must be 1, 2 or 3, got %r" % (inp.slot,))
-    return tuple(inp.leg if s == inp.slot else () for s in (1, 2, 3))
+    def series(self, inp, degree):
+        """The row's series at inp, checked, up to degree."""
+        return self.fn(self.check(inp), degree)
 
 
 ROUTES = {
     "closed": Route(lambda inp, d: (
         dt_vertex.vertex_closed_zn(inp.n, ((), (), inp.leg), d)
         if inp.group == "zn" else dt_vertex.closed_z2z2_staircase(
-            _staircase_m(_group(inp, "z2z2").leg), d)), "factors",
-        lambda inp: inp.group == "z2z2"),
+            len(inp.leg), d)), "factors", stairs="z2z2"),
     "enumerate": Route(lambda inp, d: dt_vertex.enumerate_3d(
         inp.leg, inp.group, d, n=inp.n), "boxes"),
     "transfer": Route(lambda inp, d: fock_transfer.vertex_by_transfer(
-        inp.group, inp.leg, d, n=inp.n), "partners", windows=lambda inp, d:
+        inp.group, inp.leg, d, n=inp.n), "partners", lambda inp, d:
         fock_transfer._window_pair(inp.group, inp.leg, d, n=inp.n)),
     # the series is the same at every shift (see generating_function)
     "interlacing": Route(lambda inp, d: rpc.generating_function(
-        _group(inp, "z2z2").leg, 0, inp.frame, d), "partners"),
+        inp.leg, 0, inp.frame, d), "partners", group="z2z2", frame=True),
+    # at a staircase leg both frames give this one series
     "rpc_closed": Route(lambda inp, d: dt_vertex.corollary_rpc_closed(
-        _staircase_m(_group(inp, "z2z2").leg), d), "factors",
-        lambda inp: True),
+        len(inp.leg), d), "factors", group="z2z2", frame=True,
+        stairs="z2z2"),
     # library-only rows
     "rpc_transfer": Route(lambda inp, d: fock_transfer.vertex_by_transfer(
-        "z2z2", _group(inp, "z2z2").leg, d,
-        "rpc_" + rpc._check_frame(inp.frame)), "partners"),
+        "z2z2", inp.leg, d, "rpc_" + inp.frame), "partners", group="z2z2",
+        frame=True),
     "zn_branch": Route(lambda inp, d: dt_vertex.one_leg_zn_staircase(
-        _group(inp, "zn").n, _staircase_m(inp.leg), d), "factors",
-        lambda inp: True),
+        inp.n, len(inp.leg), d), "factors", group="zn", stairs="zn"),
     "slot_closed": Route(lambda inp, d: dt_vertex.vertex_closed_zn(
-        _group(inp, "zn").n, _slot_legs(inp), d), "factors"),
+        inp.n, tuple(inp.leg if s == inp.slot else () for s in (1, 2, 3)),
+        d), "factors", group="zn", slot=True),
     "slot_enumerate": Route(lambda inp, d: dt_vertex.enumerate_one_leg(
-        _slot_legs(inp), inp.group, d, n=inp.n), "boxes"),
+        tuple(inp.leg if s == inp.slot else () for s in (1, 2, 3)),
+        inp.group, d, n=inp.n), "boxes", slot=True),
 }
 
 # subcommand -> {method: row}, the first method the default; pyramid is

@@ -262,7 +262,8 @@ _ODD_NEG_PAIR = ("a", "b")
 def slice_color_counts(k, eta, frame, corner_parity):
     """Brick counts per color for one restricted slice, VARS_Z2Z2 slots."""
     if _check_int(corner_parity, "corner parity") not in (0, 1):
-        raise ValueError("corner parity must be 0 or 1, got %d" % corner_parity)
+        raise ValueError("corner parity must be 0 or 1, got %d"
+                         % corner_parity)
     counts = [0, 0, 0, 0]
     total = sum(eta)
     if _check_frame(frame) == DIAG:

@@ -18,6 +18,8 @@ when the golden CLI cases and one call of each benchmark task run under
 sys.setprofile, or be named in ALLOWED (a class entry covers its
 methods): a wrap in perfbench/tracer.py excuses no function, since
 wrapping a function does not run it.
+
+Every line of the package fits in 79 columns; tests/ is left out.
 """
 
 import ast
@@ -58,8 +60,6 @@ ALLOWED = {
                        "tests/paper.py's symmetry_check",
     "Series.coefficient": "reads the first differing coefficient when "
                           "--verify finds a mismatch",
-    "_slot_legs": "places the leg of the library-only slot rows, which no "
-                  "subcommand takes",
 }
 
 
@@ -102,6 +102,13 @@ def test_package_imports_no_test_module():
     assert imported_modules(source) == {"paper", "oracles"}
     tests = {p.stem for p in (ROOT / "tests").glob("*.py")}
     assert [p.name for p in SRC if imported_modules(p.read_text()) & tests] == []
+
+
+def test_package_lines_fit_79_columns():
+    long = [(p.name, i) for p in SRC
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if len(line) > 79]
+    assert long == []
 
 
 def top_level_names(source):

@@ -12,7 +12,9 @@ oracles.commute_series; "barred", the slot route at the conjugate leg
 in the other side slot with every color label j read as -j mod n; and
 "restricted", z2z2 transfer at the leg with each color sent to its
 restriction on a Z2 subgroup or the trivial group, which puts the leg
-in the slot of RESTRICT.
+in the slot of RESTRICT.  Each has a domain, as a library row does:
+barred and restricted need zn and read the slot, and wide and commute
+read a frame only where the input sets one (Framed).
 
 CI runs every DEEP row at its own degree, in one step:
 
@@ -71,11 +73,23 @@ def _restricted(inp, d):
         zn_names(inp.n), RESTRICT[inp.n, inp.slot])
 
 
+class Framed(Route):
+    """A test route that reads a frame only when the input sets one, so
+    its domain depends on the input: with a frame, an rpc row's (z2z2,
+    the frame read); without, its own fields'."""
+    __slots__ = ()
+
+    def check(self, inp):
+        if inp.frame is None:
+            return Route.check(self, inp)
+        return Route.check(self._replace(group="z2z2", frame=True), inp)
+
+
 # commute_series multiplies pair factors, as the closed products do
-ALL = {**routes.ROUTES, "wide": Route(_wide, "partners"),
-       "commute": Route(_commute, "factors"),
-       "barred": Route(_barred, "factors"),
-       "restricted": Route(_restricted, "partners")}
+ALL = {**routes.ROUTES, "wide": Framed(_wide, "partners"),
+       "commute": Framed(_commute, "factors", group="zn"),
+       "barred": Route(_barred, "factors", group="zn", slot=True),
+       "restricted": Route(_restricted, "partners", group="zn", slot=True)}
 
 LEGS = [(3, 1), (2, 2, 1)]
 # (n, leg, side slot): (4) and (1,1,1,1) take the dual Jacobi-Trudi
@@ -275,7 +289,6 @@ def run(row, degree, kept=()):
     got = {}
     for name in (a, b):
         route, key = ALL[name], (name, inp, degree)
-        assert not route.staircase(inp) or pc.is_staircase(inp.leg), key
         got[key] = kept[key] if key in kept else route.series(inp, degree)
     x, y = got.values()
     assert x == y, "%s: %s and %s differ at %r, degree %d" % (
@@ -354,7 +367,9 @@ def test_every_check_pairs_routes_of_different_classes():
 
 def unread(rows):
     """(check, input, field) for each field that a row's input sets away
-    from Input's default and neither of its routes reads at degree 0."""
+    from Input's default and neither of its routes' functions reads at
+    degree 0, on the input that the route's check returns: the check
+    itself reads every field, and a row of one group need not."""
     read, out = set(), set()
 
     class Spy(Input):
@@ -368,18 +383,38 @@ def unread(rows):
     for check, a, b, inp, _ in rows:
         read.clear()
         for name in (a, b):
-            ALL[name].series(Spy(*inp), 0)
+            route = ALL[name]
+            route.fn(Spy(*route.check(inp)), 0)
+            if route.group:     # its check admits no other group
+                read.add("group")
         out |= {(check, inp, f) for f, v, d in zip(Input._fields, inp, Input())
                 if v != d and f not in read}
     return out
 
 
+def samples(route):
+    """Inputs in the route's domain that set every field it takes: leg
+    (1,), a staircase, in its group or in each, zn at n = 4 (all that
+    zn_branch takes), a frame and slot 1 where it reads them."""
+    return [Input((1,), g, 4 if g == "zn" else None,
+                  DIAG if route.frame else None, 1 if route.slot else 3)
+            for g in ([route.group] if route.group else ["z2z2", "zn"])]
+
+
 def test_every_field_a_row_sets_is_read():
     # a route that ignores a field would compare another input than the
-    # row names: transfer at slot 1 gives the slot-3 series
+    # row names; rpc_closed takes a frame and reads none, since at a
+    # staircase leg both frames give one series, so each of its rows
+    # pairs it with the walk, which reads the frame
     assert unread(DEEP + TIER1) == set()
+    alone = [(name, name, name, inp, 0)
+             for name, route in routes.ROUTES.items() for inp in samples(route)]
+    assert unread(alone) == {("rpc_closed", Input((1,), frame=DIAG),
+                              "frame")}
+    # a field that no function of the row reads is refused in its check
     bad = ("x", "enumerate", "transfer", Input((1,), slot=1), 4)
-    assert unread([bad]) == {("x", Input((1,), slot=1), "slot")}
+    with pytest.raises(ValueError, match="^slot must be 3, got 1$"):
+        unread([bad])
 
 
 BAD_SLOTS = [(name, slot) for name in ("slot_closed", "slot_enumerate")
@@ -395,26 +430,48 @@ BAD_GROUPS = [
                    WRONG % ("z2z2", "zn")),
                   (name, Input((1,), n=4, frame=ANTI),
                    "^n is for group zn, got n=4 with z2z2$")]]]
+# a slot or a frame that a row does not read, and rpc_closed without a
+# frame or with an unknown one
+UNREAD = [
+    *[(name, Input((1,), *group, frame=frame, slot=1),
+       "^slot must be 3, got 1$")
+      for name, group, frame in [("transfer", (), None), ("closed", (), None),
+                                 ("enumerate", (), None),
+                                 ("zn_branch", ("zn", 4), None),
+                                 ("interlacing", (), ANTI)]],
+    *[(name, Input((1,), frame=DIAG), "^frame is for rpc rows, got %r$" % DIAG)
+      for name in ("closed", "enumerate", "transfer")],
+    *[("rpc_closed", Input((1,), frame=frame), "^unknown frame %r$" % frame)
+      for frame in (None, "bogus")]]
 
 
 @pytest.mark.parametrize("name, inp, message", [
     ("closed", Input((2,)), r"needs a staircase leg, got \(2,\)"),
-    ("rpc_closed", Input((2,)), r"needs a staircase leg, got \(2,\)"),
+    ("rpc_closed", Input((2,), frame=ANTI),
+     r"needs a staircase leg, got \(2,\)"),
     ("zn_branch", Input((2,), "zn", 4), r"needs a staircase leg, got \(2,\)"),
     ("rpc_transfer", Input((1,)), "^unknown frame None$"),
     ("interlacing", Input((1,)), "^unknown frame None$"),
     *[(name, Input((1,), "zn", 4, slot=slot),
        "^slot must be 1, 2 or 3, got %r$" % slot) for name, slot in BAD_SLOTS],
     *BAD_GROUPS,
+    *UNREAD,
 ], ids=["closed", "rpc_closed", "zn_branch", "rpc_transfer", "interlacing",
         *["%s-%r" % bad for bad in BAD_SLOTS],
         *["%s-%s-n%r" % (name, inp.group, inp.n)
-          for name, inp, _ in BAD_GROUPS]])
+          for name, inp, _ in BAD_GROUPS],
+        *["%s-%s" % (name, "slot1" if inp.slot == 1 else "frame-%s" % inp.frame)
+          for name, inp, _ in UNREAD]])
 def test_rows_reject_what_they_cannot_read(name, inp, message):
     # the staircase rows read only len(leg), so rpc_closed at (2,) gave the
     # product of (1,); rpc_transfer raised TypeError from "rpc_" + None;
     # the slot rows dropped a leg outside slots 1..3 and read True as 1;
     # zn_branch and slot_closed read no group, so z2z2 gave the Z4 series,
-    # and the z2z2 rows read neither group nor n
+    # and the z2z2 rows read neither group nor n; the rows of UNREAD gave
+    # the series without the slot or the frame.  The check refuses each
+    # before the row's function runs.
+    def no_series(inp, degree):
+        raise AssertionError("series computed at %r" % (inp,))
+
     with pytest.raises(ValueError, match=message):
-        routes.ROUTES[name].series(inp, 3)
+        routes.ROUTES[name]._replace(fn=no_series).series(inp, 3)
