@@ -307,8 +307,9 @@ def vertex_by_transfer(group, leg, cutoff, mode=None, n=None):
     slices, more than the cutoff allows once k >= cutoff, so every window
     of at least cutoff + t0 gives the same truncation.  The window used
     is that least one, with no margin, and the product is evaluated on
-    it once.  The tests compare it with the window + 1 and the window +
-    2, and the `verify` command with the window + 2.
+    it once.  The tests compare it with the window + 1, and the route
+    rows wide and rpc_wide (_wide), in `verify` and the tests, with the
+    window + 2.
 
     Why truncating inside each step loses nothing: every exponent is
     non-negative, so no later step lowers a term's degree.  A term of
@@ -330,8 +331,7 @@ def vertex_by_transfer(group, leg, cutoff, mode=None, n=None):
     return _bracket(v, cutoff, mode, n, window)
 
 
-def _window_pair(group, leg, cutoff, n=None):
-    """(window, bracket on window, bracket on window + 2) for `verify`."""
-    v, mode, n, window = _transfer_args(group, leg, cutoff, None, n)
-    return (window, _bracket(v, cutoff, mode, n, window),
-            _bracket(v, cutoff, mode, n, window + 2))
+def _wide(group, leg, cutoff, mode=None, n=None):
+    """vertex_by_transfer's product on its window + 2: the window check."""
+    v, mode, n, window = _transfer_args(group, leg, cutoff, mode, n)
+    return _bracket(v, cutoff, mode, n, window + 2)

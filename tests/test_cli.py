@@ -194,14 +194,13 @@ def test_verify_fails_on_unstable_transfer_window(capsys, monkeypatch):
     code, out = run_cli(capsys, ["verify", "--degree", "3"])
     assert code == 1
     assert out.splitlines() == [
-        "transfer window %d not stable in zero_leg_enumerate_transfer: "
-        "windows %d and %d differ at q0*qa: 1 != 2"
-        % (window, window, window + 2)]
+        "mismatch in zero_leg_enumerate_transfer: transfer vs wide "
+        "at q0*qa: 1 != 2"]
 
 
 def test_verify_prints_both_lines_of_a_failing_check(capsys, monkeypatch):
-    # the bracket on the window itself gains a term, so the zero-leg z2z2
-    # check fails against enumeration and against window + 2
+    # the bracket on the window itself gains a term, so both rows of the
+    # zero-leg z2z2 check fail: against enumeration and against wide
     window = fock_transfer._transfer_args("z2z2", (), 3, "standard", None)[3]
     bracket = fock_transfer._bracket
 
@@ -215,10 +214,10 @@ def test_verify_prints_both_lines_of_a_failing_check(capsys, monkeypatch):
     code, out = run_cli(capsys, ["verify", "--degree", "3"])
     assert code == 1
     assert out.splitlines() == [
-        "mismatch in zero_leg_enumerate_transfer at q0*qa: 1 != 2",
-        "transfer window %d not stable in zero_leg_enumerate_transfer: "
-        "windows %d and %d differ at q0*qa: 2 != 1"
-        % (window, window, window + 2)]
+        "mismatch in zero_leg_enumerate_transfer: enumerate vs transfer "
+        "at q0*qa: 1 != 2",
+        "mismatch in zero_leg_enumerate_transfer: transfer vs wide "
+        "at q0*qa: 2 != 1"]
 
 
 def test_verify_flag_prints_every_differing_method(capsys, monkeypatch):
@@ -298,7 +297,7 @@ def test_uniqueness_rejects_negative_bounds(capsys, monkeypatch, flag, value,
 # every function a route row calls, where the row looks it up
 SERIES_FUNCTIONS = [
     (dt_vertex, "enumerate_3d"), (dt_vertex, "enumerate_one_leg"),
-    (fock_transfer, "vertex_by_transfer"), (fock_transfer, "_window_pair"),
+    (fock_transfer, "vertex_by_transfer"), (fock_transfer, "_wide"),
     (dt_vertex, "closed_z2z2_staircase"), (dt_vertex, "vertex_closed_zn"),
     (dt_vertex, "one_leg_zn_staircase"),
     (dt_vertex, "corollary_rpc_closed"), (rpc, "generating_function"),

@@ -5,18 +5,21 @@ is a row; the unit test files keep what a row cannot state.
 
 A row is (check, route, route, input, degree): the two routes must give
 the same series at the input, up to the degree, and each field that the
-input sets must be read by one of them.  Besides the rows of
-routes.ROUTES, a row may name four test routes: "wide", transfer's
-bracket on its window + 2; "commute", the partner-free product of
-oracles.commute_series; "barred", the slot route at the conjugate leg
-in the other side slot with every color label j read as -j mod n; and
-"restricted", z2z2 transfer at the leg with each color sent to its
-restriction on a Z2 subgroup or the trivial group, which puts the leg
-in the slot of RESTRICT.  Each has a domain, as a library row does:
-barred and restricted need zn and read the slot, and wide and commute
-read a frame only where the input sets one (Framed).
+input sets must be read by one of them.  routes.CHECKS, verify's rows,
+have the same shape without the degree.  Besides the rows of
+routes.ROUTES, a row may name three test routes: "commute", the
+partner-free product of oracles.commute_series; "barred", the slot
+route at the conjugate leg in the other side slot with every color
+label j read as -j mod n; and "restricted", z2z2 transfer at the leg
+with each color sent to its restriction on a Z2 subgroup or the trivial
+group, which puts the leg in the slot of RESTRICT.  Each refuses in its
+check what its function cannot take, as a library row does: commute
+takes zn, or z2z2 in the diagonal frame; barred zn in slot 1 or 2; and
+restricted zn at the (n, slot) pairs of RESTRICT.  Over grid(), every
+row refuses an input in its check or computes it (misread).
 
-CI runs every DEEP row at its own degree, in one step:
+CI runs every DEEP row at its own degree, and the grid at degree 8, in
+one step:
 
     cd tests && python -X dev -W error -c \\
         'from test_routes import run_deep; run_deep()'
@@ -34,19 +37,11 @@ from multiprocessing import get_context
 
 import pytest
 
-from orbivertex import fock_transfer, routes
+from orbivertex import routes
 from orbivertex import partition_core as pc
 from orbivertex.pyramid import ANTI, DIAG, _group_names, zn_names
 from orbivertex.routes import Input, Route
 from oracles import commute_series
-
-
-def _wide(inp, d):
-    # transfer in the input's mode: its group's own, or rpc_<frame>
-    mode = "rpc_" + inp.frame if inp.frame else None
-    v, mode, n, window = fock_transfer._transfer_args(
-        inp.group, inp.leg, d, mode, inp.n)
-    return fock_transfer._bracket(v, d, mode, n, window + 2)
 
 
 def _commute(inp, d):
@@ -73,23 +68,48 @@ def _restricted(inp, d):
         zn_names(inp.n), RESTRICT[inp.n, inp.slot])
 
 
-class Framed(Route):
-    """A test route that reads a frame only when the input sets one, so
-    its domain depends on the input: with a frame, an rpc row's (z2z2,
-    the frame read); without, its own fields'."""
+class Commute(Route):
+    """commute_series' two modes: zn, its fields' domain, or z2z2 in the
+    diagonal frame."""
     __slots__ = ()
 
     def check(self, inp):
         if inp.frame is None:
             return Route.check(self, inp)
-        return Route.check(self._replace(group="z2z2", frame=True), inp)
+        inp = Route.check(self._replace(group="z2z2", frame=True), inp)
+        if inp.frame != DIAG:
+            raise ValueError("frame must be %r, got %r" % (DIAG, inp.frame))
+        return inp
+
+
+class Barred(Route):
+    """The slot route moved to the other side slot: slot 1 or 2."""
+    __slots__ = ()
+
+    def check(self, inp):
+        inp = Route.check(self, inp)
+        if inp.slot == 3:
+            raise ValueError("slot must be 1 or 2, got 3")
+        return inp
+
+
+class Restricted(Route):
+    """z2z2 transfer restricted: the (n, slot) pairs of RESTRICT."""
+    __slots__ = ()
+
+    def check(self, inp):
+        inp = Route.check(self, inp)
+        if (inp.n, inp.slot) not in RESTRICT:
+            raise ValueError("(n, slot) must be one of %s, got %r"
+                             % (sorted(RESTRICT), (inp.n, inp.slot)))
+        return inp
 
 
 # commute_series multiplies pair factors, as the closed products do
-ALL = {**routes.ROUTES, "wide": Framed(_wide, "partners"),
-       "commute": Framed(_commute, "factors", group="zn"),
-       "barred": Route(_barred, "factors", group="zn", slot=True),
-       "restricted": Route(_restricted, "partners", group="zn", slot=True)}
+ALL = {**routes.ROUTES, "commute": Commute(_commute, "factors", group="zn"),
+       "barred": Barred(_barred, "factors", group="zn", slot=True),
+       "restricted": Restricted(_restricted, "partners", group="zn",
+                                slot=True)}
 
 LEGS = [(3, 1), (2, 2, 1)]
 # (n, leg, side slot): (4) and (1,1,1,1) take the dual Jacobi-Trudi
@@ -103,12 +123,12 @@ SIDE = ([(4, (4,), 1), (4, (1, 1, 1, 1), 2)]
 DEEP = [
     # the window is the proven minimum with no margin; verify checks it
     # only at the zero leg and Z4 (1)
-    *[("transfer_window", route, "wide", inp, 18) for leg in LEGS
-      for route, inp in [("transfer", Input(leg)),
-                         ("rpc_transfer", Input(leg, frame=ANTI)),
-                         ("rpc_transfer", Input(leg, frame=DIAG)),
-                         ("transfer", Input(leg, "zn", 3)),
-                         ("transfer", Input(leg, "zn", 4))]],
+    *[("transfer_window", a, b, inp, 18) for leg in LEGS
+      for a, b, inp in [("transfer", "wide", Input(leg)),
+                        ("rpc_transfer", "rpc_wide", Input(leg, frame=ANTI)),
+                        ("rpc_transfer", "rpc_wide", Input(leg, frame=DIAG)),
+                        ("transfer", "wide", Input(leg, "zn", 3)),
+                        ("transfer", "wide", Input(leg, "zn", 4))]],
     # the three vertex routes; above the degree (n = 12 and 200) the
     # zero-leg table keeps only the runs of M~ that reach the cutoff, and
     # enumeration builds a color unit only for the residues its cells reach
@@ -309,10 +329,13 @@ def run_rows(rows):
 
 def run_deep():
     """Every DEEP row at its own degree, in two processes that take the
-    shared runs in turn."""
+    shared runs in turn, then every row of ALL over the grid at 8."""
     runs = shared_runs()
     with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
         list(pool.map(run_rows, [sum(runs[i::2], []) for i in (0, 1)]))
+    start = time.perf_counter()
+    assert misread(8) == {}
+    print("grid D=8: %.2f s" % (time.perf_counter() - start), flush=True)
 
 
 def row_id(row):
@@ -358,8 +381,10 @@ def same_class(rows):
 
 def test_every_check_pairs_routes_of_different_classes():
     # verify's checks and the tests', each routes of two classes unless
-    # SAME_CLASS says why not; verify's are all cross-class
-    assert same_class(routes.CHECKS) == set()
+    # SAME_CLASS says why not; verify's only same-class rows are
+    # transfer's window check, SAME_CLASS' transfer_window
+    assert {row[1:3] for row in routes.CHECKS
+            if ALL[row[1]].kind == ALL[row[2]].kind} == {("transfer", "wide")}
     assert same_class(DEEP + TIER1) == set(SAME_CLASS)
     # a row given two routes of one class is caught
     assert same_class([("x", "transfer", "interlacing", Input())]) == {"x"}
@@ -407,6 +432,7 @@ def test_every_field_a_row_sets_is_read():
     # staircase leg both frames give one series, so each of its rows
     # pairs it with the walk, which reads the frame
     assert unread(DEEP + TIER1) == set()
+    assert unread([(*check, 0) for check in routes.CHECKS]) == set()
     alone = [(name, name, name, inp, 0)
              for name, route in routes.ROUTES.items() for inp in samples(route)]
     assert unread(alone) == {("rpc_closed", Input((1,), frame=DIAG),
@@ -440,9 +466,17 @@ UNREAD = [
                                  ("zn_branch", ("zn", 4), None),
                                  ("interlacing", (), ANTI)]],
     *[(name, Input((1,), frame=DIAG), "^frame is for rpc rows, got %r$" % DIAG)
-      for name in ("closed", "enumerate", "transfer")],
+      for name in ("closed", "enumerate", "transfer", "wide")],
     *[("rpc_closed", Input((1,), frame=frame), "^unknown frame %r$" % frame)
       for frame in (None, "bogus")]]
+# an input that a row's fields would admit but its function cannot take
+NARROW = [
+    ("zn_branch", Input((1,), "zn", 3), "^n must be 4, got 3$"),
+    ("commute", Input((1,), frame=ANTI),
+     "^frame must be %r, got %r$" % (DIAG, ANTI)),
+    ("barred", Input((1,), "zn", 3), "^slot must be 1 or 2, got 3$"),
+    ("restricted", Input((1,), "zn", 3, slot=1),
+     r"^\(n, slot\) must be one of .*, got \(3, 1\)$")]
 
 
 @pytest.mark.parametrize("name, inp, message", [
@@ -456,22 +490,60 @@ UNREAD = [
        "^slot must be 1, 2 or 3, got %r$" % slot) for name, slot in BAD_SLOTS],
     *BAD_GROUPS,
     *UNREAD,
+    *NARROW,
 ], ids=["closed", "rpc_closed", "zn_branch", "rpc_transfer", "interlacing",
         *["%s-%r" % bad for bad in BAD_SLOTS],
         *["%s-%s-n%r" % (name, inp.group, inp.n)
           for name, inp, _ in BAD_GROUPS],
         *["%s-%s" % (name, "slot1" if inp.slot == 1 else "frame-%s" % inp.frame)
-          for name, inp, _ in UNREAD]])
+          for name, inp, _ in UNREAD],
+        *[name + "-narrow" for name, _, _ in NARROW]])
 def test_rows_reject_what_they_cannot_read(name, inp, message):
     # the staircase rows read only len(leg), so rpc_closed at (2,) gave the
     # product of (1,); rpc_transfer raised TypeError from "rpc_" + None;
     # the slot rows dropped a leg outside slots 1..3 and read True as 1;
     # zn_branch and slot_closed read no group, so z2z2 gave the Z4 series,
     # and the z2z2 rows read neither group nor n; the rows of UNREAD gave
-    # the series without the slot or the frame.  The check refuses each
-    # before the row's function runs.
+    # the series without the slot or the frame; the rows of NARROW raised
+    # inside their functions.  The check refuses each before the row's
+    # function runs.
     def no_series(inp, degree):
         raise AssertionError("series computed at %r" % (inp,))
 
     with pytest.raises(ValueError, match=message):
-        routes.ROUTES[name]._replace(fn=no_series).series(inp, 3)
+        ALL[name]._replace(fn=no_series).series(inp, 3)
+
+
+def grid(max_size=5):
+    """Every leg of size <= max_size under z2z2 and Z1..Z5, with no frame
+    and with each, in slots 1, 2 and 3: 1,026 inputs at the default."""
+    return [Input(leg, group, n, frame, slot)
+            for leg in pc.partitions_up_to(max_size)
+            for group, n in [("z2z2", None)] + [("zn", n) for n in range(1, 6)]
+            for frame in (None, ANTI, DIAG) for slot in (1, 2, 3)]
+
+
+def misread(degree):
+    """{row of ALL: the number of grid inputs that its check admits and
+    its function then fails on}; a check that raises anything but
+    ValueError raises here."""
+    out = {}
+    for inp in grid():
+        for name, route in ALL.items():
+            try:
+                checked = route.check(inp)
+            except ValueError:
+                continue
+            try:
+                route.fn(checked, degree)
+            except Exception:
+                out[name] = out.get(name, 0) + 1
+    return out
+
+
+def test_every_row_refuses_in_check_or_computes():
+    # zn_branch took every zn n, commute the antidiagonal frame, barred
+    # slot 3 and restricted every (n, slot); each then raised inside its
+    # function, on 12, 19, 95 and 209 grid inputs
+    assert len(grid()) == 1026
+    assert misread(3) == {}
