@@ -338,7 +338,7 @@ def test_leg_count_must_be_three(legs):
 
 
 def test_one_leg_zn_staircase_both_branches():
-    # TIER1's branch_transfer rows run every m mod 4 branch against transfer
+    # TIER1's branch_transfer rows at m = 3..7 check each m mod 4 branch
     with pytest.raises(ValueError):
         one_leg_zn_staircase(3, 1, 4)
     with pytest.raises(ValueError):

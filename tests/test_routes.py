@@ -38,6 +38,7 @@ import re
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from multiprocessing import get_context
 
 import pytest
@@ -66,11 +67,13 @@ def _barred(inp, d):
 # Z2 subgroup of Z2 x Z2 fixes one axis, and puts the leg in that slot
 RESTRICT = {(2, 3): (0, 1, 1, 0), (2, 2): (0, 0, 1, 1), (2, 1): (0, 1, 0, 1),
             (1, 3): (0, 0, 0, 0)}
+# the grid and the rows visit a leg's (n, slot) pairs one after another
+_Z2Z2 = lru_cache(maxsize=1)(routes.ROUTES["transfer"].series)
 
 
 def _restricted(inp, d):
     # a box's color on a subgroup H is its Z2 x Z2 color restricted to H
-    return routes.ROUTES["transfer"].series(Input(inp.leg), d).map_vars(
+    return _Z2Z2(Input(inp.leg), d).map_vars(
         zn_names(inp.n), RESTRICT[inp.n, inp.slot])
 
 
@@ -196,15 +199,12 @@ SAME_CLASS = {
 }
 
 
-# tier-1's own comparisons, each at its own degree, where the grid walk
-# below cannot state them: a truncation boundary, a leg of size 6 or
-# more, n = 12, 60 or 200, an input with one class, or a degree above
-# the walk's; the rows that the walk covers as well, marked pending and
-# counted in PENDING, stay until a later change retires them
+# tier-1's own comparisons, each at its own degree, where the walk below
+# cannot state them: a truncation boundary, a leg of size 6 or more,
+# n = 12, 60 or 200, one class, or a degree above the walk's; or pending
 PRUNE_LEGS = [(), (1,), (2, 1), (3, 1)]
-# the legs of the closed Zn vertex against enumeration at degree 8, in
-# every slot; but () and (3,2,1), transfer's z2z2 legs at degree 12
-SWEEP = [(), (1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1), (3, 2, 1)]
+# slot_closed's side-slot legs at D=8; but (3,2,1), z2z2 transfer's at 12
+SWEEP = [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1), (3, 2, 1)]
 
 
 def shared_runs(rows=DEEP):
@@ -234,17 +234,16 @@ BOUNDARY = [
 TIER1 = sum(shared_runs(BOUNDARY + [
     # above the walk's degree
     *[("enumerate_transfer", "enumerate", "transfer", inp, d)
-      for inp, d in [*[(Input(leg), 12) for leg in SWEEP[1:-1]],
+      for inp, d in [*[(Input(leg), 12) for leg in SWEEP[:-1]],
                      *[(Input(leg, "zn", n), 12) for n in (3, 4)
                        for leg in [(1,), (2, 1)]], (Input(), 18)]],
     # pending; Z3 at PRUNE_LEGS is a boundary row
     *[("enumerate_transfer", "enumerate", "transfer", Input(leg, "zn", n), 8)
       for n in (2, 3, 4) for leg in pc.partitions_up_to(4)
       if n != 3 or leg not in PRUNE_LEGS],
-    # slot 3 on the CLI's rows; n = 1 is the hook product; pending but
-    # (3,2,1)
-    *[("enumerate_closed", "enumerate", "closed", Input(leg, "zn", n), 8)
-      for n in range(1, 6) for leg in SWEEP],
+    # the CLI's slot 3 at (3,2,1); n = 1 is the hook product
+    *[("enumerate_closed", "enumerate", "closed", Input((3, 2, 1), "zn", n), 8)
+      for n in range(1, 6)],
     ("transfer_commute", "transfer", "commute", Input((3, 1), "zn", 4), 20),
     ("closed_transfer", "closed", "transfer", Input((3, 1), "zn", 4), 20),
     # the walk and transfer share pc.least_ahead, commute_series runs no
@@ -264,10 +263,9 @@ TIER1 = sum(shared_runs(BOUNDARY + [
     *[("walk_transfer", "interlacing", "rpc_transfer", Input(leg, frame=f), d)
       for leg, f, d in [((1,), ANTI, 11), ((2, 1), ANTI, 11), ((1,), DIAG, 11),
                         ((2, 1), DIAG, 11), ((2, 1), DIAG, 14)]],
-    # the staircase products against the walks, enumeration and transfer;
-    # m = 0..7 runs every m mod 4 branch of both Z4 forms at shifts 0..4;
-    # legs of size 6 and up from m = 3, m = 0..2 pending
-    *[row for m in range(8) for leg in [pc.staircase(m)] for row in [
+    # the staircase products at m = 3..7 against the walks, enumeration
+    # and transfer: every m mod 4 branch of both Z4 forms, shifts l = 2..4
+    *[row for m in range(3, 8) for leg in [pc.staircase(m)] for row in [
         *[("walk_closed", "interlacing", "rpc_closed", Input(leg, frame=f), 8)
           for f in (ANTI, DIAG)],
         ("enumerate_closed", "enumerate", "closed", Input(leg), 8),
@@ -296,7 +294,7 @@ TIER1 = sum(shared_runs(BOUNDARY + [
     # pending but (3,2,1)
     *[("slot_closed_enumerate", "slot_closed", "slot_enumerate",
        Input(leg, "zn", n, slot=slot), d) for n, leg, slot, d in [
-           *[(n, leg, slot, 8) for n in range(1, 6) for leg in SWEEP[1:]
+           *[(n, leg, slot, 8) for n in range(1, 6) for leg in SWEEP
              for slot in (1, 2)],
            *[(n, leg, slot, 12) for n in (3, 4)
              for leg in [(2, 1), (3,), (1, 1, 1)] for slot in (1, 2)],
@@ -627,12 +625,9 @@ def covered(rows, walked):
     return out
 
 
-# check -> the number of its TIER1 rows that the walk covers as well; they
-# stay, marked pending, until a later change retires them
+# check -> how many of its TIER1 rows the walk covers too, pending retirement
 PENDING = {"slot_closed_enumerate": 70, "restricted_closed": 76,
-           "enumerate_closed": 43, "enumerate_transfer": 32,
-           "walk_transfer": 15, "walk_closed": 6, "closed_transfer": 3,
-           "branch_transfer": 3}
+           "enumerate_transfer": 32, "walk_transfer": 15}
 
 
 def test_no_hand_listed_row_repeats_the_walk():
@@ -641,6 +636,10 @@ def test_no_hand_listed_row_repeats_the_walk():
     rows = [row for row in TIER1 if row not in BOUNDARY]
     walked = walk_rows(grid(), DEGREES)
     assert Counter(row[0] for row in covered(rows, walked)) == PENDING
+    # the walk stops at m = 2; the rows keep each m mod 4 of both Z4 forms
+    for check in ("closed_transfer", "branch_transfer"):
+        assert {len(r[3].leg) % 4 for r in TIER1 if r[0] == check
+                and r[3].n == 4 and pc.is_staircase(r[3].leg)} == {0, 1, 2, 3}
 
 
 def _plus_one(s):
