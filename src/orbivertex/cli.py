@@ -221,12 +221,14 @@ def build_parser():
     _add_output(p)
     p.set_defaults(build=_verify)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parser = args.parser    # the subcommand's, for its usage line
     if getattr(args, "degree", 0) < 0:
         parser.error("degree must be >= 0")
     if args.output:

@@ -51,6 +51,14 @@ def enumerate_one_leg(legs, group, cutoff, n=None):
     and, if at height h, of x + width and x + 1.  So each down-set of
     size <= cutoff is reached once.
 
+    The last two levels close in one call: at room 2, last counts each
+    box x of the child's list and each child of x directly, the rest of
+    the list, at heights that adding x leaves alone, and the boxes x
+    completes.  Their tests read top next to x, never at x: the boxes
+    at x + width and x + 1 need column x above h, which adding x makes
+    true.  So last writes no top and makes no call.  Each box it counts
+    lies in a down-set of size <= cutoff, so its unit index is < cutoff.
+
     No index wraps: a box (r, c, h) with r >= len(leg) needs the boxes
     (len(leg)..r - 1, c, h), none in the leg, so r < len(leg) + cutoff
     and len(leg) + cutoff + 2 rows, border included, hold every
@@ -90,13 +98,26 @@ def enumerate_one_leg(legs, group, cutoff, n=None):
     counts = {0: 1}
     get = counts.get
 
+    def last(cands, w):
+        for i, x in enumerate(cands):
+            h = top[x]
+            v = w + unit[x][h]
+            counts[v] = get(v, 0) + 1
+            for y in cands[i + 1:]:
+                u = v + unit[y][top[y]]
+                counts[u] = get(u, 0) + 1
+            if top[x - width] > h + 1 and top[x - 1] > h + 1:
+                u = v + unit[x][h + 1]
+                counts[u] = get(u, 0) + 1
+            if top[x + width] == h and top[x + width - 1] > h:
+                u = v + unit[x + width][h]
+                counts[u] = get(u, 0) + 1
+            if top[x + 1] == h and top[x + 1 - width] > h:
+                u = v + unit[x + 1][h]
+                counts[u] = get(u, 0) + 1
+
     def rec(cands, w, room):
-        # room: how many more boxes may follow the one added here
-        if not room:
-            for x in cands:
-                v = w + unit[x][top[x]]
-                counts[v] = get(v, 0) + 1
-            return
+        # room >= 2: how many more boxes may follow the one added here
         for i, x in enumerate(cands):
             h = top[x]
             v = w + unit[x][h]
@@ -109,12 +130,18 @@ def enumerate_one_leg(legs, group, cutoff, n=None):
                 nxt.append(x + width)
             if top[x + 1] == h and top[x + 1 - width] > h:
                 nxt.append(x + 1)
-            rec(nxt, v, room - 1)
+            rec(nxt, v, room - 1) if room > 2 else last(nxt, v)
             top[x] = h
 
-    if cutoff >= 1:
-        rec([x for x, t in enumerate(top)
-             if not t and top[x - width] and top[x - 1]], 0, cutoff - 1)
+    roots = [x for x, t in enumerate(top)
+             if not t and top[x - width] and top[x - 1]]
+    if cutoff > 2:
+        rec(roots, 0, cutoff - 1)
+    elif cutoff == 2:
+        last(roots, 0)
+    elif cutoff == 1:
+        for x in roots:
+            counts[unit[x][0]] = get(unit[x][0], 0) + 1
     return series_from_packed(names, cutoff, counts)
 
 

@@ -160,10 +160,11 @@ def _slice_walk(v, cutoff, slice_weight):
       |opt| <= bricks left, so no family over budget is counted.  An
       upward partner contains the previous slice, and the least
       continuation is monotone under containment, so only partners of
-      size <= top - ahead(prev, s - left) are listed.  It keeps opt
-      through the upward run after s, so need >= |opt| * (1 + run): the
-      prune subsumes the run prune, and left of -b, where the run
-      reaches -b, a steps-left bound of 1 + (-b - s).
+      size <= top - ahead(prev, s - left) are listed.  The least
+      continuation keeps opt through the upward run up to the next
+      downward step following[i], i = s - left, so need >= |opt| *
+      (following[i] - i), and only partners of size <= top //
+      (following[i] - i) are listed either, as fock_transfer._bracket does.
     * Early stop: once slice s - 1 is empty with s >= b, the family is
       complete.  Every later slice has tau = +1, and the only partition
       below () is (), primed or not, so by induction every later slice
@@ -182,12 +183,12 @@ def _slice_walk(v, cutoff, slice_weight):
     # steps[s - left]: (slice s lies below slice s - 1, slice s is primed)
     taus = pc.edge_values(conj, [-s for s in slices])
     steps = [(tau == 1, s % 2 == 0) for s, tau in zip(slices, taus)]
-    ahead, _ = pc.least_ahead(steps)
+    ahead, following = pc.least_ahead(steps)
     weigh = lru_cache(maxsize=None)(slice_weight)
     out = {}
     state = {(): {cutoff: {weigh(left, ()): 1}}}
-    for s in slices[1:]:
-        down, primed = steps[s - left]
+    for i, s in enumerate(slices[1:], 1):     # i = s - left
+        down, primed = steps[i]
         needs = {}
         grown = {}
         for prev, buckets in state.items():
@@ -202,12 +203,12 @@ def _slice_walk(v, cutoff, slice_weight):
             if down:
                 options = pc.partners_below(prev, primed)
             else:
-                options = pc.partners_above(prev, top - ahead(prev, s - left),
-                                            primed)
+                options = pc.partners_above(prev, min(
+                    top - ahead(prev, i), top // (following[i] - i)), primed)
             for opt in options:
                 need = needs.get(opt)
                 if need is None:
-                    need = needs[opt] = sum(opt) + ahead(opt, s - left)
+                    need = needs[opt] = sum(opt) + ahead(opt, i)
                 if need > top:
                     continue
                 cost = sum(opt)

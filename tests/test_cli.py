@@ -341,6 +341,47 @@ def test_bad_input_fails_before_any_series(capsys, monkeypatch, argv, message):
     assert called == []
 
 
+# one input error per subcommand that only main or _run can see
+AFTER_PARSING = [
+    (["vertex", "--n", "3"], "n is for group zn, got n=3 with z2z2"),
+    (["pyramid", "--method", "closed", "--verify"],
+     "--verify needs at least two methods"),
+    (["rpc", "--leg", "2", "--method", "interlacing,closed"],
+     "staircase product needs a staircase leg, got (2,)"),
+    (["uniqueness", "--window", "-2"], "window must be >= 0, got -2"),
+    (["verify", "--degree", "-1"], "degree must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", AFTER_PARSING,
+                         ids=[argv[0] for argv, _ in AFTER_PARSING])
+def test_input_errors_after_parsing_name_the_subcommand(capsys, argv, message):
+    # the top-level usage line and "orbivertex: error:" were printed, where
+    # argparse's own errors for the subcommand print the subcommand's
+    command = argv[0]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: orbivertex %s [-h]" % command)
+    assert captured.err.splitlines()[-1] == "orbivertex %s: error: %s" % (
+        command, message)
+
+
+def test_output_errors_name_the_subcommand(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    for command in ("vertex", "pyramid", "rpc", "uniqueness", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--output", str(target)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: orbivertex %s [-h]" % command)
+        assert err.splitlines()[-1] == (
+            "orbivertex %s: error: output directory %s does not exist"
+            % (command, target.parent))
+
+
 def test_deterministic_output(capsys):
     _, a = run_cli(capsys, ["vertex", "--leg", "1", "--degree", "3",
                             "--method", "enumerate"])

@@ -95,8 +95,10 @@ def _one_leg_slots(max_size):
 @pytest.mark.parametrize("group, n", [
     ("z2z2", None), ("zn", 1), ("zn", 2), ("zn", 3), ("zn", 4)])
 def test_enumerate_one_leg_matches_downset_oracle(group, n):
+    # cutoffs 0 to 2 close in last or at the roots, 3 is the first that
+    # enters the recursion, 6 goes four levels deep before last
     for legs in _one_leg_slots(3):
-        for cutoff in (0, 6):
+        for cutoff in (0, 1, 2, 3, 6):
             got = enumerate_one_leg(legs, group, cutoff, n=n)
             want = oracles.one_leg_downsets_series(legs, group, cutoff, n)
             assert got.terms == want, (legs, cutoff)

@@ -254,12 +254,12 @@ TIER1 = sum(shared_runs(BOUNDARY + [
          Input(leg, frame=DIAG), 12)]],
     # every leg of size <= 4 reaches both corner parities of every kind of
     # slice (even, odd s > 0, odd s < 0) within degree 6, DEEP has (3,1)
-    # and (2,2) antidiagonal at 6; no other class reaches an antidiagonal
-    # leg that is not a staircase, the diagonal legs and the staircases
-    # are pending
-    *[("walk_transfer", "interlacing", "rpc_transfer", Input(leg, frame=f), 6)
-      for f in (ANTI, DIAG) for leg in pc.partitions_up_to(4)
-      if f == DIAG or leg not in [(3, 1), (2, 2)]],
+    # and (2,2) at 6; no other class reaches an antidiagonal leg that is
+    # not a staircase, and the walk meets the others in rpc_closed or
+    # commute
+    *[("walk_transfer", "interlacing", "rpc_transfer", Input(leg, frame=ANTI),
+       6) for leg in pc.partitions_up_to(4)
+      if not pc.is_staircase(leg) and leg not in [(3, 1), (2, 2)]],
     *[("walk_transfer", "interlacing", "rpc_transfer", Input(leg, frame=f), d)
       for leg, f, d in [((1,), ANTI, 11), ((2, 1), ANTI, 11), ((1,), DIAG, 11),
                         ((2, 1), DIAG, 11), ((2, 1), DIAG, 14)]],
@@ -627,7 +627,7 @@ def covered(rows, walked):
 
 # check -> how many of its TIER1 rows the walk covers too, pending retirement
 PENDING = {"slot_closed_enumerate": 70, "restricted_closed": 76,
-           "enumerate_transfer": 32, "walk_transfer": 15}
+           "enumerate_transfer": 32}
 
 
 def test_no_hand_listed_row_repeats_the_walk():

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 
@@ -564,6 +565,43 @@ def test_walk_ahead_is_the_least_continuation(monkeypatch):
                 for k in range(len(steps)):
                     want = oracles.least_continuation(mu, steps[k + 1:])
                     assert ahead(mu, k) == want, (v, budget, mu, k)
+
+
+def test_walk_lists_upward_partners_within_both_bounds(monkeypatch):
+    # each budget the walk hands partners_above at slice s, i = s - left,
+    # with top its largest bucket: at most top - ahead(prev, i), the chain
+    # prune, and at most top // (following[i] - i), the run bound, where
+    # following[i] is the first downward step after i; the steps are built
+    # here as in test_walk_ahead_is_the_least_continuation, which checks
+    # least_ahead's ahead against the oracle
+    partners_above = pc.partners_above
+    asked = []
+
+    def spy(lam, max_size, primed=False):
+        walk = sys._getframe(1).f_locals
+        asked.append((walk["s"], walk["top"], lam, max_size))
+        return partners_above(lam, max_size, primed)
+
+    monkeypatch.setattr(pc, "partners_above", spy)
+    binds = 0
+    for v in pc.partitions_up_to(4):
+        for budget in range(7):
+            asked.clear()
+            interlacing_families(v, budget)
+            conj = pc.conjugate(v)
+            slices = rpc._slice_range(conj, budget)
+            steps = [(edge_value(conj, -s) == 1, s % 2 == 0) for s in slices]
+            ahead, _ = pc.least_ahead(steps)
+            assert asked, (v, budget)
+            for s, top, lam, max_size in asked:
+                i = s - slices.start
+                run = next((d for d in range(i + 1, len(steps))
+                            if steps[d][0]), len(steps)) - i
+                chain = top - ahead(lam, i)
+                assert max_size <= min(chain, top // run), (v, budget, s)
+                binds += top // run < chain
+    # the run bound cuts below the chain prune somewhere
+    assert binds
 
 
 def test_interlacing_families_rejects_negative_budget(monkeypatch):
